@@ -245,6 +245,7 @@ fn fleet_rows(rows: &mut Vec<Row>) {
     // rounds; per-config best-of is taken over the rounds.
     let mut best = [Duration::MAX; 3];
     let mut snapshots = Vec::new();
+    let mut snapshot_run = Duration::ZERO;
     let mut dumps = 0usize;
     let mut defective = 0usize;
     let started = Instant::now();
@@ -266,7 +267,8 @@ fn fleet_rows(rows: &mut Vec<Row>) {
         snap_runner
             .run_monitored(&spec, fleet_size, &monitor)
             .expect("runs");
-        best[1] = best[1].min(t0.elapsed());
+        snapshot_run = t0.elapsed();
+        best[1] = best[1].min(snapshot_run);
         snapshots = rx.try_iter().collect::<Vec<_>>();
 
         // Snapshots plus a per-device flight recorder; every defective
@@ -298,13 +300,20 @@ fn fleet_rows(rows: &mut Vec<Row>) {
         "queue-wait quantiles must spread: {}",
         last.queue_wait_us
     );
-    if !smoke {
-        assert!(
-            snapshots.len() >= 10,
-            "a full lot emits >= 10 snapshots, got {}",
-            snapshots.len()
-        );
-    }
+    // The sampler emits one snapshot per elapsed interval plus the closing
+    // one, so the stream's length follows the run's own wall time: at least
+    // half the intervals that fit in it (a busy host wakes the sampler
+    // late), never more than fit.
+    let periods = (snapshot_run.as_secs_f64() / deep_channel.interval.as_secs_f64()) as usize;
+    assert!(
+        (1 + periods / 2..=1 + periods).contains(&snapshots.len()),
+        "a {:.1} ms monitored lot at a {:?} interval emitted {} snapshots, expected {}..={}",
+        snapshot_run.as_secs_f64() * 1e3,
+        deep_channel.interval,
+        snapshots.len(),
+        1 + periods / 2,
+        1 + periods
+    );
     assert!(defective > 0, "the 2% stamp marks at least one die");
     rows.push(Row {
         workload: "fleet_monitor",

@@ -5,7 +5,10 @@
 //! configuration wave is compiled once into a [`RouteTable`], and every
 //! core whose routes are exclusive (no serial wire sharing) becomes an
 //! independent *lane* whose scan traffic streams through the word-level
-//! wrapper/model paths 64 cycles per call. Cycle counters, per-core stats,
+//! wrapper/model paths 64 cycles per call. A lane's stimulus planes and
+//! golden response words come from its core's compiled session, built on
+//! the engine's first run and reused by its later runs and by its clones.
+//! Cycle counters, per-core stats,
 //! wire-busy counts, verdicts, and session signatures are reproduced
 //! exactly — the differential suite in `tests/` pins the engine against
 //! the bit-serial reference across engines and thread counts.
@@ -23,22 +26,25 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use casbus::{CasChain, RouteTable, RouteTableCache};
+use casbus::{CasChain, RouteTable, RouteTableCache, TamConfiguration};
 use casbus_controller::TestProgram;
 use casbus_obs::{FlightRecorder, MetricsRegistry, TraceEvent, TraceSink};
 use casbus_p1500::{TestableCore, Wrapper, WrapperControl, WrapperInstruction};
-use casbus_soc::models;
 use casbus_tpg::{BitVec, Verdict};
 
 use crate::pool::lpt_fanout;
 use crate::report::{
-    collect_lanes, drive_lanes_reference, finish_report, Lane, ReportBaseline, SocTestReport,
+    collect_lanes, drive_lanes_reference, finish_report, Lane, ReferenceSession, ReportBaseline,
+    SocTestReport,
 };
-use crate::session::{lane_signature, ClockKind};
+use crate::session::{lane_signature, push_zeros, verdict, CompiledSession, Segment, SessionCache};
 use crate::simulator::{SimError, SocSimulator};
 
 /// A lane index paired with the disjoint wrapper borrow that executes it.
 type LaneWork<'a> = (usize, &'a mut Wrapper<Box<dyn TestableCore>>);
+
+/// A step's lane with its core's compiled session.
+pub(crate) type SessionLane = Lane<Arc<CompiledSession>>;
 
 /// The compiled word-level TAM/session engine. Drop-in for the reference
 /// interpreter: identical [`SocTestReport`]s, cycle counters, and metrics.
@@ -64,8 +70,12 @@ pub struct CompiledEngine {
     threads: usize,
     cache: Option<Arc<RouteTableCache>>,
     recorder: Option<Arc<FlightRecorder>>,
+    /// Compiled sessions, built on first use and shared with every clone.
+    sessions: Arc<SessionCache>,
 }
 
+// The session cache is left out: it memoises pure functions of the core
+// descriptions, so it never makes two engines' results differ.
 impl PartialEq for CompiledEngine {
     fn eq(&self, other: &Self) -> bool {
         let same_arc =
@@ -95,11 +105,7 @@ impl CompiledEngine {
     /// Single-threaded compiled engine (the default used by
     /// [`run_program`](crate::run_program)).
     pub fn new() -> Self {
-        Self {
-            threads: 1,
-            cache: None,
-            recorder: None,
-        }
+        Self::with_threads(1)
     }
 
     /// Compiled engine running each step's independent lanes on up to
@@ -110,6 +116,7 @@ impl CompiledEngine {
             threads,
             cache: None,
             recorder: None,
+            sessions: Arc::default(),
         }
     }
 
@@ -143,6 +150,22 @@ impl CompiledEngine {
     /// The attached flight recorder, if any.
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
+    }
+
+    /// Shares `sessions` with this engine: a core whose session another
+    /// holder of the `Arc` already compiled is not compiled again.
+    pub(crate) fn with_sessions(mut self, sessions: Arc<SessionCache>) -> Self {
+        self.sessions = sessions;
+        self
+    }
+
+    /// The configured step's lanes with their compiled sessions.
+    pub(crate) fn session_lanes(
+        &self,
+        sim: &SocSimulator,
+        config: &TamConfiguration,
+    ) -> Result<Vec<SessionLane>, SimError> {
+        collect_lanes(sim, config, |desc| self.sessions.get_or_compile(desc))
     }
 
     /// The step's compiled routes: through the attached cache when present,
@@ -213,13 +236,26 @@ impl CompiledEngine {
             let wall_start = self.recorder.as_ref().map(|_| Instant::now());
             sim.configure(&step.configuration, &step.wrapper_instructions)?;
             let routes = self.routes_for(sim.tam().chain());
-            let lanes = collect_lanes(sim, &step.configuration)?;
-            let fast_path = !exact_only && step_is_compilable(sim, &lanes, &routes);
-            if fast_path {
-                results.extend(self.drive_lanes_compiled(sim, &lanes)?);
+            let compiled = if exact_only {
+                None
             } else {
-                results.extend(drive_lanes_reference(sim, &lanes, step_index, step_start)?);
-            }
+                let lanes = self.session_lanes(sim, &step.configuration)?;
+                step_compile_blocker(sim, &lanes, &routes)
+                    .is_none()
+                    .then_some(lanes)
+            };
+            let fast_path = compiled.is_some();
+            let lane_count = match compiled {
+                Some(lanes) => {
+                    results.extend(self.drive_lanes_compiled(sim, &lanes)?);
+                    lanes.len()
+                }
+                None => {
+                    let lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
+                    results.extend(drive_lanes_reference(sim, &lanes, step_index, step_start)?);
+                    lanes.len()
+                }
+            };
             if let (Some(recorder), Some(wall_start)) = (&self.recorder, wall_start) {
                 recorder.record(TraceEvent::span(
                     "engine",
@@ -227,7 +263,7 @@ impl CompiledEngine {
                     step_start,
                     sim.cycles() - step_start,
                     vec![
-                        ("lanes", lanes.len().into()),
+                        ("lanes", lane_count.into()),
                         (
                             "path",
                             if fast_path { "compiled" } else { "reference" }.into(),
@@ -268,8 +304,12 @@ impl CompiledEngine {
             if let Some(cache) = &self.cache {
                 cache.get_or_compile(sim.tam().chain());
             }
-            let lanes = collect_lanes(sim, &step.configuration)?;
-            data_cycles += lanes.iter().map(|l| l.plan.len() as u64).max().unwrap_or(0);
+            let lanes = self.session_lanes(sim, &step.configuration)?;
+            data_cycles += lanes
+                .iter()
+                .map(|l| l.session.len() as u64)
+                .max()
+                .unwrap_or(0);
         }
         Ok(sim.cycles() - start + data_cycles)
     }
@@ -279,9 +319,9 @@ impl CompiledEngine {
     fn drive_lanes_compiled(
         &self,
         sim: &mut SocSimulator,
-        lanes: &[Lane],
+        lanes: &[SessionLane],
     ) -> Result<Vec<(String, Verdict, u64)>, SimError> {
-        let horizon = lanes.iter().map(|l| l.plan.len()).max().unwrap_or(0);
+        let horizon = lanes.iter().map(|l| l.session.len()).max().unwrap_or(0);
         let mut lane_of_cas: Vec<Option<usize>> = vec![None; sim.tam().cas_count()];
         for (pos, lane) in lanes.iter().enumerate() {
             lane_of_cas[lane.cas_index] = Some(pos);
@@ -304,7 +344,7 @@ impl CompiledEngine {
             let workers = self.threads().min(lanes.len()).max(1);
             let weighted: Vec<(u64, LaneWork<'_>)> = work
                 .into_iter()
-                .map(|(pos, wrapper)| (lanes[pos].plan.len() as u64, (pos, wrapper)))
+                .map(|(pos, wrapper)| (lanes[pos].session.len() as u64, (pos, wrapper)))
                 .collect();
             let computed = lpt_fanout(weighted, workers, |(pos, wrapper)| {
                 (pos, run_lane(wrapper, &lanes[pos], horizon))
@@ -320,11 +360,11 @@ impl CompiledEngine {
         for (idx, slot) in lane_of_cas.iter().enumerate() {
             match slot {
                 Some(pos) => {
-                    let plan = &lanes[*pos].plan;
-                    let shifts = plan.shift_cycles() as u64;
+                    let session = &lanes[*pos].session;
+                    let shifts = session.shift_cycles() as u64;
                     stats[idx].shift += shifts;
-                    stats[idx].capture += plan.len() as u64 - shifts;
-                    stats[idx].idle += (horizon - plan.len()) as u64;
+                    stats[idx].capture += session.len() as u64 - shifts;
+                    stats[idx].idle += (horizon - session.len()) as u64;
                 }
                 None => stats[idx].idle += horizon as u64,
             }
@@ -334,21 +374,18 @@ impl CompiledEngine {
             // Every plan cycle is Shift or Capture (compilability), so the
             // lane's wires are busy for exactly `plan.len()` clocks.
             for &wire in &lane.wires {
-                busy[wire] += lane.plan.len() as u64;
+                busy[wire] += lane.session.len() as u64;
             }
         }
         let mut step_results = Vec::with_capacity(lanes.len());
         for (lane, outcome) in lanes.iter().zip(outcomes) {
             let outcome = outcome.expect("every lane ran");
             sim.set_pending(lane.cas_index, outcome.pending);
-            let verdict = if outcome.mismatches == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Fail {
-                    mismatches: outcome.mismatches,
-                }
-            };
-            step_results.push((lane.name.clone(), verdict, outcome.signature));
+            step_results.push((
+                lane.name.clone(),
+                verdict(outcome.mismatches),
+                outcome.signature,
+            ));
         }
         Ok(step_results)
     }
@@ -394,7 +431,7 @@ impl CompileBlocker {
 /// passes.
 pub(crate) fn step_compile_blocker(
     sim: &SocSimulator,
-    lanes: &[Lane],
+    lanes: &[SessionLane],
     routes: &RouteTable,
 ) -> Option<CompileBlocker> {
     let mut is_lane = vec![false; sim.tam().cas_count()];
@@ -413,17 +450,12 @@ pub(crate) fn step_compile_blocker(
         ) {
             return Some(CompileBlocker::NonIntestWrapper);
         }
-        let ports = lane.plan.ports();
+        let ports = lane.session.ports();
         // Identity resize: scheme width == plan width == wrapper width.
         if lane.wires.len() != ports || wrapper.parallel_width() != ports {
             return Some(CompileBlocker::WidthMismatch);
         }
-        if lane
-            .plan
-            .cycles()
-            .iter()
-            .any(|(_, kind)| matches!(kind, ClockKind::Update | ClockKind::Idle))
-        {
+        if !lane.session.batchable() {
             return Some(CompileBlocker::UpdateOrIdleCycles);
         }
     }
@@ -438,12 +470,6 @@ pub(crate) fn step_compile_blocker(
     }
 }
 
-/// Whether the configured step can run on the word-level fast path —
-/// [`step_compile_blocker`] without the diagnosis.
-pub(crate) fn step_is_compilable(sim: &SocSimulator, lanes: &[Lane], routes: &RouteTable) -> bool {
-    step_compile_blocker(sim, lanes, routes).is_none()
-}
-
 /// What one lane's batched session produced.
 struct LaneOutcome {
     /// Bit mismatches against the golden model (the interpreter's
@@ -455,8 +481,9 @@ struct LaneOutcome {
     pending: BitVec,
 }
 
-/// Streams one lane's whole session plan through the word-level wrapper and
-/// golden-model paths, 64 cycles per call.
+/// Streams one lane's compiled session through the word-level wrapper path,
+/// 64 cycles per call, comparing every produced word with the session's
+/// golden response.
 ///
 /// Equivalence to the interpreter, per data clock `t` of the step: the bus
 /// slice the interpreter records at `t` is the retimed wrapper output of
@@ -467,17 +494,17 @@ struct LaneOutcome {
 /// final drain shift falls outside the window, exactly as in the reference.
 fn run_lane(
     wrapper: &mut Wrapper<Box<dyn TestableCore>>,
-    lane: &Lane,
+    lane: &SessionLane,
     horizon: usize,
 ) -> LaneOutcome {
-    let ports = lane.plan.ports();
-    let len = lane.plan.len();
+    let session = &lane.session;
+    let ports = session.ports();
+    let len = session.len();
     let limit = horizon.min(len + 1);
-    let mut golden = models::instantiate(&lane.desc);
     let mut mismatches = 0usize;
     let mut streams: Vec<BitVec> = (0..ports)
         .map(|_| {
-            let mut stream = BitVec::new();
+            let mut stream = BitVec::with_capacity(limit);
             if limit > 0 {
                 stream.push(false);
             }
@@ -485,53 +512,36 @@ fn run_lane(
         })
         .collect();
     let mut last_bits = BitVec::zeros(ports);
-    let cycles = lane.plan.cycles();
-    let mut planes = vec![0u64; ports];
-    let mut t = 0usize;
-    while t < len {
-        if cycles[t].1 == ClockKind::Shift {
-            let mut run = 1usize;
-            while run < 64 && t + run < len && cycles[t + run].1 == ClockKind::Shift {
-                run += 1;
-            }
-            // Transpose the stimuli into per-port planes (bit c = cycle t+c).
-            planes.iter_mut().for_each(|p| *p = 0);
-            for (c, (stim, _)) in cycles[t..t + run].iter().enumerate() {
-                for (j, plane) in planes.iter_mut().enumerate() {
-                    if stim.get(j).expect("stim P wide") {
-                        *plane |= 1 << c;
-                    }
+    let capture_inputs = BitVec::zeros(ports);
+    for segment in session.segments() {
+        let observed = segment.observed(limit);
+        match *segment {
+            Segment::Shift { cycles, planes, .. } => {
+                let produced = wrapper.clock_parallel_words(session.stimulus(planes), cycles);
+                let expected = session.golden(planes);
+                let mask = if observed == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << observed) - 1
+                };
+                for (j, stream) in streams.iter_mut().enumerate() {
+                    mismatches += ((produced[j] ^ expected[j]) & mask).count_ones() as usize;
+                    stream.push_word(produced[j], observed);
+                    last_bits.set(j, (produced[j] >> (cycles - 1)) & 1 == 1);
                 }
             }
-            let produced = wrapper.clock_parallel_words(&planes, run);
-            let expected = golden.test_clock_words(&planes, run);
-            let kept = run.min(limit.saturating_sub(t + 1));
-            let mask = if kept == 64 {
-                u64::MAX
-            } else {
-                (1u64 << kept) - 1
-            };
-            for j in 0..ports {
-                mismatches += ((produced[j] ^ expected[j]) & mask).count_ones() as usize;
-                streams[j].push_word(produced[j], kept);
-                last_bits.set(j, (produced[j] >> (run - 1)) & 1 == 1);
-            }
-            t += run;
-        } else {
-            // Capture: fire the functional clock on both sides. The wrapper
-            // returns zeros on non-shift clocks, so the observed slice for
-            // this cycle is all-zero.
-            wrapper.clock_parallel(&BitVec::zeros(ports), &WrapperControl::capture_data());
-            golden.capture_clock();
-            if t + 1 < limit {
-                for stream in streams.iter_mut() {
-                    stream.push(false);
+            Segment::Capture { count, .. } => {
+                // Fire the functional clock. The wrapper returns zeros on
+                // non-shift clocks, so every observed capture slot is
+                // all-zero.
+                for _ in 0..count {
+                    wrapper.clock_parallel(&capture_inputs, &WrapperControl::capture_data());
                 }
+                for stream in &mut streams {
+                    push_zeros(stream, observed);
+                }
+                last_bits.fill_range(0..ports, false);
             }
-            for j in 0..ports {
-                last_bits.set(j, false);
-            }
-            t += 1;
         }
     }
     // Idle clocks past the plan leave the wrapper untouched and drive zeros

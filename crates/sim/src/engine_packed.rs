@@ -19,12 +19,13 @@
 //!   the scalar model (a scan flop, a MISR stage, a memory cell bit) is one
 //!   `u64`, bit `l` belonging to device-lane `l`, and the per-device
 //!   defects become per-lane force/mask words. One shift or capture clock
-//!   then advances all of them at once against a single shared golden model
-//!   (stimuli are broadcast — every lane sees the same plan). Per-lane
-//!   mismatch counts and signatures are extracted at the session boundary
-//!   by transposing the time-major observation words back into per-lane
-//!   streams and feeding the *same* `lane_signature` fold the scalar
-//!   engines use.
+//!   then advances all of them at once, the stimuli broadcast from the
+//!   core's compiled session (every lane sees the same plan). At the
+//!   session boundary the time-major observation words are transposed back
+//!   into per-lane streams, one transpose per 64-slot block for all lanes,
+//!   which feed the *same* `lane_signature` fold the scalar engines use; a
+//!   lane's mismatch count is its streams' Hamming distance to the healthy
+//!   streams the compiled session's golden response implies.
 //! * **Everything else falls back, per device.** Monitored runs, programs
 //!   with any step the word-level fast path cannot express, and defects the
 //!   lane encoding cannot carry are executed by the unchanged scalar
@@ -36,7 +37,7 @@
 //! # Why patching the baseline is sound
 //!
 //! The packed path is only used when **every** step of the program passes
-//! `step_is_compilable`: all routes independent (no serial wire sharing
+//! `step_compile_blocker`: all routes independent (no serial wire sharing
 //! between cores), all tested wrappers in transparent INTEST modes with
 //! exact widths, no Update/Idle plan cycles. Under those conditions a
 //! defect inside core X can influence *only* X's own produced bits: each
@@ -55,29 +56,32 @@ use std::sync::Arc;
 
 use casbus::RouteTableCache;
 use casbus_controller::CompiledProgram;
-use casbus_soc::models::{self, PackedBistLanes, PackedMemoryLanes, PackedScanLanes};
+use casbus_soc::models::{PackedBistLanes, PackedMemoryLanes, PackedScanLanes};
 use casbus_soc::{CoreDescription, SocDescription, TestMethod};
 use casbus_tpg::lanes::{broadcast, LaneStreams, LANES};
-use casbus_tpg::Verdict;
+use casbus_tpg::{BitVec, Verdict};
 
 use crate::engine::{step_compile_blocker, CompiledEngine};
 use crate::fleet::{test_device, DeviceReport, FaultKind, InjectedFault};
-use crate::report::{collect_lanes, SocTestReport};
-use crate::session::{lane_signature, ClockKind, SessionPlan};
+use crate::report::SocTestReport;
+use crate::session::{lane_signature, verdict, CompiledSession, Segment, SessionCache};
 use crate::simulator::{SimError, SocSimulator};
 
 /// Devices per cohort: the lane capacity of one machine word.
 pub const COHORT_LANES: usize = LANES;
 
 /// One tested occurrence of a core in the program: where its verdict and
-/// signature live in the report, and the plan/window it executes.
+/// signature live in the report, and the session and window it executes.
 struct PackedLaneSpec {
     /// Index into [`SocTestReport::verdicts`] / `signatures`.
     slot: usize,
-    desc: CoreDescription,
-    plan: SessionPlan,
-    /// The step's data-clock horizon (longest concurrent plan).
-    horizon: usize,
+    session: Arc<CompiledSession>,
+    /// Observation slots of the step's window: `min(horizon, len + 1)`,
+    /// the horizon being the step's longest concurrent plan.
+    limit: usize,
+    /// What a healthy die returns over the window; a lane's mismatch
+    /// count is its streams' Hamming distance to these.
+    healthy: Vec<BitVec>,
 }
 
 /// The compiled packed device-parallel engine: one healthy baseline report
@@ -86,8 +90,9 @@ struct PackedLaneSpec {
 ///
 /// Built once per [`FleetRunner`](crate::FleetRunner) (lazily, on the first
 /// packed run) from exactly the artifacts the scalar path uses — the shared
-/// SoC description, compiled program, and route cache — so route-table
-/// cache misses stay independent of fleet size and execution mode.
+/// SoC description, compiled program, route cache and compiled sessions —
+/// so route-table cache misses stay independent of fleet size and
+/// execution mode.
 pub struct PackedDeviceEngine {
     baseline: SocTestReport,
     /// Lane specs per core name (one entry per tested occurrence).
@@ -100,6 +105,7 @@ pub struct PackedDeviceEngine {
     soc: Arc<SocDescription>,
     plan: Arc<CompiledProgram>,
     cache: Arc<RouteTableCache>,
+    sessions: Arc<SessionCache>,
 }
 
 impl std::fmt::Debug for PackedDeviceEngine {
@@ -126,8 +132,22 @@ impl PackedDeviceEngine {
         plan: &Arc<CompiledProgram>,
         cache: &Arc<RouteTableCache>,
     ) -> Result<Self, SimError> {
+        Self::compile_with_sessions(soc, plan, cache, Arc::default())
+    }
+
+    /// [`compile`](Self::compile) over a shared session cache: the
+    /// baseline run and the lane specs reuse sessions the caller's other
+    /// engines compiled, and the scalar fallback reuses them too.
+    pub(crate) fn compile_with_sessions(
+        soc: &Arc<SocDescription>,
+        plan: &Arc<CompiledProgram>,
+        cache: &Arc<RouteTableCache>,
+        sessions: Arc<SessionCache>,
+    ) -> Result<Self, SimError> {
         let mut sim = SocSimulator::new_shared(Arc::clone(soc), plan.bus_width())?;
-        let engine = CompiledEngine::new().with_cache(Arc::clone(cache));
+        let engine = CompiledEngine::new()
+            .with_cache(Arc::clone(cache))
+            .with_sessions(Arc::clone(&sessions));
         let baseline = engine.run(&mut sim, plan.program())?;
 
         // Configuration-only spec pass (no data clocks): compilability and
@@ -139,23 +159,25 @@ impl PackedDeviceEngine {
         for step in plan.program().steps() {
             sim.configure(&step.configuration, &step.wrapper_instructions)?;
             let routes = cache.get_or_compile(sim.tam().chain());
-            let step_lanes = collect_lanes(&sim, &step.configuration)?;
+            let step_lanes = engine.session_lanes(&sim, &step.configuration)?;
             if let Some(blocker) = step_compile_blocker(&sim, &step_lanes, &routes) {
                 // First blocker wins: one stable reason per program.
                 program_blocker.get_or_insert(blocker.reason());
             }
-            let horizon = step_lanes.iter().map(|l| l.plan.len()).max().unwrap_or(0);
+            let horizon = step_lanes
+                .iter()
+                .map(|l| l.session.len())
+                .max()
+                .unwrap_or(0);
             for lane in step_lanes {
                 debug_assert_eq!(baseline.verdicts[slot].0, lane.name, "slot order");
-                lanes
-                    .entry(lane.name.clone())
-                    .or_default()
-                    .push(PackedLaneSpec {
-                        slot,
-                        desc: lane.desc,
-                        plan: lane.plan,
-                        horizon,
-                    });
+                let limit = horizon.min(lane.session.len() + 1);
+                lanes.entry(lane.name).or_default().push(PackedLaneSpec {
+                    slot,
+                    healthy: lane.session.healthy_streams(limit),
+                    limit,
+                    session: lane.session,
+                });
                 slot += 1;
             }
         }
@@ -172,6 +194,7 @@ impl PackedDeviceEngine {
             soc: Arc::clone(soc),
             plan: Arc::clone(plan),
             cache: Arc::clone(cache),
+            sessions,
         })
     }
 
@@ -187,7 +210,10 @@ impl PackedDeviceEngine {
     pub fn fault_packable(&self, fault: &InjectedFault) -> bool {
         self.program_blocker.is_none()
             && self.lanes.get(&fault.core).is_some_and(|specs| {
-                !specs.is_empty() && specs.iter().all(|s| fault.kind.matches(s.desc.method()))
+                !specs.is_empty()
+                    && specs
+                        .iter()
+                        .all(|s| fault.kind.matches(s.session.desc().method()))
             })
     }
 
@@ -254,6 +280,7 @@ impl PackedDeviceEngine {
                         &self.soc,
                         &self.plan,
                         &self.cache,
+                        &self.sessions,
                         *device_id,
                         Some(f.clone()),
                     )?;
@@ -345,11 +372,11 @@ impl PackedModel {
         }
     }
 
-    fn test_clock_lanes(&mut self, inputs: &[u64]) -> Vec<u64> {
+    fn test_clock_lanes(&mut self, inputs: &[u64], outs: &mut [u64]) {
         match self {
-            Self::Scan(m) => m.test_clock_lanes(inputs),
-            Self::Bist(m) => m.test_clock_lanes(inputs),
-            Self::Memory(m) => m.test_clock_lanes(inputs),
+            Self::Scan(m) => m.test_clock_lanes(inputs, outs),
+            Self::Bist(m) => m.test_clock_lanes(inputs, outs),
+            Self::Memory(m) => m.test_clock_lanes(inputs, outs),
         }
     }
 
@@ -366,75 +393,59 @@ impl PackedModel {
 /// carries `faults[l]`. Returns each lane's `(verdict, signature)`.
 ///
 /// Per-cycle mirror of the scalar engine's `run_lane`, with the device axis
-/// packed into words: `limit = min(horizon, len + 1)` observation slots,
-/// one initial all-zero slot (the retimed zeros of `t = 0`), shift cycle
-/// `t` observed iff `t + 1 < limit`, capture cycles recording a zero slot.
-/// The golden model is shared — stimuli are broadcast, so every lane's
-/// expected response is the same healthy response.
+/// packed into words: `limit` observation slots, one initial all-zero slot
+/// (the retimed zeros of `t = 0`), shift cycle `t` observed iff
+/// `t + 1 < limit`, capture cycles recording a zero slot. Stimuli are
+/// broadcast from the compiled session, so every lane's expected response
+/// is the same healthy one: a lane's mismatches are exactly the bits where
+/// its streams differ from the healthy streams.
 fn run_packed_lane(spec: &PackedLaneSpec, faults: &[&InjectedFault]) -> Vec<(Verdict, u64)> {
-    let ports = spec.plan.ports();
-    let len = spec.plan.len();
-    let limit = spec.horizon.min(len + 1);
-    let n_lanes = faults.len();
-    debug_assert!(0 < n_lanes && n_lanes <= LANES);
-    let active_mask = if n_lanes == LANES {
-        u64::MAX
-    } else {
-        (1u64 << n_lanes) - 1
-    };
+    let session = &spec.session;
+    let ports = session.ports();
+    debug_assert!(!faults.is_empty() && faults.len() <= LANES);
 
-    let mut packed = PackedModel::build(&spec.desc, faults);
-    let mut golden = models::instantiate(&spec.desc);
-    let mut mismatches = vec![0usize; n_lanes];
+    let mut packed = PackedModel::build(session.desc(), faults);
     let mut streams = LaneStreams::new(ports);
-    if limit > 0 {
+    if spec.limit > 0 {
         streams.push_zeros();
     }
     let mut in_words = vec![0u64; ports];
-    for (t, (stim, kind)) in spec.plan.cycles().iter().enumerate() {
-        let observe = t + 1 < limit;
-        match kind {
-            ClockKind::Shift => {
-                for (j, word) in in_words.iter_mut().enumerate() {
-                    *word = broadcast(stim.get(j).expect("stim P wide"));
-                }
-                let produced = packed.test_clock_lanes(&in_words);
-                let expected = golden.test_clock(stim);
-                if observe {
-                    for (j, &word) in produced.iter().enumerate() {
-                        let mut diff =
-                            (word ^ broadcast(expected.get(j).expect("P wide"))) & active_mask;
-                        while diff != 0 {
-                            mismatches[diff.trailing_zeros() as usize] += 1;
-                            diff &= diff - 1;
-                        }
+    let mut out_words = vec![0u64; ports];
+    for segment in session.segments() {
+        let observed = segment.observed(spec.limit);
+        match *segment {
+            Segment::Shift { cycles, planes, .. } => {
+                let stimulus = session.stimulus(planes);
+                for c in 0..cycles {
+                    for (word, plane) in in_words.iter_mut().zip(stimulus) {
+                        *word = broadcast((plane >> c) & 1 == 1);
                     }
-                    streams.push(&produced);
+                    packed.test_clock_lanes(&in_words, &mut out_words);
+                    if c < observed {
+                        streams.push(&out_words);
+                    }
                 }
             }
-            ClockKind::Capture => {
-                packed.capture_clock_lanes();
-                golden.capture_clock();
-                if observe {
-                    streams.push_zeros();
+            Segment::Capture { count, .. } => {
+                for c in 0..count {
+                    packed.capture_clock_lanes();
+                    if c < observed {
+                        streams.push_zeros();
+                    }
                 }
-            }
-            ClockKind::Update | ClockKind::Idle => {
-                unreachable!("packable plans contain only shifts and captures")
             }
         }
     }
-    (0..n_lanes)
+    streams
+        .extract_lanes(faults.len())
+        .iter()
         .map(|lane| {
-            let signature = lane_signature(&streams.lane_streams(lane));
-            let verdict = if mismatches[lane] == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Fail {
-                    mismatches: mismatches[lane],
-                }
-            };
-            (verdict, signature)
+            let mismatches = lane
+                .iter()
+                .zip(&spec.healthy)
+                .map(|(seen, healthy)| seen.hamming_distance(healthy))
+                .sum();
+            (verdict(mismatches), lane_signature(lane))
         })
         .collect()
 }

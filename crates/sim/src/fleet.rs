@@ -58,6 +58,7 @@ use crate::monitor::{DeviceDump, FleetMonitor, MonitorShared};
 use crate::pool::WorkerPool;
 use crate::report::{run_program_reference, SocTestReport};
 use crate::search::CompiledValidator;
+use crate::session::SessionCache;
 use crate::simulator::{SimError, SocSimulator};
 
 /// Deterministic per-device manufacturing variation.
@@ -416,6 +417,10 @@ pub struct FleetRunner {
     soc: Arc<SocDescription>,
     plan: Arc<CompiledProgram>,
     cache: Arc<RouteTableCache>,
+    /// Compiled sessions of the plan's cores: built by the first run (by
+    /// the search, for a searched runner) and shared by every worker slot
+    /// and the packed engine.
+    sessions: Arc<SessionCache>,
     pool: WorkerPool,
     trace: Arc<dyn TraceSink>,
     /// Packed device-parallel mode: unmonitored runs execute cohorts of up
@@ -449,6 +454,7 @@ impl FleetRunner {
             soc: Arc::new(soc.clone()),
             plan: Arc::new(plan),
             cache: Arc::new(RouteTableCache::new()),
+            sessions: Arc::default(),
             pool: WorkerPool::new(0),
             trace: casbus_obs::trace::null_sink(),
             packed: true,
@@ -461,8 +467,9 @@ impl FleetRunner {
     /// bit-exactly against the reference interpreter before serving —
     /// exactly the plan [`run_program_searched`](crate::run_program_searched)
     /// would execute, compiled once for the whole fleet. The validator
-    /// shares this runner's route cache, so shapes compiled during the
-    /// search are already warm when devices arrive.
+    /// shares this runner's route cache and compiled sessions, so shapes
+    /// and sessions compiled during the search are already warm when
+    /// devices arrive.
     ///
     /// # Errors
     ///
@@ -476,7 +483,10 @@ impl FleetRunner {
     ) -> Result<Self, SimError> {
         let threads = std::thread::available_parallelism().map_or(1, |c| c.get());
         let cache = Arc::new(RouteTableCache::new());
-        let validator = CompiledValidator::new(threads).with_cache(Arc::clone(&cache));
+        let sessions = Arc::new(SessionCache::default());
+        let validator = CompiledValidator::new(threads)
+            .with_cache(Arc::clone(&cache))
+            .with_sessions(Arc::clone(&sessions));
         let schedule = search_schedule_with(soc, n, budget, &validator, &MetricsRegistry::new())?;
         let plan = CompiledProgram::compile(soc, n, schedule)?;
 
@@ -484,7 +494,9 @@ impl FleetRunner {
         // serve a plan whose compiled execution differs from the reference
         // interpreter on a healthy device.
         let mut sim = SocSimulator::new(soc, n)?;
-        let engine = CompiledEngine::new().with_cache(Arc::clone(&cache));
+        let engine = CompiledEngine::new()
+            .with_cache(Arc::clone(&cache))
+            .with_sessions(Arc::clone(&sessions));
         let compiled = engine.run(&mut sim, plan.program())?;
         let mut reference_sim = SocSimulator::new(soc, n)?;
         let reference = run_program_reference(&mut reference_sim, plan.program())?;
@@ -496,6 +508,7 @@ impl FleetRunner {
             soc: Arc::new(soc.clone()),
             plan: Arc::new(plan),
             cache,
+            sessions,
             pool: WorkerPool::new(0),
             trace: casbus_obs::trace::null_sink(),
             packed: true,
@@ -582,10 +595,11 @@ impl FleetRunner {
         if let Some(engine) = &*slot {
             return Ok(Arc::clone(engine));
         }
-        let engine = Arc::new(PackedDeviceEngine::compile(
+        let engine = Arc::new(PackedDeviceEngine::compile_with_sessions(
             &self.soc,
             &self.plan,
             &self.cache,
+            Arc::clone(&self.sessions),
         )?);
         *slot = Some(Arc::clone(&engine));
         Ok(engine)
@@ -730,15 +744,16 @@ impl FleetRunner {
                     let soc = Arc::clone(&self.soc);
                     let plan = Arc::clone(&self.plan);
                     let cache = Arc::clone(&self.cache);
+                    let sessions = Arc::clone(&self.sessions);
                     let fault = spec.fault_for(&self.soc, device_id);
                     let tx = tx.clone();
                     let shared = monitor.map(|m| Arc::clone(m.shared()));
                     self.pool.execute(move || {
                         let outcome = match &shared {
-                            Some(shared) => {
-                                test_device_monitored(&soc, &plan, &cache, device_id, fault, shared)
-                            }
-                            None => test_device(&soc, &plan, &cache, device_id, fault),
+                            Some(shared) => test_device_monitored(
+                                &soc, &plan, &cache, &sessions, device_id, fault, shared,
+                            ),
+                            None => test_device(&soc, &plan, &cache, &sessions, device_id, fault),
                         };
                         // The receiver hangs up after a first error: discard
                         // late results instead of panicking the worker.
@@ -933,6 +948,7 @@ pub(crate) fn publish_fleet_metrics(
 struct WorkerSlot {
     soc: Arc<SocDescription>,
     cache: Arc<RouteTableCache>,
+    sessions: Arc<SessionCache>,
     width: usize,
     sim: SocSimulator,
     engine: CompiledEngine,
@@ -947,7 +963,7 @@ thread_local! {
 }
 
 /// Runs `body` with this worker's reusable simulator and engine for
-/// `(soc, plan, cache)`, building or rebuilding the slot when the runner's
+/// `(soc, plan, cache, sessions)`, building or rebuilding the slot when the runner's
 /// artifacts change and resetting the simulator to power-on state when
 /// reusing it. On any error the slot is discarded — a failed run leaves the
 /// simulator in an unknown state.
@@ -955,21 +971,28 @@ fn with_worker_slot<T>(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
     cache: &Arc<RouteTableCache>,
+    sessions: &Arc<SessionCache>,
     body: impl FnOnce(&mut SocSimulator, &CompiledEngine) -> Result<T, SimError>,
 ) -> Result<T, SimError> {
     WORKER_SLOT.with(|slot| {
         let mut slot = slot.borrow_mut();
         let reusable = slot.as_ref().is_some_and(|w| {
-            Arc::ptr_eq(&w.soc, soc) && Arc::ptr_eq(&w.cache, cache) && w.width == plan.bus_width()
+            Arc::ptr_eq(&w.soc, soc)
+                && Arc::ptr_eq(&w.cache, cache)
+                && Arc::ptr_eq(&w.sessions, sessions)
+                && w.width == plan.bus_width()
         });
         if reusable {
             slot.as_mut().expect("checked above").sim.reset_device();
         } else {
             let sim = SocSimulator::new_shared(Arc::clone(soc), plan.bus_width())?;
-            let engine = CompiledEngine::new().with_cache(Arc::clone(cache));
+            let engine = CompiledEngine::new()
+                .with_cache(Arc::clone(cache))
+                .with_sessions(Arc::clone(sessions));
             *slot = Some(WorkerSlot {
                 soc: Arc::clone(soc),
                 cache: Arc::clone(cache),
+                sessions: Arc::clone(sessions),
                 width: plan.bus_width(),
                 sim,
                 engine,
@@ -1006,17 +1029,18 @@ fn run_stamped(
 
 /// Tests one device on this worker's reused simulator: in-place power-on
 /// reset, optional stamped defect (undone afterwards), compiled engine over
-/// the shared route cache. Single-threaded per device — the fleet's
+/// the shared route cache and compiled sessions. Single-threaded per device — the fleet's
 /// parallelism lives across devices. Also the scalar fallback the packed
 /// path uses for defects its lane encoding cannot express.
 pub(crate) fn test_device(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
     cache: &Arc<RouteTableCache>,
+    sessions: &Arc<SessionCache>,
     device_id: u64,
     fault: Option<InjectedFault>,
 ) -> Result<DeviceReport, SimError> {
-    let report = with_worker_slot(soc, plan, cache, |sim, engine| {
+    let report = with_worker_slot(soc, plan, cache, sessions, |sim, engine| {
         run_stamped(sim, engine, plan, fault.as_ref())
     })?;
     Ok(DeviceReport {
@@ -1035,6 +1059,7 @@ fn test_device_monitored(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
     cache: &Arc<RouteTableCache>,
+    sessions: &Arc<SessionCache>,
     device_id: u64,
     fault: Option<InjectedFault>,
     monitor: &MonitorShared,
@@ -1042,7 +1067,7 @@ fn test_device_monitored(
     monitor.device_started(device_id);
     let started = Instant::now();
     let recorder = monitor.new_recorder();
-    let report = with_worker_slot(soc, plan, cache, |sim, engine| {
+    let report = with_worker_slot(soc, plan, cache, sessions, |sim, engine| {
         let mut engine = engine.clone();
         if let Some(recorder) = &recorder {
             engine = engine.with_recorder(Arc::clone(recorder));

@@ -71,6 +71,7 @@ use crate::fleet::{plan_cohorts, publish_fleet_metrics, test_device};
 use crate::fleet::{DeviceReport, FleetReport, VariationSpec};
 use crate::monitor::{FleetSnapshot, LotTracker};
 use crate::pool::{LaneId, WorkerPool};
+use crate::session::SessionCache;
 use crate::simulator::SimError;
 
 /// One lot submitted to the floor: a compiled test program, a device
@@ -312,6 +313,9 @@ struct LotRun {
 pub struct TestFloor {
     pool: WorkerPool,
     cache: Arc<RouteTableCache>,
+    /// Compiled sessions of every lot's cores, built by the first run that
+    /// tests a core and kept, like the route cache, for later runs.
+    sessions: Arc<SessionCache>,
     policy: AdmissionPolicy,
 }
 
@@ -338,6 +342,7 @@ impl TestFloor {
         Self {
             pool: WorkerPool::new(0),
             cache: Arc::new(RouteTableCache::new()),
+            sessions: Arc::default(),
             policy: AdmissionPolicy::default(),
         }
     }
@@ -431,10 +436,11 @@ impl TestFloor {
         for spec in lots {
             let lane = self.pool.lane(spec.priority);
             let engine = if spec.packed && spec.devices > 0 {
-                Some(Arc::new(PackedDeviceEngine::compile(
+                Some(Arc::new(PackedDeviceEngine::compile_with_sessions(
                     &spec.soc,
                     &spec.plan,
                     &self.cache,
+                    Arc::clone(&self.sessions),
                 )?))
             } else {
                 None
@@ -470,10 +476,11 @@ impl TestFloor {
                     let soc = Arc::clone(&run.spec.soc);
                     let plan = Arc::clone(&run.spec.plan);
                     let cache = Arc::clone(&self.cache);
+                    let sessions = Arc::clone(&self.sessions);
                     let fault = run.spec.variation.fault_for(&run.spec.soc, device_id);
                     let tx = tx.clone();
                     self.pool.execute_in(run.lane, move || {
-                        let outcome = test_device(&soc, &plan, &cache, device_id, fault);
+                        let outcome = test_device(&soc, &plan, &cache, &sessions, device_id, fault);
                         let _ = tx.send((idx, outcome.map(|report| vec![report])));
                     });
                 }

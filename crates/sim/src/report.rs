@@ -72,22 +72,39 @@ impl fmt::Display for SocTestReport {
     }
 }
 
-/// One concurrently-tested core of a step: its description, deterministic
-/// session plan, and scheduled wire window (from the now-active scheme).
-pub(crate) struct Lane {
+/// One concurrently-tested core of a step: its session and its scheduled
+/// wire window (from the now-active scheme).
+pub(crate) struct Lane<S> {
     pub(crate) cas_index: usize,
     pub(crate) name: String,
-    pub(crate) desc: CoreDescription,
-    pub(crate) plan: SessionPlan,
+    pub(crate) session: S,
     pub(crate) wires: Vec<usize>,
 }
 
-/// Collects the lanes of one configured step, in `cores_under_test` order.
-/// Call after [`SocSimulator::configure`] so the active schemes are loaded.
-pub(crate) fn collect_lanes(
+/// A tested core's session as the reference interpreter runs it: the
+/// per-cycle plan and the golden model's per-cycle responses, rebuilt on
+/// every call, so the oracle never reads the compiled sessions it checks.
+pub(crate) struct ReferenceSession {
+    plan: SessionPlan,
+    golden: Vec<Option<BitVec>>,
+}
+
+impl ReferenceSession {
+    pub(crate) fn new(desc: &CoreDescription) -> Self {
+        let plan = SessionPlan::for_core(desc);
+        let golden = golden_run(desc, &plan);
+        Self { plan, golden }
+    }
+}
+
+/// Collects the lanes of one configured step, in `cores_under_test` order,
+/// building each tested core's session with `build`. Call after
+/// [`SocSimulator::configure`] so the active schemes are loaded.
+pub(crate) fn collect_lanes<S>(
     sim: &SocSimulator,
     config: &casbus::TamConfiguration,
-) -> Result<Vec<Lane>, SimError> {
+    mut build: impl FnMut(&CoreDescription) -> S,
+) -> Result<Vec<Lane<S>>, SimError> {
     let mut lanes = Vec::new();
     for cas_index in config.cores_under_test() {
         let name = sim.tam().label(cas_index)?.to_owned();
@@ -95,8 +112,7 @@ pub(crate) fn collect_lanes(
             // The wrapped system bus: exercised via run_bus_extest.
             continue;
         };
-        let desc = desc.clone();
-        let plan = SessionPlan::for_core(&desc);
+        let session = build(desc);
         let wires = sim.tam().chain().cases()[cas_index]
             .active_scheme()
             .expect("configured TEST scheme")
@@ -105,8 +121,7 @@ pub(crate) fn collect_lanes(
         lanes.push(Lane {
             cas_index,
             name,
-            desc,
-            plan,
+            session,
             wires,
         });
     }
@@ -118,22 +133,22 @@ pub(crate) fn collect_lanes(
 /// sharing). Returns `(name, verdict, signature)` per lane, in lane order.
 pub(crate) fn drive_lanes_reference(
     sim: &mut SocSimulator,
-    lanes: &[Lane],
+    lanes: &[Lane<ReferenceSession>],
     step_index: usize,
     step_start: u64,
 ) -> Result<Vec<(String, Verdict, u64)>, SimError> {
-    let goldens: Vec<Vec<Option<BitVec>>> = lanes
-        .iter()
-        .map(|lane| golden_run(&lane.desc, &lane.plan))
-        .collect();
     let mut observed: Vec<Vec<BitVec>> = lanes.iter().map(|_| Vec::new()).collect();
-    let horizon = lanes.iter().map(|l| l.plan.len()).max().unwrap_or(0);
+    let horizon = lanes
+        .iter()
+        .map(|l| l.session.plan.len())
+        .max()
+        .unwrap_or(0);
     let cas_count = sim.tam().cas_count();
     for t in 0..horizon {
         let mut bus = BitVec::zeros(sim.bus_width());
         let mut kinds = vec![ClockKind::Idle; cas_count];
         for lane in lanes {
-            if let Some((stim, kind)) = lane.plan.cycles().get(t) {
+            if let Some((stim, kind)) = lane.session.plan.cycles().get(t) {
                 kinds[lane.cas_index] = *kind;
                 for (j, &wire) in lane.wires.iter().enumerate() {
                     bus.set(wire, stim.get(j).expect("stim P wide"));
@@ -142,7 +157,7 @@ pub(crate) fn drive_lanes_reference(
         }
         let out = sim.data_clock(&bus, &kinds)?;
         for (lane, seen) in lanes.iter().zip(observed.iter_mut()) {
-            if t < lane.plan.len() + 1 {
+            if t < lane.session.plan.len() + 1 {
                 let slice: BitVec = lane
                     .wires
                     .iter()
@@ -154,10 +169,11 @@ pub(crate) fn drive_lanes_reference(
     }
     let trace = sim.trace();
     let mut results = Vec::with_capacity(lanes.len());
-    for ((lane, golden), seen) in lanes.iter().zip(&goldens).zip(&observed) {
-        let verdict = compare(golden, seen, lane.plan.ports());
+    for (lane, seen) in lanes.iter().zip(&observed) {
+        let ports = lane.session.plan.ports();
+        let verdict = compare(&lane.session.golden, seen, ports);
         // Port-major streams of everything observed, for the signature.
-        let streams: Vec<BitVec> = (0..lane.plan.ports())
+        let streams: Vec<BitVec> = (0..ports)
             .map(|j| seen.iter().map(|o| o.get(j).expect("P wide")).collect())
             .collect();
         let signature = lane_signature(&streams);
@@ -170,7 +186,7 @@ pub(crate) fn drive_lanes_reference(
                 vec![
                     ("step", step_index.into()),
                     ("cas", lane.cas_index.into()),
-                    ("data_cycles", lane.plan.len().into()),
+                    ("data_cycles", lane.session.plan.len().into()),
                     ("pass", verdict.is_pass().into()),
                 ],
             ));
@@ -312,7 +328,7 @@ fn reference_run(
     for (step_index, step) in program.steps().iter().enumerate() {
         let step_start = sim.cycles();
         sim.configure(&step.configuration, &step.wrapper_instructions)?;
-        let lanes = collect_lanes(sim, &step.configuration)?;
+        let lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
         results.extend(drive_lanes_reference(sim, &lanes, step_index, step_start)?);
     }
     finish_report(sim, metrics, &baseline, results, program.steps().len())

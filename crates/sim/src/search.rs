@@ -6,8 +6,9 @@
 //! the hook is injected. [`CompiledValidator`] is that hook: it executes
 //! each candidate on the compiled word-level engine ([`CompiledEngine`]),
 //! fanned out across a scoped thread pool, all workers sharing one
-//! [`RouteTableCache`] so a wave shape is compiled once per search, not
-//! once per candidate.
+//! [`RouteTableCache`] and one set of compiled sessions, so a wave shape
+//! and a core's session are compiled once per search, not once per
+//! candidate.
 //!
 //! [`run_program_searched`] is the opt-in end-to-end entry point: search,
 //! validate, then refuse to return a winner whose compiled report is not
@@ -24,6 +25,7 @@ use casbus_soc::SocDescription;
 use crate::engine::CompiledEngine;
 use crate::pool::lpt_fanout;
 use crate::report::{run_program_reference, SocTestReport};
+use crate::session::SessionCache;
 use crate::simulator::{SimError, SocSimulator};
 
 /// Execution-backed candidate validation on the compiled engine.
@@ -60,6 +62,7 @@ pub struct CompiledValidator {
     threads: usize,
     analytic_data_phase: bool,
     cache: Arc<RouteTableCache>,
+    sessions: Arc<SessionCache>,
     telemetry: Option<Arc<MetricsRegistry>>,
 }
 
@@ -71,6 +74,7 @@ impl CompiledValidator {
             threads: threads.max(1),
             analytic_data_phase: false,
             cache: Arc::new(RouteTableCache::new()),
+            sessions: Arc::default(),
             telemetry: None,
         }
     }
@@ -97,6 +101,14 @@ impl CompiledValidator {
     /// serving.
     pub fn with_cache(mut self, cache: Arc<RouteTableCache>) -> Self {
         self.cache = cache;
+        self
+    }
+
+    /// Shares `sessions` with every validation engine, so a caller that
+    /// keeps the `Arc` serves the winner from the sessions the search
+    /// compiled.
+    pub(crate) fn with_sessions(mut self, sessions: Arc<SessionCache>) -> Self {
+        self.sessions = sessions;
         self
     }
 
@@ -129,7 +141,9 @@ impl CompiledValidator {
         let mut sim = SocSimulator::new(soc, n).ok()?;
         // One engine thread per candidate: parallelism lives across the
         // candidates here, not within one run.
-        let engine = CompiledEngine::new().with_cache(Arc::clone(&self.cache));
+        let engine = CompiledEngine::new()
+            .with_cache(Arc::clone(&self.cache))
+            .with_sessions(Arc::clone(&self.sessions));
         if self.analytic_data_phase {
             return engine.dry_run_cycles(&mut sim, &program).ok();
         }
@@ -219,7 +233,9 @@ pub fn run_program_searched_with_metrics(
     let tam = Tam::new(soc, n)?;
     let program = TestProgram::from_schedule(&tam, soc, &schedule)?;
     let mut sim = SocSimulator::new(soc, n)?;
-    let engine = CompiledEngine::new().with_cache(Arc::clone(validator.cache()));
+    let engine = CompiledEngine::new()
+        .with_cache(Arc::clone(validator.cache()))
+        .with_sessions(Arc::clone(&validator.sessions));
     let report = engine.run_with_metrics(&mut sim, &program, metrics)?;
 
     // The bit-exact gate: the winner is only a winner if the compiled

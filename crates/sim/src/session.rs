@@ -1,6 +1,8 @@
 //! Complete, verified test sessions for individual cores.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, RwLock};
 
 use casbus::TamConfiguration;
 use casbus_p1500::{TestableCore, WrapperInstruction};
@@ -156,6 +158,256 @@ pub fn golden_run(desc: &CoreDescription, plan: &SessionPlan) -> Vec<Option<BitV
         .collect()
 }
 
+/// One batch of a [`CompiledSession`]: a run of up to 64 shift clocks, or a
+/// run of consecutive capture clocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Segment {
+    /// `cycles` (1..=64) shift clocks from plan cycle `start`; their
+    /// stimulus and golden response planes are the `ports` words at
+    /// `planes` of the session's stimulus and golden arrays.
+    Shift {
+        start: usize,
+        cycles: usize,
+        planes: usize,
+    },
+    /// `count` capture clocks from plan cycle `start`.
+    Capture { start: usize, count: usize },
+}
+
+impl Segment {
+    /// How many of this segment's clocks a step's observation window of
+    /// `limit` slots records: cycle `t` is observed iff `t + 1 < limit`,
+    /// which is a prefix of the segment.
+    pub(crate) fn observed(&self, limit: usize) -> usize {
+        let (start, clocks) = match *self {
+            Self::Shift { start, cycles, .. } => (start, cycles),
+            Self::Capture { start, count } => (start, count),
+        };
+        clocks.min(limit.saturating_sub(start + 1))
+    }
+}
+
+/// One core's session compiled once per served plan: the stimulus of every
+/// shift run as per-port bit planes (bit `c` is cycle `start + c`), the
+/// shift/capture layout, and the golden model's response planes from one
+/// word-level pass. Every die of a lot sees the same stimuli and the same
+/// healthy response, so engines share one copy instead of rebuilding the
+/// [`SessionPlan`] and re-running the golden model for each device. It is
+/// stored as words, never as per-cycle vectors.
+#[derive(Debug)]
+pub(crate) struct CompiledSession {
+    desc: CoreDescription,
+    ports: usize,
+    len: usize,
+    shift_cycles: usize,
+    /// `false` when the plan has Update or Idle cycles: the session then
+    /// has no segments, and only the reference interpreter can run it.
+    batchable: bool,
+    segments: Vec<Segment>,
+    stimulus: Vec<u64>,
+    golden: Vec<u64>,
+}
+
+impl CompiledSession {
+    /// Compiles `desc`'s [`SessionPlan`] and runs its golden model once.
+    pub(crate) fn compile(desc: &CoreDescription) -> Self {
+        let plan = SessionPlan::for_core(desc);
+        let cycles = plan.cycles();
+        let ports = plan.ports();
+        let mut session = Self {
+            desc: desc.clone(),
+            ports,
+            len: cycles.len(),
+            shift_cycles: plan.shift_cycles(),
+            batchable: cycles
+                .iter()
+                .all(|(_, kind)| matches!(kind, ClockKind::Shift | ClockKind::Capture)),
+            segments: Vec::new(),
+            stimulus: Vec::new(),
+            golden: Vec::new(),
+        };
+        if !session.batchable {
+            return session;
+        }
+        let mut model = models::instantiate(desc);
+        let mut t = 0;
+        while t < cycles.len() {
+            let start = t;
+            if cycles[t].1 == ClockKind::Shift {
+                while t < cycles.len() && t - start < 64 && cycles[t].1 == ClockKind::Shift {
+                    t += 1;
+                }
+                let planes = session.stimulus.len();
+                for j in 0..ports {
+                    let plane = cycles[start..t]
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |plane, (c, (stim, _))| {
+                            plane | u64::from(stim.get(j) == Some(true)) << c
+                        });
+                    session.stimulus.push(plane);
+                }
+                let response = model.test_clock_words(&session.stimulus[planes..], t - start);
+                session.golden.extend(response);
+                session.segments.push(Segment::Shift {
+                    start,
+                    cycles: t - start,
+                    planes,
+                });
+            } else {
+                while t < cycles.len() && cycles[t].1 == ClockKind::Capture {
+                    model.capture_clock();
+                    t += 1;
+                }
+                session.segments.push(Segment::Capture {
+                    start,
+                    count: t - start,
+                });
+            }
+        }
+        session
+    }
+
+    /// The core the session tests.
+    pub(crate) fn desc(&self) -> &CoreDescription {
+        &self.desc
+    }
+
+    /// Stimulus width (the core's `P`).
+    pub(crate) fn ports(&self) -> usize {
+        self.ports
+    }
+
+    /// Plan cycles.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Shift cycles in the plan.
+    pub(crate) fn shift_cycles(&self) -> usize {
+        self.shift_cycles
+    }
+
+    /// Whether the word-level engines can run the session (only shift and
+    /// capture cycles).
+    pub(crate) fn batchable(&self) -> bool {
+        self.batchable
+    }
+
+    /// The shift and capture runs, in plan order.
+    pub(crate) fn segments(&self) -> &[Segment] {
+        &self.segments
+    }
+
+    /// The stimulus planes of the shift run whose planes start at `planes`.
+    pub(crate) fn stimulus(&self, planes: usize) -> &[u64] {
+        &self.stimulus[planes..planes + self.ports]
+    }
+
+    /// The golden response planes of the shift run whose planes start at
+    /// `planes`.
+    pub(crate) fn golden(&self, planes: usize) -> &[u64] {
+        &self.golden[planes..planes + self.ports]
+    }
+
+    /// The per-port streams a healthy die returns over the TAM in a step
+    /// window of `limit` observation slots: the retimed zero of the first
+    /// slot, then the golden response of every observed shift and a zero
+    /// for every observed capture.
+    pub(crate) fn healthy_streams(&self, limit: usize) -> Vec<BitVec> {
+        let mut streams: Vec<BitVec> = (0..self.ports)
+            .map(|_| BitVec::with_capacity(limit))
+            .collect();
+        if limit > 0 {
+            streams.iter_mut().for_each(|stream| stream.push(false));
+        }
+        for segment in &self.segments {
+            let observed = segment.observed(limit);
+            match *segment {
+                Segment::Shift { planes, .. } => {
+                    for (stream, &word) in streams.iter_mut().zip(self.golden(planes)) {
+                        stream.push_word(word, observed);
+                    }
+                }
+                Segment::Capture { .. } => {
+                    for stream in &mut streams {
+                        push_zeros(stream, observed);
+                    }
+                }
+            }
+        }
+        streams
+    }
+}
+
+/// Compiled sessions, compiled on first use and shared by every engine
+/// that holds the `Arc`: a fleet's worker slots and packed engine, a
+/// searched runner's validator and compiled gate, a floor's lots. Sessions
+/// are found by core name and then by equal description, so one cache
+/// serves several SoCs even when their core names collide.
+#[derive(Default)]
+pub(crate) struct SessionCache {
+    sessions: RwLock<HashMap<String, Vec<Arc<CompiledSession>>>>,
+}
+
+impl SessionCache {
+    /// The compiled session of `desc`, compiling it on a miss.
+    pub(crate) fn get_or_compile(&self, desc: &CoreDescription) -> Arc<CompiledSession> {
+        let cached = |sessions: &HashMap<String, Vec<Arc<CompiledSession>>>| {
+            sessions
+                .get(desc.name())?
+                .iter()
+                .find(|session| session.desc == *desc)
+                .cloned()
+        };
+        if let Some(session) = cached(&self.sessions.read().expect("session cache poisoned")) {
+            return session;
+        }
+        // Compile under the write lock, so workers that miss together wait
+        // for one compilation instead of each running the golden model.
+        let mut sessions = self.sessions.write().expect("session cache poisoned");
+        if let Some(session) = cached(&sessions) {
+            return session;
+        }
+        let session = Arc::new(CompiledSession::compile(desc));
+        sessions
+            .entry(desc.name().to_owned())
+            .or_default()
+            .push(Arc::clone(&session));
+        session
+    }
+}
+
+impl fmt::Debug for SessionCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sessions = self
+            .sessions
+            .read()
+            .map_or(0, |s| s.values().map(Vec::len).sum());
+        f.debug_struct("SessionCache")
+            .field("sessions", &sessions)
+            .finish()
+    }
+}
+
+/// `Pass` for no mismatches, else `Fail` with the count.
+pub(crate) fn verdict(mismatches: usize) -> Verdict {
+    if mismatches == 0 {
+        Verdict::Pass
+    } else {
+        Verdict::Fail { mismatches }
+    }
+}
+
+/// Appends `count` zero bits, a word at a time.
+pub(crate) fn push_zeros(stream: &mut BitVec, mut count: usize) {
+    while count > 0 {
+        let run = count.min(64);
+        stream.push_word(0, run);
+        count -= run;
+    }
+}
+
 /// The outcome of one core's session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionReport {
@@ -287,11 +539,7 @@ pub(crate) fn compare(golden: &[Option<BitVec>], observed: &[BitVec], ports: usi
             }
         }
     }
-    if mismatches == 0 {
-        Verdict::Pass
-    } else {
-        Verdict::Fail { mismatches }
-    }
+    verdict(mismatches)
 }
 
 /// A 64-bit FNV-style fold over a lane's port-major observed streams

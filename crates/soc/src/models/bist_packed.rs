@@ -51,9 +51,11 @@ pub struct PackedBistLanes {
     /// lane, so no lane axis is needed before the fault is applied.
     lfsr: Lfsr,
     misr: LaneMisr,
-    /// Serial access register: `access[i]` is the lane word of bit `i`,
-    /// reloaded from the MISR after every pattern.
+    /// Serial access register as a ring: bit `i` is the lane word at
+    /// `(head + i) % width`, reloaded from the MISR after every pattern.
     access: Vec<u64>,
+    /// Ring index of the access register's bit 0.
+    head: usize,
     key: u64,
     patterns_run: usize,
     /// `fault_after[l]` — lane `l`'s response corruption onset, if any.
@@ -91,6 +93,7 @@ impl PackedBistLanes {
             lfsr,
             misr,
             access: vec![0; width as usize],
+            head: 0,
             key,
             patterns_run: 0,
             fault_after: [None; LANES],
@@ -145,25 +148,25 @@ impl PackedBistLanes {
     /// register (for white-box tests).
     #[must_use]
     pub fn access_word(&self, position: usize) -> u64 {
-        self.access[position]
+        self.access[(self.head + position) % self.access.len()]
     }
 
     /// One shift clock for all lanes: bit `l` of `inputs[0]` enters lane
     /// `l`'s access register at the seed/control end while the oldest
-    /// signature bit leaves; the returned word carries every lane's serial
-    /// output bit.
+    /// signature bit leaves; `outs[0]` receives every lane's serial output
+    /// bit.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len() != 1` — BIST cores expose a single test
-    /// port.
-    pub fn test_clock_lanes(&mut self, inputs: &[u64]) -> Vec<u64> {
+    /// Panics if `inputs.len() != 1` or `outs.len() != 1` — BIST cores
+    /// expose a single test port.
+    pub fn test_clock_lanes(&mut self, inputs: &[u64], outs: &mut [u64]) {
         assert_eq!(inputs.len(), 1, "BIST cores expose a single test port");
-        let out = self.access[0];
-        self.access.rotate_left(1);
-        let last = self.access.len() - 1;
-        self.access[last] = inputs[0];
-        vec![out]
+        assert_eq!(outs.len(), 1, "BIST cores expose a single test port");
+        // Bit 0 leaves; its slot becomes the last bit and takes the input.
+        outs[0] = self.access[self.head];
+        self.access[self.head] = inputs[0];
+        self.head = (self.head + 1) % self.access.len();
     }
 
     /// One capture clock for all lanes: runs one BIST pattern internally
@@ -185,6 +188,7 @@ impl PackedBistLanes {
         self.response[flipped_bit] ^= flips;
         self.misr.absorb_lanes(&self.response);
         self.access.copy_from_slice(self.misr.state_words());
+        self.head = 0;
         self.patterns_run += 1;
     }
 
@@ -201,6 +205,7 @@ impl PackedBistLanes {
         self.lfsr = Lfsr::fibonacci(poly, seed.max(1)).expect("non-zero seed");
         self.misr.reset_lanes();
         self.access.fill(0);
+        self.head = 0;
         self.patterns_run = 0;
     }
 
@@ -268,7 +273,8 @@ mod tests {
                     for _ in 0..3 {
                         stamp += 1;
                         let input = mix(stamp);
-                        let packed_out = packed.test_clock_lanes(&[input]);
+                        let mut packed_out = [0u64];
+                        packed.test_clock_lanes(&[input], &mut packed_out);
                         for (lane, scalar) in scalars.iter_mut().enumerate() {
                             let wpi = BitVec::from_u64((input >> lane) & 1, 1);
                             let wpo = scalar.test_clock(&wpi);
@@ -332,7 +338,7 @@ mod tests {
     #[should_panic(expected = "single test port")]
     fn single_port_enforced() {
         let mut packed = PackedBistLanes::new("x", 8, 5);
-        let _ = packed.test_clock_lanes(&[0, 0]);
+        packed.test_clock_lanes(&[0, 0], &mut [0]);
     }
 
     #[test]

@@ -175,18 +175,19 @@ impl PackedMemoryLanes {
 
     /// One shift clock for all lanes: rotates each lane's 2-bit status
     /// register (so repeated shifting yields done, pass, done, pass, …) and
-    /// returns every lane's serial output bit as one word. A broadcast
+    /// writes every lane's serial output bit, as one word, to `outs[0]`. A broadcast
     /// all-ones input restarts the shared march test, like shifting a 1
     /// into the scalar model.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len() != 1` (memory cores expose a single test
-    /// port) or if the input word is not uniform across lanes — a restart
+    /// Panics if `inputs.len()` or `outs.len()` is not 1 (memory cores
+    /// expose a single test port) or if the input word is not uniform across lanes — a restart
     /// resets the shared march engine, so all lanes must agree. The packed
     /// fleet engine only broadcasts stimuli, so this never binds there.
-    pub fn test_clock_lanes(&mut self, inputs: &[u64]) -> Vec<u64> {
+    pub fn test_clock_lanes(&mut self, inputs: &[u64], outs: &mut [u64]) {
         assert_eq!(inputs.len(), 1, "memory cores expose a single test port");
+        assert_eq!(outs.len(), 1, "memory cores expose a single test port");
         let input = inputs[0];
         assert!(
             input == 0 || input == u64::MAX,
@@ -199,7 +200,7 @@ impl PackedMemoryLanes {
         if input == u64::MAX {
             self.restart_test();
         }
-        vec![out]
+        outs[0] = out;
     }
 
     /// One capture clock for all lanes: executes one march operation of the
@@ -355,7 +356,8 @@ mod tests {
                 packed.capture_clock_lanes();
                 scalars.iter_mut().for_each(TestableCore::capture_clock);
                 if step % 5 == 4 {
-                    let packed_out = packed.test_clock_lanes(&[0]);
+                    let mut packed_out = [0u64];
+                    packed.test_clock_lanes(&[0], &mut packed_out);
                     for (lane, scalar) in scalars.iter_mut().enumerate() {
                         let out = scalar.test_clock(&BitVec::zeros(1));
                         assert_eq!(
@@ -371,7 +373,8 @@ mod tests {
 
             // Two clean status shifts: done then pass, per lane.
             for shift in 0..2 {
-                let packed_out = packed.test_clock_lanes(&[0]);
+                let mut packed_out = [0u64];
+                packed.test_clock_lanes(&[0], &mut packed_out);
                 for (lane, scalar) in scalars.iter_mut().enumerate() {
                     let out = scalar.test_clock(&BitVec::zeros(1));
                     assert_eq!(
@@ -383,7 +386,8 @@ mod tests {
             }
 
             // Broadcast restart (maintenance re-test, §4) mid-sequence.
-            let packed_out = packed.test_clock_lanes(&[u64::MAX]);
+            let mut packed_out = [0u64];
+            packed.test_clock_lanes(&[u64::MAX], &mut packed_out);
             let mut cmd = BitVec::new();
             cmd.push(true);
             for (lane, scalar) in scalars.iter_mut().enumerate() {
@@ -468,14 +472,14 @@ mod tests {
     #[should_panic(expected = "uniform")]
     fn mixed_restart_inputs_rejected() {
         let mut packed = PackedMemoryLanes::new("m", 2, 2);
-        let _ = packed.test_clock_lanes(&[1]);
+        packed.test_clock_lanes(&[1], &mut [0]);
     }
 
     #[test]
     #[should_panic(expected = "single test port")]
     fn single_port_enforced() {
         let mut packed = PackedMemoryLanes::new("m", 2, 2);
-        let _ = packed.test_clock_lanes(&[0, 0]);
+        packed.test_clock_lanes(&[0, 0], &mut [0]);
     }
 
     #[test]

@@ -16,6 +16,11 @@ use super::name_key;
 /// faulty bit re-asserts after every shift and capture, exactly like a
 /// stuck-at node feeding a scan flip-flop.
 ///
+/// Every clock works a word at a time: one shift or up to 64 go through
+/// [`BitVec::scan_shift_word`], with a stuck flop's effect on the whole
+/// batch applied afterwards, and a capture computes the transform 64 flops
+/// per operation.
+///
 /// # Examples
 ///
 /// ```
@@ -90,24 +95,35 @@ impl ScanCore {
 
     /// The deterministic combinational response: every bit becomes the XOR
     /// of itself, its successor in the same chain (cyclically), the parallel
-    /// bit of the next chain, and a key bit. Pure function of the state.
+    /// bit of the next chain (repeated cyclically when that chain is
+    /// shorter), and a key bit. Pure function of the state.
     fn capture_transform(&self) -> Vec<BitVec> {
         let n_chains = self.chains.len();
-        let mut next = Vec::with_capacity(n_chains);
-        for (c, chain) in self.chains.iter().enumerate() {
-            let len = chain.len();
-            let neighbour = &self.chains[(c + 1) % n_chains];
-            let mut out = BitVec::with_capacity(len);
-            for i in 0..len {
-                let own = chain.get(i).expect("in range");
-                let succ = chain.get((i + 1) % len).expect("in range");
-                let cross = neighbour.get(i % neighbour.len()).expect("in range");
-                let key_bit = self.key >> ((i + 7 * c) % 64) & 1 == 1;
-                out.push(own ^ succ ^ cross ^ key_bit);
-            }
-            next.push(out);
-        }
-        next
+        self.chains
+            .iter()
+            .enumerate()
+            .map(|(c, chain)| {
+                let len = chain.len();
+                let own = chain.words();
+                let cross = cyclic_prefix(&self.chains[(c + 1) % n_chains], len);
+                // Bit i takes key bit (i + 7c) mod 64, the same in every word.
+                let key = self.key.rotate_right(((7 * c) % 64) as u32);
+                let words = own
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &word)| {
+                        let succ = (word >> 1) | own.get(k + 1).map_or(0, |next| next << 63);
+                        word ^ succ ^ cross.word(k) ^ key
+                    })
+                    .collect();
+                let mut next = BitVec::from_words(words, len);
+                // The last flop's successor wraps around to flop 0.
+                if chain.get(0) == Some(true) {
+                    next.toggle(len - 1);
+                }
+                next
+            })
+            .collect()
     }
 
     fn apply_fault(&mut self) {
@@ -115,6 +131,64 @@ impl ScanCore {
             self.chains[chain].set(position, value);
         }
     }
+
+    /// `cycles` (at most 64) shifts of chain `index`; see [`shift_chain`].
+    fn shift(&mut self, index: usize, input: u64, cycles: usize) -> u64 {
+        let stuck = self
+            .stuck_at
+            .filter(|&(chain, _, _)| chain == index)
+            .map(|(_, position, value)| (position, value));
+        shift_chain(&mut self.chains[index], stuck, input, cycles)
+    }
+}
+
+/// `cycles` (at most 64) serial shifts of one chain, with an optional
+/// stuck-at `(position, value)` re-asserted after every shift.
+///
+/// The healthy shift is [`BitVec::scan_shift_word`]. A stuck flop forces
+/// every bit that passes through it: after the batch, flops `position` to
+/// `position + cycles - 1` hold bits that passed it during the batch (the
+/// bit at `position + cycles` held the stuck value before the batch
+/// started), and every output cycle from `len - 1 - position` on reads a
+/// bit that passed it.
+fn shift_chain(chain: &mut BitVec, stuck: Option<(usize, bool)>, input: u64, cycles: usize) -> u64 {
+    let mut out = chain.scan_shift_word(input, cycles);
+    if let Some((position, value)) = stuck {
+        let len = chain.len();
+        let first = len - 1 - position;
+        if first < cycles {
+            let forced = low_bits(cycles) & !low_bits(first);
+            out = if value { out | forced } else { out & !forced };
+        }
+        chain.fill_range(position..(position + cycles).min(len), value);
+    }
+    out
+}
+
+/// A word with its low `count` bits set (`count >= 64`: every bit).
+fn low_bits(count: usize) -> u64 {
+    if count >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << count) - 1
+    }
+}
+
+/// `len` bits of `src` repeated cyclically: bit `i` is `src[i % src.len()]`.
+fn cyclic_prefix(src: &BitVec, len: usize) -> BitVec {
+    let mut out = BitVec::with_capacity(len);
+    while out.len() < len {
+        let mut take = src.len().min(len - out.len());
+        for &word in src.words() {
+            if take == 0 {
+                break;
+            }
+            let count = take.min(64);
+            out.push_word(word, count);
+            take -= count;
+        }
+    }
+    out
 }
 
 impl TestableCore for ScanCore {
@@ -128,19 +202,11 @@ impl TestableCore for ScanCore {
 
     fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
         assert_eq!(inputs.len(), self.chains.len(), "scan-in width mismatch");
-        let mut outs = BitVec::with_capacity(self.chains.len());
-        for (chain, bit_in) in self.chains.iter_mut().zip(inputs.iter()) {
-            let len = chain.len();
-            outs.push(chain.get(len - 1).expect("non-empty chain"));
-            let mut next = BitVec::with_capacity(len);
-            next.push(bit_in);
-            for i in 0..len - 1 {
-                next.push(chain.get(i).expect("in range"));
-            }
-            *chain = next;
-        }
-        self.apply_fault();
-        outs
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(c, bit)| self.shift(c, u64::from(bit), 1) == 1)
+            .collect()
     }
 
     fn capture_clock(&mut self) {
@@ -154,41 +220,25 @@ impl TestableCore for ScanCore {
 
     fn reset(&mut self) {
         for chain in &mut self.chains {
-            *chain = BitVec::zeros(chain.len());
+            let len = chain.len();
+            chain.fill_range(0..len, false);
         }
         self.apply_fault();
     }
 
-    /// Word-level shifting: each chain is already stored as a `BitVec`, so
-    /// `cycles` shifts collapse into one [`BitVec::scan_shift_word`] call
-    /// per chain. An injected stuck-at fault must re-assert after *every*
-    /// shift, so faulty cores keep the bit-exact per-cycle path.
+    /// Word-level shifting: `cycles` shifts of each chain in one
+    /// [`BitVec::scan_shift_word`] call, a stuck-at fault's effect on the
+    /// batch applied afterwards.
     fn test_clock_words(&mut self, inputs: &[u64], cycles: usize) -> Vec<u64> {
         assert_eq!(inputs.len(), self.chains.len(), "scan-in width mismatch");
         assert!(
             cycles <= 64,
             "test_clock_words supports at most 64 cycles, got {cycles}"
         );
-        if self.stuck_at.is_some() {
-            let mut outs = vec![0u64; inputs.len()];
-            let mut wpi = BitVec::zeros(inputs.len());
-            for t in 0..cycles {
-                for (j, plane) in inputs.iter().enumerate() {
-                    wpi.set(j, (plane >> t) & 1 == 1);
-                }
-                let wpo = self.test_clock(&wpi);
-                for (j, out) in outs.iter_mut().enumerate() {
-                    if wpo.get(j) == Some(true) {
-                        *out |= 1 << t;
-                    }
-                }
-            }
-            return outs;
-        }
-        self.chains
-            .iter_mut()
-            .zip(inputs)
-            .map(|(chain, &plane)| chain.scan_shift_word(plane, cycles))
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(c, &plane)| self.shift(c, plane, cycles))
             .collect()
     }
 }
@@ -196,6 +246,166 @@ impl TestableCore for ScanCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-bit model the word-level paths replaced, kept as their
+    /// oracle: every shift rebuilds each chain bit by bit and every capture
+    /// evaluates the transform one bit at a time.
+    struct BitSerialScan {
+        chains: Vec<BitVec>,
+        key: u64,
+        stuck_at: Option<(usize, usize, bool)>,
+    }
+
+    impl BitSerialScan {
+        fn new(name: &str, lengths: &[usize]) -> Self {
+            Self {
+                chains: lengths.iter().map(|&l| BitVec::zeros(l)).collect(),
+                key: name_key(name),
+                stuck_at: None,
+            }
+        }
+
+        fn inject_stuck_at(&mut self, chain: usize, position: usize, value: bool) {
+            self.stuck_at = Some((chain, position, value));
+            self.apply_fault();
+        }
+
+        fn apply_fault(&mut self) {
+            if let Some((chain, position, value)) = self.stuck_at {
+                self.chains[chain].set(position, value);
+            }
+        }
+
+        fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+            let mut outs = BitVec::with_capacity(self.chains.len());
+            for (chain, bit_in) in self.chains.iter_mut().zip(inputs.iter()) {
+                let len = chain.len();
+                outs.push(chain.get(len - 1).expect("non-empty chain"));
+                let mut next = BitVec::with_capacity(len);
+                next.push(bit_in);
+                for i in 0..len - 1 {
+                    next.push(chain.get(i).expect("in range"));
+                }
+                *chain = next;
+            }
+            self.apply_fault();
+            outs
+        }
+
+        fn test_clock_words(&mut self, inputs: &[u64], cycles: usize) -> Vec<u64> {
+            let mut outs = vec![0u64; inputs.len()];
+            for t in 0..cycles {
+                let wpi: BitVec = inputs.iter().map(|p| (p >> t) & 1 == 1).collect();
+                let wpo = self.test_clock(&wpi);
+                for (j, out) in outs.iter_mut().enumerate() {
+                    if wpo.get(j) == Some(true) {
+                        *out |= 1 << t;
+                    }
+                }
+            }
+            outs
+        }
+
+        fn capture_clock(&mut self) {
+            let n_chains = self.chains.len();
+            let mut next = Vec::with_capacity(n_chains);
+            for (c, chain) in self.chains.iter().enumerate() {
+                let len = chain.len();
+                let neighbour = &self.chains[(c + 1) % n_chains];
+                let mut out = BitVec::with_capacity(len);
+                for i in 0..len {
+                    let own = chain.get(i).expect("in range");
+                    let succ = chain.get((i + 1) % len).expect("in range");
+                    let cross = neighbour.get(i % neighbour.len()).expect("in range");
+                    let key_bit = self.key >> ((i + 7 * c) % 64) & 1 == 1;
+                    out.push(own ^ succ ^ cross ^ key_bit);
+                }
+                next.push(out);
+            }
+            self.chains = next;
+            self.apply_fault();
+        }
+
+        fn reset(&mut self) {
+            for chain in &mut self.chains {
+                *chain = BitVec::zeros(chain.len());
+            }
+            self.apply_fault();
+        }
+    }
+
+    /// Chain lengths on both sides of the word boundaries.
+    const LENGTHS: [usize; 5] = [1, 63, 64, 65, 130];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Shifts one clock or a batch at a time, captures and resets track
+        /// the bit-serial oracle clock for clock — every output and every
+        /// chain bit — on chains around the word boundaries, healthy or
+        /// with a stuck-at anywhere.
+        #[test]
+        fn word_level_model_matches_the_bit_serial_oracle(
+            first in 0usize..5,
+            n_chains in 1usize..4,
+            faulty in any::<bool>(),
+            fault in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let lengths: Vec<usize> = (0..n_chains)
+                .map(|c| LENGTHS[(first + 2 * c) % LENGTHS.len()])
+                .collect();
+            let mut fast = ScanCore::new("prop", lengths.clone());
+            let mut slow = BitSerialScan::new("prop", &lengths);
+            if faulty {
+                let chain = (fault as usize) % n_chains;
+                let position = ((fault >> 8) as usize) % lengths[chain];
+                let value = fault >> 63 == 1;
+                fast.inject_stuck_at(chain, position, value);
+                slow.inject_stuck_at(chain, position, value);
+            }
+            let mut stamp = seed;
+            let mut next = move || {
+                stamp = stamp
+                    .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                    .wrapping_add(0x1405_7b7e_f767_814f);
+                stamp ^ (stamp >> 29)
+            };
+            for step in 0..48 {
+                let roll = next();
+                match roll % 16 {
+                    0 | 1 => {
+                        fast.capture_clock();
+                        slow.capture_clock();
+                    }
+                    2 => {
+                        fast.reset();
+                        slow.reset();
+                    }
+                    3..=7 => {
+                        let wpi: BitVec =
+                            (0..n_chains).map(|j| (roll >> (8 + j)) & 1 == 1).collect();
+                        prop_assert_eq!(fast.test_clock(&wpi), slow.test_clock(&wpi), "step {}", step);
+                    }
+                    _ => {
+                        let cycles = (roll >> 8) as usize % 64 + 1;
+                        let planes: Vec<u64> = (0..n_chains).map(|_| next()).collect();
+                        prop_assert_eq!(
+                            fast.test_clock_words(&planes, cycles),
+                            slow.test_clock_words(&planes, cycles),
+                            "step {} cycles {}",
+                            step,
+                            cycles
+                        );
+                    }
+                }
+                for (c, chain) in slow.chains.iter().enumerate() {
+                    prop_assert_eq!(fast.chain(c), chain, "step {} chain {}", step, c);
+                }
+            }
+        }
+    }
 
     #[test]
     fn shift_roundtrip_without_capture() {
@@ -292,11 +502,11 @@ mod tests {
 
     #[test]
     fn word_level_shift_matches_bit_serial() {
-        // Covers chains shorter and longer than a 64-bit word, and the
-        // faulty-core fallback path.
+        // Covers chains shorter and longer than a 64-bit word, healthy and
+        // faulty, against the per-bit oracle.
         for fault in [false, true] {
             let mut fast = ScanCore::new("u", vec![5, 70, 64]);
-            let mut slow = fast.clone();
+            let mut slow = BitSerialScan::new("u", &[5, 70, 64]);
             if fault {
                 fast.inject_stuck_at(1, 33, true);
                 slow.inject_stuck_at(1, 33, true);
@@ -311,21 +521,14 @@ mod tests {
                         stamp
                     })
                     .collect();
-                let fast_out = fast.test_clock_words(&planes, cycles);
-                let mut slow_out = vec![0u64; 3];
-                for t in 0..cycles {
-                    let wpi: BitVec = planes.iter().map(|p| (p >> t) & 1 == 1).collect();
-                    let wpo = slow.test_clock(&wpi);
-                    for (j, out) in slow_out.iter_mut().enumerate() {
-                        if wpo.get(j).unwrap() {
-                            *out |= 1 << t;
-                        }
-                    }
-                }
-                assert_eq!(fast_out, slow_out, "fault {fault} cycles {cycles}");
+                assert_eq!(
+                    fast.test_clock_words(&planes, cycles),
+                    slow.test_clock_words(&planes, cycles),
+                    "fault {fault} cycles {cycles}"
+                );
             }
-            for c in 0..3 {
-                assert_eq!(fast.chain(c), slow.chain(c), "fault {fault} chain {c}");
+            for (c, chain) in slow.chains.iter().enumerate() {
+                assert_eq!(fast.chain(c), chain, "fault {fault} chain {c}");
             }
         }
     }

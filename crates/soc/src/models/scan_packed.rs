@@ -33,13 +33,18 @@ use super::name_key;
 ///
 /// let mut packed = PackedScanLanes::new("cpu", &[8, 6]);
 /// packed.inject_stuck_at(3, 0, 2, true); // lane 3: chain 0, flop 2 stuck-at-1
-/// let outs = packed.test_clock_lanes(&[u64::MAX, 0]);
-/// assert_eq!(outs.len(), 2, "one output word per chain");
+/// let mut outs = [0u64; 2];
+/// packed.test_clock_lanes(&[u64::MAX, 0], &mut outs);
+/// assert_eq!(outs, [0, 0], "every flop starts cleared");
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedScanLanes {
-    /// `chains[c][i]` — lane word of flip-flop `i` on chain `c`.
+    /// `chains[c]` — chain `c`'s flop lane words as a ring: flop `i` lives
+    /// at index `(heads[c] + i) % len`, so a shift moves the head instead
+    /// of every word.
     chains: Vec<Vec<u64>>,
+    /// Ring index of each chain's flop 0.
+    heads: Vec<usize>,
     key: u64,
     /// Merged stuck-at forces: `(chain, position, mask, value)` — lanes in
     /// `mask` are overwritten with the matching bits of `value` after every
@@ -67,6 +72,7 @@ impl PackedScanLanes {
         );
         Self {
             chains: chain_lengths.iter().map(|&l| vec![0u64; l]).collect(),
+            heads: vec![0; chain_lengths.len()],
             key: name_key(name),
             forces: Vec::new(),
         }
@@ -112,22 +118,29 @@ impl PackedScanLanes {
     }
 
     /// One shift clock for all lanes: bit `l` of `inputs[c]` enters lane
-    /// `l` of chain `c`, and the returned word `c` carries every lane's
-    /// serial output bit.
+    /// `l` of chain `c`, and `outs[c]` receives every lane's serial output
+    /// bit.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` differs from the chain count.
-    pub fn test_clock_lanes(&mut self, inputs: &[u64]) -> Vec<u64> {
+    /// Panics if `inputs.len()` or `outs.len()` differs from the chain
+    /// count.
+    pub fn test_clock_lanes(&mut self, inputs: &[u64], outs: &mut [u64]) {
         assert_eq!(inputs.len(), self.chains.len(), "scan-in width mismatch");
-        let mut outs = Vec::with_capacity(self.chains.len());
-        for (chain, &input) in self.chains.iter_mut().zip(inputs) {
-            outs.push(*chain.last().expect("non-empty chain"));
-            chain.rotate_right(1);
-            chain[0] = input;
+        assert_eq!(outs.len(), self.chains.len(), "one output word per chain");
+        for ((chain, head), (&input, out)) in self
+            .chains
+            .iter_mut()
+            .zip(&mut self.heads)
+            .zip(inputs.iter().zip(outs))
+        {
+            // The last flop's slot becomes flop 0: read it out, then load
+            // the scan-in word there.
+            *head = head.checked_sub(1).unwrap_or(chain.len() - 1);
+            *out = chain[*head];
+            chain[*head] = input;
         }
         self.apply_forces();
-        outs
     }
 
     /// One capture clock for all lanes: the word-wise lift of the scalar
@@ -135,6 +148,10 @@ impl PackedScanLanes {
     /// cyclic successor, the parallel flop of the next chain, and a
     /// broadcast key bit.
     pub fn capture_clock_lanes(&mut self) {
+        for (chain, head) in self.chains.iter_mut().zip(&mut self.heads) {
+            chain.rotate_left(*head);
+            *head = 0;
+        }
         let n_chains = self.chains.len();
         let mut next = Vec::with_capacity(n_chains);
         for (c, chain) in self.chains.iter().enumerate() {
@@ -157,8 +174,9 @@ impl PackedScanLanes {
     /// Clears every lane's flip-flops (defects re-assert).
     pub fn reset_lanes(&mut self) {
         for chain in &mut self.chains {
-            chain.iter_mut().for_each(|w| *w = 0);
+            chain.fill(0);
         }
+        self.heads.fill(0);
         self.apply_forces();
     }
 
@@ -166,13 +184,15 @@ impl PackedScanLanes {
     /// white-box tests).
     #[must_use]
     pub fn chain_word(&self, chain: usize, position: usize) -> u64 {
-        self.chains[chain][position]
+        let ring = &self.chains[chain];
+        ring[(self.heads[chain] + position) % ring.len()]
     }
 
     fn apply_forces(&mut self) {
         for &(chain, position, mask, forced) in &self.forces {
-            let word = &mut self.chains[chain][position];
-            *word = (*word & !mask) | forced;
+            let ring = &mut self.chains[chain];
+            let slot = (self.heads[chain] + position) % ring.len();
+            ring[slot] = (ring[slot] & !mask) | forced;
         }
     }
 }
@@ -226,7 +246,8 @@ mod tests {
                         mix(stamp)
                     })
                     .collect();
-                let packed_out = packed.test_clock_lanes(&inputs);
+                let mut packed_out = vec![0u64; lengths.len()];
+                packed.test_clock_lanes(&inputs, &mut packed_out);
                 for (lane, scalar) in scalars.iter_mut().enumerate() {
                     let wpi: BitVec = inputs.iter().map(|w| (w >> lane) & 1 == 1).collect();
                     let wpo = scalar.test_clock(&wpi);
@@ -266,7 +287,7 @@ mod tests {
         let mut packed = PackedScanLanes::new("u", &[3]);
         packed.inject_stuck_at(5, 0, 1, true);
         assert_eq!(packed.chain_word(0, 1), 1 << 5, "applied at injection");
-        packed.test_clock_lanes(&[0]);
+        packed.test_clock_lanes(&[0], &mut [0]);
         assert_eq!(packed.chain_word(0, 1) & (1 << 5), 1 << 5, "after shift");
         packed.capture_clock_lanes();
         assert_eq!(packed.chain_word(0, 1) & (1 << 5), 1 << 5, "after capture");

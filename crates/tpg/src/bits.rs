@@ -97,6 +97,32 @@ impl BitVec {
         v
     }
 
+    /// Builds a bit vector of `len` bits from its backing words, bit 0 in
+    /// the LSB of word 0 — the inverse of [`BitVec::words`]. Bits of the
+    /// last word beyond `len` are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds exactly `len.div_ceil(64)` words.
+    ///
+    /// ```
+    /// use casbus_tpg::BitVec;
+    /// let v = BitVec::from_words(vec![0b1011, u64::MAX], 66);
+    /// assert_eq!(v.len(), 66);
+    /// assert_eq!(v.count_ones(), 3 + 2);
+    /// ```
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{len} bits need {} words",
+            len.div_ceil(64)
+        );
+        let mut v = Self { words, len };
+        v.mask_tail();
+        v
+    }
+
     /// Packs the first (up to 64) bits into a `u64`, bit 0 as the LSB.
     pub fn to_u64(&self) -> u64 {
         match self.words.first() {
@@ -169,6 +195,40 @@ impl BitVec {
             self.words[index / 64] |= 1 << (index % 64);
         } else {
             self.words[index / 64] &= !(1 << (index % 64));
+        }
+    }
+
+    /// Sets every bit in `range` to `bit`, a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is reversed or exceeds the vector.
+    ///
+    /// ```
+    /// use casbus_tpg::BitVec;
+    /// let mut v = BitVec::zeros(70);
+    /// v.fill_range(62..67, true);
+    /// assert_eq!(v.count_ones(), 5);
+    /// assert_eq!(v.get(66), Some(true));
+    /// ```
+    pub fn fill_range(&mut self, range: std::ops::Range<usize>, bit: bool) {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "fill range {range:?} out of range {}",
+            self.len
+        );
+        let mut index = range.start;
+        while index < range.end {
+            let off = index % 64;
+            let count = (64 - off).min(range.end - index);
+            let mask = low_mask(count) << off;
+            let word = &mut self.words[index / 64];
+            if bit {
+                *word |= mask;
+            } else {
+                *word &= !mask;
+            }
+            index += count;
         }
     }
 
@@ -281,16 +341,13 @@ impl BitVec {
                 input & ((1u64 << cycles) - 1)
             };
         }
-        let mut out = 0u64;
-        for t in 0..cycles {
-            let bit = if t < len {
-                self.get(len - 1 - t).expect("in range")
-            } else {
-                (input >> (t - len)) & 1 == 1
-            };
-            if bit {
-                out |= 1 << t;
-            }
+        // Cycle t reads the bit at index len-1-t while t < len: the top
+        // `take` bits, reversed. Later cycles read the input bits that
+        // entered len cycles earlier.
+        let take = cycles.min(len);
+        let mut out = self.bits_at(len - take, take).reverse_bits() >> (64 - take);
+        if cycles > len {
+            out |= (input << len) & low_mask(cycles);
         }
         // After `cycles` shifts, bit i holds input bit (cycles - 1 - i) for
         // i < min(cycles, len), and old bit (i - cycles) above that.
@@ -394,6 +451,25 @@ impl BitVec {
                 *last &= (1u64 << off) - 1;
             }
         }
+    }
+
+    /// The `count <= 64` bits from `start` on, bit `start` in the LSB.
+    fn bits_at(&self, start: usize, count: usize) -> u64 {
+        let (word, off) = (start / 64, start % 64);
+        let mut bits = self.words[word] >> off;
+        if off != 0 && off + count > 64 {
+            bits |= self.words[word + 1] << (64 - off);
+        }
+        bits & low_mask(count)
+    }
+}
+
+/// A word with its low `count` bits set (`count >= 64`: every bit).
+fn low_mask(count: usize) -> u64 {
+    if count >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << count) - 1
     }
 }
 
@@ -744,6 +820,35 @@ mod tests {
                 assert_eq!(fast.words().len(), (prefix + count).div_ceil(64));
             }
         }
+    }
+
+    #[test]
+    fn fill_range_matches_bit_sets() {
+        for (start, end) in [
+            (0usize, 0usize),
+            (0, 130),
+            (3, 64),
+            (63, 65),
+            (64, 128),
+            (70, 71),
+        ] {
+            for bit in [false, true] {
+                let mut fast: BitVec = (0..130).map(|i| i % 3 == 0).collect();
+                let mut slow = fast.clone();
+                fast.fill_range(start..end, bit);
+                for i in start..end {
+                    slow.set(i, bit);
+                }
+                assert_eq!(fast, slow, "{start}..{end} to {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_words_clears_the_tail() {
+        let v = BitVec::from_words(vec![u64::MAX, u64::MAX], 70);
+        assert_eq!(v.words(), &[u64::MAX, 0b11_1111]);
+        assert_eq!(v.count_ones(), 70);
     }
 
     /// Bit-serial reference for [`BitVec::scan_shift_word`]: the rebuild

@@ -150,6 +150,38 @@ impl LaneStreams {
             })
             .collect()
     }
+
+    /// The per-port streams of lanes `0..lanes` in one pass: each 64-slot
+    /// block of a port is transposed once and handed to every lane, where
+    /// [`lane_streams`](Self::lane_streams) transposes it again per lane.
+    /// `extract_lanes(n)[l]` equals `lane_streams(l)`.
+    ///
+    /// # Panics
+    ///
+    /// If `lanes > 64`.
+    #[must_use]
+    pub fn extract_lanes(&self, lanes: usize) -> Vec<Vec<BitVec>> {
+        assert!(lanes <= LANES, "{lanes} lanes exceed one word");
+        let mut out: Vec<Vec<BitVec>> = (0..lanes)
+            .map(|_| {
+                self.slots
+                    .iter()
+                    .map(|port| BitVec::with_capacity(port.len()))
+                    .collect()
+            })
+            .collect();
+        for (port, words) in self.slots.iter().enumerate() {
+            for chunk in words.chunks(LANES) {
+                let mut block = [0u64; LANES];
+                block[..chunk.len()].copy_from_slice(chunk);
+                transpose64(&mut block);
+                for (streams, &word) in out.iter_mut().zip(&block) {
+                    streams[port].push_word(word, chunk.len());
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Up to 64 lane-parallel MISRs sharing one feedback polynomial — the
@@ -358,6 +390,29 @@ mod tests {
                         stream.get(slot),
                         Some(expected),
                         "lane {lane} port {port} slot {slot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_extraction_matches_per_lane_streams() {
+        for slots in [1usize, 63, 65, 130] {
+            let ports = 3;
+            let mut streams = LaneStreams::new(ports);
+            for slot in 0..slots {
+                let words: Vec<u64> = (0..ports).map(|p| mix((slot * 7 + p) as u64)).collect();
+                streams.push(&words);
+            }
+            for lanes in [1usize, 63, 64] {
+                let bulk = streams.extract_lanes(lanes);
+                assert_eq!(bulk.len(), lanes);
+                for (lane, got) in bulk.iter().enumerate() {
+                    assert_eq!(
+                        *got,
+                        streams.lane_streams(lane),
+                        "{slots} slots, {lanes} lanes, lane {lane}"
                     );
                 }
             }
