@@ -8,10 +8,10 @@
 //! wrapper/model paths 64 cycles per call. A lane's stimulus planes and
 //! golden response words come from its core's compiled session, built on
 //! the engine's first run and reused by its later runs and by its clones.
-//! Cycle counters, per-core stats,
-//! wire-busy counts, verdicts, and session signatures are reproduced
-//! exactly — the differential suite in `tests/` pins the engine against
-//! the bit-serial reference across engines and thread counts.
+//! Cycle counters, per-core stats, wire-busy counts, verdicts, and session
+//! signatures are reproduced exactly — the differential suite in `tests/`
+//! pins the engine against the bit-serial reference across engines and
+//! thread counts.
 //!
 //! Exactness is preserved by falling back to the cycle-by-cycle
 //! interpreter whenever the fast path cannot be bit-faithful:
@@ -30,6 +30,7 @@ use casbus::{CasChain, RouteTable, RouteTableCache, TamConfiguration};
 use casbus_controller::TestProgram;
 use casbus_obs::{FlightRecorder, MetricsRegistry, TraceEvent, TraceSink};
 use casbus_p1500::{TestableCore, Wrapper, WrapperControl, WrapperInstruction};
+use casbus_tpg::bits::low_mask;
 use casbus_tpg::{BitVec, Verdict};
 
 use crate::pool::lpt_fanout;
@@ -519,11 +520,7 @@ fn run_lane(
             Segment::Shift { cycles, planes, .. } => {
                 let produced = wrapper.clock_parallel_words(session.stimulus(planes), cycles);
                 let expected = session.golden(planes);
-                let mask = if observed == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << observed) - 1
-                };
+                let mask = low_mask(observed);
                 for (j, stream) in streams.iter_mut().enumerate() {
                     mismatches += ((produced[j] ^ expected[j]) & mask).count_ones() as usize;
                     stream.push_word(produced[j], observed);

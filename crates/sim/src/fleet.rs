@@ -963,10 +963,10 @@ thread_local! {
 }
 
 /// Runs `body` with this worker's reusable simulator and engine for
-/// `(soc, plan, cache, sessions)`, building or rebuilding the slot when the runner's
-/// artifacts change and resetting the simulator to power-on state when
-/// reusing it. On any error the slot is discarded — a failed run leaves the
-/// simulator in an unknown state.
+/// `(soc, plan, cache, sessions)`, building or rebuilding the slot when
+/// the runner's artifacts change and resetting the simulator to power-on
+/// state when reusing it. On any error the slot is discarded — a failed
+/// run leaves the simulator in an unknown state.
 fn with_worker_slot<T>(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
@@ -1029,9 +1029,10 @@ fn run_stamped(
 
 /// Tests one device on this worker's reused simulator: in-place power-on
 /// reset, optional stamped defect (undone afterwards), compiled engine over
-/// the shared route cache and compiled sessions. Single-threaded per device — the fleet's
-/// parallelism lives across devices. Also the scalar fallback the packed
-/// path uses for defects its lane encoding cannot express.
+/// the shared route cache and compiled sessions. Single-threaded per
+/// device — the fleet's parallelism lives across devices. Also the scalar
+/// fallback the packed path uses for defects its lane encoding cannot
+/// express.
 pub(crate) fn test_device(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,

@@ -675,6 +675,98 @@ mod tests {
     }
 
     #[test]
+    fn compiled_sessions_hold_the_plan_and_golden_run() {
+        // Every test method the catalog SoCs use: the compiled planes and
+        // layout carry exactly the per-cycle plan and golden responses, and
+        // the healthy streams are what the reference observation window
+        // records (a retimed zero, then one slot per cycle).
+        let socs = [
+            catalog::figure1_soc(),
+            catalog::figure2a_scan_soc(),
+            catalog::figure2b_bist_soc(),
+            catalog::figure2c_external_soc(),
+            catalog::figure2d_hierarchical_soc(),
+            catalog::maintenance_soc(),
+        ];
+        for desc in socs.iter().flat_map(|soc| soc.cores()) {
+            let name = desc.name();
+            let plan = SessionPlan::for_core(desc);
+            let golden = golden_run(desc, &plan);
+            let session = CompiledSession::compile(desc);
+            assert_eq!(session.len(), plan.len(), "{name}");
+            assert_eq!(session.ports(), plan.ports(), "{name}");
+            assert_eq!(session.shift_cycles(), plan.shift_cycles(), "{name}");
+            assert!(session.batchable(), "{name}");
+            let mut t = 0;
+            for segment in session.segments() {
+                match *segment {
+                    Segment::Shift {
+                        start,
+                        cycles,
+                        planes,
+                    } => {
+                        assert!(start == t && (1..=64).contains(&cycles), "{name} {t}");
+                        for c in 0..cycles {
+                            let (stim, kind) = &plan.cycles()[t + c];
+                            assert_eq!(*kind, ClockKind::Shift, "{name} {t}");
+                            let gold = golden[t + c].as_ref().expect("shift output");
+                            for j in 0..plan.ports() {
+                                let bit = |plane: &[u64]| Some((plane[j] >> c) & 1 == 1);
+                                assert_eq!(bit(session.stimulus(planes)), stim.get(j), "{name}");
+                                assert_eq!(bit(session.golden(planes)), gold.get(j), "{name}");
+                            }
+                        }
+                        t += cycles;
+                    }
+                    Segment::Capture { start, count } => {
+                        assert!(start == t && count > 0, "{name} {t}");
+                        let run = &plan.cycles()[t..t + count];
+                        assert!(run.iter().all(|(_, kind)| *kind == ClockKind::Capture));
+                        t += count;
+                    }
+                }
+            }
+            assert_eq!(t, plan.len(), "{name}: segments cover the plan");
+            for limit in [0, 1, plan.len() / 2, plan.len() + 1] {
+                let streams = session.healthy_streams(limit);
+                for (j, stream) in streams.iter().enumerate() {
+                    let expected: BitVec = (0..limit)
+                        .map(|slot| {
+                            slot > 0
+                                && golden[slot - 1]
+                                    .as_ref()
+                                    .is_some_and(|gold| gold.get(j) == Some(true))
+                        })
+                        .collect();
+                    assert_eq!(*stream, expected, "{name} limit {limit} port {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn session_cache_shares_equal_descriptions_only() {
+        let cache = SessionCache::default();
+        let scan = |chains: Vec<usize>| {
+            CoreDescription::new(
+                "core",
+                TestMethod::Scan {
+                    chains,
+                    patterns: 2,
+                },
+            )
+        };
+        let (two_chains, one_chain) = (scan(vec![4, 6]), scan(vec![5]));
+        let first = cache.get_or_compile(&two_chains);
+        assert!(Arc::ptr_eq(&first, &cache.get_or_compile(&two_chains)));
+        // Same name, other description (another SoC on the same floor).
+        let other = cache.get_or_compile(&one_chain);
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_eq!((first.ports(), other.ports()), (2, 1));
+        assert!(Arc::ptr_eq(&other, &cache.get_or_compile(&one_chain)));
+    }
+
+    #[test]
     fn compare_counts_mismatches() {
         let golden = vec![Some("11".parse::<BitVec>().unwrap()), None];
         let observed = vec![

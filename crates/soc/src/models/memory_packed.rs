@@ -175,16 +175,17 @@ impl PackedMemoryLanes {
 
     /// One shift clock for all lanes: rotates each lane's 2-bit status
     /// register (so repeated shifting yields done, pass, done, pass, …) and
-    /// writes every lane's serial output bit, as one word, to `outs[0]`. A broadcast
-    /// all-ones input restarts the shared march test, like shifting a 1
-    /// into the scalar model.
+    /// writes every lane's serial output bit, as one word, to `outs[0]`. A
+    /// broadcast all-ones input restarts the shared march test, like
+    /// shifting a 1 into the scalar model.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` or `outs.len()` is not 1 (memory cores
-    /// expose a single test port) or if the input word is not uniform across lanes — a restart
-    /// resets the shared march engine, so all lanes must agree. The packed
-    /// fleet engine only broadcasts stimuli, so this never binds there.
+    /// expose a single test port) or if the input word is not uniform
+    /// across lanes — a restart resets the shared march engine, so all
+    /// lanes must agree. The packed fleet engine only broadcasts stimuli,
+    /// so this never binds there.
     pub fn test_clock_lanes(&mut self, inputs: &[u64], outs: &mut [u64]) {
         assert_eq!(inputs.len(), 1, "memory cores expose a single test port");
         assert_eq!(outs.len(), 1, "memory cores expose a single test port");

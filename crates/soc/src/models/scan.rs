@@ -1,6 +1,7 @@
 //! Full-scan core model (paper Fig. 2 (a)).
 
 use casbus_p1500::TestableCore;
+use casbus_tpg::bits::low_mask;
 use casbus_tpg::BitVec;
 
 use super::name_key;
@@ -157,21 +158,12 @@ fn shift_chain(chain: &mut BitVec, stuck: Option<(usize, bool)>, input: u64, cyc
         let len = chain.len();
         let first = len - 1 - position;
         if first < cycles {
-            let forced = low_bits(cycles) & !low_bits(first);
+            let forced = low_mask(cycles) & !low_mask(first);
             out = if value { out | forced } else { out & !forced };
         }
         chain.fill_range(position..(position + cycles).min(len), value);
     }
     out
-}
-
-/// A word with its low `count` bits set (`count >= 64`: every bit).
-fn low_bits(count: usize) -> u64 {
-    if count >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << count) - 1
-    }
 }
 
 /// `len` bits of `src` repeated cyclically: bit `i` is `src[i % src.len()]`.
@@ -386,7 +378,12 @@ mod tests {
                     3..=7 => {
                         let wpi: BitVec =
                             (0..n_chains).map(|j| (roll >> (8 + j)) & 1 == 1).collect();
-                        prop_assert_eq!(fast.test_clock(&wpi), slow.test_clock(&wpi), "step {}", step);
+                        prop_assert_eq!(
+                            fast.test_clock(&wpi),
+                            slow.test_clock(&wpi),
+                            "step {}",
+                            step
+                        );
                     }
                     _ => {
                         let cycles = (roll >> 8) as usize % 64 + 1;

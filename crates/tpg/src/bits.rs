@@ -285,11 +285,7 @@ impl BitVec {
         if count == 0 {
             return;
         }
-        let word = if count == 64 {
-            word
-        } else {
-            word & ((1u64 << count) - 1)
-        };
+        let word = word & low_mask(count);
         let off = self.len % 64;
         if off == 0 {
             self.words.push(word);
@@ -335,11 +331,7 @@ impl BitVec {
         }
         if len == 0 {
             // A zero-length chain passes the input straight through.
-            return if cycles == 64 {
-                input
-            } else {
-                input & ((1u64 << cycles) - 1)
-            };
+            return input & low_mask(cycles);
         }
         // Cycle t reads the bit at index len-1-t while t < len: the top
         // `take` bits, reversed. Later cycles read the input bits that
@@ -448,7 +440,7 @@ impl BitVec {
         let off = self.len % 64;
         if off != 0 {
             if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << off) - 1;
+                *last &= low_mask(off);
             }
         }
     }
@@ -465,7 +457,14 @@ impl BitVec {
 }
 
 /// A word with its low `count` bits set (`count >= 64`: every bit).
-fn low_mask(count: usize) -> u64 {
+///
+/// ```
+/// use casbus_tpg::bits::low_mask;
+/// assert_eq!(low_mask(3), 0b111);
+/// assert_eq!(low_mask(64), u64::MAX);
+/// ```
+#[must_use]
+pub fn low_mask(count: usize) -> u64 {
     if count >= 64 {
         u64::MAX
     } else {
