@@ -16,8 +16,7 @@ use casbus_bench::PAPER_TABLE1;
 use casbus_netlist::{fault, synth, Netlist};
 use casbus_tpg::BitVec;
 
-/// Sequence count and depth used at every size (the criterion group
-/// `fault_simulation` in `benches/fault_sim.rs` uses the same workload).
+/// Sequence count and depth used at every size.
 const COUNT: usize = 8;
 const DEPTH: usize = 6;
 

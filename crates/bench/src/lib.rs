@@ -1,5 +1,5 @@
-//! Shared data and helpers for the experiment binaries and criterion
-//! benches that regenerate every table and figure of the CAS-BUS paper.
+//! Shared data and helpers for the experiment binaries that regenerate
+//! every table and figure of the CAS-BUS paper.
 //!
 //! Run the experiments with, e.g.:
 //!
@@ -7,7 +7,6 @@
 //! cargo run -p casbus-bench --bin table1
 //! cargo run -p casbus-bench --bin tradeoff_n
 //! cargo run -p casbus-bench --bin ablation_heuristic
-//! cargo bench -p casbus-bench
 //! ```
 
 #![forbid(unsafe_code)]

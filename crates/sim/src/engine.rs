@@ -13,30 +13,34 @@
 //! pins the engine against the bit-serial reference across engines and
 //! thread counts.
 //!
+//! An enabled trace sink keeps the fast path: the engine emits the same
+//! per-lane `session` spans the interpreter does (the simulator emits the
+//! `configure` spans either way), so a traced run's canonical JSONL matches
+//! the reference's byte for byte.
+//!
 //! Exactness is preserved by falling back to the cycle-by-cycle
 //! interpreter whenever the fast path cannot be bit-faithful:
 //!
-//! * a waveform probe is attached or a trace sink is enabled (every bus
-//!   value change must be emitted),
+//! * a waveform probe is attached (every bus value change must be
+//!   emitted),
 //! * a step's routing shares wires serially between TEST CASes (cores
 //!   concatenate through each other),
 //! * a lane's wrapper is not in an INTEST mode, or its port/wire widths
 //!   disagree (the interpreter's resize semantics would apply).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use casbus::{CasChain, RouteTable, RouteTableCache, TamConfiguration};
 use casbus_controller::TestProgram;
-use casbus_obs::{FlightRecorder, MetricsRegistry, TraceEvent, TraceSink};
+use casbus_obs::MetricsRegistry;
 use casbus_p1500::{TestableCore, Wrapper, WrapperControl, WrapperInstruction};
 use casbus_tpg::bits::low_mask;
 use casbus_tpg::{BitVec, Verdict};
 
 use crate::pool::lpt_fanout;
 use crate::report::{
-    collect_lanes, drive_lanes_reference, finish_report, Lane, ReferenceSession, ReportBaseline,
-    SocTestReport,
+    collect_lanes, drive_lanes_reference, finish_report, session_span, Lane, ReferenceSession,
+    ReportBaseline, SocTestReport,
 };
 use crate::session::{lane_signature, push_zeros, verdict, CompiledSession, Segment, SessionCache};
 use crate::simulator::{SimError, SocSimulator};
@@ -70,7 +74,6 @@ pub(crate) type SessionLane = Lane<Arc<CompiledSession>>;
 pub struct CompiledEngine {
     threads: usize,
     cache: Option<Arc<RouteTableCache>>,
-    recorder: Option<Arc<FlightRecorder>>,
     /// Compiled sessions, built on first use and shared with every clone.
     sessions: Arc<SessionCache>,
 }
@@ -79,18 +82,12 @@ pub struct CompiledEngine {
 // descriptions, so it never makes two engines' results differ.
 impl PartialEq for CompiledEngine {
     fn eq(&self, other: &Self) -> bool {
-        let same_arc =
-            |a: &Option<Arc<RouteTableCache>>, b: &Option<Arc<RouteTableCache>>| match (a, b) {
+        self.threads == other.threads
+            && match (&self.cache, &other.cache) {
                 (None, None) => true,
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
                 _ => false,
-            };
-        let same_recorder = match (&self.recorder, &other.recorder) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        self.threads == other.threads && same_arc(&self.cache, &other.cache) && same_recorder
+            }
     }
 }
 
@@ -116,7 +113,6 @@ impl CompiledEngine {
         Self {
             threads,
             cache: None,
-            recorder: None,
             sessions: Arc::default(),
         }
     }
@@ -134,23 +130,6 @@ impl CompiledEngine {
     /// The attached route-table cache, if any.
     pub fn route_cache(&self) -> Option<&Arc<RouteTableCache>> {
         self.cache.as_ref()
-    }
-
-    /// Attaches a [`FlightRecorder`]: after each program step the engine
-    /// records one coarse `engine` span (cycle-accurate `ts`/`dur`, plus
-    /// lane count, executed path, and step wall time as args) into the
-    /// ring. Unlike a simulator trace sink — which forces the bit-serial
-    /// reference path so every bus value change can be emitted — the
-    /// recorder observes only step boundaries, so the word-level fast path
-    /// stays enabled and results are unchanged.
-    pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
     }
 
     /// Shares `sessions` with this engine: a core whose session another
@@ -229,12 +208,12 @@ impl CompiledEngine {
         metrics: Option<&MetricsRegistry>,
     ) -> Result<SocTestReport, SimError> {
         let baseline = ReportBaseline::capture(sim);
-        // Observability wants every per-cycle bus value: stay bit-serial.
-        let exact_only = sim.has_probe() || sim.trace().enabled();
+        // A probe wants every per-cycle bus value: stay bit-serial.
+        let exact_only = sim.has_probe();
+        let trace = sim.trace();
         let mut results = Vec::new();
         for (step_index, step) in program.steps().iter().enumerate() {
             let step_start = sim.cycles();
-            let wall_start = self.recorder.as_ref().map(|_| Instant::now());
             sim.configure(&step.configuration, &step.wrapper_instructions)?;
             let routes = self.routes_for(sim.tam().chain());
             let compiled = if exact_only {
@@ -245,74 +224,30 @@ impl CompiledEngine {
                     .is_none()
                     .then_some(lanes)
             };
-            let fast_path = compiled.is_some();
-            let lane_count = match compiled {
+            match compiled {
                 Some(lanes) => {
-                    results.extend(self.drive_lanes_compiled(sim, &lanes)?);
-                    lanes.len()
+                    let step_results = self.drive_lanes_compiled(sim, &lanes)?;
+                    if trace.enabled() {
+                        for (lane, (_, verdict, _)) in lanes.iter().zip(&step_results) {
+                            trace.record(session_span(
+                                sim,
+                                lane,
+                                lane.session.len(),
+                                step_index,
+                                step_start,
+                                verdict.is_pass(),
+                            ));
+                        }
+                    }
+                    results.extend(step_results);
                 }
                 None => {
                     let lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
                     results.extend(drive_lanes_reference(sim, &lanes, step_index, step_start)?);
-                    lanes.len()
                 }
-            };
-            if let (Some(recorder), Some(wall_start)) = (&self.recorder, wall_start) {
-                recorder.record(TraceEvent::span(
-                    "engine",
-                    format!("step{step_index}"),
-                    step_start,
-                    sim.cycles() - step_start,
-                    vec![
-                        ("lanes", lane_count.into()),
-                        (
-                            "path",
-                            if fast_path { "compiled" } else { "reference" }.into(),
-                        ),
-                        ("wall_us", (wall_start.elapsed().as_micros() as u64).into()),
-                    ],
-                ));
             }
         }
         finish_report(sim, metrics, &baseline, results, program.steps().len())
-    }
-
-    /// Predicts the exact total tester cycles of `program` without driving
-    /// a single data clock. Each step's configuration wave is loaded for
-    /// real (measuring the CONFIGURATION-phase cost and warming the
-    /// attached route cache on the step's wave shape), then the data phase
-    /// is scored analytically as the step horizon — both execution paths
-    /// drive exactly `max(plan.len())` data clocks per step, so the sum
-    /// equals the executed [`SocTestReport::total_cycles`] (pinned by
-    /// tests). This is the cheap scoring entry point schedule search uses
-    /// before committing to full candidate execution.
-    ///
-    /// Leaves the simulator configured at the final step; hand it a fresh
-    /// instance afterwards, as with any run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and width errors.
-    pub fn dry_run_cycles(
-        &self,
-        sim: &mut SocSimulator,
-        program: &TestProgram,
-    ) -> Result<u64, SimError> {
-        let start = sim.cycles();
-        let mut data_cycles = 0u64;
-        for step in program.steps() {
-            sim.configure(&step.configuration, &step.wrapper_instructions)?;
-            if let Some(cache) = &self.cache {
-                cache.get_or_compile(sim.tam().chain());
-            }
-            let lanes = self.session_lanes(sim, &step.configuration)?;
-            data_cycles += lanes
-                .iter()
-                .map(|l| l.session.len() as u64)
-                .max()
-                .unwrap_or(0);
-        }
-        Ok(sim.cycles() - start + data_cycles)
     }
 
     /// Runs one compilable step's lanes word-at-a-time, then accounts for
@@ -742,61 +677,33 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_keeps_fast_path_and_records_step_spans() {
-        use casbus_obs::trace::ArgValue;
-        use casbus_obs::FlightRecorder;
+    fn trace_sink_keeps_fast_path_and_matches_reference_spans() {
+        use casbus_obs::MemorySink;
 
-        let soc = catalog::figure1_soc();
-        let program = program_for(&soc, 8, true);
-        let mut plain_sim = SocSimulator::new(&soc, 8).unwrap();
-        let plain = CompiledEngine::new().run(&mut plain_sim, &program).unwrap();
-
-        let recorder = Arc::new(FlightRecorder::new(256));
-        let engine = CompiledEngine::new().with_recorder(Arc::clone(&recorder));
-        assert!(engine.recorder().is_some());
-        let mut sim = SocSimulator::new(&soc, 8).unwrap();
-        let recorded = engine.run(&mut sim, &program).unwrap();
-        assert_eq!(recorded, plain, "recorder never changes results");
-
-        let dump = recorder.dump();
-        assert_eq!(dump.events.len(), program.steps().len());
-        assert!(
-            dump.events
-                .windows(2)
-                .all(|w| w[1].ts == w[0].ts + w[0].dur),
-            "step spans tile the cycle timeline"
-        );
-        let compiled_steps = dump
-            .events
-            .iter()
-            .filter(|e| {
-                e.args
-                    .iter()
-                    .any(|(k, v)| *k == "path" && *v == ArgValue::Str("compiled".to_owned()))
-            })
-            .count();
-        assert!(
-            compiled_steps > 0,
-            "the recorder must not force the reference path"
-        );
-    }
-
-    #[test]
-    fn dry_run_predicts_executed_cycles_exactly() {
         for (soc, n, packed) in [
             (catalog::figure1_soc(), 8, true),
-            (catalog::figure1_soc(), 8, false),
             (catalog::figure2a_scan_soc(), 4, false),
-            (catalog::figure2b_bist_soc(), 3, true),
         ] {
             let program = program_for(&soc, n, packed);
-            let mut dry_sim = SocSimulator::new(&soc, n).unwrap();
-            let predicted = CompiledEngine::new()
-                .dry_run_cycles(&mut dry_sim, &program)
-                .unwrap();
+            let mut plain_sim = SocSimulator::new(&soc, n).unwrap();
+            let plain = CompiledEngine::new().run(&mut plain_sim, &program).unwrap();
+
+            let traced = MemorySink::new();
             let mut sim = SocSimulator::new(&soc, n).unwrap();
-            let report = CompiledEngine::new().run(&mut sim, &program).unwrap();
-            assert_eq!(predicted, report.total_cycles, "{}", soc.name());
+            sim.set_trace(traced.clone());
+            // Only the compiled path looks up compiled sessions, so a filled
+            // cache proves the trace did not force the interpreter.
+            let sessions = Arc::new(SessionCache::default());
+            let engine = CompiledEngine::new().with_sessions(Arc::clone(&sessions));
+            assert_eq!(engine.run(&mut sim, &program).unwrap(), plain);
+            assert!(!format!("{sessions:?}").contains("sessions: 0"));
+
+            let reference = MemorySink::new();
+            let mut ref_sim = SocSimulator::new(&soc, n).unwrap();
+            ref_sim.set_trace(reference.clone());
+            crate::report::run_program_reference(&mut ref_sim, &program).unwrap();
+            assert_eq!(traced.jsonl(), reference.jsonl(), "{}", soc.name());
+            assert!(traced.events().iter().any(|e| e.cat == "session"));
         }
     }
 }

@@ -152,7 +152,7 @@ impl PackedDeviceEngine {
 
         // Configuration-only spec pass (no data clocks): compilability and
         // lane plans depend only on post-`configure` state, never on data
-        // traffic — the same invariant `dry_run_cycles` relies on.
+        // traffic.
         let mut lanes: HashMap<String, Vec<PackedLaneSpec>> = HashMap::new();
         let mut program_blocker: Option<&'static str> = None;
         let mut slot = 0usize;
@@ -283,6 +283,7 @@ impl PackedDeviceEngine {
                         &self.sessions,
                         *device_id,
                         Some(f.clone()),
+                        None,
                     )?;
                     reports[idx] = Some(scalar.report);
                 }

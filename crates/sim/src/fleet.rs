@@ -5,7 +5,7 @@
 //! simulation: the schedule is compiled into a [`CompiledProgram`] and its
 //! wave shapes route-compiled into a shared [`RouteTableCache`] exactly
 //! once, then any number of independent simulated devices execute the same
-//! immutable plan on a persistent [`WorkerPool`].
+//! immutable plan on a persistent [`WorkerPool`](crate::pool::WorkerPool).
 //! Adding a device costs one queue push, never a schedule search, a route
 //! compilation, or a thread spawn.
 //!
@@ -24,7 +24,10 @@
 //! sorted report list — and every `fleet.*` metric — is bit-identical
 //! across thread counts and identical to running the devices one by one.
 //!
-//! Two execution modes serve the fleet, both bit-identical:
+//! A fleet is a one-lot [`TestFloor`]: every run is served by the floor's
+//! lot executor, so a fleet and a floor lot of the same plan run the very
+//! same dispatch, collection and observation code. Two execution modes
+//! serve the lot, both bit-identical:
 //!
 //! * **Packed device-parallel** (default, unmonitored runs): devices are
 //!   grouped into cohorts of up to 64 and executed through a shared
@@ -39,13 +42,13 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
 use casbus_controller::search::{search_schedule_with, SearchBudget};
 use casbus_controller::{CompiledProgram, Schedule};
-use casbus_obs::{MetricsRegistry, TraceEvent, TraceSink};
+use casbus_obs::{MetricsRegistry, TraceSink};
 use casbus_p1500::{TestableCore, Wrapper};
 use casbus_soc::models::{BistCore, MemoryCore, ScanCore};
 use casbus_soc::{SocDescription, TestMethod};
@@ -53,10 +56,10 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::engine::CompiledEngine;
-use crate::engine_packed::{PackedDeviceEngine, COHORT_LANES};
-use crate::monitor::{DeviceDump, FleetMonitor, MonitorShared};
-use crate::pool::WorkerPool;
-use crate::report::{run_program_reference, SocTestReport};
+use crate::engine_packed::PackedDeviceEngine;
+use crate::floor::{publish_fleet_metrics, Lot, LotSpec, TestFloor};
+use crate::monitor::{FleetMonitor, MonitorShared};
+use crate::report::SocTestReport;
 use crate::search::CompiledValidator;
 use crate::session::SessionCache;
 use crate::simulator::{SimError, SocSimulator};
@@ -334,6 +337,19 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
+    /// The report of `devices` (any order) tested in `wall`: sorted by
+    /// device id, with the pass count and cycle totals.
+    pub(crate) fn assemble(mut devices: Vec<DeviceReport>, wall: Duration) -> Self {
+        devices.sort_by_key(|d| d.device_id);
+        Self {
+            passed: devices.iter().filter(|d| d.passed()).count(),
+            total_cycles: devices.iter().map(|d| d.report.total_cycles).sum(),
+            wire_cycles: devices.iter().map(|d| d.report.bus_cycles).sum(),
+            devices,
+            wall,
+        }
+    }
+
     /// Number of devices tested.
     pub fn fleet_size(&self) -> usize {
         self.devices.len()
@@ -395,10 +411,10 @@ impl std::fmt::Display for FleetReport {
 ///
 /// Construction pays every one-time cost — TAM build, program compilation,
 /// optionally a full schedule search, worker-thread spawn — and `run*`
-/// calls amortise them over the whole fleet. Devices execute on the
-/// persistent pool; each device's engine shares the runner's
-/// [`RouteTableCache`], so a wave shape is route-compiled once for the
-/// entire fleet regardless of its size.
+/// calls amortise them over the whole fleet. Each run is served as a
+/// one-lot [`TestFloor`] run on the runner's persistent pool; each device's
+/// engine shares the runner's [`RouteTableCache`], so a wave shape is
+/// route-compiled once for the entire fleet regardless of its size.
 ///
 /// # Examples
 ///
@@ -416,13 +432,11 @@ impl std::fmt::Display for FleetReport {
 pub struct FleetRunner {
     soc: Arc<SocDescription>,
     plan: Arc<CompiledProgram>,
-    cache: Arc<RouteTableCache>,
-    /// Compiled sessions of the plan's cores: built by the first run (by
-    /// the search, for a searched runner) and shared by every worker slot
-    /// and the packed engine.
-    sessions: Arc<SessionCache>,
-    pool: WorkerPool,
-    trace: Arc<dyn TraceSink>,
+    /// The one-lot floor serving every run: its pool, its route cache, and
+    /// its compiled sessions — built by the first run (by the search, for a
+    /// searched runner) and shared by every worker slot and the packed
+    /// engine.
+    floor: TestFloor,
     /// Packed device-parallel mode: unmonitored runs execute cohorts of up
     /// to 64 devices per word through a shared [`PackedDeviceEngine`].
     packed: bool,
@@ -436,7 +450,7 @@ impl std::fmt::Debug for FleetRunner {
             .field("soc", &self.soc.name())
             .field("bus_width", &self.plan.bus_width())
             .field("steps", &self.plan.program().len())
-            .field("threads", &self.pool.threads())
+            .field("threads", &self.threads())
             .finish_non_exhaustive()
     }
 }
@@ -450,16 +464,7 @@ impl FleetRunner {
     /// Propagates TAM/program compilation errors.
     pub fn new(soc: &SocDescription, n: usize, schedule: Schedule) -> Result<Self, SimError> {
         let plan = CompiledProgram::compile(soc, n, schedule)?;
-        Ok(Self {
-            soc: Arc::new(soc.clone()),
-            plan: Arc::new(plan),
-            cache: Arc::new(RouteTableCache::new()),
-            sessions: Arc::default(),
-            pool: WorkerPool::new(0),
-            trace: casbus_obs::trace::null_sink(),
-            packed: true,
-            packed_engine: Mutex::new(None),
-        })
+        Ok(Self::serving(soc, plan, TestFloor::new()))
     }
 
     /// A runner whose schedule comes from the annealed makespan search
@@ -489,38 +494,28 @@ impl FleetRunner {
             .with_sessions(Arc::clone(&sessions));
         let schedule = search_schedule_with(soc, n, budget, &validator, &MetricsRegistry::new())?;
         let plan = CompiledProgram::compile(soc, n, schedule)?;
-
         // The same bit-exact gate run_program_searched applies: refuse to
         // serve a plan whose compiled execution differs from the reference
         // interpreter on a healthy device.
-        let mut sim = SocSimulator::new(soc, n)?;
-        let engine = CompiledEngine::new()
-            .with_cache(Arc::clone(&cache))
-            .with_sessions(Arc::clone(&sessions));
-        let compiled = engine.run(&mut sim, plan.program())?;
-        let mut reference_sim = SocSimulator::new(soc, n)?;
-        let reference = run_program_reference(&mut reference_sim, plan.program())?;
-        if compiled != reference {
-            return Err(SimError::SearchDiverged);
-        }
+        validator.gate(soc, n, plan.program(), &MetricsRegistry::new())?;
+        Ok(Self::serving(soc, plan, TestFloor::over(cache, sessions)))
+    }
 
-        Ok(Self {
+    fn serving(soc: &SocDescription, plan: CompiledProgram, floor: TestFloor) -> Self {
+        Self {
             soc: Arc::new(soc.clone()),
             plan: Arc::new(plan),
-            cache,
-            sessions,
-            pool: WorkerPool::new(0),
-            trace: casbus_obs::trace::null_sink(),
+            floor,
             packed: true,
             packed_engine: Mutex::new(None),
-        })
+        }
     }
 
     /// Replaces the worker pool with one of `threads` workers (`0` means
     /// one per available hardware thread).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = WorkerPool::new(threads);
+        self.floor = self.floor.with_threads(threads);
         self
     }
 
@@ -529,7 +524,7 @@ impl FleetRunner {
     /// (along with any packed engine compiled against the old cache).
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Arc::new(RouteTableCache::with_capacity(capacity));
+        self.floor = self.floor.with_cache_capacity(capacity);
         self.packed_engine = Mutex::new(None);
         self
     }
@@ -552,15 +547,6 @@ impl FleetRunner {
         self
     }
 
-    /// Installs a trace sink: each run emits one `fleet` span per device,
-    /// in device order on a logical timeline (cumulative test cycles), so
-    /// traces are deterministic across thread counts.
-    #[must_use]
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = sink;
-        self
-    }
-
     /// The plan every device executes.
     pub fn plan(&self) -> &CompiledProgram {
         &self.plan
@@ -573,12 +559,12 @@ impl FleetRunner {
 
     /// The route cache shared by the fleet.
     pub fn cache(&self) -> &Arc<RouteTableCache> {
-        &self.cache
+        self.floor.cache()
     }
 
     /// Worker threads serving the fleet.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.floor.threads()
     }
 
     /// Whether packed device-parallel execution is enabled.
@@ -598,8 +584,8 @@ impl FleetRunner {
         let engine = Arc::new(PackedDeviceEngine::compile_with_sessions(
             &self.soc,
             &self.plan,
-            &self.cache,
-            Arc::clone(&self.sessions),
+            self.cache(),
+            Arc::clone(self.floor.sessions()),
         )?);
         *slot = Some(Arc::clone(&engine));
         Ok(engine)
@@ -652,10 +638,10 @@ impl FleetRunner {
     }
 
     /// [`run`](Self::run) with a live [`FleetMonitor`] attached: the
-    /// monitor's sampler streams [`FleetSnapshot`](crate::FleetSnapshot)s
-    /// over its bounded channel while devices execute, per-device phase
-    /// timers feed the monitor's `obs.*` telemetry histograms, and any
-    /// defective or failing device dumps its flight-recorder ring into
+    /// monitor streams [`FleetSnapshot`](crate::FleetSnapshot)s over its
+    /// bounded channel while devices execute, per-device phase timers feed
+    /// the monitor's `obs.*` telemetry histograms, and any defective or
+    /// failing device dumps its flight-recorder ring into
     /// [`FleetMonitor::dumps`]. The report — and every non-`obs.*` metric —
     /// is bit-identical to an unmonitored run (pinned by
     /// `tests/fleet_differential.rs`).
@@ -703,110 +689,42 @@ impl FleetRunner {
         // Packed mode serves unmonitored runs only: a monitored run needs
         // per-device phase timers and flight recorders, which are
         // inherently scalar. The report is bit-identical either way.
-        let packed_engine: Option<Arc<PackedDeviceEngine>> =
-            if self.packed && monitor.is_none() && fleet_size > 0 {
-                Some(self.packed_engine()?)
-            } else {
-                None
-            };
-        if let Some(monitor) = monitor {
-            monitor.shared().begin_run(fleet_size);
-            self.pool.set_metrics(Some(Arc::clone(monitor.telemetry())));
-        }
-        // Bounded: a lagging consumer backpressures the workers instead of
-        // buffering the whole fleet's reports. Reports travel in batches —
-        // one per cohort (packed) or per device (scalar) — so a 64-device
-        // cohort costs one channel rendezvous, not 64.
-        let (tx, rx) = mpsc::sync_channel::<Result<Vec<DeviceReport>, SimError>>(
-            self.pool.threads().saturating_mul(2).max(1),
-        );
-        let collected: Result<Vec<DeviceReport>, SimError> = std::thread::scope(|scope| {
-            if let Some(monitor) = monitor {
-                let shared = Arc::clone(monitor.shared());
-                let cache = Arc::clone(&self.cache);
-                scope.spawn(move || shared.sampler_loop(&cache));
-            }
-            if let Some(engine) = &packed_engine {
-                // Cohort dispatch: one pool job per ≤64 devices. Faults are
-                // stamped on the dispatch thread, so lane assignment is a
-                // pure function of device id regardless of worker timing.
-                for members in plan_cohorts(spec, &self.soc, fleet_size) {
-                    let engine = Arc::clone(engine);
-                    let tx = tx.clone();
-                    self.pool.execute(move || {
-                        // The receiver hangs up after a first error:
-                        // discard late batches instead of panicking.
-                        let _ = tx.send(engine.run_cohort(members));
-                    });
-                }
-            } else {
-                for device_id in 0..fleet_size {
-                    let soc = Arc::clone(&self.soc);
-                    let plan = Arc::clone(&self.plan);
-                    let cache = Arc::clone(&self.cache);
-                    let sessions = Arc::clone(&self.sessions);
-                    let fault = spec.fault_for(&self.soc, device_id);
-                    let tx = tx.clone();
-                    let shared = monitor.map(|m| Arc::clone(m.shared()));
-                    self.pool.execute(move || {
-                        let outcome = match &shared {
-                            Some(shared) => test_device_monitored(
-                                &soc, &plan, &cache, &sessions, device_id, fault, shared,
-                            ),
-                            None => test_device(&soc, &plan, &cache, &sessions, device_id, fault),
-                        };
-                        // The receiver hangs up after a first error: discard
-                        // late results instead of panicking the worker.
-                        let _ = tx.send(outcome.map(|report| vec![report]));
-                    });
-                }
-            }
-            drop(tx);
-
-            let mut devices: Vec<DeviceReport> = Vec::with_capacity(fleet_size as usize);
-            let mut error = None;
-            for outcome in rx {
-                match outcome {
-                    Ok(batch) => {
-                        for report in batch {
-                            on_report(&report);
-                            devices.push(report);
-                        }
-                    }
-                    Err(err) => {
-                        error = Some(err);
-                        break;
-                    }
-                }
-            }
-            // Always release the sampler before the scope joins it, even on
-            // the error path.
-            if let Some(monitor) = monitor {
-                monitor.shared().finish_run();
-            }
-            match error {
-                Some(err) => Err(err),
-                None => Ok(devices),
-            }
-        });
-        if monitor.is_some() {
-            self.pool.set_metrics(None);
-        }
-        let mut devices = collected?;
-        let wall = started.elapsed();
-        devices.sort_by_key(|d| d.device_id);
-
-        let passed = devices.iter().filter(|d| d.passed()).count();
-        let total_cycles: u64 = devices.iter().map(|d| d.report.total_cycles).sum();
-        let wire_cycles: u64 = devices.iter().map(|d| d.report.bus_cycles).sum();
-
+        let engine = if self.packed && monitor.is_none() && fleet_size > 0 {
+            Some(self.packed_engine()?)
+        } else {
+            None
+        };
+        let lot = Lot {
+            spec: LotSpec {
+                name: "fleet".to_owned(),
+                soc: Arc::clone(&self.soc),
+                plan: Arc::clone(&self.plan),
+                devices: fleet_size,
+                variation: *spec,
+                priority: 1,
+                packed: engine.is_some(),
+            },
+            engine,
+            monitor,
+        };
+        let served = self
+            .floor
+            .serve(std::slice::from_ref(&lot), started, |_, report| {
+                on_report(report)
+            })?;
+        let fleet = served
+            .lots
+            .into_iter()
+            .next()
+            .expect("a one-lot floor reports one lot")
+            .fleet;
         publish_fleet_metrics(
             metrics,
             fleet_size,
-            &devices,
-            self.pool.threads(),
-            &self.cache,
-            packed_engine.as_deref(),
+            &fleet,
+            self.threads(),
+            self.cache(),
+            lot.engine.as_deref(),
         );
         if let Some(monitor) = monitor {
             // Everything wall-clock lands under obs.* so differential runs
@@ -817,129 +735,7 @@ impl FleetRunner {
             metrics.set("obs.fleet.snapshots.dropped", monitor.snapshots_dropped());
             metrics.set("obs.fleet.recorder.dumps", monitor.dumps().len() as u64);
         }
-
-        if self.trace.enabled() {
-            // Post-hoc, device-ordered, on a logical cycle timeline: the
-            // trace describes the fleet, not the scheduler.
-            let mut ts = 0u64;
-            for device in &devices {
-                self.trace.record(TraceEvent::span(
-                    "fleet",
-                    format!("device{}", device.device_id),
-                    ts,
-                    device.report.total_cycles,
-                    vec![
-                        ("pass", device.passed().into()),
-                        ("defective", device.fault.is_some().into()),
-                    ],
-                ));
-                ts += device.report.total_cycles;
-            }
-        }
-
-        Ok(FleetReport {
-            devices,
-            passed,
-            total_cycles,
-            wire_cycles,
-            wall,
-        })
-    }
-}
-
-/// Plans the packed cohorts of one lot: device ids `0..fleet_size` grouped
-/// consecutively into cohorts of up to [`COHORT_LANES`], each member
-/// stamped by `spec` on the calling thread. A pure function of
-/// `(spec, soc, fleet_size)`, so lane assignment — and therefore every
-/// packed report — is identical whether the lot runs standalone on a
-/// [`FleetRunner`] or shares a [`TestFloor`](crate::floor::TestFloor) with
-/// other lots.
-pub(crate) fn plan_cohorts(
-    spec: &VariationSpec,
-    soc: &SocDescription,
-    fleet_size: u64,
-) -> Vec<Vec<(u64, Option<InjectedFault>)>> {
-    let mut cohorts = Vec::with_capacity(fleet_size.div_ceil(COHORT_LANES as u64) as usize);
-    let mut cohort: Vec<(u64, Option<InjectedFault>)> = Vec::with_capacity(COHORT_LANES);
-    for device_id in 0..fleet_size {
-        cohort.push((device_id, spec.fault_for(soc, device_id)));
-        if cohort.len() == COHORT_LANES || device_id + 1 == fleet_size {
-            cohorts.push(std::mem::take(&mut cohort));
-            cohort = Vec::with_capacity(COHORT_LANES);
-        }
-    }
-    cohorts
-}
-
-/// Publishes the standard `fleet.*` metrics for one completed lot:
-/// device/pass/fail/defect counts, cycle and wire-cycle totals, the route
-/// cache's counters, packed-path accounting (when `packed_engine` is set),
-/// and the per-device cycle histogram observed in device order. `requested`
-/// is the lot size that was dispatched — it can exceed `devices.len()` when
-/// a floor lot was aborted mid-run. Shared by [`FleetRunner`] (its own
-/// registry) and [`TestFloor`](crate::floor::TestFloor) (one registry per
-/// lot, merged under `floor.lot.<name>.`). Nothing here is wall-clock, so
-/// every value is bit-identical across thread counts.
-pub(crate) fn publish_fleet_metrics(
-    metrics: &MetricsRegistry,
-    requested: u64,
-    devices: &[DeviceReport],
-    threads: usize,
-    cache: &RouteTableCache,
-    packed_engine: Option<&PackedDeviceEngine>,
-) {
-    let passed = devices.iter().filter(|d| d.passed()).count();
-    let total_cycles: u64 = devices.iter().map(|d| d.report.total_cycles).sum();
-    let wire_cycles: u64 = devices.iter().map(|d| d.report.bus_cycles).sum();
-    metrics.set("fleet.devices", requested);
-    metrics.set("fleet.passed", passed as u64);
-    metrics.set("fleet.failed", devices.len() as u64 - passed as u64);
-    metrics.set(
-        "fleet.defects.injected",
-        devices.iter().filter(|d| d.fault.is_some()).count() as u64,
-    );
-    metrics.set("fleet.cycles.total", total_cycles);
-    metrics.set("fleet.bus.wire_cycles", wire_cycles);
-    metrics.set("fleet.threads", threads as u64);
-    metrics.set("fleet.route_cache.hits", cache.hits());
-    metrics.set("fleet.route_cache.misses", cache.misses());
-    metrics.set("fleet.route_cache.evictions", cache.evictions());
-    metrics.set("fleet.route_cache.shapes", cache.len() as u64);
-    if let Some(engine) = packed_engine {
-        // Per-device accounting (not per-cohort): how many devices each
-        // packed serving path handled. Pure functions of (spec, id), so
-        // bit-identical across thread counts like every fleet.* metric.
-        let defective = devices.iter().filter(|d| d.fault.is_some()).count();
-        let lane_devices = devices
-            .iter()
-            .filter(|d| d.fault.as_ref().is_some_and(|f| engine.fault_packable(f)))
-            .count();
-        metrics.set(
-            "fleet.packed.cohorts",
-            requested.div_ceil(COHORT_LANES as u64),
-        );
-        metrics.set(
-            "fleet.packed.baseline.devices",
-            (devices.len() - defective) as u64,
-        );
-        metrics.set("fleet.packed.lane.devices", lane_devices as u64);
-        metrics.set(
-            "fleet.packed.fallback.devices",
-            (defective - lane_devices) as u64,
-        );
-        // Attribute every scalar fallback to the compile clause or
-        // defect placement that forced it — pure functions of
-        // (program, spec, id), so bit-identical across thread counts.
-        for device in devices {
-            if let Some(fault) = &device.fault {
-                if let Some(reason) = engine.fallback_reason(fault) {
-                    metrics.inc(&format!("fleet.packed.fallback.reason.{reason}"), 1);
-                }
-            }
-        }
-    }
-    for device in devices {
-        metrics.observe("fleet.device.cycles", device.report.total_cycles);
+        Ok(fleet)
     }
 }
 
@@ -1033,6 +829,11 @@ fn run_stamped(
 /// device — the fleet's parallelism lives across devices. Also the scalar
 /// fallback the packed path uses for defects its lane encoding cannot
 /// express.
+///
+/// Under a `monitor`, phase timers feed its `obs.*` telemetry, the device's
+/// flight recorder is the simulator's trace sink for the run, and a
+/// defective or failing device dumps its ring. The report is built the
+/// same way either way — the monitor only observes.
 pub(crate) fn test_device(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
@@ -1040,70 +841,38 @@ pub(crate) fn test_device(
     sessions: &Arc<SessionCache>,
     device_id: u64,
     fault: Option<InjectedFault>,
+    monitor: Option<&MonitorShared>,
 ) -> Result<DeviceReport, SimError> {
-    let report = with_worker_slot(soc, plan, cache, sessions, |sim, engine| {
-        run_stamped(sim, engine, plan, fault.as_ref())
-    })?;
-    Ok(DeviceReport {
-        device_id,
-        fault,
-        report,
-    })
-}
-
-/// [`test_device`] under a live monitor: phase timers feed the `obs.*`
-/// telemetry histograms, a per-device flight recorder captures coarse
-/// engine spans, and defective or failing devices dump their ring. The
-/// report itself is built exactly as in [`test_device`] — the monitor only
-/// observes.
-fn test_device_monitored(
-    soc: &Arc<SocDescription>,
-    plan: &CompiledProgram,
-    cache: &Arc<RouteTableCache>,
-    sessions: &Arc<SessionCache>,
-    device_id: u64,
-    fault: Option<InjectedFault>,
-    monitor: &MonitorShared,
-) -> Result<DeviceReport, SimError> {
-    monitor.device_started(device_id);
     let started = Instant::now();
-    let recorder = monitor.new_recorder();
+    let recorder = monitor.and_then(|monitor| monitor.device_started(device_id));
     let report = with_worker_slot(soc, plan, cache, sessions, |sim, engine| {
-        let mut engine = engine.clone();
+        let Some(monitor) = monitor else {
+            return run_stamped(sim, engine, plan, fault.as_ref());
+        };
+        let telemetry = &monitor.telemetry;
+        telemetry.observe("obs.fleet.device.setup_us", elapsed_us(started));
         if let Some(recorder) = &recorder {
-            engine = engine.with_recorder(Arc::clone(recorder));
+            sim.set_trace(Arc::clone(recorder) as Arc<dyn TraceSink>);
         }
-        monitor.telemetry().observe(
-            "obs.fleet.device.setup_us",
-            started.elapsed().as_micros() as u64,
-        );
         let run_started = Instant::now();
-        let report = run_stamped(sim, &engine, plan, fault.as_ref())?;
-        monitor.telemetry().observe(
-            "obs.fleet.device.run_us",
-            run_started.elapsed().as_micros() as u64,
-        );
-        Ok(report)
+        let report = run_stamped(sim, engine, plan, fault.as_ref());
+        sim.set_trace(casbus_obs::trace::null_sink());
+        telemetry.observe("obs.fleet.device.run_us", elapsed_us(run_started));
+        report
     })?;
     let report = DeviceReport {
         device_id,
         fault,
         report,
     };
-    let passed = report.passed();
-    let defective = report.fault.is_some();
-    if defective || !passed {
-        if let Some(recorder) = recorder {
-            monitor.add_dump(DeviceDump {
-                device_id,
-                defective,
-                passed,
-                dump: recorder.dump(),
-            });
-        }
+    if let Some(monitor) = monitor {
+        monitor.device_finished(&report, recorder.as_deref(), started.elapsed());
     }
-    monitor.device_finished(device_id, passed, defective, started.elapsed());
     Ok(report)
+}
+
+fn elapsed_us(since: Instant) -> u64 {
+    since.elapsed().as_micros() as u64
 }
 
 #[cfg(test)]
@@ -1247,26 +1016,6 @@ mod tests {
         let large = misses_for(16);
         assert!(small > 0, "first device compiles the shapes");
         assert_eq!(small, large, "identical devices never recompile");
-    }
-
-    #[test]
-    fn fleet_traces_are_device_ordered_and_logical() {
-        let soc = catalog::figure2a_scan_soc();
-        let sink = casbus_obs::MemorySink::new();
-        let runner = FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap())
-            .unwrap()
-            .with_threads(4)
-            .with_trace(sink.clone());
-        runner.run(&VariationSpec::perfect(), 6).unwrap();
-        let events = sink.events();
-        assert_eq!(events.len(), 6);
-        for (idx, event) in events.iter().enumerate() {
-            assert_eq!(event.name, format!("device{idx}"));
-        }
-        assert!(
-            events.windows(2).all(|w| w[1].ts == w[0].ts + w[0].dur),
-            "cumulative logical timeline"
-        );
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! # Ok::<(), casbus_sim::SimError>(())
 //! ```
 
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
@@ -67,9 +67,8 @@ use crate::admission::{
     AdmissionAction, AdmissionController, AdmissionEvent, AdmissionPolicy, LotLive,
 };
 use crate::engine_packed::{PackedDeviceEngine, COHORT_LANES};
-use crate::fleet::{plan_cohorts, publish_fleet_metrics, test_device};
-use crate::fleet::{DeviceReport, FleetReport, VariationSpec};
-use crate::monitor::{FleetSnapshot, LotTracker};
+use crate::fleet::{test_device, DeviceReport, FleetReport, InjectedFault, VariationSpec};
+use crate::monitor::{FleetMonitor, FleetSnapshot, LotTracker};
 use crate::pool::{LaneId, WorkerPool};
 use crate::session::SessionCache;
 use crate::simulator::SimError;
@@ -80,13 +79,13 @@ use crate::simulator::SimError;
 /// Lot names label per-lot metrics (`floor.lot.<name>.*`) and admission
 /// events; give each lot of a run a distinct name or their metrics merge.
 pub struct LotSpec {
-    name: String,
-    soc: Arc<SocDescription>,
-    plan: Arc<CompiledProgram>,
-    devices: u64,
-    variation: VariationSpec,
-    priority: u64,
-    packed: bool,
+    pub(crate) name: String,
+    pub(crate) soc: Arc<SocDescription>,
+    pub(crate) plan: Arc<CompiledProgram>,
+    pub(crate) devices: u64,
+    pub(crate) variation: VariationSpec,
+    pub(crate) priority: u64,
+    pub(crate) packed: bool,
 }
 
 impl std::fmt::Debug for LotSpec {
@@ -295,12 +294,12 @@ impl std::fmt::Display for FloorReport {
     }
 }
 
-/// A lot prepared for execution: its lane, tracker, and packed engine.
-struct LotRun {
-    spec: LotSpec,
-    lane: LaneId,
-    tracker: LotTracker,
-    engine: Option<Arc<PackedDeviceEngine>>,
+/// A lot ready to serve: its spec, its packed engine (`None` serves every
+/// device on the scalar path), and the monitor watching it, if any.
+pub(crate) struct Lot<'a> {
+    pub(crate) spec: LotSpec,
+    pub(crate) engine: Option<Arc<PackedDeviceEngine>>,
+    pub(crate) monitor: Option<&'a FleetMonitor>,
 }
 
 /// Multi-tenant test server: many lots, one worker fleet, one cache
@@ -317,6 +316,9 @@ pub struct TestFloor {
     /// tests a core and kept, like the route cache, for later runs.
     sessions: Arc<SessionCache>,
     policy: AdmissionPolicy,
+    /// Pool lane of each lot slot: lot `i` of every run reuses lane `i`.
+    /// Held for a whole run, so runs of one floor are served one at a time.
+    lanes: Mutex<Vec<LaneId>>,
 }
 
 impl Default for TestFloor {
@@ -339,11 +341,18 @@ impl TestFloor {
     /// shared route cache, and the default (non-intervening)
     /// [`AdmissionPolicy`].
     pub fn new() -> Self {
+        Self::over(Arc::new(RouteTableCache::new()), Arc::default())
+    }
+
+    /// A default floor serving from an existing route cache and compiled
+    /// sessions (a searched runner's, warmed by its search).
+    pub(crate) fn over(cache: Arc<RouteTableCache>, sessions: Arc<SessionCache>) -> Self {
         Self {
             pool: WorkerPool::new(0),
-            cache: Arc::new(RouteTableCache::new()),
-            sessions: Arc::default(),
+            cache,
+            sessions,
             policy: AdmissionPolicy::default(),
+            lanes: Mutex::default(),
         }
     }
 
@@ -352,6 +361,7 @@ impl TestFloor {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = WorkerPool::new(threads);
+        self.lanes = Mutex::default();
         self
     }
 
@@ -374,6 +384,11 @@ impl TestFloor {
     /// The route cache all lots share.
     pub fn cache(&self) -> &Arc<RouteTableCache> {
         &self.cache
+    }
+
+    /// The compiled sessions all lots share.
+    pub(crate) fn sessions(&self) -> &Arc<SessionCache> {
+        &self.sessions
     }
 
     /// Worker threads serving the floor.
@@ -425,226 +440,62 @@ impl TestFloor {
         &self,
         lots: Vec<LotSpec>,
         metrics: &MetricsRegistry,
-        mut on_report: impl FnMut(usize, &DeviceReport),
+        on_report: impl FnMut(usize, &DeviceReport),
     ) -> Result<FloorReport, SimError> {
         let started = Instant::now();
-
-        // Prepare every lot up front: lane, tracker, packed engine. Engine
-        // compilation warms the shared cache exactly as a standalone
+        // Engine compilation warms the shared cache exactly as a standalone
         // runner's first device would.
-        let mut runs: Vec<LotRun> = Vec::with_capacity(lots.len());
-        for spec in lots {
-            let lane = self.pool.lane(spec.priority);
-            let engine = if spec.packed && spec.devices > 0 {
-                Some(Arc::new(PackedDeviceEngine::compile_with_sessions(
-                    &spec.soc,
-                    &spec.plan,
-                    &self.cache,
-                    Arc::clone(&self.sessions),
-                )?))
-            } else {
-                None
-            };
-            let tracker = LotTracker::new(spec.devices, self.policy.window);
-            runs.push(LotRun {
-                spec,
-                lane,
-                tracker,
-                engine,
-            });
-        }
+        let lots = lots
+            .into_iter()
+            .map(|spec| {
+                let engine = if spec.packed && spec.devices > 0 {
+                    Some(Arc::new(PackedDeviceEngine::compile_with_sessions(
+                        &spec.soc,
+                        &spec.plan,
+                        &self.cache,
+                        Arc::clone(&self.sessions),
+                    )?))
+                } else {
+                    None
+                };
+                Ok(Lot {
+                    spec,
+                    engine,
+                    monitor: None,
+                })
+            })
+            .collect::<Result<Vec<_>, SimError>>()?;
+        let report = self.serve(&lots, started, on_report)?;
 
-        // One bounded result channel for the whole floor: a lagging
-        // collector backpressures the workers, and batches carry their lot
-        // index. Dispatch everything up front — queue pushes never block.
-        let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
-            self.pool.threads().saturating_mul(2).max(1),
-        );
-        for (idx, run) in runs.iter().enumerate() {
-            if let Some(engine) = &run.engine {
-                for members in plan_cohorts(&run.spec.variation, &run.spec.soc, run.spec.devices) {
-                    let engine = Arc::clone(engine);
-                    let tx = tx.clone();
-                    self.pool.execute_in(run.lane, move || {
-                        // The receiver hangs up after a first error:
-                        // discard late batches instead of panicking.
-                        let _ = tx.send((idx, engine.run_cohort(members)));
-                    });
-                }
-            } else {
-                for device_id in 0..run.spec.devices {
-                    let soc = Arc::clone(&run.spec.soc);
-                    let plan = Arc::clone(&run.spec.plan);
-                    let cache = Arc::clone(&self.cache);
-                    let sessions = Arc::clone(&self.sessions);
-                    let fault = run.spec.variation.fault_for(&run.spec.soc, device_id);
-                    let tx = tx.clone();
-                    self.pool.execute_in(run.lane, move || {
-                        let outcome = test_device(&soc, &plan, &cache, &sessions, device_id, fault);
-                        let _ = tx.send((idx, outcome.map(|report| vec![report])));
-                    });
-                }
-            }
-        }
-        drop(tx);
-
-        // Shared state between the collector (main thread) and the
-        // admission thread.
-        let stop = (Mutex::new(false), Condvar::new());
-        let events: Mutex<Vec<AdmissionEvent>> = Mutex::new(Vec::new());
-        let snapshot_log: Vec<Mutex<Vec<FleetSnapshot>>> =
-            runs.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let aborted: Mutex<Vec<bool>> = Mutex::new(vec![false; runs.len()]);
-
-        let (mut reports, error) = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let views: Vec<LotLive<'_>> = runs
-                    .iter()
-                    .map(|run| LotLive {
-                        name: &run.spec.name,
-                        lane: run.lane,
-                        priority: run.spec.priority,
-                        tracker: &run.tracker,
-                    })
-                    .collect();
-                let mut controller = AdmissionController::new(self.policy, runs.len());
-                loop {
-                    let guard = stop.0.lock().expect("floor poisoned");
-                    let (guard, _) = stop
-                        .1
-                        .wait_timeout_while(guard, self.policy.interval, |stopped| !*stopped)
-                        .expect("floor poisoned");
-                    let stopping = *guard;
-                    drop(guard);
-                    for (idx, run) in runs.iter().enumerate() {
-                        // Queued devices still waiting in the lot's lane:
-                        // packed lanes queue cohorts, so convert (the last
-                        // cohort may be partial — clamp to what's owed).
-                        let queued_jobs = self.pool.lane_queued(run.lane) as u64;
-                        let queued = if run.engine.is_some() {
-                            queued_jobs
-                                .saturating_mul(COHORT_LANES as u64)
-                                .min(run.tracker.remaining())
-                        } else {
-                            queued_jobs
-                        };
-                        let snapshot = run.tracker.snapshot(&self.cache, queued, stopping);
-                        snapshot_log[idx]
-                            .lock()
-                            .expect("floor poisoned")
-                            .push(snapshot);
-                    }
-                    if stopping {
-                        let mut flags = aborted.lock().expect("floor poisoned");
-                        for (idx, flag) in flags.iter_mut().enumerate() {
-                            *flag = controller.aborted(idx);
-                        }
-                        break;
-                    }
-                    let ticked = controller.tick(&self.pool, &views);
-                    if !ticked.is_empty() {
-                        events.lock().expect("floor poisoned").extend(ticked);
-                    }
-                }
-            });
-
-            let mut reports: Vec<Vec<DeviceReport>> = runs
-                .iter()
-                .map(|run| Vec::with_capacity(run.spec.devices as usize))
-                .collect();
-            let mut error = None;
-            for (idx, outcome) in rx.iter() {
-                match outcome {
-                    Ok(batch) => {
-                        for report in batch {
-                            runs[idx].tracker.record(&report);
-                            on_report(idx, &report);
-                            reports[idx].push(report);
-                        }
-                    }
-                    Err(err) => {
-                        error = Some(err);
-                        break;
-                    }
-                }
-            }
-            if error.is_some() {
-                // Flush what the floor still owes: queued jobs are dropped
-                // (their sends fail against the hung-up receiver) and no
-                // lane stays paused into the next run.
-                for run in &runs {
-                    self.pool.drain_lane(run.lane);
-                }
-            }
-            for run in &runs {
-                self.pool.set_lane_paused(run.lane, false);
-            }
-            *stop.0.lock().expect("floor poisoned") = true;
-            stop.1.notify_all();
-            (reports, error)
-        });
-
-        if let Some(err) = error {
-            return Err(err);
-        }
-        let wall = started.elapsed();
-        let aborted = aborted.into_inner().expect("floor poisoned");
-        let mut events_by_lot: Vec<Vec<AdmissionEvent>> = runs.iter().map(|_| Vec::new()).collect();
-        let all_events = events.into_inner().expect("floor poisoned");
-        let mut action_counts = [0u64; 5];
-        for event in all_events {
-            action_counts[match event.action {
-                AdmissionAction::Paused => 0,
-                AdmissionAction::Resumed => 1,
-                AdmissionAction::Demoted => 2,
-                AdmissionAction::Aborted { .. } => 3,
-                AdmissionAction::Boosted { .. } => 4,
-            }] += 1;
-            events_by_lot[event.lot].push(event);
-        }
-
-        let mut lot_reports = Vec::with_capacity(runs.len());
-        for (idx, (run, mut devices)) in runs.into_iter().zip(reports.drain(..)).enumerate() {
-            devices.sort_by_key(|d| d.device_id);
+        let mut action_counts = [
+            ("floor.admission.paused", 0u64),
+            ("floor.admission.resumed", 0),
+            ("floor.admission.demoted", 0),
+            ("floor.admission.aborted", 0),
+            ("floor.admission.boosted", 0),
+        ];
+        for (lot, lot_report) in lots.iter().zip(&report.lots) {
             let lot_metrics = MetricsRegistry::new();
             publish_fleet_metrics(
                 &lot_metrics,
-                run.spec.devices,
-                &devices,
+                lot.spec.devices,
+                &lot_report.fleet,
                 self.pool.threads(),
                 &self.cache,
-                run.engine.as_deref(),
+                lot.engine.as_deref(),
             );
-            metrics.merge_from_prefixed(&lot_metrics, &format!("floor.lot.{}.", run.spec.name));
-            let passed = devices.iter().filter(|d| d.passed()).count();
-            let total_cycles: u64 = devices.iter().map(|d| d.report.total_cycles).sum();
-            let wire_cycles: u64 = devices.iter().map(|d| d.report.bus_cycles).sum();
-            let mut snapshots = snapshot_log[idx].lock().expect("floor poisoned");
-            lot_reports.push(LotReport {
-                name: run.spec.name.clone(),
-                priority: run.spec.priority,
-                requested: run.spec.devices,
-                status: if aborted[idx] {
-                    LotStatus::Aborted
-                } else {
-                    LotStatus::Completed
-                },
-                fleet: FleetReport {
-                    devices,
-                    passed,
-                    total_cycles,
-                    wire_cycles,
-                    wall,
-                },
-                events: std::mem::take(&mut events_by_lot[idx]),
-                snapshots: std::mem::take(&mut *snapshots),
-            });
+            metrics.merge_from_prefixed(&lot_metrics, &format!("floor.lot.{}.", lot.spec.name));
+            for event in &lot_report.events {
+                action_counts[match event.action {
+                    AdmissionAction::Paused => 0,
+                    AdmissionAction::Resumed => 1,
+                    AdmissionAction::Demoted => 2,
+                    AdmissionAction::Aborted { .. } => 3,
+                    AdmissionAction::Boosted { .. } => 4,
+                }]
+                .1 += 1;
+            }
         }
-
-        let report = FloorReport {
-            lots: lot_reports,
-            wall,
-        };
         metrics.set("floor.lots", report.lots.len() as u64);
         metrics.set("floor.devices", report.requested());
         metrics.set("floor.completed", report.completed());
@@ -660,13 +511,7 @@ impl TestFloor {
             "floor.bus.wire_cycles",
             report.lots.iter().map(|l| l.fleet.wire_cycles).sum(),
         );
-        for (name, count) in [
-            ("floor.admission.paused", action_counts[0]),
-            ("floor.admission.resumed", action_counts[1]),
-            ("floor.admission.demoted", action_counts[2]),
-            ("floor.admission.aborted", action_counts[3]),
-            ("floor.admission.boosted", action_counts[4]),
-        ] {
+        for (name, count) in action_counts {
             metrics.set(name, count);
         }
         let stats = self.cache.stats();
@@ -677,5 +522,347 @@ impl TestFloor {
         metrics.set("floor.route_cache.high_water", stats.high_water);
 
         Ok(report)
+    }
+
+    /// The lot executor every floor and fleet run goes through (a
+    /// [`FleetRunner`](crate::FleetRunner) run is a one-lot call). Dispatches
+    /// each lot onto its lane — packed cohorts when the lot has an engine,
+    /// one scalar job per device otherwise (monitored when the lot has a
+    /// monitor) — collects the reports, and runs the floor's one observer
+    /// thread, which snapshots every lot's [`LotTracker`] and applies the
+    /// admission policy. The observer ticks at the policy's interval, or at
+    /// the monitor's when a lot is monitored. `started` is when the run
+    /// began, for the report's wall clock. Publishes no metrics: callers
+    /// do, from the returned report.
+    pub(crate) fn serve(
+        &self,
+        lots: &[Lot<'_>],
+        started: Instant,
+        mut on_report: impl FnMut(usize, &DeviceReport),
+    ) -> Result<FloorReport, SimError> {
+        let mut lane_slots = self.lanes.lock().unwrap_or_else(PoisonError::into_inner);
+        for (idx, lot) in lots.iter().enumerate() {
+            match lane_slots.get(idx) {
+                Some(&lane) => {
+                    self.pool.set_lane_weight(lane, lot.spec.priority);
+                    self.pool.set_lane_paused(lane, false);
+                }
+                None => lane_slots.push(self.pool.lane(lot.spec.priority)),
+            }
+        }
+        let lanes = &lane_slots[..lots.len()];
+        let trackers: Vec<LotTracker> = lots
+            .iter()
+            .map(|lot| LotTracker::new(lot.spec.devices, self.policy.window))
+            .collect();
+        // A monitored lot's jobs report their queue wait to the monitor's
+        // telemetry; attach it before dispatch so every job is timed.
+        let monitor = lots.iter().find_map(|lot| lot.monitor);
+        let interval = monitor.map_or(self.policy.interval, |m| m.config().interval);
+        if let Some(monitor) = monitor {
+            monitor.shared().begin_run();
+            self.pool.set_metrics(Some(Arc::clone(monitor.telemetry())));
+        }
+
+        // One bounded result channel for the whole floor: a lagging
+        // collector backpressures the workers, and batches carry their lot
+        // index. Reports travel in batches — one per cohort (packed) or per
+        // device (scalar) — so a 64-device cohort costs one rendezvous.
+        // Dispatch everything up front — queue pushes never block.
+        let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
+            self.pool.threads().saturating_mul(2).max(1),
+        );
+        for (idx, lot) in lots.iter().enumerate() {
+            let spec = &lot.spec;
+            if let Some(engine) = &lot.engine {
+                for members in plan_cohorts(&spec.variation, &spec.soc, spec.devices) {
+                    let engine = Arc::clone(engine);
+                    let tx = tx.clone();
+                    self.pool.execute_in(lanes[idx], move || {
+                        // The receiver hangs up after a first error:
+                        // discard late batches instead of panicking.
+                        let _ = tx.send((idx, engine.run_cohort(members)));
+                    });
+                }
+            } else {
+                for device_id in 0..spec.devices {
+                    let soc = Arc::clone(&spec.soc);
+                    let plan = Arc::clone(&spec.plan);
+                    let cache = Arc::clone(&self.cache);
+                    let sessions = Arc::clone(&self.sessions);
+                    let fault = spec.variation.fault_for(&spec.soc, device_id);
+                    let monitor = lot.monitor.map(|m| Arc::clone(m.shared()));
+                    let tx = tx.clone();
+                    self.pool.execute_in(lanes[idx], move || {
+                        let monitor = monitor.as_deref();
+                        let outcome =
+                            test_device(&soc, &plan, &cache, &sessions, device_id, fault, monitor);
+                        let _ = tx.send((idx, outcome.map(|report| vec![report])));
+                    });
+                }
+            }
+        }
+        drop(tx);
+
+        // The observer thread samples every lot's tracker and applies the
+        // admission policy until the collector raises `stop`; it hands back
+        // each lot's snapshots, interventions, and abort flag.
+        let stop = (Mutex::new(false), Condvar::new());
+        let (reports, error, observed) = std::thread::scope(|scope| {
+            let observer = scope.spawn(|| {
+                let views: Vec<LotLive<'_>> = lots
+                    .iter()
+                    .zip(&trackers)
+                    .enumerate()
+                    .map(|(idx, (lot, tracker))| LotLive {
+                        name: &lot.spec.name,
+                        lane: lanes[idx],
+                        priority: lot.spec.priority,
+                        tracker,
+                    })
+                    .collect();
+                let mut controller = AdmissionController::new(self.policy, lots.len());
+                let mut snapshots: Vec<Vec<FleetSnapshot>> =
+                    lots.iter().map(|_| Vec::new()).collect();
+                let mut events: Vec<Vec<AdmissionEvent>> =
+                    lots.iter().map(|_| Vec::new()).collect();
+                loop {
+                    let guard = stop.0.lock().expect("floor poisoned");
+                    let (guard, _) = stop
+                        .1
+                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
+                        .expect("floor poisoned");
+                    let stopping = *guard;
+                    drop(guard);
+                    for (idx, (lot, tracker)) in lots.iter().zip(&trackers).enumerate() {
+                        // Queued devices still waiting in the lot's lane:
+                        // packed lanes queue cohorts, so convert (the last
+                        // cohort may be partial — clamp to what's owed).
+                        let queued_jobs = self.pool.lane_queued(lanes[idx]) as u64;
+                        let queued = if lot.engine.is_some() {
+                            queued_jobs
+                                .saturating_mul(COHORT_LANES as u64)
+                                .min(tracker.remaining())
+                        } else {
+                            queued_jobs
+                        };
+                        let mut snapshot = tracker.snapshot(&self.cache, queued, stopping);
+                        if let Some(monitor) = lot.monitor {
+                            monitor.shared().complete(&mut snapshot);
+                            monitor.shared().emit(snapshot.clone());
+                        }
+                        snapshots[idx].push(snapshot);
+                    }
+                    if stopping {
+                        break;
+                    }
+                    for event in controller.tick(&self.pool, &views) {
+                        events[event.lot].push(event);
+                    }
+                }
+                let aborted: Vec<bool> =
+                    (0..lots.len()).map(|idx| controller.aborted(idx)).collect();
+                (snapshots, events, aborted)
+            });
+
+            let mut reports: Vec<Vec<DeviceReport>> = lots
+                .iter()
+                .map(|lot| Vec::with_capacity(lot.spec.devices as usize))
+                .collect();
+            let mut error = None;
+            for (idx, outcome) in rx.iter() {
+                match outcome {
+                    Ok(batch) => {
+                        for report in batch {
+                            trackers[idx].record(&report);
+                            on_report(idx, &report);
+                            reports[idx].push(report);
+                        }
+                    }
+                    Err(err) => {
+                        error = Some(err);
+                        break;
+                    }
+                }
+            }
+            if error.is_some() {
+                // Flush what the floor still owes: queued jobs are dropped
+                // (their sends fail against the hung-up receiver). A lane
+                // left paused is unpaused when the next run reuses it.
+                for &lane in lanes {
+                    self.pool.drain_lane(lane);
+                }
+            }
+            *stop.0.lock().expect("floor poisoned") = true;
+            stop.1.notify_all();
+            let observed = observer.join().expect("floor observer panicked");
+            (reports, error, observed)
+        });
+        if monitor.is_some() {
+            self.pool.set_metrics(None);
+        }
+
+        if let Some(err) = error {
+            return Err(err);
+        }
+        let wall = started.elapsed();
+        let (snapshots, events, aborted) = observed;
+        let lots = lots
+            .iter()
+            .zip(reports)
+            .zip(snapshots.into_iter().zip(events).zip(aborted))
+            .map(
+                |((lot, devices), ((snapshots, events), aborted))| LotReport {
+                    name: lot.spec.name.clone(),
+                    priority: lot.spec.priority,
+                    requested: lot.spec.devices,
+                    status: if aborted {
+                        LotStatus::Aborted
+                    } else {
+                        LotStatus::Completed
+                    },
+                    fleet: FleetReport::assemble(devices, wall),
+                    events,
+                    snapshots,
+                },
+            )
+            .collect();
+        Ok(FloorReport { lots, wall })
+    }
+}
+
+/// Plans the packed cohorts of one lot: device ids `0..fleet_size` grouped
+/// consecutively into cohorts of up to [`COHORT_LANES`], each member
+/// stamped by `spec` on the calling thread. A pure function of
+/// `(spec, soc, fleet_size)`, so lane assignment — and therefore every
+/// packed report — is identical whether the lot runs as a
+/// [`FleetRunner`](crate::FleetRunner)'s one lot or shares a floor with
+/// other lots.
+fn plan_cohorts(
+    spec: &VariationSpec,
+    soc: &SocDescription,
+    fleet_size: u64,
+) -> Vec<Vec<(u64, Option<InjectedFault>)>> {
+    let mut cohorts = Vec::with_capacity(fleet_size.div_ceil(COHORT_LANES as u64) as usize);
+    let mut cohort: Vec<(u64, Option<InjectedFault>)> = Vec::with_capacity(COHORT_LANES);
+    for device_id in 0..fleet_size {
+        cohort.push((device_id, spec.fault_for(soc, device_id)));
+        if cohort.len() == COHORT_LANES || device_id + 1 == fleet_size {
+            cohorts.push(std::mem::take(&mut cohort));
+            cohort = Vec::with_capacity(COHORT_LANES);
+        }
+    }
+    cohorts
+}
+
+/// Publishes the standard `fleet.*` metrics for one completed lot:
+/// device/pass/fail/defect counts, cycle and wire-cycle totals, the route
+/// cache's counters, packed-path accounting (when `packed_engine` is set),
+/// and the per-device cycle histogram observed in device order. `requested`
+/// is the lot size that was dispatched — it can exceed the devices tested
+/// when a floor lot was aborted mid-run. Shared by
+/// [`FleetRunner`](crate::FleetRunner) (its own registry) and [`TestFloor`]
+/// (one registry per lot, merged under `floor.lot.<name>.`). Nothing here
+/// is wall-clock, so every value is bit-identical across thread counts.
+pub(crate) fn publish_fleet_metrics(
+    metrics: &MetricsRegistry,
+    requested: u64,
+    fleet: &FleetReport,
+    threads: usize,
+    cache: &RouteTableCache,
+    packed_engine: Option<&PackedDeviceEngine>,
+) {
+    let devices = &fleet.devices;
+    metrics.set("fleet.devices", requested);
+    metrics.set("fleet.passed", fleet.passed as u64);
+    metrics.set("fleet.failed", fleet.failed() as u64);
+    metrics.set(
+        "fleet.defects.injected",
+        devices.iter().filter(|d| d.fault.is_some()).count() as u64,
+    );
+    metrics.set("fleet.cycles.total", fleet.total_cycles);
+    metrics.set("fleet.bus.wire_cycles", fleet.wire_cycles);
+    metrics.set("fleet.threads", threads as u64);
+    metrics.set("fleet.route_cache.hits", cache.hits());
+    metrics.set("fleet.route_cache.misses", cache.misses());
+    metrics.set("fleet.route_cache.evictions", cache.evictions());
+    metrics.set("fleet.route_cache.shapes", cache.len() as u64);
+    if let Some(engine) = packed_engine {
+        // Per-device accounting (not per-cohort): how many devices each
+        // packed serving path handled. Pure functions of (spec, id), so
+        // bit-identical across thread counts like every fleet.* metric.
+        let defective = devices.iter().filter(|d| d.fault.is_some()).count();
+        let lane_devices = devices
+            .iter()
+            .filter(|d| d.fault.as_ref().is_some_and(|f| engine.fault_packable(f)))
+            .count();
+        metrics.set(
+            "fleet.packed.cohorts",
+            requested.div_ceil(COHORT_LANES as u64),
+        );
+        metrics.set(
+            "fleet.packed.baseline.devices",
+            (devices.len() - defective) as u64,
+        );
+        metrics.set("fleet.packed.lane.devices", lane_devices as u64);
+        metrics.set(
+            "fleet.packed.fallback.devices",
+            (defective - lane_devices) as u64,
+        );
+        // Attribute every scalar fallback to the compile clause or
+        // defect placement that forced it — pure functions of
+        // (program, spec, id), so bit-identical across thread counts.
+        for device in devices {
+            if let Some(fault) = &device.fault {
+                if let Some(reason) = engine.fallback_reason(fault) {
+                    metrics.inc(&format!("fleet.packed.fallback.reason.{reason}"), 1);
+                }
+            }
+        }
+    }
+    for device in devices {
+        metrics.observe("fleet.device.cycles", device.report.total_cycles);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use casbus_controller::schedule::packed_schedule;
+    use casbus_soc::catalog;
+
+    #[test]
+    fn repeated_runs_keep_one_lane_per_lot_slot() {
+        let scan = catalog::figure2a_scan_soc();
+        let schedule = packed_schedule(&scan, 4).unwrap();
+        let lots = |count: usize| -> Vec<LotSpec> {
+            (0..count)
+                .map(|i| {
+                    LotSpec::new(
+                        format!("lot{i}"),
+                        &scan,
+                        4,
+                        schedule.clone(),
+                        8,
+                        VariationSpec::new(5, 0.5),
+                    )
+                    .unwrap()
+                    .with_priority(i as u64 + 1)
+                    .with_packed(i % 2 == 0)
+                })
+                .collect()
+        };
+        let floor = TestFloor::new().with_threads(2);
+        let first = floor.run(lots(2)).unwrap();
+        let mut most = 0;
+        for count in [2usize, 1, 3, 3, 2, 1] {
+            let report = floor.run(lots(count)).unwrap();
+            most = most.max(count);
+            // The pool's default lane plus one lane per lot slot ever used.
+            assert_eq!(floor.pool.lane_count(), 1 + most, "after {count} lots");
+            for (lot, again) in first.lots.iter().zip(&report.lots) {
+                assert_eq!(lot.fleet.devices, again.fleet.devices, "{}", lot.name);
+            }
+        }
     }
 }

@@ -6,29 +6,30 @@
 //! per-die post-mortems. [`FleetMonitor`] opens the box without touching
 //! the determinism contract:
 //!
-//! * A sampler thread (spawned inside
-//!   [`FleetRunner::run_monitored`](crate::FleetRunner::run_monitored))
-//!   periodically assembles a [`FleetSnapshot`] — devices completed /
-//!   passed / defective, rolling yield, devices/s, route-cache hit rate,
-//!   per-device elapsed and queue-wait quantiles, and the current
-//!   straggler list — and pushes it over a **bounded** channel with
-//!   `try_send`: a lagging consumer drops snapshots (counted), never
-//!   backpressures the fleet.
-//! * Each device job records coarse engine spans into a per-device
-//!   [`FlightRecorder`]; any defective or failing die dumps its ring as a
-//!   [`DeviceDump`], so post-mortems are focused event logs instead of a
-//!   full-fleet trace.
+//! * A fleet runs as a one-lot [`TestFloor`](crate::floor::TestFloor), so
+//!   its snapshots come from the same place a floor lot's do: the lot's
+//!   [`LotTracker`] counts collected reports, and the floor's one observer
+//!   thread — ticking at the monitor's interval — turns it into a
+//!   [`FleetSnapshot`]. The monitor adds what only it sees (in-flight
+//!   devices and stragglers, per-device elapsed time, pool queue wait) and
+//!   pushes the snapshot over a **bounded** channel with `try_send`: a
+//!   lagging consumer drops snapshots (counted), never backpressures the
+//!   fleet.
+//! * Each monitored device installs a fresh [`FlightRecorder`] as its
+//!   simulator's trace sink, so the ring catches the die's `configure` and
+//!   per-core `session` spans; any defective or failing die dumps its ring
+//!   as a [`DeviceDump`], so post-mortems are focused event logs instead of
+//!   a full-fleet trace.
 //! * All wall-clock measurements live in an `obs.*`-prefixed namespace
 //!   inside the monitor's [telemetry](FleetMonitor::telemetry) registry.
 //!   Fleet results and every `fleet.*` metric stay bit-identical to an
 //!   unmonitored run (pinned by `tests/fleet_differential.rs`).
-//! * Monitored runs always execute the **scalar** per-device path. Packed
-//!   cohort execution
-//!   ([`FleetRunner::with_packed`](crate::FleetRunner::with_packed), the
-//!   default for unmonitored runs) shares one word-level execution across
-//!   up to 64 devices, which would leave per-device spans, latency
-//!   quantiles, and flight recorders with nothing truthful to measure —
-//!   so the monitor opts out of it. Results stay bit-identical either way.
+//! * Monitored runs execute the **scalar** per-device path. Packed cohort
+//!   execution ([`FleetRunner::with_packed`](crate::FleetRunner::with_packed),
+//!   the default for unmonitored runs) shares one word-level execution
+//!   across up to 64 devices, which would leave per-device spans, latency
+//!   quantiles, and flight recorders with nothing truthful to measure.
+//!   Results stay bit-identical either way.
 //!
 //! Snapshots export as single-line JSON ([`FleetSnapshot::to_json`], ready
 //! for a JSONL stream) and as Prometheus-style text
@@ -37,11 +38,13 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
 use casbus_obs::{json, FlightDump, FlightRecorder, Histogram, HistogramSummary, MetricsRegistry};
+
+use crate::fleet::DeviceReport;
 
 /// Tuning for a [`FleetMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +112,10 @@ pub struct FleetSnapshot {
     pub cache_misses: u64,
     /// `hits / (hits + misses)` (0.0 before any lookup).
     pub cache_hit_rate: f64,
-    /// Packed-lane scalar fallbacks by reason, sorted by reason name —
-    /// the live view of the run's `fleet.packed.fallback.reason.*`
-    /// counters. Monitored runs are scalar by policy, so every device
-    /// lands under the `monitored_run` reason.
+    /// Devices served on the scalar path instead of packed lanes, by
+    /// reason. Only monitored runs fill it: they are scalar by policy, so
+    /// every device lands under `monitored_run` — a snapshot-only reason,
+    /// never a `fleet.packed.fallback.reason.*` counter.
     pub packed_fallbacks: Vec<(String, u64)>,
     /// Quantile digest of per-device wall time (µs), completed devices.
     pub device_elapsed_us: HistogramSummary,
@@ -261,186 +264,109 @@ pub struct DeviceDump {
     pub dump: FlightDump,
 }
 
-/// Internal state shared between the fleet's device jobs, the sampler
-/// thread, and the monitor handle the caller keeps.
+/// Internal state shared between a monitored lot's device jobs, the
+/// floor's observer thread, and the monitor handle the caller keeps.
 pub(crate) struct MonitorShared {
     config: MonitorConfig,
-    fleet_size: AtomicU64,
-    completed: AtomicU64,
-    passed: AtomicU64,
-    defective: AtomicU64,
-    seq: AtomicU64,
     emitted: AtomicU64,
     dropped: AtomicU64,
-    started: Mutex<Option<Instant>>,
     in_flight: Mutex<BTreeMap<u64, Instant>>,
     device_elapsed: Mutex<Histogram>,
     dumps: Mutex<Vec<DeviceDump>>,
-    telemetry: Arc<MetricsRegistry>,
+    pub(crate) telemetry: Arc<MetricsRegistry>,
     tx: SyncSender<FleetSnapshot>,
-    stop: Mutex<bool>,
-    stopped: Condvar,
 }
 
 impl MonitorShared {
-    /// Arms the monitor for a run of `fleet_size` devices, resetting every
-    /// live counter and the dump list (telemetry histograms accumulate
-    /// across runs by design — they describe the monitor's lifetime).
-    pub(crate) fn begin_run(&self, fleet_size: u64) {
-        self.fleet_size.store(fleet_size, Ordering::Relaxed);
-        self.completed.store(0, Ordering::Relaxed);
-        self.passed.store(0, Ordering::Relaxed);
-        self.defective.store(0, Ordering::Relaxed);
-        self.seq.store(0, Ordering::Relaxed);
-        *self.started.lock().expect("monitor poisoned") = Some(Instant::now());
+    /// Arms the monitor for a new run, clearing the in-flight set, the
+    /// per-device elapsed digest, and the dump list (telemetry histograms
+    /// accumulate across runs by design — they describe the monitor's
+    /// lifetime).
+    pub(crate) fn begin_run(&self) {
         self.in_flight.lock().expect("monitor poisoned").clear();
         *self.device_elapsed.lock().expect("monitor poisoned") = Histogram::new();
         self.dumps.lock().expect("monitor poisoned").clear();
-        *self.stop.lock().expect("monitor poisoned") = false;
     }
 
-    /// Signals the sampler to emit its final snapshot and exit.
-    pub(crate) fn finish_run(&self) {
-        *self.stop.lock().expect("monitor poisoned") = true;
-        self.stopped.notify_all();
-    }
-
-    pub(crate) fn device_started(&self, device_id: u64) {
+    /// Marks `device_id` in flight and hands back its flight recorder
+    /// (`None` when recorders are disabled).
+    pub(crate) fn device_started(&self, device_id: u64) -> Option<Arc<FlightRecorder>> {
         self.in_flight
             .lock()
             .expect("monitor poisoned")
             .insert(device_id, Instant::now());
+        (self.config.recorder_capacity > 0)
+            .then(|| Arc::new(FlightRecorder::new(self.config.recorder_capacity)))
     }
 
+    /// Retires a finished device: a defective or failing die dumps its
+    /// `recorder`, and its wall time joins the elapsed digest.
     pub(crate) fn device_finished(
         &self,
-        device_id: u64,
-        passed: bool,
-        defective: bool,
+        report: &DeviceReport,
+        recorder: Option<&FlightRecorder>,
         elapsed: Duration,
     ) {
+        let (passed, defective) = (report.passed(), report.fault.is_some());
+        if let Some(recorder) = recorder.filter(|_| defective || !passed) {
+            self.dumps
+                .lock()
+                .expect("monitor poisoned")
+                .push(DeviceDump {
+                    device_id: report.device_id,
+                    defective,
+                    passed,
+                    dump: recorder.dump(),
+                });
+        }
         self.in_flight
             .lock()
             .expect("monitor poisoned")
-            .remove(&device_id);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if passed {
-            self.passed.fetch_add(1, Ordering::Relaxed);
-        }
-        if defective {
-            self.defective.fetch_add(1, Ordering::Relaxed);
-        }
+            .remove(&report.device_id);
         self.device_elapsed
             .lock()
             .expect("monitor poisoned")
             .observe(elapsed.as_micros() as u64);
     }
 
-    /// A fresh per-device flight recorder, or `None` when disabled.
-    pub(crate) fn new_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        (self.config.recorder_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(self.config.recorder_capacity)))
-    }
-
-    pub(crate) fn add_dump(&self, dump: DeviceDump) {
-        self.dumps.lock().expect("monitor poisoned").push(dump);
-    }
-
-    pub(crate) fn telemetry(&self) -> &Arc<MetricsRegistry> {
-        &self.telemetry
-    }
-
-    /// The sampler: one snapshot per interval while devices run, plus a
-    /// final `last = true` snapshot after [`finish_run`](Self::finish_run).
-    pub(crate) fn sampler_loop(&self, cache: &RouteTableCache) {
-        loop {
-            let guard = self.stop.lock().expect("monitor poisoned");
-            let (guard, _timeout) = self
-                .stopped
-                .wait_timeout_while(guard, self.config.interval, |stop| !*stop)
-                .expect("monitor poisoned");
-            let stop = *guard;
-            drop(guard);
-            if stop {
-                break;
-            }
-            self.emit(self.snapshot(cache, false));
-        }
-        self.emit(self.snapshot(cache, true));
-    }
-
-    fn snapshot(&self, cache: &RouteTableCache, last: bool) -> FleetSnapshot {
-        let elapsed = self
-            .started
+    /// Fills in what only the monitor sees — in-flight devices and the
+    /// longest-running of them, per-device elapsed and pool queue-wait
+    /// digests, and the `monitored_run` scalar attribution — over a lot
+    /// tracker's snapshot.
+    pub(crate) fn complete(&self, snapshot: &mut FleetSnapshot) {
+        let mut stragglers: Vec<Straggler> = self
+            .in_flight
             .lock()
             .expect("monitor poisoned")
-            .map_or(Duration::ZERO, |s| s.elapsed());
-        let completed = self.completed.load(Ordering::Relaxed);
-        let passed = self.passed.load(Ordering::Relaxed);
-        let mut stragglers: Vec<Straggler> = {
-            let in_flight = self.in_flight.lock().expect("monitor poisoned");
-            in_flight
-                .iter()
-                .map(|(&device_id, since)| Straggler {
-                    device_id,
-                    elapsed_us: since.elapsed().as_micros() as u64,
-                })
-                .collect()
-        };
-        let in_flight = stragglers.len() as u64;
+            .iter()
+            .map(|(&device_id, since)| Straggler {
+                device_id,
+                elapsed_us: since.elapsed().as_micros() as u64,
+            })
+            .collect();
+        snapshot.in_flight = stragglers.len() as u64;
         stragglers.sort_by(|a, b| {
             b.elapsed_us
                 .cmp(&a.elapsed_us)
                 .then(a.device_id.cmp(&b.device_id))
         });
         stragglers.truncate(self.config.stragglers);
-        let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
-        let lookups = cache_hits + cache_misses;
-        FleetSnapshot {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            last,
-            elapsed_us: elapsed.as_micros() as u64,
-            fleet_size: self.fleet_size.load(Ordering::Relaxed),
-            completed,
-            passed,
-            failed: completed - passed,
-            defective: self.defective.load(Ordering::Relaxed),
-            in_flight,
-            yield_fraction: if completed == 0 {
-                1.0
-            } else {
-                passed as f64 / completed as f64
-            },
-            devices_per_sec: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-            cache_hits,
-            cache_misses,
-            cache_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / lookups as f64
-            },
-            // Monitored runs execute scalar by policy (see the module doc):
-            // every device of the run is a packed fallback with one shared
-            // reason.
-            packed_fallbacks: vec![(
-                "monitored_run".to_owned(),
-                self.fleet_size.load(Ordering::Relaxed),
-            )],
-            device_elapsed_us: self
-                .device_elapsed
-                .lock()
-                .expect("monitor poisoned")
-                .summary(),
-            queue_wait_us: self
-                .telemetry
-                .histogram("obs.pool.job.wait_us")
-                .map(|h| h.summary())
-                .unwrap_or_default(),
-            stragglers,
-        }
+        snapshot.stragglers = stragglers;
+        snapshot.packed_fallbacks = vec![("monitored_run".to_owned(), snapshot.fleet_size)];
+        snapshot.device_elapsed_us = self
+            .device_elapsed
+            .lock()
+            .expect("monitor poisoned")
+            .summary();
+        snapshot.queue_wait_us = self
+            .telemetry
+            .histogram("obs.pool.job.wait_us")
+            .map(|h| h.summary())
+            .unwrap_or_default();
     }
 
-    fn emit(&self, snapshot: FleetSnapshot) {
+    /// Hands `snapshot` to the receiver without ever blocking the run.
+    pub(crate) fn emit(&self, snapshot: FleetSnapshot) {
         match self.tx.try_send(snapshot) {
             Ok(()) => {
                 self.emitted.fetch_add(1, Ordering::Relaxed);
@@ -506,21 +432,13 @@ impl FleetMonitor {
         let (tx, rx) = mpsc::sync_channel(config.channel_capacity.max(1));
         let shared = Arc::new(MonitorShared {
             config,
-            fleet_size: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            passed: AtomicU64::new(0),
-            defective: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            started: Mutex::new(None),
             in_flight: Mutex::new(BTreeMap::new()),
             device_elapsed: Mutex::new(Histogram::new()),
             dumps: Mutex::new(Vec::new()),
             telemetry: MetricsRegistry::new(),
             tx,
-            stop: Mutex::new(false),
-            stopped: Condvar::new(),
         });
         (Self { shared }, rx)
     }
@@ -534,7 +452,7 @@ impl FleetMonitor {
     /// `obs.fleet.device.run_us`, `obs.pool.job.wait_us`,
     /// `obs.pool.job.exec_us`, …). Accumulates across runs of this monitor.
     pub fn telemetry(&self) -> &Arc<MetricsRegistry> {
-        self.shared.telemetry()
+        &self.shared.telemetry
     }
 
     /// Flight-recorder dumps collected so far — one per defective or
@@ -562,18 +480,19 @@ impl FleetMonitor {
 /// [`TestFloor`](crate::floor::TestFloor).
 ///
 /// The floor's collector calls [`record`](Self::record) for every finished
-/// device of the lot; the floor's admission thread periodically turns the
+/// device of the lot; the floor's observer thread periodically turns the
 /// tracker into a per-lot [`FleetSnapshot`] via [`snapshot`](Self::snapshot)
 /// and feeds [`rolling_yield`](Self::rolling_yield) /
 /// [`last_progress_age`](Self::last_progress_age) to the
-/// [`AdmissionController`](crate::admission::AdmissionController).
+/// [`AdmissionController`](crate::admission::AdmissionController). A
+/// [`FleetRunner`](crate::FleetRunner) run is a one-lot floor, so its
+/// [`FleetMonitor`] snapshots are built here too.
 ///
-/// Unlike the full [`FleetMonitor`] (which owns per-device phase timers and
-/// flight recorders and therefore forces the scalar path), a `LotTracker`
-/// observes only completion events, so packed cohort execution stays
-/// available to floor lots. Snapshot fields the tracker cannot see —
-/// per-device latency quantiles, queue-wait digests, stragglers, live
-/// fallback attribution — are left empty in lot snapshots.
+/// A `LotTracker` observes only completion events, so packed cohort
+/// execution stays available to floor lots. Snapshot fields the tracker
+/// cannot see — per-device latency quantiles, queue-wait digests,
+/// stragglers, fallback attribution — are left empty unless a
+/// [`FleetMonitor`] watches the lot.
 #[derive(Debug)]
 pub struct LotTracker {
     fleet_size: u64,
@@ -606,7 +525,7 @@ impl LotTracker {
     }
 
     /// Records one finished device of this lot.
-    pub fn record(&self, report: &crate::fleet::DeviceReport) {
+    pub fn record(&self, report: &DeviceReport) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         if report.passed() {
             self.passed.fetch_add(1, Ordering::Relaxed);
@@ -708,6 +627,27 @@ impl LotTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::{DeviceReport, FaultKind, InjectedFault};
+    use crate::report::SocTestReport;
+    use casbus_tpg::Verdict;
+
+    fn device(device_id: u64, verdict: Verdict, defective: bool) -> DeviceReport {
+        DeviceReport {
+            device_id,
+            fault: defective.then(|| InjectedFault {
+                core: "core".to_owned(),
+                kind: FaultKind::BistResponse { after: 0 },
+            }),
+            report: SocTestReport {
+                verdicts: vec![("core".to_owned(), verdict)],
+                total_cycles: 10,
+                steps: 1,
+                per_core_cycles: Vec::new(),
+                bus_cycles: 0,
+                signatures: Vec::new(),
+            },
+        }
+    }
 
     #[test]
     fn snapshot_reports_counts_yield_and_stragglers() {
@@ -716,16 +656,24 @@ mod tests {
             ..MonitorConfig::default()
         });
         let shared = monitor.shared();
-        shared.begin_run(8);
+        shared.begin_run();
+        let tracker = LotTracker::new(8, 32);
         for id in 0..5 {
             shared.device_started(id);
         }
-        shared.device_finished(0, true, false, Duration::from_micros(500));
-        shared.device_finished(1, false, true, Duration::from_micros(900));
-        shared.telemetry().observe("obs.pool.job.wait_us", 10);
+        let done = [
+            device(0, Verdict::Pass, false),
+            device(1, Verdict::Fail { mismatches: 3 }, true),
+        ];
+        for (report, micros) in done.iter().zip([500, 900]) {
+            shared.device_finished(report, None, Duration::from_micros(micros));
+            tracker.record(report);
+        }
+        shared.telemetry.observe("obs.pool.job.wait_us", 10);
 
         let cache = RouteTableCache::new();
-        let snap = shared.snapshot(&cache, false);
+        let mut snap = tracker.snapshot(&cache, 0, false);
+        shared.complete(&mut snap);
         assert_eq!(snap.fleet_size, 8);
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.passed, 1);
@@ -764,11 +712,11 @@ mod tests {
             ..MonitorConfig::default()
         });
         let shared = monitor.shared();
-        shared.begin_run(1);
+        let tracker = LotTracker::new(1, 1);
         let cache = RouteTableCache::new();
-        shared.emit(shared.snapshot(&cache, false));
-        shared.emit(shared.snapshot(&cache, false));
-        shared.emit(shared.snapshot(&cache, false));
+        for _ in 0..3 {
+            shared.emit(tracker.snapshot(&cache, 0, false));
+        }
         assert_eq!(monitor.snapshots_emitted(), 1);
         assert_eq!(monitor.snapshots_dropped(), 2);
         assert_eq!(rx.try_iter().count(), 1);
@@ -776,20 +724,20 @@ mod tests {
 
     #[test]
     fn sampler_always_emits_a_final_snapshot() {
+        use casbus_controller::schedule::packed_schedule;
+        use casbus_soc::catalog;
+
+        let soc = catalog::figure2a_scan_soc();
+        let runner = crate::FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap()).unwrap();
         let (monitor, rx) = FleetMonitor::with_config(MonitorConfig {
-            interval: Duration::from_millis(200),
+            interval: Duration::from_secs(60),
             ..MonitorConfig::default()
         });
-        let shared = Arc::clone(monitor.shared());
-        shared.begin_run(0);
-        let cache = RouteTableCache::new();
-        std::thread::scope(|scope| {
-            let sampler = scope.spawn(|| shared.sampler_loop(&cache));
-            // Stop well before the first interval elapses: only the final
-            // snapshot should be emitted.
-            shared.finish_run();
-            sampler.join().expect("sampler panicked");
-        });
+        // An empty lot finishes well before the first interval elapses:
+        // only the final snapshot should be emitted.
+        runner
+            .run_monitored(&crate::VariationSpec::perfect(), 0, &monitor)
+            .unwrap();
         let snaps: Vec<FleetSnapshot> = rx.try_iter().collect();
         assert_eq!(snaps.len(), 1);
         assert!(snaps[0].last);
@@ -799,11 +747,24 @@ mod tests {
     #[test]
     fn recorder_is_gated_on_capacity() {
         let (on, _rx) = FleetMonitor::new();
-        assert!(on.shared().new_recorder().is_some());
+        let shared = on.shared();
+        // Only defective or failing dies keep their ring.
+        for (id, verdict, defective) in [
+            (0, Verdict::Pass, false),
+            (1, Verdict::Pass, true),
+            (2, Verdict::Fail { mismatches: 1 }, true),
+        ] {
+            let recorder = shared.device_started(id).expect("recorders on by default");
+            let report = device(id, verdict, defective);
+            shared.device_finished(&report, Some(&recorder), Duration::ZERO);
+        }
+        let dumped: Vec<u64> = on.dumps().iter().map(|d| d.device_id).collect();
+        assert_eq!(dumped, vec![1, 2]);
+
         let (off, _rx) = FleetMonitor::with_config(MonitorConfig {
             recorder_capacity: 0,
             ..MonitorConfig::default()
         });
-        assert!(off.shared().new_recorder().is_none());
+        assert!(off.shared().device_started(0).is_none());
     }
 }

@@ -129,8 +129,8 @@ pub(crate) fn collect_lanes<S>(
 }
 
 /// Runs one configured step's lanes through the cycle-by-cycle interpreter
-/// (the reference path, exact under probes, traces, and serial wire
-/// sharing). Returns `(name, verdict, signature)` per lane, in lane order.
+/// (the reference path, exact under probes and serial wire sharing).
+/// Returns `(name, verdict, signature)` per lane, in lane order.
 pub(crate) fn drive_lanes_reference(
     sim: &mut SocSimulator,
     lanes: &[Lane<ReferenceSession>],
@@ -178,22 +178,42 @@ pub(crate) fn drive_lanes_reference(
             .collect();
         let signature = lane_signature(&streams);
         if trace.enabled() {
-            trace.record(TraceEvent::span(
-                "session",
-                lane.name.clone(),
+            trace.record(session_span(
+                sim,
+                lane,
+                lane.session.plan.len(),
+                step_index,
                 step_start,
-                sim.cycles() - step_start,
-                vec![
-                    ("step", step_index.into()),
-                    ("cas", lane.cas_index.into()),
-                    ("data_cycles", lane.session.plan.len().into()),
-                    ("pass", verdict.is_pass().into()),
-                ],
+                verdict.is_pass(),
             ));
         }
         results.push((lane.name.clone(), verdict, signature));
     }
     Ok(results)
+}
+
+/// The `session` span of one lane's finished step: both engines emit it,
+/// so traced compiled and reference runs export the same events.
+pub(crate) fn session_span<S>(
+    sim: &SocSimulator,
+    lane: &Lane<S>,
+    data_cycles: usize,
+    step_index: usize,
+    step_start: u64,
+    pass: bool,
+) -> TraceEvent {
+    TraceEvent::span(
+        "session",
+        lane.name.clone(),
+        step_start,
+        sim.cycles() - step_start,
+        vec![
+            ("step", step_index.into()),
+            ("cas", lane.cas_index.into()),
+            ("data_cycles", data_cycles.into()),
+            ("pass", pass.into()),
+        ],
+    )
 }
 
 /// Cycle/stat baselines captured before a program, so a reused simulator
@@ -261,7 +281,7 @@ pub(crate) fn finish_report(
 /// Runs on the compiled word-level engine ([`crate::CompiledEngine`]),
 /// which batches shifting through route tables and falls back to the
 /// cycle-by-cycle interpreter whenever exactness demands it (probes,
-/// traces, serial wire sharing). [`run_program_reference`] forces the
+/// serial wire sharing). [`run_program_reference`] forces the
 /// interpreter; both produce identical reports.
 ///
 /// # Errors

@@ -37,12 +37,6 @@ use crate::simulator::{SimError, SocSimulator};
 /// as a hash lookup. A candidate that fails to build, configure, or pass
 /// is vetoed (`None`) — the search then drops it from the pool.
 ///
-/// [`CompiledValidator::dry_run`] swaps full execution for
-/// [`CompiledEngine::dry_run_cycles`], which configures each wave for real
-/// but scores the data phase analytically; the prediction is exact (pinned
-/// by tests), so it measures identically at a fraction of the cost —
-/// without the pass/fail gate that only real data clocks can provide.
-///
 /// # Examples
 ///
 /// ```
@@ -60,7 +54,6 @@ use crate::simulator::{SimError, SocSimulator};
 #[derive(Debug)]
 pub struct CompiledValidator {
     threads: usize,
-    analytic_data_phase: bool,
     cache: Arc<RouteTableCache>,
     sessions: Arc<SessionCache>,
     telemetry: Option<Arc<MetricsRegistry>>,
@@ -72,19 +65,9 @@ impl CompiledValidator {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            analytic_data_phase: false,
             cache: Arc::new(RouteTableCache::new()),
             sessions: Arc::default(),
             telemetry: None,
-        }
-    }
-
-    /// A validator that scores candidates with
-    /// [`CompiledEngine::dry_run_cycles`] instead of full execution.
-    pub fn dry_run(threads: usize) -> Self {
-        Self {
-            analytic_data_phase: true,
-            ..Self::new(threads)
         }
     }
 
@@ -139,16 +122,36 @@ impl CompiledValidator {
         let tam = Tam::new(soc, n).ok()?;
         let program = TestProgram::from_schedule(&tam, soc, candidate).ok()?;
         let mut sim = SocSimulator::new(soc, n).ok()?;
-        // One engine thread per candidate: parallelism lives across the
-        // candidates here, not within one run.
-        let engine = CompiledEngine::new()
-            .with_cache(Arc::clone(&self.cache))
-            .with_sessions(Arc::clone(&self.sessions));
-        if self.analytic_data_phase {
-            return engine.dry_run_cycles(&mut sim, &program).ok();
-        }
-        let report = engine.run(&mut sim, &program).ok()?;
+        let report = self.engine().run(&mut sim, &program).ok()?;
         report.all_pass().then_some(report.total_cycles)
+    }
+
+    /// A single-threaded engine over this validator's caches: parallelism
+    /// lives across the candidates here, not within one run.
+    fn engine(&self) -> CompiledEngine {
+        CompiledEngine::new()
+            .with_cache(Arc::clone(&self.cache))
+            .with_sessions(Arc::clone(&self.sessions))
+    }
+
+    /// The bit-exact gate on a search winner: runs `program` on a healthy
+    /// `n`-wire device through this validator's caches, publishing the
+    /// run's counters into `metrics`, and refuses a report the reference
+    /// interpreter does not reproduce signature for signature.
+    pub(crate) fn gate(
+        &self,
+        soc: &SocDescription,
+        n: usize,
+        program: &TestProgram,
+        metrics: &MetricsRegistry,
+    ) -> Result<SocTestReport, SimError> {
+        let mut sim = SocSimulator::new(soc, n)?;
+        let report = self.engine().run_with_metrics(&mut sim, program, metrics)?;
+        let mut reference_sim = SocSimulator::new(soc, n)?;
+        if report != run_program_reference(&mut reference_sim, program)? {
+            return Err(SimError::SearchDiverged);
+        }
+        Ok(report)
     }
 }
 
@@ -232,20 +235,9 @@ pub fn run_program_searched_with_metrics(
 
     let tam = Tam::new(soc, n)?;
     let program = TestProgram::from_schedule(&tam, soc, &schedule)?;
-    let mut sim = SocSimulator::new(soc, n)?;
-    let engine = CompiledEngine::new()
-        .with_cache(Arc::clone(validator.cache()))
-        .with_sessions(Arc::clone(&validator.sessions));
-    let report = engine.run_with_metrics(&mut sim, &program, metrics)?;
-
-    // The bit-exact gate: the winner is only a winner if the compiled
-    // engine's report of it is indistinguishable from the reference
-    // interpreter's, signature for signature.
-    let mut reference_sim = SocSimulator::new(soc, n)?;
-    let reference = run_program_reference(&mut reference_sim, &program)?;
-    if report != reference {
-        return Err(SimError::SearchDiverged);
-    }
+    // The winner is only a winner if the compiled engine's report of it is
+    // indistinguishable from the reference interpreter's.
+    let report = validator.gate(soc, n, &program, metrics)?;
     Ok((schedule, report))
 }
 
@@ -286,19 +278,6 @@ mod tests {
             // cache must have served hits.
             assert!(validator.cache().hits() > 0, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn dry_run_validator_agrees_with_full_execution() {
-        let soc = catalog::figure2a_scan_soc();
-        let candidates = [
-            packed_schedule(&soc, 4).unwrap(),
-            serial_schedule(&soc, 4).unwrap(),
-        ];
-        let full = CompiledValidator::new(2).measure(&soc, &candidates);
-        let dry = CompiledValidator::dry_run(2).measure(&soc, &candidates);
-        assert_eq!(full, dry, "analytic data phase predicts exact cycles");
-        assert!(full.iter().all(Option::is_some));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use casbus::Tam;
 use casbus_controller::{schedule, TestProgram};
-use casbus_obs::MetricsRegistry;
+use casbus_obs::{MemorySink, MetricsRegistry};
 use casbus_sim::{run_program_reference_with_metrics, CompiledEngine, SocSimulator};
 use casbus_soc::{catalog, SocDescription};
 use proptest::prelude::*;
@@ -138,5 +138,53 @@ fn minimum_width_bus_random_soc_agrees() {
         let n = soc.max_ports().max(1);
         assert_drop_in(&soc, n, true);
         assert_drop_in(&soc, n, false);
+    }
+}
+
+/// Tracing keeps the compiled engine: a traced compiled run exports the
+/// same canonical JSONL as a traced reference run — the simulator's
+/// `configure` spans and every core's `session` span — on every catalog
+/// SoC, under packed and serial schedules, at 1 and 4 threads.
+#[test]
+fn traced_compiled_runs_export_the_reference_trace() {
+    let maintenance = catalog::maintenance_soc();
+    let maintenance_n = maintenance.max_ports();
+    for (soc, n) in [
+        (catalog::figure1_soc(), 8),
+        (catalog::figure2a_scan_soc(), 4),
+        (catalog::figure2b_bist_soc(), 3),
+        (catalog::figure2c_external_soc(), 4),
+        (catalog::figure2d_hierarchical_soc(), 4),
+        (catalog::itc02_like_soc(), 16),
+        (maintenance, maintenance_n),
+    ] {
+        for packed in [true, false] {
+            let program = program_for(&soc, n, packed);
+            let reference = MemorySink::new();
+            let mut ref_sim = SocSimulator::new(&soc, n).expect("simulator");
+            ref_sim.set_trace(reference.clone());
+            let expected =
+                casbus_sim::run_program_reference(&mut ref_sim, &program).expect("reference run");
+            assert!(
+                reference.events().iter().any(|e| e.cat == "session"),
+                "{} emits session spans",
+                soc.name()
+            );
+            for threads in [1usize, 4] {
+                let traced = MemorySink::new();
+                let mut sim = SocSimulator::new(&soc, n).expect("simulator");
+                sim.set_trace(traced.clone());
+                let report = CompiledEngine::with_threads(threads)
+                    .run(&mut sim, &program)
+                    .expect("compiled run");
+                assert_eq!(report, expected, "{} packed={packed}", soc.name());
+                assert_eq!(
+                    traced.canonical_jsonl(),
+                    reference.canonical_jsonl(),
+                    "{} packed={packed} at {threads} threads",
+                    soc.name()
+                );
+            }
+        }
     }
 }

@@ -1,36 +1,51 @@
 //! Differential gates for the multi-tenant test floor: a [`TestFloor`]
 //! serving N heterogeneous lots concurrently must hand every completed lot
-//! a report bit-identical to the same lot running alone on a standalone
-//! [`FleetRunner`], at every thread count; admission interventions may
-//! reshape scheduling (and abort lots) but never what a surviving device
-//! computes; and a shared bounded route cache under multi-plan pressure
-//! must evict without changing results.
+//! a report bit-identical to testing the lot's devices one by one on fresh
+//! engines, at every thread count; admission interventions may reshape
+//! scheduling (and abort lots) but never what a surviving device computes;
+//! and a shared bounded route cache under multi-plan pressure must evict
+//! without changing results.
 
 use std::time::Duration;
 
 use casbus_controller::schedule::packed_schedule;
+use casbus_controller::CompiledProgram;
 use casbus_obs::MetricsRegistry;
 use casbus_sim::{
-    AdmissionAction, AdmissionPolicy, CollapseAction, DeviceReport, FleetRunner, LotSpec,
-    LotStatus, TestFloor, VariationSpec,
+    AdmissionAction, AdmissionPolicy, CollapseAction, CompiledEngine, DeviceReport, LotSpec,
+    LotStatus, SocSimulator, TestFloor, VariationSpec,
 };
 use casbus_soc::{catalog, SocDescription};
 
-/// The standalone baseline for one lot: its own runner, its own cache —
-/// the fleet layer's determinism contract makes the result thread-count
-/// independent, so one run pins the expectation.
+/// The standalone baseline for one lot: each device tested on its own, in
+/// device-id order, on a fresh simulator and single-threaded engine —
+/// nothing shared with the floor's executor, pool, caches, or packed
+/// lanes.
 fn standalone(
     soc: &SocDescription,
     n: usize,
     spec: &VariationSpec,
     devices: u64,
-    packed: bool,
 ) -> Vec<DeviceReport> {
-    let runner = FleetRunner::new(soc, n, packed_schedule(soc, n).expect("schedule"))
-        .expect("runner")
-        .with_packed(packed)
-        .with_threads(4);
-    runner.run(spec, devices).expect("standalone run").devices
+    let plan =
+        CompiledProgram::compile(soc, n, packed_schedule(soc, n).expect("schedule")).expect("plan");
+    (0..devices)
+        .map(|device_id| {
+            let fault = spec.fault_for(soc, device_id);
+            let mut sim = SocSimulator::new(soc, n).expect("simulator");
+            if let Some(fault) = &fault {
+                fault.apply(&mut sim).expect("inject");
+            }
+            let report = CompiledEngine::new()
+                .run(&mut sim, plan.program())
+                .expect("device run");
+            DeviceReport {
+                device_id,
+                fault,
+                report,
+            }
+        })
+        .collect()
 }
 
 /// Gate (a): three heterogeneous lots — packed scan with defects, packed
@@ -49,10 +64,10 @@ fn floor_lots_are_bit_identical_to_standalone_runs() {
     const BIST_DEVICES: u64 = 32;
     const MAINT_DEVICES: u64 = 24;
 
-    let scan_baseline = standalone(&scan, 4, &scan_spec, SCAN_DEVICES, true);
-    let bist_baseline = standalone(&bist, 3, &VariationSpec::perfect(), BIST_DEVICES, true);
+    let scan_baseline = standalone(&scan, 4, &scan_spec, SCAN_DEVICES);
+    let bist_baseline = standalone(&bist, 3, &VariationSpec::perfect(), BIST_DEVICES);
     let maint_n = maint.max_ports();
-    let maint_baseline = standalone(&maint, maint_n, &maint_spec, MAINT_DEVICES, false);
+    let maint_baseline = standalone(&maint, maint_n, &maint_spec, MAINT_DEVICES);
 
     for threads in [1usize, 2, 4] {
         let floor = TestFloor::new().with_threads(threads);
@@ -177,8 +192,8 @@ fn collapsing_lot_is_paused_and_co_tenant_completes_unaffected() {
 
     // Scalar mode for the doomed lot: 512 individually queued jobs give the
     // 1 ms admission cadence hundreds of intervention windows.
-    let doomed_baseline = standalone(&scan, 4, &doomed_spec, DOOMED, false);
-    let healthy_baseline = standalone(&bist, 3, &VariationSpec::perfect(), HEALTHY, true);
+    let doomed_baseline = standalone(&scan, 4, &doomed_spec, DOOMED);
+    let healthy_baseline = standalone(&bist, 3, &VariationSpec::perfect(), HEALTHY);
 
     let floor = TestFloor::new()
         .with_threads(2)
@@ -251,8 +266,8 @@ fn aborted_lot_is_drained_and_co_tenant_completes_unaffected() {
     const DOOMED: u64 = 512;
     const HEALTHY: u64 = 64;
 
-    let doomed_baseline = standalone(&scan, 4, &doomed_spec, DOOMED, false);
-    let healthy_baseline = standalone(&bist, 3, &VariationSpec::perfect(), HEALTHY, true);
+    let doomed_baseline = standalone(&scan, 4, &doomed_spec, DOOMED);
+    let healthy_baseline = standalone(&bist, 3, &VariationSpec::perfect(), HEALTHY);
 
     let floor = TestFloor::new()
         .with_threads(2)
@@ -333,8 +348,8 @@ fn shared_bounded_cache_thrashes_across_lots_but_stays_correct() {
     const SCAN_DEVICES: u64 = 32;
     let scan_spec = VariationSpec::new(11, 0.5);
 
-    let fig1_baseline = standalone(&fig1, 8, &VariationSpec::perfect(), FIG1_DEVICES, true);
-    let scan_baseline = standalone(&scan, 4, &scan_spec, SCAN_DEVICES, true);
+    let fig1_baseline = standalone(&fig1, 8, &VariationSpec::perfect(), FIG1_DEVICES);
+    let scan_baseline = standalone(&scan, 4, &scan_spec, SCAN_DEVICES);
 
     let floor = TestFloor::new().with_threads(2).with_cache_capacity(1);
     let report = floor
