@@ -305,10 +305,11 @@ pub(crate) struct Lot<'a> {
 /// Multi-tenant test server: many lots, one worker fleet, one cache
 /// budget, one admission policy.
 ///
-/// Construction is cheap; the pool spawns on first use and persists, so
-/// consecutive [`run`](Self::run)s reuse warm workers and a warm route
-/// cache. See the [module docs](self) for the full model and the
-/// determinism contract.
+/// The pool spawns at construction and persists, so consecutive
+/// [`run`](Self::run)s reuse warm workers, a warm route cache, and the
+/// same pool lanes. Runs of one floor are served one at a time: a
+/// concurrent call waits for the running one. See the [module docs](self)
+/// for the full model and the determinism contract.
 pub struct TestFloor {
     pool: WorkerPool,
     cache: Arc<RouteTableCache>,
