@@ -17,7 +17,7 @@
 //! compiled engine (only the VCD probe forces the bit-serial interpreter).
 //! A live monitor is not cheap against the default fleet: monitored lots
 //! run on the scalar path, so the `fleet_monitor` rows measure scalar
-//! against packed serving (a full run read +3245%) and not the cost of
+//! against packed serving (full runs read over +3000%) and not the cost of
 //! watching. Set `CASBUS_BENCH_SMOKE=1` for the fast CI configuration (a
 //! 64-device lot instead of 256).
 //!
