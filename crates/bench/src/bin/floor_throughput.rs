@@ -21,10 +21,13 @@
 //!
 //! The headline metric is `tenancy_ratio`: floor devices/s over the
 //! back-to-back aggregate devices/s (total devices / summed standalone
-//! walls) at the same thread count. 1.0 means multi-tenancy is free;
-//! the bench requires the best row to stay within 15% of back-to-back
-//! (`>= 0.85`) and hard-fails below 0.70 at any row. Results go to stdout
-//! and `BENCH_floor.json` at the workspace root.
+//! walls) at the same thread count. Each row times [`REPEATS`] interleaved
+//! repeats of (fleet A, fleet B, floor) and computes its ratio from the
+//! three medians, so one sample taken while the host slowed down cannot
+//! decide the row. 1.0 means multi-tenancy is free; the bench requires the
+//! best row to stay within 15% of back-to-back (`>= 0.85`) and hard-fails
+//! below 0.70 at any row. Results go to stdout and `BENCH_floor.json` at
+//! the workspace root, with each timing's range over the repeats.
 //!
 //! ```text
 //! cargo run --release -p casbus-bench --bin floor_throughput
@@ -35,11 +38,15 @@
 
 use std::time::Instant;
 
+use casbus_bench::Spread;
 use casbus_controller::schedule::packed_schedule;
 use casbus_sim::{FleetRunner, LotSpec, TestFloor, VariationSpec};
 use casbus_soc::{catalog, CoreDescription, SocBuilder, SocDescription, TestMethod};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Interleaved timed repeats per row.
+const REPEATS: usize = 5;
 
 fn bist_memory_soc() -> SocDescription {
     SocBuilder::new("bist_memory")
@@ -70,12 +77,14 @@ fn bist_memory_soc() -> SocDescription {
 
 struct Row {
     threads: usize,
-    lot_a_ms: f64,
-    lot_b_ms: f64,
+    lot_a_ms: Spread,
+    lot_b_ms: Spread,
     back_to_back_devices_per_sec: f64,
-    floor_ms: f64,
+    floor_ms: Spread,
     floor_devices_per_sec: f64,
     tenancy_ratio: f64,
+    /// The ratio of each repeat on its own, for the spread.
+    repeat_ratios: Spread,
 }
 
 fn main() {
@@ -147,56 +156,76 @@ fn main() {
     println!();
 
     println!(
-        "{:>7} {:>10} {:>10} {:>14} {:>10} {:>13} {:>8}",
+        "medians of {REPEATS} interleaved repeats; the last column is the range of \
+         the per-repeat ratios"
+    );
+    println!(
+        "{:>7} {:>10} {:>10} {:>14} {:>10} {:>13} {:>8}  range",
         "threads", "lot A", "lot B", "back-to-back", "floor", "floor dev/s", "ratio"
     );
+    let devices = (a_devices + b_devices) as f64;
     let mut rows = Vec::new();
     for &threads in &THREAD_COUNTS {
-        // Dedicated fleets, back to back, each primed untimed.
+        // Dedicated fleets and the floor (same lots, same thread count, one
+        // pool), each primed once untimed so the packed engines and worker
+        // slots are warm on every side.
         let runner_a = FleetRunner::new(&fig1, fig1_n, fig1_schedule.clone())
             .expect("runner A")
             .with_threads(threads);
         runner_a.run(&a_spec, a_devices).expect("priming A");
-        let fleet_a = runner_a.run(&a_spec, a_devices).expect("timed A");
         let runner_b = FleetRunner::new(&bm, bm_n, bm_schedule.clone())
             .expect("runner B")
             .with_packed(false)
             .with_threads(threads);
         runner_b.run(&b_spec, b_devices).expect("priming B");
-        let fleet_b = runner_b.run(&b_spec, b_devices).expect("timed B");
-        let back_to_back_wall = fleet_a.wall + fleet_b.wall;
-        let back_to_back_rate =
-            (a_devices + b_devices) as f64 / back_to_back_wall.as_secs_f64().max(1e-9);
-
-        // The floor: same lots, same thread count, one pool. Prime once so
-        // the packed engine and worker slots are warm like the fleets'.
         let floor = TestFloor::new().with_threads(threads);
         floor.run(lots()).expect("priming floor");
-        let t0 = Instant::now();
-        let report = floor.run(lots()).expect("timed floor");
-        let floor_wall = t0.elapsed();
-        assert_eq!(report.completed(), a_devices + b_devices, "nothing aborted");
 
-        let floor_rate = (a_devices + b_devices) as f64 / floor_wall.as_secs_f64().max(1e-9);
+        let (mut walls_a, mut walls_b, mut walls_floor) = (Vec::new(), Vec::new(), Vec::new());
+        let mut ratios = Vec::new();
+        for _ in 0..REPEATS {
+            let wall_a = runner_a.run(&a_spec, a_devices).expect("timed A").wall;
+            let wall_b = runner_b.run(&b_spec, b_devices).expect("timed B").wall;
+            let t0 = Instant::now();
+            let report = floor.run(lots()).expect("timed floor");
+            let wall_floor = t0.elapsed();
+            assert_eq!(report.completed(), a_devices + b_devices, "nothing aborted");
+            let ms = |wall: std::time::Duration| wall.as_secs_f64() * 1e3;
+            ratios.push(ms(wall_a + wall_b) / ms(wall_floor).max(1e-9));
+            walls_a.push(ms(wall_a));
+            walls_b.push(ms(wall_b));
+            walls_floor.push(ms(wall_floor));
+        }
+        let (lot_a_ms, lot_b_ms, floor_ms) = (
+            Spread::of(&walls_a),
+            Spread::of(&walls_b),
+            Spread::of(&walls_floor),
+        );
+        let back_to_back_rate = devices / ((lot_a_ms.median + lot_b_ms.median) / 1e3).max(1e-9);
+        let floor_rate = devices / (floor_ms.median / 1e3).max(1e-9);
         let ratio = floor_rate / back_to_back_rate;
+        let repeat_ratios = Spread::of(&ratios);
         println!(
-            "{:>7} {:>8.1}ms {:>8.1}ms {:>12.1}/s {:>8.1}ms {:>11.1}/s {:>7.2}x",
+            "{:>7} {:>8.1}ms {:>8.1}ms {:>12.1}/s {:>8.1}ms {:>11.1}/s {:>7.2}x  [{:.2}, {:.2}]",
             threads,
-            fleet_a.wall.as_secs_f64() * 1e3,
-            fleet_b.wall.as_secs_f64() * 1e3,
+            lot_a_ms.median,
+            lot_b_ms.median,
             back_to_back_rate,
-            floor_wall.as_secs_f64() * 1e3,
+            floor_ms.median,
             floor_rate,
-            ratio
+            ratio,
+            repeat_ratios.min,
+            repeat_ratios.max
         );
         rows.push(Row {
             threads,
-            lot_a_ms: fleet_a.wall.as_secs_f64() * 1e3,
-            lot_b_ms: fleet_b.wall.as_secs_f64() * 1e3,
+            lot_a_ms,
+            lot_b_ms,
             back_to_back_devices_per_sec: back_to_back_rate,
-            floor_ms: floor_wall.as_secs_f64() * 1e3,
+            floor_ms,
             floor_devices_per_sec: floor_rate,
             tenancy_ratio: ratio,
+            repeat_ratios,
         });
     }
 
@@ -231,16 +260,22 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"threads\": {}, \"lot_a_ms\": {:.3}, \"lot_b_ms\": {:.3}, \
+                "    {{\"threads\": {}, \"lot_a_ms\": {:.3}, \"lot_a_ms_range\": {}, \
+                 \"lot_b_ms\": {:.3}, \"lot_b_ms_range\": {}, \
                  \"back_to_back_devices_per_sec\": {:.2}, \"floor_ms\": {:.3}, \
-                 \"floor_devices_per_sec\": {:.2}, \"tenancy_ratio\": {:.3}}}",
+                 \"floor_ms_range\": {}, \"floor_devices_per_sec\": {:.2}, \
+                 \"tenancy_ratio\": {:.3}, \"repeat_ratio_range\": {}}}",
                 r.threads,
-                r.lot_a_ms,
-                r.lot_b_ms,
+                r.lot_a_ms.median,
+                r.lot_a_ms.range_json(3),
+                r.lot_b_ms.median,
+                r.lot_b_ms.range_json(3),
                 r.back_to_back_devices_per_sec,
-                r.floor_ms,
+                r.floor_ms.median,
+                r.floor_ms.range_json(3),
                 r.floor_devices_per_sec,
-                r.tenancy_ratio
+                r.tenancy_ratio,
+                r.repeat_ratios.range_json(3)
             )
         })
         .collect::<Vec<_>>()
@@ -248,6 +283,7 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"floor_multi_tenant_serving\",\n  \
          \"hardware_threads\": {hardware_threads},\n  \"smoke\": {smoke},\n  \
+         \"repeats\": {REPEATS},\n  \"timings\": \"median of the repeats; *_range is [min, max]\",\n  \
          \"lot_a\": {{\"soc\": \"figure1\", \"n\": {fig1_n}, \"devices\": {a_devices}, \
          \"defect_rate\": 0.25, \"mode\": \"packed\", \"priority\": 2}},\n  \
          \"lot_b\": {{\"soc\": \"bist_memory\", \"n\": {bm_n}, \"devices\": {b_devices}, \

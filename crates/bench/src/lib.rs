@@ -139,6 +139,48 @@ pub fn ratio(ours: f64, paper: f64) -> String {
     }
 }
 
+/// The median and range of repeated timings, so a bench gates on the
+/// median of several interleaved repeats instead of on one sample at the
+/// mercy of host drift.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The median (the mean of the middle pair for an even count).
+    pub median: f64,
+    /// The smallest sample.
+    pub min: f64,
+    /// The largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or holds a NaN.
+    pub fn of(samples: &[f64]) -> Self {
+        assert!(!samples.is_empty(), "spread of no samples");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are not NaN"));
+        let mid = sorted.len() / 2;
+        let median = if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        };
+        Self {
+            median,
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+        }
+    }
+
+    /// `[min, max]` as a JSON array with `decimals` digits.
+    pub fn range_json(&self, decimals: usize) -> String {
+        format!("[{:.decimals$}, {:.decimals$}]", self.min, self.max)
+    }
+}
+
 /// One scheduling experiment instance: a deterministic pseudo-random SoC
 /// tested over the bus width of one Table-1 row.
 #[derive(Debug, Clone)]
@@ -223,6 +265,15 @@ mod tests {
                 row.p
             );
         }
+    }
+
+    #[test]
+    fn spread_takes_the_median_and_the_range() {
+        let odd = Spread::of(&[3.0, 1.0, 2.0]);
+        assert_eq!((odd.median, odd.min, odd.max), (2.0, 1.0, 3.0));
+        let even = Spread::of(&[4.0, 1.0, 2.0, 3.0]);
+        assert_eq!((even.median, even.min, even.max), (2.5, 1.0, 4.0));
+        assert_eq!(even.range_json(1), "[1.0, 4.0]");
     }
 
     #[test]

@@ -207,36 +207,46 @@ impl Cas {
         ctrl: CasControl,
     ) -> Result<CasOutput, CasError> {
         let mut bus = bus_in.clone();
-        let core_in = self.clock_in_place(&mut bus, core_out, ctrl)?;
+        let mut core_in = BitVec::zeros(self.geometry().switched_wires());
+        let tested = self.clock_in_place(&mut bus, core_out, &mut core_in, ctrl)?;
         Ok(CasOutput {
             bus_out: bus,
-            core_in,
+            core_in: tested.then_some(core_in),
         })
     }
 
-    /// One clock of the CAS, transforming `bus` in place instead of
-    /// allocating a fresh bus vector — the hot-path form of [`Cas::clock`]
-    /// used by [`CasChain::clock`](crate::CasChain::clock), which threads a
-    /// single scratch buffer through the whole chain. In-place is safe
+    /// One clock of the CAS over caller-owned buffers: `bus` is transformed
+    /// in place and, in TEST mode, the tapped port bits are written into
+    /// `core_in` (`P` bits). Returns whether the CAS was in TEST mode; when
+    /// it was not, the core side is tri-stated and `core_in` is left as it
+    /// was. [`Cas::clock`] is the allocating form of this one routing
+    /// implementation, and [`CasChain::clock_in_place`](crate::CasChain::clock_in_place)
+    /// threads one bus through a whole chain with it. In-place is safe
     /// because each TEST port taps and drives the *same* wire (the scheme
     /// is injective), and the tap is read before the drive is written.
     ///
     /// # Errors
     ///
     /// Returns [`CasError::BadGeometry`] if `bus` is not `N` bits or
-    /// `core_out` is not `P` bits.
+    /// `core_out` or `core_in` is not `P` bits.
     pub fn clock_in_place(
         &mut self,
         bus: &mut BitVec,
         core_out: &BitVec,
+        core_in: &mut BitVec,
         ctrl: CasControl,
-    ) -> Result<Option<BitVec>, CasError> {
+    ) -> Result<bool, CasError> {
         let n = self.geometry().bus_width();
         let p = self.geometry().switched_wires();
-        if bus.len() != n || core_out.len() != p {
+        if bus.len() != n || core_out.len() != p || core_in.len() != p {
+            let p_got = if core_out.len() != p {
+                core_out.len()
+            } else {
+                core_in.len()
+            };
             return Err(CasError::BadGeometry {
                 n: bus.len(),
-                p: core_out.len(),
+                p: p_got,
             });
         }
         self.config_line = ctrl.config;
@@ -249,38 +259,37 @@ impl Cas {
             if ctrl.update {
                 self.update_ir();
             }
-            return Ok(None);
+            return Ok(false);
         }
         if ctrl.update {
             self.update_ir();
         }
         match self.mode() {
-            CasMode::Bypass | CasMode::Configuration => Ok(None),
+            CasMode::Bypass | CasMode::Configuration => Ok(false),
             CasMode::Test => {
                 let scheme = self.active_scheme().expect("TEST mode has a scheme");
-                let mut core_in = BitVec::zeros(p);
                 for port in 0..p {
                     let wire = scheme.wire_for_port(port);
                     // Paper heuristic: e_wire -> o_port and i_port -> s_wire.
                     core_in.set(port, bus.get(wire).expect("wire < n"));
                     bus.set(wire, core_out.get(port).expect("port < p"));
                 }
-                Ok(Some(core_in))
+                Ok(true)
             }
         }
     }
 
     /// Shifts one bit through the instruction register (LSB first),
     /// returning the displaced bit — the configuration daisy-chain primitive.
+    /// The register shifts in place.
     pub fn shift_ir(&mut self, bit: bool) -> bool {
-        let out = self.ir_shift.get(0).unwrap_or(false);
         let k = self.ir_shift.len();
-        let mut next = BitVec::with_capacity(k);
+        let out = self.ir_shift.get(0).expect("k >= 1");
         for i in 1..k {
-            next.push(self.ir_shift.get(i).expect("in range"));
+            let next = self.ir_shift.get(i).expect("in range");
+            self.ir_shift.set(i - 1, next);
         }
-        next.push(bit);
-        self.ir_shift = next;
+        self.ir_shift.set(k - 1, bit);
         out
     }
 
@@ -293,7 +302,7 @@ impl Cas {
     /// Resets to power-on state (BYPASS, cleared register).
     pub fn reset(&mut self) {
         let k = self.ir_shift.len();
-        self.ir_shift = BitVec::zeros(k);
+        self.ir_shift.fill_range(0..k, false);
         self.active = CasInstruction::Bypass;
         self.config_line = false;
     }
@@ -459,6 +468,16 @@ mod tests {
         assert!(c
             .clock(&BitVec::zeros(4), &BitVec::zeros(1), CasControl::run())
             .is_err());
+        // The caller's core-side buffer must be P bits too.
+        let err = c
+            .clock_in_place(
+                &mut BitVec::zeros(4),
+                &BitVec::zeros(2),
+                &mut BitVec::zeros(3),
+                CasControl::run(),
+            )
+            .unwrap_err();
+        assert_eq!(err, CasError::BadGeometry { n: 4, p: 3 });
     }
 
     #[test]

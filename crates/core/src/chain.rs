@@ -37,9 +37,6 @@ use crate::instruction::CasInstruction;
 pub struct CasChain {
     cases: Vec<Cas>,
     n: usize,
-    /// Reusable working bus for [`CasChain::clock`], so the steady-state
-    /// data path performs no per-CAS (and no per-cycle working) allocation.
-    scratch: BitVec,
 }
 
 /// The result of clocking a whole chain.
@@ -71,11 +68,7 @@ impl CasChain {
                 });
             }
         }
-        Ok(Self {
-            cases,
-            n,
-            scratch: BitVec::zeros(n),
-        })
+        Ok(Self { cases, n })
     }
 
     /// The shared bus width `N`.
@@ -125,7 +118,8 @@ impl CasChain {
 
     /// One clock of the whole chain: `bus_in` enters CAS 0, each CAS's bus
     /// output feeds the next, and `core_outs[i]` carries the `P_i` core test
-    /// outputs presented to CAS `i`.
+    /// outputs presented to CAS `i`. The allocating form of
+    /// [`CasChain::clock_in_place`].
     ///
     /// # Errors
     ///
@@ -137,23 +131,60 @@ impl CasChain {
         core_outs: &[BitVec],
         ctrl: CasControl,
     ) -> Result<ChainOutput, CasError> {
-        if core_outs.len() != self.cases.len() {
-            return Err(CasError::ConfigurationLengthMismatch {
-                got: core_outs.len(),
-                expected: self.cases.len(),
-            });
-        }
-        // One scratch buffer threads every CAS in place: the per-CAS
-        // bus clones of the naive fold are gone from the steady-state path.
-        self.scratch.copy_from(bus_in);
-        let mut core_in = Vec::with_capacity(self.cases.len());
-        for (cas, core_out) in self.cases.iter_mut().zip(core_outs) {
-            core_in.push(cas.clock_in_place(&mut self.scratch, core_out, ctrl)?);
-        }
+        let mut bus = bus_in.clone();
+        let mut core_ins: Vec<BitVec> = self
+            .cases
+            .iter()
+            .map(|c| BitVec::zeros(c.geometry().switched_wires()))
+            .collect();
+        let mut tested = vec![false; self.cases.len()];
+        self.clock_in_place(&mut bus, core_outs, &mut core_ins, &mut tested, ctrl)?;
         Ok(ChainOutput {
-            bus_out: self.scratch.clone(),
-            core_in,
+            bus_out: bus,
+            core_in: core_ins
+                .into_iter()
+                .zip(tested)
+                .map(|(core_in, tested)| tested.then_some(core_in))
+                .collect(),
         })
+    }
+
+    /// One clock of the whole chain over caller-owned buffers: `bus` enters
+    /// CAS 0 and leaves the last CAS transformed in place, CAS `i` reads
+    /// `core_outs[i]`, and `tested[i]` says whether CAS `i` was in TEST
+    /// mode, in which case `core_ins[i]` holds the bits it presented to its
+    /// core (see [`Cas::clock_in_place`]). Allocates nothing, so a
+    /// simulator that owns the buffers clocks the chain allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Propagates width mismatches from the individual CASes and checks
+    /// that `core_outs`, `core_ins` and `tested` each have one entry per
+    /// CAS.
+    pub fn clock_in_place(
+        &mut self,
+        bus: &mut BitVec,
+        core_outs: &[BitVec],
+        core_ins: &mut [BitVec],
+        tested: &mut [bool],
+        ctrl: CasControl,
+    ) -> Result<(), CasError> {
+        let expected = self.cases.len();
+        for got in [core_outs.len(), core_ins.len(), tested.len()] {
+            if got != expected {
+                return Err(CasError::ConfigurationLengthMismatch { got, expected });
+            }
+        }
+        for (((cas, core_out), core_in), tested) in self
+            .cases
+            .iter_mut()
+            .zip(core_outs)
+            .zip(core_ins.iter_mut())
+            .zip(tested.iter_mut())
+        {
+            *tested = cas.clock_in_place(bus, core_out, core_in, ctrl)?;
+        }
+        Ok(())
     }
 
     /// Verifies that the currently-active TEST instructions give every CAS
@@ -201,18 +232,35 @@ impl CasChain {
             }
         }
         let stream = crate::config::ConfigStream::build(&self.cases, instructions)?;
+        // One bus and one set of core-side buffers thread every clock of
+        // the phase; each bit enters on an otherwise idle bus.
         let idle_cores: Vec<BitVec> = self
             .cases
             .iter()
             .map(|c| BitVec::zeros(c.geometry().switched_wires()))
             .collect();
+        let mut core_ins = idle_cores.clone();
+        let mut tested = vec![false; self.cases.len()];
+        let mut bus = BitVec::zeros(self.n);
         for bit in stream.bits().iter() {
-            let mut bus = BitVec::zeros(self.n);
+            bus.fill_range(0..self.n, false);
             bus.set(0, bit);
-            self.clock(&bus, &idle_cores, CasControl::shift_config())?;
+            self.clock_in_place(
+                &mut bus,
+                &idle_cores,
+                &mut core_ins,
+                &mut tested,
+                CasControl::shift_config(),
+            )?;
         }
-        self.clock(&BitVec::zeros(self.n), &idle_cores, CasControl::update())?;
-        Ok(())
+        bus.fill_range(0..self.n, false);
+        self.clock_in_place(
+            &mut bus,
+            &idle_cores,
+            &mut core_ins,
+            &mut tested,
+            CasControl::update(),
+        )
     }
 
     /// Resets every CAS to power-on BYPASS.
@@ -326,6 +374,43 @@ mod tests {
         assert_eq!(out.core_in[1].as_ref().unwrap().to_string(), "1");
         // Bus out: s0=i0(0), s1=i1(1), s2=e2(1), s3=CAS1's i0(1).
         assert_eq!(out.bus_out.to_string(), "0111");
+    }
+
+    #[test]
+    fn in_place_clock_flags_test_mode_and_leaves_tri_stated_buffers() {
+        let mut ch = chain(&[(4, 2), (4, 1)]);
+        let i0 = ch.cases()[0].schemes().index_of(&[0, 1]).unwrap();
+        ch.configure(&[CasInstruction::Test(i0), CasInstruction::Bypass])
+            .unwrap();
+        let cores: Vec<BitVec> = vec!["01".parse().unwrap(), "1".parse().unwrap()];
+        let mut bus: BitVec = "1011".parse().unwrap();
+        let mut core_ins = vec![BitVec::zeros(2), "1".parse().unwrap()];
+        let mut tested = vec![false, true];
+        ch.clock_in_place(
+            &mut bus,
+            &cores,
+            &mut core_ins,
+            &mut tested,
+            CasControl::run(),
+        )
+        .unwrap();
+        assert_eq!(tested, [true, false]);
+        assert_eq!(core_ins[0].to_string(), "10", "CAS0 core sees e0, e1");
+        assert_eq!(core_ins[1].to_string(), "1", "tri-stated buffer untouched");
+        assert_eq!(
+            bus.to_string(),
+            "0111",
+            "s0, s1 = i0, i1; wires 2, 3 bypass"
+        );
+        assert!(ch
+            .clock_in_place(
+                &mut bus,
+                &cores,
+                &mut core_ins[..1],
+                &mut tested,
+                CasControl::run()
+            )
+            .is_err());
     }
 
     #[test]

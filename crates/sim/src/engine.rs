@@ -1,6 +1,9 @@
 //! The compiled word-level execution engine.
 //!
-//! [`run_program`](crate::run_program) semantics, ~10–100× faster: instead
+//! [`run_program`](crate::run_program) semantics, 3–7× faster than the
+//! bit-serial interpreter single-threaded (`BENCH_soc_sim.json`: 6.2× on
+//! Figure 1, 7.3× on the ITC'02-like SoC, 2.9× on the 240-cycle
+//! hierarchical SoC). Instead
 //! of interpreting the CAS chain bit by bit every data clock, each step's
 //! configuration wave is compiled once into a [`RouteTable`], and every
 //! core whose routes are exclusive (no serial wire sharing) becomes an

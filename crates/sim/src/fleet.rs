@@ -703,6 +703,8 @@ impl FleetRunner {
                 variation: *spec,
                 priority: 1,
                 packed: engine.is_some(),
+                #[cfg(test)]
+                panic_on: None,
             },
             engine,
             monitor,
@@ -761,8 +763,10 @@ thread_local! {
 /// Runs `body` with this worker's reusable simulator and engine for
 /// `(soc, plan, cache, sessions)`, building or rebuilding the slot when
 /// the runner's artifacts change and resetting the simulator to power-on
-/// state when reusing it. On any error the slot is discarded — a failed
-/// run leaves the simulator in an unknown state.
+/// state when reusing it. The slot is out of its cell while `body` runs and
+/// goes back only on success, so an error or a panic discards it — a
+/// failed run leaves the simulator in an unknown state (a stamped defect
+/// may still be in place).
 fn with_worker_slot<T>(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
@@ -771,33 +775,31 @@ fn with_worker_slot<T>(
     body: impl FnOnce(&mut SocSimulator, &CompiledEngine) -> Result<T, SimError>,
 ) -> Result<T, SimError> {
     WORKER_SLOT.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let reusable = slot.as_ref().is_some_and(|w| {
+        let reused = slot.borrow_mut().take().filter(|w| {
             Arc::ptr_eq(&w.soc, soc)
                 && Arc::ptr_eq(&w.cache, cache)
                 && Arc::ptr_eq(&w.sessions, sessions)
                 && w.width == plan.bus_width()
         });
-        if reusable {
-            slot.as_mut().expect("checked above").sim.reset_device();
-        } else {
-            let sim = SocSimulator::new_shared(Arc::clone(soc), plan.bus_width())?;
-            let engine = CompiledEngine::new()
-                .with_cache(Arc::clone(cache))
-                .with_sessions(Arc::clone(sessions));
-            *slot = Some(WorkerSlot {
+        let mut worker = match reused {
+            Some(mut worker) => {
+                worker.sim.reset_device();
+                worker
+            }
+            None => WorkerSlot {
                 soc: Arc::clone(soc),
                 cache: Arc::clone(cache),
                 sessions: Arc::clone(sessions),
                 width: plan.bus_width(),
-                sim,
-                engine,
-            });
-        }
-        let worker = slot.as_mut().expect("slot installed");
+                sim: SocSimulator::new_shared(Arc::clone(soc), plan.bus_width())?,
+                engine: CompiledEngine::new()
+                    .with_cache(Arc::clone(cache))
+                    .with_sessions(Arc::clone(sessions)),
+            },
+        };
         let outcome = body(&mut worker.sim, &worker.engine);
-        if outcome.is_err() {
-            *slot = None;
+        if outcome.is_ok() {
+            *slot.borrow_mut() = Some(worker);
         }
         outcome
     })

@@ -55,6 +55,7 @@
 //! # Ok::<(), casbus_sim::SimError>(())
 //! ```
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -86,6 +87,9 @@ pub struct LotSpec {
     pub(crate) variation: VariationSpec,
     pub(crate) priority: u64,
     pub(crate) packed: bool,
+    /// Test-only fault injection: the job that tests this device panics.
+    #[cfg(test)]
+    pub(crate) panic_on: Option<u64>,
 }
 
 impl std::fmt::Debug for LotSpec {
@@ -126,6 +130,8 @@ impl LotSpec {
             variation,
             priority: 1,
             packed: true,
+            #[cfg(test)]
+            panic_on: None,
         })
     }
 
@@ -573,16 +579,27 @@ impl TestFloor {
         let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
             self.pool.threads().saturating_mul(2).max(1),
         );
+        // Every job catches its own panic and reports it as the device's
+        // error, so a panic stops the run instead of losing reports. The
+        // receiver hangs up after a first error: jobs discard late batches
+        // instead of panicking.
         for (idx, lot) in lots.iter().enumerate() {
             let spec = &lot.spec;
+            #[cfg(test)]
+            let panic_on = spec.panic_on;
             if let Some(engine) = &lot.engine {
                 for members in plan_cohorts(&spec.variation, &spec.soc, spec.devices) {
                     let engine = Arc::clone(engine);
                     let tx = tx.clone();
                     self.pool.execute_in(lanes[idx], move || {
-                        // The receiver hangs up after a first error:
-                        // discard late batches instead of panicking.
-                        let _ = tx.send((idx, engine.run_cohort(members)));
+                        let first = members.first().map_or(0, |(id, _)| *id);
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            #[cfg(test)]
+                            injected_panic(panic_on, members.iter().map(|(id, _)| *id));
+                            engine.run_cohort(members)
+                        }))
+                        .unwrap_or(Err(SimError::WorkerPanicked { device_id: first }));
+                        let _ = tx.send((idx, outcome));
                     });
                 }
             } else {
@@ -595,9 +612,13 @@ impl TestFloor {
                     let monitor = lot.monitor.map(|m| Arc::clone(m.shared()));
                     let tx = tx.clone();
                     self.pool.execute_in(lanes[idx], move || {
-                        let monitor = monitor.as_deref();
-                        let outcome =
-                            test_device(&soc, &plan, &cache, &sessions, device_id, fault, monitor);
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            #[cfg(test)]
+                            injected_panic(panic_on, std::iter::once(device_id));
+                            let monitor = monitor.as_deref();
+                            test_device(&soc, &plan, &cache, &sessions, device_id, fault, monitor)
+                        }))
+                        .unwrap_or(Err(SimError::WorkerPanicked { device_id }));
                         let _ = tx.send((idx, outcome.map(|report| vec![report])));
                     });
                 }
@@ -706,8 +727,9 @@ impl TestFloor {
         if let Some(err) = error {
             return Err(err);
         }
-        let wall = started.elapsed();
         let (snapshots, events, aborted) = observed;
+        check_complete(lots, &reports, &aborted)?;
+        let wall = started.elapsed();
         let lots = lots
             .iter()
             .zip(reports)
@@ -729,6 +751,34 @@ impl TestFloor {
             )
             .collect();
         Ok(FloorReport { lots, wall })
+    }
+}
+
+/// Checks that every lot that was not aborted collected exactly one report
+/// per requested device, naming the first lot that did not.
+fn check_complete(
+    lots: &[Lot<'_>],
+    reports: &[Vec<DeviceReport>],
+    aborted: &[bool],
+) -> Result<(), SimError> {
+    for ((lot, devices), &aborted) in lots.iter().zip(reports).zip(aborted) {
+        if !aborted && devices.len() as u64 != lot.spec.devices {
+            return Err(SimError::LotIncomplete {
+                lot: lot.spec.name.clone(),
+                requested: lot.spec.devices,
+                reported: devices.len() as u64,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Test-only fault injection: panics when `panic_on` names one of the
+/// job's `devices`.
+#[cfg(test)]
+fn injected_panic(panic_on: Option<u64>, mut devices: impl Iterator<Item = u64>) {
+    if let Some(device_id) = panic_on.filter(|id| devices.any(|d| d == *id)) {
+        panic!("injected panic on device {device_id}");
     }
 }
 
@@ -865,5 +915,82 @@ mod tests {
                 assert_eq!(lot.fleet.devices, again.fleet.devices, "{}", lot.name);
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_device_fails_the_run_and_the_floor_keeps_serving() {
+        let soc = catalog::figure1_soc();
+        let schedule = packed_schedule(&soc, 8).unwrap();
+        let lot = |packed: bool, panic_on: Option<u64>| {
+            let mut spec = LotSpec::new(
+                "lot",
+                &soc,
+                8,
+                schedule.clone(),
+                70,
+                VariationSpec::new(5, 0.25),
+            )
+            .unwrap()
+            .with_packed(packed);
+            spec.panic_on = panic_on;
+            spec
+        };
+        for packed in [false, true] {
+            // Device 66 rides the second cohort, whose first device is 64.
+            let named = if packed { 64 } else { 66 };
+            for threads in [1usize, 2, 4] {
+                let context = format!("packed {packed}, {threads} threads");
+                let floor = TestFloor::new().with_threads(threads);
+                assert_eq!(
+                    floor.run(vec![lot(packed, Some(66))]).unwrap_err(),
+                    SimError::WorkerPanicked { device_id: named },
+                    "{context}"
+                );
+                let again = floor.run(vec![lot(packed, None)]).unwrap();
+                let fresh = TestFloor::new()
+                    .with_threads(threads)
+                    .run(vec![lot(packed, None)])
+                    .unwrap();
+                assert_eq!(again.lots[0].fleet.fleet_size(), 70, "{context}");
+                assert_eq!(
+                    again.lots[0].fleet.devices, fresh.lots[0].fleet.devices,
+                    "{context}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_lot_is_an_error_unless_it_was_aborted() {
+        let scan = catalog::figure2a_scan_soc();
+        let spec = || {
+            LotSpec::new(
+                "short",
+                &scan,
+                4,
+                packed_schedule(&scan, 4).unwrap(),
+                3,
+                VariationSpec::perfect(),
+            )
+            .unwrap()
+        };
+        let report = TestFloor::new().with_threads(1).run(vec![spec()]).unwrap();
+        let lots = [Lot {
+            spec: spec(),
+            engine: None,
+            monitor: None,
+        }];
+        let full = report.lots[0].fleet.devices.clone();
+        let short = full[..2].to_vec();
+        assert_eq!(check_complete(&lots, &[full], &[false]), Ok(()));
+        assert_eq!(
+            check_complete(&lots, std::slice::from_ref(&short), &[false]),
+            Err(SimError::LotIncomplete {
+                lot: "short".to_owned(),
+                requested: 3,
+                reported: 2,
+            })
+        );
+        assert_eq!(check_complete(&lots, &[short], &[true]), Ok(()));
     }
 }

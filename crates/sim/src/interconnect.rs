@@ -105,14 +105,15 @@ pub fn run_interconnect_extest(
     target.extend_from(pattern);
     let reversed = target.reversed();
     let mut kinds = vec![ClockKind::Idle; cas_count];
-    for t in 0..reversed.len() {
-        let mut bus = BitVec::zeros(n);
-        bus.set(0, reversed.get(t).expect("in range"));
-        kinds[driver_idx] = ClockKind::Shift;
+    let mut bus = BitVec::zeros(n);
+    kinds[driver_idx] = ClockKind::Shift;
+    for bit in reversed.iter() {
+        bus.set(0, bit);
         sim.data_clock(&bus, &kinds)?;
     }
+    bus.set(0, false);
     kinds[driver_idx] = ClockKind::Update;
-    sim.data_clock(&BitVec::zeros(n), &kinds)?;
+    sim.data_clock(&bus, &kinds)?;
     kinds[driver_idx] = ClockKind::Idle;
 
     // The physical nets: driver output cells drive receiver input pins.
@@ -126,11 +127,11 @@ pub fn run_interconnect_extest(
 
     // Capture at the receiver, then shift its WBR out over wire 1.
     kinds[receiver_idx] = ClockKind::Capture;
-    sim.data_clock(&BitVec::zeros(n), &kinds)?;
+    sim.data_clock(&bus, &kinds)?;
     kinds[receiver_idx] = ClockKind::Shift;
     let mut observed = BitVec::new();
     for _ in 0..r_len + 1 {
-        let out = sim.data_clock(&BitVec::zeros(n), &kinds)?;
+        let out = sim.data_clock(&bus, &kinds)?;
         observed.push(out.get(1).expect("wire 1"));
     }
 

@@ -24,6 +24,7 @@
 //! fan-out.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -282,6 +283,10 @@ impl WorkerPool {
             } else {
                 None
             };
+            // A panicking job ends itself, not its worker: whatever it
+            // captured (result senders included) is dropped, and the
+            // worker goes on to the next job.
+            let run = AssertUnwindSafe(job.run);
             match metrics {
                 Some(metrics) => {
                     // Jobs enqueued while detached carry no instant and
@@ -289,10 +294,12 @@ impl WorkerPool {
                     let waited = job.enqueued.map_or(0, |at| at.elapsed().as_micros() as u64);
                     metrics.observe("obs.pool.job.wait_us", waited);
                     let started = Instant::now();
-                    (job.run)();
+                    let _ = catch_unwind(run);
                     metrics.observe("obs.pool.job.exec_us", started.elapsed().as_micros() as u64);
                 }
-                None => (job.run)(),
+                None => {
+                    let _ = catch_unwind(run);
+                }
             }
             shared.executed.fetch_add(1, Ordering::Relaxed);
         }
@@ -493,6 +500,25 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(pool.jobs_executed(), 30);
+    }
+
+    #[test]
+    fn panicking_jobs_leave_every_worker_serving() {
+        for threads in [1usize, 2] {
+            let pool = WorkerPool::new(threads);
+            // One panicking job per worker, then a normal one: it runs only
+            // if the workers outlive their panics.
+            for _ in 0..threads {
+                pool.execute(|| panic!("injected job panic"));
+            }
+            let (tx, rx) = mpsc::channel();
+            pool.execute(move || tx.send(7u64).unwrap());
+            assert_eq!(
+                rx.recv_timeout(std::time::Duration::from_secs(10)),
+                Ok(7),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

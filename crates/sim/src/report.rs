@@ -131,22 +131,38 @@ pub(crate) fn collect_lanes<S>(
 /// Runs one configured step's lanes through the cycle-by-cycle interpreter
 /// (the reference path, exact under probes and serial wire sharing).
 /// Returns `(name, verdict, signature)` per lane, in lane order.
+///
+/// One bus and one clock-kind buffer serve the whole step, and each lane's
+/// observed bits go straight into its port-major streams: the signature's
+/// input, and what the verdict is counted from.
 pub(crate) fn drive_lanes_reference(
     sim: &mut SocSimulator,
     lanes: &[Lane<ReferenceSession>],
     step_index: usize,
     step_start: u64,
 ) -> Result<Vec<(String, Verdict, u64)>, SimError> {
-    let mut observed: Vec<Vec<BitVec>> = lanes.iter().map(|_| Vec::new()).collect();
     let horizon = lanes
         .iter()
         .map(|l| l.session.plan.len())
         .max()
         .unwrap_or(0);
-    let cas_count = sim.tam().cas_count();
+    // A lane observes every step cycle up to one past its plan, the last
+    // retimed response included.
+    let mut streams: Vec<Vec<BitVec>> = lanes
+        .iter()
+        .map(|lane| {
+            let observed = horizon.min(lane.session.plan.len() + 1);
+            (0..lane.session.plan.ports())
+                .map(|_| BitVec::with_capacity(observed))
+                .collect()
+        })
+        .collect();
+    let n = sim.bus_width();
+    let mut bus = BitVec::zeros(n);
+    let mut kinds = vec![ClockKind::Idle; sim.tam().cas_count()];
     for t in 0..horizon {
-        let mut bus = BitVec::zeros(sim.bus_width());
-        let mut kinds = vec![ClockKind::Idle; cas_count];
+        bus.fill_range(0..n, false);
+        kinds.fill(ClockKind::Idle);
         for lane in lanes {
             if let Some((stim, kind)) = lane.session.plan.cycles().get(t) {
                 kinds[lane.cas_index] = *kind;
@@ -156,27 +172,19 @@ pub(crate) fn drive_lanes_reference(
             }
         }
         let out = sim.data_clock(&bus, &kinds)?;
-        for (lane, seen) in lanes.iter().zip(observed.iter_mut()) {
+        for (lane, lane_streams) in lanes.iter().zip(streams.iter_mut()) {
             if t < lane.session.plan.len() + 1 {
-                let slice: BitVec = lane
-                    .wires
-                    .iter()
-                    .map(|&w| out.get(w).expect("wire < n"))
-                    .collect();
-                seen.push(slice);
+                for (j, stream) in lane_streams.iter_mut().enumerate() {
+                    stream.push(out.get(lane.wires[j]).expect("wire < n"));
+                }
             }
         }
     }
     let trace = sim.trace();
     let mut results = Vec::with_capacity(lanes.len());
-    for (lane, seen) in lanes.iter().zip(&observed) {
-        let ports = lane.session.plan.ports();
-        let verdict = compare(&lane.session.golden, seen, ports);
-        // Port-major streams of everything observed, for the signature.
-        let streams: Vec<BitVec> = (0..ports)
-            .map(|j| seen.iter().map(|o| o.get(j).expect("P wide")).collect())
-            .collect();
-        let signature = lane_signature(&streams);
+    for (lane, streams) in lanes.iter().zip(&streams) {
+        let verdict = compare(&lane.session.golden, streams);
+        let signature = lane_signature(streams);
         if trace.enabled() {
             trace.record(session_span(
                 sim,
@@ -383,12 +391,11 @@ pub fn run_bus_extest(sim: &mut SocSimulator) -> Result<Verdict, SimError> {
     let stream: BitVec = (0..32).map(|i| i % 3 == 0).collect();
     let total = stream.len() + depth + 1;
     let mut observed = BitVec::new();
-    let cas_count = sim.tam().cas_count();
+    let mut bus = BitVec::zeros(sim.bus_width());
+    let mut kinds = vec![ClockKind::Idle; sim.tam().cas_count()];
+    kinds[cas_index] = ClockKind::Shift;
     for t in 0..total {
-        let mut bus = BitVec::zeros(sim.bus_width());
         bus.set(0, stream.get(t).unwrap_or(false));
-        let mut kinds = vec![ClockKind::Idle; cas_count];
-        kinds[cas_index] = ClockKind::Shift;
         let out = sim.data_clock(&bus, &kinds)?;
         observed.push(out.get(0).expect("wire 0"));
     }

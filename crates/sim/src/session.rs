@@ -474,8 +474,8 @@ pub fn run_core_session(
     sim.configure(&config, &wrappers)?;
     let config_cycles = sim.cycles() - start;
 
-    let observed = drive_plan(sim, cas_index, &plan, 0)?;
-    let verdict = compare(&golden, &observed, plan.ports());
+    let streams = drive_plan(sim, cas_index, &plan, 0)?;
+    let verdict = compare(&golden, &streams);
     let trace = sim.trace();
     if trace.enabled() {
         trace.record(casbus_obs::TraceEvent::span(
@@ -501,7 +501,8 @@ pub fn run_core_session(
 
 /// Drives a plan through the TAM for the CAS at `cas_index`, whose scheme
 /// places port `j` on wire `wire_base + j` (contiguous window). Returns the
-/// observed core-return slice for every cycle.
+/// port-major observed streams: stream `j` holds what port `j`'s wire
+/// carried back on every cycle.
 pub(crate) fn drive_plan(
     sim: &mut SocSimulator,
     cas_index: usize,
@@ -509,32 +510,37 @@ pub(crate) fn drive_plan(
     wire_base: usize,
 ) -> Result<Vec<BitVec>, SimError> {
     let n = sim.bus_width();
-    let cas_count = sim.tam().cas_count();
-    let mut observed = Vec::with_capacity(plan.len());
+    let mut streams: Vec<BitVec> = (0..plan.ports())
+        .map(|_| BitVec::with_capacity(plan.len()))
+        .collect();
+    let mut bus = BitVec::zeros(n);
+    let mut kinds = vec![ClockKind::Idle; sim.tam().cas_count()];
     for (stim, kind) in plan.cycles() {
-        let mut bus = BitVec::zeros(n);
         for j in 0..plan.ports() {
             bus.set(wire_base + j, stim.get(j).expect("stim is P wide"));
         }
-        let mut kinds = vec![ClockKind::Idle; cas_count];
         kinds[cas_index] = *kind;
         let out = sim.data_clock(&bus, &kinds)?;
-        observed.push(out.slice(wire_base, plan.ports()));
+        for (j, stream) in streams.iter_mut().enumerate() {
+            stream.push(out.get(wire_base + j).expect("window within the bus"));
+        }
     }
-    Ok(observed)
+    Ok(streams)
 }
 
 /// Compares golden shift outputs at cycle `t` with the bus observation at
-/// `t + 1` (the retiming register's latency).
-pub(crate) fn compare(golden: &[Option<BitVec>], observed: &[BitVec], ports: usize) -> Verdict {
+/// `t + 1` (the retiming register's latency). `streams` are port-major: bit
+/// `t` of stream `j` is what port `j` returned on cycle `t`.
+pub(crate) fn compare(golden: &[Option<BitVec>], streams: &[BitVec]) -> Verdict {
+    let observed = streams.first().map_or(0, BitVec::len);
     let mut mismatches = 0usize;
     for (t, gold) in golden.iter().enumerate() {
         let Some(gold) = gold else { continue };
-        let Some(seen) = observed.get(t + 1) else {
+        if t + 1 >= observed {
             continue;
-        };
-        for j in 0..ports {
-            if gold.get(j) != seen.get(j) {
+        }
+        for (j, stream) in streams.iter().enumerate() {
+            if gold.get(j) != stream.get(t + 1) {
                 mismatches += 1;
             }
         }
@@ -769,15 +775,9 @@ mod tests {
     #[test]
     fn compare_counts_mismatches() {
         let golden = vec![Some("11".parse::<BitVec>().unwrap()), None];
-        let observed = vec![
-            "00".parse().unwrap(),
-            "10".parse().unwrap(),
-            "00".parse().unwrap(),
-        ];
-        assert_eq!(
-            compare(&golden, &observed, 2),
-            Verdict::Fail { mismatches: 1 }
-        );
+        // Cycles observe "00", "10", "00" on ports (0, 1), port-major.
+        let streams = vec!["010".parse().unwrap(), "000".parse().unwrap()];
+        assert_eq!(compare(&golden, &streams), Verdict::Fail { mismatches: 1 });
     }
 
     #[test]

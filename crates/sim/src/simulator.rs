@@ -40,6 +40,22 @@ pub enum SimError {
     /// [`run_program_searched`](crate::run_program_searched) refused to
     /// return it.
     SearchDiverged,
+    /// Testing a device panicked. The pool worker survives and the run
+    /// stops; a packed cohort's panic names the cohort's first device.
+    WorkerPanicked {
+        /// The device whose job panicked.
+        device_id: u64,
+    },
+    /// A lot that was not aborted ended without exactly one report per
+    /// requested device.
+    LotIncomplete {
+        /// The lot's name.
+        lot: String,
+        /// Devices the lot requested.
+        requested: u64,
+        /// Reports it collected.
+        reported: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -57,6 +73,17 @@ impl fmt::Display for SimError {
             Self::SearchDiverged => write!(
                 f,
                 "searched schedule's compiled report diverged from the bit-serial reference"
+            ),
+            Self::WorkerPanicked { device_id } => {
+                write!(f, "worker panicked while testing device {device_id}")
+            }
+            Self::LotIncomplete {
+                lot,
+                requested,
+                reported,
+            } => write!(
+                f,
+                "lot {lot:?} collected {reported} reports for {requested} devices"
             ),
         }
     }
@@ -152,6 +179,15 @@ pub struct SocSimulator {
     /// Retiming register between each wrapper's parallel output and its
     /// CAS core-side input.
     pending: Vec<BitVec>,
+    /// The interpreter's per-cycle state, owned so a data clock allocates
+    /// nothing of its own: the test bus as it leaves the chain (what
+    /// [`SocSimulator::data_clock`] lends out), the bits each CAS presented
+    /// to its core, whether each CAS was in TEST mode, and each wrapper's
+    /// parallel input.
+    bus: BitVec,
+    core_in: Vec<BitVec>,
+    tested: Vec<bool>,
+    wpi: Vec<BitVec>,
     cycles: u64,
     /// Cycles spent in CONFIGURATION/UPDATE phases.
     config_cycles: u64,
@@ -204,7 +240,7 @@ impl SocSimulator {
                 width,
             ));
         }
-        let pending = tam
+        let pending: Vec<BitVec> = tam
             .chain()
             .cases()
             .iter()
@@ -212,8 +248,16 @@ impl SocSimulator {
             .collect();
         let cas_count = wrappers.len();
         let wire_busy = vec![0; tam.bus_width()];
+        let wpi = wrappers
+            .iter()
+            .map(|w| BitVec::zeros(w.parallel_width()))
+            .collect();
         Ok(Self {
             soc,
+            bus: BitVec::zeros(tam.bus_width()),
+            core_in: pending.clone(),
+            tested: vec![false; cas_count],
+            wpi,
             tam,
             wrappers,
             pending,
@@ -387,10 +431,17 @@ impl SocSimulator {
     /// Recomputes the per-CAS routed-wire sets after a configuration.
     fn refresh_routing(&mut self) {
         for (slot, cas) in self.routed.iter_mut().zip(self.tam.chain().cases()) {
-            *slot = cas
-                .active_scheme()
-                .map(|s| s.wires().to_vec())
-                .unwrap_or_default();
+            slot.clear();
+            if let Some(scheme) = cas.active_scheme() {
+                slot.extend_from_slice(scheme.wires());
+            }
+        }
+    }
+
+    /// Zeroes every CAS boundary retiming register in place.
+    fn clear_pending(&mut self) {
+        for (pending, cas) in self.pending.iter_mut().zip(self.tam.chain().cases()) {
+            resize_into(pending, &BitVec::new(), cas.geometry().switched_wires());
         }
     }
 
@@ -456,9 +507,7 @@ impl SocSimulator {
         for wrapper in &mut self.wrappers {
             wrapper.reset();
         }
-        for (pending, cas) in self.pending.iter_mut().zip(self.tam.chain().cases()) {
-            *pending = BitVec::zeros(cas.geometry().switched_wires());
-        }
+        self.clear_pending();
     }
 
     /// Applies a TAM configuration through the serial protocol and sets each
@@ -500,9 +549,7 @@ impl SocSimulator {
             // tri-state chaining mechanism of §3.1 is used.
         }
         // Clear boundary retiming registers for the new session.
-        for (pending, cas) in self.pending.iter_mut().zip(self.tam.chain().cases()) {
-            *pending = BitVec::zeros(cas.geometry().switched_wires());
-        }
+        self.clear_pending();
         self.refresh_routing();
         if let Some(stream) = stream {
             self.probe_config_stream(stream.bits(), start);
@@ -602,9 +649,7 @@ impl SocSimulator {
         }
         self.cycles += 1;
         self.config_cycles += self.cycles - start;
-        for (pending, cas) in self.pending.iter_mut().zip(self.tam.chain().cases()) {
-            *pending = BitVec::zeros(cas.geometry().switched_wires());
-        }
+        self.clear_pending();
         self.refresh_routing();
         if self.probe.is_some() {
             self.probe_config_stream(&stream, start);
@@ -626,12 +671,18 @@ impl SocSimulator {
     ///
     /// `bus_in` enters the chain; `kinds[i]` says what CAS `i`'s wrapper
     /// does this clock (shift, capture, or hold). Returns the bus output at
-    /// the chain's far end.
+    /// the chain's far end, lent from the simulator's own bus buffer: the
+    /// clock itself allocates nothing beyond what the wrapped core models
+    /// return, and the borrow ends before the next clock.
     ///
     /// # Errors
     ///
     /// Propagates width mismatches.
-    pub fn data_clock(&mut self, bus_in: &BitVec, kinds: &[ClockKind]) -> Result<BitVec, SimError> {
+    pub fn data_clock(
+        &mut self,
+        bus_in: &BitVec,
+        kinds: &[ClockKind],
+    ) -> Result<&BitVec, SimError> {
         if kinds.len() != self.wrappers.len() {
             return Err(SimError::KindsLengthMismatch {
                 got: kinds.len(),
@@ -639,10 +690,14 @@ impl SocSimulator {
             });
         }
         let t = self.cycles;
-        let out = self
-            .tam
-            .chain_mut()
-            .clock(bus_in, &self.pending, CasControl::run())?;
+        self.bus.copy_from(bus_in);
+        self.tam.chain_mut().clock_in_place(
+            &mut self.bus,
+            &self.pending,
+            &mut self.core_in,
+            &mut self.tested,
+            CasControl::run(),
+        )?;
         for (idx, kind) in kinds.iter().enumerate() {
             let stats = &mut self.core_stats[idx];
             match kind {
@@ -658,26 +713,27 @@ impl SocSimulator {
             }
         }
         for (idx, wrapper) in self.wrappers.iter_mut().enumerate() {
-            let p = out.core_in.get(idx).cloned().flatten();
-            let width = wrapper_port_width(wrapper);
+            let cas_p = self.pending[idx].len();
+            // The wrapper only sees the TAM when its CAS routes wires to it;
+            // outside a test mode its parallel output is all zeros.
+            if !wrapper.instruction().is_test_mode() {
+                resize_into(&mut self.pending[idx], &BitVec::new(), cas_p);
+                continue;
+            }
             let ctrl = match kinds[idx] {
                 ClockKind::Shift => WrapperControl::shift_data(),
                 ClockKind::Capture => WrapperControl::capture_data(),
                 ClockKind::Update => WrapperControl::update_data(),
                 ClockKind::Idle => WrapperControl::default(),
             };
-            // The wrapper only sees the TAM when its CAS routes wires to it.
-            let wpi = match (&p, wrapper.instruction().is_test_mode()) {
-                (Some(bits), true) => resize(bits, width),
-                _ => BitVec::zeros(width),
-            };
-            let wpo = if wrapper.instruction().is_test_mode() {
-                wrapper.clock_parallel(&wpi, &ctrl)
+            let wpi = &mut self.wpi[idx];
+            if self.tested[idx] {
+                resize_into(wpi, &self.core_in[idx], wrapper.parallel_width());
             } else {
-                BitVec::zeros(width)
-            };
-            let cas_p = self.pending[idx].len();
-            self.pending[idx] = resize(&wpo, cas_p);
+                resize_into(wpi, &BitVec::new(), wrapper.parallel_width());
+            }
+            let wpo = wrapper.clock_parallel(wpi, &ctrl);
+            resize_into(&mut self.pending[idx], &wpo, cas_p);
         }
         self.cycles += 1;
         self.test_cycles += 1;
@@ -686,13 +742,13 @@ impl SocSimulator {
             probe.set_time(t);
             probe.change_u64(signals.phase, PHASE_TEST, 2);
             for (wire, id) in signals.bus.iter().enumerate() {
-                probe.change_bit(*id, out.bus_out.get(wire).unwrap_or(false));
+                probe.change_bit(*id, self.bus.get(wire).unwrap_or(false));
             }
             for (idx, kind) in kinds.iter().enumerate() {
                 probe.change_u64(signals.wrapper_ctrl[idx], clock_kind_code(*kind), 2);
             }
         }
-        Ok(out.bus_out)
+        Ok(&self.bus)
     }
 
     /// Whether a waveform probe is attached (the compiled engine falls back
@@ -742,24 +798,19 @@ impl SocSimulator {
     /// Propagates width mismatches.
     pub fn idle_clocks(&mut self, cycles: u64) -> Result<(), SimError> {
         let kinds = vec![ClockKind::Idle; self.wrappers.len()];
+        let idle_bus = BitVec::zeros(self.bus_width());
         for _ in 0..cycles {
-            self.data_clock(&BitVec::zeros(self.bus_width()), &kinds)?;
+            self.data_clock(&idle_bus, &kinds)?;
         }
         Ok(())
     }
 }
 
-fn wrapper_port_width(wrapper: &Wrapper<Box<dyn TestableCore>>) -> usize {
-    wrapper.parallel_width()
-}
-
-/// Truncates or zero-pads to `width` bits.
-fn resize(bits: &BitVec, width: usize) -> BitVec {
-    let mut out = BitVec::with_capacity(width);
-    for i in 0..width {
-        out.push(bits.get(i).unwrap_or(false));
-    }
-    out
+/// Overwrites `dst` with `src` truncated or zero-padded to `width` bits,
+/// reusing `dst`'s allocation.
+fn resize_into(dst: &mut BitVec, src: &BitVec, width: usize) {
+    dst.copy_from(src);
+    dst.resize(width, false);
 }
 
 impl fmt::Debug for SocSimulator {

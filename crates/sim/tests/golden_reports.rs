@@ -1,7 +1,10 @@
 //! Pinned reports: every field of the Figure-1 `SocTestReport` under
 //! `packed_schedule(8)`, for a healthy die and one defective die per
-//! injectable core. The values were recorded from the bit-serial reference
-//! interpreter before the core models moved to word-level shifting.
+//! injectable core, and of the healthy die under the searched plan the
+//! flagship lot serves. The `packed_schedule` values were recorded from the
+//! bit-serial reference interpreter before the core models moved to
+//! word-level shifting; the searched-plan values before the interpreter
+//! moved to simulator-owned buffers.
 //!
 //! Every engine shares the behavioural core models, so the differential
 //! suites, which compare engines with each other, cannot see a change of
@@ -11,10 +14,10 @@ use std::sync::Arc;
 
 use casbus::RouteTableCache;
 use casbus_controller::schedule::packed_schedule;
-use casbus_controller::CompiledProgram;
+use casbus_controller::{CompiledProgram, SearchBudget};
 use casbus_sim::{
-    run_program_reference, CompiledEngine, FaultKind, InjectedFault, PackedDeviceEngine,
-    SocSimulator, SocTestReport,
+    run_program_reference, CompiledEngine, FaultKind, FleetRunner, InjectedFault,
+    PackedDeviceEngine, SocSimulator, SocTestReport,
 };
 use casbus_soc::catalog;
 use casbus_tpg::Verdict;
@@ -203,4 +206,56 @@ fn packed_engine_reproduces_the_pinned_reports() {
         );
         assert_eq!(device.report, die.report(), "packed, {:?}", die.fault);
     }
+}
+
+/// The healthy Figure-1 die under `FleetRunner::searched(figure1, 8,
+/// SearchBudget::smoke())`, the plan of the flagship lot: three steps whose
+/// sessions start in a different order than `packed_schedule`'s.
+fn searched_healthy_report() -> SocTestReport {
+    let named = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+        pairs.iter().map(|&(c, v)| (c.to_string(), v)).collect()
+    };
+    let signatures = named(&[
+        ("core1_cpu", 0xfc63_0997_7af4_40be),
+        ("core3_sram", 0xb370_f7cd_f782_c211),
+        ("core4_dma", 0x97bf_7c24_5669_333e),
+        ("core6_eeprom", 0x0464_2f2b_616f_6cae),
+        ("core2_dsp", 0xc2ca_1082_cde7_28e7),
+        ("core5_subsystem", 0x3d4c_f84e_f2ab_4db8),
+    ]);
+    let per_core_cycles = named(&[
+        ("core1_cpu", 18_621),
+        ("core2_dsp", 18_621),
+        ("core3_sram", 18_621),
+        ("core4_dma", 18_621),
+        ("core5_subsystem", 18_621),
+        ("core6_eeprom", 18_621),
+        ("system_bus", 18_621),
+    ]);
+    SocTestReport {
+        verdicts: signatures
+            .iter()
+            .map(|(c, _)| (c.clone(), Verdict::Pass))
+            .collect(),
+        total_cycles: 18_747,
+        steps: 3,
+        per_core_cycles,
+        bus_cycles: 63_396,
+        signatures,
+    }
+}
+
+#[test]
+fn reference_and_compiled_engines_reproduce_the_searched_plan_report() {
+    let soc = catalog::figure1_soc();
+    let runner = FleetRunner::searched(&soc, 8, SearchBudget::smoke()).expect("searched runner");
+    let program = runner.plan().program();
+    let expected = searched_healthy_report();
+    let fresh = || SocSimulator::new(&soc, 8).expect("simulator");
+    let reference = run_program_reference(&mut fresh(), program).expect("reference");
+    assert_eq!(reference, expected, "reference");
+    let compiled = CompiledEngine::new()
+        .run(&mut fresh(), program)
+        .expect("compiled");
+    assert_eq!(compiled, expected, "compiled");
 }

@@ -257,6 +257,29 @@ impl BitVec {
         self.len = other.len;
     }
 
+    /// Resizes to `len` bits in place: truncates, or appends copies of
+    /// `bit`. Reuses the existing word allocation whenever it is large
+    /// enough, like [`BitVec::copy_from`].
+    ///
+    /// ```
+    /// use casbus_tpg::BitVec;
+    /// let mut v: BitVec = "1011".parse().unwrap();
+    /// v.resize(2, false);
+    /// assert_eq!(v.to_string(), "10");
+    /// v.resize(5, true);
+    /// assert_eq!(v.to_string(), "10111");
+    /// ```
+    pub fn resize(&mut self, len: usize, bit: bool) {
+        let old = self.len;
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+        if len <= old {
+            self.mask_tail();
+        } else {
+            self.fill_range(old..len, bit);
+        }
+    }
+
     /// Appends all bits from `other`.
     pub fn extend_from(&mut self, other: &BitVec) {
         for bit in other.iter() {
