@@ -9,10 +9,10 @@
 //! cargo run --release -p casbus-bench --bin fault_sim_speedup
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use casbus::SchemeSet;
-use casbus_bench::PAPER_TABLE1;
+use casbus_bench::{best_of, PAPER_TABLE1};
 use casbus_netlist::{fault, synth, Netlist};
 use casbus_tpg::BitVec;
 
@@ -36,27 +36,6 @@ fn sequences(inputs: usize, count: usize, depth: usize) -> Vec<Vec<BitVec>> {
                 .collect()
         })
         .collect()
-}
-
-/// Runs `f` at least once and at most `max_runs` times or `budget` total,
-/// returning the fastest observed wall-clock time.
-fn best_of<T>(max_runs: usize, budget: Duration, mut f: impl FnMut() -> T) -> (Duration, T) {
-    let started = Instant::now();
-    let t0 = Instant::now();
-    let mut result = f();
-    let mut best = t0.elapsed();
-    for _ in 1..max_runs {
-        if started.elapsed() > budget {
-            break;
-        }
-        let t0 = Instant::now();
-        result = f();
-        let run = t0.elapsed();
-        if run < best {
-            best = run;
-        }
-    }
-    (best, result)
 }
 
 struct Row {

@@ -205,9 +205,8 @@ fn bist_memory_soc() -> casbus_soc::SocDescription {
 }
 
 fn main() {
-    let smoke = std::env::var("CASBUS_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    let require_scaling =
-        std::env::var("CASBUS_BENCH_REQUIRE_SCALING").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
+    let require_scaling = casbus_bench::env_flag("CASBUS_BENCH_REQUIRE_SCALING");
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (fleet_size, baseline_runs) = if smoke { (64u64, 4usize) } else { (256, 8) };
     let soc = catalog::figure1_soc();

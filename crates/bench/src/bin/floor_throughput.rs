@@ -88,7 +88,7 @@ struct Row {
 }
 
 fn main() {
-    let smoke = std::env::var("CASBUS_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (a_devices, b_devices) = if smoke { (64u64, 64u64) } else { (256, 256) };
 

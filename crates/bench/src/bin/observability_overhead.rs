@@ -28,6 +28,7 @@
 use std::time::{Duration, Instant};
 
 use casbus::{CasGeometry, Tam};
+use casbus_bench::best_of;
 use casbus_controller::{schedule, TestProgram};
 use casbus_netlist::crosspoint::synthesize_crosspoint_cas;
 use casbus_netlist::fault::enumerate_faults;
@@ -59,26 +60,6 @@ fn sequences(inputs: usize) -> Vec<Vec<BitVec>> {
                 .collect()
         })
         .collect()
-}
-
-/// Best-of-`RUNS` wall clock within a time budget.
-fn best_of<T>(mut f: impl FnMut() -> T) -> Duration {
-    let started = Instant::now();
-    let t0 = Instant::now();
-    let mut _result = f();
-    let mut best = t0.elapsed();
-    for _ in 1..RUNS {
-        if started.elapsed() > BUDGET {
-            break;
-        }
-        let t0 = Instant::now();
-        _result = f();
-        let run = t0.elapsed();
-        if run < best {
-            best = run;
-        }
-    }
-    best
 }
 
 struct Row {
@@ -165,7 +146,7 @@ fn soc_rows(rows: &mut Vec<Row>) {
     let tam = Tam::new(&soc, n).expect("valid");
     let program = TestProgram::from_schedule(&tam, &soc, &sched).expect("programmable");
 
-    let base = best_of(|| {
+    let (base, _) = best_of(RUNS, BUDGET, || {
         let mut sim = SocSimulator::new(&soc, n).expect("valid");
         report::run_program(&mut sim, &program).expect("runs")
     });
@@ -178,7 +159,7 @@ fn soc_rows(rows: &mut Vec<Row>) {
     });
 
     let sink = MemorySink::new();
-    let jsonl = best_of(|| {
+    let (jsonl, _) = best_of(RUNS, BUDGET, || {
         sink.clear();
         let mut sim = SocSimulator::new(&soc, n).expect("valid");
         sim.set_trace(sink.clone());
@@ -193,7 +174,7 @@ fn soc_rows(rows: &mut Vec<Row>) {
         events: sink.len(),
     });
 
-    let vcd = best_of(|| {
+    let (vcd, _) = best_of(RUNS, BUDGET, || {
         let writer = std::rc::Rc::new(std::cell::RefCell::new(VcdWriter::new("1ns")));
         let mut sim = SocSimulator::new(&soc, n).expect("valid");
         sim.attach_probe(Box::new(std::rc::Rc::clone(&writer)));
@@ -219,7 +200,7 @@ fn soc_rows(rows: &mut Vec<Row>) {
 }
 
 fn fleet_rows(rows: &mut Vec<Row>) {
-    let smoke = std::env::var("CASBUS_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
     let fleet_size: u64 = if smoke { 64 } else { 256 };
 
     // The example lot: Figure-1 on an 8-wire bus with a 2% defect stamp.

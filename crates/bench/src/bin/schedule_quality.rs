@@ -128,7 +128,7 @@ fn table1_rows(budget: SearchBudget) {
 }
 
 fn main() {
-    let smoke = std::env::var("CASBUS_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
     let budget = if smoke {
         SearchBudget::smoke()
     } else {

@@ -82,7 +82,7 @@ fn utilisation(sched: &Schedule) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::var("CASBUS_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
+    let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
     let budget = if smoke {
         SearchBudget::smoke()
     } else {

@@ -2,15 +2,14 @@
 //!
 //! Executes complete scheduled test programs (packed schedules — concurrent
 //! waves, dynamic reconfiguration between waves) on Table-1-sized SoCs with
-//! three engines:
+//! two engines, both on one thread:
 //!
 //! * the bit-serial reference interpreter
-//!   ([`casbus_sim::run_program_reference`]),
-//! * the compiled engine at 1 worker thread, and
-//! * the compiled engine with one worker per available CPU.
+//!   ([`casbus_sim::run_program_reference`]), and
+//! * the compiled word-level engine ([`casbus_sim::CompiledEngine`]).
 //!
-//! The reports from all three are asserted bit-identical before any time
-//! is recorded, so the numbers below always describe *equivalent* work.
+//! The two reports are asserted bit-identical before any time is recorded,
+//! so the numbers below always describe *equivalent* work.
 //! Results go to stdout and to `BENCH_soc_sim.json` at the workspace root
 //! (machine-readable, for tracking across commits).
 //!
@@ -21,33 +20,13 @@
 //! Set `CASBUS_BENCH_SMOKE=1` for a fast CI configuration (fewer repeat
 //! runs, small SoCs only).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use casbus::Tam;
+use casbus_bench::{best_of, env_flag};
 use casbus_controller::{schedule, TestProgram};
 use casbus_sim::{run_program_reference, CompiledEngine, SocSimulator, SocTestReport};
 use casbus_soc::{catalog, SocDescription};
-
-/// Runs `f` at least once and at most `max_runs` times or `budget` total,
-/// returning the fastest observed wall-clock time.
-fn best_of<T>(max_runs: usize, budget: Duration, mut f: impl FnMut() -> T) -> (Duration, T) {
-    let started = Instant::now();
-    let t0 = Instant::now();
-    let mut result = f();
-    let mut best = t0.elapsed();
-    for _ in 1..max_runs {
-        if started.elapsed() > budget {
-            break;
-        }
-        let t0 = Instant::now();
-        result = f();
-        let run = t0.elapsed();
-        if run < best {
-            best = run;
-        }
-    }
-    (best, result)
-}
 
 struct Row {
     soc: &'static str,
@@ -56,16 +35,11 @@ struct Row {
     test_cycles: u64,
     reference: Duration,
     compiled: Duration,
-    threaded: Duration,
 }
 
 impl Row {
     fn speedup_compiled(&self) -> f64 {
         self.reference.as_secs_f64() / self.compiled.as_secs_f64().max(1e-9)
-    }
-
-    fn speedup_threaded(&self) -> f64 {
-        self.reference.as_secs_f64() / self.threaded.as_secs_f64().max(1e-9)
     }
 }
 
@@ -75,7 +49,7 @@ fn program_for(soc: &SocDescription, n: usize) -> TestProgram {
     TestProgram::from_schedule(&tam, soc, &sched).expect("program")
 }
 
-fn measure(name: &'static str, soc: &SocDescription, n: usize, threads: usize, smoke: bool) -> Row {
+fn measure(name: &'static str, soc: &SocDescription, n: usize, smoke: bool) -> Row {
     let program = program_for(soc, n);
     let (runs, budget) = if smoke {
         (2, Duration::from_secs(2))
@@ -87,18 +61,16 @@ fn measure(name: &'static str, soc: &SocDescription, n: usize, threads: usize, s
         let mut sim = SocSimulator::new(soc, n).expect("simulator");
         run_program_reference(&mut sim, &program).expect("reference run")
     };
-    let run_compiled = |threads: usize| -> SocTestReport {
+    let run_compiled = || -> SocTestReport {
         let mut sim = SocSimulator::new(soc, n).expect("simulator");
-        CompiledEngine::with_threads(threads)
+        CompiledEngine::new()
             .run(&mut sim, &program)
             .expect("compiled run")
     };
 
-    let (compiled_t, compiled) = best_of(runs, budget, || run_compiled(1));
-    let (threaded_t, threaded) = best_of(runs, budget, || run_compiled(threads));
+    let (compiled_t, compiled) = best_of(runs, budget, run_compiled);
     let (reference_t, reference) = best_of(runs.min(3), budget, run_reference);
     assert_eq!(compiled, reference, "compiled engine diverged on {name}");
-    assert_eq!(threaded, reference, "threaded engine diverged on {name}");
     assert!(reference.all_pass(), "fault-free {name} must pass");
 
     Row {
@@ -108,24 +80,23 @@ fn measure(name: &'static str, soc: &SocDescription, n: usize, threads: usize, s
         test_cycles: reference.total_cycles,
         reference: reference_t,
         compiled: compiled_t,
-        threaded: threaded_t,
     }
 }
 
 fn main() {
-    let smoke = std::env::var("CASBUS_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let smoke = env_flag("CASBUS_BENCH_SMOKE");
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     println!(
-        "SoC session-engine comparison (packed schedules, {} worker threads{})",
-        threads,
+        "SoC session-engine comparison (packed schedules, one thread, {hardware_threads} \
+         hardware threads{})",
         if smoke { ", smoke" } else { "" }
     );
     println!();
     println!(
-        "{:<14} {:>3} {:>5} {:>10} | {:>12} {:>12} {:>12} | {:>8} {:>8}",
-        "soc", "N", "cores", "cycles", "reference", "compiled", "threaded", "x1", "xT"
+        "{:<14} {:>3} {:>5} {:>10} | {:>12} {:>12} | {:>8}",
+        "soc", "N", "cores", "cycles", "reference", "compiled", "speedup"
     );
-    println!("{:-<36}+{:-<40}+{:-<18}", "", "", "");
+    println!("{:-<36}+{:-<27}+{:-<9}", "", "", "");
 
     let mut targets: Vec<(&'static str, SocDescription, usize)> = vec![
         ("figure1", catalog::figure1_soc(), 8),
@@ -137,18 +108,16 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, soc, n) in &targets {
-        let row = measure(name, soc, *n, threads, smoke);
+        let row = measure(name, soc, *n, smoke);
         println!(
-            "{:<14} {:>3} {:>5} {:>10} | {:>10.2}ms {:>10.2}ms {:>10.2}ms | {:>7.1}x {:>7.1}x",
+            "{:<14} {:>3} {:>5} {:>10} | {:>10.2}ms {:>10.2}ms | {:>7.1}x",
             row.soc,
             row.n,
             row.cores,
             row.test_cycles,
             row.reference.as_secs_f64() * 1e3,
             row.compiled.as_secs_f64() * 1e3,
-            row.threaded.as_secs_f64() * 1e3,
             row.speedup_compiled(),
-            row.speedup_threaded()
         );
         rows.push(row);
     }
@@ -158,22 +127,19 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"soc\": \"{}\", \"n\": {}, \"cores\": {}, \"test_cycles\": {}, \
-                 \"reference_ms\": {:.3}, \"compiled_ms\": {:.3}, \"threaded_ms\": {:.3}, \
-                 \"speedup_compiled\": {:.2}, \"speedup_threaded\": {:.2}}}",
+                 \"reference_ms\": {:.3}, \"compiled_ms\": {:.3}, \"speedup_compiled\": {:.2}}}",
                 r.soc,
                 r.n,
                 r.cores,
                 r.test_cycles,
                 r.reference.as_secs_f64() * 1e3,
                 r.compiled.as_secs_f64() * 1e3,
-                r.threaded.as_secs_f64() * 1e3,
                 r.speedup_compiled(),
-                r.speedup_threaded()
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"soc_session_simulation\",\n  \"engines\": [\"reference_bit_serial\", \"compiled_word_level\", \"compiled_threaded\"],\n  \"threads\": {threads},\n  \"smoke\": {smoke},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"soc_session_simulation\",\n  \"engines\": [\"reference_bit_serial\", \"compiled_word_level\"],\n  \"hardware_threads\": {hardware_threads},\n  \"smoke\": {smoke},\n  \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
     let path = "BENCH_soc_sim.json";

@@ -12,6 +12,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::time::{Duration, Instant};
+
 use casbus::CasGeometry;
 
 /// One row of the paper's Table 1: `(N, P, m, k, gates)` as printed in the
@@ -137,6 +139,31 @@ pub fn ratio(ours: f64, paper: f64) -> String {
     } else {
         format!("{:.2}x", ours / paper)
     }
+}
+
+/// Runs `f` at least once and at most `max_runs` times or until `budget`
+/// has elapsed, returning the fastest run's wall-clock time and the last
+/// run's result.
+pub fn best_of<T>(max_runs: usize, budget: Duration, mut f: impl FnMut() -> T) -> (Duration, T) {
+    let started = Instant::now();
+    let mut result = f();
+    let mut best = started.elapsed();
+    for _ in 1..max_runs {
+        if started.elapsed() > budget {
+            break;
+        }
+        let run = Instant::now();
+        result = f();
+        best = best.min(run.elapsed());
+    }
+    (best, result)
+}
+
+/// Whether the environment variable `name` is set to anything but empty
+/// or `0`: `CASBUS_BENCH_SMOKE=1` selects a bench's fast configuration,
+/// `CASBUS_BENCH_REQUIRE_SCALING=1` turns a scaling warning into a failure.
+pub fn env_flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// The median and range of repeated timings, so a bench gates on the
@@ -274,6 +301,35 @@ mod tests {
         let even = Spread::of(&[4.0, 1.0, 2.0, 3.0]);
         assert_eq!((even.median, even.min, even.max), (2.5, 1.0, 4.0));
         assert_eq!(even.range_json(1), "[1.0, 4.0]");
+    }
+
+    #[test]
+    fn best_of_runs_once_past_its_budget_and_at_most_max_runs() {
+        let mut calls = 0;
+        let (_, last) = best_of(5, Duration::ZERO, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((calls, last), (1, 1));
+        let mut calls = 0;
+        let (best, last) = best_of(3, Duration::MAX, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((calls, last), (3, 3));
+        assert!(best < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn env_flags_are_off_unless_set_to_something_but_zero() {
+        let name = "CASBUS_BENCH_TEST_ENV_FLAG";
+        std::env::remove_var(name);
+        assert!(!env_flag(name));
+        for (value, on) in [("", false), ("0", false), ("1", true), ("yes", true)] {
+            std::env::set_var(name, value);
+            assert_eq!(env_flag(name), on, "{value:?}");
+        }
+        std::env::remove_var(name);
     }
 
     #[test]

@@ -217,9 +217,7 @@ impl Schedule {
 
     /// Tests grouped into configuration waves, by ascending start time.
     /// Tests inside one wave occupy disjoint wire windows (the packing
-    /// invariant), so a session engine may run them on concurrent workers
-    /// and join at the wave boundary — exactly what
-    /// `casbus_sim::CompiledEngine::with_threads` does per program step.
+    /// invariant): they are the concurrent sessions of one program step.
     pub fn waves(&self) -> Vec<Vec<&ScheduledTest>> {
         let mut starts: Vec<u64> = self.tests.iter().map(|t| t.start).collect();
         starts.sort_unstable();
@@ -233,30 +231,6 @@ impl Schedule {
     /// Concurrent-session count of each wave, in wave order.
     pub fn wave_concurrency(&self) -> Vec<usize> {
         self.waves().iter().map(Vec::len).collect()
-    }
-
-    /// The most wire-disjoint sessions any wave runs at once: the useful
-    /// upper bound on engine worker threads (more workers than this can
-    /// never be busy simultaneously).
-    pub fn max_parallel_lanes(&self) -> usize {
-        self.wave_concurrency().into_iter().max().unwrap_or(0)
-    }
-
-    /// Splits one wave's tests across `workers` buckets,
-    /// longest-processing-time first (each test goes to the currently
-    /// lightest bucket), returning the [`CoreId`]s per bucket. All tests in
-    /// a wave are wire-disjoint, so any split is safe; LPT keeps the
-    /// per-worker cycle loads balanced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn partition_wave(wave: &[&ScheduledTest], workers: usize) -> Vec<Vec<CoreId>> {
-        let mut items: Vec<(u64, CoreId)> = wave.iter().map(|t| (t.duration, t.core)).collect();
-        // `partition_lpt`'s sort is stable, so pre-ordering by core id makes
-        // equal-duration ties deterministic.
-        items.sort_by_key(|&(_, core)| core);
-        partition_lpt(items, workers)
     }
 
     /// Publishes the schedule's static properties into a metrics registry:
@@ -316,12 +290,9 @@ impl fmt::Display for Schedule {
 /// currently lightest bucket. Never returns an empty bucket (at most
 /// `items.len()` buckets are created).
 ///
-/// This is the one load-balancing primitive shared by
-/// [`Schedule::partition_wave`] (planning worker lanes ahead of time) and
-/// `casbus_sim::CompiledEngine`'s per-step lane bucketing (doing it live):
-/// both slice a wire-disjoint wave across workers, so they must agree on
-/// the policy. The weight sort is stable — callers control equal-weight
-/// ties by pre-ordering `items`.
+/// `casbus_sim::pool::lpt_fanout` balances the schedule search's candidate
+/// validations over scoped workers with it. The weight sort is stable —
+/// callers control equal-weight ties by pre-ordering `items`.
 ///
 /// # Panics
 ///
@@ -974,37 +945,14 @@ mod tests {
             last_start = Some(start);
         }
         assert_eq!(
-            sched.max_parallel_lanes(),
-            sched.wave_concurrency().into_iter().max().unwrap()
+            sched.wave_concurrency(),
+            waves.iter().map(Vec::len).collect::<Vec<_>>()
         );
         // Serial schedules never run two sessions at once.
         let serial = serial_schedule(&soc, 8).unwrap();
-        assert_eq!(serial.max_parallel_lanes(), 1);
-        assert!(sched.max_parallel_lanes() >= serial.max_parallel_lanes());
-    }
-
-    #[test]
-    fn partition_wave_balances_and_covers() {
-        let soc = catalog::figure1_soc();
-        let sched = packed_schedule(&soc, 12).unwrap();
-        let waves = sched.waves();
-        let widest = waves
-            .iter()
-            .max_by_key(|w| w.len())
-            .expect("non-empty schedule");
-        for workers in 1..=4 {
-            let buckets = Schedule::partition_wave(widest, workers);
-            assert!(buckets.len() <= workers);
-            assert!(buckets.iter().all(|b| !b.is_empty()));
-            let mut cores: Vec<CoreId> = buckets.iter().flatten().copied().collect();
-            cores.sort();
-            let mut expected: Vec<CoreId> = widest.iter().map(|t| t.core).collect();
-            expected.sort();
-            assert_eq!(cores, expected, "every lane assigned exactly once");
-        }
-        // LPT with one worker per test gives singleton buckets.
-        let buckets = Schedule::partition_wave(widest, widest.len());
-        assert!(buckets.iter().all(|b| b.len() == 1));
+        assert!(serial.wave_concurrency().iter().all(|&lanes| lanes == 1));
+        let widest = |s: &Schedule| s.wave_concurrency().into_iter().max();
+        assert!(widest(&sched) >= widest(&serial));
     }
 
     #[test]

@@ -704,7 +704,7 @@ impl FleetRunner {
                 priority: 1,
                 packed: engine.is_some(),
                 #[cfg(test)]
-                panic_on: None,
+                fail_on: None,
             },
             engine,
             monitor,

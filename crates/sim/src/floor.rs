@@ -87,9 +87,9 @@ pub struct LotSpec {
     pub(crate) variation: VariationSpec,
     pub(crate) priority: u64,
     pub(crate) packed: bool,
-    /// Test-only fault injection: the job that tests this device panics.
+    /// Test-only fault injection: the job that tests this device fails.
     #[cfg(test)]
-    pub(crate) panic_on: Option<u64>,
+    pub(crate) fail_on: Option<(u64, tests::Failure)>,
 }
 
 impl std::fmt::Debug for LotSpec {
@@ -131,7 +131,7 @@ impl LotSpec {
             priority: 1,
             packed: true,
             #[cfg(test)]
-            panic_on: None,
+            fail_on: None,
         })
     }
 
@@ -586,7 +586,7 @@ impl TestFloor {
         for (idx, lot) in lots.iter().enumerate() {
             let spec = &lot.spec;
             #[cfg(test)]
-            let panic_on = spec.panic_on;
+            let fail_on = spec.fail_on;
             if let Some(engine) = &lot.engine {
                 for members in plan_cohorts(&spec.variation, &spec.soc, spec.devices) {
                     let engine = Arc::clone(engine);
@@ -595,7 +595,7 @@ impl TestFloor {
                         let first = members.first().map_or(0, |(id, _)| *id);
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
                             #[cfg(test)]
-                            injected_panic(panic_on, members.iter().map(|(id, _)| *id));
+                            tests::inject(fail_on, members.iter().map(|(id, _)| *id))?;
                             engine.run_cohort(members)
                         }))
                         .unwrap_or(Err(SimError::WorkerPanicked { device_id: first }));
@@ -614,7 +614,7 @@ impl TestFloor {
                     self.pool.execute_in(lanes[idx], move || {
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
                             #[cfg(test)]
-                            injected_panic(panic_on, std::iter::once(device_id));
+                            tests::inject(fail_on, std::iter::once(device_id))?;
                             let monitor = monitor.as_deref();
                             test_device(&soc, &plan, &cache, &sessions, device_id, fault, monitor)
                         }))
@@ -773,15 +773,6 @@ fn check_complete(
     Ok(())
 }
 
-/// Test-only fault injection: panics when `panic_on` names one of the
-/// job's `devices`.
-#[cfg(test)]
-fn injected_panic(panic_on: Option<u64>, mut devices: impl Iterator<Item = u64>) {
-    if let Some(device_id) = panic_on.filter(|id| devices.any(|d| d == *id)) {
-        panic!("injected panic on device {device_id}");
-    }
-}
-
 /// Plans the packed cohorts of one lot: device ids `0..fleet_size` grouped
 /// consecutively into cohorts of up to [`COHORT_LANES`], each member
 /// stamped by `spec` on the calling thread. A pure function of
@@ -882,6 +873,34 @@ mod tests {
     use casbus_controller::schedule::packed_schedule;
     use casbus_soc::catalog;
 
+    /// How a [`LotSpec::fail_on`] job fails.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Failure {
+        /// The job panics.
+        Panic,
+        /// The job returns [`injected_error`].
+        Error,
+    }
+
+    /// The error a [`Failure::Error`] job returns.
+    fn injected_error(device_id: u64) -> SimError {
+        SimError::UnknownCore(format!("injected error on device {device_id}"))
+    }
+
+    /// Fails the job when `fail_on` names one of its `devices`.
+    pub(super) fn inject(
+        fail_on: Option<(u64, Failure)>,
+        mut devices: impl Iterator<Item = u64>,
+    ) -> Result<(), SimError> {
+        match fail_on {
+            Some((device_id, failure)) if devices.any(|d| d == device_id) => match failure {
+                Failure::Panic => panic!("injected panic on device {device_id}"),
+                Failure::Error => Err(injected_error(device_id)),
+            },
+            _ => Ok(()),
+        }
+    }
+
     #[test]
     fn repeated_runs_keep_one_lane_per_lot_slot() {
         let scan = catalog::figure2a_scan_soc();
@@ -919,9 +938,11 @@ mod tests {
 
     #[test]
     fn a_panicking_device_fails_the_run_and_the_floor_keeps_serving() {
+        // A device's job that panics or returns an error fails the run with
+        // that error, and the floor's next run equals a fresh floor's.
         let soc = catalog::figure1_soc();
         let schedule = packed_schedule(&soc, 8).unwrap();
-        let lot = |packed: bool, panic_on: Option<u64>| {
+        let lot = |packed: bool, fail_on: Option<(u64, Failure)>| {
             let mut spec = LotSpec::new(
                 "lot",
                 &soc,
@@ -932,30 +953,40 @@ mod tests {
             )
             .unwrap()
             .with_packed(packed);
-            spec.panic_on = panic_on;
+            spec.fail_on = fail_on;
             spec
         };
         for packed in [false, true] {
             // Device 66 rides the second cohort, whose first device is 64.
             let named = if packed { 64 } else { 66 };
             for threads in [1usize, 2, 4] {
-                let context = format!("packed {packed}, {threads} threads");
-                let floor = TestFloor::new().with_threads(threads);
-                assert_eq!(
-                    floor.run(vec![lot(packed, Some(66))]).unwrap_err(),
-                    SimError::WorkerPanicked { device_id: named },
-                    "{context}"
-                );
-                let again = floor.run(vec![lot(packed, None)]).unwrap();
                 let fresh = TestFloor::new()
                     .with_threads(threads)
                     .run(vec![lot(packed, None)])
                     .unwrap();
-                assert_eq!(again.lots[0].fleet.fleet_size(), 70, "{context}");
-                assert_eq!(
-                    again.lots[0].fleet.devices, fresh.lots[0].fleet.devices,
-                    "{context}"
-                );
+                let floor = TestFloor::new().with_threads(threads);
+                for (failure, error) in [
+                    (
+                        Failure::Panic,
+                        SimError::WorkerPanicked { device_id: named },
+                    ),
+                    (Failure::Error, injected_error(66)),
+                ] {
+                    let context = format!("packed {packed}, {threads} threads, {failure:?}");
+                    assert_eq!(
+                        floor
+                            .run(vec![lot(packed, Some((66, failure)))])
+                            .unwrap_err(),
+                        error,
+                        "{context}"
+                    );
+                    let again = floor.run(vec![lot(packed, None)]).unwrap();
+                    assert_eq!(again.lots[0].fleet.fleet_size(), 70, "{context}");
+                    assert_eq!(
+                        again.lots[0].fleet.devices, fresh.lots[0].fleet.devices,
+                        "{context}"
+                    );
+                }
             }
         }
     }

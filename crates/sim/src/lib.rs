@@ -25,7 +25,9 @@
 //!   [`SessionReport`] with cycle counts and a pass/fail verdict,
 //! * [`report::run_program`] — execute a whole scheduled
 //!   [`TestProgram`](casbus_controller::TestProgram) (concurrent cores and
-//!   all) and get per-core verdicts plus the measured SoC test time,
+//!   all) and get per-core verdicts plus the measured SoC test time; the
+//!   run's cycle counters stay on the simulator for
+//!   [`SocSimulator::export_metrics`],
 //! * [`search::run_program_searched`] — let the controller's annealed
 //!   makespan search pick the schedule, validating survivors on the
 //!   compiled engine and gating the winner bit-exactly against the
@@ -49,6 +51,12 @@
 //!   the floor: pause, demote or abort a lot whose rolling yield collapses,
 //!   and boost a starved lot, without perturbing co-tenants,
 //! * fault injection — flip a core defect on and watch the session fail.
+//!
+//! One device runs on one thread: an engine runs a step's concurrent
+//! sessions one after another, and the paper's concurrency (cores tested
+//! at once on disjoint CAS wire windows) is reproduced exactly in cycle
+//! arithmetic. Host threads serve many devices at once (fleets, floors)
+//! and validate many schedule candidates at once (the search).
 //!
 //! # Example
 //!
@@ -91,10 +99,7 @@ pub use floor::{FloorReport, LotReport, LotSpec, LotStatus, TestFloor};
 pub use interconnect::run_interconnect_extest;
 pub use monitor::{DeviceDump, FleetMonitor, FleetSnapshot, LotTracker, MonitorConfig, Straggler};
 pub use pool::{LaneId, WorkerPool};
-pub use report::{
-    run_program, run_program_reference, run_program_reference_with_metrics,
-    run_program_with_metrics, SocTestReport,
-};
+pub use report::{run_program, run_program_reference, SocTestReport};
 pub use search::{run_program_searched, run_program_searched_with_metrics, CompiledValidator};
 pub use session::{run_core_session, ClockKind, SessionReport};
 pub use simulator::{SimError, SocSimulator};

@@ -2,12 +2,11 @@
 //!
 //! Two shapes of parallelism live here:
 //!
-//! * [`lpt_fanout`] — the *scoped* fan-out every per-wave / per-candidate
-//!   path uses: weighted items are balanced over short-lived workers by
-//!   longest-processing-time (the same [`partition_lpt`] the schedule
-//!   partitioner uses, so schedule-time predictions and run-time bucketing
-//!   agree), joined before returning. Borrowed data is fine; thread churn is
-//!   paid per call.
+//! * [`lpt_fanout`] — the *scoped* fan-out the schedule search's
+//!   per-candidate validation uses: weighted items are balanced over
+//!   short-lived workers by longest-processing-time ([`partition_lpt`]),
+//!   joined before returning. Borrowed data is fine; thread churn is paid
+//!   per call.
 //! * [`WorkerPool`] — the *persistent* pool fleet serving runs on:
 //!   long-lived workers pull whole jobs from shared injector queues, so
 //!   a thousand-device run spawns its threads exactly once. Jobs must be
@@ -20,13 +19,14 @@
 //! The split is deliberate: a persistent pool cannot safely borrow from the
 //! submitting stack frame, and a scoped pool cannot amortise thread startup
 //! across calls. Per-device work (owns its simulator) takes the persistent
-//! pool; per-lane work (borrows the device's wrappers) takes the scoped
-//! fan-out.
+//! pool; a search round's candidates (borrowed from the search) take the
+//! scoped fan-out. One device runs on one thread: its engine runs a step's
+//! lanes one after another.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -262,6 +262,23 @@ impl WorkerPool {
         Self { shared, workers }
     }
 
+    /// Locks the pool's state for an operation on `lane`, whose slot is
+    /// then `state.lanes[lane.0]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` does not belong to this pool — after releasing the
+    /// lock, so the panic cannot poison the lock every worker and `Drop`
+    /// take.
+    fn lock_lane(&self, lane: LaneId) -> MutexGuard<'_, PoolState> {
+        let state = self.shared.state.lock().expect("worker pool poisoned");
+        if lane.0 >= state.lanes.len() {
+            drop(state);
+            panic!("lane {} of another pool", lane.0);
+        }
+        state
+    }
+
     fn worker_loop(shared: &PoolShared) {
         loop {
             let job = {
@@ -340,9 +357,9 @@ impl WorkerPool {
                 .load(Ordering::Acquire)
                 .then(Instant::now),
         };
-        let mut state = self.shared.state.lock().expect("worker pool poisoned");
+        let mut state = self.lock_lane(lane);
         let global_pass = state.global_pass;
-        let slot = state.lanes.get_mut(lane.0).expect("lane of another pool");
+        let slot = &mut state.lanes[lane.0];
         if slot.jobs.is_empty() {
             // Rejoin at the scheduler's current virtual time: an idle lane
             // must not replay the share it did not use.
@@ -357,13 +374,7 @@ impl WorkerPool {
     /// skip the lane); jobs already running finish normally. Resuming wakes
     /// every idle worker.
     pub fn set_lane_paused(&self, lane: LaneId, paused: bool) {
-        let mut state = self.shared.state.lock().expect("worker pool poisoned");
-        state
-            .lanes
-            .get_mut(lane.0)
-            .expect("lane of another pool")
-            .paused = paused;
-        drop(state);
+        self.lock_lane(lane).lanes[lane.0].paused = paused;
         if !paused {
             self.shared.work_ready.notify_all();
         }
@@ -372,12 +383,7 @@ impl WorkerPool {
     /// Changes `lane`'s fair-share weight (clamped to at least 1), taking
     /// effect from the next scheduling decision.
     pub fn set_lane_weight(&self, lane: LaneId, weight: u64) {
-        let mut state = self.shared.state.lock().expect("worker pool poisoned");
-        state
-            .lanes
-            .get_mut(lane.0)
-            .expect("lane of another pool")
-            .weight = weight.max(1);
+        self.lock_lane(lane).lanes[lane.0].weight = weight.max(1);
     }
 
     /// Drops every job still queued on `lane` (jobs already running
@@ -385,24 +391,16 @@ impl WorkerPool {
     /// captured — result senders included — is dropped with it, so
     /// collectors observing channel hang-up see the lane end cleanly.
     pub fn drain_lane(&self, lane: LaneId) -> usize {
-        let mut state = self.shared.state.lock().expect("worker pool poisoned");
-        let slot = state.lanes.get_mut(lane.0).expect("lane of another pool");
-        let dropped = slot.jobs.len();
-        slot.jobs.clear();
+        let mut state = self.lock_lane(lane);
+        let jobs = &mut state.lanes[lane.0].jobs;
+        let dropped = jobs.len();
+        jobs.clear();
         dropped
     }
 
     /// Jobs currently queued (not yet picked up) on `lane`.
     pub fn lane_queued(&self, lane: LaneId) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("worker pool poisoned")
-            .lanes
-            .get(lane.0)
-            .expect("lane of another pool")
-            .jobs
-            .len()
+        self.lock_lane(lane).lanes[lane.0].jobs.len()
     }
 
     /// Attaches (or with `None` detaches) a registry receiving per-job
@@ -519,6 +517,39 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn a_foreign_lane_panics_without_poisoning_the_pool() {
+        let pool = WorkerPool::new(2);
+        let foreign = LaneId(5);
+        for name in [
+            "execute_in",
+            "set_lane_paused",
+            "set_lane_weight",
+            "drain_lane",
+            "lane_queued",
+        ] {
+            let caught = catch_unwind(AssertUnwindSafe(|| match name {
+                "execute_in" => pool.execute_in(foreign, || {}),
+                "set_lane_paused" => pool.set_lane_paused(foreign, true),
+                "set_lane_weight" => pool.set_lane_weight(foreign, 2),
+                "drain_lane" => drop(pool.drain_lane(foreign)),
+                _ => drop(pool.lane_queued(foreign)),
+            }));
+            assert!(
+                caught.is_err(),
+                "{name} accepted a lane the pool does not have"
+            );
+            // The default lane still serves: the panic left the lock usable.
+            let (tx, rx) = mpsc::channel();
+            pool.execute(move || tx.send(name).unwrap());
+            assert_eq!(
+                rx.recv_timeout(std::time::Duration::from_secs(10)),
+                Ok(name)
+            );
+        }
+        assert!(catch_unwind(AssertUnwindSafe(move || drop(pool))).is_ok());
     }
 
     #[test]

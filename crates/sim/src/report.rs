@@ -3,7 +3,7 @@
 use std::fmt;
 
 use casbus_controller::TestProgram;
-use casbus_obs::{MetricsRegistry, TraceEvent};
+use casbus_obs::TraceEvent;
 use casbus_soc::CoreDescription;
 use casbus_tpg::{BitVec, Verdict};
 
@@ -81,6 +81,17 @@ pub(crate) struct Lane<S> {
     pub(crate) wires: Vec<usize>,
 }
 
+/// What one lane of a finished step produced: its verdict and session
+/// signature, and what its `session` span names.
+pub(crate) struct LaneResult {
+    pub(crate) name: String,
+    pub(crate) cas_index: usize,
+    /// The lane's plan cycles.
+    pub(crate) data_cycles: usize,
+    pub(crate) verdict: Verdict,
+    pub(crate) signature: u64,
+}
+
 /// A tested core's session as the reference interpreter runs it: the
 /// per-cycle plan and the golden model's per-cycle responses, rebuilt on
 /// every call, so the oracle never reads the compiled sessions it checks.
@@ -94,6 +105,11 @@ impl ReferenceSession {
         let plan = SessionPlan::for_core(desc);
         let golden = golden_run(desc, &plan);
         Self { plan, golden }
+    }
+
+    /// Plan cycles.
+    pub(crate) fn len(&self) -> usize {
+        self.plan.len()
     }
 }
 
@@ -130,7 +146,7 @@ pub(crate) fn collect_lanes<S>(
 
 /// Runs one configured step's lanes through the cycle-by-cycle interpreter
 /// (the reference path, exact under probes and serial wire sharing).
-/// Returns `(name, verdict, signature)` per lane, in lane order.
+/// Returns one result per lane, in lane order.
 ///
 /// One bus and one clock-kind buffer serve the whole step, and each lane's
 /// observed bits go straight into its port-major streams: the signature's
@@ -138,20 +154,14 @@ pub(crate) fn collect_lanes<S>(
 pub(crate) fn drive_lanes_reference(
     sim: &mut SocSimulator,
     lanes: &[Lane<ReferenceSession>],
-    step_index: usize,
-    step_start: u64,
-) -> Result<Vec<(String, Verdict, u64)>, SimError> {
-    let horizon = lanes
-        .iter()
-        .map(|l| l.session.plan.len())
-        .max()
-        .unwrap_or(0);
+) -> Result<Vec<LaneResult>, SimError> {
+    let horizon = lanes.iter().map(|l| l.session.len()).max().unwrap_or(0);
     // A lane observes every step cycle up to one past its plan, the last
     // retimed response included.
     let mut streams: Vec<Vec<BitVec>> = lanes
         .iter()
         .map(|lane| {
-            let observed = horizon.min(lane.session.plan.len() + 1);
+            let observed = horizon.min(lane.session.len() + 1);
             (0..lane.session.plan.ports())
                 .map(|_| BitVec::with_capacity(observed))
                 .collect()
@@ -173,55 +183,53 @@ pub(crate) fn drive_lanes_reference(
         }
         let out = sim.data_clock(&bus, &kinds)?;
         for (lane, lane_streams) in lanes.iter().zip(streams.iter_mut()) {
-            if t < lane.session.plan.len() + 1 {
+            if t < lane.session.len() + 1 {
                 for (j, stream) in lane_streams.iter_mut().enumerate() {
                     stream.push(out.get(lane.wires[j]).expect("wire < n"));
                 }
             }
         }
     }
-    let trace = sim.trace();
-    let mut results = Vec::with_capacity(lanes.len());
-    for (lane, streams) in lanes.iter().zip(&streams) {
-        let verdict = compare(&lane.session.golden, streams);
-        let signature = lane_signature(streams);
-        if trace.enabled() {
-            trace.record(session_span(
-                sim,
-                lane,
-                lane.session.plan.len(),
-                step_index,
-                step_start,
-                verdict.is_pass(),
-            ));
-        }
-        results.push((lane.name.clone(), verdict, signature));
-    }
-    Ok(results)
+    Ok(lanes
+        .iter()
+        .zip(&streams)
+        .map(|(lane, streams)| LaneResult {
+            name: lane.name.clone(),
+            cas_index: lane.cas_index,
+            data_cycles: lane.session.len(),
+            verdict: compare(&lane.session.golden, streams),
+            signature: lane_signature(streams),
+        })
+        .collect())
 }
 
-/// The `session` span of one lane's finished step: both engines emit it,
-/// so traced compiled and reference runs export the same events.
-pub(crate) fn session_span<S>(
+/// Records the `session` span of every lane of a finished step, in lane
+/// order. Compiled and interpreted steps both call it, so traced compiled
+/// and reference runs export the same events.
+pub(crate) fn record_session_spans(
     sim: &SocSimulator,
-    lane: &Lane<S>,
-    data_cycles: usize,
+    results: &[LaneResult],
     step_index: usize,
     step_start: u64,
-    pass: bool,
-) -> TraceEvent {
-    TraceEvent::span(
-        "session",
-        lane.name.clone(),
-        step_start,
-        sim.cycles() - step_start,
-        vec![
-            ("step", step_index.into()),
-            ("cas", lane.cas_index.into()),
-            ("data_cycles", data_cycles.into()),
-            ("pass", pass.into()),
-        ],
-    )
+) {
+    let trace = sim.trace();
+    if !trace.enabled() {
+        return;
+    }
+    for lane in results {
+        trace.record(TraceEvent::span(
+            "session",
+            lane.name.clone(),
+            step_start,
+            sim.cycles() - step_start,
+            vec![
+                ("step", step_index.into()),
+                ("cas", lane.cas_index.into()),
+                ("data_cycles", lane.data_cycles.into()),
+                ("pass", lane.verdict.is_pass().into()),
+            ],
+        ));
+    }
 }
 
 /// Cycle/stat baselines captured before a program, so a reused simulator
@@ -242,22 +250,15 @@ impl ReportBaseline {
     }
 }
 
-/// Publishes the simulator aggregates into `metrics` (when attached) and
-/// assembles the final report from the per-lane `(name, verdict,
-/// signature)` results. The report's cycle fields read the simulator's own
-/// counters — the very values `export_metrics` publishes — so metric-less
-/// runs (the per-device fleet hot path) skip the registry entirely and stay
-/// bit-identical.
+/// Assembles the final report from the per-lane results. The report's
+/// cycle fields read the simulator's own counters — the very values
+/// [`SocSimulator::export_metrics`] publishes after the run.
 pub(crate) fn finish_report(
     sim: &SocSimulator,
-    metrics: Option<&MetricsRegistry>,
     baseline: &ReportBaseline,
-    results: Vec<(String, Verdict, u64)>,
+    results: Vec<LaneResult>,
     steps: usize,
 ) -> Result<SocTestReport, SimError> {
-    if let Some(metrics) = metrics {
-        sim.export_metrics(metrics);
-    }
     let stats = sim.core_stats();
     let mut per_core_cycles = Vec::new();
     for (idx, core_baseline) in baseline.core.iter().enumerate() {
@@ -267,9 +268,9 @@ pub(crate) fn finish_report(
     let bus_cycles = sim.wire_busy().iter().sum::<u64>() - baseline.busy;
     let mut verdicts = Vec::with_capacity(results.len());
     let mut signatures = Vec::with_capacity(results.len());
-    for (name, verdict, signature) in results {
-        signatures.push((name.clone(), signature));
-        verdicts.push((name, verdict));
+    for lane in results {
+        signatures.push((lane.name.clone(), lane.signature));
+        verdicts.push((lane.name, lane.verdict));
     }
     Ok(SocTestReport {
         verdicts,
@@ -290,7 +291,9 @@ pub(crate) fn finish_report(
 /// which batches shifting through route tables and falls back to the
 /// cycle-by-cycle interpreter whenever exactness demands it (probes,
 /// serial wire sharing). [`run_program_reference`] forces the
-/// interpreter; both produce identical reports.
+/// interpreter; both produce identical reports and leave identical
+/// counters, which [`SocSimulator::export_metrics`] publishes after the
+/// run.
 ///
 /// # Errors
 ///
@@ -300,21 +303,6 @@ pub fn run_program(
     program: &TestProgram,
 ) -> Result<SocTestReport, SimError> {
     crate::engine::CompiledEngine::new().run(sim, program)
-}
-
-/// [`run_program`], additionally publishing the simulator's cycle
-/// aggregates into `metrics` (see [`SocSimulator::export_metrics`]); the
-/// report's per-core and bus cycle fields match the published counters.
-///
-/// # Errors
-///
-/// Propagates configuration and width errors.
-pub fn run_program_with_metrics(
-    sim: &mut SocSimulator,
-    program: &TestProgram,
-    metrics: &MetricsRegistry,
-) -> Result<SocTestReport, SimError> {
-    crate::engine::CompiledEngine::new().run_with_metrics(sim, program, metrics)
 }
 
 /// [`run_program`] on the bit-serial cycle-by-cycle interpreter, the
@@ -328,38 +316,17 @@ pub fn run_program_reference(
     sim: &mut SocSimulator,
     program: &TestProgram,
 ) -> Result<SocTestReport, SimError> {
-    reference_run(sim, program, None)
-}
-
-/// [`run_program_reference`] with metrics publication.
-///
-/// # Errors
-///
-/// Propagates configuration and width errors.
-pub fn run_program_reference_with_metrics(
-    sim: &mut SocSimulator,
-    program: &TestProgram,
-    metrics: &MetricsRegistry,
-) -> Result<SocTestReport, SimError> {
-    reference_run(sim, program, Some(metrics))
-}
-
-/// Shared body of the reference runners: registry export is skipped
-/// entirely when no registry is attached.
-fn reference_run(
-    sim: &mut SocSimulator,
-    program: &TestProgram,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<SocTestReport, SimError> {
     let baseline = ReportBaseline::capture(sim);
-    let mut results: Vec<(String, Verdict, u64)> = Vec::new();
+    let mut results = Vec::new();
     for (step_index, step) in program.steps().iter().enumerate() {
         let step_start = sim.cycles();
         sim.configure(&step.configuration, &step.wrapper_instructions)?;
         let lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
-        results.extend(drive_lanes_reference(sim, &lanes, step_index, step_start)?);
+        let step_results = drive_lanes_reference(sim, &lanes)?;
+        record_session_spans(sim, &step_results, step_index, step_start);
+        results.extend(step_results);
     }
-    finish_report(sim, metrics, &baseline, results, program.steps().len())
+    finish_report(sim, &baseline, results, program.steps().len())
 }
 
 /// Tests the wrapped system bus through its wrapper's EXTEST path: a bit
@@ -500,8 +467,9 @@ mod tests {
         let soc = catalog::figure2a_scan_soc();
         let mut sim = SocSimulator::new(&soc, 4).unwrap();
         let program = program_for(&soc, 4, false);
+        let report = run_program(&mut sim, &program).unwrap();
         let metrics = casbus_obs::MetricsRegistry::new();
-        let report = run_program_with_metrics(&mut sim, &program, &metrics).unwrap();
+        sim.export_metrics(&metrics);
         assert!(report.all_pass(), "{report}");
         // Fresh simulator: registry totals are exactly this program's.
         assert_eq!(metrics.counter("sim.cycles.total"), sim.cycles());

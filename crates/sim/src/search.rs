@@ -31,8 +31,9 @@ use crate::simulator::{SimError, SocSimulator};
 /// Execution-backed candidate validation on the compiled engine.
 ///
 /// Candidates are spread over up to `threads` scoped workers by LPT on
-/// their makespans (the shared [`lpt_fanout`] the engine also uses for
-/// lanes), and every worker's engine shares this validator's [`RouteTableCache`]:
+/// their makespans ([`lpt_fanout`]), each running its candidates on a
+/// single-threaded engine, and every worker's engine shares this
+/// validator's [`RouteTableCache`]:
 /// survivor pools repeat wave shapes heavily, so most steps route-compile
 /// as a hash lookup. A candidate that fails to build, configure, or pass
 /// is vetoed (`None`) — the search then drops it from the pool.
@@ -126,8 +127,8 @@ impl CompiledValidator {
         report.all_pass().then_some(report.total_cycles)
     }
 
-    /// A single-threaded engine over this validator's caches: parallelism
-    /// lives across the candidates here, not within one run.
+    /// An engine over this validator's caches: parallelism lives across
+    /// the candidates, one thread per run.
     fn engine(&self) -> CompiledEngine {
         CompiledEngine::new()
             .with_cache(Arc::clone(&self.cache))
@@ -146,7 +147,8 @@ impl CompiledValidator {
         metrics: &MetricsRegistry,
     ) -> Result<SocTestReport, SimError> {
         let mut sim = SocSimulator::new(soc, n)?;
-        let report = self.engine().run_with_metrics(&mut sim, program, metrics)?;
+        let report = self.engine().run(&mut sim, program)?;
+        sim.export_metrics(metrics);
         let mut reference_sim = SocSimulator::new(soc, n)?;
         if report != run_program_reference(&mut reference_sim, program)? {
             return Err(SimError::SearchDiverged);

@@ -9,6 +9,7 @@ use casbus_p1500::{TestableCore, WrapperInstruction};
 use casbus_soc::{models, CoreDescription, TestMethod};
 use casbus_tpg::{BitVec, Lfsr, Polynomial, Verdict};
 
+use crate::report::{collect_lanes, drive_lanes_reference, ReferenceSession};
 use crate::simulator::{SimError, SocSimulator};
 
 /// What a wrapper does on one data clock.
@@ -448,7 +449,8 @@ pub(crate) fn wrapper_instruction_for(method: &TestMethod) -> WrapperInstruction
 
 /// Runs a complete verified session for one core: CONFIGURATION phase, TEST
 /// phase on wires `0 .. P`, bit-exact comparison of everything shifted out
-/// against the golden model.
+/// against the golden model. The TEST phase is a one-lane step of the
+/// reference interpreter.
 ///
 /// # Errors
 ///
@@ -457,25 +459,26 @@ pub fn run_core_session(
     sim: &mut SocSimulator,
     core_name: &str,
 ) -> Result<SessionReport, SimError> {
-    let (_, desc) = sim
+    let unknown = || SimError::UnknownCore(core_name.to_owned());
+    let instruction = sim
         .soc()
         .core_by_name(core_name)
-        .map(|(id, c)| (id, c.clone()))
-        .ok_or_else(|| SimError::UnknownCore(core_name.to_owned()))?;
+        .map(|(_, desc)| wrapper_instruction_for(desc.method()))
+        .ok_or_else(unknown)?;
     let cas_index = sim.cas_index(core_name)?;
-    let plan = SessionPlan::for_core(&desc);
-    let golden = golden_run(&desc, &plan);
-
     let mut config = TamConfiguration::all_bypass(sim.tam().cas_count());
     config.set(cas_index, sim.tam().contiguous_test(cas_index, 0)?)?;
     let mut wrappers = vec![WrapperInstruction::Bypass; sim.tam().cas_count()];
-    wrappers[cas_index] = wrapper_instruction_for(desc.method());
+    wrappers[cas_index] = instruction;
     let start = sim.cycles();
     sim.configure(&config, &wrappers)?;
     let config_cycles = sim.cycles() - start;
 
-    let streams = drive_plan(sim, cas_index, &plan, 0)?;
-    let verdict = compare(&golden, &streams);
+    let lanes = collect_lanes(sim, &config, ReferenceSession::new)?;
+    let lane = drive_lanes_reference(sim, &lanes)?
+        .pop()
+        .ok_or_else(unknown)?;
+    let (verdict, data_cycles) = (lane.verdict, lane.data_cycles as u64);
     let trace = sim.trace();
     if trace.enabled() {
         trace.record(casbus_obs::TraceEvent::span(
@@ -486,7 +489,7 @@ pub fn run_core_session(
             vec![
                 ("cas", cas_index.into()),
                 ("config_cycles", config_cycles.into()),
-                ("data_cycles", (plan.len() as u64).into()),
+                ("data_cycles", data_cycles.into()),
                 ("pass", verdict.is_pass().into()),
             ],
         ));
@@ -494,38 +497,9 @@ pub fn run_core_session(
     Ok(SessionReport {
         core_name: core_name.to_owned(),
         verdict,
-        data_cycles: plan.len() as u64,
+        data_cycles,
         config_cycles,
     })
-}
-
-/// Drives a plan through the TAM for the CAS at `cas_index`, whose scheme
-/// places port `j` on wire `wire_base + j` (contiguous window). Returns the
-/// port-major observed streams: stream `j` holds what port `j`'s wire
-/// carried back on every cycle.
-pub(crate) fn drive_plan(
-    sim: &mut SocSimulator,
-    cas_index: usize,
-    plan: &SessionPlan,
-    wire_base: usize,
-) -> Result<Vec<BitVec>, SimError> {
-    let n = sim.bus_width();
-    let mut streams: Vec<BitVec> = (0..plan.ports())
-        .map(|_| BitVec::with_capacity(plan.len()))
-        .collect();
-    let mut bus = BitVec::zeros(n);
-    let mut kinds = vec![ClockKind::Idle; sim.tam().cas_count()];
-    for (stim, kind) in plan.cycles() {
-        for j in 0..plan.ports() {
-            bus.set(wire_base + j, stim.get(j).expect("stim is P wide"));
-        }
-        kinds[cas_index] = *kind;
-        let out = sim.data_clock(&bus, &kinds)?;
-        for (j, stream) in streams.iter_mut().enumerate() {
-            stream.push(out.get(wire_base + j).expect("window within the bus"));
-        }
-    }
-    Ok(streams)
 }
 
 /// Compares golden shift outputs at cycle `t` with the bus observation at
@@ -571,7 +545,10 @@ pub(crate) fn lane_signature(streams: &[BitVec]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casbus_obs::MemorySink;
     use casbus_soc::catalog;
+
+    use crate::fleet::{FaultKind, InjectedFault};
 
     fn session(soc: &casbus_soc::SocDescription, n: usize, core: &str) -> SessionReport {
         let mut sim = SocSimulator::new(soc, n).unwrap();
@@ -649,6 +626,108 @@ mod tests {
             !report.verdict.is_pass(),
             "stuck-at must be caught: {report}"
         );
+    }
+
+    /// One detectable defect for an injectable core (scan, BIST, memory).
+    fn defect_of(desc: &CoreDescription) -> Option<FaultKind> {
+        match desc.method() {
+            TestMethod::Scan { chains, .. } if !chains.is_empty() => Some(FaultKind::ScanStuckAt {
+                chain: 0,
+                position: chains[0] / 2,
+                stuck_at: true,
+            }),
+            TestMethod::Bist { patterns, .. } if *patterns > 0 => Some(FaultKind::BistResponse {
+                after: patterns / 2,
+            }),
+            TestMethod::Memory { words, .. } => Some(FaultKind::MemoryStuckCell {
+                word: words / 2,
+                bit: 0,
+                value: true,
+            }),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn catalog_sessions_trace_one_span_that_matches_their_report() {
+        // Every catalog core, healthy and with one defect per injectable
+        // core: the trace holds one `configure` and one `session` span, the
+        // span agrees with the report, and each defect's mismatch count is
+        // the one pinned below (recorded before the session's TEST phase
+        // moved onto the shared interpreter lane driver).
+        let socs = [
+            catalog::figure1_soc(),
+            catalog::figure2a_scan_soc(),
+            catalog::figure2b_bist_soc(),
+            catalog::figure2c_external_soc(),
+            catalog::figure2d_hierarchical_soc(),
+            catalog::maintenance_soc(),
+            catalog::itc02_like_soc(),
+        ];
+        let mut failing = Vec::new();
+        for soc in &socs {
+            for desc in soc.cores() {
+                let name = desc.name();
+                for kind in std::iter::once(None).chain(defect_of(desc).map(Some)) {
+                    let mut sim = SocSimulator::new(soc, soc.max_ports()).unwrap();
+                    if let Some(kind) = kind {
+                        let core = name.to_owned();
+                        InjectedFault { core, kind }.apply(&mut sim).unwrap();
+                    }
+                    let sink = MemorySink::new();
+                    sim.set_trace(sink.clone());
+                    let report = run_core_session(&mut sim, name).unwrap();
+                    let context = format!("{} {name} {kind:?}", soc.name());
+                    let events = sink.events();
+                    assert_eq!(events.len(), 2, "{context}");
+                    assert_eq!(events[0].name, "configure", "{context}");
+                    let span = &events[1];
+                    assert_eq!((span.cat, span.name.as_ref()), ("session", name));
+                    let arg = |key: &str| {
+                        let found = span.args.iter().find(|(k, _)| *k == key);
+                        found.map(|(_, value)| value.clone())
+                    };
+                    let cas = sim.cas_index(name).unwrap();
+                    assert_eq!(arg("cas"), Some(cas.into()), "{context}");
+                    assert_eq!(arg("config_cycles"), Some(report.config_cycles.into()));
+                    assert_eq!(arg("data_cycles"), Some(report.data_cycles.into()));
+                    assert_eq!(arg("pass"), Some(report.verdict.is_pass().into()));
+                    match (kind, report.verdict) {
+                        (None, verdict) => assert!(verdict.is_pass(), "{context}"),
+                        (Some(_), Verdict::Fail { mismatches }) => {
+                            failing.push((name.to_owned(), mismatches));
+                        }
+                        (Some(_), verdict) => panic!("{context}: defect not detected: {verdict}"),
+                    }
+                }
+            }
+        }
+        let pinned = [
+            ("core1_cpu", 8763),
+            ("core2_dsp", 4116),
+            ("core3_sram", 8),
+            ("core6_eeprom", 1),
+            ("scan3", 958),
+            ("scan2", 942),
+            ("bist16", 6),
+            ("bist8", 4),
+            ("sibling", 95),
+            ("app_cpu", 1257),
+            ("dram", 1),
+            ("codec", 8),
+            ("cpu0", 70341),
+            ("cpu1", 55028),
+            ("dsp0", 29043),
+            ("vu0", 12459),
+            ("sram0", 6),
+            ("sram1", 7),
+            ("drameric", 1),
+            ("periph0", 2840),
+            ("periph1", 1396),
+            ("glue", 254),
+        ];
+        let pinned: Vec<(String, usize)> = pinned.iter().map(|&(c, m)| (c.to_owned(), m)).collect();
+        assert_eq!(failing, pinned);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Differential property tests: the compiled word-level engine
 //! ([`CompiledEngine`]) must be a drop-in replacement for the bit-serial
-//! reference interpreter. For randomly generated SoCs, bus widths,
+//! reference interpreter. For randomly generated SoCs, bus widths and
 //! schedules (serial and packed — multi-step programs reconfigure the
-//! TAM between waves, exercising dynamic reconfiguration) and thread
-//! counts, both engines must produce the same [`SocTestReport`] (verdicts,
-//! cycle breakdown *and* captured response signatures), the same simulator
-//! counters and the same exported metrics.
+//! TAM between waves, exercising dynamic reconfiguration), both engines
+//! must produce the same [`SocTestReport`] (verdicts, cycle breakdown
+//! *and* captured response signatures), the same simulator counters and
+//! the same exported metrics.
 
 use casbus::Tam;
 use casbus_controller::{schedule, TestProgram};
 use casbus_obs::{MemorySink, MetricsRegistry};
-use casbus_sim::{run_program_reference_with_metrics, CompiledEngine, SocSimulator};
+use casbus_sim::{run_program_reference, CompiledEngine, SocSimulator};
 use casbus_soc::{catalog, SocDescription};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,39 +31,34 @@ fn program_for(soc: &SocDescription, n: usize, packed: bool) -> TestProgram {
 }
 
 /// Runs `program` through the reference interpreter and through the
-/// compiled engine at 1, 2 and 4 worker threads, each on a fresh
-/// simulator, and asserts that every observable output is bit-identical.
+/// compiled engine, each on a fresh simulator, and asserts that every
+/// observable output is bit-identical.
 fn assert_drop_in(soc: &SocDescription, n: usize, packed: bool) {
     let program = program_for(soc, n, packed);
     let ref_metrics = MetricsRegistry::new();
     let mut ref_sim = SocSimulator::new(soc, n).expect("simulator");
-    let reference = run_program_reference_with_metrics(&mut ref_sim, &program, &ref_metrics)
-        .expect("reference run");
+    let reference = run_program_reference(&mut ref_sim, &program).expect("reference run");
+    ref_sim.export_metrics(&ref_metrics);
     assert!(
         reference.all_pass(),
         "fault-free random SoC must pass the reference run"
     );
-    for threads in [1usize, 2, 4] {
-        let metrics = MetricsRegistry::new();
-        let mut sim = SocSimulator::new(soc, n).expect("simulator");
-        let compiled = CompiledEngine::with_threads(threads)
-            .run_with_metrics(&mut sim, &program, &metrics)
-            .expect("compiled run");
-        // The report comparison covers verdicts, total/config/test cycle
-        // counts, per-core cycles, bus-wire busy cycles and the per-session
-        // response signatures in one shot.
-        assert_eq!(compiled, reference, "report diverged at {threads} threads");
-        assert_eq!(sim.cycles(), ref_sim.cycles(), "{threads} threads");
-        assert_eq!(sim.config_cycles(), ref_sim.config_cycles());
-        assert_eq!(sim.test_cycles(), ref_sim.test_cycles());
-        assert_eq!(sim.core_stats(), ref_sim.core_stats());
-        assert_eq!(sim.wire_busy(), ref_sim.wire_busy());
-        assert_eq!(
-            metrics.to_json(),
-            ref_metrics.to_json(),
-            "metrics diverged at {threads} threads"
-        );
-    }
+    let metrics = MetricsRegistry::new();
+    let mut sim = SocSimulator::new(soc, n).expect("simulator");
+    let compiled = CompiledEngine::new()
+        .run(&mut sim, &program)
+        .expect("compiled run");
+    sim.export_metrics(&metrics);
+    // The report comparison covers verdicts, total/config/test cycle
+    // counts, per-core cycles, bus-wire busy cycles and the per-session
+    // response signatures in one shot.
+    assert_eq!(compiled, reference, "report diverged");
+    assert_eq!(sim.cycles(), ref_sim.cycles());
+    assert_eq!(sim.config_cycles(), ref_sim.config_cycles());
+    assert_eq!(sim.test_cycles(), ref_sim.test_cycles());
+    assert_eq!(sim.core_stats(), ref_sim.core_stats());
+    assert_eq!(sim.wire_busy(), ref_sim.wire_busy());
+    assert_eq!(metrics.to_json(), ref_metrics.to_json(), "metrics diverged");
 }
 
 proptest! {
@@ -87,7 +82,7 @@ proptest! {
     }
 
     /// Packed schedules on wider-than-minimum buses maximise concurrent
-    /// lanes per wave, stressing the parallel-session join logic.
+    /// lanes per wave, stressing the per-step lane accounting.
     #[test]
     fn compiled_engine_is_drop_in_with_many_parallel_lanes(
         seed in any::<u64>(),
@@ -111,11 +106,11 @@ fn back_to_back_programs_reconfigure_identically() {
     let packed = program_for(&soc, 8, true);
 
     let mut ref_sim = SocSimulator::new(&soc, 8).expect("simulator");
-    let ref_a = casbus_sim::run_program_reference(&mut ref_sim, &serial).expect("reference serial");
-    let ref_b = casbus_sim::run_program_reference(&mut ref_sim, &packed).expect("reference packed");
+    let ref_a = run_program_reference(&mut ref_sim, &serial).expect("reference serial");
+    let ref_b = run_program_reference(&mut ref_sim, &packed).expect("reference packed");
 
     let mut sim = SocSimulator::new(&soc, 8).expect("simulator");
-    let engine = CompiledEngine::with_threads(2);
+    let engine = CompiledEngine::new();
     let got_a = engine.run(&mut sim, &serial).expect("compiled serial");
     let got_b = engine.run(&mut sim, &packed).expect("compiled packed");
 
@@ -144,7 +139,7 @@ fn minimum_width_bus_random_soc_agrees() {
 /// Tracing keeps the compiled engine: a traced compiled run exports the
 /// same canonical JSONL as a traced reference run — the simulator's
 /// `configure` spans and every core's `session` span — on every catalog
-/// SoC, under packed and serial schedules, at 1 and 4 threads.
+/// SoC, under packed and serial schedules.
 #[test]
 fn traced_compiled_runs_export_the_reference_trace() {
     let maintenance = catalog::maintenance_soc();
@@ -163,28 +158,25 @@ fn traced_compiled_runs_export_the_reference_trace() {
             let reference = MemorySink::new();
             let mut ref_sim = SocSimulator::new(&soc, n).expect("simulator");
             ref_sim.set_trace(reference.clone());
-            let expected =
-                casbus_sim::run_program_reference(&mut ref_sim, &program).expect("reference run");
+            let expected = run_program_reference(&mut ref_sim, &program).expect("reference run");
             assert!(
                 reference.events().iter().any(|e| e.cat == "session"),
                 "{} emits session spans",
                 soc.name()
             );
-            for threads in [1usize, 4] {
-                let traced = MemorySink::new();
-                let mut sim = SocSimulator::new(&soc, n).expect("simulator");
-                sim.set_trace(traced.clone());
-                let report = CompiledEngine::with_threads(threads)
-                    .run(&mut sim, &program)
-                    .expect("compiled run");
-                assert_eq!(report, expected, "{} packed={packed}", soc.name());
-                assert_eq!(
-                    traced.canonical_jsonl(),
-                    reference.canonical_jsonl(),
-                    "{} packed={packed} at {threads} threads",
-                    soc.name()
-                );
-            }
+            let traced = MemorySink::new();
+            let mut sim = SocSimulator::new(&soc, n).expect("simulator");
+            sim.set_trace(traced.clone());
+            let report = CompiledEngine::new()
+                .run(&mut sim, &program)
+                .expect("compiled run");
+            assert_eq!(report, expected, "{} packed={packed}", soc.name());
+            assert_eq!(
+                traced.canonical_jsonl(),
+                reference.canonical_jsonl(),
+                "{} packed={packed}",
+                soc.name()
+            );
         }
     }
 }

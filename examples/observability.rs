@@ -67,7 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = SocSimulator::new(&soc, BUS_WIDTH)?;
     sim.set_trace(sink.clone());
     sim.attach_probe(Box::new(Rc::clone(&vcd)));
-    let outcome = report::run_program_with_metrics(&mut sim, &program, &metrics)?;
+    let outcome = report::run_program(&mut sim, &program)?;
+    sim.export_metrics(&metrics);
     assert!(outcome.all_pass(), "fault-free Figure-1 SoC must pass");
 
     // --- 3. PPSFP fault grading, instrumented: ATPG on a synthesized
