@@ -226,9 +226,10 @@ fn main() {
     // is the rate a fleet-sized loop would sustain.
     let t0 = Instant::now();
     let (baseline_schedule, baseline_report) =
-        run_program_searched(&soc, n, budget).expect("searched run");
+        run_program_searched(&soc, n, budget, &MetricsRegistry::new()).expect("searched run");
     for _ in 1..baseline_runs {
-        let (schedule, report) = run_program_searched(&soc, n, budget).expect("searched run");
+        let (schedule, report) =
+            run_program_searched(&soc, n, budget, &MetricsRegistry::new()).expect("searched run");
         assert_eq!(schedule, baseline_schedule, "search must be deterministic");
         assert_eq!(report, baseline_report);
     }

@@ -24,7 +24,7 @@ use casbus_controller::schedule::{
 };
 use casbus_controller::search::SearchBudget;
 use casbus_obs::MetricsRegistry;
-use casbus_sim::run_program_searched_with_metrics;
+use casbus_sim::run_program_searched;
 
 struct Row {
     n: usize,
@@ -122,9 +122,8 @@ fn main() {
 
         let metrics = MetricsRegistry::new();
         let t0 = Instant::now();
-        let (schedule, report) =
-            run_program_searched_with_metrics(&case.soc, case.n, budget, &metrics)
-                .expect("searchable and bit-exact");
+        let (schedule, report) = run_program_searched(&case.soc, case.n, budget, &metrics)
+            .expect("searchable and bit-exact");
         let search_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert!(schedule.is_conflict_free(), "N={} P={}", case.n, case.p);
         assert!(report.all_pass(), "N={} P={}", case.n, case.p);

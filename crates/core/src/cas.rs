@@ -178,6 +178,15 @@ impl Cas {
         }
     }
 
+    /// The active switch scheme while the CAS routes in TEST mode: `None`
+    /// in BYPASS and while the `config` line is latched.
+    pub(crate) fn test_scheme(&self) -> Option<&SwitchScheme> {
+        match self.mode() {
+            CasMode::Test => self.active_scheme(),
+            _ => None,
+        }
+    }
+
     /// Loads an instruction directly into the active stage (a shortcut for
     /// tests and tools; hardware goes through the serial protocol).
     pub fn load_instruction(&mut self, instruction: &CasInstruction) {

@@ -187,16 +187,17 @@ impl CasChain {
         Ok(())
     }
 
-    /// Verifies that the currently-active TEST instructions give every CAS
-    /// exclusive use of its wires *relative to simultaneous users* — this is
-    /// advisory: the CAS-BUS explicitly allows several CASes to share wires
-    /// *in series* (data threads through each tapped core), which is how
-    /// scan chains are concatenated. The check reports sharing so a test
-    /// programmer can tell concatenation from accidental conflict.
+    /// Every bus wire claimed by more than one TEST-mode CAS, with the
+    /// claiming CASes in bus order. Sharing is legal: the CAS-BUS explicitly
+    /// allows several CASes to share wires *in series* (data threads
+    /// through each tapped core), which is how scan chains are
+    /// concatenated. The report lets a test programmer tell concatenation
+    /// from accidental conflict, and [`RouteTable`](crate::RouteTable)
+    /// reads it to find the CASes that own their wires.
     pub fn shared_wires(&self) -> Vec<(usize, Vec<usize>)> {
         let mut claims: Vec<Vec<usize>> = vec![Vec::new(); self.n];
         for (idx, cas) in self.cases.iter().enumerate() {
-            if let Some(scheme) = cas.active_scheme() {
+            if let Some(scheme) = cas.test_scheme() {
                 for &wire in scheme.wires() {
                     claims[wire].push(idx);
                 }

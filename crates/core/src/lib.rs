@@ -43,6 +43,13 @@
 //! # Ok::<(), casbus::CasError>(())
 //! ```
 //!
+//! The routing rule has one behavioural encoding,
+//! [`Cas::clock_in_place`]. The gate-level synthesis in `casbus-netlist`
+//! is checked against it clock by clock, the RTL emitters in `casbus-rtl`
+//! describe the same rule in VHDL and Verilog, and [`RouteTable`] records
+//! only which TEST CASes own their wires: the one routing fact the
+//! compiled engines in `casbus-sim` read.
+//!
 //! The higher layers: [`CasChain`] chains CASes on the test bus,
 //! [`Tam`] assembles the whole mechanism for a
 //! [`SocDescription`](casbus_soc::SocDescription), and the sibling crates
@@ -69,6 +76,6 @@ pub use config::ConfigStream;
 pub use error::CasError;
 pub use geometry::CasGeometry;
 pub use instruction::CasInstruction;
-pub use route::{CacheStats, RouteTable, RouteTableCache, WaveKey, WireSource};
+pub use route::{CacheStats, RouteTable, RouteTableCache, WaveKey};
 pub use switch::{SchemeSet, SwitchScheme};
 pub use tam::{Tam, TamConfiguration};

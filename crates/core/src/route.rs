@@ -1,250 +1,87 @@
-//! Compiled routing tables: flatten a configured chain into table lookups.
+//! Wire exclusivity of a configured chain: the one routing fact the
+//! word-level engines read.
 //!
-//! Between two configuration waves every CAS keeps its mode and switch
-//! scheme, so the whole chain's steady-state TEST-cycle behaviour is a
-//! *fixed* routing function: each bus output wire is driven by exactly one
-//! source (a chain-level bus input or one core's test output), and each
-//! TEST CAS port taps exactly one source. [`RouteTable::compile`] walks the
-//! chain once per wave and records those sources, so per-cycle transport
-//! becomes table lookups instead of per-CAS `match` interpretation — the
-//! word-level session engine in `casbus-sim` is built on top of this.
+//! The routing itself has one encoding, the paper's rule in
+//! [`Cas::clock_in_place`](crate::Cas::clock_in_place): in TEST mode, bus
+//! input `e_w` feeds core input `o_j`, core output `i_j` returns on `s_w`,
+//! and every other wire bypasses. Between two configuration waves every
+//! CAS keeps its mode and switch scheme, so whether a TEST CAS *owns* its
+//! scheme wires is fixed for the wave. [`RouteTable::compile`] records that
+//! flag per CAS. The compiled engines in `casbus-sim` take a lane's wires
+//! from its active scheme and stream its session through the wrapper; they
+//! need the flag only to know that no other core sits on those wires.
 //!
-//! Schedule-search workloads evaluate hundreds of candidate schedules whose
-//! waves repeat the same few wire-assignment shapes, so compiling the same
-//! table over and over is pure waste. [`WaveKey`] captures exactly the
-//! routing-relevant part of a configured chain (bus width + per-CAS active
-//! scheme wires) and [`RouteTableCache`] memoizes compilation behind it,
-//! thread-safe and with hit/miss accounting for the search metrics.
+//! [`WaveKey`] captures exactly the routing-relevant part of a configured
+//! chain (bus width + per-CAS active scheme wires) and [`RouteTableCache`]
+//! memoizes compilation behind it, thread-safe and with hit, miss, eviction
+//! and high-water accounting for the serving metrics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use casbus_tpg::BitVec;
+use crate::chain::CasChain;
 
-use crate::cas::CasMode;
-use crate::chain::{CasChain, ChainOutput};
-use crate::error::CasError;
-
-/// Where a routed signal originates, relative to one data clock of the
-/// whole chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WireSource {
-    /// The chain-level bus input `e_w` (no TEST CAS drove the wire before
-    /// the observation point).
-    Bus(usize),
-    /// Test output `i_port` of the core behind CAS `cas` (the most recent
-    /// injection on the wire before the observation point).
-    Core {
-        /// Chain index of the injecting CAS.
-        cas: usize,
-        /// Core test-port index on that CAS.
-        port: usize,
-    },
-}
-
-/// The compiled routing program of one configured [`CasChain`], valid for
-/// plain data-transport clocks ([`CasControl::run`](crate::CasControl::run))
-/// until the next configuration wave.
+/// Which TEST CASes of one configured [`CasChain`] own their scheme wires,
+/// valid until the next configuration wave.
 ///
-/// Serial wire sharing is captured exactly: when two TEST CASes tap the
-/// same wire, the downstream tap resolves to the upstream CAS's core
-/// output, concatenating the cores just as the cycle-by-cycle interpreter
-/// does. [`RouteTable::apply`] reproduces [`CasChain::clock`] bit for bit
-/// (an equivalence test pins this), and [`RouteTable::is_independent`]
-/// tells fast-path engines which CASes own their wires exclusively.
+/// A TEST CAS is *independent* when no other TEST CAS claims any of its
+/// scheme wires. Then each of its ports taps the chain-level bus input of
+/// its wire, and its core output still drives that wire at the chain
+/// output: the property a per-lane fast path needs. Serial wire sharing
+/// (two TEST CASes concatenated on one wire) makes both dependent: the
+/// upstream CAS's injection changes the downstream tap, and the downstream
+/// injection overwrites the upstream output.
 ///
 /// # Examples
 ///
 /// ```
-/// use casbus::{Cas, CasChain, CasGeometry, CasInstruction, RouteTable, WireSource};
+/// use casbus::{Cas, CasChain, CasGeometry, CasInstruction, RouteTable};
 ///
-/// let mut chain = CasChain::new(vec![
-///     Cas::for_geometry(CasGeometry::new(4, 1)?)?,
-/// ])?;
-/// let idx = chain.cases()[0].schemes().index_of(&[2]).unwrap();
-/// chain.cas_mut(0)?.load_instruction(&CasInstruction::Test(idx));
+/// let cas = || Cas::for_geometry(CasGeometry::new(4, 1)?);
+/// let mut chain = CasChain::new(vec![cas()?, cas()?])?;
+/// let wire2 = chain.cases()[0].schemes().index_of(&[2]).unwrap();
+/// chain.configure(&[CasInstruction::Test(wire2), CasInstruction::Bypass])?;
+/// assert!(RouteTable::compile(&chain).is_independent(0));
+///
+/// // Both CASes on wire 2: their cores concatenate in series.
+/// chain.configure(&[CasInstruction::Test(wire2), CasInstruction::Test(wire2)])?;
 /// let routes = RouteTable::compile(&chain);
-/// assert_eq!(routes.wire_source(2), WireSource::Core { cas: 0, port: 0 });
-/// assert!(routes.is_independent(0));
+/// assert!(!routes.is_independent(0) && !routes.is_independent(1));
 /// # Ok::<(), casbus::CasError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteTable {
-    n: usize,
-    /// Driver of each bus wire at the chain output.
-    wire_out: Vec<WireSource>,
-    /// Per CAS: `Some(sources feeding ports 0..P)` when in TEST mode.
-    taps: Vec<Option<Vec<WireSource>>>,
-    /// Per CAS: `Some(scheme wires for ports 0..P)` when in TEST mode.
-    wires: Vec<Option<Vec<usize>>>,
-    /// Per CAS: core-side width `P` (for input validation in `apply`).
-    core_widths: Vec<usize>,
+    /// Per CAS: in TEST mode, with no other TEST CAS on its wires.
+    independent: Vec<bool>,
 }
 
 impl RouteTable {
-    /// Compiles the chain's *current* active instructions into a flat
-    /// routing program. Walks the CASes once, tracking each wire's most
-    /// recent driver: a TEST CAS's port taps the driver its scheme wire
-    /// holds at that chain position, then becomes the wire's driver itself.
+    /// Computes the flags from the chain's *current* active instructions:
+    /// every TEST CAS starts independent, and each wire that
+    /// [`CasChain::shared_wires`] reports claimed twice clears the flag of
+    /// every CAS claiming it.
     pub fn compile(chain: &CasChain) -> Self {
-        let n = chain.bus_width();
-        let mut driver: Vec<WireSource> = (0..n).map(WireSource::Bus).collect();
-        let mut taps = Vec::with_capacity(chain.len());
-        let mut wires = Vec::with_capacity(chain.len());
-        let mut core_widths = Vec::with_capacity(chain.len());
-        for (idx, cas) in chain.cases().iter().enumerate() {
-            core_widths.push(cas.geometry().switched_wires());
-            let scheme = match cas.mode() {
-                CasMode::Test => cas.active_scheme(),
-                _ => None,
-            };
-            match scheme {
-                Some(scheme) => {
-                    let p = cas.geometry().switched_wires();
-                    let mut cas_taps = Vec::with_capacity(p);
-                    let mut cas_wires = Vec::with_capacity(p);
-                    for port in 0..p {
-                        let wire = scheme.wire_for_port(port);
-                        cas_taps.push(driver[wire]);
-                        driver[wire] = WireSource::Core { cas: idx, port };
-                        cas_wires.push(wire);
-                    }
-                    taps.push(Some(cas_taps));
-                    wires.push(Some(cas_wires));
-                }
-                None => {
-                    taps.push(None);
-                    wires.push(None);
-                }
+        let mut independent: Vec<bool> = chain
+            .cases()
+            .iter()
+            .map(|cas| cas.test_scheme().is_some())
+            .collect();
+        for (_, users) in chain.shared_wires() {
+            for cas in users {
+                independent[cas] = false;
             }
         }
-        Self {
-            n,
-            wire_out: driver,
-            taps,
-            wires,
-            core_widths,
-        }
+        Self { independent }
     }
 
-    /// The bus width `N`.
-    pub fn bus_width(&self) -> usize {
-        self.n
-    }
-
-    /// Number of CAS positions covered.
-    pub fn cas_count(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// Driver of bus output wire `w`.
+    /// Whether CAS `cas` is in TEST mode and owns its scheme wires.
     ///
     /// # Panics
     ///
-    /// Panics if `wire >= N`.
-    pub fn wire_source(&self, wire: usize) -> WireSource {
-        self.wire_out[wire]
-    }
-
-    /// Sources feeding the core test inputs of CAS `cas`, one per port, or
-    /// `None` when that CAS is not in TEST mode.
-    pub fn taps(&self, cas: usize) -> Option<&[WireSource]> {
-        self.taps[cas].as_deref()
-    }
-
-    /// Scheme wires of CAS `cas` (ports in order), or `None` outside TEST.
-    pub fn scheme_wires(&self, cas: usize) -> Option<&[usize]> {
-        self.wires[cas].as_deref()
-    }
-
-    /// Chain indices of every TEST-mode CAS.
-    pub fn test_cas_indices(&self) -> Vec<usize> {
-        self.taps
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, t)| t.as_ref().map(|_| idx))
-            .collect()
-    }
-
-    /// Whether TEST CAS `cas` has exclusive, straight-through use of its
-    /// wires: every port taps the chain-level bus input of its own scheme
-    /// wire (no upstream injection) and still drives that wire at the chain
-    /// output (no downstream overwrite). Exactly the property a per-lane
-    /// fast path needs; serial wire sharing makes this `false`.
+    /// Panics if `cas` is not a chain index.
     pub fn is_independent(&self, cas: usize) -> bool {
-        match (&self.taps[cas], &self.wires[cas]) {
-            (Some(taps), Some(wires)) => {
-                taps.iter()
-                    .zip(wires)
-                    .enumerate()
-                    .all(|(port, (tap, &wire))| {
-                        *tap == WireSource::Bus(wire)
-                            && self.wire_out[wire] == WireSource::Core { cas, port }
-                    })
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether every TEST CAS is [independent](RouteTable::is_independent).
-    pub fn all_independent(&self) -> bool {
-        self.test_cas_indices()
-            .into_iter()
-            .all(|cas| self.is_independent(cas))
-    }
-
-    /// Evaluates the compiled routes for one data clock: the table-lookup
-    /// equivalent of [`CasChain::clock`] with
-    /// [`CasControl::run`](crate::CasControl::run), producing the same
-    /// [`ChainOutput`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CasError::ConfigurationLengthMismatch`] when
-    /// `core_outs.len()` differs from the CAS count, and
-    /// [`CasError::BadGeometry`] on a bus or core-output width mismatch —
-    /// the same validation the interpreted path performs.
-    pub fn apply(&self, bus_in: &BitVec, core_outs: &[BitVec]) -> Result<ChainOutput, CasError> {
-        if core_outs.len() != self.taps.len() {
-            return Err(CasError::ConfigurationLengthMismatch {
-                got: core_outs.len(),
-                expected: self.taps.len(),
-            });
-        }
-        if bus_in.len() != self.n {
-            return Err(CasError::BadGeometry {
-                n: bus_in.len(),
-                p: 0,
-            });
-        }
-        for (core_out, &width) in core_outs.iter().zip(&self.core_widths) {
-            if core_out.len() != width {
-                return Err(CasError::BadGeometry {
-                    n: self.n,
-                    p: core_out.len(),
-                });
-            }
-        }
-        let resolve = |source: WireSource| -> bool {
-            match source {
-                WireSource::Bus(w) => bus_in.get(w).expect("wire < n"),
-                WireSource::Core { cas, port } => core_outs[cas].get(port).expect("port < p"),
-            }
-        };
-        let mut bus_out = BitVec::with_capacity(self.n);
-        for &source in &self.wire_out {
-            bus_out.push(resolve(source));
-        }
-        let core_in = self
-            .taps
-            .iter()
-            .map(|taps| {
-                taps.as_ref()
-                    .map(|taps| taps.iter().map(|&s| resolve(s)).collect())
-            })
-            .collect();
-        Ok(ChainOutput { bus_out, core_in })
+        self.independent[cas]
     }
 }
 
@@ -252,7 +89,7 @@ impl RouteTable {
 /// per CAS, the active TEST scheme's wire assignment (`None` outside TEST).
 ///
 /// Two chains with equal [`WaveKey`]s compile to identical [`RouteTable`]s
-/// — the table is a pure function of exactly these inputs — so the key is
+/// (the flags are a pure function of exactly these inputs), so the key is
 /// what a compilation cache must hash.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WaveKey {
@@ -267,10 +104,7 @@ impl WaveKey {
         let schemes = chain
             .cases()
             .iter()
-            .map(|cas| match cas.mode() {
-                CasMode::Test => cas.active_scheme().map(|scheme| scheme.wires().to_vec()),
-                _ => None,
-            })
+            .map(|cas| cas.test_scheme().map(|scheme| scheme.wires().to_vec()))
             .collect();
         Self {
             n: chain.bus_width(),
@@ -560,6 +394,8 @@ mod tests {
     use crate::cas::{Cas, CasControl};
     use crate::geometry::CasGeometry;
     use crate::instruction::CasInstruction;
+    use casbus_tpg::BitVec;
+    use proptest::prelude::*;
 
     fn chain(geoms: &[(usize, usize)]) -> CasChain {
         let cases = geoms
@@ -569,41 +405,61 @@ mod tests {
         CasChain::new(cases).unwrap()
     }
 
-    /// Drives both the interpreter and the compiled table over a sweep of
-    /// stimuli and checks bit-identical outputs.
-    fn assert_equivalent(mut ch: CasChain, samples: usize) {
-        let routes = RouteTable::compile(&ch);
+    /// The flag's meaning, observed through the interpreter: CAS `c` is in
+    /// TEST mode and, for every port, a pulse on the port's bus input `e_w`
+    /// reaches the CAS's tap, and a pulse on the port's core output reaches
+    /// the chain's bus output `s_w`.
+    fn owns_wires_when_clocked(ch: &mut CasChain, c: usize) -> bool {
+        let Some(wires) = ch.cases()[c].active_scheme().map(|s| s.wires().to_vec()) else {
+            return false;
+        };
         let n = ch.bus_width();
-        let widths: Vec<usize> = ch
+        let idle: Vec<BitVec> = ch
             .cases()
             .iter()
-            .map(|c| c.geometry().switched_wires())
+            .map(|cas| BitVec::zeros(cas.geometry().switched_wires()))
             .collect();
-        let mut stamp = 0x1357_9bdf_2468_aceeu64;
-        for round in 0..samples {
-            stamp = stamp.rotate_left(13).wrapping_mul(0x2545_f491_4f6c_dd1d);
-            let bus_in = BitVec::from_u64(stamp, n.min(64));
-            let core_outs: Vec<BitVec> = widths
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| BitVec::from_u64(stamp >> (i * 7 + round % 5), p.min(64)))
-                .collect();
-            let interpreted = ch.clock(&bus_in, &core_outs, CasControl::run()).unwrap();
-            let compiled = routes.apply(&bus_in, &core_outs).unwrap();
-            assert_eq!(compiled, interpreted, "round {round}");
-        }
+        wires.iter().enumerate().all(|(port, &wire)| {
+            let mut bus = BitVec::zeros(n);
+            bus.set(wire, true);
+            let out = ch.clock(&bus, &idle, CasControl::run()).unwrap();
+            let tapped = out.core_in[c].as_ref().and_then(|tap| tap.get(port)) == Some(true);
+            let mut cores = idle.clone();
+            cores[c].set(port, true);
+            let out = ch
+                .clock(&BitVec::zeros(n), &cores, CasControl::run())
+                .unwrap();
+            tapped && out.bus_out.get(wire) == Some(true)
+        })
     }
 
-    #[test]
-    fn all_bypass_routes_bus_straight_through() {
-        let ch = chain(&[(4, 2), (4, 1)]);
-        let routes = RouteTable::compile(&ch);
-        for w in 0..4 {
-            assert_eq!(routes.wire_source(w), WireSource::Bus(w));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On random chains (mixed `P`, TEST and BYPASS, serial wire
+        /// sharing included) a CAS is independent exactly when it owns its
+        /// scheme wires through [`CasChain::clock`].
+        #[test]
+        fn independence_is_wire_ownership_through_the_chain(
+            n in 2usize..=5,
+            picks in proptest::collection::vec((1usize..=3, 0usize..1000), 1..6),
+        ) {
+            let geoms: Vec<(usize, usize)> = picks.iter().map(|&(p, _)| (n, p.min(n))).collect();
+            let mut ch = chain(&geoms);
+            let instructions: Vec<CasInstruction> = picks
+                .iter()
+                .zip(ch.cases())
+                .map(|(&(_, raw), cas)| match raw % 3 {
+                    0 => CasInstruction::Bypass,
+                    _ => CasInstruction::Test(raw % cas.schemes().len()),
+                })
+                .collect();
+            ch.configure(&instructions).unwrap();
+            let routes = RouteTable::compile(&ch);
+            for c in 0..ch.len() {
+                prop_assert_eq!(routes.is_independent(c), owns_wires_when_clocked(&mut ch, c));
+            }
         }
-        assert!(routes.test_cas_indices().is_empty());
-        assert!(routes.all_independent());
-        assert_equivalent(ch, 8);
     }
 
     #[test]
@@ -614,75 +470,7 @@ mod tests {
         ch.configure(&[CasInstruction::Test(i0), CasInstruction::Test(i1)])
             .unwrap();
         let routes = RouteTable::compile(&ch);
-        assert_eq!(routes.wire_source(0), WireSource::Core { cas: 0, port: 0 });
-        assert_eq!(routes.wire_source(1), WireSource::Core { cas: 0, port: 1 });
-        assert_eq!(routes.wire_source(2), WireSource::Bus(2));
-        assert_eq!(routes.wire_source(3), WireSource::Core { cas: 1, port: 0 });
-        assert_eq!(
-            routes.taps(0).unwrap(),
-            &[WireSource::Bus(0), WireSource::Bus(1)]
-        );
-        assert_eq!(routes.scheme_wires(1).unwrap(), &[3]);
-        assert_eq!(routes.test_cas_indices(), vec![0, 1]);
-        assert!(routes.all_independent());
-        assert_equivalent(ch, 16);
-    }
-
-    #[test]
-    fn serial_wire_sharing_resolves_to_upstream_core() {
-        let mut ch = chain(&[(2, 1), (2, 1)]);
-        let i = ch.cases()[0].schemes().index_of(&[1]).unwrap();
-        ch.configure(&[CasInstruction::Test(i), CasInstruction::Test(i)])
-            .unwrap();
-        let routes = RouteTable::compile(&ch);
-        // Downstream CAS 1 taps CAS 0's injection, not the bus input.
-        assert_eq!(routes.taps(0).unwrap(), &[WireSource::Bus(1)]);
-        assert_eq!(
-            routes.taps(1).unwrap(),
-            &[WireSource::Core { cas: 0, port: 0 }]
-        );
-        assert_eq!(routes.wire_source(1), WireSource::Core { cas: 1, port: 0 });
-        assert!(!routes.is_independent(0), "overwritten downstream");
-        assert!(!routes.is_independent(1), "taps a core, not the bus");
-        assert!(!routes.all_independent());
-        assert_equivalent(ch, 16);
-    }
-
-    #[test]
-    fn heterogeneous_figure1_like_chain_is_equivalent() {
-        // Mixed P values with a bypassed CAS in the middle.
-        let mut ch = chain(&[(6, 2), (6, 1), (6, 3)]);
-        let i0 = ch.cases()[0].schemes().index_of(&[0, 1]).unwrap();
-        let i2 = ch.cases()[2].schemes().index_of(&[3, 4, 5]).unwrap();
-        ch.configure(&[
-            CasInstruction::Test(i0),
-            CasInstruction::Bypass,
-            CasInstruction::Test(i2),
-        ])
-        .unwrap();
-        let routes = RouteTable::compile(&ch);
-        assert_eq!(routes.taps(1), None);
-        assert_eq!(routes.scheme_wires(1), None);
-        assert!(routes.all_independent());
-        assert_equivalent(ch, 32);
-    }
-
-    #[test]
-    fn apply_validates_widths_like_the_interpreter() {
-        let ch = chain(&[(4, 2)]);
-        let routes = RouteTable::compile(&ch);
-        assert!(matches!(
-            routes.apply(&BitVec::zeros(3), &[BitVec::zeros(2)]),
-            Err(CasError::BadGeometry { .. })
-        ));
-        assert!(matches!(
-            routes.apply(&BitVec::zeros(4), &[BitVec::zeros(1)]),
-            Err(CasError::BadGeometry { .. })
-        ));
-        assert!(matches!(
-            routes.apply(&BitVec::zeros(4), &[]),
-            Err(CasError::ConfigurationLengthMismatch { .. })
-        ));
+        assert!(routes.is_independent(0) && routes.is_independent(1));
     }
 
     #[test]
@@ -811,8 +599,7 @@ mod tests {
             .unwrap();
         let after = RouteTable::compile(&ch);
         assert_ne!(before, after);
-        assert_eq!(before.test_cas_indices(), vec![0]);
-        assert_eq!(after.test_cas_indices(), vec![1]);
-        assert_equivalent(ch, 8);
+        assert!(before.is_independent(0) && !before.is_independent(1));
+        assert!(!after.is_independent(0) && after.is_independent(1));
     }
 }

@@ -21,10 +21,11 @@
 //!
 //! There is no VHDL simulator in this workspace; the [`lint`] module
 //! provides a structural sanity checker (balanced constructs, declared
-//! identifiers, complete scheme decode) that the test suite runs over every
-//! generated description, and the *behaviour* the RTL encodes is verified
-//! against the behavioural and gate-level models in `casbus` and
-//! `casbus-netlist`.
+//! identifiers, complete scheme decode) that the test suite and the
+//! `generate_rtl` example run over every generated description. The
+//! *behaviour* the RTL encodes is the routing rule of the behavioural
+//! [`casbus::Cas`], which the gate-level netlists in `casbus-netlist` are
+//! checked against clock by clock.
 //!
 //! # Example
 //!
@@ -43,7 +44,6 @@
 
 pub mod lint;
 pub mod structural;
-pub mod testbench;
 pub mod verilog;
 pub mod vhdl;
 

@@ -3,12 +3,13 @@
 //! [`run_program`](crate::run_program) semantics, 3–7× faster than the
 //! bit-serial interpreter single-threaded (`BENCH_soc_sim.json`: 6.2× on
 //! Figure 1, 7.3× on the ITC'02-like SoC, 2.9× on the 240-cycle
-//! hierarchical SoC). Instead
-//! of interpreting the CAS chain bit by bit every data clock, each step's
-//! configuration wave is compiled once into a [`RouteTable`], and every
-//! core whose routes are exclusive (no serial wire sharing) becomes an
-//! independent *lane* whose scan traffic streams through the word-level
-//! wrapper/model paths 64 cycles per call. A lane's stimulus planes and
+//! hierarchical SoC). Instead of interpreting the CAS chain bit by bit
+//! every data clock, the engine takes each tested core's wires from its
+//! CAS's active scheme and streams the core's scan traffic through the
+//! word-level wrapper/model paths, 64 cycles per call. That is exact only
+//! while every such *lane* owns its wires: no other TEST CAS injects on
+//! them upstream or overwrites them downstream. The step's [`RouteTable`]
+//! answers that once per configuration wave. A lane's stimulus planes and
 //! golden response words come from its core's compiled session, built on
 //! the engine's first run and reused by its later runs and by its clones.
 //! A step's lanes run one after another on the caller's thread: a serving
@@ -183,8 +184,8 @@ fn drive_lanes_compiled(sim: &mut SocSimulator, lanes: &[SessionLane]) -> Vec<La
         stat.shift += shifts;
         stat.capture += len - shifts;
         stat.idle -= len;
-        // Every plan cycle is Shift or Capture (compilability), so the
-        // lane's wires are busy for exactly `len` clocks.
+        // Every plan cycle is Shift or Capture, so the lane's wires are
+        // busy for exactly `len` clocks.
         let busy = sim.wire_busy_mut();
         for &wire in &lane.wires {
             busy[wire] += len;
@@ -212,8 +213,6 @@ pub(crate) enum CompileBlocker {
     NonIntestWrapper,
     /// Scheme width, plan width, and wrapper width disagree.
     WidthMismatch,
-    /// The plan contains Update or Idle cycles the word path cannot batch.
-    UpdateOrIdleCycles,
     /// A test-mode wrapper outside the lanes would still be clocked.
     ArmedBystander,
 }
@@ -225,7 +224,6 @@ impl CompileBlocker {
             Self::DependentRoutes => "step.dependent_routes",
             Self::NonIntestWrapper => "step.non_intest_wrapper",
             Self::WidthMismatch => "step.width_mismatch",
-            Self::UpdateOrIdleCycles => "step.update_or_idle_cycles",
             Self::ArmedBystander => "step.armed_bystander",
         }
     }
@@ -263,9 +261,6 @@ pub(crate) fn step_compile_blocker(
         // Identity resize: scheme width == plan width == wrapper width.
         if lane.wires.len() != ports || wrapper.parallel_width() != ports {
             return Some(CompileBlocker::WidthMismatch);
-        }
-        if !lane.session.batchable() {
-            return Some(CompileBlocker::UpdateOrIdleCycles);
         }
     }
     // A test-mode wrapper outside the lanes (e.g. a wrapped system bus left
@@ -384,16 +379,19 @@ mod tests {
         TestProgram::from_schedule(&tam, soc, &sched).unwrap()
     }
 
+    fn assert_engines_agree(soc: &casbus_soc::SocDescription, n: usize, packed: bool) {
+        assert_program_agrees(soc, n, &program_for(soc, n, packed));
+    }
+
     /// Runs a program on the reference interpreter and on the compiled
     /// engine; everything must be bit-identical.
-    fn assert_engines_agree(soc: &casbus_soc::SocDescription, n: usize, packed: bool) {
-        let program = program_for(soc, n, packed);
+    fn assert_program_agrees(soc: &casbus_soc::SocDescription, n: usize, program: &TestProgram) {
         let mut ref_sim = SocSimulator::new(soc, n).unwrap();
-        let reference = run_program_reference(&mut ref_sim, &program).unwrap();
+        let reference = run_program_reference(&mut ref_sim, program).unwrap();
         let ref_metrics = MetricsRegistry::new();
         ref_sim.export_metrics(&ref_metrics);
         let mut sim = SocSimulator::new(soc, n).unwrap();
-        let compiled = CompiledEngine::new().run(&mut sim, &program).unwrap();
+        let compiled = CompiledEngine::new().run(&mut sim, program).unwrap();
         let metrics = MetricsRegistry::new();
         sim.export_metrics(&metrics);
         assert_eq!(compiled, reference, "report diverged");
@@ -464,6 +462,53 @@ mod tests {
             reference.verdict("scan3"),
             "same mismatch count"
         );
+    }
+
+    #[test]
+    fn dependent_routes_fall_back_to_the_reference_and_stay_exact() {
+        use casbus_controller::TestStep;
+        use casbus_soc::{CoreDescription, SocBuilder, TestMethod};
+
+        // Two scan cores in series on wire 0 (`tests/daisy_chain.rs`).
+        // `Schedule::from_tests` rejects wire conflicts, so no
+        // schedule-compiled program reaches this step: it is built by hand.
+        let scan = |name: &str, depth: usize| {
+            let method = TestMethod::Scan {
+                chains: vec![depth],
+                patterns: 4,
+            };
+            CoreDescription::new(name, method)
+        };
+        let soc = SocBuilder::new("daisy")
+            .core(scan("front", 5))
+            .core(scan("back", 7))
+            .build()
+            .unwrap();
+        let mut sim = SocSimulator::new(&soc, 2).unwrap();
+        let mut configuration = TamConfiguration::all_bypass(2);
+        for cas in 0..2 {
+            let on_wire0 = sim.tam().explicit_test(cas, vec![0]).unwrap();
+            configuration.set(cas, on_wire0).unwrap();
+        }
+        let mut program = TestProgram::new();
+        program.push(TestStep {
+            configuration: configuration.clone(),
+            wrapper_instructions: vec![WrapperInstruction::IntestScan; 2],
+            duration: 4 * (7 + 1) + 7,
+            description: "front and back concatenated on wire 0".into(),
+        });
+
+        sim.configure(&configuration, &program.steps()[0].wrapper_instructions)
+            .unwrap();
+        let lanes = CompiledEngine::new()
+            .session_lanes(&sim, &configuration)
+            .unwrap();
+        let routes = RouteTable::compile(sim.tam().chain());
+        assert_eq!(
+            step_compile_blocker(&sim, &lanes, &routes),
+            Some(CompileBlocker::DependentRoutes)
+        );
+        assert_program_agrees(&soc, 2, &program);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! The packed path is only used when **every** step of the program passes
 //! `step_compile_blocker`: all routes independent (no serial wire sharing
 //! between cores), all tested wrappers in transparent INTEST modes with
-//! exact widths, no Update/Idle plan cycles. Under those conditions a
+//! exact widths. Under those conditions a
 //! defect inside core X can influence *only* X's own produced bits: each
 //! `configure` reloads every CAS instruction and clears every retiming
 //! register, session plans are pure functions of the core descriptions, and

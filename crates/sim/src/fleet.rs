@@ -42,7 +42,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
@@ -577,7 +577,10 @@ impl FleetRunner {
     /// shared route cache on exactly the shapes the first scalar device
     /// would have compiled.
     fn packed_engine(&self) -> Result<Arc<PackedDeviceEngine>, SimError> {
-        let mut slot = self.packed_engine.lock().expect("packed engine poisoned");
+        let mut slot = self
+            .packed_engine
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(engine) = &*slot {
             return Ok(Arc::clone(engine));
         }
@@ -1004,6 +1007,39 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_engine_memo_still_serves_packed_runs() {
+        // The memo is an `Option<Arc<_>>` replaced whole, so a panic under
+        // its lock leaves it valid and the next run recovers it.
+        let soc = catalog::figure2a_scan_soc();
+        let schedule = packed_schedule(&soc, 4).unwrap();
+        let spec = VariationSpec::new(11, 0.5);
+        let scalar = FleetRunner::new(&soc, 4, schedule.clone())
+            .unwrap()
+            .with_packed(false)
+            .run(&spec, 12)
+            .unwrap();
+        let runner = FleetRunner::new(&soc, 4, schedule).unwrap();
+        let memo = &runner.packed_engine;
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = memo.lock();
+                panic!("poisoning the memo on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(memo.is_poisoned());
+        // The first run compiles into the poisoned memo, the second reuses it.
+        for _ in 0..2 {
+            let metrics = MetricsRegistry::new();
+            let fleet = runner
+                .run_with_metrics(&spec, 12, &metrics, |_| {})
+                .unwrap();
+            assert_eq!(fleet.devices, scalar.devices);
+            assert!(metrics.counter("fleet.packed.cohorts") > 0, "served packed");
+        }
+    }
+
+    #[test]
     fn route_compilations_are_independent_of_fleet_size() {
         let soc = catalog::figure2a_scan_soc();
         let schedule = packed_schedule(&soc, 4).unwrap();
@@ -1026,7 +1062,7 @@ mod tests {
         let budget = SearchBudget::smoke();
         let runner = FleetRunner::searched(&soc, 8, budget).unwrap();
         let (expected_schedule, expected_report) =
-            crate::search::run_program_searched(&soc, 8, budget).unwrap();
+            crate::search::run_program_searched(&soc, 8, budget, &MetricsRegistry::new()).unwrap();
         assert_eq!(runner.schedule(), &expected_schedule);
         let fleet = runner.run(&VariationSpec::perfect(), 3).unwrap();
         assert!(fleet.devices.iter().all(|d| d.report == expected_report));

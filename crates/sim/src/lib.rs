@@ -30,8 +30,9 @@
 //!   [`SocSimulator::export_metrics`],
 //! * [`search::run_program_searched`] — let the controller's annealed
 //!   makespan search pick the schedule, validating survivors on the
-//!   compiled engine and gating the winner bit-exactly against the
-//!   reference interpreter,
+//!   compiled engine, gating the winner bit-exactly against the
+//!   reference interpreter and publishing the search telemetry into the
+//!   caller's registry,
 //! * [`fleet::FleetRunner`] — compile one test program once and serve it
 //!   across thousands of simulated devices on a persistent worker pool,
 //!   streaming per-device pass/fail reports and a fleet yield summary,
@@ -100,6 +101,6 @@ pub use interconnect::run_interconnect_extest;
 pub use monitor::{DeviceDump, FleetMonitor, FleetSnapshot, LotTracker, MonitorConfig, Straggler};
 pub use pool::{LaneId, WorkerPool};
 pub use report::{run_program, run_program_reference, SocTestReport};
-pub use search::{run_program_searched, run_program_searched_with_metrics, CompiledValidator};
+pub use search::{run_program_searched, CompiledValidator};
 pub use session::{run_core_session, ClockKind, SessionReport};
 pub use simulator::{SimError, SocSimulator};

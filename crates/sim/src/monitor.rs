@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
@@ -264,6 +264,13 @@ pub struct DeviceDump {
     pub dump: FlightDump,
 }
 
+/// Locks a monitor or lot-tracker mutex, recovering it when a panicking
+/// holder poisoned it: one operation updates each guarded value in full,
+/// so the value is valid whatever that holder was doing.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Internal state shared between a monitored lot's device jobs, the
 /// floor's observer thread, and the monitor handle the caller keeps.
 pub(crate) struct MonitorShared {
@@ -283,18 +290,15 @@ impl MonitorShared {
     /// accumulate across runs by design — they describe the monitor's
     /// lifetime).
     pub(crate) fn begin_run(&self) {
-        self.in_flight.lock().expect("monitor poisoned").clear();
-        *self.device_elapsed.lock().expect("monitor poisoned") = Histogram::new();
-        self.dumps.lock().expect("monitor poisoned").clear();
+        lock(&self.in_flight).clear();
+        *lock(&self.device_elapsed) = Histogram::new();
+        lock(&self.dumps).clear();
     }
 
     /// Marks `device_id` in flight and hands back its flight recorder
     /// (`None` when recorders are disabled).
     pub(crate) fn device_started(&self, device_id: u64) -> Option<Arc<FlightRecorder>> {
-        self.in_flight
-            .lock()
-            .expect("monitor poisoned")
-            .insert(device_id, Instant::now());
+        lock(&self.in_flight).insert(device_id, Instant::now());
         (self.config.recorder_capacity > 0)
             .then(|| Arc::new(FlightRecorder::new(self.config.recorder_capacity)))
     }
@@ -309,24 +313,15 @@ impl MonitorShared {
     ) {
         let (passed, defective) = (report.passed(), report.fault.is_some());
         if let Some(recorder) = recorder.filter(|_| defective || !passed) {
-            self.dumps
-                .lock()
-                .expect("monitor poisoned")
-                .push(DeviceDump {
-                    device_id: report.device_id,
-                    defective,
-                    passed,
-                    dump: recorder.dump(),
-                });
+            lock(&self.dumps).push(DeviceDump {
+                device_id: report.device_id,
+                defective,
+                passed,
+                dump: recorder.dump(),
+            });
         }
-        self.in_flight
-            .lock()
-            .expect("monitor poisoned")
-            .remove(&report.device_id);
-        self.device_elapsed
-            .lock()
-            .expect("monitor poisoned")
-            .observe(elapsed.as_micros() as u64);
+        lock(&self.in_flight).remove(&report.device_id);
+        lock(&self.device_elapsed).observe(elapsed.as_micros() as u64);
     }
 
     /// Fills in what only the monitor sees — in-flight devices and the
@@ -334,10 +329,7 @@ impl MonitorShared {
     /// digests, and the `monitored_run` scalar attribution — over a lot
     /// tracker's snapshot.
     pub(crate) fn complete(&self, snapshot: &mut FleetSnapshot) {
-        let mut stragglers: Vec<Straggler> = self
-            .in_flight
-            .lock()
-            .expect("monitor poisoned")
+        let mut stragglers: Vec<Straggler> = lock(&self.in_flight)
             .iter()
             .map(|(&device_id, since)| Straggler {
                 device_id,
@@ -353,11 +345,7 @@ impl MonitorShared {
         stragglers.truncate(self.config.stragglers);
         snapshot.stragglers = stragglers;
         snapshot.packed_fallbacks = vec![("monitored_run".to_owned(), snapshot.fleet_size)];
-        snapshot.device_elapsed_us = self
-            .device_elapsed
-            .lock()
-            .expect("monitor poisoned")
-            .summary();
+        snapshot.device_elapsed_us = lock(&self.device_elapsed).summary();
         snapshot.queue_wait_us = self
             .telemetry
             .histogram("obs.pool.job.wait_us")
@@ -458,7 +446,7 @@ impl FleetMonitor {
     /// Flight-recorder dumps collected so far — one per defective or
     /// failing device of the current (or just-finished) run.
     pub fn dumps(&self) -> Vec<DeviceDump> {
-        self.shared.dumps.lock().expect("monitor poisoned").clone()
+        lock(&self.shared.dumps).clone()
     }
 
     /// Snapshots successfully handed to the receiver.
@@ -533,13 +521,13 @@ impl LotTracker {
         if report.fault.is_some() {
             self.defective.fetch_add(1, Ordering::Relaxed);
         }
-        let mut recent = self.recent.lock().expect("lot tracker poisoned");
+        let mut recent = lock(&self.recent);
         if recent.len() == self.window {
             recent.pop_front();
         }
         recent.push_back(report.passed());
         drop(recent);
-        *self.last_progress.lock().expect("lot tracker poisoned") = Instant::now();
+        *lock(&self.last_progress) = Instant::now();
     }
 
     /// Devices of this lot finished so far.
@@ -562,7 +550,7 @@ impl LotTracker {
     /// signal: a lot whose overall yield still looks healthy can already be
     /// producing a solid run of failures at the tail.
     pub fn rolling_yield(&self) -> f64 {
-        let recent = self.recent.lock().expect("lot tracker poisoned");
+        let recent = lock(&self.recent);
         if recent.is_empty() {
             1.0
         } else {
@@ -573,10 +561,7 @@ impl LotTracker {
     /// Time since this lot last completed a device (or since the tracker
     /// was created, before the first completion) — the starvation signal.
     pub fn last_progress_age(&self) -> Duration {
-        self.last_progress
-            .lock()
-            .expect("lot tracker poisoned")
-            .elapsed()
+        lock(&self.last_progress).elapsed()
     }
 
     /// Assembles a per-lot [`FleetSnapshot`]. `queued` is the lot's
@@ -766,5 +751,51 @@ mod tests {
             ..MonitorConfig::default()
         });
         assert!(off.shared().device_started(0).is_none());
+    }
+
+    /// Panics on another thread while holding `mutex`, leaving it poisoned.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = mutex.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_monitor_and_tracker_locks_keep_serving() {
+        // Every guarded value stays valid after a panic inside its
+        // one-operation critical section, so the next caller recovers it.
+        let (monitor, _rx) = FleetMonitor::new();
+        let shared = monitor.shared();
+        let tracker = LotTracker::new(2, 4);
+        poison(&shared.in_flight);
+        poison(&shared.device_elapsed);
+        poison(&shared.dumps);
+        poison(&tracker.recent);
+        poison(&tracker.last_progress);
+
+        shared.begin_run();
+        for id in 0..2 {
+            shared.device_started(id);
+        }
+        let failing = device(0, Verdict::Fail { mismatches: 1 }, true);
+        let recorder = FlightRecorder::new(4);
+        shared.device_finished(&failing, Some(&recorder), Duration::from_micros(40));
+        tracker.record(&failing);
+
+        let mut snap = tracker.snapshot(&RouteTableCache::new(), 0, true);
+        shared.complete(&mut snap);
+        assert_eq!((snap.completed, snap.failed, snap.in_flight), (1, 1, 1));
+        assert_eq!(snap.stragglers.len(), 1, "device 1 is still in flight");
+        assert_eq!(snap.device_elapsed_us.count, 1);
+        assert_eq!(tracker.rolling_yield(), 0.0);
+        assert!(tracker.last_progress_age() < Duration::from_secs(60));
+        let dumps = monitor.dumps();
+        assert_eq!(dumps.len(), 1);
+        assert_eq!(dumps[0].device_id, 0);
     }
 }

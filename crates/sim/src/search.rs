@@ -180,18 +180,29 @@ impl CandidateValidator for CompiledValidator {
 /// a bounded search budget, get the shortest schedule the search found,
 /// never a silently wrong one.
 ///
+/// `metrics` receives the search telemetry: the controller's `search.*`
+/// counters and trajectory, plus `search.route_cache.hits`,
+/// `search.route_cache.misses`, and `search.route_cache.shapes` from the
+/// shared route-compilation cache, the winner run's engine counters, and an
+/// `obs.search.validate_us` wall-clock histogram (p50/p99 of per-candidate
+/// validation time; `obs.*` names are excluded from the determinism
+/// contract). Pass a fresh registry to discard it.
+///
 /// # Examples
 ///
 /// ```
 /// use casbus_controller::search::SearchBudget;
 /// use casbus_controller::schedule::packed_schedule;
+/// use casbus_obs::MetricsRegistry;
 /// use casbus_sim::run_program_searched;
 /// use casbus_soc::catalog;
 ///
 /// let soc = catalog::figure1_soc();
-/// let (schedule, report) = run_program_searched(&soc, 8, SearchBudget::smoke())?;
+/// let metrics = MetricsRegistry::new();
+/// let (schedule, report) = run_program_searched(&soc, 8, SearchBudget::smoke(), &metrics)?;
 /// assert!(report.all_pass());
 /// assert!(schedule.makespan() <= packed_schedule(&soc, 8).unwrap().makespan());
+/// assert!(metrics.counter("search.validations") > 0);
 /// # Ok::<(), casbus_sim::SimError>(())
 /// ```
 ///
@@ -202,25 +213,6 @@ impl CandidateValidator for CompiledValidator {
 /// the reference gate (a bug, never an expected outcome), and the usual
 /// configuration errors.
 pub fn run_program_searched(
-    soc: &SocDescription,
-    n: usize,
-    budget: SearchBudget,
-) -> Result<(Schedule, SocTestReport), SimError> {
-    run_program_searched_with_metrics(soc, n, budget, &MetricsRegistry::new())
-}
-
-/// [`run_program_searched`] publishing search telemetry: the controller's
-/// `search.*` counters and trajectory, plus `search.route_cache.hits`,
-/// `search.route_cache.misses`, and `search.route_cache.shapes` from the
-/// shared route-compilation cache, the winner run's engine counters, and an
-/// `obs.search.validate_us` wall-clock histogram (p50/p99 of per-candidate
-/// validation time; `obs.*` names are excluded from the determinism
-/// contract).
-///
-/// # Errors
-///
-/// Same as [`run_program_searched`].
-pub fn run_program_searched_with_metrics(
     soc: &SocDescription,
     n: usize,
     budget: SearchBudget,
@@ -297,7 +289,7 @@ mod tests {
         let soc = catalog::figure1_soc();
         let metrics = MetricsRegistry::new();
         let (schedule, report) =
-            run_program_searched_with_metrics(&soc, 8, SearchBudget::smoke(), &metrics).unwrap();
+            run_program_searched(&soc, 8, SearchBudget::smoke(), &metrics).unwrap();
         assert!(report.all_pass());
         assert!(schedule.is_conflict_free());
         let best_heuristic = packed_schedule(&soc, 8)
@@ -340,7 +332,7 @@ mod tests {
     fn searched_run_propagates_schedule_errors() {
         let soc = catalog::figure1_soc();
         assert!(matches!(
-            run_program_searched(&soc, 0, SearchBudget::smoke()),
+            run_program_searched(&soc, 0, SearchBudget::smoke(), &MetricsRegistry::new()),
             Err(SimError::Schedule(
                 casbus_controller::ScheduleError::ZeroWidth
             ))

@@ -201,9 +201,6 @@ pub(crate) struct CompiledSession {
     ports: usize,
     len: usize,
     shift_cycles: usize,
-    /// `false` when the plan has Update or Idle cycles: the session then
-    /// has no segments, and only the reference interpreter can run it.
-    batchable: bool,
     segments: Vec<Segment>,
     stimulus: Vec<u64>,
     golden: Vec<u64>,
@@ -220,16 +217,10 @@ impl CompiledSession {
             ports,
             len: cycles.len(),
             shift_cycles: plan.shift_cycles(),
-            batchable: cycles
-                .iter()
-                .all(|(_, kind)| matches!(kind, ClockKind::Shift | ClockKind::Capture)),
             segments: Vec::new(),
             stimulus: Vec::new(),
             golden: Vec::new(),
         };
-        if !session.batchable {
-            return session;
-        }
         let mut model = models::instantiate(desc);
         let mut t = 0;
         while t < cycles.len() {
@@ -260,6 +251,7 @@ impl CompiledSession {
                     model.capture_clock();
                     t += 1;
                 }
+                assert!(t > start, "plans hold only shift and capture cycles");
                 session.segments.push(Segment::Capture {
                     start,
                     count: t - start,
@@ -287,12 +279,6 @@ impl CompiledSession {
     /// Shift cycles in the plan.
     pub(crate) fn shift_cycles(&self) -> usize {
         self.shift_cycles
-    }
-
-    /// Whether the word-level engines can run the session (only shift and
-    /// capture cycles).
-    pub(crate) fn batchable(&self) -> bool {
-        self.batchable
     }
 
     /// The shift and capture runs, in plan order.
@@ -781,7 +767,6 @@ mod tests {
             assert_eq!(session.len(), plan.len(), "{name}");
             assert_eq!(session.ports(), plan.ports(), "{name}");
             assert_eq!(session.shift_cycles(), plan.shift_cycles(), "{name}");
-            assert!(session.batchable(), "{name}");
             let mut t = 0;
             for segment in session.segments() {
                 match *segment {

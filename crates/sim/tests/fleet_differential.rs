@@ -136,7 +136,8 @@ fn searched_fleet_matches_run_program_searched_loop() {
     let fleet = runner.run(&VariationSpec::perfect(), 8).expect("fleet run");
 
     for device in &fleet.devices {
-        let (schedule, report) = run_program_searched(&soc, 8, budget).expect("searched run");
+        let (schedule, report) =
+            run_program_searched(&soc, 8, budget, &MetricsRegistry::new()).expect("searched run");
         assert_eq!(runner.schedule(), &schedule, "device {}", device.device_id);
         assert_eq!(device.report, report, "device {}", device.device_id);
     }
