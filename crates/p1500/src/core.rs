@@ -28,13 +28,33 @@ pub trait TestableCore: Send {
     fn test_ports(&self) -> usize;
 
     /// Advances one *test* clock: `inputs` carries one bit per test port
-    /// into the core (scan-in, BIST control, …) and the returned vector
-    /// carries one bit per port out (scan-out, signature bits, …).
+    /// into the core (scan-in, BIST control, …) and `outputs` receives one
+    /// bit per port out (scan-out, signature bits, …).
+    ///
+    /// `outputs` is the caller's buffer: whatever length and bits it held
+    /// before, it holds exactly [`test_ports`](TestableCore::test_ports)
+    /// bits afterwards, and a caller that passes the same buffer every
+    /// clock makes the clock allocation-free. This is the one per-clock
+    /// method a model implements; [`test_clock`](TestableCore::test_clock)
+    /// and the provided [`test_clock_words`](TestableCore::test_clock_words)
+    /// are built on it.
     ///
     /// # Panics
     ///
     /// Implementations may panic when `inputs.len() != self.test_ports()`.
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec;
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec);
+
+    /// [`test_clock_into`](TestableCore::test_clock_into) into a fresh
+    /// vector.
+    ///
+    /// # Panics
+    ///
+    /// As [`test_clock_into`](TestableCore::test_clock_into).
+    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+        let mut outputs = BitVec::new();
+        self.test_clock_into(inputs, &mut outputs);
+        outputs
+    }
 
     /// Advances one *functional* clock while under test: captures the
     /// combinational response into the scan elements (scan capture cycle) or
@@ -53,9 +73,10 @@ pub trait TestableCore: Send {
     /// `t`. The returned planes carry the outputs in the same layout.
     ///
     /// The provided implementation simply loops over
-    /// [`test_clock`](TestableCore::test_clock), so every model stays bit-exact by
-    /// construction; models with word-level internal state (e.g. scan
-    /// chains stored as `BitVec`s) override this to shift whole words.
+    /// [`test_clock_into`](TestableCore::test_clock_into) with one reused
+    /// output buffer, so every model stays bit-exact by construction;
+    /// models with word-level internal state (e.g. scan chains stored as
+    /// `BitVec`s) override this to shift whole words.
     ///
     /// # Panics
     ///
@@ -72,11 +93,12 @@ pub trait TestableCore: Send {
         );
         let mut outs = vec![0u64; inputs.len()];
         let mut wpi = BitVec::zeros(inputs.len());
+        let mut wpo = BitVec::new();
         for t in 0..cycles {
             for (j, plane) in inputs.iter().enumerate() {
                 wpi.set(j, (plane >> t) & 1 == 1);
             }
-            let wpo = self.test_clock(&wpi);
+            self.test_clock_into(&wpi, &mut wpo);
             for (j, out) in outs.iter_mut().enumerate() {
                 if wpo.get(j) == Some(true) {
                     *out |= 1 << t;
@@ -96,8 +118,8 @@ impl<T: TestableCore + ?Sized> TestableCore for Box<T> {
         (**self).test_ports()
     }
 
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
-        (**self).test_clock(inputs)
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
+        (**self).test_clock_into(inputs, outputs)
     }
 
     fn capture_clock(&mut self) {
@@ -154,20 +176,12 @@ pub(crate) mod test_support {
             self.chains.len()
         }
 
-        fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+        fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
             assert_eq!(inputs.len(), self.chains.len());
-            let mut outs = BitVec::new();
+            outputs.clear();
             for (chain, bit) in self.chains.iter_mut().zip(inputs.iter()) {
-                let depth = chain.len();
-                let mut next = BitVec::with_capacity(depth);
-                next.push(bit);
-                for i in 0..depth.saturating_sub(1) {
-                    next.push(chain.get(i).unwrap());
-                }
-                outs.push(chain.get(depth - 1).unwrap());
-                *chain = next;
+                outputs.push(chain.scan_shift_word(u64::from(bit), 1) == 1);
             }
-            outs
         }
 
         fn capture_clock(&mut self) {

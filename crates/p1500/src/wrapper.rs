@@ -96,7 +96,7 @@ impl WrapperControl {
 /// # impl TestableCore for Nop {
 /// #     fn name(&self) -> &str { "nop" }
 /// #     fn test_ports(&self) -> usize { 1 }
-/// #     fn test_clock(&mut self, i: &BitVec) -> BitVec { i.clone() }
+/// #     fn test_clock_into(&mut self, i: &BitVec, o: &mut BitVec) { o.copy_from(i) }
 /// #     fn capture_clock(&mut self) {}
 /// #     fn scan_depth(&self) -> usize { 1 }
 /// #     fn reset(&mut self) {}
@@ -256,9 +256,25 @@ impl<C: TestableCore> Wrapper<C> {
     ///
     /// Panics if `wpi.len()` differs from [`Wrapper::parallel_width`].
     pub fn clock_parallel(&mut self, wpi: &BitVec, ctrl: &WrapperControl) -> BitVec {
+        let mut wpo = BitVec::new();
+        self.clock_parallel_into(wpi, ctrl, &mut wpo);
+        wpo
+    }
+
+    /// [`Wrapper::clock_parallel`] into the caller's buffer: `wpo` holds
+    /// exactly `parallel_width()` bits afterwards, whatever it held before.
+    /// INTEST clocks hand `wpo` to the core's
+    /// [`test_clock_into`](TestableCore::test_clock_into), so a caller
+    /// that reuses one buffer per wrapper clocks without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wpi.len()` differs from [`Wrapper::parallel_width`].
+    pub fn clock_parallel_into(&mut self, wpi: &BitVec, ctrl: &WrapperControl, wpo: &mut BitVec) {
+        let width = self.parallel_width();
         assert_eq!(
             wpi.len(),
-            self.parallel_width(),
+            width,
             "parallel port width mismatch on core {}",
             self.core.name()
         );
@@ -268,30 +284,28 @@ impl<C: TestableCore> Wrapper<C> {
                     self.core.capture_clock();
                 }
                 if ctrl.shift {
-                    self.core.test_clock(wpi)
-                } else {
-                    BitVec::zeros(self.parallel_width())
+                    self.core.test_clock_into(wpi, wpo);
+                    return;
                 }
             }
             WrapperInstruction::Extest => {
-                let mut out = BitVec::zeros(1);
                 if ctrl.capture {
                     let mut snapshot = self.extest_inputs.clone();
                     snapshot.extend(std::iter::repeat_n(false, self.wbr.output_count()));
                     self.wbr.capture(&snapshot);
                 }
-                if ctrl.shift {
-                    out.set(0, self.wbr.shift(wpi.get(0).unwrap_or(false)));
-                }
+                let out = ctrl.shift && self.wbr.shift(wpi.get(0).unwrap_or(false));
                 if ctrl.update {
                     self.wbr.update();
                 }
-                out
+                wpo.clear();
+                wpo.push(out);
+                return;
             }
-            WrapperInstruction::Normal | WrapperInstruction::Bypass => {
-                BitVec::zeros(self.parallel_width())
-            }
+            WrapperInstruction::Normal | WrapperInstruction::Bypass => {}
         }
+        wpo.clear();
+        wpo.resize(width, false);
     }
 
     /// Runs up to 64 consecutive *shift* clocks on the parallel path in one
@@ -327,11 +341,12 @@ impl<C: TestableCore> Wrapper<C> {
             }
             WrapperInstruction::Extest => {
                 let ctrl = WrapperControl::shift_data();
+                let (mut wpi, mut wpo) = (BitVec::zeros(1), BitVec::new());
                 let mut out = 0u64;
                 for t in 0..cycles {
-                    let mut wpi = BitVec::new();
-                    wpi.push((inputs[0] >> t) & 1 == 1);
-                    if self.clock_parallel(&wpi, &ctrl).get(0) == Some(true) {
+                    wpi.set(0, (inputs[0] >> t) & 1 == 1);
+                    self.clock_parallel_into(&wpi, &ctrl, &mut wpo);
+                    if wpo.get(0) == Some(true) {
                         out |= 1 << t;
                     }
                 }
@@ -502,6 +517,36 @@ mod tests {
                         "{instruction:?} cycle {t} port {j}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn clock_parallel_into_overwrites_a_stale_buffer_in_every_mode() {
+        for instruction in [
+            WrapperInstruction::IntestScan,
+            WrapperInstruction::Extest,
+            WrapperInstruction::Bypass,
+        ] {
+            let mut into = wrapper();
+            let mut fresh = wrapper();
+            into.apply_instruction(instruction);
+            fresh.apply_instruction(instruction);
+            let width = into.parallel_width();
+            let controls = [
+                WrapperControl::shift_data(),
+                WrapperControl::capture_data(),
+                WrapperControl::update_data(),
+                WrapperControl::default(),
+            ];
+            for t in 0..24usize {
+                let wpi: BitVec = (0..width).map(|j| (t * 7 + j * 3) % 5 < 2).collect();
+                let ctrl = controls[t % controls.len()];
+                let mut wpo = BitVec::ones(width + 1 + t % 3);
+                into.clock_parallel_into(&wpi, &ctrl, &mut wpo);
+                let expected = fresh.clock_parallel(&wpi, &ctrl);
+                assert_eq!(wpo, expected, "{instruction:?} clock {t}");
+                assert_eq!(wpo.len(), width, "{instruction:?} clock {t}");
             }
         }
     }

@@ -42,16 +42,14 @@ impl TestableCore for SystemBusCore {
         1
     }
 
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
         assert_eq!(inputs.len(), 1, "the bus model has one serial port");
-        let out = self.stage;
+        outputs.clear();
+        outputs.push(self.stage);
         self.stage = match self.stuck {
             Some(v) => v,
             None => inputs.get(0).expect("one bit"),
         };
-        let mut result = BitVec::new();
-        result.push(out);
-        result
     }
 
     fn capture_clock(&mut self) {}
@@ -68,6 +66,50 @@ impl TestableCore for SystemBusCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// 1 000 steps of a seeded mix on a bus model — test clocks with a
+    /// random bit, interleaved with captures, resets and stuck-at
+    /// injections — each clocking into a buffer of the wrong length with
+    /// every bit set. Asserts every output is one bit wide and returns a
+    /// 64-bit fold of them.
+    fn fold_stale_clocks(seed: u64) -> u64 {
+        let mut bus = SystemBusCore::new("sysbus");
+        let mut state = seed;
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        for step in 0..1_000 {
+            state = state
+                .wrapping_mul(0x5851_f42d_4c95_7f2d)
+                .wrapping_add(0x1405_7b7e_f767_814f);
+            let roll = state ^ (state >> 29);
+            match roll % 64 {
+                0..=15 => bus.capture_clock(),
+                16 => bus.reset(),
+                17 => bus.inject_stuck(roll >> 63 == 1),
+                _ => {
+                    let mut out = BitVec::ones(2 + (roll >> 8) as usize % 70);
+                    bus.test_clock_into(&BitVec::repeat(roll >> 7 & 1 == 1, 1), &mut out);
+                    assert_eq!(out.len(), 1, "step {step}");
+                    fold = (fold ^ out.to_u64()).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        fold
+    }
+
+    proptest! {
+        #[test]
+        fn clocks_exactly_one_bit_into_a_stale_buffer(seed in any::<u64>()) {
+            fold_stale_clocks(seed);
+        }
+    }
+
+    #[test]
+    fn outputs_fold_to_their_recorded_value() {
+        // Recorded with the allocating `test_clock` before the models
+        // clocked into caller buffers.
+        assert_eq!(fold_stale_clocks(3), 14_882_728_839_544_521_151);
+    }
 
     #[test]
     fn echoes_with_one_cycle_delay() {

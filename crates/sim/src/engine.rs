@@ -1,8 +1,8 @@
 //! The compiled word-level execution engine.
 //!
-//! [`run_program`](crate::run_program) semantics, 3–7× faster than the
-//! bit-serial interpreter single-threaded (`BENCH_soc_sim.json`: 6.2× on
-//! Figure 1, 7.3× on the ITC'02-like SoC, 2.9× on the 240-cycle
+//! [`run_program`](crate::run_program) semantics, 3–11× faster than the
+//! bit-serial interpreter single-threaded (`BENCH_soc_sim.json`: 11.0× on
+//! Figure 1, 8.9× on the ITC'02-like SoC, 2.7× on the 240-cycle
 //! hierarchical SoC). Instead of interpreting the CAS chain bit by bit
 //! every data clock, the engine takes each tested core's wires from its
 //! CAS's active scheme and streams the core's scan traffic through the
@@ -44,9 +44,11 @@ use casbus_tpg::BitVec;
 
 use crate::report::{
     collect_lanes, drive_lanes_reference, finish_report, record_session_spans, Lane, LaneResult,
-    ReferenceSession, ReportBaseline, SocTestReport,
+    ReportBaseline, SocTestReport,
 };
-use crate::session::{lane_signature, push_zeros, verdict, CompiledSession, Segment, SessionCache};
+use crate::session::{
+    lane_signature, push_zeros, verdict, CompiledSession, ReferenceSession, Segment, SessionCache,
+};
 use crate::simulator::{SimError, SocSimulator};
 
 /// A step's lane with its core's compiled session.
@@ -151,8 +153,8 @@ impl CompiledEngine {
             let step_results = match compiled {
                 Some(lanes) => drive_lanes_compiled(sim, &lanes),
                 None => {
-                    let lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
-                    drive_lanes_reference(sim, &lanes)?
+                    let mut lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
+                    drive_lanes_reference(sim, &mut lanes)?
                 }
             };
             record_session_spans(sim, &step_results, step_index, step_start);
@@ -386,11 +388,24 @@ mod tests {
     /// Runs a program on the reference interpreter and on the compiled
     /// engine; everything must be bit-identical.
     fn assert_program_agrees(soc: &casbus_soc::SocDescription, n: usize, program: &TestProgram) {
+        assert_prepared_program_agrees(soc, n, program, |_| {});
+    }
+
+    /// [`assert_program_agrees`] on simulators that `prepare` modified
+    /// first (a swapped-in core model, say).
+    fn assert_prepared_program_agrees(
+        soc: &casbus_soc::SocDescription,
+        n: usize,
+        program: &TestProgram,
+        prepare: impl Fn(&mut SocSimulator),
+    ) {
         let mut ref_sim = SocSimulator::new(soc, n).unwrap();
+        prepare(&mut ref_sim);
         let reference = run_program_reference(&mut ref_sim, program).unwrap();
         let ref_metrics = MetricsRegistry::new();
         ref_sim.export_metrics(&ref_metrics);
         let mut sim = SocSimulator::new(soc, n).unwrap();
+        prepare(&mut sim);
         let compiled = CompiledEngine::new().run(&mut sim, program).unwrap();
         let metrics = MetricsRegistry::new();
         sim.export_metrics(&metrics);
@@ -464,51 +479,140 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dependent_routes_fall_back_to_the_reference_and_stay_exact() {
-        use casbus_controller::TestStep;
-        use casbus_soc::{CoreDescription, SocBuilder, TestMethod};
+    /// A one-step program, built by hand: the schedule compiler never
+    /// emits the steps the fallback tests need.
+    fn one_step(
+        configuration: TamConfiguration,
+        wrapper_instructions: Vec<WrapperInstruction>,
+        duration: u64,
+    ) -> TestProgram {
+        let mut program = TestProgram::new();
+        program.push(casbus_controller::TestStep {
+            configuration,
+            wrapper_instructions,
+            duration,
+            description: "hand-built".into(),
+        });
+        program
+    }
 
-        // Two scan cores in series on wire 0 (`tests/daisy_chain.rs`).
-        // `Schedule::from_tests` rejects wire conflicts, so no
-        // schedule-compiled program reaches this step: it is built by hand.
+    /// Why `program`'s first step stays off the fast path on a fresh
+    /// simulator that `prepare` modified first.
+    fn first_step_blocker(
+        soc: &casbus_soc::SocDescription,
+        n: usize,
+        program: &TestProgram,
+        prepare: impl Fn(&mut SocSimulator),
+    ) -> Option<CompileBlocker> {
+        let step = &program.steps()[0];
+        let mut sim = SocSimulator::new(soc, n).unwrap();
+        prepare(&mut sim);
+        sim.configure(&step.configuration, &step.wrapper_instructions)
+            .unwrap();
+        let lanes = CompiledEngine::new()
+            .session_lanes(&sim, &step.configuration)
+            .unwrap();
+        step_compile_blocker(&sim, &lanes, &RouteTable::compile(sim.tam().chain()))
+    }
+
+    /// Two single-chain scan cores, `front` (5 flops) then `back` (7).
+    fn front_and_back() -> casbus_soc::SocDescription {
         let scan = |name: &str, depth: usize| {
-            let method = TestMethod::Scan {
+            let method = casbus_soc::TestMethod::Scan {
                 chains: vec![depth],
                 patterns: 4,
             };
-            CoreDescription::new(name, method)
+            casbus_soc::CoreDescription::new(name, method)
         };
-        let soc = SocBuilder::new("daisy")
+        casbus_soc::SocBuilder::new("daisy")
             .core(scan("front", 5))
             .core(scan("back", 7))
             .build()
-            .unwrap();
-        let mut sim = SocSimulator::new(&soc, 2).unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn dependent_routes_fall_back_to_the_reference_and_stay_exact() {
+        // Two scan cores in series on wire 0 (`tests/daisy_chain.rs`).
+        // `Schedule::from_tests` rejects wire conflicts, so no
+        // schedule-compiled program reaches this step: it is built by hand.
+        let soc = front_and_back();
+        let sim = SocSimulator::new(&soc, 2).unwrap();
         let mut configuration = TamConfiguration::all_bypass(2);
         for cas in 0..2 {
             let on_wire0 = sim.tam().explicit_test(cas, vec![0]).unwrap();
             configuration.set(cas, on_wire0).unwrap();
         }
-        let mut program = TestProgram::new();
-        program.push(TestStep {
-            configuration: configuration.clone(),
-            wrapper_instructions: vec![WrapperInstruction::IntestScan; 2],
-            duration: 4 * (7 + 1) + 7,
-            description: "front and back concatenated on wire 0".into(),
-        });
-
-        sim.configure(&configuration, &program.steps()[0].wrapper_instructions)
-            .unwrap();
-        let lanes = CompiledEngine::new()
-            .session_lanes(&sim, &configuration)
-            .unwrap();
-        let routes = RouteTable::compile(sim.tam().chain());
+        let instructions = vec![WrapperInstruction::IntestScan; 2];
+        let program = one_step(configuration, instructions, 4 * (7 + 1) + 7);
         assert_eq!(
-            step_compile_blocker(&sim, &lanes, &routes),
+            first_step_blocker(&soc, 2, &program, |_| {}),
             Some(CompileBlocker::DependentRoutes)
         );
         assert_program_agrees(&soc, 2, &program);
+    }
+
+    #[test]
+    fn a_non_intest_wrapper_falls_back_to_the_reference_and_stays_exact() {
+        // A TEST CAS whose wrapper is loaded with EXTEST: the plan's scan
+        // stimulus threads the boundary register instead of the chain.
+        let soc = front_and_back();
+        let sim = SocSimulator::new(&soc, 2).unwrap();
+        let mut configuration = TamConfiguration::all_bypass(2);
+        configuration
+            .set(0, sim.tam().contiguous_test(0, 0).unwrap())
+            .unwrap();
+        let instructions = vec![WrapperInstruction::Extest, WrapperInstruction::Bypass];
+        let program = one_step(configuration, instructions, 4 * (5 + 1) + 5);
+        assert_eq!(
+            first_step_blocker(&soc, 2, &program, |_| {}),
+            Some(CompileBlocker::NonIntestWrapper)
+        );
+        assert_program_agrees(&soc, 2, &program);
+    }
+
+    #[test]
+    fn an_armed_bystander_falls_back_to_the_reference_and_stays_exact() {
+        // `back` is tested on wire 0; `front` sits behind a BYPASS CAS with
+        // its wrapper still in INTEST, so the interpreter keeps clocking it.
+        let soc = front_and_back();
+        let sim = SocSimulator::new(&soc, 2).unwrap();
+        let mut configuration = TamConfiguration::all_bypass(2);
+        configuration
+            .set(1, sim.tam().contiguous_test(1, 0).unwrap())
+            .unwrap();
+        let instructions = vec![WrapperInstruction::IntestScan; 2];
+        let program = one_step(configuration, instructions, 4 * (7 + 1) + 7);
+        assert_eq!(
+            first_step_blocker(&soc, 2, &program, |_| {}),
+            Some(CompileBlocker::ArmedBystander)
+        );
+        assert_program_agrees(&soc, 2, &program);
+    }
+
+    #[test]
+    fn a_width_mismatch_falls_back_to_the_reference_and_stays_exact() {
+        // A scheme always has its CAS's `P` wires, and the plan is `P`
+        // wide, so only the wrapper can disagree: `SocSimulator::wrapper_mut`
+        // swaps in a two-chain model behind the three-port CAS of `scan3`.
+        let soc = catalog::figure2a_scan_soc();
+        let narrow = |sim: &mut SocSimulator| {
+            let core = casbus_soc::models::ScanCore::new("scan3", vec![30, 28]);
+            let wrapper = sim.wrapper_mut("scan3").unwrap();
+            *wrapper = casbus_p1500::Wrapper::new(Box::new(core) as Box<dyn TestableCore>, 8, 8);
+        };
+        let sim = SocSimulator::new(&soc, 4).unwrap();
+        let mut configuration = TamConfiguration::all_bypass(2);
+        configuration
+            .set(0, sim.tam().contiguous_test(0, 0).unwrap())
+            .unwrap();
+        let instructions = vec![WrapperInstruction::IntestScan, WrapperInstruction::Bypass];
+        let program = one_step(configuration, instructions, 40 * (32 + 1) + 32);
+        assert_eq!(
+            first_step_blocker(&soc, 4, &program, narrow),
+            Some(CompileBlocker::WidthMismatch)
+        );
+        assert_prepared_program_agrees(&soc, 4, &program, narrow);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use casbus_obs::TraceEvent;
 use casbus_soc::CoreDescription;
 use casbus_tpg::{BitVec, Verdict};
 
-use crate::session::{compare, golden_run, lane_signature, ClockKind, SessionPlan};
+use crate::session::{ClockKind, ReferenceSession};
 use crate::simulator::{SimError, SocSimulator};
 
 /// The outcome of executing a whole test program.
@@ -92,27 +92,6 @@ pub(crate) struct LaneResult {
     pub(crate) signature: u64,
 }
 
-/// A tested core's session as the reference interpreter runs it: the
-/// per-cycle plan and the golden model's per-cycle responses, rebuilt on
-/// every call, so the oracle never reads the compiled sessions it checks.
-pub(crate) struct ReferenceSession {
-    plan: SessionPlan,
-    golden: Vec<Option<BitVec>>,
-}
-
-impl ReferenceSession {
-    pub(crate) fn new(desc: &CoreDescription) -> Self {
-        let plan = SessionPlan::for_core(desc);
-        let golden = golden_run(desc, &plan);
-        Self { plan, golden }
-    }
-
-    /// Plan cycles.
-    pub(crate) fn len(&self) -> usize {
-        self.plan.len()
-    }
-}
-
 /// Collects the lanes of one configured step, in `cores_under_test` order,
 /// building each tested core's session with `build`. Call after
 /// [`SocSimulator::configure`] so the active schemes are loaded.
@@ -148,57 +127,46 @@ pub(crate) fn collect_lanes<S>(
 /// (the reference path, exact under probes and serial wire sharing).
 /// Returns one result per lane, in lane order.
 ///
-/// One bus and one clock-kind buffer serve the whole step, and each lane's
-/// observed bits go straight into its port-major streams: the signature's
-/// input, and what the verdict is counted from.
+/// One bus and one clock-kind buffer serve the whole step. Every data
+/// clock, each lane draws its stimulus, and after the clock it records
+/// its observation slot and clocks its golden model on the same stimulus
+/// ([`ReferenceSession`]).
 pub(crate) fn drive_lanes_reference(
     sim: &mut SocSimulator,
-    lanes: &[Lane<ReferenceSession>],
+    lanes: &mut [Lane<ReferenceSession>],
 ) -> Result<Vec<LaneResult>, SimError> {
     let horizon = lanes.iter().map(|l| l.session.len()).max().unwrap_or(0);
-    // A lane observes every step cycle up to one past its plan, the last
-    // retimed response included.
-    let mut streams: Vec<Vec<BitVec>> = lanes
-        .iter()
-        .map(|lane| {
-            let observed = horizon.min(lane.session.len() + 1);
-            (0..lane.session.plan.ports())
-                .map(|_| BitVec::with_capacity(observed))
-                .collect()
-        })
-        .collect();
     let n = sim.bus_width();
     let mut bus = BitVec::zeros(n);
     let mut kinds = vec![ClockKind::Idle; sim.tam().cas_count()];
     for t in 0..horizon {
         bus.fill_range(0..n, false);
         kinds.fill(ClockKind::Idle);
-        for lane in lanes {
-            if let Some((stim, kind)) = lane.session.plan.cycles().get(t) {
-                kinds[lane.cas_index] = *kind;
+        for lane in lanes.iter_mut() {
+            if let Some(kind) = lane.session.advance() {
+                kinds[lane.cas_index] = kind;
                 for (j, &wire) in lane.wires.iter().enumerate() {
-                    bus.set(wire, stim.get(j).expect("stim P wide"));
+                    bus.set(wire, lane.session.stimulus().get(j).expect("stim P wide"));
                 }
             }
         }
         let out = sim.data_clock(&bus, &kinds)?;
-        for (lane, lane_streams) in lanes.iter().zip(streams.iter_mut()) {
-            if t < lane.session.len() + 1 {
-                for (j, stream) in lane_streams.iter_mut().enumerate() {
-                    stream.push(out.get(lane.wires[j]).expect("wire < n"));
-                }
+        for lane in lanes.iter_mut() {
+            // A lane observes every step cycle up to one past its plan, the
+            // last retimed response included.
+            if t <= lane.session.len() {
+                lane.session.observe(out, &lane.wires);
             }
         }
     }
     Ok(lanes
         .iter()
-        .zip(&streams)
-        .map(|(lane, streams)| LaneResult {
+        .map(|lane| LaneResult {
             name: lane.name.clone(),
             cas_index: lane.cas_index,
             data_cycles: lane.session.len(),
-            verdict: compare(&lane.session.golden, streams),
-            signature: lane_signature(streams),
+            verdict: lane.session.verdict(),
+            signature: lane.session.signature(),
         })
         .collect())
 }
@@ -321,8 +289,8 @@ pub fn run_program_reference(
     for (step_index, step) in program.steps().iter().enumerate() {
         let step_start = sim.cycles();
         sim.configure(&step.configuration, &step.wrapper_instructions)?;
-        let lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
-        let step_results = drive_lanes_reference(sim, &lanes)?;
+        let mut lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
+        let step_results = drive_lanes_reference(sim, &mut lanes)?;
         record_session_spans(sim, &step_results, step_index, step_start);
         results.extend(step_results);
     }

@@ -2,14 +2,14 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use casbus::TamConfiguration;
 use casbus_p1500::{TestableCore, WrapperInstruction};
 use casbus_soc::{models, CoreDescription, TestMethod};
 use casbus_tpg::{BitVec, Lfsr, Polynomial, Verdict};
 
-use crate::report::{collect_lanes, drive_lanes_reference, ReferenceSession};
+use crate::report::{collect_lanes, drive_lanes_reference};
 use crate::simulator::{SimError, SocSimulator};
 
 /// What a wrapper does on one data clock.
@@ -25,48 +25,57 @@ pub enum ClockKind {
     Idle,
 }
 
-/// The per-cycle plan of one core's test session: stimulus slice + clock
-/// kind for every cycle.
+/// One run of a [`SessionPlan`]: `cycles` consecutive clocks of one kind,
+/// their stimulus drawn from the plan's LFSR or all zeros.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    kind: ClockKind,
+    cycles: usize,
+    random: bool,
+}
+
+/// The plan of one core's test session, run-length encoded: runs of
+/// `(kind, cycles, LFSR stimulus or zeros)` and the seed of the LFSR the
+/// stimulus comes from. Stimuli come from an LFSR seeded by the core name,
+/// so the golden model and the TAM run see identical data. A plan stores
+/// no per-cycle vector: the reference interpreter and the session compiler
+/// replay it one cycle at a time, drawing the stimulus as they go.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionPlan {
-    cycles: Vec<(BitVec, ClockKind)>,
+    runs: Vec<Run>,
     ports: usize,
+    seed: u64,
 }
 
 impl SessionPlan {
     /// Builds the deterministic session plan a core's test method calls for.
-    /// Stimuli come from an LFSR seeded by the core name, so the golden
-    /// reference and the TAM run see identical data.
     pub fn for_core(desc: &CoreDescription) -> Self {
-        let ports = desc.required_ports();
-        let mut lfsr = stimulus_source(desc.name());
-        let mut cycles = Vec::new();
+        let mut plan = Self {
+            runs: Vec::new(),
+            ports: desc.required_ports(),
+            seed: stimulus_seed(desc.name()),
+        };
+        // Scan-like methods shift `depth` random bits per pattern, capture,
+        // and finally flush the last response out with zeros.
+        let scan_like = |plan: &mut Self, depth: usize, patterns: usize| {
+            for _ in 0..patterns {
+                plan.push(ClockKind::Shift, depth, true);
+                plan.push(ClockKind::Capture, 1, false);
+            }
+            plan.push(ClockKind::Shift, depth, false);
+        };
         match desc.method() {
             TestMethod::Scan { chains, patterns } => {
                 let depth = chains.iter().copied().max().unwrap_or(1);
-                for _ in 0..*patterns {
-                    for _ in 0..depth {
-                        cycles.push((lfsr.step_n(ports), ClockKind::Shift));
-                    }
-                    cycles.push((BitVec::zeros(ports), ClockKind::Capture));
-                }
-                for _ in 0..depth {
-                    cycles.push((BitVec::zeros(ports), ClockKind::Shift));
-                }
+                scan_like(&mut plan, depth, *patterns);
             }
             TestMethod::Bist { width, patterns } => {
-                for _ in 0..*patterns {
-                    cycles.push((BitVec::zeros(ports), ClockKind::Capture));
-                }
-                for _ in 0..*width {
-                    cycles.push((BitVec::zeros(ports), ClockKind::Shift));
-                }
+                plan.push(ClockKind::Capture, *patterns, false);
+                plan.push(ClockKind::Shift, *width as usize, false);
             }
             TestMethod::External { patterns, .. } => {
-                for _ in 0..*patterns {
-                    cycles.push((lfsr.step_n(ports), ClockKind::Shift));
-                }
-                cycles.push((BitVec::zeros(ports), ClockKind::Shift));
+                plan.push(ClockKind::Shift, *patterns, true);
+                plan.push(ClockKind::Shift, 1, false);
             }
             TestMethod::Hierarchical { sub_cores, .. } => {
                 let depth: usize = sub_cores
@@ -80,38 +89,42 @@ impl SessionPlan {
                     })
                     .sum::<usize>()
                     .max(1);
-                for _ in 0..4 {
-                    for _ in 0..depth {
-                        cycles.push((lfsr.step_n(ports), ClockKind::Shift));
-                    }
-                    cycles.push((BitVec::zeros(ports), ClockKind::Capture));
-                }
-                for _ in 0..depth {
-                    cycles.push((BitVec::zeros(ports), ClockKind::Shift));
-                }
+                scan_like(&mut plan, depth, 4);
             }
             TestMethod::Memory { words, .. } => {
-                for _ in 0..3 * words {
-                    cycles.push((BitVec::zeros(ports), ClockKind::Capture));
-                }
-                for _ in 0..2 {
-                    cycles.push((BitVec::zeros(ports), ClockKind::Shift));
-                }
+                plan.push(ClockKind::Capture, 3 * words, false);
+                plan.push(ClockKind::Shift, 2, false);
             }
         }
         // One trailing cycle so the retiming register drains.
-        cycles.push((BitVec::zeros(ports), ClockKind::Shift));
-        Self { cycles, ports }
+        plan.push(ClockKind::Shift, 1, false);
+        plan
+    }
+
+    /// Appends `cycles` clocks, extending the last run when it has the same
+    /// kind and stimulus source.
+    fn push(&mut self, kind: ClockKind, cycles: usize, random: bool) {
+        if cycles == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some(last) if last.kind == kind && last.random == random => last.cycles += cycles,
+            _ => self.runs.push(Run {
+                kind,
+                cycles,
+                random,
+            }),
+        }
     }
 
     /// Number of cycles.
     pub fn len(&self) -> usize {
-        self.cycles.len()
+        self.runs.iter().map(|run| run.cycles).sum()
     }
 
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
-        self.cycles.is_empty()
+        self.runs.is_empty()
     }
 
     /// Stimulus width (the core's `P`).
@@ -119,44 +132,82 @@ impl SessionPlan {
         self.ports
     }
 
-    /// The cycles.
-    pub fn cycles(&self) -> &[(BitVec, ClockKind)] {
-        &self.cycles
-    }
-
     /// Shift cycles in the plan.
     pub fn shift_cycles(&self) -> usize {
-        self.cycles
+        self.runs
             .iter()
-            .filter(|(_, k)| *k == ClockKind::Shift)
-            .count()
+            .filter(|run| run.kind == ClockKind::Shift)
+            .map(|run| run.cycles)
+            .sum()
+    }
+
+    /// A cursor at the plan's first cycle.
+    pub(crate) fn into_cursor(self) -> PlanCursor {
+        let lfsr = stimulus_lfsr(self.seed);
+        PlanCursor {
+            plan: self,
+            run: 0,
+            done: 0,
+            lfsr,
+        }
     }
 }
 
-fn stimulus_source(name: &str) -> Lfsr {
-    let poly = Polynomial::primitive(16).expect("degree 16 tabulated");
-    let seed = name.bytes().fold(0xACE1u64, |acc, b| {
-        acc.wrapping_mul(131).wrapping_add(u64::from(b))
-    }) & 0xffff;
-    Lfsr::fibonacci(poly, seed.max(1)).expect("non-zero seed")
+/// Replays a [`SessionPlan`] one cycle at a time, drawing each cycle's
+/// stimulus from the plan's LFSR into the caller's buffer. Both the
+/// reference interpreter and [`CompiledSession::compile`] read their plans
+/// through it.
+#[derive(Debug, Clone)]
+pub(crate) struct PlanCursor {
+    plan: SessionPlan,
+    /// The run holding the next cycle, and how many of its cycles have
+    /// been replayed.
+    run: usize,
+    done: usize,
+    lfsr: Lfsr,
 }
 
-/// Runs the plan directly against a fresh behavioural model (no TAM): the
-/// golden reference. Returns the model's output slice for every cycle
-/// (`None` on capture cycles).
-pub fn golden_run(desc: &CoreDescription, plan: &SessionPlan) -> Vec<Option<BitVec>> {
-    let mut model = models::instantiate(desc);
-    plan.cycles()
-        .iter()
-        .map(|(stim, kind)| match kind {
-            ClockKind::Shift => Some(model.test_clock(stim)),
-            ClockKind::Capture => {
-                model.capture_clock();
-                None
+impl PlanCursor {
+    /// The next cycle's kind, without advancing; `None` past the plan.
+    pub(crate) fn peek(&self) -> Option<ClockKind> {
+        self.plan.runs.get(self.run).map(|run| run.kind)
+    }
+
+    /// Advances one cycle: writes its `ports` stimulus bits into
+    /// `stimulus` and returns its kind. Past the plan it returns `None`
+    /// and leaves `stimulus` alone.
+    pub(crate) fn next_into(&mut self, stimulus: &mut BitVec) -> Option<ClockKind> {
+        let run = *self.plan.runs.get(self.run)?;
+        stimulus.clear();
+        if run.random {
+            let mut left = self.plan.ports;
+            while left > 0 {
+                let chunk = left.min(64);
+                stimulus.push_word(self.lfsr.step_word(chunk), chunk);
+                left -= chunk;
             }
-            ClockKind::Update | ClockKind::Idle => None,
-        })
-        .collect()
+        } else {
+            stimulus.resize(self.plan.ports, false);
+        }
+        self.done += 1;
+        if self.done == run.cycles {
+            self.run += 1;
+            self.done = 0;
+        }
+        Some(run.kind)
+    }
+}
+
+/// The stimulus LFSR seed of a core: a fold of its name.
+fn stimulus_seed(name: &str) -> u64 {
+    name.bytes().fold(0xACE1u64, |acc, b| {
+        acc.wrapping_mul(131).wrapping_add(u64::from(b))
+    }) & 0xffff
+}
+
+fn stimulus_lfsr(seed: u64) -> Lfsr {
+    let poly = Polynomial::primitive(16).expect("degree 16 tabulated");
+    Lfsr::fibonacci(poly, seed.max(1)).expect("non-zero seed")
 }
 
 /// One batch of a [`CompiledSession`]: a run of up to 64 shift clocks, or a
@@ -207,37 +258,35 @@ pub(crate) struct CompiledSession {
 }
 
 impl CompiledSession {
-    /// Compiles `desc`'s [`SessionPlan`] and runs its golden model once.
+    /// Compiles `desc`'s [`SessionPlan`], read through its [`PlanCursor`],
+    /// and runs its golden model once.
     pub(crate) fn compile(desc: &CoreDescription) -> Self {
         let plan = SessionPlan::for_core(desc);
-        let cycles = plan.cycles();
         let ports = plan.ports();
         let mut session = Self {
             desc: desc.clone(),
             ports,
-            len: cycles.len(),
+            len: plan.len(),
             shift_cycles: plan.shift_cycles(),
             segments: Vec::new(),
             stimulus: Vec::new(),
             golden: Vec::new(),
         };
         let mut model = models::instantiate(desc);
+        let mut cursor = plan.into_cursor();
+        let mut stim = BitVec::new();
         let mut t = 0;
-        while t < cycles.len() {
+        while let Some(kind) = cursor.peek() {
             let start = t;
-            if cycles[t].1 == ClockKind::Shift {
-                while t < cycles.len() && t - start < 64 && cycles[t].1 == ClockKind::Shift {
-                    t += 1;
-                }
+            if kind == ClockKind::Shift {
                 let planes = session.stimulus.len();
-                for j in 0..ports {
-                    let plane = cycles[start..t]
-                        .iter()
-                        .enumerate()
-                        .fold(0u64, |plane, (c, (stim, _))| {
-                            plane | u64::from(stim.get(j) == Some(true)) << c
-                        });
-                    session.stimulus.push(plane);
+                session.stimulus.resize(planes + ports, 0);
+                while t - start < 64 && cursor.peek() == Some(ClockKind::Shift) {
+                    cursor.next_into(&mut stim);
+                    for (j, plane) in session.stimulus[planes..].iter_mut().enumerate() {
+                        *plane |= u64::from(stim.get(j) == Some(true)) << (t - start);
+                    }
+                    t += 1;
                 }
                 let response = model.test_clock_words(&session.stimulus[planes..], t - start);
                 session.golden.extend(response);
@@ -247,11 +296,16 @@ impl CompiledSession {
                     planes,
                 });
             } else {
-                while t < cycles.len() && cycles[t].1 == ClockKind::Capture {
+                assert_eq!(
+                    kind,
+                    ClockKind::Capture,
+                    "plans hold only shift and capture cycles"
+                );
+                while cursor.peek() == Some(ClockKind::Capture) {
+                    cursor.next_into(&mut stim);
                     model.capture_clock();
                     t += 1;
                 }
-                assert!(t > start, "plans hold only shift and capture cycles");
                 session.segments.push(Segment::Capture {
                     start,
                     count: t - start,
@@ -327,6 +381,104 @@ impl CompiledSession {
     }
 }
 
+/// A tested core's session as the reference interpreter streams it. The
+/// plan's cursor draws each cycle's stimulus as the device needs it, and
+/// the core's own golden model — a fresh [`models::instantiate`] instance
+/// on every call, so the oracle never reads the compiled sessions it
+/// checks — clocks in lockstep with the device on the same stimulus. Each
+/// observation slot is compared as it arrives, and the only per-cycle
+/// storage is the port-major streams the signature folds.
+pub(crate) struct ReferenceSession {
+    cursor: PlanCursor,
+    len: usize,
+    golden: Box<dyn TestableCore>,
+    /// This cycle's stimulus, and its kind (`None` past the plan).
+    stimulus: BitVec,
+    kind: Option<ClockKind>,
+    /// The golden output of the previous cycle, when that cycle shifted:
+    /// what this cycle's observation slot must read, since the retiming
+    /// register delays every response by one clock.
+    expected: BitVec,
+    expecting: bool,
+    mismatches: usize,
+    streams: Vec<BitVec>,
+}
+
+impl ReferenceSession {
+    pub(crate) fn new(desc: &CoreDescription) -> Self {
+        let plan = SessionPlan::for_core(desc);
+        let len = plan.len();
+        // A lane observes at most one slot past its plan.
+        let streams = (0..plan.ports())
+            .map(|_| BitVec::with_capacity(len + 1))
+            .collect();
+        Self {
+            cursor: plan.into_cursor(),
+            len,
+            golden: models::instantiate(desc),
+            stimulus: BitVec::new(),
+            kind: None,
+            expected: BitVec::new(),
+            expecting: false,
+            mismatches: 0,
+            streams,
+        }
+    }
+
+    /// Plan cycles.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Draws the next plan cycle's stimulus; returns its kind, or `None`
+    /// past the plan.
+    pub(crate) fn advance(&mut self) -> Option<ClockKind> {
+        self.kind = self.cursor.next_into(&mut self.stimulus);
+        self.kind
+    }
+
+    /// Records this cycle's observation slot from the bus leaving the
+    /// chain, counts its mismatches against the golden output of the
+    /// previous cycle, then clocks the golden model on this cycle's
+    /// stimulus.
+    pub(crate) fn observe(&mut self, bus: &BitVec, wires: &[usize]) {
+        for (j, stream) in self.streams.iter_mut().enumerate() {
+            let bit = bus.get(wires[j]).expect("wire < n");
+            stream.push(bit);
+            if self.expecting && self.expected.get(j) != Some(bit) {
+                self.mismatches += 1;
+            }
+        }
+        self.expecting = match self.kind.take() {
+            Some(ClockKind::Shift) => {
+                self.golden
+                    .test_clock_into(&self.stimulus, &mut self.expected);
+                true
+            }
+            Some(ClockKind::Capture) => {
+                self.golden.capture_clock();
+                false
+            }
+            _ => false,
+        };
+    }
+
+    /// The stimulus of the cycle [`advance`](Self::advance) last drew.
+    pub(crate) fn stimulus(&self) -> &BitVec {
+        &self.stimulus
+    }
+
+    /// The verdict over every slot observed so far.
+    pub(crate) fn verdict(&self) -> Verdict {
+        verdict(self.mismatches)
+    }
+
+    /// [`lane_signature`] over the streams observed so far.
+    pub(crate) fn signature(&self) -> u64 {
+        lane_signature(&self.streams)
+    }
+}
+
 /// Compiled sessions, compiled on first use and shared by every engine
 /// that holds the `Arc`: a fleet's worker slots and packed engine, a
 /// searched runner's validator and compiled gate, a floor's lots. Sessions
@@ -339,6 +491,10 @@ pub(crate) struct SessionCache {
 
 impl SessionCache {
     /// The compiled session of `desc`, compiling it on a miss.
+    ///
+    /// A poisoned lock is recovered: the map gains an entry only after a
+    /// compile has returned, so a panic under either guard leaves every
+    /// entry a complete session.
     pub(crate) fn get_or_compile(&self, desc: &CoreDescription) -> Arc<CompiledSession> {
         let cached = |sessions: &HashMap<String, Vec<Arc<CompiledSession>>>| {
             sessions
@@ -347,12 +503,16 @@ impl SessionCache {
                 .find(|session| session.desc == *desc)
                 .cloned()
         };
-        if let Some(session) = cached(&self.sessions.read().expect("session cache poisoned")) {
+        if let Some(session) = cached(&self.sessions.read().unwrap_or_else(PoisonError::into_inner))
+        {
             return session;
         }
         // Compile under the write lock, so workers that miss together wait
         // for one compilation instead of each running the golden model.
-        let mut sessions = self.sessions.write().expect("session cache poisoned");
+        let mut sessions = self
+            .sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(session) = cached(&sessions) {
             return session;
         }
@@ -460,8 +620,8 @@ pub fn run_core_session(
     sim.configure(&config, &wrappers)?;
     let config_cycles = sim.cycles() - start;
 
-    let lanes = collect_lanes(sim, &config, ReferenceSession::new)?;
-    let lane = drive_lanes_reference(sim, &lanes)?
+    let mut lanes = collect_lanes(sim, &config, ReferenceSession::new)?;
+    let lane = drive_lanes_reference(sim, &mut lanes)?
         .pop()
         .ok_or_else(unknown)?;
     let (verdict, data_cycles) = (lane.verdict, lane.data_cycles as u64);
@@ -486,26 +646,6 @@ pub fn run_core_session(
         data_cycles,
         config_cycles,
     })
-}
-
-/// Compares golden shift outputs at cycle `t` with the bus observation at
-/// `t + 1` (the retiming register's latency). `streams` are port-major: bit
-/// `t` of stream `j` is what port `j` returned on cycle `t`.
-pub(crate) fn compare(golden: &[Option<BitVec>], streams: &[BitVec]) -> Verdict {
-    let observed = streams.first().map_or(0, BitVec::len);
-    let mut mismatches = 0usize;
-    for (t, gold) in golden.iter().enumerate() {
-        let Some(gold) = gold else { continue };
-        if t + 1 >= observed {
-            continue;
-        }
-        for (j, stream) in streams.iter().enumerate() {
-            if gold.get(j) != stream.get(t + 1) {
-                mismatches += 1;
-            }
-        }
-    }
-    verdict(mismatches)
 }
 
 /// A 64-bit FNV-style fold over a lane's port-major observed streams
@@ -732,6 +872,26 @@ mod tests {
         assert_eq!(plan.shift_cycles(), 3 * 6 + 7);
     }
 
+    /// The plan replayed through its cursor: every cycle's stimulus and
+    /// kind, and a fresh golden model's bit-serial output on each shift.
+    fn replay(desc: &CoreDescription) -> Vec<(BitVec, ClockKind, Option<BitVec>)> {
+        let mut cursor = SessionPlan::for_core(desc).into_cursor();
+        let mut model = models::instantiate(desc);
+        let mut stim = BitVec::new();
+        let mut cycles = Vec::new();
+        while let Some(kind) = cursor.next_into(&mut stim) {
+            let gold = match kind {
+                ClockKind::Shift => Some(model.test_clock(&stim)),
+                _ => {
+                    model.capture_clock();
+                    None
+                }
+            };
+            cycles.push((stim.clone(), kind, gold));
+        }
+        cycles
+    }
+
     #[test]
     fn golden_run_is_reproducible() {
         let desc = CoreDescription::new(
@@ -741,8 +901,9 @@ mod tests {
                 patterns: 20,
             },
         );
-        let plan = SessionPlan::for_core(&desc);
-        assert_eq!(golden_run(&desc, &plan), golden_run(&desc, &plan));
+        let run = replay(&desc);
+        assert_eq!(run.len(), SessionPlan::for_core(&desc).len());
+        assert_eq!(run, replay(&desc));
     }
 
     #[test]
@@ -762,7 +923,7 @@ mod tests {
         for desc in socs.iter().flat_map(|soc| soc.cores()) {
             let name = desc.name();
             let plan = SessionPlan::for_core(desc);
-            let golden = golden_run(desc, &plan);
+            let per_cycle = replay(desc);
             let session = CompiledSession::compile(desc);
             assert_eq!(session.len(), plan.len(), "{name}");
             assert_eq!(session.ports(), plan.ports(), "{name}");
@@ -776,10 +937,9 @@ mod tests {
                         planes,
                     } => {
                         assert!(start == t && (1..=64).contains(&cycles), "{name} {t}");
-                        for c in 0..cycles {
-                            let (stim, kind) = &plan.cycles()[t + c];
+                        for (c, (stim, kind, gold)) in per_cycle[t..t + cycles].iter().enumerate() {
                             assert_eq!(*kind, ClockKind::Shift, "{name} {t}");
-                            let gold = golden[t + c].as_ref().expect("shift output");
+                            let gold = gold.as_ref().expect("shift output");
                             for j in 0..plan.ports() {
                                 let bit = |plane: &[u64]| Some((plane[j] >> c) & 1 == 1);
                                 assert_eq!(bit(session.stimulus(planes)), stim.get(j), "{name}");
@@ -790,20 +950,26 @@ mod tests {
                     }
                     Segment::Capture { start, count } => {
                         assert!(start == t && count > 0, "{name} {t}");
-                        let run = &plan.cycles()[t..t + count];
-                        assert!(run.iter().all(|(_, kind)| *kind == ClockKind::Capture));
+                        let run = &per_cycle[t..t + count];
+                        assert!(run.iter().all(|(_, kind, _)| *kind == ClockKind::Capture));
                         t += count;
                     }
                 }
             }
             assert_eq!(t, plan.len(), "{name}: segments cover the plan");
+            assert_eq!(
+                per_cycle.len(),
+                plan.len(),
+                "{name}: the cursor replays the plan"
+            );
             for limit in [0, 1, plan.len() / 2, plan.len() + 1] {
                 let streams = session.healthy_streams(limit);
                 for (j, stream) in streams.iter().enumerate() {
                     let expected: BitVec = (0..limit)
                         .map(|slot| {
                             slot > 0
-                                && golden[slot - 1]
+                                && per_cycle[slot - 1]
+                                    .2
                                     .as_ref()
                                     .is_some_and(|gold| gold.get(j) == Some(true))
                         })
@@ -837,11 +1003,67 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_session_cache_keeps_compiling_and_sharing() {
+        let cache = SessionCache::default();
+        let scan = |name: &str| {
+            let method = TestMethod::Scan {
+                chains: vec![4, 6],
+                patterns: 2,
+            };
+            CoreDescription::new(name, method)
+        };
+        let (cached, fresh) = (scan("cached"), scan("fresh"));
+        let first = cache.get_or_compile(&cached);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = cache.sessions.write();
+                panic!("poisoning the session cache on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cache.sessions.is_poisoned());
+        assert!(Arc::ptr_eq(&first, &cache.get_or_compile(&cached)));
+        let compiled = cache.get_or_compile(&fresh);
+        assert_eq!(compiled.desc(), &fresh);
+        assert_eq!(compiled.golden, CompiledSession::compile(&fresh).golden);
+        assert!(Arc::ptr_eq(&compiled, &cache.get_or_compile(&fresh)));
+    }
+
+    #[test]
     fn compare_counts_mismatches() {
-        let golden = vec![Some("11".parse::<BitVec>().unwrap()), None];
-        // Cycles observe "00", "10", "00" on ports (0, 1), port-major.
-        let streams = vec!["010".parse().unwrap(), "000".parse().unwrap()];
-        assert_eq!(compare(&golden, &streams), Verdict::Fail { mismatches: 1 });
+        // A lane compares as the slots arrive: slot `t + 1` against the
+        // golden output of cycle `t` when that cycle shifted. Slot 0 and
+        // the slot after a capture are never compared.
+        let desc = CoreDescription::new(
+            "c",
+            TestMethod::Scan {
+                chains: vec![2, 3],
+                patterns: 1,
+            },
+        );
+        let per_cycle = replay(&desc);
+        // 3 shifts, a capture, 3 flushing shifts and the drain.
+        assert_eq!(per_cycle.len(), 8);
+        assert_eq!(per_cycle[3].1, ClockKind::Capture);
+        let wires = [0, 1];
+        let mismatches = |flips: &[(usize, usize)]| {
+            let mut session = ReferenceSession::new(&desc);
+            for slot in 0..=session.len() {
+                session.advance();
+                // A healthy die's bus at `slot` carries golden cycle slot - 1.
+                let healthy = slot.checked_sub(1).and_then(|t| per_cycle[t].2.clone());
+                let mut bus = healthy.unwrap_or_else(|| BitVec::zeros(2));
+                for &(_, wire) in flips.iter().filter(|(at, _)| *at == slot) {
+                    bus.toggle(wire);
+                }
+                session.observe(&bus, &wires);
+            }
+            session.verdict()
+        };
+        assert_eq!(mismatches(&[]), Verdict::Pass);
+        assert_eq!(mismatches(&[(0, 1), (4, 0)]), Verdict::Pass);
+        let flipped = [(2, 1), (5, 0), (5, 1), (8, 0)];
+        assert_eq!(mismatches(&flipped), Verdict::Fail { mismatches: 4 });
     }
 
     #[test]

@@ -177,13 +177,14 @@ pub struct SocSimulator {
     tam: Tam,
     wrappers: Vec<Wrapper<Box<dyn TestableCore>>>,
     /// Retiming register between each wrapper's parallel output and its
-    /// CAS core-side input.
+    /// CAS core-side input; each data clock the wrapper writes its output
+    /// straight into it.
     pending: Vec<BitVec>,
     /// The interpreter's per-cycle state, owned so a data clock allocates
     /// nothing of its own: the test bus as it leaves the chain (what
     /// [`SocSimulator::data_clock`] lends out), the bits each CAS presented
     /// to its core, whether each CAS was in TEST mode, and each wrapper's
-    /// parallel input.
+    /// parallel input where it differs from what its CAS presented.
     bus: BitVec,
     core_in: Vec<BitVec>,
     tested: Vec<bool>,
@@ -441,7 +442,8 @@ impl SocSimulator {
     /// Zeroes every CAS boundary retiming register in place.
     fn clear_pending(&mut self) {
         for (pending, cas) in self.pending.iter_mut().zip(self.tam.chain().cases()) {
-            resize_into(pending, &BitVec::new(), cas.geometry().switched_wires());
+            pending.clear();
+            pending.resize(cas.geometry().switched_wires(), false);
         }
     }
 
@@ -671,9 +673,11 @@ impl SocSimulator {
     ///
     /// `bus_in` enters the chain; `kinds[i]` says what CAS `i`'s wrapper
     /// does this clock (shift, capture, or hold). Returns the bus output at
-    /// the chain's far end, lent from the simulator's own bus buffer: the
-    /// clock itself allocates nothing beyond what the wrapped core models
-    /// return, and the borrow ends before the next clock.
+    /// the chain's far end, lent from the simulator's own bus buffer. Each
+    /// wrapper clocks its core into that wrapper's retiming register
+    /// ([`Wrapper::clock_parallel_into`]), so the clock allocates nothing
+    /// once the buffers have their widths; the borrow ends before the next
+    /// clock.
     ///
     /// # Errors
     ///
@@ -713,11 +717,12 @@ impl SocSimulator {
             }
         }
         for (idx, wrapper) in self.wrappers.iter_mut().enumerate() {
-            let cas_p = self.pending[idx].len();
+            let pending = &mut self.pending[idx];
+            let cas_p = pending.len();
             // The wrapper only sees the TAM when its CAS routes wires to it;
             // outside a test mode its parallel output is all zeros.
             if !wrapper.instruction().is_test_mode() {
-                resize_into(&mut self.pending[idx], &BitVec::new(), cas_p);
+                pending.fill_range(0..cas_p, false);
                 continue;
             }
             let ctrl = match kinds[idx] {
@@ -726,14 +731,27 @@ impl SocSimulator {
                 ClockKind::Update => WrapperControl::update_data(),
                 ClockKind::Idle => WrapperControl::default(),
             };
-            let wpi = &mut self.wpi[idx];
-            if self.tested[idx] {
-                resize_into(wpi, &self.core_in[idx], wrapper.parallel_width());
+            // The wrapper reads what its CAS presented, truncated or
+            // zero-padded to its parallel width (all zeros when the CAS is
+            // not in TEST mode).
+            let width = wrapper.parallel_width();
+            let core_in = &self.core_in[idx];
+            let wpi = if self.tested[idx] && core_in.len() == width {
+                core_in
             } else {
-                resize_into(wpi, &BitVec::new(), wrapper.parallel_width());
-            }
-            let wpo = wrapper.clock_parallel(wpi, &ctrl);
-            resize_into(&mut self.pending[idx], &wpo, cas_p);
+                let wpi = &mut self.wpi[idx];
+                if self.tested[idx] {
+                    wpi.copy_from(core_in);
+                } else {
+                    wpi.clear();
+                }
+                wpi.resize(width, false);
+                wpi
+            };
+            // The retiming register is the wrapper's output buffer: the
+            // wrapper writes its parallel width, the CAS sees its own P.
+            wrapper.clock_parallel_into(wpi, &ctrl, pending);
+            pending.resize(cas_p, false);
         }
         self.cycles += 1;
         self.test_cycles += 1;
@@ -804,13 +822,6 @@ impl SocSimulator {
         }
         Ok(())
     }
-}
-
-/// Overwrites `dst` with `src` truncated or zero-padded to `width` bits,
-/// reusing `dst`'s allocation.
-fn resize_into(dst: &mut BitVec, src: &BitVec, width: usize) {
-    dst.copy_from(src);
-    dst.resize(width, false);
 }
 
 impl fmt::Debug for SocSimulator {

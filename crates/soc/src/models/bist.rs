@@ -134,22 +134,24 @@ impl TestableCore for BistCore {
         1
     }
 
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
         assert_eq!(inputs.len(), 1, "BIST cores expose a single test port");
+        // The access register shifts towards bit 0 in place: the oldest
+        // signature bit leaves, the input bit enters at the far end.
+        let width = self.access.len();
         let out = self.access.get(0).expect("access register non-empty");
-        let mut next = BitVec::with_capacity(self.width as usize);
-        for i in 1..self.access.len() {
-            next.push(self.access.get(i).expect("in range"));
+        for i in 1..width {
+            let bit = self.access.get(i).expect("in range");
+            self.access.set(i - 1, bit);
         }
-        next.push(inputs.get(0).expect("one input bit"));
-        self.access = next;
-        let mut result = BitVec::new();
-        result.push(out);
-        result
+        self.access
+            .set(width - 1, inputs.get(0).expect("one input bit"));
+        outputs.clear();
+        outputs.push(out);
     }
 
     fn capture_clock(&mut self) {
-        let pattern = self.lfsr.step_n(self.width as usize).to_u64();
+        let pattern = self.lfsr.step_word(self.width as usize);
         let mut response = self.cut(pattern);
         if let Some(after) = self.fault_after {
             if self.patterns_run >= after {

@@ -76,20 +76,19 @@ impl TestableCore for ExternalCore {
         self.ports
     }
 
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
         assert_eq!(inputs.len(), self.ports, "stimulus width mismatch");
-        let mut out = BitVec::with_capacity(self.ports);
+        outputs.clear();
         for i in 0..self.ports {
             let cur = inputs.get(i).expect("in range");
             let prev = self.previous.get((i + 1) % self.ports).expect("in range");
             let key_bit = self.key >> (i % 64) & 1 == 1;
-            out.push(cur ^ prev ^ key_bit);
+            outputs.push(cur ^ prev ^ key_bit);
         }
         if let Some((port, value)) = self.stuck_output {
-            out.set(port, value);
+            outputs.set(port, value);
         }
-        self.previous = inputs.clone();
-        out
+        self.previous.copy_from(inputs);
     }
 
     fn capture_clock(&mut self) {
@@ -119,12 +118,12 @@ impl TestableCore for ExternalCore {
         }
         if self.stuck_output.is_some() {
             let mut outs = vec![0u64; self.ports];
-            let mut wpi = BitVec::zeros(self.ports);
+            let (mut wpi, mut wpo) = (BitVec::zeros(self.ports), BitVec::new());
             for t in 0..cycles {
                 for (j, plane) in inputs.iter().enumerate() {
                     wpi.set(j, (plane >> t) & 1 == 1);
                 }
-                let wpo = self.test_clock(&wpi);
+                self.test_clock_into(&wpi, &mut wpo);
                 for (j, out) in outs.iter_mut().enumerate() {
                     if wpo.get(j) == Some(true) {
                         *out |= 1 << t;

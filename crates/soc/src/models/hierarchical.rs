@@ -35,6 +35,10 @@ pub struct HierarchicalCore {
     name: String,
     width: usize,
     sub_cores: Vec<Box<dyn TestableCore>>,
+    /// Per-clock scratch: the wires a sub-core taps and what it drives
+    /// back, reused by every clock.
+    tapped: BitVec,
+    produced: BitVec,
 }
 
 impl std::fmt::Debug for HierarchicalCore {
@@ -74,6 +78,8 @@ impl HierarchicalCore {
             name: name.to_owned(),
             width,
             sub_cores,
+            tapped: BitVec::new(),
+            produced: BitVec::new(),
         }
     }
 
@@ -97,21 +103,20 @@ impl TestableCore for HierarchicalCore {
         self.width
     }
 
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+    /// The internal bus travels in `outputs`: each sub-core replaces the
+    /// wires it taps with what it drives back, and the other wires pass.
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
         assert_eq!(inputs.len(), self.width, "internal bus width mismatch");
-        let mut bus = inputs.clone();
+        outputs.copy_from(inputs);
         for sub in &mut self.sub_cores {
             let ports = sub.test_ports();
-            let tapped = bus.slice(0, ports);
-            let produced = sub.test_clock(&tapped);
-            let mut next = BitVec::with_capacity(self.width);
-            next.extend_from(&produced);
-            for wire in ports..self.width {
-                next.push(bus.get(wire).expect("in range"));
+            self.tapped.copy_from(outputs);
+            self.tapped.resize(ports, false);
+            sub.test_clock_into(&self.tapped, &mut self.produced);
+            for wire in 0..ports {
+                outputs.set(wire, self.produced.get(wire).expect("sub-core port"));
             }
-            bus = next;
         }
-        bus
     }
 
     fn capture_clock(&mut self) {

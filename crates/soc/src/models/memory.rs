@@ -131,27 +131,18 @@ impl MemoryCore {
     }
 
     fn write(&mut self, word: usize, ones: bool) {
-        self.cells[word] = if ones {
-            BitVec::ones(self.data_width)
-        } else {
-            BitVec::zeros(self.data_width)
-        };
+        self.cells[word].fill_range(0..self.data_width, ones);
         self.apply_fault();
     }
 
     fn read_expect(&mut self, word: usize, expect_ones: bool) {
-        let expected = if expect_ones {
-            BitVec::ones(self.data_width)
-        } else {
-            BitVec::zeros(self.data_width)
-        };
-        if self.cells[word] != expected {
+        let expected = if expect_ones { self.data_width } else { 0 };
+        if self.cells[word].count_ones() != expected {
             self.failures += 1;
         }
     }
 
     fn update_status(&mut self) {
-        self.status = BitVec::zeros(2);
         self.status.set(0, self.self_test_done());
         self.status
             .set(1, self.self_test_done() && self.failures == 0);
@@ -167,21 +158,19 @@ impl TestableCore for MemoryCore {
         1
     }
 
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
         assert_eq!(inputs.len(), 1, "memory cores expose a single test port");
         let out = self.status.get(0).expect("status non-empty");
         // Rotate the status register so repeated shifting yields
         // done, pass, done, pass, …
         let pass = self.status.get(1).expect("two status bits");
-        self.status = BitVec::zeros(2);
         self.status.set(0, pass);
         self.status.set(1, out);
         if inputs.get(0) == Some(true) {
             self.restart_test();
         }
-        let mut result = BitVec::new();
-        result.push(out);
-        result
+        outputs.clear();
+        outputs.push(out);
     }
 
     fn capture_clock(&mut self) {

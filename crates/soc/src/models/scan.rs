@@ -20,7 +20,7 @@ use super::name_key;
 /// Every clock works a word at a time: one shift or up to 64 go through
 /// [`BitVec::scan_shift_word`], with a stuck flop's effect on the whole
 /// batch applied afterwards, and a capture computes the transform 64 flops
-/// per operation.
+/// per operation into buffers the core keeps, so no clock allocates.
 ///
 /// # Examples
 ///
@@ -39,6 +39,10 @@ use super::name_key;
 pub struct ScanCore {
     name: String,
     chains: Vec<BitVec>,
+    /// Capture scratch: the next chain contents, swapped with `chains`
+    /// after every capture, and the neighbour chain's cyclic prefix.
+    next: Vec<BitVec>,
+    cross: BitVec,
     key: u64,
     stuck_at: Option<(usize, usize, bool)>,
 }
@@ -59,9 +63,12 @@ impl ScanCore {
             chain_lengths.iter().all(|&l| l > 0),
             "scan chains must be non-empty"
         );
+        let chains: Vec<BitVec> = chain_lengths.iter().map(|&l| BitVec::zeros(l)).collect();
         Self {
             name: name.to_owned(),
-            chains: chain_lengths.iter().map(|&l| BitVec::zeros(l)).collect(),
+            next: chains.clone(),
+            chains,
+            cross: BitVec::new(),
             key: name_key(name),
             stuck_at: None,
         }
@@ -94,37 +101,32 @@ impl ScanCore {
         self.chains.iter().map(BitVec::len).collect()
     }
 
-    /// The deterministic combinational response: every bit becomes the XOR
-    /// of itself, its successor in the same chain (cyclically), the parallel
-    /// bit of the next chain (repeated cyclically when that chain is
-    /// shorter), and a key bit. Pure function of the state.
-    fn capture_transform(&self) -> Vec<BitVec> {
+    /// The deterministic combinational response, written into `next`:
+    /// every bit becomes the XOR of itself, its successor in the same chain
+    /// (cyclically), the parallel bit of the next chain (repeated cyclically
+    /// when that chain is shorter), and a key bit. Pure function of the
+    /// state.
+    fn capture_transform(&mut self) {
         let n_chains = self.chains.len();
-        self.chains
-            .iter()
-            .enumerate()
-            .map(|(c, chain)| {
-                let len = chain.len();
-                let own = chain.words();
-                let cross = cyclic_prefix(&self.chains[(c + 1) % n_chains], len);
-                // Bit i takes key bit (i + 7c) mod 64, the same in every word.
-                let key = self.key.rotate_right(((7 * c) % 64) as u32);
-                let words = own
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &word)| {
-                        let succ = (word >> 1) | own.get(k + 1).map_or(0, |next| next << 63);
-                        word ^ succ ^ cross.word(k) ^ key
-                    })
-                    .collect();
-                let mut next = BitVec::from_words(words, len);
-                // The last flop's successor wraps around to flop 0.
-                if chain.get(0) == Some(true) {
-                    next.toggle(len - 1);
-                }
-                next
-            })
-            .collect()
+        for (c, (chain, next)) in self.chains.iter().zip(&mut self.next).enumerate() {
+            let len = chain.len();
+            let own = chain.words();
+            cyclic_prefix_into(&self.chains[(c + 1) % n_chains], len, &mut self.cross);
+            // Bit i takes key bit (i + 7c) mod 64, the same in every word.
+            let key = self.key.rotate_right(((7 * c) % 64) as u32);
+            next.clear();
+            for (k, &word) in own.iter().enumerate() {
+                let succ = (word >> 1) | own.get(k + 1).map_or(0, |next| next << 63);
+                next.push_word(
+                    word ^ succ ^ self.cross.word(k) ^ key,
+                    (len - 64 * k).min(64),
+                );
+            }
+            // The last flop's successor wraps around to flop 0.
+            if chain.get(0) == Some(true) {
+                next.toggle(len - 1);
+            }
+        }
     }
 
     fn apply_fault(&mut self) {
@@ -166,9 +168,10 @@ fn shift_chain(chain: &mut BitVec, stuck: Option<(usize, bool)>, input: u64, cyc
     out
 }
 
-/// `len` bits of `src` repeated cyclically: bit `i` is `src[i % src.len()]`.
-fn cyclic_prefix(src: &BitVec, len: usize) -> BitVec {
-    let mut out = BitVec::with_capacity(len);
+/// Overwrites `out` with `len` bits of `src` repeated cyclically: bit `i`
+/// is `src[i % src.len()]`.
+fn cyclic_prefix_into(src: &BitVec, len: usize, out: &mut BitVec) {
+    out.clear();
     while out.len() < len {
         let mut take = src.len().min(len - out.len());
         for &word in src.words() {
@@ -180,7 +183,6 @@ fn cyclic_prefix(src: &BitVec, len: usize) -> BitVec {
             take -= count;
         }
     }
-    out
 }
 
 impl TestableCore for ScanCore {
@@ -192,17 +194,17 @@ impl TestableCore for ScanCore {
         self.chains.len()
     }
 
-    fn test_clock(&mut self, inputs: &BitVec) -> BitVec {
+    fn test_clock_into(&mut self, inputs: &BitVec, outputs: &mut BitVec) {
         assert_eq!(inputs.len(), self.chains.len(), "scan-in width mismatch");
-        inputs
-            .iter()
-            .enumerate()
-            .map(|(c, bit)| self.shift(c, u64::from(bit), 1) == 1)
-            .collect()
+        outputs.clear();
+        for (c, bit) in inputs.iter().enumerate() {
+            outputs.push(self.shift(c, u64::from(bit), 1) == 1);
+        }
     }
 
     fn capture_clock(&mut self) {
-        self.chains = self.capture_transform();
+        self.capture_transform();
+        std::mem::swap(&mut self.chains, &mut self.next);
         self.apply_fault();
     }
 

@@ -257,6 +257,23 @@ impl BitVec {
         self.len = other.len;
     }
 
+    /// Removes every bit, keeping the word allocation for the next pushes —
+    /// with [`BitVec::resize`], how a per-clock output buffer is refilled
+    /// without allocating.
+    ///
+    /// ```
+    /// use casbus_tpg::BitVec;
+    /// let mut v: BitVec = "101".parse().unwrap();
+    /// v.clear();
+    /// assert!(v.is_empty());
+    /// v.resize(2, false);
+    /// assert_eq!(v.to_string(), "00");
+    /// ```
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.len = 0;
+    }
+
     /// Resizes to `len` bits in place: truncates, or appends copies of
     /// `bit`. Reuses the existing word allocation whenever it is large
     /// enough, like [`BitVec::copy_from`].

@@ -7,6 +7,11 @@
 //! [`collection::vec`]. Cases are sampled from a deterministic
 //! per-test-function seed; there is **no shrinking** — a failing case
 //! reports its case index and seed instead.
+//!
+//! Two environment variables turn the fixed suite into a soak (see
+//! [`run_settings`]): `PROPTEST_CASES` overrides every block's case count
+//! and `PROPTEST_SEED` is mixed into every per-test seed. Unset, every
+//! property checks exactly the cases it always did.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,6 +89,49 @@ pub const fn fnv1a(s: &str) -> u64 {
         i += 1;
     }
     hash
+}
+
+/// The case count and base seed a [`proptest!`] property runs with.
+///
+/// `cases` is the block's configured count and `seed` the property's own
+/// seed (an [`fnv1a`] of its path). `cases_override` and `seed_override`
+/// are the values of `PROPTEST_CASES` and `PROPTEST_SEED`, if set: the
+/// first replaces the count, the second is mixed into the seed, so every
+/// soak seed checks a different set of cases for every property. With
+/// both `None` the block's count and the property's seed come back
+/// unchanged.
+///
+/// # Panics
+///
+/// Panics when an override is not a decimal integer.
+///
+/// ```
+/// let (cases, seed) = proptest::run_settings(24, 0xfeed, None, None);
+/// assert_eq!((cases, seed), (24, 0xfeed));
+/// let (cases, seed) = proptest::run_settings(24, 0xfeed, Some("256"), Some("9"));
+/// assert_eq!(cases, 256);
+/// assert_ne!(seed, 0xfeed);
+/// ```
+pub fn run_settings(
+    cases: u32,
+    seed: u64,
+    cases_override: Option<&str>,
+    seed_override: Option<&str>,
+) -> (u32, u64) {
+    let cases = cases_override.map_or(cases, |value| {
+        value
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_CASES={value:?} is not a case count"))
+    });
+    let seed = seed_override.map_or(seed, |value| {
+        let soak: u64 = value
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_SEED={value:?} is not a seed"));
+        seed ^ TestRng::from_seed(soak).next_u64()
+    });
+    (cases, seed)
 }
 
 /// A generator of test values.
@@ -409,9 +457,14 @@ macro_rules! __proptest_impl {
             $(#[$meta])*
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
-                let seed: u64 =
-                    $crate::fnv1a(concat!(module_path!(), "::", stringify!($name)));
-                for case in 0..config.cases {
+                let soak_seed = ::std::env::var("PROPTEST_SEED").ok();
+                let (cases, seed) = $crate::run_settings(
+                    config.cases,
+                    $crate::fnv1a(concat!(module_path!(), "::", stringify!($name))),
+                    ::std::env::var("PROPTEST_CASES").ok().as_deref(),
+                    soak_seed.as_deref(),
+                );
+                for case in 0..cases {
                     let case_seed =
                         seed ^ u64::from(case).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     let mut rng = $crate::TestRng::from_seed(case_seed);
@@ -423,10 +476,12 @@ macro_rules! __proptest_impl {
                         })();
                     if let ::core::result::Result::Err(err) = outcome {
                         panic!(
-                            "property {} failed on case {} (seed {:#x}): {}",
+                            "property {} failed on case {} of {} (case seed {:#x}, PROPTEST_SEED={}): {}",
                             stringify!($name),
                             case,
+                            cases,
                             case_seed,
+                            soak_seed.as_deref().unwrap_or("unset"),
                             err
                         );
                     }
@@ -464,6 +519,34 @@ mod tests {
             prop_assert_eq!(n % 2, 0);
             prop_assert_ne!(n, 17);
         }
+    }
+
+    #[test]
+    fn soak_overrides_change_only_what_they_name() {
+        let seed = crate::fnv1a("module::property");
+        // Unset: the block's count and the property's own seed.
+        assert_eq!(crate::run_settings(24, seed, None, None), (24, seed));
+        // A case count replaces the block's and leaves the seed alone.
+        assert_eq!(
+            crate::run_settings(24, seed, Some(" 256 "), None),
+            (256, seed)
+        );
+        // A soak seed moves every property's seed, reproducibly, and two
+        // soak seeds (or two properties under one) never collide.
+        let (cases, soaked) = crate::run_settings(24, seed, None, Some("41"));
+        assert_eq!(cases, 24);
+        assert_ne!(soaked, seed);
+        assert_eq!(crate::run_settings(24, seed, None, Some("41")).1, soaked);
+        assert_ne!(crate::run_settings(24, seed, None, Some("42")).1, soaked);
+        let other = crate::fnv1a("module::other");
+        assert_ne!(crate::run_settings(24, other, None, Some("41")).1, soaked);
+        assert_ne!(crate::run_settings(24, seed, None, Some("0")).1, seed);
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_CASES")]
+    fn a_malformed_case_count_is_refused() {
+        crate::run_settings(24, 1, Some("many"), None);
     }
 
     #[test]
