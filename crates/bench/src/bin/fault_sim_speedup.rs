@@ -12,13 +12,15 @@
 use std::time::Duration;
 
 use casbus::SchemeSet;
-use casbus_bench::{best_of, PAPER_TABLE1};
+use casbus_bench::{best_of, hardware_threads, json_header, PAPER_TABLE1};
 use casbus_netlist::{fault, synth, Netlist};
 use casbus_tpg::BitVec;
 
 /// Sequence count and depth used at every size.
 const COUNT: usize = 8;
 const DEPTH: usize = 6;
+/// The most timed runs behind one figure (the packed engine's best-of).
+const REPEATS: usize = 5;
 
 fn sequences(inputs: usize, count: usize, depth: usize) -> Vec<Vec<BitVec>> {
     let mut state = 0x1234_5678_9abc_def0u64;
@@ -56,7 +58,7 @@ impl Row {
 fn measure(netlist: &Netlist, n: usize, p: usize) -> Row {
     let inputs = netlist.inputs().len();
     let seqs = sequences(inputs, COUNT, DEPTH);
-    let (packed_t, packed) = best_of(5, Duration::from_secs(2), || {
+    let (packed_t, packed) = best_of(REPEATS, Duration::from_secs(2), || {
         fault::fault_simulate(netlist, &seqs).expect("valid netlist")
     });
     let (serial_t, serial) = best_of(3, Duration::from_secs(10), || {
@@ -74,7 +76,7 @@ fn measure(netlist: &Netlist, n: usize, p: usize) -> Row {
 }
 
 fn main() {
-    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let threads = hardware_threads();
     println!("Fault-simulation engine comparison ({COUNT} sequences x {DEPTH} cycles, {threads} threads)");
     println!();
     println!(
@@ -123,7 +125,8 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"fault_simulation\",\n  \"engines\": [\"serial\", \"packed_ppsfp_threaded\"],\n  \"threads\": {threads},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{}  \"engines\": [\"serial\", \"packed_ppsfp_threaded\"],\n  \"rows\": [\n{}\n  ]\n}}\n",
+        json_header("fault_simulation", false, REPEATS),
         json_rows.join(",\n")
     );
     let path = "BENCH_fault_sim.json";

@@ -207,7 +207,7 @@ fn bist_memory_soc() -> casbus_soc::SocDescription {
 fn main() {
     let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
     let require_scaling = casbus_bench::env_flag("CASBUS_BENCH_REQUIRE_SCALING");
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hardware_threads = casbus_bench::hardware_threads();
     let (fleet_size, baseline_runs) = if smoke { (64u64, 4usize) } else { (256, 8) };
     let soc = catalog::figure1_soc();
     let n = 8;
@@ -439,9 +439,8 @@ fn main() {
     let (bm_scalar_efficiency, bm_packed_efficiency) = report_scaling(&bm_rows, hardware_threads);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"fleet_batch_serving\",\n  \
-         \"hardware_threads\": {hardware_threads},\n  \"soc\": \"figure1\",\n  \
-         \"n\": {n},\n  \"fleet_size\": {fleet_size},\n  \"smoke\": {smoke},\n  \
+        "{}  \"soc\": \"figure1\",\n  \
+         \"n\": {n},\n  \"fleet_size\": {fleet_size},\n  \
          \"defect_rate\": {DEFECT_RATE},\n  \
          \"baseline_ms_per_device\": {:.3},\n  \"baseline_devices_per_sec\": {:.2},\n  \
          \"setup_ms\": {:.3},\n  \"packed_vs_scalar_best\": {:.2},\n  \
@@ -460,6 +459,7 @@ fn main() {
          \"scaling_efficiency\": {{\"scalar\": {bm_scalar_efficiency:.2}, \
          \"packed\": {bm_packed_efficiency:.2}}},\n    \
          \"rows\": [\n{}\n    ]\n  }}\n}}\n",
+        casbus_bench::json_header("fleet_batch_serving", smoke, SCALING_REPEATS),
         baseline_per_device * 1e3,
         baseline_devices_per_sec,
         setup.as_secs_f64() * 1e3,

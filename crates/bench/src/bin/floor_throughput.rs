@@ -89,7 +89,7 @@ struct Row {
 
 fn main() {
     let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hardware_threads = casbus_bench::hardware_threads();
     let (a_devices, b_devices) = if smoke { (64u64, 64u64) } else { (256, 256) };
 
     let fig1 = catalog::figure1_soc();
@@ -281,14 +281,13 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"benchmark\": \"floor_multi_tenant_serving\",\n  \
-         \"hardware_threads\": {hardware_threads},\n  \"smoke\": {smoke},\n  \
-         \"repeats\": {REPEATS},\n  \"timings\": \"median of the repeats; *_range is [min, max]\",\n  \
+        "{}  \"timings\": \"median of the repeats; *_range is [min, max]\",\n  \
          \"lot_a\": {{\"soc\": \"figure1\", \"n\": {fig1_n}, \"devices\": {a_devices}, \
          \"defect_rate\": 0.25, \"mode\": \"packed\", \"priority\": 2}},\n  \
          \"lot_b\": {{\"soc\": \"bist_memory\", \"n\": {bm_n}, \"devices\": {b_devices}, \
          \"defect_rate\": 1.0, \"mode\": \"scalar\", \"priority\": 1}},\n  \
-         \"best_tenancy_ratio\": {best_ratio:.3},\n  \"rows\": [\n{rows_json}\n  ]\n}}\n"
+         \"best_tenancy_ratio\": {best_ratio:.3},\n  \"rows\": [\n{rows_json}\n  ]\n}}\n",
+        casbus_bench::json_header("floor_multi_tenant_serving", smoke, REPEATS)
     );
     std::fs::write("BENCH_floor.json", &json).expect("write BENCH_floor.json");
     println!();

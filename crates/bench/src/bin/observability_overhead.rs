@@ -28,7 +28,7 @@
 use std::time::{Duration, Instant};
 
 use casbus::{CasGeometry, Tam};
-use casbus_bench::best_of;
+use casbus_bench::{best_of, env_flag, json_header};
 use casbus_controller::{schedule, TestProgram};
 use casbus_netlist::crosspoint::synthesize_crosspoint_cas;
 use casbus_netlist::fault::enumerate_faults;
@@ -41,6 +41,8 @@ use casbus_tpg::BitVec;
 const COUNT: usize = 8;
 const DEPTH: usize = 6;
 const RUNS: usize = 7;
+/// Interleaved rounds of the sub-millisecond PPSFP workload, at most.
+const PPSFP_ROUNDS: usize = 200;
 const BUDGET: Duration = Duration::from_secs(5);
 const FLEET_BUDGET: Duration = Duration::from_secs(45);
 
@@ -96,7 +98,7 @@ fn ppsfp_rows(rows: &mut Vec<Row>) {
     let mut jsonl = Duration::MAX;
     let mut render = Duration::MAX;
     let started = Instant::now();
-    for round in 0..200 {
+    for round in 0..PPSFP_ROUNDS {
         if round > 0 && started.elapsed() > BUDGET {
             break;
         }
@@ -199,8 +201,7 @@ fn soc_rows(rows: &mut Vec<Row>) {
     );
 }
 
-fn fleet_rows(rows: &mut Vec<Row>) {
-    let smoke = casbus_bench::env_flag("CASBUS_BENCH_SMOKE");
+fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
     let fleet_size: u64 = if smoke { 64 } else { 256 };
 
     // The example lot: Figure-1 on an 8-wire bus with a 2% defect stamp.
@@ -335,10 +336,11 @@ fn fleet_rows(rows: &mut Vec<Row>) {
 }
 
 fn main() {
+    let smoke = env_flag("CASBUS_BENCH_SMOKE");
     let mut rows = Vec::new();
     ppsfp_rows(&mut rows);
     soc_rows(&mut rows);
-    fleet_rows(&mut rows);
+    fleet_rows(&mut rows, smoke);
 
     let json_rows: Vec<String> = rows
         .iter()
@@ -355,9 +357,10 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"observability_overhead\",\n  \"configs\": \
+        "{}  \"configs\": \
          [\"disabled\", \"jsonl\", \"vcd\", \"snapshots\", \"recorder\"],\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
+        json_header("observability_overhead", smoke, PPSFP_ROUNDS),
         json_rows.join(",\n")
     );
     let path = "BENCH_observability.json";

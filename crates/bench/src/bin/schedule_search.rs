@@ -207,9 +207,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"schedule_search\",\n  \"smoke\": {smoke},\n  \
-         \"budget\": {{\"rounds\": {}, \"moves_per_round\": {}, \"top_k\": {}, \"seed\": {}}},\n  \
+        "{}  \"budget\": {{\"rounds\": {}, \"moves_per_round\": {}, \"top_k\": {}, \"seed\": {}}},\n  \
          \"strict_wins\": {strict_wins},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        casbus_bench::json_header("schedule_search", smoke, 1),
         budget.rounds,
         budget.moves_per_round,
         budget.top_k,

@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 use casbus::Tam;
-use casbus_bench::{best_of, env_flag};
+use casbus_bench::{best_of, env_flag, hardware_threads, json_header};
 use casbus_controller::{schedule, TestProgram};
 use casbus_sim::{run_program_reference, CompiledEngine, SocSimulator, SocTestReport};
 use casbus_soc::{catalog, SocDescription};
@@ -49,13 +49,19 @@ fn program_for(soc: &SocDescription, n: usize) -> TestProgram {
     TestProgram::from_schedule(&tam, soc, &sched).expect("program")
 }
 
+/// The most timed runs behind one figure (the compiled engine's best-of).
+fn repeats(smoke: bool) -> usize {
+    if smoke {
+        2
+    } else {
+        5
+    }
+}
+
 fn measure(name: &'static str, soc: &SocDescription, n: usize, smoke: bool) -> Row {
     let program = program_for(soc, n);
-    let (runs, budget) = if smoke {
-        (2, Duration::from_secs(2))
-    } else {
-        (5, Duration::from_secs(20))
-    };
+    let runs = repeats(smoke);
+    let budget = Duration::from_secs(if smoke { 2 } else { 20 });
 
     let run_reference = || -> SocTestReport {
         let mut sim = SocSimulator::new(soc, n).expect("simulator");
@@ -85,7 +91,7 @@ fn measure(name: &'static str, soc: &SocDescription, n: usize, smoke: bool) -> R
 
 fn main() {
     let smoke = env_flag("CASBUS_BENCH_SMOKE");
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let hardware_threads = hardware_threads();
     println!(
         "SoC session-engine comparison (packed schedules, one thread, {hardware_threads} \
          hardware threads{})",
@@ -139,7 +145,8 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"soc_session_simulation\",\n  \"engines\": [\"reference_bit_serial\", \"compiled_word_level\"],\n  \"hardware_threads\": {hardware_threads},\n  \"smoke\": {smoke},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{}  \"engines\": [\"reference_bit_serial\", \"compiled_word_level\"],\n  \"rows\": [\n{}\n  ]\n}}\n",
+        json_header("soc_session_simulation", smoke, repeats(smoke)),
         json_rows.join(",\n")
     );
     let path = "BENCH_soc_sim.json";

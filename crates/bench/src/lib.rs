@@ -166,6 +166,24 @@ pub fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
+/// Hardware threads available to this process (1 when unknown).
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Opens a `BENCH_*.json` document with the members every bench records
+/// first: the benchmark's name, the host's [`hardware_threads`], whether
+/// this was a smoke run, and the most timed runs behind any one figure
+/// (best-of timings stop early once their time budget runs out). The
+/// caller appends its own members and the closing brace.
+pub fn json_header(benchmark: &str, smoke: bool, repeats: usize) -> String {
+    format!(
+        "{{\n  \"benchmark\": \"{benchmark}\",\n  \"hardware_threads\": {},\n  \
+         \"smoke\": {smoke},\n  \"repeats\": {repeats},\n",
+        hardware_threads()
+    )
+}
+
 /// The median and range of repeated timings, so a bench gates on the
 /// median of several interleaved repeats instead of on one sample at the
 /// mercy of host drift.
@@ -292,6 +310,24 @@ mod tests {
                 row.p
             );
         }
+    }
+
+    #[test]
+    fn json_header_opens_a_document_with_the_shared_members() {
+        let threads = format!("  \"hardware_threads\": {},", hardware_threads());
+        let header = json_header("demo", true, 5);
+        let lines: Vec<&str> = header.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "{",
+                "  \"benchmark\": \"demo\",",
+                threads.as_str(),
+                "  \"smoke\": true,",
+                "  \"repeats\": 5,",
+            ]
+        );
+        assert!(header.ends_with(",\n"), "callers append members");
     }
 
     #[test]

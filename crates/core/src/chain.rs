@@ -91,16 +91,6 @@ impl CasChain {
         &self.cases
     }
 
-    /// Mutable access to one CAS.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CasError::UnknownCas`] for an out-of-range index.
-    pub fn cas_mut(&mut self, index: usize) -> Result<&mut Cas, CasError> {
-        let len = self.cases.len();
-        self.cases.get_mut(index).ok_or(CasError::UnknownCas(len))
-    }
-
     /// Mutable access to all CASes (for simulators threading external
     /// registers — e.g. wrapper WIRs — into the configuration chain).
     pub fn cases_mut(&mut self) -> &mut [Cas] {

@@ -368,11 +368,6 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Current register states, in sequential-gate order.
-    pub fn register_states(&self) -> &[Value] {
-        &self.dff_state
-    }
-
     /// Resets every register to 0.
     pub fn reset(&mut self) {
         for slot in &mut self.dff_state {

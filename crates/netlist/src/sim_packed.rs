@@ -187,11 +187,6 @@ pub struct GoldenBlock {
 }
 
 impl GoldenBlock {
-    /// Mask of every lane carried by this block.
-    pub fn lane_mask(&self) -> u64 {
-        self.all_lanes
-    }
-
     fn cycle(&self, t: usize) -> &[PackedWord] {
         &self.nets[t * self.net_count..(t + 1) * self.net_count]
     }

@@ -107,11 +107,6 @@ impl VcdWriter {
         }
     }
 
-    /// Number of declared signals.
-    pub fn signal_count(&self) -> usize {
-        self.signals.len()
-    }
-
     /// Closes the declaration section: pops any open scopes, emits
     /// `$enddefinitions` and the initial all-X `$dumpvars` block. Called
     /// implicitly by the first [`VcdWriter::set_time`].
@@ -154,15 +149,6 @@ impl VcdWriter {
         let mut out = self.header.clone();
         out.push_str(&self.body);
         out
-    }
-
-    /// Writes the rendered VCD to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.render())
     }
 }
 

@@ -137,12 +137,6 @@ impl<C: TestableCore> Wrapper<C> {
         &self.core
     }
 
-    /// Mutable access to the wrapped core (for SoC simulators driving
-    /// functional activity).
-    pub fn core_mut(&mut self) -> &mut C {
-        &mut self.core
-    }
-
     /// The active wrapper instruction.
     pub fn instruction(&self) -> WrapperInstruction {
         self.wir.instruction()

@@ -548,6 +548,32 @@ mod tests {
     }
 
     #[test]
+    fn a_defect_of_the_wrong_kind_falls_back_and_fails_like_apply() {
+        // No variation spec stamps a defect its core's test method cannot
+        // carry, so build one by hand: a BIST response defect on a scan
+        // core. The lanes refuse it as a method mismatch, and the scalar
+        // fallback returns the error `InjectedFault::apply` returns.
+        let soc = catalog::figure2a_scan_soc();
+        let engine = engine_for(&soc, 4);
+        let fault = InjectedFault {
+            core: "scan3".to_owned(),
+            kind: FaultKind::BistResponse { after: 0 },
+        };
+        assert!(!engine.fault_packable(&fault));
+        assert_eq!(
+            engine.fallback_reason(&fault),
+            Some("defect.method_mismatch")
+        );
+        let mut sim = SocSimulator::new(&soc, 4).expect("sim");
+        let applied = fault.apply(&mut sim).expect_err("a scan core has no BIST");
+        assert_eq!(applied, SimError::UnknownCore("scan3".to_owned()));
+        let served = engine
+            .run_cohort(vec![(0, None), (1, Some(fault))])
+            .expect_err("the fallback applies the same fault");
+        assert_eq!(served, applied);
+    }
+
+    #[test]
     fn bist_defects_ride_packed_lanes() {
         // A BIST-only SoC: every defect is a corrupted response stream, and
         // every one must take the lane path and still match its scalar twin.

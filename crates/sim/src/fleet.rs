@@ -375,11 +375,6 @@ impl FleetReport {
         self.fleet_size() as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// Simulated test cycles executed per wall-clock second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.total_cycles as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
     /// Busy bus wire-cycles simulated per wall-clock second.
     pub fn wire_cycles_per_sec(&self) -> f64 {
         self.wire_cycles as f64 / self.wall.as_secs_f64().max(1e-9)

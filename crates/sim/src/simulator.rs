@@ -377,12 +377,6 @@ impl SocSimulator {
         });
     }
 
-    /// Removes and returns the attached probe, if any.
-    pub fn detach_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.signals = None;
-        self.probe.take()
-    }
-
     /// Emits the post-configuration steady state (CAS modes/schemes, WIR
     /// opcodes) into the probe at the current time.
     fn probe_configuration_state(&mut self) {
@@ -807,20 +801,6 @@ impl SocSimulator {
     /// its end-of-step value directly from the last batched word).
     pub(crate) fn set_pending(&mut self, idx: usize, bits: BitVec) {
         self.pending[idx] = bits;
-    }
-
-    /// Drives `cycles` idle clocks (bus zeros, wrappers holding).
-    ///
-    /// # Errors
-    ///
-    /// Propagates width mismatches.
-    pub fn idle_clocks(&mut self, cycles: u64) -> Result<(), SimError> {
-        let kinds = vec![ClockKind::Idle; self.wrappers.len()];
-        let idle_bus = BitVec::zeros(self.bus_width());
-        for _ in 0..cycles {
-            self.data_clock(&idle_bus, &kinds)?;
-        }
-        Ok(())
     }
 }
 

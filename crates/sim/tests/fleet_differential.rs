@@ -4,7 +4,7 @@
 //! same N devices one at a time with a plain per-device engine, at every
 //! fleet size and worker-thread count, with and without stamped defects.
 
-use casbus_controller::schedule::packed_schedule;
+use casbus_controller::schedule::{packed_schedule, Schedule};
 use casbus_controller::search::SearchBudget;
 use casbus_controller::CompiledProgram;
 use casbus_obs::MetricsRegistry;
@@ -557,6 +557,47 @@ fn mixed_lot_bist_memory_fleet_matches_scalar_fleet() {
             "no fallback reason may fire ({threads} threads)"
         );
     }
+}
+
+/// A schedule built with `Schedule::from_tests` may leave an injectable
+/// core untested. No lane runs that core, so a die with a defect on it
+/// falls back to the scalar path under
+/// `fleet.packed.fallback.reason.defect.untested_core`, and the packed lot
+/// still equals the scalar lot.
+#[test]
+fn defects_on_an_untested_core_fall_back_and_match_scalar_fleet() {
+    let soc = catalog::maintenance_soc();
+    let full = packed_schedule(&soc, 4).expect("schedule");
+    let (skipped, kept) = full.tests().split_first().expect("tests");
+    assert_eq!(skipped.core_name, "app_cpu");
+    let schedule = Schedule::from_tests(4, kept.to_vec()).expect("a subset stays valid");
+    let spec = VariationSpec::new(17, 1.0);
+    const FLEET: u64 = 64;
+
+    let scalar = FleetRunner::new(&soc, 4, schedule.clone())
+        .expect("runner")
+        .with_packed(false)
+        .run(&spec, FLEET)
+        .expect("scalar run");
+    let metrics = MetricsRegistry::new();
+    let packed = FleetRunner::new(&soc, 4, schedule)
+        .expect("runner")
+        .run_with_metrics(&spec, FLEET, &metrics, |_| {})
+        .expect("packed run");
+    assert_eq!(packed.devices, scalar.devices);
+    assert_eq!(packed.passed, scalar.passed);
+
+    let untested = scalar
+        .devices
+        .iter()
+        .filter(|d| d.fault.as_ref().is_some_and(|f| f.core == "app_cpu"))
+        .count() as u64;
+    assert_eq!(untested, 21, "spec 17 stamps 21 of 64 dies on app_cpu");
+    assert_eq!(
+        metrics.counter("fleet.packed.fallback.reason.defect.untested_core"),
+        untested
+    );
+    assert_eq!(metrics.counter("fleet.packed.fallback.devices"), untested);
 }
 
 /// [`VariationSpec`] edge cases: the extreme rates stamp none/all, the

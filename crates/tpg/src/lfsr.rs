@@ -5,24 +5,6 @@ use std::fmt;
 use crate::bits::BitVec;
 use crate::poly::Polynomial;
 
-/// Feedback network topology of an LFSR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LfsrKind {
-    /// External-XOR (Fibonacci) feedback: one XOR tree feeding the last stage.
-    Fibonacci,
-    /// Internal-XOR (Galois) feedback: XOR gates between stages.
-    Galois,
-}
-
-impl fmt::Display for LfsrKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Fibonacci => "fibonacci",
-            Self::Galois => "galois",
-        })
-    }
-}
-
 /// Error constructing an [`Lfsr`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LfsrError {
@@ -50,7 +32,8 @@ impl fmt::Display for LfsrError {
 
 impl std::error::Error for LfsrError {}
 
-/// A linear feedback shift register over GF(2), up to 64 stages.
+/// An external-XOR (Fibonacci) linear feedback shift register over GF(2),
+/// up to 64 stages.
 ///
 /// With a [primitive](Polynomial::primitive) feedback polynomial and any
 /// non-zero seed the output sequence has the maximal period `2^deg − 1`.
@@ -69,21 +52,21 @@ impl std::error::Error for LfsrError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfsr {
     poly: Polynomial,
-    kind: LfsrKind,
     state: u64,
     seed: u64,
     mask: u64,
 }
 
 impl Lfsr {
-    /// Creates an LFSR with the given feedback topology.
+    /// Creates an external-XOR (Fibonacci) LFSR: one XOR tree over the
+    /// tapped stages feeds the last stage.
     ///
     /// # Errors
     ///
     /// Returns [`LfsrError::ZeroSeed`] for a zero seed and
     /// [`LfsrError::SeedTooWide`] if the seed does not fit in
     /// `poly.degree()` bits.
-    pub fn new(kind: LfsrKind, poly: Polynomial, seed: u64) -> Result<Self, LfsrError> {
+    pub fn fibonacci(poly: Polynomial, seed: u64) -> Result<Self, LfsrError> {
         if seed == 0 {
             return Err(LfsrError::ZeroSeed);
         }
@@ -91,35 +74,13 @@ impl Lfsr {
         if width < 64 && seed >> width != 0 {
             return Err(LfsrError::SeedTooWide { width, seed });
         }
-        let mask = match kind {
-            LfsrKind::Fibonacci => fibonacci_mask(&poly),
-            LfsrKind::Galois => galois_mask(&poly),
-        };
+        let mask = fibonacci_mask(&poly);
         Ok(Self {
             poly,
-            kind,
             state: seed,
             seed,
             mask,
         })
-    }
-
-    /// Creates an external-XOR (Fibonacci) LFSR. See [`Lfsr::new`] for errors.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Lfsr::new`].
-    pub fn fibonacci(poly: Polynomial, seed: u64) -> Result<Self, LfsrError> {
-        Self::new(LfsrKind::Fibonacci, poly, seed)
-    }
-
-    /// Creates an internal-XOR (Galois) LFSR. See [`Lfsr::new`] for errors.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Lfsr::new`].
-    pub fn galois(poly: Polynomial, seed: u64) -> Result<Self, LfsrError> {
-        Self::new(LfsrKind::Galois, poly, seed)
     }
 
     /// Advances one clock and returns the output bit (stage 0 before the
@@ -127,21 +88,9 @@ impl Lfsr {
     pub fn step(&mut self) -> bool {
         let width = self.poly.degree();
         let out = self.state & 1 == 1;
-        match self.kind {
-            LfsrKind::Fibonacci => {
-                let fb = (self.state & self.mask).count_ones() & 1;
-                self.state >>= 1;
-                self.state |= u64::from(fb) << (width - 1);
-            }
-            LfsrKind::Galois => {
-                // The tap mask includes bit `width-1` (the x^degree term),
-                // which re-inserts the fed-back bit into the vacated MSB.
-                self.state >>= 1;
-                if out {
-                    self.state ^= self.mask;
-                }
-            }
-        }
+        let fb = (self.state & self.mask).count_ones() & 1;
+        self.state >>= 1;
+        self.state |= u64::from(fb) << (width - 1);
         out
     }
 
@@ -164,25 +113,11 @@ impl Lfsr {
         );
         let width = self.poly.degree();
         let mut out = 0u64;
-        match self.kind {
-            LfsrKind::Fibonacci => {
-                for t in 0..cycles {
-                    out |= (self.state & 1) << t;
-                    let fb = (self.state & self.mask).count_ones() & 1;
-                    self.state >>= 1;
-                    self.state |= u64::from(fb) << (width - 1);
-                }
-            }
-            LfsrKind::Galois => {
-                for t in 0..cycles {
-                    let bit = self.state & 1;
-                    out |= bit << t;
-                    self.state >>= 1;
-                    if bit == 1 {
-                        self.state ^= self.mask;
-                    }
-                }
-            }
+        for t in 0..cycles {
+            out |= (self.state & 1) << t;
+            let fb = (self.state & self.mask).count_ones() & 1;
+            self.state >>= 1;
+            self.state |= u64::from(fb) << (width - 1);
         }
         out
     }
@@ -207,16 +142,6 @@ impl Lfsr {
     /// Resets the register to its construction seed.
     pub fn reset(&mut self) {
         self.state = self.seed;
-    }
-
-    /// The feedback polynomial.
-    pub fn polynomial(&self) -> &Polynomial {
-        &self.poly
-    }
-
-    /// The feedback topology.
-    pub fn kind(&self) -> LfsrKind {
-        self.kind
     }
 
     /// Register width in bits.
@@ -277,19 +202,6 @@ fn fibonacci_mask(poly: &Polynomial) -> u64 {
     mask
 }
 
-/// Galois (internal-XOR) tap mask for a right-shifting register: bit `e−1`
-/// set for every polynomial term `x^e`, `1 ≤ e ≤ degree` — the `x^degree`
-/// bit re-inserts the fed-back output into the vacated MSB.
-fn galois_mask(poly: &Polynomial) -> u64 {
-    let mut mask = 0u64;
-    for e in 1..=poly.degree() {
-        if poly.has_term(e) {
-            mask |= 1 << (e - 1);
-        }
-    }
-    mask
-}
-
 impl Iterator for Lfsr {
     type Item = bool;
 
@@ -330,15 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn galois_primitive_is_maximal() {
-        for degree in [2u32, 3, 4, 5, 6, 7, 8, 12, 16] {
-            let poly = Polynomial::primitive(degree).unwrap();
-            let lfsr = Lfsr::galois(poly, 1).unwrap();
-            assert!(lfsr.is_maximal_length(), "galois degree {degree}");
-        }
-    }
-
-    #[test]
     fn non_primitive_has_short_period() {
         // x^4 + x^2 + 1 = (x^2+x+1)^2 is not primitive.
         let poly = Polynomial::from_exponents(4, &[2]).unwrap();
@@ -362,7 +265,7 @@ mod tests {
     #[test]
     fn reset_restores_seed() {
         let poly = Polynomial::primitive(8).unwrap();
-        let mut lfsr = Lfsr::galois(poly, 0xa5).unwrap();
+        let mut lfsr = Lfsr::fibonacci(poly, 0xa5).unwrap();
         let first = lfsr.step_n(16);
         lfsr.reset();
         assert_eq!(lfsr.step_n(16), first);
@@ -393,32 +296,21 @@ mod tests {
     }
 
     #[test]
-    fn fibonacci_and_galois_both_traverse_full_cycle() {
-        let poly = Polynomial::primitive(7).unwrap();
-        let fib = Lfsr::fibonacci(poly.clone(), 1).unwrap();
-        let gal = Lfsr::galois(poly, 1).unwrap();
-        assert_eq!(fib.period(), 127);
-        assert_eq!(gal.period(), 127);
-    }
-
-    #[test]
     fn step_word_matches_bit_serial_reference() {
         for degree in [3u32, 8, 16, 24] {
             let poly = Polynomial::primitive(degree).unwrap();
-            for kind in [LfsrKind::Fibonacci, LfsrKind::Galois] {
-                let mut fast = Lfsr::new(kind, poly.clone(), 0b101).unwrap();
-                let mut slow = fast.clone();
-                for cycles in [0usize, 1, 7, 13, 64] {
-                    let word = fast.step_word(cycles);
-                    let mut reference = 0u64;
-                    for t in 0..cycles {
-                        if slow.step() {
-                            reference |= 1 << t;
-                        }
+            let mut fast = Lfsr::fibonacci(poly, 0b101).unwrap();
+            let mut slow = fast.clone();
+            for cycles in [0usize, 1, 7, 13, 64] {
+                let word = fast.step_word(cycles);
+                let mut reference = 0u64;
+                for t in 0..cycles {
+                    if slow.step() {
+                        reference |= 1 << t;
                     }
-                    assert_eq!(word, reference, "{kind} degree {degree} cycles {cycles}");
-                    assert_eq!(fast.state(), slow.state(), "state after {cycles} cycles");
                 }
+                assert_eq!(word, reference, "degree {degree} cycles {cycles}");
+                assert_eq!(fast.state(), slow.state(), "state after {cycles} cycles");
             }
         }
     }

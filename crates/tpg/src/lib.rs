@@ -1,46 +1,35 @@
 //! Test pattern generation substrate for the CAS-BUS reproduction.
 //!
-//! The CAS-BUS paper (Benabdenbi et al., DATE 2000) assumes the presence of
-//! *test sources* that generate stimuli and *test sinks* that compact or
-//! compare responses (P1500 terminology). Figure 2 of the paper shows three
-//! source/sink flavours in use:
-//!
-//! * deterministic scan patterns shifted from off-chip automatic test
-//!   equipment (Fig. 2 (a)),
-//! * on-chip BIST engines built from an LFSR source and a MISR sink
-//!   (Fig. 2 (b)),
-//! * simple external sources and sinks, "e.g. P=1 when the source is a simple
-//!   LFSR and the sink a simple MISR" (Fig. 2 (c)).
-//!
-//! This crate implements all of that machinery from scratch:
+//! The CAS-BUS paper (Benabdenbi et al., DATE 2000) treats *test sources*
+//! that generate stimuli and *test sinks* that compact or compare responses
+//! (P1500 terminology) as outside the test access mechanism: the bus only
+//! carries their bits. This crate holds the bit-level pieces the simulator
+//! builds them from:
 //!
 //! * [`BitVec`] — a compact bit vector used as the common serial-data currency
 //!   across the whole workspace,
 //! * [`Polynomial`] — feedback polynomials over GF(2) with a table of
 //!   primitive polynomials,
-//! * [`Lfsr`] — Fibonacci and Galois linear feedback shift registers,
-//! * [`Misr`] — multiple-input signature registers,
-//! * [`PatternSet`] — deterministic / random / exhaustive pattern generation,
-//! * [`weighted`] — weighted pseudo-random patterns for random-pattern-
-//!   resistant faults,
+//! * [`Lfsr`] — Fibonacci linear feedback shift registers, the stimulus
+//!   source of every session and of the BIST engines (Fig. 2 (b)),
+//! * [`Misr`] and [`golden_signature`] — multiple-input signature
+//!   registers, the BIST engines' response sink,
 //! * [`lanes`] — lane-parallel word utilities (broadcast, 64×64 bit
-//!   transpose, per-lane stream extraction) backing packed device-parallel
-//!   simulation,
-//! * [`source`] — the [`TestSource`] /
-//!   [`TestSink`] traits tying the above together.
+//!   transpose, per-lane stream extraction, a bit-sliced MISR) backing
+//!   packed device-parallel simulation,
+//! * [`Verdict`] — the pass/fail outcome of a session.
 //!
 //! # Example
 //!
 //! ```
-//! use casbus_tpg::{Lfsr, Misr, Polynomial};
+//! use casbus_tpg::{BitVec, Lfsr, Misr, Polynomial};
 //!
-//! // A maximal-length 8-bit LFSR feeding a MISR of the same width.
+//! // A maximal-length 8-bit LFSR feeding a one-input MISR of the same width.
 //! let poly = Polynomial::primitive(8).expect("table covers degree 8");
 //! let mut lfsr = Lfsr::fibonacci(poly.clone(), 0x5a).expect("non-zero seed");
-//! let mut misr = Misr::single_input(poly).expect("one input fits");
+//! let mut misr = Misr::new(poly, 1).expect("one input fits");
 //! for _ in 0..255 {
-//!     let bit = lfsr.step();
-//!     misr.absorb_bit(bit);
+//!     misr.absorb(&BitVec::repeat(lfsr.step(), 1));
 //! }
 //! assert_ne!(misr.signature().to_u64(), 0);
 //! ```
@@ -52,16 +41,13 @@ pub mod bits;
 pub mod lanes;
 pub mod lfsr;
 pub mod misr;
-pub mod pattern;
 pub mod poly;
 pub mod signature;
-pub mod source;
-pub mod weighted;
+pub mod verdict;
 
 pub use bits::{BitVec, ParseBitVecError};
-pub use lfsr::{Lfsr, LfsrError, LfsrKind};
+pub use lfsr::{Lfsr, LfsrError};
 pub use misr::{Misr, MisrError};
-pub use pattern::{Pattern, PatternSet, PatternSetError};
 pub use poly::{Polynomial, PolynomialError};
-pub use signature::{aliasing_probability, golden_signature};
-pub use source::{CompareSink, LfsrSource, MisrSink, PatternSource, TestSink, TestSource, Verdict};
+pub use signature::golden_signature;
+pub use verdict::Verdict;

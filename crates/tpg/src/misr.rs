@@ -38,8 +38,8 @@ impl std::error::Error for MisrError {}
 /// The register compacts an arbitrarily long response stream into a
 /// `width`-bit signature. With a primitive feedback polynomial the
 /// probability that a faulty stream aliases to the fault-free signature is
-/// approximately `2^−width` (see
-/// [`aliasing_probability`](crate::signature::aliasing_probability)).
+/// approximately `2^−width`, and a single flipped response bit never
+/// aliases.
 ///
 /// # Examples
 ///
@@ -58,7 +58,6 @@ pub struct Misr {
     inputs: u32,
     state: u64,
     mask: u64,
-    absorbed: u64,
 }
 
 impl Misr {
@@ -89,18 +88,7 @@ impl Misr {
             inputs,
             state: 0,
             mask,
-            absorbed: 0,
         })
-    }
-
-    /// Creates a single-input signature register (SISR).
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice (width ≥ 1 always admits one input); the
-    /// `Result` mirrors [`Misr::new`].
-    pub fn single_input(poly: Polynomial) -> Result<Self, MisrError> {
-        Self::new(poly, 1)
     }
 
     /// Absorbs one clock's worth of parallel response bits.
@@ -125,61 +113,6 @@ impl Misr {
         }
         // Parallel injection into the low stages.
         self.state ^= bits.to_u64();
-        self.absorbed += 1;
-    }
-
-    /// Absorbs a single response bit (stage-0 input); the remaining inputs
-    /// see constant zero. Only valid for single-input registers constructed
-    /// with [`Misr::single_input`] or `inputs == 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register has more than one input.
-    pub fn absorb_bit(&mut self, bit: bool) {
-        assert_eq!(self.inputs, 1, "absorb_bit requires a single-input MISR");
-        let mut v = BitVec::new();
-        v.push(bit);
-        self.absorb(&v);
-    }
-
-    /// Absorbs a serial stream, one bit per clock, through stage 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register has more than one input.
-    pub fn absorb_stream(&mut self, bits: &BitVec) {
-        for bit in bits.iter() {
-            self.absorb_bit(bit);
-        }
-    }
-
-    /// Absorbs up to 64 serial clocks from a packed word through stage 0,
-    /// bit 0 first. Behaviourally identical to [`Misr::absorb_stream`] on
-    /// the same bits (the bit-serial path is the reference; an equivalence
-    /// test pins the two together), but runs on `u64` ops with no per-bit
-    /// `BitVec` construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register has more than one input or `cycles > 64`.
-    pub fn absorb_stream_word(&mut self, word: u64, cycles: usize) {
-        assert_eq!(
-            self.inputs, 1,
-            "absorb_stream_word requires a single-input MISR"
-        );
-        assert!(
-            cycles <= 64,
-            "absorb_stream_word supports at most 64 cycles, got {cycles}"
-        );
-        for t in 0..cycles {
-            let out = self.state & 1 == 1;
-            self.state >>= 1;
-            if out {
-                self.state ^= self.mask;
-            }
-            self.state ^= (word >> t) & 1;
-        }
-        self.absorbed += cycles as u64;
     }
 
     /// The current signature, stage 0 first.
@@ -187,30 +120,9 @@ impl Misr {
         BitVec::from_u64(self.state, self.poly.degree() as usize)
     }
 
-    /// Number of clocks absorbed so far.
-    pub fn absorbed_clocks(&self) -> u64 {
-        self.absorbed
-    }
-
-    /// Number of parallel inputs.
-    pub fn inputs(&self) -> u32 {
-        self.inputs
-    }
-
-    /// Register width in bits.
-    pub fn width(&self) -> u32 {
-        self.poly.degree()
-    }
-
-    /// The feedback polynomial.
-    pub fn polynomial(&self) -> &Polynomial {
-        &self.poly
-    }
-
     /// Clears the register back to the all-zero state.
     pub fn reset(&mut self) {
         self.state = 0;
-        self.absorbed = 0;
     }
 }
 
@@ -261,7 +173,6 @@ mod tests {
             b.absorb(&word);
         }
         assert_eq!(a.signature(), b.signature());
-        assert_eq!(a.absorbed_clocks(), 50);
     }
 
     #[test]
@@ -295,47 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn absorb_bit_requires_single_input() {
-        let mut m = misr8();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.absorb_bit(true);
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn serial_stream_signature() {
-        let mut m = Misr::single_input(Polynomial::primitive(8).unwrap()).unwrap();
-        let stream: BitVec = "110100111010".parse().unwrap();
-        m.absorb_stream(&stream);
-        assert_eq!(m.absorbed_clocks(), 12);
-        assert_ne!(m.signature().count_ones(), 0);
-    }
-
-    #[test]
     fn reset_clears_state() {
         let mut m = misr8();
         m.absorb(&BitVec::ones(8));
         m.reset();
         assert_eq!(m.signature().count_ones(), 0);
-        assert_eq!(m.absorbed_clocks(), 0);
-    }
-
-    #[test]
-    fn absorb_stream_word_matches_bit_serial_reference() {
-        let poly = Polynomial::primitive(16).unwrap();
-        let mut fast = Misr::single_input(poly.clone()).unwrap();
-        let mut slow = Misr::single_input(poly).unwrap();
-        let mut stamp = 0x1234_5678_9abc_def0u64;
-        for cycles in [0usize, 1, 15, 64, 33] {
-            stamp = stamp.rotate_left(11) ^ 0xa5a5;
-            fast.absorb_stream_word(stamp, cycles);
-            let mut bits = BitVec::new();
-            bits.push_word(stamp, cycles);
-            slow.absorb_stream(&bits);
-            assert_eq!(fast.signature(), slow.signature(), "after {cycles} cycles");
-            assert_eq!(fast.absorbed_clocks(), slow.absorbed_clocks());
-        }
     }
 
     #[test]
@@ -344,10 +219,9 @@ mod tests {
         let poly = Polynomial::primitive(16).unwrap();
         let run = || {
             let mut lfsr = Lfsr::fibonacci(poly.clone(), 0xace1).unwrap();
-            let mut misr = Misr::single_input(poly.clone()).unwrap();
+            let mut misr = Misr::new(poly.clone(), 1).unwrap();
             for _ in 0..1000 {
-                let bit = lfsr.step();
-                misr.absorb_bit(bit);
+                misr.absorb(&BitVec::repeat(lfsr.step(), 1));
             }
             misr.signature()
         };

@@ -175,31 +175,6 @@ impl Polynomial {
         out.push(0);
         out
     }
-
-    /// Intermediate tap exponents (excluding leading and constant terms),
-    /// descending.
-    pub fn tap_exponents(&self) -> Vec<u32> {
-        (1..self.degree)
-            .rev()
-            .filter(|&e| self.has_term(e))
-            .collect()
-    }
-
-    /// The reciprocal (reversed) polynomial `x^deg · p(1/x)`, which generates
-    /// the time-reversed sequence and is primitive iff `self` is.
-    pub fn reciprocal(&self) -> Polynomial {
-        let exponents: Vec<u32> = self
-            .tap_exponents()
-            .iter()
-            .map(|&e| self.degree - e)
-            .collect();
-        Self::from_exponents(self.degree, &exponents).expect("reciprocal taps stay in range")
-    }
-
-    /// Number of terms, including the implicit ones.
-    pub fn term_count(&self) -> u32 {
-        self.taps.count_ones() + 2
-    }
 }
 
 impl fmt::Display for Polynomial {
@@ -236,7 +211,6 @@ mod tests {
         let p = Polynomial::from_exponents(4, &[1]).unwrap();
         assert_eq!(p.degree(), 4);
         assert_eq!(p.exponents(), vec![4, 1, 0]);
-        assert_eq!(p.term_count(), 3);
     }
 
     #[test]
@@ -308,26 +282,5 @@ mod tests {
         assert!(p.has_term(0));
         assert!(!p.has_term(3));
         assert!(!p.has_term(6));
-    }
-
-    #[test]
-    fn reciprocal_of_reciprocal_is_identity() {
-        for degree in 2..=16 {
-            let p = Polynomial::primitive(degree).unwrap();
-            assert_eq!(p.reciprocal().reciprocal(), p, "degree {degree}");
-        }
-    }
-
-    #[test]
-    fn reciprocal_maps_taps() {
-        // x^4 + x + 1 → x^4 + x^3 + 1
-        let p = Polynomial::from_exponents(4, &[1]).unwrap();
-        assert_eq!(p.reciprocal().tap_exponents(), vec![3]);
-    }
-
-    #[test]
-    fn tap_exponents_descending() {
-        let p = Polynomial::primitive(8).unwrap();
-        assert_eq!(p.tap_exponents(), vec![6, 5, 1]);
     }
 }

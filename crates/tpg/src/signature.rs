@@ -37,28 +37,6 @@ pub fn golden_signature(poly: &Polynomial, responses: &[BitVec]) -> Result<BitVe
     Ok(misr.signature())
 }
 
-/// Estimated aliasing probability of an `sig_bits`-wide signature register
-/// over a long response stream: the classic `2^−k` asymptote.
-///
-/// For `test_length` clocks shorter than `sig_bits` the probability is zero
-/// (no aliasing is possible before the register fills).
-///
-/// # Examples
-///
-/// ```
-/// use casbus_tpg::aliasing_probability;
-///
-/// assert_eq!(aliasing_probability(16, 10_000), 2f64.powi(-16));
-/// assert_eq!(aliasing_probability(16, 8), 0.0);
-/// ```
-pub fn aliasing_probability(sig_bits: u32, test_length: u64) -> f64 {
-    if test_length < u64::from(sig_bits) {
-        0.0
-    } else {
-        2f64.powi(-(sig_bits as i32))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,11 +75,5 @@ mod tests {
         let poly = Polynomial::primitive(4).unwrap();
         let words = vec![BitVec::zeros(8)];
         assert!(golden_signature(&poly, &words).is_err());
-    }
-
-    #[test]
-    fn aliasing_asymptote() {
-        assert!((aliasing_probability(8, 1000) - 1.0 / 256.0).abs() < 1e-12);
-        assert_eq!(aliasing_probability(32, 1), 0.0);
     }
 }

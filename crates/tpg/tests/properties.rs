@@ -1,6 +1,6 @@
 //! Property-based tests of the TPG substrate invariants.
 
-use casbus_tpg::{golden_signature, BitVec, Lfsr, LfsrKind, Misr, Pattern, PatternSet, Polynomial};
+use casbus_tpg::{golden_signature, BitVec, Lfsr, Misr, Polynomial};
 use proptest::prelude::*;
 
 fn bits(len: std::ops::Range<usize>) -> impl Strategy<Value = BitVec> {
@@ -60,15 +60,14 @@ proptest! {
         prop_assert_eq!(a.hamming_distance(&b), b.hamming_distance(&a));
     }
 
-    /// Both LFSR topologies over a primitive polynomial visit 2^d − 1
-    /// states from any non-zero seed.
+    /// An LFSR over a primitive polynomial visits 2^d − 1 states from any
+    /// non-zero seed.
     #[test]
-    fn lfsr_maximal_from_any_seed(degree in 2u32..11, seed in 1u64..2048, galois in any::<bool>()) {
+    fn lfsr_maximal_from_any_seed(degree in 2u32..11, seed in 1u64..2048) {
         let poly = Polynomial::primitive(degree).expect("tabulated");
         let seed = seed & ((1 << degree) - 1);
         prop_assume!(seed != 0);
-        let kind = if galois { LfsrKind::Galois } else { LfsrKind::Fibonacci };
-        let lfsr = Lfsr::new(kind, poly, seed).expect("valid seed");
+        let lfsr = Lfsr::fibonacci(poly, seed).expect("valid seed");
         prop_assert_eq!(lfsr.period(), (1u64 << degree) - 1);
     }
 
@@ -116,31 +115,5 @@ proptest! {
             golden_signature(&poly, &words).expect("fits"),
             golden_signature(&poly, &corrupted).expect("fits")
         );
-    }
-
-    /// Pattern sets keep widths homogeneous and serialize losslessly.
-    #[test]
-    fn pattern_set_serialization(width in 1usize..16, count in 0usize..20, seed in any::<u64>()) {
-        let mut set = PatternSet::new(width);
-        for c in 0..count {
-            let stim: BitVec = (0..width)
-                .map(|b| (seed >> ((b + c * 3) % 64)) & 1 == 1)
-                .collect();
-            set.push(Pattern::stimulus_only(stim));
-        }
-        let stream = set.serial_stream();
-        prop_assert_eq!(stream.len(), width * count);
-        for (c, pattern) in set.iter().enumerate() {
-            prop_assert_eq!(stream.slice(c * width, width), pattern.stimulus.clone());
-        }
-    }
-
-    /// The reciprocal polynomial generates the same period.
-    #[test]
-    fn reciprocal_preserves_period(degree in 2u32..10) {
-        let poly = Polynomial::primitive(degree).expect("tabulated");
-        let forward = Lfsr::fibonacci(poly.clone(), 1).expect("seed ok");
-        let backward = Lfsr::fibonacci(poly.reciprocal(), 1).expect("seed ok");
-        prop_assert_eq!(forward.period(), backward.period());
     }
 }

@@ -11,7 +11,7 @@
 //! * [`casbus_rtl`] — VHDL/Verilog generation,
 //! * [`casbus_p1500`] — P1500-style core test wrappers,
 //! * [`casbus_soc`] — the SoC description substrate,
-//! * [`casbus_tpg`] — test sources, sinks and pattern generation,
+//! * [`casbus_tpg`] — bit vectors, LFSRs, MISRs and signatures,
 //! * [`casbus_controller`] — the central SoC test controller,
 //! * [`casbus_sim`] — the cycle-accurate end-to-end simulator,
 //! * [`casbus_obs`] — observability: VCD waveforms, trace events, metrics.
