@@ -21,9 +21,11 @@
 //! * [`program`] — executable test programs: a sequence of TAM
 //!   configurations plus matching wrapper instructions,
 //! * [`maintenance`] — §4 maintenance-test planning (test a subset while
-//!   the rest runs in mission mode),
-//! * [`controller`] — the cycle-accurate phase sequencer
-//!   (CONFIGURATION → TEST → next configuration) used by `casbus-sim`.
+//!   the rest runs in mission mode).
+//!
+//! `casbus-sim` sequences the programs this crate builds: its
+//! `SocSimulator::configure` runs each step's CONFIGURATION phase and its
+//! engines run the TEST phase, counting every cycle.
 //!
 //! # Example
 //!
@@ -42,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod balance;
-pub mod controller;
 pub mod maintenance;
 pub mod program;
 pub mod schedule;
@@ -50,7 +51,6 @@ pub mod search;
 pub mod time_model;
 
 pub use balance::{balance_chains, repartition_flops};
-pub use controller::{ControllerPhase, TestController};
 pub use maintenance::MaintenancePlan;
 pub use program::{CompiledProgram, TestProgram, TestStep};
 pub use schedule::{partition_lpt, Schedule, ScheduleError, ScheduledTest};

@@ -65,12 +65,6 @@ impl TestProgram {
         self.steps.iter().map(|s| s.duration).sum()
     }
 
-    /// Total cycles including one CONFIGURATION phase per step
-    /// (`configuration_clocks + 1` update cycle each).
-    pub fn total_cycles(&self, tam: &Tam) -> u64 {
-        self.test_cycles() + self.steps.len() as u64 * (tam.configuration_clocks() as u64 + 1)
-    }
-
     /// Compiles a [`Schedule`] into a program: tests starting at the same
     /// cycle form one concurrent step (wave); waves execute in start order.
     ///
@@ -187,12 +181,6 @@ impl CompiledProgram {
     pub fn bus_width(&self) -> usize {
         self.schedule.bus_width()
     }
-
-    /// Total cycles one execution costs (TEST phases plus one
-    /// CONFIGURATION phase per step).
-    pub fn total_cycles(&self) -> u64 {
-        self.program.total_cycles(&self.tam)
-    }
 }
 
 /// The wrapper instruction a core's test method calls for.
@@ -264,7 +252,6 @@ mod tests {
         let tam = Tam::new(&soc, 8).unwrap();
         let expected = TestProgram::from_schedule(&tam, &soc, &schedule).unwrap();
         assert_eq!(plan.program(), &expected);
-        assert_eq!(plan.total_cycles(), expected.total_cycles(&tam));
         assert_eq!(plan.tam().bus_width(), 8);
     }
 
@@ -294,18 +281,6 @@ mod tests {
                 assert_eq!(step.wrapper_instructions[idx], expected, "core {label}");
             }
         }
-    }
-
-    #[test]
-    fn total_cycles_includes_configuration() {
-        let soc = catalog::figure2b_bist_soc();
-        let tam = Tam::new(&soc, 3).unwrap();
-        let schedule = serial_schedule(&soc, 3).unwrap();
-        let program = TestProgram::from_schedule(&tam, &soc, &schedule).unwrap();
-        let expected =
-            program.test_cycles() + program.len() as u64 * (tam.configuration_clocks() as u64 + 1);
-        assert_eq!(program.total_cycles(&tam), expected);
-        assert!(program.total_cycles(&tam) > program.test_cycles());
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use std::fmt;
 
 use casbus_soc::SocDescription;
-use casbus_tpg::BitVec;
 
-use crate::cas::{Cas, CasControl};
-use crate::chain::{CasChain, ChainOutput};
+use crate::cas::Cas;
+use crate::chain::CasChain;
 use crate::error::CasError;
 use crate::geometry::CasGeometry;
 use crate::instruction::CasInstruction;
@@ -270,36 +269,6 @@ impl Tam {
         self.chain.configure(config.instructions())
     }
 
-    /// Clocks the configured TAM once with test data.
-    ///
-    /// # Errors
-    ///
-    /// Propagates width mismatches.
-    pub fn clock(
-        &mut self,
-        bus_in: &BitVec,
-        core_outs: &[BitVec],
-        ctrl: CasControl,
-    ) -> Result<ChainOutput, CasError> {
-        self.chain.clock(bus_in, core_outs, ctrl)
-    }
-
-    /// Clocks shifting all-zero core outputs (convenience for transport-only
-    /// experiments).
-    ///
-    /// # Errors
-    ///
-    /// Propagates width mismatches.
-    pub fn clock_idle_cores(&mut self, bus_in: &BitVec) -> Result<ChainOutput, CasError> {
-        let cores: Vec<BitVec> = self
-            .chain
-            .cases()
-            .iter()
-            .map(|c| BitVec::zeros(c.geometry().switched_wires()))
-            .collect();
-        self.chain.clock(bus_in, &cores, CasControl::run())
-    }
-
     /// Clocks needed to serially load one full configuration (the sum of
     /// all instruction register widths). The paper notes this cost "does not
     /// affect the test time, since the SoC test architecture configuration
@@ -381,14 +350,6 @@ mod tests {
         let tam = Tam::new(&soc, 3).unwrap();
         // Two (3,1) CASes: m = 5, k = 3 each.
         assert_eq!(tam.configuration_clocks(), 6);
-    }
-
-    #[test]
-    fn bypass_transport_end_to_end() {
-        let soc = catalog::figure2b_bist_soc();
-        let mut tam = Tam::new(&soc, 3).unwrap();
-        let out = tam.clock_idle_cores(&"101".parse().unwrap()).unwrap();
-        assert_eq!(out.bus_out.to_string(), "101");
     }
 
     #[test]

@@ -203,14 +203,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// Forces a net to a fixed value on every evaluation (stuck-at fault
-    /// injection). Cleared with [`Simulator::clear_force`].
+    /// injection), replacing any net forced before.
     pub fn force_net(&mut self, net: crate::netlist::NetId, value: Value) {
         self.forced = Some((net.0, value));
-    }
-
-    /// Removes any injected fault.
-    pub fn clear_force(&mut self) {
-        self.forced = None;
     }
 
     fn apply_force(&mut self, net: usize) {

@@ -95,7 +95,7 @@ impl From<bool> for ArgValue {
 /// One trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Category (`"controller"`, `"session"`, `"ppsfp"`, [`CAT_SCHED`], …).
+    /// Category (`"sim"`, `"session"`, `"ppsfp"`, [`CAT_SCHED`], …).
     pub cat: &'static str,
     /// Event name. `Cow` so the common case — a static name like
     /// `"fault"` emitted once per graded fault — costs no allocation,

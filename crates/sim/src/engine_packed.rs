@@ -349,8 +349,8 @@ impl PackedModel {
                 }
                 Self::Scan(Box::new(packed))
             }
-            TestMethod::Bist { width, patterns } => {
-                let mut packed = PackedBistLanes::new(desc.name(), *width, *patterns);
+            TestMethod::Bist { width, .. } => {
+                let mut packed = PackedBistLanes::new(desc.name(), *width);
                 for (lane, fault) in faults.iter().enumerate() {
                     let FaultKind::BistResponse { after } = fault.kind else {
                         unreachable!("packable fault kinds match the tested method");

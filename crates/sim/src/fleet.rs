@@ -606,6 +606,11 @@ impl FleetRunner {
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic from `on_report` once the run is wound down; the
+    /// runner keeps serving.
     pub fn run_with(
         &self,
         spec: &VariationSpec,

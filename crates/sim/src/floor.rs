@@ -55,7 +55,7 @@
 //! # Ok::<(), casbus_sim::SimError>(())
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -427,6 +427,11 @@ impl TestFloor {
     /// # Errors
     ///
     /// Same as [`run`](Self::run).
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic from `on_report` once the run is wound down; the
+    /// floor keeps serving.
     pub fn run_with(
         &self,
         lots: Vec<LotSpec>,
@@ -630,7 +635,7 @@ impl TestFloor {
         // admission policy until the collector raises `stop`; it hands back
         // each lot's snapshots, interventions, and abort flag.
         let stop = (Mutex::new(false), Condvar::new());
-        let (reports, error, observed) = std::thread::scope(|scope| {
+        let (reports, collected, observed) = std::thread::scope(|scope| {
             let observer = scope.spawn(|| {
                 let views: Vec<LotLive<'_>> = lots
                     .iter()
@@ -691,23 +696,19 @@ impl TestFloor {
                 .iter()
                 .map(|lot| Vec::with_capacity(lot.spec.devices as usize))
                 .collect();
-            let mut error = None;
-            for (idx, outcome) in rx.iter() {
-                match outcome {
-                    Ok(batch) => {
-                        for report in batch {
-                            trackers[idx].record(&report);
-                            on_report(idx, &report);
-                            reports[idx].push(report);
-                        }
-                    }
-                    Err(err) => {
-                        error = Some(err);
-                        break;
+            // A panicking `on_report` is caught here so the observer still
+            // sees `stop`; the panic resumes once the run is wound down.
+            let collected = catch_unwind(AssertUnwindSafe(|| {
+                for (idx, outcome) in rx.iter() {
+                    for report in outcome? {
+                        trackers[idx].record(&report);
+                        on_report(idx, &report);
+                        reports[idx].push(report);
                     }
                 }
-            }
-            if error.is_some() {
+                Ok::<(), SimError>(())
+            }));
+            if !matches!(collected, Ok(Ok(()))) {
                 // Flush what the floor still owes: queued jobs are dropped
                 // (their sends fail against the hung-up receiver). A lane
                 // left paused is unpaused when the next run reuses it.
@@ -718,15 +719,13 @@ impl TestFloor {
             *stop.0.lock().expect("floor poisoned") = true;
             stop.1.notify_all();
             let observed = observer.join().expect("floor observer panicked");
-            (reports, error, observed)
+            (reports, collected, observed)
         });
         if monitor.is_some() {
             self.pool.set_metrics(None);
         }
 
-        if let Some(err) = error {
-            return Err(err);
-        }
+        collected.unwrap_or_else(|panic| resume_unwind(panic))?;
         let (snapshots, events, aborted) = observed;
         check_complete(lots, &reports, &aborted)?;
         let wall = started.elapsed();
@@ -988,6 +987,76 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Runs `run` on its own thread and returns what it returns, failing
+    /// the test instead of hanging it when `run` has not returned within a
+    /// minute.
+    fn within_a_minute<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let thread = std::thread::spawn(move || tx.send(run()));
+        let out = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run hung");
+        assert!(
+            thread.join().is_ok(),
+            "the run's thread exits after sending"
+        );
+        out
+    }
+
+    #[test]
+    fn a_panicking_on_report_propagates_and_the_fleet_keeps_serving() {
+        let soc = catalog::figure2a_scan_soc();
+        let spec = VariationSpec::new(3, 0.5);
+        for packed in [false, true] {
+            let runner = || {
+                crate::FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap())
+                    .unwrap()
+                    .with_threads(2)
+                    .with_packed(packed)
+            };
+            let fresh = runner().run(&spec, 16).unwrap();
+            let runner = runner();
+            let (runner, panic) = within_a_minute(move || {
+                let panic = catch_unwind(AssertUnwindSafe(|| {
+                    runner.run_with(&spec, 16, |_| panic!("on_report panicked"))
+                }))
+                .expect_err("the callback's panic propagates");
+                (runner, panic)
+            });
+            assert_eq!(panic.downcast_ref(), Some(&"on_report panicked"));
+            let again = runner.run(&spec, 16).unwrap();
+            assert_eq!(again.devices, fresh.devices, "packed {packed}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_on_report_propagates_and_the_floor_keeps_serving() {
+        let (scan, bist) = (catalog::figure2a_scan_soc(), catalog::figure2b_bist_soc());
+        let lot = |name: &str, soc: &SocDescription, n: usize, packed: bool| {
+            let schedule = packed_schedule(soc, n).unwrap();
+            LotSpec::new(name, soc, n, schedule, 16, VariationSpec::new(3, 0.5))
+                .unwrap()
+                .with_packed(packed)
+        };
+        let lots = || vec![lot("scan", &scan, 4, true), lot("bist", &bist, 3, false)];
+        let fresh = TestFloor::new().with_threads(2).run(lots()).unwrap();
+        let floor = TestFloor::new().with_threads(2);
+        let panicking = lots();
+        let (floor, panic) = within_a_minute(move || {
+            let panic = catch_unwind(AssertUnwindSafe(|| {
+                floor.run_with(panicking, |_, _| panic!("on_report panicked"))
+            }))
+            .expect_err("the callback's panic propagates");
+            (floor, panic)
+        });
+        assert_eq!(panic.downcast_ref(), Some(&"on_report panicked"));
+        let again = floor.run(lots()).unwrap();
+        for (lot, fresh) in again.lots.iter().zip(&fresh.lots) {
+            assert_eq!(lot.fleet.fleet_size(), 16, "{}", lot.name);
+            assert_eq!(lot.fleet.devices, fresh.fleet.devices, "{}", lot.name);
         }
     }
 

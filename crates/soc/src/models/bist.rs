@@ -87,11 +87,6 @@ impl BistCore {
         self.width
     }
 
-    /// Patterns a full self-test runs.
-    pub fn pattern_budget(&self) -> usize {
-        self.patterns
-    }
-
     /// Patterns run since the last reset.
     pub fn patterns_run(&self) -> usize {
         self.patterns_run

@@ -36,7 +36,7 @@ use super::name_key;
 /// ```
 /// use casbus_soc::models::PackedBistLanes;
 ///
-/// let mut packed = PackedBistLanes::new("ram", 8, 100);
+/// let mut packed = PackedBistLanes::new("ram", 8);
 /// packed.inject_fault_after(3, 25); // lane 3: responses corrupt from pattern 25
 /// for _ in 0..100 {
 ///     packed.capture_clock_lanes();
@@ -46,7 +46,6 @@ use super::name_key;
 #[derive(Debug, Clone)]
 pub struct PackedBistLanes {
     width: u32,
-    patterns: usize,
     /// One scalar generator — the pattern sequence is identical in every
     /// lane, so no lane axis is needed before the fault is applied.
     lfsr: Lfsr,
@@ -66,16 +65,16 @@ pub struct PackedBistLanes {
 }
 
 impl PackedBistLanes {
-    /// Creates a packed BIST core whose engine is `width` bits wide and
-    /// runs `patterns` pseudo-random patterns for a full self-test, every
-    /// lane healthy and in the power-on state.
+    /// Creates a packed BIST core whose engine is `width` bits wide, every
+    /// lane healthy and in the power-on state. Each
+    /// [`capture_clock_lanes`](Self::capture_clock_lanes) runs one pattern.
     ///
     /// # Panics
     ///
     /// Panics if no primitive polynomial of `width` is tabulated — the same
     /// contract (and message) as the scalar model.
     #[must_use]
-    pub fn new(name: &str, width: u32, patterns: usize) -> Self {
+    pub fn new(name: &str, width: u32) -> Self {
         let poly =
             Polynomial::primitive(width).unwrap_or_else(|e| panic!("BIST width {width}: {e}"));
         let key = name_key(name);
@@ -89,7 +88,6 @@ impl PackedBistLanes {
         let misr = LaneMisr::new(&poly);
         Self {
             width,
-            patterns,
             lfsr,
             misr,
             access: vec![0; width as usize],
@@ -118,12 +116,6 @@ impl PackedBistLanes {
     #[must_use]
     pub fn width(&self) -> u32 {
         self.width
-    }
-
-    /// Patterns a full self-test runs.
-    #[must_use]
-    pub fn pattern_budget(&self) -> usize {
-        self.patterns
     }
 
     /// Patterns run since the last reset.
@@ -243,7 +235,7 @@ mod tests {
     #[test]
     fn every_lane_matches_its_scalar_twin() {
         let (width, patterns) = (16u32, 40usize);
-        let mut packed = PackedBistLanes::new("ram", width, patterns);
+        let mut packed = PackedBistLanes::new("ram", width);
         let mut scalars: Vec<BistCore> = (0..64)
             .map(|_| BistCore::new("ram", width, patterns))
             .collect();
@@ -310,7 +302,7 @@ mod tests {
     fn healthy_lanes_share_the_scalar_golden_signature() {
         let core = BistCore::new("dsp", 12, 60);
         let golden = core.golden_signature().to_u64();
-        let mut packed = PackedBistLanes::new("dsp", 12, 60);
+        let mut packed = PackedBistLanes::new("dsp", 12);
         packed.inject_fault_after(5, 0);
         for _ in 0..60 {
             packed.capture_clock_lanes();
@@ -323,7 +315,7 @@ mod tests {
 
     #[test]
     fn reinjection_overwrites_the_onset() {
-        let mut packed = PackedBistLanes::new("x", 8, 20);
+        let mut packed = PackedBistLanes::new("x", 8);
         packed.inject_fault_after(2, 0);
         packed.inject_fault_after(2, 100); // overwrites: never fires in 20 patterns
         let mut scalar = BistCore::new("x", 8, 20);
@@ -337,20 +329,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "single test port")]
     fn single_port_enforced() {
-        let mut packed = PackedBistLanes::new("x", 8, 5);
+        let mut packed = PackedBistLanes::new("x", 8);
         packed.test_clock_lanes(&[0, 0], &mut [0]);
     }
 
     #[test]
     #[should_panic(expected = "lane index out of range")]
     fn lane_out_of_range_rejected() {
-        let mut packed = PackedBistLanes::new("x", 8, 5);
+        let mut packed = PackedBistLanes::new("x", 8);
         packed.inject_fault_after(64, 0);
     }
 
     #[test]
     #[should_panic(expected = "BIST width 40")]
     fn unsupported_width_panics() {
-        let _ = PackedBistLanes::new("x", 40, 1);
+        let _ = PackedBistLanes::new("x", 40);
     }
 }

@@ -86,11 +86,6 @@ impl ScanCore {
         self.apply_fault();
     }
 
-    /// Removes any injected fault.
-    pub fn clear_fault(&mut self) {
-        self.stuck_at = None;
-    }
-
     /// Current content of one chain (for white-box tests).
     pub fn chain(&self, idx: usize) -> &BitVec {
         &self.chains[idx]
@@ -467,15 +462,6 @@ mod tests {
             out
         };
         assert_ne!(observe(false), observe(true));
-    }
-
-    #[test]
-    fn clear_fault_restores_good_behaviour() {
-        let mut core = ScanCore::new("u", vec![3]);
-        core.inject_stuck_at(0, 0, true);
-        core.clear_fault();
-        core.reset();
-        assert_eq!(core.chain(0).count_ones(), 0);
     }
 
     #[test]

@@ -97,32 +97,6 @@ impl BitVec {
         v
     }
 
-    /// Builds a bit vector of `len` bits from its backing words, bit 0 in
-    /// the LSB of word 0 — the inverse of [`BitVec::words`]. Bits of the
-    /// last word beyond `len` are cleared.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `words` holds exactly `len.div_ceil(64)` words.
-    ///
-    /// ```
-    /// use casbus_tpg::BitVec;
-    /// let v = BitVec::from_words(vec![0b1011, u64::MAX], 66);
-    /// assert_eq!(v.len(), 66);
-    /// assert_eq!(v.count_ones(), 3 + 2);
-    /// ```
-    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
-        assert_eq!(
-            words.len(),
-            len.div_ceil(64),
-            "{len} bits need {} words",
-            len.div_ceil(64)
-        );
-        let mut v = Self { words, len };
-        v.mask_tail();
-        v
-    }
-
     /// Packs the first (up to 64) bits into a `u64`, bit 0 as the LSB.
     pub fn to_u64(&self) -> u64 {
         match self.words.first() {
@@ -881,13 +855,6 @@ mod tests {
                 assert_eq!(fast, slow, "{start}..{end} to {bit}");
             }
         }
-    }
-
-    #[test]
-    fn from_words_clears_the_tail() {
-        let v = BitVec::from_words(vec![u64::MAX, u64::MAX], 70);
-        assert_eq!(v.words(), &[u64::MAX, 0b11_1111]);
-        assert_eq!(v.count_ones(), 70);
     }
 
     /// Bit-serial reference for [`BitVec::scan_shift_word`]: the rebuild

@@ -10,15 +10,16 @@
 //!
 //! * `figure1.vcd` — bus wires, controller phase, per-CAS mode/scheme and
 //!   per-wrapper WIR/control, cycle-accurate.
-//! * `trace.jsonl` / `trace_chrome.json` — controller phase spans, per-core
-//!   session spans, configuration shifts, PPSFP grading events.
+//! * `trace.jsonl` / `trace_chrome.json` — the simulator's `configure`
+//!   span for each program step (its CONFIGURATION phase), per-core session
+//!   spans (its TEST phase), PPSFP grading events.
 //! * `metrics.txt` / `metrics.json` — the full run-metrics registry.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use casbus_suite::casbus::{CasGeometry, Tam};
-use casbus_suite::casbus_controller::{schedule, TestController, TestProgram};
+use casbus_suite::casbus_controller::{schedule, TestProgram};
 use casbus_suite::casbus_netlist::atpg::{self, AtpgConfig};
 use casbus_suite::casbus_netlist::crosspoint::synthesize_crosspoint_cas;
 use casbus_suite::casbus_netlist::PackedEngine;
@@ -54,15 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sink = MemorySink::new();
     sched.record_metrics(&metrics);
 
-    // --- 1. Controller run: every CONFIGURATION / UPDATE / TEST phase of
-    // every step becomes one complete span in cycle time.
-    let mut ctl_tam = Tam::new(&soc, BUS_WIDTH)?;
-    let mut ctl = TestController::new(program.clone()).with_trace(sink.clone());
-    while ctl.tick(&mut ctl_tam)? {}
-    ctl.export_metrics(&metrics);
-
-    // --- 2. Simulator run with a VCD probe: cycle-accurate waveforms of the
-    // serial configuration shifts and the concurrent test waves.
+    // --- 1. Simulator run with a VCD probe: cycle-accurate waveforms of the
+    // serial configuration shifts and the concurrent test waves. The
+    // simulator is the test controller: it sequences every step's
+    // CONFIGURATION and TEST phases and counts their cycles.
     let vcd = Rc::new(RefCell::new(VcdWriter::new("1ns")));
     let mut sim = SocSimulator::new(&soc, BUS_WIDTH)?;
     sim.set_trace(sink.clone());
@@ -71,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sim.export_metrics(&metrics);
     assert!(outcome.all_pass(), "fault-free Figure-1 SoC must pass");
 
-    // --- 3. PPSFP fault grading, instrumented: ATPG on a synthesized
+    // --- 2. PPSFP fault grading, instrumented: ATPG on a synthesized
     // crosspoint CAS with the same sink and registry.
     let cas_netlist = synthesize_crosspoint_cas(CasGeometry::new(4, 2)?);
     let engine = PackedEngine::new(&cas_netlist)?
@@ -117,14 +113,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "bus wire 0 must toggle during CONFIGURATION phases"
     );
 
-    // --- Self-check 2: one span per controller phase, one per core session.
+    // --- Self-check 2: one configuration span per program step, one
+    // session span per core.
     let events = sink.events();
-    let controller_spans = events.iter().filter(|e| e.cat == "controller").count();
-    let steps = program.steps().len() as u64;
+    let configure_spans = events
+        .iter()
+        .filter(|e| e.cat == "sim" && e.name == "configure")
+        .count();
+    let steps = program.steps().len();
     assert_eq!(
-        controller_spans as u64,
-        3 * steps,
-        "expected CONFIGURATION + UPDATE + TEST spans for each of {steps} steps"
+        configure_spans, steps,
+        "expected one configure span for each of {steps} steps"
     );
     for core in soc.cores() {
         assert!(
@@ -137,7 +136,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Self-check 3: the metrics registry agrees with the components.
-    assert_eq!(metrics.counter("controller.cycles.total"), ctl.cycles_run());
     assert_eq!(metrics.counter("sim.cycles.total"), sim.cycles());
     assert_eq!(
         metrics.counter("sim.cycles.total"),

@@ -82,4 +82,26 @@ fn configuration_overhead_is_once_per_step_not_per_pattern() {
          ({}) cycles",
         program.test_cycles()
     );
+    // The same holds on the simulator's own counters, on the serving engine
+    // and on the bit-serial reference: each step costs one CONFIGURATION
+    // phase (the serial shift plus its update pulse), however many patterns
+    // its TEST phase streams.
+    for reference in [false, true] {
+        let mut sim = SocSimulator::new(&soc, n).expect("fits");
+        let rep = if reference {
+            report::run_program_reference(&mut sim, &program)
+        } else {
+            report::run_program(&mut sim, &program)
+        }
+        .expect("runs");
+        assert!(rep.all_pass(), "reference {reference}: {rep}");
+        assert_eq!(sim.config_cycles(), config_total, "reference {reference}");
+        assert!(
+            sim.config_cycles() < sim.test_cycles() / 10,
+            "reference {reference}: configuration ({}) must be negligible next \
+             to test ({}) cycles",
+            sim.config_cycles(),
+            sim.test_cycles()
+        );
+    }
 }
