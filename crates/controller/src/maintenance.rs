@@ -8,7 +8,7 @@ use std::fmt;
 
 use casbus::{CasError, Tam, TamConfiguration};
 use casbus_p1500::WrapperInstruction;
-use casbus_soc::{SocDescription, TestMethod};
+use casbus_soc::SocDescription;
 
 use crate::time_model::test_time;
 
@@ -32,6 +32,8 @@ pub struct MaintenancePlan {
 pub enum MaintenanceError {
     /// The named core is not in the SoC.
     UnknownCore(String),
+    /// The named core was requested more than once.
+    DuplicateCore(String),
     /// The requested cores need more wires than the bus provides
     /// simultaneously.
     DoesNotFit {
@@ -48,6 +50,7 @@ impl fmt::Display for MaintenanceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::UnknownCore(name) => write!(f, "unknown core {name:?}"),
+            Self::DuplicateCore(name) => write!(f, "core {name:?} requested twice"),
             Self::DoesNotFit { needed, n } => {
                 write!(f, "maintenance set needs {needed} wires, bus has {n}")
             }
@@ -72,7 +75,8 @@ impl MaintenancePlan {
     ///
     /// # Errors
     ///
-    /// Returns [`MaintenanceError::UnknownCore`] for a bad name and
+    /// Returns [`MaintenanceError::UnknownCore`] for a bad name,
+    /// [`MaintenanceError::DuplicateCore`] for a name given twice and
     /// [`MaintenanceError::DoesNotFit`] when the combined widths exceed the
     /// bus.
     pub fn plan(tam: &Tam, soc: &SocDescription, cores: &[&str]) -> Result<Self, MaintenanceError> {
@@ -82,6 +86,9 @@ impl MaintenancePlan {
         let mut duration = 0u64;
         let mut under_test = Vec::new();
         for &name in cores {
+            if under_test.iter().any(|t| t == name) {
+                return Err(MaintenanceError::DuplicateCore(name.to_owned()));
+            }
             let (_, desc) = soc
                 .core_by_name(name)
                 .ok_or_else(|| MaintenanceError::UnknownCore(name.to_owned()))?;
@@ -96,12 +103,7 @@ impl MaintenancePlan {
                 });
             }
             configuration.set(cas_index, tam.contiguous_test(cas_index, next_wire)?)?;
-            wrappers[cas_index] = match desc.method() {
-                TestMethod::Bist { .. } | TestMethod::Memory { .. } => {
-                    WrapperInstruction::IntestBist
-                }
-                _ => WrapperInstruction::IntestScan,
-            };
+            wrappers[cas_index] = desc.method().wrapper_instruction();
             next_wire += p;
             duration = duration.max(test_time(desc));
             under_test.push(name.to_owned());
@@ -197,6 +199,23 @@ mod tests {
             MaintenancePlan::plan(&tam, &soc, &["ghost"]),
             Err(MaintenanceError::UnknownCore("ghost".into()))
         );
+    }
+
+    #[test]
+    fn duplicate_core_rejected() {
+        let soc = catalog::maintenance_soc();
+        // app_cpu (P = 2) alone fits both buses; named twice it must be
+        // rejected as such, not packed onto a second window or reported as
+        // an overflow.
+        for n in [2, 4] {
+            let tam = Tam::new(&soc, n).unwrap();
+            assert!(MaintenancePlan::plan(&tam, &soc, &["app_cpu"]).is_ok());
+            assert_eq!(
+                MaintenancePlan::plan(&tam, &soc, &["app_cpu", "app_cpu"]),
+                Err(MaintenanceError::DuplicateCore("app_cpu".into())),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 
 use casbus::{CasError, Tam, TamConfiguration};
 use casbus_p1500::WrapperInstruction;
-use casbus_soc::{SocDescription, TestMethod};
+use casbus_soc::SocDescription;
 
 use crate::schedule::Schedule;
 
@@ -81,16 +81,8 @@ impl TestProgram {
         soc: &SocDescription,
         schedule: &Schedule,
     ) -> Result<Self, CasError> {
-        let mut starts: Vec<u64> = schedule.tests().iter().map(|t| t.start).collect();
-        starts.sort_unstable();
-        starts.dedup();
         let mut program = TestProgram::new();
-        for &wave_start in &starts {
-            let wave: Vec<_> = schedule
-                .tests()
-                .iter()
-                .filter(|t| t.start == wave_start)
-                .collect();
+        for wave in schedule.waves() {
             let mut configuration = TamConfiguration::all_bypass(tam.cas_count());
             let mut wrappers = vec![WrapperInstruction::Bypass; tam.cas_count()];
             let mut names = Vec::new();
@@ -100,7 +92,12 @@ impl TestProgram {
                     .cas_for_core(&test.core_name)
                     .ok_or(CasError::UnknownCas(test.core.0))?;
                 configuration.set(cas_index, tam.contiguous_test(cas_index, test.wire_start)?)?;
-                wrappers[cas_index] = wrapper_mode_for(soc, &test.core_name);
+                // The wrapped system bus has no core entry: interconnect test.
+                wrappers[cas_index] = soc
+                    .core_by_name(&test.core_name)
+                    .map_or(WrapperInstruction::Extest, |(_, c)| {
+                        c.method().wrapper_instruction()
+                    });
                 names.push(test.core_name.clone());
                 duration = duration.max(test.duration);
             }
@@ -183,16 +180,6 @@ impl CompiledProgram {
     }
 }
 
-/// The wrapper instruction a core's test method calls for.
-fn wrapper_mode_for(soc: &SocDescription, core_name: &str) -> WrapperInstruction {
-    match soc.core_by_name(core_name).map(|(_, c)| c.method()) {
-        Some(TestMethod::Bist { .. } | TestMethod::Memory { .. }) => WrapperInstruction::IntestBist,
-        Some(_) => WrapperInstruction::IntestScan,
-        // The wrapped system bus has no core entry: interconnect test.
-        None => WrapperInstruction::Extest,
-    }
-}
-
 impl fmt::Display for TestProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -216,7 +203,7 @@ impl fmt::Display for TestProgram {
 mod tests {
     use super::*;
     use crate::schedule::{packed_schedule, serial_schedule};
-    use casbus_soc::catalog;
+    use casbus_soc::{catalog, TestMethod};
 
     #[test]
     fn serial_schedule_gives_one_step_per_core() {

@@ -2,10 +2,24 @@
 //!
 //! Every core test occupies `P_i` contiguous bus wires for `T_i` cycles (a
 //! rectangle), so minimizing the SoC test time is strip packing. The paper
-//! leaves the policy to the test designer/programmer pair (§4); we provide
-//! the two natural policies — fully serial sessions and greedy parallel
-//! packing — which the trade-off benches sweep against `N`.
+//! leaves the policy to the test designer/programmer pair (§4); this module
+//! provides four, which the trade-off benches sweep against `N`:
+//!
+//! * [`serial_schedule`] — one core at a time, the baseline;
+//! * [`packed_schedule`] — greedy strip packing, longest test first;
+//! * [`power_aware_schedule`] — the same greedy packing under a test-power
+//!   budget;
+//! * [`wave_optimal_schedule`] — the exact optimum among schedules run as
+//!   sequential waves of concurrent tests.
+//!
+//! [`search`](crate::search) anneals from their results. The two greedy
+//! policies and the search's decoder and shift move share one placer: a
+//! test goes to the earliest start — cycle 0 or the end of a placed test —
+//! that the policy admits, on the lowest wire window free there. Every
+//! schedule, searched or not, is built by [`Schedule::from_tests`], which
+//! rejects two tests that share a wire at the same time.
 
+use std::cmp::Reverse;
 use std::fmt;
 
 use casbus_soc::{CoreDescription, CoreId, SocDescription};
@@ -84,6 +98,12 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// Whether two footprints, each `(start, duration, wire_start, wires)`,
+/// share a wire at some cycle: the one conflict rule of the packing.
+fn overlaps(a: (u64, u64, usize, usize), b: (u64, u64, usize, usize)) -> bool {
+    a.0 < b.0 + b.1 && b.0 < a.0 + a.1 && a.2 < b.2 + b.3 && b.2 < a.2 + a.3
+}
+
 /// One scheduled core test: a wire window over a time window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledTest {
@@ -109,10 +129,10 @@ impl ScheduledTest {
 
     /// Whether two tests overlap in both time and wires (a conflict).
     pub fn conflicts_with(&self, other: &ScheduledTest) -> bool {
-        let time_overlap = self.start < other.end() && other.start < self.end();
-        let wire_overlap = self.wire_start < other.wire_start + other.wires
-            && other.wire_start < self.wire_start + self.wires;
-        time_overlap && wire_overlap
+        overlaps(
+            (self.start, self.duration, self.wire_start, self.wires),
+            (other.start, other.duration, other.wire_start, other.wires),
+        )
     }
 }
 
@@ -126,11 +146,10 @@ pub struct Schedule {
 impl Schedule {
     /// Builds a schedule from explicit placements, validating the packing
     /// invariants: every wire window lies inside the bus and no two tests
-    /// conflict. Tests are canonically reordered by `(start, wire_start)`,
-    /// matching what the heuristic constructors produce. This is the
-    /// constructor the [`search`](crate::search) optimizer funnels its
-    /// winning candidate through, so an evaluator bug can never leak an
-    /// invalid schedule out of the crate.
+    /// conflict. Tests are canonically reordered by `(start, wire_start)`.
+    /// Every scheduler in this crate, the [`search`](crate::search)
+    /// included, builds its result here, so no heuristic or evaluator bug
+    /// can leak an invalid schedule out of the crate.
     ///
     /// # Errors
     ///
@@ -145,27 +164,22 @@ impl Schedule {
         if bus_width == 0 {
             return Err(ScheduleError::ZeroWidth);
         }
-        for t in &tests {
-            if t.wire_start + t.wires > bus_width {
-                return Err(ScheduleError::CoreTooWide {
-                    core: t.core_name.clone(),
-                    needed: t.wire_start + t.wires,
-                    n: bus_width,
-                });
-            }
+        if let Some(t) = tests.iter().find(|t| t.wire_start + t.wires > bus_width) {
+            return Err(ScheduleError::CoreTooWide {
+                core: t.core_name.clone(),
+                needed: t.wire_start + t.wires,
+                n: bus_width,
+            });
         }
         tests.sort_by_key(|t| (t.start, t.wire_start, t.core));
-        for (i, a) in tests.iter().enumerate() {
-            for b in &tests[i + 1..] {
-                if a.conflicts_with(b) {
-                    return Err(ScheduleError::Conflict {
-                        a: a.core_name.clone(),
-                        b: b.core_name.clone(),
-                    });
-                }
-            }
+        let schedule = Self { bus_width, tests };
+        if let Some((a, b)) = schedule.first_conflict() {
+            return Err(ScheduleError::Conflict {
+                a: a.core_name.clone(),
+                b: b.core_name.clone(),
+            });
         }
-        Ok(Self { bus_width, tests })
+        Ok(schedule)
     }
 
     /// The bus width the schedule targets.
@@ -186,23 +200,24 @@ impl Schedule {
     /// Number of distinct configuration "waves": times at which a new set of
     /// concurrent tests starts (each costs one CONFIGURATION phase).
     pub fn configuration_waves(&self) -> usize {
-        let mut starts: Vec<u64> = self.tests.iter().map(|t| t.start).collect();
-        starts.sort_unstable();
-        starts.dedup();
-        starts.len()
+        self.waves().len()
     }
 
     /// Checks the packing invariant: no two tests share a wire at the same
     /// time.
     pub fn is_conflict_free(&self) -> bool {
-        for (i, a) in self.tests.iter().enumerate() {
-            for b in &self.tests[i + 1..] {
-                if a.conflicts_with(b) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.first_conflict().is_none()
+    }
+
+    /// The first pair of tests, in schedule order, that share a wire at the
+    /// same time.
+    fn first_conflict(&self) -> Option<(&ScheduledTest, &ScheduledTest)> {
+        self.tests.iter().enumerate().find_map(|(i, a)| {
+            self.tests[i + 1..]
+                .iter()
+                .find(|b| a.conflicts_with(b))
+                .map(|b| (a, b))
+        })
     }
 
     /// Average bus-wire utilisation over the makespan, in `[0, 1]`.
@@ -219,18 +234,11 @@ impl Schedule {
     /// Tests inside one wave occupy disjoint wire windows (the packing
     /// invariant): they are the concurrent sessions of one program step.
     pub fn waves(&self) -> Vec<Vec<&ScheduledTest>> {
-        let mut starts: Vec<u64> = self.tests.iter().map(|t| t.start).collect();
-        starts.sort_unstable();
-        starts.dedup();
-        starts
-            .into_iter()
-            .map(|s| self.tests.iter().filter(|t| t.start == s).collect())
+        // `from_tests` keeps the tests sorted by start.
+        self.tests
+            .chunk_by(|a, b| a.start == b.start)
+            .map(|wave| wave.iter().collect())
             .collect()
-    }
-
-    /// Concurrent-session count of each wave, in wave order.
-    pub fn wave_concurrency(&self) -> Vec<usize> {
-        self.waves().iter().map(Vec::len).collect()
     }
 
     /// Publishes the schedule's static properties into a metrics registry:
@@ -300,7 +308,7 @@ impl fmt::Display for Schedule {
 pub fn partition_lpt<T>(items: Vec<(u64, T)>, workers: usize) -> Vec<Vec<T>> {
     assert!(workers > 0, "at least one worker");
     let mut order = items;
-    order.sort_by_key(|&(weight, _)| std::cmp::Reverse(weight));
+    order.sort_by_key(|&(weight, _)| Reverse(weight));
     let mut buckets: Vec<(u64, Vec<T>)> = Vec::new();
     buckets.resize_with(workers.min(order.len()), || (0, Vec::new()));
     for (weight, item) in order {
@@ -314,28 +322,144 @@ pub fn partition_lpt<T>(items: Vec<(u64, T)>, workers: usize) -> Vec<Vec<T>> {
     buckets.into_iter().map(|(_, bucket)| bucket).collect()
 }
 
-fn check_fit(soc: &SocDescription, n: usize) -> Result<(), ScheduleError> {
-    if n == 0 {
-        return Err(ScheduleError::ZeroWidth);
-    }
-    for core in soc.cores() {
-        if core.required_ports() > n {
+/// A core's place in a schedule: its `(start, wire_start)`.
+pub(crate) type Slot = (u64, usize);
+
+/// The strip-packing instance of one SoC on an `n`-wire bus: core `i` is a
+/// rectangle of `widths[i]` wires by `durations[i]` cycles. Its placer is
+/// the one placement rule the greedy policies and the search share.
+#[derive(Debug, Clone)]
+pub(crate) struct Strip {
+    pub(crate) n: usize,
+    pub(crate) widths: Vec<usize>,
+    pub(crate) durations: Vec<u64>,
+}
+
+impl Strip {
+    /// The instance for `soc` on `n` wires.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::ZeroWidth`] on an empty bus and
+    /// [`ScheduleError::CoreTooWide`] when a core needs more wires than the
+    /// bus has.
+    pub(crate) fn new(soc: &SocDescription, n: usize) -> Result<Self, ScheduleError> {
+        if n == 0 {
+            return Err(ScheduleError::ZeroWidth);
+        }
+        if let Some(core) = soc.cores().iter().find(|c| c.required_ports() > n) {
             return Err(ScheduleError::CoreTooWide {
                 core: core.name().to_owned(),
                 needed: core.required_ports(),
                 n,
             });
         }
+        Ok(Self {
+            n,
+            widths: soc
+                .cores()
+                .iter()
+                .map(CoreDescription::required_ports)
+                .collect(),
+            durations: soc.cores().iter().map(test_time).collect(),
+        })
     }
-    Ok(())
-}
 
-fn rectangles(soc: &SocDescription) -> Vec<(CoreId, &CoreDescription, u64)> {
-    soc.cores()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (CoreId(i), c, test_time(c)))
-        .collect()
+    /// Core indices, longest test first (ties by index).
+    fn longest_first(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.widths.len()).collect();
+        order.sort_by_key(|&i| (Reverse(self.durations[i]), i));
+        order
+    }
+
+    /// Whether core `i` at slot `a` and core `j` at slot `b` share a wire at
+    /// some cycle.
+    pub(crate) fn overlaps(&self, i: usize, a: Slot, j: usize, b: Slot) -> bool {
+        overlaps(
+            (a.0, self.durations[i], a.1, self.widths[i]),
+            (b.0, self.durations[j], b.1, self.widths[j]),
+        )
+    }
+
+    /// The placer: core `i`'s slot beside the `placed` cores' `slots`. It
+    /// takes the earliest start among cycle 0 and the placed cores' ends
+    /// that `admit` accepts, then the lowest wire window free of every
+    /// placed core there. The start after every placed core is always
+    /// free, so a slot exists whenever `admit` accepts that start.
+    pub(crate) fn earliest_slot(
+        &self,
+        slots: &[Slot],
+        placed: impl Iterator<Item = usize> + Clone,
+        i: usize,
+        admit: impl Fn(u64) -> bool,
+    ) -> Slot {
+        let mut starts: Vec<u64> = std::iter::once(0)
+            .chain(placed.clone().map(|j| slots[j].0 + self.durations[j]))
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
+        starts
+            .into_iter()
+            .filter(|&start| admit(start))
+            .find_map(|start| {
+                (0..=self.n - self.widths[i])
+                    .find(|&wire| {
+                        placed
+                            .clone()
+                            .all(|j| !self.overlaps(i, (start, wire), j, slots[j]))
+                    })
+                    .map(|wire| (start, wire))
+            })
+            .expect("the start after every placed core is free")
+    }
+
+    /// Greedy decode: places the cores in `order`, each at its
+    /// [`earliest_slot`](Self::earliest_slot) beside the cores before it,
+    /// admitting a start when `admit(slots, placed, i, start)` holds.
+    /// Returns every core's slot, by core index.
+    pub(crate) fn decode(
+        &self,
+        order: &[usize],
+        admit: impl Fn(&[Slot], &[usize], usize, u64) -> bool,
+    ) -> Vec<Slot> {
+        let mut slots = vec![(0, 0); self.widths.len()];
+        for (m, &i) in order.iter().enumerate() {
+            let placed = &order[..m];
+            slots[i] = self.earliest_slot(&slots, placed.iter().copied(), i, |start| {
+                admit(&slots, placed, i, start)
+            });
+        }
+        slots
+    }
+
+    /// The schedule putting every core of `soc` at its slot, built (and
+    /// checked) by [`Schedule::from_tests`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::CoreTooWide`] when a slot's wire window runs off
+    /// the bus and [`ScheduleError::Conflict`] when two slots overlap.
+    pub(crate) fn schedule(
+        &self,
+        soc: &SocDescription,
+        slots: &[Slot],
+    ) -> Result<Schedule, ScheduleError> {
+        let tests = soc
+            .cores()
+            .iter()
+            .zip(slots)
+            .enumerate()
+            .map(|(i, (core, &(start, wire_start)))| ScheduledTest {
+                core: CoreId(i),
+                core_name: core.name().to_owned(),
+                wire_start,
+                wires: self.widths[i],
+                start,
+                duration: self.durations[i],
+            })
+            .collect();
+        Schedule::from_tests(self.n, tests)
+    }
 }
 
 /// The baseline policy: one core at a time, in descending-duration order.
@@ -344,26 +468,14 @@ fn rectangles(soc: &SocDescription) -> Vec<(CoreId, &CoreDescription, u64)> {
 ///
 /// Returns [`ScheduleError`] when a core does not fit the bus.
 pub fn serial_schedule(soc: &SocDescription, n: usize) -> Result<Schedule, ScheduleError> {
-    check_fit(soc, n)?;
-    let mut rects = rectangles(soc);
-    rects.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-    let mut tests = Vec::new();
+    let strip = Strip::new(soc, n)?;
+    let mut slots = vec![(0, 0); strip.widths.len()];
     let mut clock = 0u64;
-    for (core, desc, duration) in rects {
-        tests.push(ScheduledTest {
-            core,
-            core_name: desc.name().to_owned(),
-            wire_start: 0,
-            wires: desc.required_ports(),
-            start: clock,
-            duration,
-        });
-        clock += duration;
+    for i in strip.longest_first() {
+        slots[i] = (clock, 0);
+        clock += strip.durations[i];
     }
-    Ok(Schedule {
-        bus_width: n,
-        tests,
-    })
+    strip.schedule(soc, &slots)
 }
 
 /// Greedy strip packing: longest tests first, each placed at the earliest
@@ -373,51 +485,9 @@ pub fn serial_schedule(soc: &SocDescription, n: usize) -> Result<Schedule, Sched
 ///
 /// Returns [`ScheduleError`] when a core does not fit the bus.
 pub fn packed_schedule(soc: &SocDescription, n: usize) -> Result<Schedule, ScheduleError> {
-    check_fit(soc, n)?;
-    let mut rects = rectangles(soc);
-    rects.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-    let mut placed: Vec<ScheduledTest> = Vec::new();
-    for (core, desc, duration) in rects {
-        let wires = desc.required_ports();
-        // Candidate start times: 0 and every end of a placed test.
-        let mut candidates: Vec<u64> = std::iter::once(0)
-            .chain(placed.iter().map(ScheduledTest::end))
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut best: Option<(u64, usize)> = None;
-        'outer: for &start in &candidates {
-            // Wires occupied during [start, start+duration).
-            for wire_start in 0..=(n - wires) {
-                let probe = ScheduledTest {
-                    core,
-                    core_name: String::new(),
-                    wire_start,
-                    wires,
-                    start,
-                    duration,
-                };
-                if placed.iter().all(|p| !p.conflicts_with(&probe)) {
-                    best = Some((start, wire_start));
-                    break 'outer;
-                }
-            }
-        }
-        let (start, wire_start) = best.expect("time axis is unbounded, a slot always exists");
-        placed.push(ScheduledTest {
-            core,
-            core_name: desc.name().to_owned(),
-            wire_start,
-            wires,
-            start,
-            duration,
-        });
-    }
-    placed.sort_by_key(|t| (t.start, t.wire_start));
-    Ok(Schedule {
-        bus_width: n,
-        tests: placed,
-    })
+    let strip = Strip::new(soc, n)?;
+    let slots = strip.decode(&strip.longest_first(), |_, _, _, _| true);
+    strip.schedule(soc, &slots)
 }
 
 /// Greedy strip packing under a **test-power budget**: like
@@ -431,85 +501,41 @@ pub fn packed_schedule(soc: &SocDescription, n: usize) -> Result<Schedule, Sched
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::CoreTooWide`] as usual, and treats a core whose
-/// own power exceeds the budget like a core that does not fit
-/// ([`ScheduleError::CoreTooWide`] with the power numbers reported in wires'
-/// place would mislead, so it gets its own message via `ZeroWidth`-style
-/// rejection): [`ScheduleError::PowerBudgetTooSmall`].
+/// [`ScheduleError::ZeroWidth`] and [`ScheduleError::CoreTooWide`] when a
+/// core does not fit the bus, as for [`packed_schedule`], and
+/// [`ScheduleError::PowerBudgetTooSmall`] when one core's own test power
+/// exceeds `power_budget`, so that no placement could respect it.
 pub fn power_aware_schedule(
     soc: &SocDescription,
     n: usize,
     power_budget: u32,
 ) -> Result<Schedule, ScheduleError> {
-    check_fit(soc, n)?;
-    for core in soc.cores() {
-        if core.test_power() > power_budget {
-            return Err(ScheduleError::PowerBudgetTooSmall {
-                core: core.name().to_owned(),
-                power: core.test_power(),
-                budget: power_budget,
-            });
-        }
+    let strip = Strip::new(soc, n)?;
+    if let Some(core) = soc.cores().iter().find(|c| c.test_power() > power_budget) {
+        return Err(ScheduleError::PowerBudgetTooSmall {
+            core: core.name().to_owned(),
+            power: core.test_power(),
+            budget: power_budget,
+        });
     }
-    let mut rects = rectangles(soc);
-    rects.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-    let mut placed: Vec<(ScheduledTest, u32)> = Vec::new();
-    for (core, desc, duration) in rects {
-        let wires = desc.required_ports();
-        let power = desc.test_power();
-        let mut candidates: Vec<u64> = std::iter::once(0)
-            .chain(placed.iter().map(|(t, _)| t.end()))
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut best: Option<(u64, usize)> = None;
-        'outer: for &start in &candidates {
-            let probe_interval = (start, start + duration);
-            // Conservative: sum the power of every placed test overlapping
-            // the probe window anywhere (an upper bound on the true
-            // instantaneous concurrency) — the budget is never exceeded.
-            let concurrent: u32 = placed
-                .iter()
-                .filter(|(t, _)| t.start < probe_interval.1 && probe_interval.0 < t.end())
-                .map(|(_, p)| *p)
-                .sum();
-            if concurrent + power > power_budget {
-                continue;
-            }
-            for wire_start in 0..=(n - wires) {
-                let probe = ScheduledTest {
-                    core,
-                    core_name: String::new(),
-                    wire_start,
-                    wires,
-                    start,
-                    duration,
-                };
-                if placed.iter().all(|(t, _)| !t.conflicts_with(&probe)) {
-                    best = Some((start, wire_start));
-                    break 'outer;
-                }
-            }
-        }
-        let (start, wire_start) = best.expect("serial placement always feasible");
-        placed.push((
-            ScheduledTest {
-                core,
-                core_name: desc.name().to_owned(),
-                wire_start,
-                wires,
-                start,
-                duration,
-            },
-            power,
-        ));
-    }
-    let mut tests: Vec<ScheduledTest> = placed.into_iter().map(|(t, _)| t).collect();
-    tests.sort_by_key(|t| (t.start, t.wire_start));
-    Ok(Schedule {
-        bus_width: n,
-        tests,
-    })
+    let power: Vec<u32> = soc
+        .cores()
+        .iter()
+        .map(CoreDescription::test_power)
+        .collect();
+    let slots = strip.decode(&strip.longest_first(), |slots, placed, i, start| {
+        // Conservative: every placed test overlapping the window anywhere
+        // counts (an upper bound on the instantaneous draw), so the budget
+        // is never exceeded.
+        let end = start + strip.durations[i];
+        let concurrent: u32 = placed
+            .iter()
+            .filter(|&&j| slots[j].0 < end && start < slots[j].0 + strip.durations[j])
+            .map(|&j| power[j])
+            .sum();
+        concurrent + power[i] <= power_budget
+    });
+    strip.schedule(soc, &slots)
 }
 
 /// Peak concurrent test power of a schedule (checked at every test start).
@@ -551,17 +577,15 @@ pub const WAVE_OPTIMAL_CORE_LIMIT: usize = 14;
 /// Returns [`ScheduleError::TooManyCores`] beyond
 /// [`WAVE_OPTIMAL_CORE_LIMIT`] cores, plus the usual fit errors.
 pub fn wave_optimal_schedule(soc: &SocDescription, n: usize) -> Result<Schedule, ScheduleError> {
-    check_fit(soc, n)?;
-    let rects = rectangles(soc);
-    let k = rects.len();
+    let strip = Strip::new(soc, n)?;
+    let (widths, durations) = (&strip.widths, &strip.durations);
+    let k = widths.len();
     if k > WAVE_OPTIMAL_CORE_LIMIT {
         return Err(ScheduleError::TooManyCores {
             count: k,
             limit: WAVE_OPTIMAL_CORE_LIMIT,
         });
     }
-    let widths: Vec<usize> = rects.iter().map(|(_, c, _)| c.required_ports()).collect();
-    let durations: Vec<u64> = rects.iter().map(|&(_, _, d)| d).collect();
     let full = (1usize << k) - 1;
 
     // A wave is feasible when its widths fit the bus side by side.
@@ -595,47 +619,22 @@ pub fn wave_optimal_schedule(soc: &SocDescription, n: usize) -> Result<Schedule,
     debug_assert_ne!(dp[full], u64::MAX, "singleton waves always fit");
 
     // Reconstruct the waves and lay each out on contiguous windows.
-    let mut tests = Vec::new();
+    let mut slots = vec![(0, 0); k];
     let mut clock = 0u64;
     let mut mask = full;
     while mask != 0 {
         let wave = choice[mask];
         let mut wire = 0usize;
         let mut members: Vec<usize> = (0..k).filter(|i| wave >> i & 1 == 1).collect();
-        members.sort_by_key(|&i| std::cmp::Reverse(widths[i]));
+        members.sort_by_key(|&i| Reverse(widths[i]));
         for i in members {
-            let (core, desc, duration) = rects[i];
-            tests.push(ScheduledTest {
-                core,
-                core_name: desc.name().to_owned(),
-                wire_start: wire,
-                wires: widths[i],
-                start: clock,
-                duration,
-            });
+            slots[i] = (clock, wire);
             wire += widths[i];
         }
         clock += wave_cost[wave];
         mask ^= wave;
     }
-    tests.sort_by_key(|t| (t.start, t.wire_start));
-    Ok(Schedule {
-        bus_width: n,
-        tests,
-    })
-}
-
-/// Sweeps `packed_schedule` over bus widths, returning `(n, makespan)` —
-/// the §3.2 trade-off curve ("the larger is the width of the test bus, the
-/// shorter is the overall test time").
-pub fn makespan_vs_width(
-    soc: &SocDescription,
-    widths: impl IntoIterator<Item = usize>,
-) -> Vec<(usize, u64)> {
-    widths
-        .into_iter()
-        .filter_map(|n| packed_schedule(soc, n).ok().map(|s| (n, s.makespan())))
-        .collect()
+    strip.schedule(soc, &slots)
 }
 
 #[cfg(test)]
@@ -702,10 +701,12 @@ mod tests {
     #[test]
     fn wider_bus_never_slower() {
         let soc = catalog::figure1_soc();
-        let curve = makespan_vs_width(&soc, 4..=12);
+        let curve: Vec<u64> = (4..=12)
+            .map(|n| packed_schedule(&soc, n).unwrap().makespan())
+            .collect();
         for pair in curve.windows(2) {
             assert!(
-                pair[1].1 <= pair[0].1,
+                pair[1] <= pair[0],
                 "makespan must be non-increasing in N: {curve:?}"
             );
         }
@@ -860,20 +861,10 @@ mod tests {
         let soc = catalog::figure1_soc();
         for n in 4..=9 {
             let packed = packed_schedule(&soc, n).unwrap();
-            let mut starts: Vec<u64> = packed.tests().iter().map(|t| t.start).collect();
-            starts.sort_unstable();
-            starts.dedup();
-            let greedy_wave_cost: u64 = starts
+            let greedy_wave_cost: u64 = packed
+                .waves()
                 .iter()
-                .map(|&s| {
-                    packed
-                        .tests()
-                        .iter()
-                        .filter(|t| t.start == s)
-                        .map(|t| t.duration)
-                        .max()
-                        .unwrap_or(0)
-                })
+                .map(|wave| wave.iter().map(|t| t.duration).max().unwrap_or(0))
                 .sum();
             let opt = wave_optimal_schedule(&soc, n).unwrap();
             assert!(
@@ -944,14 +935,10 @@ mod tests {
             assert!(last_start.is_none_or(|s| s < start));
             last_start = Some(start);
         }
-        assert_eq!(
-            sched.wave_concurrency(),
-            waves.iter().map(Vec::len).collect::<Vec<_>>()
-        );
         // Serial schedules never run two sessions at once.
         let serial = serial_schedule(&soc, 8).unwrap();
-        assert!(serial.wave_concurrency().iter().all(|&lanes| lanes == 1));
-        let widest = |s: &Schedule| s.wave_concurrency().into_iter().max();
+        assert!(serial.waves().iter().all(|wave| wave.len() == 1));
+        let widest = |s: &Schedule| s.waves().iter().map(Vec::len).max();
         assert!(widest(&sched) >= widest(&serial));
     }
 

@@ -14,7 +14,9 @@
 //! 2. **Anneal** with four local moves: shift a session to its earliest
 //!    feasible slot, jump it next to an anchor session, swap two sessions'
 //!    wire lanes, or rebuild greedily from a perturbed priority order.
-//!    Acceptance is simulated annealing over a deterministic seeded RNG.
+//!    The decodes, the shift and the rebuild place sessions with the same
+//!    placer as [`packed_schedule`]. Acceptance is simulated annealing
+//!    over a deterministic seeded RNG.
 //! 3. **Score** every move with an incremental evaluator that maintains
 //!    makespan and conflict state in `O(k)` per changed session instead of
 //!    an `O(k²)` rebuild per candidate.
@@ -30,14 +32,13 @@
 use std::cmp::Reverse;
 
 use casbus_obs::MetricsRegistry;
-use casbus_soc::{CoreId, SocDescription};
+use casbus_soc::SocDescription;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::schedule::{
-    packed_schedule, serial_schedule, wave_optimal_schedule, Schedule, ScheduleError, ScheduledTest,
+    packed_schedule, serial_schedule, wave_optimal_schedule, Schedule, ScheduleError, Slot, Strip,
 };
-use crate::time_model::test_time;
 
 /// Resource limits and tuning knobs for [`search_schedule`].
 ///
@@ -113,29 +114,19 @@ impl CandidateValidator for NoValidation {
     }
 }
 
-/// One candidate's decision variables: per-core `(start, wire_start)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Placement {
-    starts: Vec<u64>,
-    wires: Vec<usize>,
-}
-
 /// Incremental analytic scorer for one incumbent candidate.
 ///
-/// Holds the per-core rectangles (`widths`, `durations`) and the incumbent
-/// placement, and maintains the makespan and the sum of session ends under
-/// single-session updates: a move touching `m` sessions costs `O(m·k)` for
-/// the conflict check plus `O(1)` bookkeeping (an `O(k)` makespan recompute
-/// only when the defining session shrinks) — versus `O(k²)` for a full
+/// Holds the packing instance and the incumbent's per-core slots, and
+/// maintains the makespan and the sum of session ends under single-session
+/// updates: a move touching `m` sessions costs `O(m·k)` for the conflict
+/// check plus `O(1)` bookkeeping (an `O(k)` makespan recompute only when
+/// the defining session shrinks) — versus `O(k²)` for a full
 /// [`Schedule::is_conflict_free`] rebuild. That gap is what makes tens of
 /// thousands of annealing moves affordable.
 #[derive(Debug, Clone)]
 struct Evaluator {
-    n: usize,
-    widths: Vec<usize>,
-    durations: Vec<u64>,
-    starts: Vec<u64>,
-    wires: Vec<usize>,
+    strip: Strip,
+    slots: Vec<Slot>,
     makespan: u64,
     sum_ends: u64,
     /// Tie-break weight for the sum of ends, small enough that the cost
@@ -145,93 +136,63 @@ struct Evaluator {
 }
 
 impl Evaluator {
-    fn new(n: usize, widths: Vec<usize>, durations: Vec<u64>, placement: &Placement) -> Self {
-        let total: u64 = durations.iter().sum();
-        let tie_eps = 1.0 / ((widths.len() as u64 * (total + 1)) as f64 + 1.0);
+    fn new(strip: Strip, slots: &[Slot]) -> Self {
+        let total: u64 = strip.durations.iter().sum();
+        let tie_eps = 1.0 / ((strip.widths.len() as u64 * (total + 1)) as f64 + 1.0);
         let mut eval = Self {
-            n,
-            widths,
-            durations,
-            starts: Vec::new(),
-            wires: Vec::new(),
+            strip,
+            slots: Vec::new(),
             makespan: 0,
             sum_ends: 0,
             tie_eps,
         };
-        eval.load(placement);
+        eval.load(slots);
         eval
     }
 
     fn k(&self) -> usize {
-        self.widths.len()
+        self.strip.widths.len()
     }
 
     fn end(&self, i: usize) -> u64 {
-        self.starts[i] + self.durations[i]
+        self.slots[i].0 + self.strip.durations[i]
     }
 
     fn cost(&self) -> f64 {
         self.makespan as f64 + self.sum_ends as f64 * self.tie_eps
     }
 
-    fn cost_of(&self, placement: &Placement) -> f64 {
-        let (makespan, sum_ends) = span_and_sum(&self.durations, placement);
+    fn cost_of(&self, slots: &[Slot]) -> f64 {
+        let (makespan, sum_ends) = span_and_sum(&self.strip.durations, slots);
         makespan as f64 + sum_ends as f64 * self.tie_eps
     }
 
-    fn placement(&self) -> Placement {
-        Placement {
-            starts: self.starts.clone(),
-            wires: self.wires.clone(),
-        }
-    }
-
     /// Replaces the whole incumbent and recomputes the aggregates.
-    fn load(&mut self, placement: &Placement) {
-        self.starts.clone_from(&placement.starts);
-        self.wires.clone_from(&placement.wires);
-        let (makespan, sum_ends) = span_and_sum(&self.durations, placement);
-        self.makespan = makespan;
-        self.sum_ends = sum_ends;
+    fn load(&mut self, slots: &[Slot]) {
+        self.slots.clear();
+        self.slots.extend_from_slice(slots);
+        (self.makespan, self.sum_ends) = span_and_sum(&self.strip.durations, slots);
     }
 
-    /// Whether re-placing the `moved` sessions (given as
-    /// `(index, start, wire_start)`) keeps the candidate conflict-free and
-    /// on the bus. The moved sessions' current placements are ignored.
-    fn feasible(&self, moved: &[(usize, u64, usize)]) -> bool {
-        for (pos, &(i, start, wire)) in moved.iter().enumerate() {
-            if wire + self.widths[i] > self.n {
-                return false;
-            }
-            let end = start + self.durations[i];
-            for j in 0..self.k() {
-                if moved.iter().any(|&(m, _, _)| m == j) {
-                    continue;
-                }
-                let time = start < self.end(j) && self.starts[j] < end;
-                let lane =
-                    wire < self.wires[j] + self.widths[j] && self.wires[j] < wire + self.widths[i];
-                if time && lane {
-                    return false;
-                }
-            }
-            for &(j, s2, w2) in &moved[pos + 1..] {
-                let e2 = s2 + self.durations[j];
-                let time = start < e2 && s2 < end;
-                let lane = wire < w2 + self.widths[j] && w2 < wire + self.widths[i];
-                if time && lane {
-                    return false;
-                }
-            }
-        }
-        true
+    /// Whether re-placing the `moved` sessions (given as `(index, slot)`)
+    /// keeps the candidate conflict-free and on the bus. The moved
+    /// sessions' current placements are ignored.
+    fn feasible(&self, moved: &[(usize, Slot)]) -> bool {
+        moved.iter().enumerate().all(|(pos, &(i, slot))| {
+            slot.1 + self.strip.widths[i] <= self.strip.n
+                && (0..self.k())
+                    .filter(|&j| moved.iter().all(|&(m, _)| m != j))
+                    .all(|j| !self.strip.overlaps(i, slot, j, self.slots[j]))
+                && moved[pos + 1..]
+                    .iter()
+                    .all(|&(j, other)| !self.strip.overlaps(i, slot, j, other))
+        })
     }
 
     /// Re-places session `i`, updating the aggregates incrementally.
-    fn place(&mut self, i: usize, start: u64, wire: usize) {
+    fn place(&mut self, i: usize, slot: Slot) {
         let old_end = self.end(i);
-        self.starts[i] = start;
-        self.wires[i] = wire;
+        self.slots[i] = slot;
         let new_end = self.end(i);
         self.sum_ends = self.sum_ends - old_end + new_end;
         if new_end >= self.makespan {
@@ -241,76 +202,18 @@ impl Evaluator {
             self.makespan = (0..self.k()).map(|j| self.end(j)).max().unwrap_or(0);
         }
     }
-
-    /// Earliest feasible `(start, wire_start)` for session `i` against the
-    /// other incumbent placements. The earliest start is always 0 or some
-    /// other session's end, and the slot at the global maximum end is
-    /// always free, so this never fails.
-    fn earliest_for(&self, i: usize) -> (u64, usize) {
-        let mut candidates: Vec<u64> = std::iter::once(0)
-            .chain((0..self.k()).filter(|&j| j != i).map(|j| self.end(j)))
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        for &start in &candidates {
-            for wire in 0..=(self.n - self.widths[i]) {
-                if self.feasible(&[(i, start, wire)]) {
-                    return (start, wire);
-                }
-            }
-        }
-        unreachable!("the slot after every other session is always free")
-    }
 }
 
-/// Makespan and sum-of-ends of a placement.
-fn span_and_sum(durations: &[u64], placement: &Placement) -> (u64, u64) {
+/// Makespan and sum-of-ends of per-core slots.
+fn span_and_sum(durations: &[u64], slots: &[Slot]) -> (u64, u64) {
     let mut makespan = 0u64;
     let mut sum_ends = 0u64;
-    for (i, &start) in placement.starts.iter().enumerate() {
-        let end = start + durations[i];
+    for (&(start, _), duration) in slots.iter().zip(durations) {
+        let end = start + duration;
         makespan = makespan.max(end);
         sum_ends += end;
     }
     (makespan, sum_ends)
-}
-
-/// Greedy earliest-slot decoder: places sessions in `order`, each at the
-/// earliest feasible `(start, wire)` against the already-placed prefix —
-/// the same policy as [`packed_schedule`], but under an arbitrary priority
-/// order, which is what the rebuild move perturbs.
-fn decode_order(n: usize, widths: &[usize], durations: &[u64], order: &[usize]) -> Placement {
-    let k = widths.len();
-    let mut starts = vec![0u64; k];
-    let mut wires = vec![0usize; k];
-    let mut placed: Vec<usize> = Vec::with_capacity(k);
-    for &i in order {
-        let mut candidates: Vec<u64> = std::iter::once(0)
-            .chain(placed.iter().map(|&j| starts[j] + durations[j]))
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut slot = None;
-        'outer: for &start in &candidates {
-            let end = start + durations[i];
-            for wire in 0..=(n - widths[i]) {
-                let free = placed.iter().all(|&j| {
-                    let time = start < starts[j] + durations[j] && starts[j] < end;
-                    let lane = wire < wires[j] + widths[j] && wires[j] < wire + widths[i];
-                    !(time && lane)
-                });
-                if free {
-                    slot = Some((start, wire));
-                    break 'outer;
-                }
-            }
-        }
-        let (start, wire) = slot.expect("the slot after every placed session is always free");
-        starts[i] = start;
-        wires[i] = wire;
-        placed.push(i);
-    }
-    Placement { starts, wires }
 }
 
 /// A survivor-pool entry: a candidate plus its analytic and (once the
@@ -318,7 +221,7 @@ fn decode_order(n: usize, widths: &[usize], durations: &[u64], order: &[usize]) 
 struct PoolEntry {
     makespan: u64,
     sum_ends: u64,
-    placement: Placement,
+    slots: Vec<Slot>,
     measured: Option<u64>,
 }
 
@@ -326,10 +229,10 @@ fn pool_insert(
     pool: &mut Vec<PoolEntry>,
     makespan: u64,
     sum_ends: u64,
-    placement: Placement,
+    slots: &[Slot],
     top_k: usize,
 ) {
-    if pool.iter().any(|e| e.placement == placement) {
+    if pool.iter().any(|e| e.slots == slots) {
         return;
     }
     if pool.len() >= top_k
@@ -342,43 +245,25 @@ fn pool_insert(
     pool.push(PoolEntry {
         makespan,
         sum_ends,
-        placement,
+        slots: slots.to_vec(),
         measured: None,
     });
     pool.sort_by_key(|e| (e.makespan, e.sum_ends));
     pool.truncate(top_k);
 }
 
-fn build_schedule(
-    n: usize,
-    names: &[String],
-    widths: &[usize],
-    durations: &[u64],
-    placement: &Placement,
-) -> Schedule {
-    let tests = (0..names.len())
-        .map(|i| ScheduledTest {
-            core: CoreId(i),
-            core_name: names[i].clone(),
-            wire_start: placement.wires[i],
-            wires: widths[i],
-            start: placement.starts[i],
-            duration: durations[i],
-        })
-        .collect();
-    Schedule::from_tests(n, tests).expect("search moves preserve the packing invariants")
-}
-
-/// Shift move: re-place a random session at its earliest feasible slot.
-/// Never worsens the cost (the current slot is itself feasible), so it is
-/// always applied when it changes anything.
+/// Shift move: re-place a random session at the placer's slot against all
+/// the others. Never worsens the cost (the current slot is itself
+/// feasible), so it is always applied when it changes anything.
 fn move_shift(eval: &mut Evaluator, rng: &mut StdRng) -> bool {
-    let i = rng.random_range(0..eval.k());
-    let (start, wire) = eval.earliest_for(i);
-    if (start, wire) == (eval.starts[i], eval.wires[i]) {
+    let k = eval.k();
+    let i = rng.random_range(0..k);
+    let others = (0..k).filter(move |&j| j != i);
+    let slot = eval.strip.earliest_slot(&eval.slots, others, i, |_| true);
+    if slot == eval.slots[i] {
         return false;
     }
-    eval.place(i, start, wire);
+    eval.place(i, slot);
     true
 }
 
@@ -388,22 +273,19 @@ fn anneal_apply(
     eval: &mut Evaluator,
     rng: &mut StdRng,
     temp: f64,
-    moves: &[(usize, u64, usize)],
+    moves: &[(usize, Slot)],
 ) -> bool {
     let old_cost = eval.cost();
-    let saved: Vec<(usize, u64, usize)> = moves
-        .iter()
-        .map(|&(i, _, _)| (i, eval.starts[i], eval.wires[i]))
-        .collect();
-    for &(i, start, wire) in moves {
-        eval.place(i, start, wire);
+    let saved: Vec<(usize, Slot)> = moves.iter().map(|&(i, _)| (i, eval.slots[i])).collect();
+    for &(i, slot) in moves {
+        eval.place(i, slot);
     }
     let delta = eval.cost() - old_cost;
     if delta <= 0.0 || rng.random::<f64>() < (-delta / temp).exp() {
         return true;
     }
-    for &(i, start, wire) in &saved {
-        eval.place(i, start, wire);
+    for &(i, slot) in &saved {
+        eval.place(i, slot);
     }
     false
 }
@@ -419,27 +301,22 @@ fn move_jump(eval: &mut Evaluator, rng: &mut StdRng, temp: f64) -> bool {
         anchor += 1;
     }
     let start = match rng.random_range(0..3u32) {
-        0 => eval.starts[anchor],
+        0 => eval.slots[anchor].0,
         1 => eval.end(anchor),
-        _ => eval.starts[anchor].saturating_sub(eval.durations[i]),
+        _ => eval.slots[anchor].0.saturating_sub(eval.strip.durations[i]),
     };
-    let lanes = eval.n - eval.widths[i];
+    let lanes = eval.strip.n - eval.strip.widths[i];
     let offset = rng.random_range(0..=lanes);
-    let mut target = None;
-    for step in 0..=lanes {
-        let wire = (offset + step) % (lanes + 1);
-        if eval.feasible(&[(i, start, wire)]) {
-            target = Some(wire);
-            break;
-        }
-    }
-    let Some(wire) = target else {
+    let Some(wire) = (0..=lanes)
+        .map(|step| (offset + step) % (lanes + 1))
+        .find(|&wire| eval.feasible(&[(i, (start, wire))]))
+    else {
         return false;
     };
-    if (start, wire) == (eval.starts[i], eval.wires[i]) {
+    if (start, wire) == eval.slots[i] {
         return false;
     }
-    anneal_apply(eval, rng, temp, &[(i, start, wire)])
+    anneal_apply(eval, rng, temp, &[(i, (start, wire))])
 }
 
 /// Swap move: exchange two sessions' wire lanes (clamped onto the bus).
@@ -452,17 +329,23 @@ fn move_swap(eval: &mut Evaluator, rng: &mut StdRng) -> bool {
     if j >= i {
         j += 1;
     }
-    let wire_i = eval.wires[j].min(eval.n - eval.widths[i]);
-    let wire_j = eval.wires[i].min(eval.n - eval.widths[j]);
-    if wire_i == eval.wires[i] && wire_j == eval.wires[j] {
+    let (start_i, wire_i) = eval.slots[i];
+    let (start_j, wire_j) = eval.slots[j];
+    let moves = [
+        (
+            i,
+            (start_i, wire_j.min(eval.strip.n - eval.strip.widths[i])),
+        ),
+        (
+            j,
+            (start_j, wire_i.min(eval.strip.n - eval.strip.widths[j])),
+        ),
+    ];
+    if moves == [(i, eval.slots[i]), (j, eval.slots[j])] || !eval.feasible(&moves) {
         return false;
     }
-    let moves = [(i, eval.starts[i], wire_i), (j, eval.starts[j], wire_j)];
-    if !eval.feasible(&moves) {
-        return false;
-    }
-    for (idx, start, wire) in moves {
-        eval.place(idx, start, wire);
+    for (idx, slot) in moves {
+        eval.place(idx, slot);
     }
     true
 }
@@ -473,14 +356,14 @@ fn move_swap(eval: &mut Evaluator, rng: &mut StdRng) -> bool {
 fn move_rebuild(eval: &mut Evaluator, rng: &mut StdRng, temp: f64) -> bool {
     let k = eval.k();
     let mut order: Vec<usize> = (0..k).collect();
-    order.sort_by_key(|&i| (eval.starts[i], eval.wires[i], i));
+    order.sort_by_key(|&i| (eval.slots[i], i));
     let a = rng.random_range(0..k);
     let mut b = rng.random_range(0..k - 1);
     if b >= a {
         b += 1;
     }
     order.swap(a, b);
-    let candidate = decode_order(eval.n, &eval.widths, &eval.durations, &order);
+    let candidate = eval.strip.decode(&order, |_, _, _, _| true);
     let delta = eval.cost_of(&candidate) - eval.cost();
     if delta <= 0.0 || rng.random::<f64>() < (-delta / temp).exp() {
         eval.load(&candidate);
@@ -577,51 +460,46 @@ fn optimize(
         metrics.set("search.best_makespan", packed.makespan());
         return Ok(vec![packed]);
     }
-    let names: Vec<String> = soc.cores().iter().map(|c| c.name().to_owned()).collect();
-    let widths: Vec<usize> = soc.cores().iter().map(|c| c.required_ports()).collect();
-    let durations: Vec<u64> = soc.cores().iter().map(test_time).collect();
-
-    let placement_of = |s: &Schedule| {
-        let mut starts = vec![0u64; k];
-        let mut wires = vec![0usize; k];
+    let strip = Strip::new(soc, n)?;
+    let slots_of = |s: &Schedule| {
+        let mut slots = vec![(0, 0); k];
         for t in s.tests() {
-            starts[t.core.0] = t.start;
-            wires[t.core.0] = t.wire_start;
+            slots[t.core.0] = (t.start, t.wire_start);
         }
-        Placement { starts, wires }
+        slots
     };
 
-    let mut seeds = vec![
-        placement_of(&packed),
-        placement_of(&serial_schedule(soc, n)?),
-    ];
+    let mut seeds = vec![slots_of(&packed), slots_of(&serial_schedule(soc, n)?)];
     if let Ok(wave) = wave_optimal_schedule(soc, n) {
-        seeds.push(placement_of(&wave));
+        seeds.push(slots_of(&wave));
     }
     // `search.seed_makespan` reports the best *heuristic* seed — the number
     // the searched makespan is benchmarked against — so record it before
     // the diversity decodes join the seed set.
     let heuristic_best = seeds
         .iter()
-        .map(|p| span_and_sum(&durations, p).0)
+        .map(|slots| span_and_sum(&strip.durations, slots).0)
         .min()
         .expect("at least two heuristic seeds");
     metrics.set("search.seed_makespan", heuristic_best);
     metrics.append("search.best_makespan_trajectory", heuristic_best);
+    // Greedy decodes of two more priority orders, for diversity.
+    let (widths, durations) = (&strip.widths, &strip.durations);
     let mut widest: Vec<usize> = (0..k).collect();
     widest.sort_by_key(|&i| (Reverse(widths[i]), Reverse(durations[i]), i));
-    seeds.push(decode_order(n, &widths, &durations, &widest));
     let mut by_area: Vec<usize> = (0..k).collect();
     by_area.sort_by_key(|&i| (Reverse(durations[i] * widths[i] as u64), i));
-    seeds.push(decode_order(n, &widths, &durations, &by_area));
+    for order in [widest, by_area] {
+        seeds.push(strip.decode(&order, |_, _, _, _| true));
+    }
 
     let top_k = budget.top_k.max(1);
     let mut pool: Vec<PoolEntry> = Vec::new();
     let mut evaluated = 0u64;
     for seed in &seeds {
         evaluated += 1;
-        let (makespan, sum_ends) = span_and_sum(&durations, seed);
-        pool_insert(&mut pool, makespan, sum_ends, seed.clone(), top_k);
+        let (makespan, sum_ends) = span_and_sum(&strip.durations, seed);
+        pool_insert(&mut pool, makespan, sum_ends, seed, top_k);
     }
     let mut best_makespan = heuristic_best;
     if pool[0].makespan < best_makespan {
@@ -629,7 +507,7 @@ fn optimize(
         metrics.append("search.best_makespan_trajectory", best_makespan);
     }
 
-    let mut eval = Evaluator::new(n, widths.clone(), durations.clone(), &pool[0].placement);
+    let mut eval = Evaluator::new(strip, &pool[0].slots);
     let mut rng = StdRng::seed_from_u64(budget.seed);
     let t0 = (budget.initial_temperature * best_makespan as f64).max(1.0);
     let (mut accepted, mut rejected) = (0u64, 0u64);
@@ -639,7 +517,7 @@ fn optimize(
         if let Some(best) = pool.first() {
             // Elitist restart: each round resumes from the best survivor.
             if best.makespan < eval.makespan {
-                eval.load(&best.placement);
+                eval.load(&best.slots);
             }
         }
         let temp = (t0 * budget.cooling.powi(round as i32)).max(1e-9);
@@ -661,13 +539,7 @@ fn optimize(
                     best_makespan = eval.makespan;
                     metrics.append("search.best_makespan_trajectory", best_makespan);
                 }
-                pool_insert(
-                    &mut pool,
-                    eval.makespan,
-                    eval.sum_ends,
-                    eval.placement(),
-                    top_k,
-                );
+                pool_insert(&mut pool, eval.makespan, eval.sum_ends, &eval.slots, top_k);
             } else {
                 rejected += 1;
             }
@@ -677,10 +549,10 @@ fn optimize(
             .filter(|&i| pool[i].measured.is_none())
             .collect();
         if !unmeasured.is_empty() {
-            let schedules: Vec<Schedule> = unmeasured
+            let schedules = unmeasured
                 .iter()
-                .map(|&i| build_schedule(n, &names, &widths, &durations, &pool[i].placement))
-                .collect();
+                .map(|&i| eval.strip.schedule(soc, &pool[i].slots))
+                .collect::<Result<Vec<_>, _>>()?;
             let measured = validator.measure(soc, &schedules);
             assert_eq!(
                 measured.len(),
@@ -702,15 +574,14 @@ fn optimize(
         // outcome): fall back to the strongest heuristic seed rather than
         // failing the schedule request.
         let fallback = seeds
-            .iter()
-            .min_by_key(|p| span_and_sum(&durations, p))
-            .expect("at least two seeds exist")
-            .clone();
-        let (makespan, sum_ends) = span_and_sum(&durations, &fallback);
+            .into_iter()
+            .min_by_key(|slots| span_and_sum(&eval.strip.durations, slots))
+            .expect("at least two seeds exist");
+        let (makespan, sum_ends) = span_and_sum(&eval.strip.durations, &fallback);
         pool.push(PoolEntry {
             makespan,
             sum_ends,
-            placement: fallback,
+            slots: fallback,
             measured: None,
         });
     }
@@ -720,10 +591,9 @@ fn optimize(
     metrics.set("search.moves_accepted", accepted);
     metrics.set("search.moves_rejected", rejected);
     metrics.set("search.rounds", rounds as u64);
-    Ok(pool
-        .iter()
-        .map(|e| build_schedule(n, &names, &widths, &durations, &e.placement))
-        .collect())
+    pool.iter()
+        .map(|e| eval.strip.schedule(soc, &e.slots))
+        .collect()
 }
 
 #[cfg(test)]

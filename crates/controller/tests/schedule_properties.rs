@@ -81,6 +81,8 @@ proptest! {
         // Tightening the constraint can only lengthen the schedule.
         let unconstrained = power_aware_schedule(&soc, n, u32::MAX).expect("no budget");
         prop_assert!(unconstrained.makespan() <= sched.makespan());
+        // Without a binding budget the power-aware packer is the plain one.
+        prop_assert_eq!(unconstrained, packed_schedule(&soc, n).expect("fits"));
     }
 
     /// A budget below the hungriest single core is rejected up front with

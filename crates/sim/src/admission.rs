@@ -2,23 +2,15 @@
 //!
 //! A real test floor does not let one collapsing lot burn tester time that
 //! healthier lots could use: operators watch in-flight yield and intervene —
-//! quarantine the lot, kick it off the floor, or drop its priority. This
-//! module is that operator, automated: an [`AdmissionController`] samples
-//! each lot's [`LotTracker`] on a fixed cadence
-//! and applies an [`AdmissionPolicy`]:
-//!
-//! * **Yield collapse** — when a lot's *rolling* yield (pass fraction over
-//!   the last [`window`](AdmissionPolicy::window) completions) drops below
-//!   [`yield_floor`](AdmissionPolicy::yield_floor) after at least
-//!   [`min_completed`](AdmissionPolicy::min_completed) devices, the lot's
-//!   pool lane is paused for a quarantine interval
-//!   ([`CollapseAction::Pause`]), demoted to weight 1
-//!   ([`CollapseAction::Demote`]), or drained outright
-//!   ([`CollapseAction::Abort`]).
-//! * **Starvation** — when the highest-priority unfinished lot has made no
-//!   progress for [`starvation_after`](AdmissionPolicy::starvation_after)
-//!   while lower-priority lots complete devices, its lane weight is boosted
-//!   so the weighted-fair scheduler favours it.
+//! quarantine the lot or kick it off the floor. This module is that
+//! operator, automated: an [`AdmissionController`] samples each lot's
+//! [`LotTracker`] on a fixed cadence and applies an [`AdmissionPolicy`].
+//! When a lot's *rolling* yield (pass fraction over the last
+//! [`window`](AdmissionPolicy::window) completions) drops below
+//! [`yield_floor`](AdmissionPolicy::yield_floor) after at least
+//! [`min_completed`](AdmissionPolicy::min_completed) devices, the lot's pool
+//! lane is paused for a quarantine interval ([`CollapseAction::Pause`]) or
+//! drained outright ([`CollapseAction::Abort`]).
 //!
 //! Every intervention is recorded as an [`AdmissionEvent`] on the lot's
 //! [`LotReport`](crate::floor::LotReport). Interventions only reshape
@@ -46,9 +38,6 @@ pub enum CollapseAction {
     /// resume (one quarantine per lot per run). Workers it would have used
     /// serve the co-tenant lots meanwhile.
     Pause,
-    /// Drop the lot's lane weight to 1, letting higher-weight co-tenants
-    /// take most of the worker slots from here on.
-    Demote,
     /// Drain the lot's lane: queued devices are dropped (in-flight jobs
     /// finish), the lot's report keeps only what completed, and its
     /// [`LotStatus`](crate::floor::LotStatus) becomes `Aborted`.
@@ -59,7 +48,6 @@ impl fmt::Display for CollapseAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CollapseAction::Pause => write!(f, "pause"),
-            CollapseAction::Demote => write!(f, "demote"),
             CollapseAction::Abort => write!(f, "abort"),
         }
     }
@@ -98,10 +86,6 @@ pub struct AdmissionPolicy {
     /// Quarantine length for [`CollapseAction::Pause`] — the lane resumes
     /// automatically afterwards, so floor runs always terminate.
     pub pause_for: Duration,
-    /// When set, the highest-priority unfinished lot is weight-boosted if
-    /// it makes no progress for this long while co-tenants complete
-    /// devices.
-    pub starvation_after: Option<Duration>,
 }
 
 impl Default for AdmissionPolicy {
@@ -113,7 +97,6 @@ impl Default for AdmissionPolicy {
             yield_floor: 0.0,
             collapse: CollapseAction::Pause,
             pause_for: Duration::from_millis(25),
-            starvation_after: None,
         }
     }
 }
@@ -156,13 +139,6 @@ impl AdmissionPolicy {
         self
     }
 
-    /// Arms the starvation boost for the highest-priority unfinished lot.
-    #[must_use]
-    pub fn with_starvation_after(mut self, after: Duration) -> Self {
-        self.starvation_after = Some(after);
-        self
-    }
-
     /// The collapse verdict for one lot — a pure function of the lot's
     /// completion count and rolling yield. `None` means the lot may keep
     /// its slots.
@@ -181,17 +157,10 @@ pub enum AdmissionAction {
     Paused,
     /// The quarantine expired and the lane resumed.
     Resumed,
-    /// The lot's lane weight was dropped to 1 (yield collapse).
-    Demoted,
     /// The lot's lane was drained; `dropped` queued jobs were discarded.
     Aborted {
         /// Queued (not yet running) pool jobs discarded by the drain.
         dropped: u64,
-    },
-    /// The starving lot's lane weight was raised to `weight`.
-    Boosted {
-        /// The new lane weight.
-        weight: u64,
     },
 }
 
@@ -200,11 +169,9 @@ impl fmt::Display for AdmissionAction {
         match self {
             AdmissionAction::Paused => write!(f, "paused"),
             AdmissionAction::Resumed => write!(f, "resumed"),
-            AdmissionAction::Demoted => write!(f, "demoted to weight 1"),
             AdmissionAction::Aborted { dropped } => {
                 write!(f, "aborted ({dropped} queued devices dropped)")
             }
-            AdmissionAction::Boosted { weight } => write!(f, "boosted to weight {weight}"),
         }
     }
 }
@@ -248,8 +215,6 @@ pub(crate) struct LotLive<'a> {
     pub(crate) name: &'a str,
     /// The lot's pool lane.
     pub(crate) lane: LaneId,
-    /// The lot's submitted priority (initial lane weight).
-    pub(crate) priority: u64,
     /// The lot's progress tracker, fed by the floor's collector.
     pub(crate) tracker: &'a LotTracker,
 }
@@ -275,8 +240,6 @@ struct LotControl {
     paused_since: Option<Instant>,
     /// The collapse action already fired for this lot.
     acted: bool,
-    /// The starvation boost already fired for this lot.
-    boosted: bool,
     /// The lot was aborted (lane drained).
     aborted: bool,
 }
@@ -335,10 +298,6 @@ impl AdmissionController {
                     control.paused_since = Some(Instant::now());
                     AdmissionAction::Paused
                 }
-                CollapseAction::Demote => {
-                    pool.set_lane_weight(lot.lane, 1);
-                    AdmissionAction::Demoted
-                }
                 CollapseAction::Abort => {
                     let dropped = pool.drain_lane(lot.lane) as u64;
                     control.aborted = true;
@@ -347,57 +306,7 @@ impl AdmissionController {
             };
             events.push(Self::event(self.started, idx, lot, action));
         }
-        if let Some(after) = self.policy.starvation_after {
-            events.extend(self.starvation_boost(pool, lots, after));
-        }
         events
-    }
-
-    /// The starvation rule: the highest-priority lot that still owes
-    /// devices gets a one-time weight boost when it has made no progress
-    /// for `after` while some co-tenant has.
-    fn starvation_boost(
-        &mut self,
-        pool: &WorkerPool,
-        lots: &[LotLive<'_>],
-        after: Duration,
-    ) -> Option<AdmissionEvent> {
-        let (idx, lot) = lots
-            .iter()
-            .enumerate()
-            .filter(|(i, l)| {
-                let control = &self.lots[*i];
-                !control.aborted
-                    && !control.boosted
-                    && control.paused_since.is_none()
-                    && l.tracker.remaining() > 0
-            })
-            .max_by_key(|(_, l)| l.priority)?;
-        if lot.tracker.last_progress_age() < after {
-            return None;
-        }
-        let co_tenant_progressing = lots.iter().enumerate().any(|(j, other)| {
-            j != idx && other.tracker.completed() > 0 && other.tracker.last_progress_age() < after
-        });
-        if !co_tenant_progressing {
-            // Nobody is making progress: the floor is saturated or idle,
-            // not unfair — boosting would only thrash weights.
-            return None;
-        }
-        let weight = lots
-            .iter()
-            .map(|l| l.priority)
-            .sum::<u64>()
-            .max(lot.priority.saturating_mul(2))
-            .max(1);
-        pool.set_lane_weight(lot.lane, weight);
-        self.lots[idx].boosted = true;
-        Some(Self::event(
-            self.started,
-            idx,
-            lot,
-            AdmissionAction::Boosted { weight },
-        ))
     }
 
     fn event(
@@ -456,9 +365,9 @@ mod tests {
     #[test]
     fn decide_is_gated_on_floor_min_completed_and_yield() {
         let policy = AdmissionPolicy::default()
-            .with_yield_floor(0.5, CollapseAction::Demote)
+            .with_yield_floor(0.5, CollapseAction::Abort)
             .with_min_completed(10);
-        assert_eq!(policy.decide(10, 0.2), Some(CollapseAction::Demote));
+        assert_eq!(policy.decide(10, 0.2), Some(CollapseAction::Abort));
         assert_eq!(policy.decide(9, 0.2), None, "too few completions");
         assert_eq!(policy.decide(10, 0.5), None, "at the floor is not below");
         let unarmed = AdmissionPolicy::default();
@@ -478,7 +387,6 @@ mod tests {
         let lots = [LotLive {
             name: "hot",
             lane,
-            priority: 2,
             tracker: &tracker,
         }];
         let mut controller = AdmissionController::new(policy, 1);
@@ -520,7 +428,6 @@ mod tests {
         let lots = [LotLive {
             name: "doomed",
             lane,
-            priority: 1,
             tracker: &tracker,
         }];
         let mut controller = AdmissionController::new(policy, 1);
@@ -530,41 +437,5 @@ mod tests {
         assert!(controller.aborted(0));
         assert!(controller.tick(&pool, &lots).is_empty(), "abort is final");
         gate_tx.send(()).ok();
-    }
-
-    #[test]
-    fn starving_high_priority_lot_gets_boosted_once() {
-        let policy = AdmissionPolicy::default().with_starvation_after(Duration::from_millis(1));
-        let pool = WorkerPool::new(1);
-        let hot_lane = pool.lane(4);
-        let cold_lane = pool.lane(1);
-        let hot = LotTracker::new(16, 8);
-        let cold = LotTracker::new(16, 8);
-        // The high-priority lot has never progressed; wait out the
-        // starvation window, then let the low-priority lot progress.
-        std::thread::sleep(Duration::from_millis(2));
-        record_n(&cold, 0, 1, true);
-        let lots = [
-            LotLive {
-                name: "hot",
-                lane: hot_lane,
-                priority: 4,
-                tracker: &hot,
-            },
-            LotLive {
-                name: "cold",
-                lane: cold_lane,
-                priority: 1,
-                tracker: &cold,
-            },
-        ];
-        let mut controller = AdmissionController::new(policy, 2);
-        let events = controller.tick(&pool, &lots);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].lot, 0);
-        assert_eq!(events[0].action, AdmissionAction::Boosted { weight: 8 });
-        // The boost fires once.
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(controller.tick(&pool, &lots).is_empty());
     }
 }

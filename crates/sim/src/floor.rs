@@ -14,9 +14,8 @@
 //!   eviction behave like a real shared tester,
 //! * per-lot [`DeviceReport`]s stream back in completion order, per-lot
 //!   [`FleetSnapshot`]s are sampled throughout the run, and an
-//!   [`AdmissionController`]
-//!   enforces the floor's [`AdmissionPolicy`] (yield-collapse quarantine /
-//!   demotion / abort, starvation boosts),
+//!   [`AdmissionController`] enforces the floor's [`AdmissionPolicy`]
+//!   (pause or abort a lot whose rolling yield collapses),
 //! * the run returns a [`FloorReport`]: one [`LotReport`] per lot plus
 //!   merged metrics — lot metrics under `floor.lot.<name>.*`, floor-wide
 //!   aggregates under `floor.*`.
@@ -482,9 +481,7 @@ impl TestFloor {
         let mut action_counts = [
             ("floor.admission.paused", 0u64),
             ("floor.admission.resumed", 0),
-            ("floor.admission.demoted", 0),
             ("floor.admission.aborted", 0),
-            ("floor.admission.boosted", 0),
         ];
         for (lot, lot_report) in lots.iter().zip(&report.lots) {
             let lot_metrics = MetricsRegistry::new();
@@ -501,9 +498,7 @@ impl TestFloor {
                 action_counts[match event.action {
                     AdmissionAction::Paused => 0,
                     AdmissionAction::Resumed => 1,
-                    AdmissionAction::Demoted => 2,
-                    AdmissionAction::Aborted { .. } => 3,
-                    AdmissionAction::Boosted { .. } => 4,
+                    AdmissionAction::Aborted { .. } => 2,
                 }]
                 .1 += 1;
             }
@@ -644,7 +639,6 @@ impl TestFloor {
                     .map(|(idx, (lot, tracker))| LotLive {
                         name: &lot.spec.name,
                         lane: lanes[idx],
-                        priority: lot.spec.priority,
                         tracker,
                     })
                     .collect();

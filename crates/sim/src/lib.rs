@@ -49,8 +49,8 @@
 //!   one route-cache budget, weighted-fair by lot priority, each lot's
 //!   reports bit-identical to a standalone [`fleet::FleetRunner`] run,
 //! * [`admission::AdmissionPolicy`] — yield-driven admission control for
-//!   the floor: pause, demote or abort a lot whose rolling yield collapses,
-//!   and boost a starved lot, without perturbing co-tenants,
+//!   the floor: pause or abort a lot whose rolling yield collapses, without
+//!   perturbing co-tenants,
 //! * fault injection — flip a core defect on and watch the session fail.
 //!
 //! One device runs on one thread: an engine runs a step's concurrent

@@ -470,8 +470,7 @@ impl FleetMonitor {
 /// The floor's collector calls [`record`](Self::record) for every finished
 /// device of the lot; the floor's observer thread periodically turns the
 /// tracker into a per-lot [`FleetSnapshot`] via [`snapshot`](Self::snapshot)
-/// and feeds [`rolling_yield`](Self::rolling_yield) /
-/// [`last_progress_age`](Self::last_progress_age) to the
+/// and feeds [`rolling_yield`](Self::rolling_yield) to the
 /// [`AdmissionController`](crate::admission::AdmissionController). A
 /// [`FleetRunner`](crate::FleetRunner) run is a one-lot floor, so its
 /// [`FleetMonitor`] snapshots are built here too.
@@ -491,24 +490,21 @@ pub struct LotTracker {
     passed: AtomicU64,
     defective: AtomicU64,
     recent: Mutex<std::collections::VecDeque<bool>>,
-    last_progress: Mutex<Instant>,
 }
 
 impl LotTracker {
     /// A tracker for a lot of `fleet_size` devices, judging rolling yield
     /// over the last `window` completions (clamped to at least 1).
     pub fn new(fleet_size: u64, window: usize) -> Self {
-        let now = Instant::now();
         Self {
             fleet_size,
             window: window.max(1),
-            started: now,
+            started: Instant::now(),
             seq: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             passed: AtomicU64::new(0),
             defective: AtomicU64::new(0),
             recent: Mutex::new(std::collections::VecDeque::with_capacity(window.max(1))),
-            last_progress: Mutex::new(now),
         }
     }
 
@@ -526,8 +522,6 @@ impl LotTracker {
             recent.pop_front();
         }
         recent.push_back(report.passed());
-        drop(recent);
-        *lock(&self.last_progress) = Instant::now();
     }
 
     /// Devices of this lot finished so far.
@@ -556,12 +550,6 @@ impl LotTracker {
         } else {
             recent.iter().filter(|&&pass| pass).count() as f64 / recent.len() as f64
         }
-    }
-
-    /// Time since this lot last completed a device (or since the tracker
-    /// was created, before the first completion) — the starvation signal.
-    pub fn last_progress_age(&self) -> Duration {
-        lock(&self.last_progress).elapsed()
     }
 
     /// Assembles a per-lot [`FleetSnapshot`]. `queued` is the lot's
@@ -776,7 +764,6 @@ mod tests {
         poison(&shared.device_elapsed);
         poison(&shared.dumps);
         poison(&tracker.recent);
-        poison(&tracker.last_progress);
 
         shared.begin_run();
         for id in 0..2 {
@@ -793,7 +780,6 @@ mod tests {
         assert_eq!(snap.stragglers.len(), 1, "device 1 is still in flight");
         assert_eq!(snap.device_elapsed_us.count, 1);
         assert_eq!(tracker.rolling_yield(), 0.0);
-        assert!(tracker.last_progress_age() < Duration::from_secs(60));
         let dumps = monitor.dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].device_id, 0);

@@ -13,8 +13,8 @@
 //!   `'static` (they outlive the submitting call); results stream back over
 //!   whatever channel the job captured. Jobs land in weighted-fair
 //!   [`LaneId`] lanes: the test floor gives each lot one lane whose weight
-//!   is the lot priority, and its admission controller pauses, reweights,
-//!   or drains a lane without touching co-tenant lanes.
+//!   is the lot priority, and its admission controller pauses or drains a
+//!   lane without touching co-tenant lanes.
 //!
 //! The split is deliberate: a persistent pool cannot safely borrow from the
 //! submitting stack frame, and a scoped pool cannot amortise thread startup

@@ -585,14 +585,6 @@ impl fmt::Display for SessionReport {
     }
 }
 
-/// The wrapper instruction a test method needs.
-pub(crate) fn wrapper_instruction_for(method: &TestMethod) -> WrapperInstruction {
-    match method {
-        TestMethod::Bist { .. } | TestMethod::Memory { .. } => WrapperInstruction::IntestBist,
-        _ => WrapperInstruction::IntestScan,
-    }
-}
-
 /// Runs a complete verified session for one core: CONFIGURATION phase, TEST
 /// phase on wires `0 .. P`, bit-exact comparison of everything shifted out
 /// against the golden model. The TEST phase is a one-lane step of the
@@ -609,7 +601,7 @@ pub fn run_core_session(
     let instruction = sim
         .soc()
         .core_by_name(core_name)
-        .map(|(_, desc)| wrapper_instruction_for(desc.method()))
+        .map(|(_, desc)| desc.method().wrapper_instruction())
         .ok_or_else(unknown)?;
     let cas_index = sim.cas_index(core_name)?;
     let mut config = TamConfiguration::all_bypass(sim.tam().cas_count());

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use casbus_p1500::WrapperInstruction;
+
 /// Identifier of a core within one SoC, in CAS order along the test bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
@@ -71,6 +73,17 @@ impl TestMethod {
                 internal_bus_width, ..
             } => *internal_bus_width,
             Self::Memory { .. } => 1,
+        }
+    }
+
+    /// The P1500 wrapper instruction that tests a core of this method: BIST
+    /// and memory cores run their own engine under `IntestBist`, every
+    /// other method shifts its stimulus through the wrapper under
+    /// `IntestScan`.
+    pub fn wrapper_instruction(&self) -> WrapperInstruction {
+        match self {
+            Self::Bist { .. } | Self::Memory { .. } => WrapperInstruction::IntestBist,
+            _ => WrapperInstruction::IntestScan,
         }
     }
 
