@@ -6,7 +6,7 @@
 //! time before and after (i) balancing at fixed chain count and (ii)
 //! re-partitioning to the wire count a wider CAS window grants.
 
-use casbus_controller::{balance, time_model};
+use casbus_controller::balance;
 use casbus_soc::{CoreDescription, TestMethod};
 
 fn scan_core(name: &str, chains: Vec<usize>, patterns: usize) -> CoreDescription {
@@ -30,12 +30,12 @@ fn main() {
     let mut before_total = 0u64;
     let mut after_total = 0u64;
     for core in &cores {
-        let TestMethod::Scan { chains, .. } = core.method() else {
+        let TestMethod::Scan { chains, patterns } = core.method() else {
             unreachable!("all cores are scan cores");
         };
         let balanced = balance::balance_chains(chains);
-        let before = time_model::test_time(core);
-        let after = time_model::scan_time_with_chains(core.method(), &balanced);
+        let before = core.test_time();
+        let after = scan_core(core.name(), balanced.clone(), *patterns).test_time();
         assert!(after <= before, "balancing must never slow a core down");
         before_total += before;
         after_total += after;
@@ -59,11 +59,7 @@ fn main() {
     let flops: usize = 310 + 12 + 44;
     for wires in 1..=8 {
         let chains = balance::repartition_flops(flops, wires);
-        let method = TestMethod::Scan {
-            chains: chains.clone(),
-            patterns: 150,
-        };
-        let cycles = time_model::scan_time_with_chains(&method, &chains);
+        let cycles = scan_core("modem", chains.clone(), 150).test_time();
         println!("{:>7} {:>16} {:>10}", wires, format!("{chains:?}"), cycles);
     }
     println!("\nReading: equalizing chain lengths removes the long-chain penalty,");

@@ -56,14 +56,19 @@ pub fn repartition_flops(flops: usize, chain_count: usize) -> Vec<usize> {
         .collect()
 }
 
-/// The shift depth (deepest chain) a partition implies.
-pub fn depth(chains: &[usize]) -> usize {
-    chains.iter().copied().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The shift depth a partition implies: its scan method's.
+    fn depth(chains: &[usize]) -> usize {
+        let chains = chains.to_vec();
+        casbus_soc::TestMethod::Scan {
+            chains,
+            patterns: 0,
+        }
+        .scan_depth()
+    }
 
     #[test]
     fn preserves_total() {

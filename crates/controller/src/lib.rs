@@ -9,8 +9,6 @@
 //!
 //! This crate implements that layer:
 //!
-//! * [`time_model`] — per-core test-time formulas (cycles) for every test
-//!   method of Fig. 2,
 //! * [`schedule`] — wire-allocation scheduling: pack core tests onto the
 //!   `N`-wire bus over time (greedy strip packing) or serially, giving the
 //!   test-time-vs-`N` trade-off of §3.2/§4,
@@ -23,14 +21,17 @@
 //! * [`maintenance`] — §4 maintenance-test planning (test a subset while
 //!   the rest runs in mission mode).
 //!
-//! `casbus-sim` sequences the programs this crate builds: its
-//! `SocSimulator::configure` runs each step's CONFIGURATION phase and its
-//! engines run the TEST phase, counting every cycle.
+//! A core's test time is the cycle count of the session its test method
+//! runs, which `casbus-soc` defines (`TestMethod::session`,
+//! `CoreDescription::test_time`): the schedulers book exactly what the
+//! simulator runs. `casbus-sim` sequences the programs this crate builds:
+//! its `SocSimulator::configure` runs each step's CONFIGURATION phase and
+//! its engines run the TEST phase, counting every cycle.
 //!
 //! # Example
 //!
 //! ```
-//! use casbus_controller::{schedule, time_model};
+//! use casbus_controller::schedule;
 //! use casbus_soc::catalog;
 //!
 //! let soc = catalog::figure1_soc();
@@ -48,7 +49,6 @@ pub mod maintenance;
 pub mod program;
 pub mod schedule;
 pub mod search;
-pub mod time_model;
 
 pub use balance::{balance_chains, repartition_flops};
 pub use maintenance::MaintenancePlan;
@@ -57,4 +57,3 @@ pub use schedule::{partition_lpt, Schedule, ScheduleError, ScheduledTest};
 pub use search::{
     search_schedule, search_schedule_with, CandidateValidator, NoValidation, SearchBudget,
 };
-pub use time_model::test_time;

@@ -10,8 +10,6 @@ use casbus::{CasError, Tam, TamConfiguration};
 use casbus_p1500::WrapperInstruction;
 use casbus_soc::SocDescription;
 
-use crate::time_model::test_time;
-
 /// A maintenance plan: a subset of cores under test, everyone else in
 /// mission (NORMAL) mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +103,7 @@ impl MaintenancePlan {
             configuration.set(cas_index, tam.contiguous_test(cas_index, next_wire)?)?;
             wrappers[cas_index] = desc.method().wrapper_instruction();
             next_wire += p;
-            duration = duration.max(test_time(desc));
+            duration = duration.max(desc.test_time());
             under_test.push(name.to_owned());
         }
         Ok(Self {

@@ -14,7 +14,8 @@ use casbus_soc::SocDescription;
 
 use crate::schedule::Schedule;
 
-/// One step of a test program: configure, then run for `duration` cycles.
+/// One step of a test program: configure, then test for `duration` cycles
+/// and one drain clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestStep {
     /// Per-CAS instructions for this step.
@@ -22,7 +23,10 @@ pub struct TestStep {
     /// Per-CAS wrapper instructions (aligned with the TAM's CAS order; the
     /// wrapped system bus, when present, is the last entry).
     pub wrapper_instructions: Vec<WrapperInstruction>,
-    /// TEST-phase duration in cycles.
+    /// TEST-phase duration in cycles: the longest test time among the
+    /// step's cores. The step runs `duration + 1` data clocks, the last of
+    /// them the drain of its longest session, after the configuration
+    /// shift and its update pulse.
     pub duration: u64,
     /// Human-readable description (which cores run).
     pub description: String,

@@ -24,8 +24,6 @@ use std::fmt;
 
 use casbus_soc::{CoreDescription, CoreId, SocDescription};
 
-use crate::time_model::test_time;
-
 /// Errors from schedule construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
@@ -361,7 +359,7 @@ impl Strip {
                 .iter()
                 .map(CoreDescription::required_ports)
                 .collect(),
-            durations: soc.cores().iter().map(test_time).collect(),
+            durations: soc.cores().iter().map(CoreDescription::test_time).collect(),
         })
     }
 
@@ -646,7 +644,7 @@ mod tests {
     fn serial_equals_sum_of_times() {
         let soc = catalog::figure1_soc();
         let sched = serial_schedule(&soc, 4).unwrap();
-        let total: u64 = soc.cores().iter().map(test_time).sum();
+        let total: u64 = soc.cores().iter().map(CoreDescription::test_time).sum();
         assert_eq!(sched.makespan(), total);
         assert!(sched.is_conflict_free());
         assert_eq!(sched.configuration_waves(), soc.cores().len());

@@ -2,8 +2,9 @@
 //!
 //! Each table lists `core@start/wire_start` in schedule order. The greedy
 //! policies and the search share one placer, so a change to it, to the
-//! heuristics' priority order or to the annealer's random draws shows up
-//! here as a changed table, not only as a changed makespan.
+//! heuristics' priority order, to the annealer's random draws or to the
+//! test times the cores book (`CoreDescription::test_time`) shows up here
+//! as a changed table, not only as a changed makespan.
 
 use casbus_controller::schedule::{
     packed_schedule, power_aware_schedule, serial_schedule, wave_optimal_schedule,
@@ -48,11 +49,11 @@ fn figure1_at_8_wires() {
         &catalog::figure1_soc(),
         8,
         [
-            "0@0/0 1@12462/0 4@18374/0 2@20645/0 3@21161/0 5@21418/0",
-            "0@0/0 1@0/4 4@0/6 2@2271/6 5@2271/7 3@2787/6",
-            "0@0/0 1@0/4 4@0/6 3@12462/0 2@12462/2 5@12462/3",
-            "0@0/0 1@0/4 4@5912/4 2@8183/4 3@8699/4 5@8956/4",
-            "0@0/0 3@0/4 5@0/6 2@0/7 1@257/4 4@516/6",
+            "0@0/0 1@12462/0 2@18374/0 3@18890/0 4@19147/0 5@19391/0",
+            "0@0/0 1@0/4 2@0/6 5@0/7 3@516/6 4@773/6",
+            "0@0/0 1@0/4 2@0/6 5@0/7 3@12462/0 4@12462/2",
+            "0@0/0 1@0/4 2@5912/4 3@6428/4 4@6685/4 5@6929/4",
+            "0@0/0 4@0/4 5@0/6 2@0/7 3@244/4 1@501/4",
         ],
     );
 }
@@ -64,15 +65,15 @@ fn itc02_like_at_16_wires() {
         16,
         [
             "0@0/0 1@97250/0 2@173068/0 3@212478/0 7@230034/0 8@234128/0 \
-             6@237091/0 10@238629/0 4@239965/0 5@241185/0 11@242101/0 9@242658/0",
+             6@237091/0 4@238629/0 5@239849/0 11@240765/0 9@241322/0 10@241623/0",
             "0@0/0 1@0/4 2@0/7 3@0/9 7@0/13 8@0/15 \
-             6@2963/15 10@4094/13 4@4501/15 5@5430/13 11@5430/14 9@5987/14",
+             6@2963/15 4@4094/13 5@4094/14 11@4501/15 9@5058/14 10@5359/13",
             "0@0/0 3@0/4 1@0/8 2@0/11 7@0/13 8@0/15 \
              9@97250/0 10@97250/2 4@97250/4 5@97250/5 6@97250/6 11@97250/7",
             "0@0/0 1@0/4 2@75818/4 3@97250/0 7@114806/0 8@115228/2 \
-             6@118191/2 10@118900/0 4@119729/2 5@120236/0 11@120949/1 9@121152/2",
-            "9@0/0 5@0/2 4@0/3 0@0/4 11@0/8 10@0/9 8@0/11 2@0/12 7@0/14 \
-             6@301/0 1@1336/8 3@1839/0",
+             6@118191/2 4@118900/0 5@119729/1 11@120120/0 9@120645/1 10@120677/3",
+            "7@0/0 1@0/2 5@0/5 11@0/6 10@0/7 0@0/9 8@0/13 2@0/14 6@184/7 \
+             4@184/8 9@916/5 3@1722/5",
         ],
     );
 }

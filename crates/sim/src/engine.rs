@@ -14,7 +14,10 @@
 //! the engine's first run and reused by its later runs and by its clones.
 //! A step's lanes run one after another on the caller's thread: a serving
 //! path gets its parallelism across devices (one engine per worker), not
-//! within one device's step. Cycle counters, per-core stats, wire-busy
+//! within one device's step. Each lane observes its own plan's `len`
+//! slots, whatever else runs in the step; the step's longest plan sets
+//! only the cycle counters and which lane's last shifted word stays in
+//! its retiming register. Cycle counters, per-core stats, wire-busy
 //! counts, verdicts, and session signatures are reproduced exactly — the
 //! differential suite in `tests/` pins the engine against the bit-serial
 //! reference.
@@ -47,7 +50,8 @@ use crate::report::{
     ReportBaseline, SocTestReport,
 };
 use crate::session::{
-    lane_signature, push_zeros, verdict, CompiledSession, ReferenceSession, Segment, SessionCache,
+    lane_signature, push_zeros, verdict, window_stream, CompiledSession, ReferenceSession, Segment,
+    SessionCache,
 };
 use crate::simulator::{SimError, SocSimulator};
 
@@ -294,10 +298,10 @@ struct LaneOutcome {
 /// Equivalence to the interpreter, per data clock `t` of the step: the bus
 /// slice the interpreter records at `t` is the retimed wrapper output of
 /// cycle `t - 1` (zeros at `t = 0`, because `configure` clears the retiming
-/// register), and it records slices only while `t < plan.len() + 1`. So with
-/// `limit = min(horizon, plan.len() + 1)` observation slots, cycle `t`'s
-/// output is compared/recorded iff `t + 1 < limit` — the longest lane's
-/// final drain shift falls outside the window, exactly as in the reference.
+/// register), and it records slices only while `t < plan.len()`, whatever
+/// the step's `horizon`. So cycle `t`'s output is compared and recorded iff
+/// `t + 1 < plan.len()`: each segment's `observed` prefix, which leaves out
+/// only the plan's final drain shift.
 fn run_lane(
     wrapper: &mut Wrapper<Box<dyn TestableCore>>,
     lane: &SessionLane,
@@ -306,23 +310,17 @@ fn run_lane(
     let session = &lane.session;
     let ports = session.ports();
     let len = session.len();
-    let limit = horizon.min(len + 1);
     let mut mismatches = 0usize;
-    let mut streams: Vec<BitVec> = (0..ports)
-        .map(|_| {
-            let mut stream = BitVec::with_capacity(limit);
-            if limit > 0 {
-                stream.push(false);
-            }
-            stream
-        })
-        .collect();
+    let mut streams: Vec<BitVec> = (0..ports).map(|_| window_stream(len)).collect();
     let mut last_bits = BitVec::zeros(ports);
     let capture_inputs = BitVec::zeros(ports);
     for segment in session.segments() {
-        let observed = segment.observed(limit);
         match *segment {
-            Segment::Shift { cycles, planes, .. } => {
+            Segment::Shift {
+                cycles,
+                observed,
+                planes,
+            } => {
                 let produced = wrapper.clock_parallel_words(session.stimulus(planes), cycles);
                 let expected = session.golden(planes);
                 let mask = low_mask(observed);
@@ -332,7 +330,7 @@ fn run_lane(
                     last_bits.set(j, (produced[j] >> (cycles - 1)) & 1 == 1);
                 }
             }
-            Segment::Capture { count, .. } => {
+            Segment::Capture { count, observed } => {
                 // Fire the functional clock. The wrapper returns zeros on
                 // non-shift clocks, so every observed capture slot is
                 // all-zero.

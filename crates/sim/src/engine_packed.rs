@@ -25,7 +25,9 @@
 //!   into per-lane streams, one transpose per 64-slot block for all lanes,
 //!   which feed the *same* `lane_signature` fold the scalar engines use; a
 //!   lane's mismatch count is its streams' Hamming distance to the healthy
-//!   streams the compiled session's golden response implies.
+//!   streams its compiled session holds. A lane observes its own plan's
+//!   `len` slots, whatever else runs in its step, so one set of healthy
+//!   streams serves every step and plan the session runs in.
 //! * **Everything else falls back, per device.** Monitored runs, programs
 //!   with any step the word-level fast path cannot express, and defects the
 //!   lane encoding cannot carry are executed by the unchanged scalar
@@ -42,9 +44,10 @@
 //! exact widths. Under those conditions a
 //! defect inside core X can influence *only* X's own produced bits: each
 //! `configure` reloads every CAS instruction and clears every retiming
-//! register, session plans are pure functions of the core descriptions, and
-//! every lane's traffic flows over exclusive wires. Cycle counters are
-//! plan-arithmetic, identical for every device. So a defective device's
+//! register, session plans are pure functions of the core descriptions,
+//! every lane observes only its own plan, and every lane's traffic flows
+//! over exclusive wires. Cycle counters are plan-arithmetic, identical for
+//! every device. So a defective device's
 //! report differs from the healthy baseline in exactly two places — the
 //! verdict and the signature of the defective core's session(s) — and those
 //! are what the packed lane run recomputes. The differential suite in
@@ -59,7 +62,7 @@ use casbus_controller::CompiledProgram;
 use casbus_soc::models::{PackedBistLanes, PackedMemoryLanes, PackedScanLanes};
 use casbus_soc::{CoreDescription, SocDescription, TestMethod};
 use casbus_tpg::lanes::{broadcast, LaneStreams, LANES};
-use casbus_tpg::{BitVec, Verdict};
+use casbus_tpg::Verdict;
 
 use crate::engine::{step_compile_blocker, CompiledEngine};
 use crate::fleet::{test_device, DeviceReport, FaultKind, InjectedFault};
@@ -71,17 +74,11 @@ use crate::simulator::{SimError, SocSimulator};
 pub const COHORT_LANES: usize = LANES;
 
 /// One tested occurrence of a core in the program: where its verdict and
-/// signature live in the report, and the session and window it executes.
+/// signature live in the report, and the session it executes.
 struct PackedLaneSpec {
     /// Index into [`SocTestReport::verdicts`] / `signatures`.
     slot: usize,
     session: Arc<CompiledSession>,
-    /// Observation slots of the step's window: `min(horizon, len + 1)`,
-    /// the horizon being the step's longest concurrent plan.
-    limit: usize,
-    /// What a healthy die returns over the window; a lane's mismatch
-    /// count is its streams' Hamming distance to these.
-    healthy: Vec<BitVec>,
 }
 
 /// The compiled packed device-parallel engine: one healthy baseline report
@@ -164,18 +161,10 @@ impl PackedDeviceEngine {
                 // First blocker wins: one stable reason per program.
                 program_blocker.get_or_insert(blocker.reason());
             }
-            let horizon = step_lanes
-                .iter()
-                .map(|l| l.session.len())
-                .max()
-                .unwrap_or(0);
             for lane in step_lanes {
                 debug_assert_eq!(baseline.verdicts[slot].0, lane.name, "slot order");
-                let limit = horizon.min(lane.session.len() + 1);
                 lanes.entry(lane.name).or_default().push(PackedLaneSpec {
                     slot,
-                    healthy: lane.session.healthy_streams(limit),
-                    limit,
                     session: lane.session,
                 });
                 slot += 1;
@@ -394,12 +383,12 @@ impl PackedModel {
 /// carries `faults[l]`. Returns each lane's `(verdict, signature)`.
 ///
 /// Per-cycle mirror of the scalar engine's `run_lane`, with the device axis
-/// packed into words: `limit` observation slots, one initial all-zero slot
-/// (the retimed zeros of `t = 0`), shift cycle `t` observed iff
-/// `t + 1 < limit`, capture cycles recording a zero slot. Stimuli are
-/// broadcast from the compiled session, so every lane's expected response
-/// is the same healthy one: a lane's mismatches are exactly the bits where
-/// its streams differ from the healthy streams.
+/// packed into words: the session's `len` observation slots, one initial
+/// all-zero slot (the retimed zeros of `t = 0`), each segment's `observed`
+/// prefix of shift cycles, capture cycles recording a zero slot. Stimuli
+/// are broadcast from the compiled session, so every lane's expected
+/// response is the same healthy one: a lane's mismatches are exactly the
+/// bits where its streams differ from the session's healthy streams.
 fn run_packed_lane(spec: &PackedLaneSpec, faults: &[&InjectedFault]) -> Vec<(Verdict, u64)> {
     let session = &spec.session;
     let ports = session.ports();
@@ -407,15 +396,16 @@ fn run_packed_lane(spec: &PackedLaneSpec, faults: &[&InjectedFault]) -> Vec<(Ver
 
     let mut packed = PackedModel::build(session.desc(), faults);
     let mut streams = LaneStreams::new(ports);
-    if spec.limit > 0 {
-        streams.push_zeros();
-    }
+    streams.push_zeros();
     let mut in_words = vec![0u64; ports];
     let mut out_words = vec![0u64; ports];
     for segment in session.segments() {
-        let observed = segment.observed(spec.limit);
         match *segment {
-            Segment::Shift { cycles, planes, .. } => {
+            Segment::Shift {
+                cycles,
+                observed,
+                planes,
+            } => {
                 let stimulus = session.stimulus(planes);
                 for c in 0..cycles {
                     for (word, plane) in in_words.iter_mut().zip(stimulus) {
@@ -427,7 +417,7 @@ fn run_packed_lane(spec: &PackedLaneSpec, faults: &[&InjectedFault]) -> Vec<(Ver
                     }
                 }
             }
-            Segment::Capture { count, .. } => {
+            Segment::Capture { count, observed } => {
                 for c in 0..count {
                     packed.capture_clock_lanes();
                     if c < observed {
@@ -443,7 +433,7 @@ fn run_packed_lane(spec: &PackedLaneSpec, faults: &[&InjectedFault]) -> Vec<(Ver
         .map(|lane| {
             let mismatches = lane
                 .iter()
-                .zip(&spec.healthy)
+                .zip(session.healthy())
                 .map(|(seen, healthy)| seen.hamming_distance(healthy))
                 .sum();
             (verdict(mismatches), lane_signature(lane))

@@ -152,9 +152,9 @@ pub(crate) fn drive_lanes_reference(
         }
         let out = sim.data_clock(&bus, &kinds)?;
         for lane in lanes.iter_mut() {
-            // A lane observes every step cycle up to one past its plan, the
-            // last retimed response included.
-            if t <= lane.session.len() {
+            // A lane observes exactly its plan's `len` slots, whatever else
+            // runs in the step: every response but its final drain's.
+            if t < lane.session.len() {
                 lane.session.observe(out, &lane.wires);
             }
         }

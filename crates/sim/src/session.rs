@@ -6,7 +6,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 
 use casbus::TamConfiguration;
 use casbus_p1500::{TestableCore, WrapperInstruction};
-use casbus_soc::{models, CoreDescription, TestMethod};
+use casbus_soc::{models, CoreDescription};
 use casbus_tpg::{BitVec, Lfsr, Polynomial, Verdict};
 
 use crate::report::{collect_lanes, drive_lanes_reference};
@@ -48,54 +48,21 @@ pub struct SessionPlan {
 }
 
 impl SessionPlan {
-    /// Builds the deterministic session plan a core's test method calls for.
+    /// Builds the deterministic session plan a core's test method calls
+    /// for: its method's [`session`](casbus_soc::TestMethod::session) shape, stimulus
+    /// from the core's LFSR, then one drain cycle.
     pub fn for_core(desc: &CoreDescription) -> Self {
+        let shape = desc.method().session();
         let mut plan = Self {
             runs: Vec::new(),
             ports: desc.required_ports(),
             seed: stimulus_seed(desc.name()),
         };
-        // Scan-like methods shift `depth` random bits per pattern, capture,
-        // and finally flush the last response out with zeros.
-        let scan_like = |plan: &mut Self, depth: usize, patterns: usize| {
-            for _ in 0..patterns {
-                plan.push(ClockKind::Shift, depth, true);
-                plan.push(ClockKind::Capture, 1, false);
-            }
-            plan.push(ClockKind::Shift, depth, false);
-        };
-        match desc.method() {
-            TestMethod::Scan { chains, patterns } => {
-                let depth = chains.iter().copied().max().unwrap_or(1);
-                scan_like(&mut plan, depth, *patterns);
-            }
-            TestMethod::Bist { width, patterns } => {
-                plan.push(ClockKind::Capture, *patterns, false);
-                plan.push(ClockKind::Shift, *width as usize, false);
-            }
-            TestMethod::External { patterns, .. } => {
-                plan.push(ClockKind::Shift, *patterns, true);
-                plan.push(ClockKind::Shift, 1, false);
-            }
-            TestMethod::Hierarchical { sub_cores, .. } => {
-                let depth: usize = sub_cores
-                    .iter()
-                    .map(|c| match c.method() {
-                        TestMethod::Scan { chains, .. } => {
-                            chains.iter().copied().max().unwrap_or(1)
-                        }
-                        TestMethod::Bist { width, .. } => *width as usize,
-                        _ => 2,
-                    })
-                    .sum::<usize>()
-                    .max(1);
-                scan_like(&mut plan, depth, 4);
-            }
-            TestMethod::Memory { words, .. } => {
-                plan.push(ClockKind::Capture, 3 * words, false);
-                plan.push(ClockKind::Shift, 2, false);
-            }
+        for _ in 0..shape.patterns {
+            plan.push(ClockKind::Shift, shape.shift, true);
+            plan.push(ClockKind::Capture, shape.capture, false);
         }
+        plan.push(ClockKind::Shift, shape.flush, false);
         // One trailing cycle so the retiming register drains.
         plan.push(ClockKind::Shift, 1, false);
         plan
@@ -211,41 +178,36 @@ fn stimulus_lfsr(seed: u64) -> Lfsr {
 }
 
 /// One batch of a [`CompiledSession`]: a run of up to 64 shift clocks, or a
-/// run of consecutive capture clocks.
+/// run of consecutive capture clocks. `observed` of its clocks, a prefix,
+/// fall inside the session's observation window: every plan cycle but the
+/// final drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Segment {
-    /// `cycles` (1..=64) shift clocks from plan cycle `start`; their
-    /// stimulus and golden response planes are the `ports` words at
-    /// `planes` of the session's stimulus and golden arrays.
+    /// `cycles` (1..=64) shift clocks; their stimulus and golden response
+    /// planes are the `ports` words at `planes` of the session's stimulus
+    /// and golden arrays.
     Shift {
-        start: usize,
         cycles: usize,
+        observed: usize,
         planes: usize,
     },
-    /// `count` capture clocks from plan cycle `start`.
-    Capture { start: usize, count: usize },
-}
-
-impl Segment {
-    /// How many of this segment's clocks a step's observation window of
-    /// `limit` slots records: cycle `t` is observed iff `t + 1 < limit`,
-    /// which is a prefix of the segment.
-    pub(crate) fn observed(&self, limit: usize) -> usize {
-        let (start, clocks) = match *self {
-            Self::Shift { start, cycles, .. } => (start, cycles),
-            Self::Capture { start, count } => (start, count),
-        };
-        clocks.min(limit.saturating_sub(start + 1))
-    }
+    /// `count` capture clocks.
+    Capture { count: usize, observed: usize },
 }
 
 /// One core's session compiled once per served plan: the stimulus of every
-/// shift run as per-port bit planes (bit `c` is cycle `start + c`), the
-/// shift/capture layout, and the golden model's response planes from one
-/// word-level pass. Every die of a lot sees the same stimuli and the same
-/// healthy response, so engines share one copy instead of rebuilding the
-/// [`SessionPlan`] and re-running the golden model for each device. It is
-/// stored as words, never as per-cycle vectors.
+/// shift run as per-port bit planes (bit `c` is the run's cycle `c`), the
+/// shift/capture layout, the golden model's response planes from one
+/// word-level pass, and the streams a healthy die returns. Every die of a
+/// lot sees the same stimuli and the same healthy response, so engines
+/// share one copy instead of rebuilding the [`SessionPlan`] and re-running
+/// the golden model for each device. It is stored as words, never as
+/// per-cycle vectors.
+///
+/// A lane observes exactly `len` slots, whatever else runs in its step:
+/// slot 0 holds the zero the cleared retiming register returns, and slot
+/// `t + 1` the response of plan cycle `t`, so every cycle but the final
+/// drain is observed.
 #[derive(Debug)]
 pub(crate) struct CompiledSession {
     desc: CoreDescription,
@@ -255,6 +217,7 @@ pub(crate) struct CompiledSession {
     segments: Vec<Segment>,
     stimulus: Vec<u64>,
     golden: Vec<u64>,
+    healthy: Vec<BitVec>,
 }
 
 impl CompiledSession {
@@ -263,19 +226,23 @@ impl CompiledSession {
     pub(crate) fn compile(desc: &CoreDescription) -> Self {
         let plan = SessionPlan::for_core(desc);
         let ports = plan.ports();
+        let len = plan.len();
         let mut session = Self {
             desc: desc.clone(),
             ports,
-            len: plan.len(),
+            len,
             shift_cycles: plan.shift_cycles(),
             segments: Vec::new(),
             stimulus: Vec::new(),
             golden: Vec::new(),
+            healthy: (0..ports).map(|_| window_stream(len)).collect(),
         };
         let mut model = models::instantiate(desc);
         let mut cursor = plan.into_cursor();
         let mut stim = BitVec::new();
         let mut t = 0;
+        // Cycle `t` is observed iff `t + 1 < len`.
+        let observed = |start: usize, clocks: usize| clocks.min(len.saturating_sub(start + 1));
         while let Some(kind) = cursor.peek() {
             let start = t;
             if kind == ClockKind::Shift {
@@ -289,10 +256,14 @@ impl CompiledSession {
                     t += 1;
                 }
                 let response = model.test_clock_words(&session.stimulus[planes..], t - start);
+                let observed = observed(start, t - start);
+                for (stream, &word) in session.healthy.iter_mut().zip(&response) {
+                    stream.push_word(word, observed);
+                }
                 session.golden.extend(response);
                 session.segments.push(Segment::Shift {
-                    start,
                     cycles: t - start,
+                    observed,
                     planes,
                 });
             } else {
@@ -306,9 +277,13 @@ impl CompiledSession {
                     model.capture_clock();
                     t += 1;
                 }
+                let observed = observed(start, t - start);
+                for stream in &mut session.healthy {
+                    push_zeros(stream, observed);
+                }
                 session.segments.push(Segment::Capture {
-                    start,
                     count: t - start,
+                    observed,
                 });
             }
         }
@@ -325,7 +300,7 @@ impl CompiledSession {
         self.ports
     }
 
-    /// Plan cycles.
+    /// Plan cycles, which is also the observation slots of its window.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -351,33 +326,11 @@ impl CompiledSession {
         &self.golden[planes..planes + self.ports]
     }
 
-    /// The per-port streams a healthy die returns over the TAM in a step
-    /// window of `limit` observation slots: the retimed zero of the first
-    /// slot, then the golden response of every observed shift and a zero
-    /// for every observed capture.
-    pub(crate) fn healthy_streams(&self, limit: usize) -> Vec<BitVec> {
-        let mut streams: Vec<BitVec> = (0..self.ports)
-            .map(|_| BitVec::with_capacity(limit))
-            .collect();
-        if limit > 0 {
-            streams.iter_mut().for_each(|stream| stream.push(false));
-        }
-        for segment in &self.segments {
-            let observed = segment.observed(limit);
-            match *segment {
-                Segment::Shift { planes, .. } => {
-                    for (stream, &word) in streams.iter_mut().zip(self.golden(planes)) {
-                        stream.push_word(word, observed);
-                    }
-                }
-                Segment::Capture { .. } => {
-                    for stream in &mut streams {
-                        push_zeros(stream, observed);
-                    }
-                }
-            }
-        }
-        streams
+    /// The per-port streams a healthy die returns over the session's
+    /// window: the retimed zero of the first slot, then the golden response
+    /// of every observed shift and a zero for every observed capture.
+    pub(crate) fn healthy(&self) -> &[BitVec] {
+        &self.healthy
     }
 }
 
@@ -408,9 +361,9 @@ impl ReferenceSession {
     pub(crate) fn new(desc: &CoreDescription) -> Self {
         let plan = SessionPlan::for_core(desc);
         let len = plan.len();
-        // A lane observes at most one slot past its plan.
+        // A lane observes exactly `len` slots.
         let streams = (0..plan.ports())
-            .map(|_| BitVec::with_capacity(len + 1))
+            .map(|_| BitVec::with_capacity(len))
             .collect();
         Self {
             cursor: plan.into_cursor(),
@@ -535,6 +488,15 @@ impl fmt::Debug for SessionCache {
             .field("sessions", &sessions)
             .finish()
     }
+}
+
+/// A stream for a window of `len` slots, holding its first slot: the zero
+/// the cleared retiming register returns. Every plan ends with its drain
+/// cycle, so `len >= 1`.
+pub(crate) fn window_stream(len: usize) -> BitVec {
+    let mut stream = BitVec::with_capacity(len);
+    stream.push(false);
+    stream
 }
 
 /// `Pass` for no mismatches, else `Fail` with the count.
@@ -664,7 +626,7 @@ pub(crate) fn lane_signature(streams: &[BitVec]) -> u64 {
 mod tests {
     use super::*;
     use casbus_obs::MemorySink;
-    use casbus_soc::catalog;
+    use casbus_soc::{catalog, TestMethod};
 
     use crate::fleet::{FaultKind, InjectedFault};
 
@@ -901,9 +863,10 @@ mod tests {
     #[test]
     fn compiled_sessions_hold_the_plan_and_golden_run() {
         // Every test method the catalog SoCs use: the compiled planes and
-        // layout carry exactly the per-cycle plan and golden responses, and
-        // the healthy streams are what the reference observation window
-        // records (a retimed zero, then one slot per cycle).
+        // layout carry exactly the per-cycle plan and golden responses,
+        // every cycle but the final drain is observed, and the healthy
+        // streams are what the reference observation window records (a
+        // retimed zero, then one slot per cycle, `len` slots in all).
         let socs = [
             catalog::figure1_soc(),
             catalog::figure2a_scan_soc(),
@@ -920,15 +883,15 @@ mod tests {
             assert_eq!(session.len(), plan.len(), "{name}");
             assert_eq!(session.ports(), plan.ports(), "{name}");
             assert_eq!(session.shift_cycles(), plan.shift_cycles(), "{name}");
-            let mut t = 0;
+            let (mut t, mut observed_cycles) = (0, 0);
             for segment in session.segments() {
                 match *segment {
                     Segment::Shift {
-                        start,
                         cycles,
+                        observed,
                         planes,
                     } => {
-                        assert!(start == t && (1..=64).contains(&cycles), "{name} {t}");
+                        assert!((1..=64).contains(&cycles), "{name} {t}");
                         for (c, (stim, kind, gold)) in per_cycle[t..t + cycles].iter().enumerate() {
                             assert_eq!(*kind, ClockKind::Shift, "{name} {t}");
                             let gold = gold.as_ref().expect("shift output");
@@ -939,14 +902,17 @@ mod tests {
                             }
                         }
                         t += cycles;
+                        observed_cycles += observed;
                     }
-                    Segment::Capture { start, count } => {
-                        assert!(start == t && count > 0, "{name} {t}");
+                    Segment::Capture { count, observed } => {
+                        assert!(count > 0, "{name} {t}");
                         let run = &per_cycle[t..t + count];
                         assert!(run.iter().all(|(_, kind, _)| *kind == ClockKind::Capture));
                         t += count;
+                        observed_cycles += observed;
                     }
                 }
+                assert_eq!(observed_cycles, t.min(plan.len() - 1), "{name} {t}");
             }
             assert_eq!(t, plan.len(), "{name}: segments cover the plan");
             assert_eq!(
@@ -954,20 +920,17 @@ mod tests {
                 plan.len(),
                 "{name}: the cursor replays the plan"
             );
-            for limit in [0, 1, plan.len() / 2, plan.len() + 1] {
-                let streams = session.healthy_streams(limit);
-                for (j, stream) in streams.iter().enumerate() {
-                    let expected: BitVec = (0..limit)
-                        .map(|slot| {
-                            slot > 0
-                                && per_cycle[slot - 1]
-                                    .2
-                                    .as_ref()
-                                    .is_some_and(|gold| gold.get(j) == Some(true))
-                        })
-                        .collect();
-                    assert_eq!(*stream, expected, "{name} limit {limit} port {j}");
-                }
+            for (j, stream) in session.healthy().iter().enumerate() {
+                let expected: BitVec = (0..plan.len())
+                    .map(|slot| {
+                        slot > 0
+                            && per_cycle[slot - 1]
+                                .2
+                                .as_ref()
+                                .is_some_and(|gold| gold.get(j) == Some(true))
+                    })
+                    .collect();
+                assert_eq!(*stream, expected, "{name} port {j}");
             }
         }
     }
@@ -1023,9 +986,9 @@ mod tests {
 
     #[test]
     fn compare_counts_mismatches() {
-        // A lane compares as the slots arrive: slot `t + 1` against the
-        // golden output of cycle `t` when that cycle shifted. Slot 0 and
-        // the slot after a capture are never compared.
+        // A lane compares its `len` slots as they arrive: slot `t + 1`
+        // against the golden output of cycle `t` when that cycle shifted.
+        // Slot 0 and the slot after a capture are never compared.
         let desc = CoreDescription::new(
             "c",
             TestMethod::Scan {
@@ -1040,7 +1003,7 @@ mod tests {
         let wires = [0, 1];
         let mismatches = |flips: &[(usize, usize)]| {
             let mut session = ReferenceSession::new(&desc);
-            for slot in 0..=session.len() {
+            for slot in 0..session.len() {
                 session.advance();
                 // A healthy die's bus at `slot` carries golden cycle slot - 1.
                 let healthy = slot.checked_sub(1).and_then(|t| per_cycle[t].2.clone());
@@ -1054,7 +1017,7 @@ mod tests {
         };
         assert_eq!(mismatches(&[]), Verdict::Pass);
         assert_eq!(mismatches(&[(0, 1), (4, 0)]), Verdict::Pass);
-        let flipped = [(2, 1), (5, 0), (5, 1), (8, 0)];
+        let flipped = [(2, 1), (5, 0), (5, 1), (7, 0)];
         assert_eq!(mismatches(&flipped), Verdict::Fail { mismatches: 4 });
     }
 

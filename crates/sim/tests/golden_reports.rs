@@ -1,10 +1,12 @@
 //! Pinned reports: every field of the Figure-1 `SocTestReport` under
 //! `packed_schedule(8)`, for a healthy die and one defective die per
 //! injectable core, and of the healthy die under the searched plan the
-//! flagship lot serves. The `packed_schedule` values were recorded from the
-//! bit-serial reference interpreter before the core models moved to
-//! word-level shifting; the searched-plan values before the interpreter
-//! moved to simulator-owned buffers.
+//! flagship lot serves. A lane observes only its own plan, so a healthy
+//! core has one signature, whichever plan tests it, and a defective core
+//! one mismatch count and signature: the values a serial plan gives, in
+//! which every lane is the longest of its step. Those serial-plan values
+//! were recorded from the bit-serial reference interpreter before the core
+//! models moved to word-level shifting.
 //!
 //! Every engine shares the behavioural core models, so the differential
 //! suites, which compare engines with each other, cannot see a change of
@@ -22,25 +24,28 @@ use casbus_sim::{
 use casbus_soc::catalog;
 use casbus_tpg::Verdict;
 
-/// Tested cores in verdict order.
+/// Tested cores in the packed plan's verdict order.
 const CORES: [&str; 6] = [
     "core1_cpu",
     "core2_dsp",
-    "core5_subsystem",
     "core3_sram",
     "core6_eeprom",
     "core4_dma",
+    "core5_subsystem",
 ];
 
-/// A healthy die's session signatures, in verdict order.
-const HEALTHY: [u64; 6] = [
-    0xfc63_0997_7af4_40be,
-    0x6c13_2f86_8c06_e545,
-    0x3ad4_7d14_04ee_7ce4,
-    0xdacb_c4ca_7432_8132,
-    0x0464_2f2b_616f_6cae,
-    0x694d_7828_7b06_1e10,
-];
+/// A healthy core's session signature, under every plan.
+fn healthy(core: &str) -> u64 {
+    match core {
+        "core1_cpu" => 0xfc63_0997_7af4_40be,
+        "core2_dsp" => 0xc2ca_1082_cde7_28e7,
+        "core3_sram" => 0xdacb_c4ca_7432_8132,
+        "core4_dma" => 0x694d_7828_7b06_1e10,
+        "core5_subsystem" => 0x3d4c_f84e_f2ab_4db8,
+        "core6_eeprom" => 0xf7b5_4800_e41f_fb7f,
+        _ => panic!("{core} is not a Figure-1 core"),
+    }
+}
 
 /// One die: its defect and, for a defective die, the failing session's
 /// mismatch count and signature. Every other session keeps its healthy
@@ -80,8 +85,8 @@ fn dies() -> Vec<Die> {
                 position: 70,
                 stuck_at: true,
             },
-            2913,
-            0x33a9_d19d_34c1_695a,
+            2912,
+            0xdd85_0537_9fa7_b094,
         ),
         defect(
             "core3_sram",
@@ -97,7 +102,7 @@ fn dies() -> Vec<Die> {
                 value: true,
             },
             1,
-            0x0464_332b_616f_737a,
+            0xf7b5_4400_e41f_f4b3,
         ),
     ]
 }
@@ -109,11 +114,8 @@ impl Die {
             .iter()
             .map(|c| (c.to_string(), Verdict::Pass))
             .collect();
-        let mut signatures: Vec<(String, u64)> = CORES
-            .iter()
-            .zip(HEALTHY)
-            .map(|(c, s)| (c.to_string(), s))
-            .collect();
+        let mut signatures: Vec<(String, u64)> =
+            CORES.iter().map(|c| (c.to_string(), healthy(c))).collect();
         if let (Some(fault), Some((mismatches, signature))) = (&self.fault, self.failing) {
             let slot = CORES
                 .iter()
@@ -135,11 +137,11 @@ impl Die {
             "system_bus",
         ]
         .iter()
-        .map(|c| (c.to_string(), 13_238))
+        .map(|c| (c.to_string(), 12_966))
         .collect();
         SocTestReport {
             verdicts,
-            total_cycles: 13_364,
+            total_cycles: 13_092,
             steps: 3,
             per_core_cycles,
             bus_cycles: 63_396,
@@ -212,36 +214,36 @@ fn packed_engine_reproduces_the_pinned_reports() {
 /// SearchBudget::smoke())`, the plan of the flagship lot: three steps whose
 /// sessions start in a different order than `packed_schedule`'s.
 fn searched_healthy_report() -> SocTestReport {
-    let named = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
-        pairs.iter().map(|&(c, v)| (c.to_string(), v)).collect()
-    };
-    let signatures = named(&[
-        ("core1_cpu", 0xfc63_0997_7af4_40be),
-        ("core3_sram", 0xb370_f7cd_f782_c211),
-        ("core4_dma", 0x97bf_7c24_5669_333e),
-        ("core6_eeprom", 0x0464_2f2b_616f_6cae),
-        ("core2_dsp", 0xc2ca_1082_cde7_28e7),
-        ("core5_subsystem", 0x3d4c_f84e_f2ab_4db8),
-    ]);
-    let per_core_cycles = named(&[
-        ("core1_cpu", 18_621),
-        ("core2_dsp", 18_621),
-        ("core3_sram", 18_621),
-        ("core4_dma", 18_621),
-        ("core5_subsystem", 18_621),
-        ("core6_eeprom", 18_621),
-        ("system_bus", 18_621),
-    ]);
+    let order = [
+        "core1_cpu",
+        "core3_sram",
+        "core5_subsystem",
+        "core6_eeprom",
+        "core4_dma",
+        "core2_dsp",
+    ];
+    let per_core_cycles = [
+        "core1_cpu",
+        "core2_dsp",
+        "core3_sram",
+        "core4_dma",
+        "core5_subsystem",
+        "core6_eeprom",
+        "system_bus",
+    ]
+    .iter()
+    .map(|c| (c.to_string(), 18_634))
+    .collect();
     SocTestReport {
-        verdicts: signatures
+        verdicts: order
             .iter()
-            .map(|(c, _)| (c.clone(), Verdict::Pass))
+            .map(|c| (c.to_string(), Verdict::Pass))
             .collect(),
-        total_cycles: 18_747,
+        total_cycles: 18_760,
         steps: 3,
         per_core_cycles,
         bus_cycles: 63_396,
-        signatures,
+        signatures: order.iter().map(|c| (c.to_string(), healthy(c))).collect(),
     }
 }
 

@@ -105,6 +105,89 @@ impl TestMethod {
             _ => 0,
         }
     }
+
+    /// Clocks a bit needs to cross the core's test path, which is also
+    /// what its behavioural model's `scan_depth` reports: the deepest scan
+    /// chain, the BIST signature width, the external core's one pipeline
+    /// stage, the memory's two status bits, and for a hierarchical core the
+    /// sum over its sub-cores, whose paths its internal bus threads in
+    /// series.
+    pub fn scan_depth(&self) -> usize {
+        match self {
+            Self::Scan { chains, .. } => chains.iter().copied().max().unwrap_or(0),
+            Self::Bist { width, .. } => *width as usize,
+            Self::External { .. } => 1,
+            Self::Hierarchical { sub_cores, .. } => {
+                sub_cores.iter().map(|c| c.method().scan_depth()).sum()
+            }
+            Self::Memory { .. } => 2,
+        }
+    }
+
+    /// The session that tests a core of this method; its
+    /// [`cycles`](SessionShape::cycles) are the core's test time.
+    ///
+    /// * **scan** shifts each pattern in over the deepest chain and
+    ///   captures it; the next pattern's shift unloads the response;
+    /// * **BIST** captures once per pattern, then unloads the signature;
+    /// * **external** drives one vector per clock through the one-stage
+    ///   pipeline;
+    /// * **hierarchical** runs a 4-pattern scan probe over the summed
+    ///   sub-core depth, not the sub-cores' own sessions;
+    /// * **memory** runs the `3·words` march operations, then unloads the
+    ///   two status bits.
+    ///
+    /// Every session ends by flushing its last response out over
+    /// [`scan_depth`](Self::scan_depth) clocks of zeros.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use casbus_soc::TestMethod;
+    ///
+    /// let cpu = TestMethod::Scan { chains: vec![100, 80], patterns: 10 };
+    /// assert_eq!(cpu.session().cycles(), 10 * (100 + 1) + 100);
+    /// ```
+    pub fn session(&self) -> SessionShape {
+        let depth = self.scan_depth();
+        let (patterns, shift, capture) = match self {
+            Self::Scan { patterns, .. } => (*patterns, depth, 1),
+            Self::Bist { patterns, .. } => (*patterns, 0, 1),
+            Self::External { patterns, .. } => (*patterns, 1, 0),
+            Self::Hierarchical { .. } => (4, depth, 1),
+            Self::Memory { words, .. } => (3 * words, 0, 1),
+        };
+        SessionShape {
+            patterns,
+            shift,
+            capture,
+            flush: depth,
+        }
+    }
+}
+
+/// The shape of a core's test session: `patterns` times (`shift` clocks
+/// of LFSR stimulus, then `capture` capture clocks), then `flush` shift
+/// clocks of zeros that unload the last response. The schedulers book its
+/// [`cycles`](Self::cycles) and the simulator runs it, adding one drain
+/// clock for the retiming register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionShape {
+    /// Pattern count.
+    pub patterns: usize,
+    /// Stimulus shift clocks per pattern.
+    pub shift: usize,
+    /// Capture clocks per pattern.
+    pub capture: usize,
+    /// Zero shift clocks after the last pattern.
+    pub flush: usize,
+}
+
+impl SessionShape {
+    /// Test-clock cycles: `patterns · (shift + capture) + flush`.
+    pub fn cycles(&self) -> u64 {
+        (self.patterns * (self.shift + self.capture) + self.flush) as u64
+    }
 }
 
 impl fmt::Display for TestMethod {
@@ -207,6 +290,12 @@ impl CoreDescription {
         self.method.required_ports()
     }
 
+    /// Test time in test-clock cycles when the CAS grants the core its `P`
+    /// wires: the cycles of its method's [`session`](TestMethod::session).
+    pub fn test_time(&self) -> u64 {
+        self.method.session().cycles()
+    }
+
     /// Functional input terminal count.
     pub fn functional_inputs(&self) -> usize {
         self.functional_inputs
@@ -304,6 +393,93 @@ mod tests {
             .scan_flops(),
             0
         );
+    }
+
+    fn scan(chains: Vec<usize>, patterns: usize) -> TestMethod {
+        TestMethod::Scan { chains, patterns }
+    }
+
+    #[test]
+    fn scan_session_formula() {
+        // depth 9: 4·(9 + 1) + 9.
+        assert_eq!(scan(vec![5, 9, 3], 4).session().cycles(), 49);
+    }
+
+    #[test]
+    fn bist_session_formula() {
+        let bist = TestMethod::Bist {
+            width: 16,
+            patterns: 100,
+        };
+        assert_eq!(bist.session().cycles(), 100 + 16);
+    }
+
+    #[test]
+    fn external_session_formula() {
+        let external = TestMethod::External {
+            ports: 3,
+            patterns: 64,
+        };
+        assert_eq!(external.session().cycles(), 64 + 1);
+    }
+
+    #[test]
+    fn memory_session_formula() {
+        let memory = TestMethod::Memory {
+            words: 32,
+            data_width: 8,
+        };
+        assert_eq!(memory.session().cycles(), 3 * 32 + 2);
+    }
+
+    #[test]
+    fn hierarchical_session_is_a_probe_over_the_summed_depth() {
+        let sub = |name: &str, method: TestMethod| CoreDescription::new(name, method);
+        let inner = TestMethod::Hierarchical {
+            internal_bus_width: 1,
+            sub_cores: vec![sub("c", scan(vec![3], 1))],
+        };
+        let method = TestMethod::Hierarchical {
+            internal_bus_width: 2,
+            sub_cores: vec![
+                sub(
+                    "a",
+                    TestMethod::Bist {
+                        width: 8,
+                        patterns: 10,
+                    },
+                ),
+                sub("b", scan(vec![4, 2], 2)),
+                sub(
+                    "e",
+                    TestMethod::External {
+                        ports: 2,
+                        patterns: 9,
+                    },
+                ),
+                sub("h", inner),
+            ],
+        };
+        // 8 + 4 + 1 + 3, not the sub-cores' own sessions.
+        assert_eq!(method.scan_depth(), 16);
+        assert_eq!(method.session().cycles(), 4 * (16 + 1) + 16);
+    }
+
+    #[test]
+    fn deeper_chains_cost_more() {
+        let shallow = scan(vec![10, 10], 50);
+        let deep = scan(vec![19, 1], 50);
+        assert!(
+            deep.session().cycles() > shallow.session().cycles(),
+            "same flops, worse balance"
+        );
+    }
+
+    #[test]
+    fn rebalanced_chains_shorten_the_session() {
+        let before = scan(vec![19, 1], 50).session().cycles();
+        let after = scan(vec![10, 10], 50).session().cycles();
+        assert!(after < before);
     }
 
     #[test]

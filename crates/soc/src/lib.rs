@@ -8,6 +8,10 @@
 //!   cores exist, how each is tested (paper Fig. 2: scan, BIST, external
 //!   source/sink, hierarchical), how many test ports (`P`) each needs, and
 //!   whether the system bus is itself wrapped and CASed (paper Fig. 1).
+//! * **The test-time model** ([`TestMethod::session`], [`SessionShape`],
+//!   [`CoreDescription::test_time`]): the session each test method runs.
+//!   The schedulers book its cycles and the simulator runs it, so a test
+//!   program runs the cycles it books.
 //! * **Behavioural models** ([`models`]): executable cores implementing
 //!   [`casbus_p1500::TestableCore`], with real scan chains, a real LFSR/MISR
 //!   BIST engine, a memory with march-style self test, and hierarchical
@@ -35,5 +39,5 @@ pub mod core;
 pub mod models;
 pub mod soc;
 
-pub use crate::core::{CoreDescription, CoreId, TestMethod};
+pub use crate::core::{CoreDescription, CoreId, SessionShape, TestMethod};
 pub use crate::soc::{SocBuilder, SocDescription, SocError, SystemBusDescription};

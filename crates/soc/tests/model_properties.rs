@@ -1,7 +1,7 @@
 //! Property-based tests of the behavioural core models.
 
 use casbus_p1500::TestableCore;
-use casbus_soc::models::{BistCore, ExternalCore, HierarchicalCore, MemoryCore, ScanCore};
+use casbus_soc::models::{self, BistCore, ExternalCore, HierarchicalCore, MemoryCore, ScanCore};
 use casbus_soc::{catalog, CoreDescription, SocBuilder, TestMethod};
 use casbus_tpg::BitVec;
 use proptest::prelude::*;
@@ -164,6 +164,19 @@ proptest! {
         fold_stale_clocks(&mut MemoryCore::new("prop", 4, 3), seed, 64, inject_memory)?;
     }
 
+    /// The cores of random SoCs follow their methods' depth and port rules.
+    #[test]
+    fn random_soc_models_follow_their_methods_depth_and_ports(
+        seed in any::<u64>(),
+        cores in 1usize..15,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for desc in catalog::random_soc(&mut rng, cores, 4).cores() {
+            assert_model_follows_its_method(desc);
+        }
+    }
+
     /// Random SoCs always validate and always fit a bus of max_ports width.
     #[test]
     fn random_socs_always_fit(seed in any::<u64>(), cores in 1usize..15) {
@@ -174,6 +187,83 @@ proptest! {
         prop_assert!(soc.max_ports() >= 1);
         prop_assert!(soc.max_ports() <= 4);
     }
+}
+
+/// `desc` and every sub-core below it, depth first.
+fn with_sub_cores(desc: &CoreDescription) -> Vec<&CoreDescription> {
+    let mut all = vec![desc];
+    if let TestMethod::Hierarchical { sub_cores, .. } = desc.method() {
+        all.extend(sub_cores.iter().flat_map(with_sub_cores));
+    }
+    all
+}
+
+/// The depth the session shapes use and the ports the CAS grants are the
+/// behavioural model's own.
+fn assert_model_follows_its_method(desc: &CoreDescription) {
+    let model = models::instantiate(desc);
+    let method = desc.method();
+    assert_eq!(model.scan_depth(), method.scan_depth(), "{}", desc.name());
+    assert_eq!(
+        model.test_ports(),
+        method.required_ports(),
+        "{}",
+        desc.name()
+    );
+}
+
+/// Every catalog core and every hierarchical sub-core, plus a hierarchical
+/// core embedding an external and a nested hierarchical sub-core, which no
+/// catalog SoC has.
+#[test]
+fn models_follow_their_methods_depth_and_ports() {
+    let socs = [
+        catalog::figure1_soc(),
+        catalog::figure2a_scan_soc(),
+        catalog::figure2b_bist_soc(),
+        catalog::figure2c_external_soc(),
+        catalog::figure2d_hierarchical_soc(),
+        catalog::maintenance_soc(),
+        catalog::itc02_like_soc(),
+    ];
+    let scan = |name: &str, chains: Vec<usize>| {
+        CoreDescription::new(
+            name,
+            TestMethod::Scan {
+                chains,
+                patterns: 3,
+            },
+        )
+    };
+    let nested = CoreDescription::new(
+        "nested",
+        TestMethod::Hierarchical {
+            internal_bus_width: 2,
+            sub_cores: vec![scan("inner", vec![7, 5])],
+        },
+    );
+    let mixed = CoreDescription::new(
+        "mixed",
+        TestMethod::Hierarchical {
+            internal_bus_width: 3,
+            sub_cores: vec![
+                scan("leaf", vec![4, 6, 2]),
+                CoreDescription::new(
+                    "ext",
+                    TestMethod::External {
+                        ports: 2,
+                        patterns: 8,
+                    },
+                ),
+                nested,
+            ],
+        },
+    );
+    let tops = socs.iter().flat_map(|soc| soc.cores()).chain([&mixed]);
+    for desc in tops.flat_map(with_sub_cores) {
+        assert_model_follows_its_method(desc);
+    }
+    assert_eq!(mixed.method().scan_depth(), 6 + 1 + 7);
 }
 
 #[test]
