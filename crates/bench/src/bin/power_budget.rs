@@ -4,8 +4,10 @@
 //! concurrency must be capped even when bus wires are free).
 //!
 //! Sweeps the power budget over the ITC'02-like SoC and reports the
-//! test-time cost of each cap.
+//! test-time cost of each cap, as makespan and as the tester cycles the
+//! program executes.
 
+use casbus_bench::executed_cycles;
 use casbus_controller::schedule::{
     packed_schedule, peak_power, power_aware_schedule, serial_schedule,
 };
@@ -14,31 +16,40 @@ use casbus_soc::catalog;
 fn main() {
     let soc = catalog::itc02_like_soc();
     let n = 8;
-    let serial = serial_schedule(&soc, n).expect("fits").makespan();
-    let unconstrained = packed_schedule(&soc, n).expect("fits").makespan();
+    let serial = serial_schedule(&soc, n).expect("fits");
+    let unconstrained = packed_schedule(&soc, n).expect("fits");
+    let unconstrained_executed = executed_cycles(&soc, &unconstrained);
     println!(
         "Power-aware scheduling on {:?} ({} cores, N = {n})",
         soc.name(),
         soc.cores().len()
     );
-    println!("serial baseline: {serial} cycles; unconstrained packing: {unconstrained} cycles");
+    println!(
+        "serial baseline: {} cycles ({} executed); unconstrained packing: {} cycles ({} executed)",
+        serial.makespan(),
+        executed_cycles(&soc, &serial),
+        unconstrained.makespan(),
+        unconstrained_executed
+    );
     println!();
     println!(
-        "{:>8} | {:>10} | {:>10} | {:>12}",
-        "budget", "makespan", "peak power", "vs unconstr."
+        "{:>8} | {:>10} | {:>10} | {:>10} | {:>12}",
+        "budget", "makespan", "executed", "peak power", "vs unconstr."
     );
-    println!("{:-<9}+{:-<12}+{:-<12}+{:-<13}", "", "", "", "");
+    println!("{:-<9}+{:-<12}+{:-<12}+{:-<12}+{:-<13}", "", "", "", "", "");
     for budget in [100u32, 150, 200, 300, 400, 600, 1000] {
         match power_aware_schedule(&soc, n, budget) {
             Ok(sched) => {
                 let peak = peak_power(&soc, &sched);
                 assert!(peak <= budget, "scheduler exceeded its own budget");
+                let executed = executed_cycles(&soc, &sched);
                 println!(
-                    "{:>8} | {:>10} | {:>10} | {:>11.2}x",
+                    "{:>8} | {:>10} | {:>10} | {:>10} | {:>11.2}x",
                     budget,
                     sched.makespan(),
+                    executed,
                     peak,
-                    sched.makespan() as f64 / unconstrained as f64
+                    executed as f64 / unconstrained_executed as f64
                 );
             }
             Err(e) => println!("{budget:>8} | infeasible: {e}"),

@@ -15,6 +15,7 @@
 use std::time::{Duration, Instant};
 
 use casbus::CasGeometry;
+use casbus_controller::{Schedule, TestProgram};
 
 /// One row of the paper's Table 1: `(N, P, m, k, gates)` as printed in the
 /// paper.
@@ -285,6 +286,22 @@ pub fn table1_schedule_cases() -> Vec<ScheduleCase> {
             }
         })
         .collect()
+}
+
+/// The tester cycles `schedule`'s program executes on a healthy die,
+/// configuration included: [`casbus_sim::run_program`]'s `total_cycles`.
+///
+/// # Panics
+///
+/// Panics if the program cannot be built or run, or a core fails.
+pub fn executed_cycles(soc: &casbus_soc::SocDescription, schedule: &Schedule) -> u64 {
+    let n = schedule.bus_width();
+    let tam = casbus::Tam::new(soc, n).expect("the schedule fits its bus");
+    let program = TestProgram::from_schedule(&tam, soc, schedule).expect("program");
+    let mut sim = casbus_sim::SocSimulator::new(soc, n).expect("simulator");
+    let report = casbus_sim::run_program(&mut sim, &program).expect("healthy run");
+    assert!(report.all_pass(), "{report}");
+    report.total_cycles
 }
 
 #[cfg(test)]

@@ -14,8 +14,13 @@ use casbus_soc::SocDescription;
 
 use crate::schedule::Schedule;
 
-/// One step of a test program: configure, then test for `duration` cycles
-/// and one drain clock.
+/// One step of a test program: configure, then run `duration + 1` data
+/// clocks.
+///
+/// A session whose plan is not done when its step ends carries into the
+/// next step, which must load its CAS scheme and wrapper instruction again
+/// unchanged; it resumes where it paused. Every other TEST CAS starts a
+/// session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestStep {
     /// Per-CAS instructions for this step.
@@ -23,10 +28,8 @@ pub struct TestStep {
     /// Per-CAS wrapper instructions (aligned with the TAM's CAS order; the
     /// wrapped system bus, when present, is the last entry).
     pub wrapper_instructions: Vec<WrapperInstruction>,
-    /// TEST-phase duration in cycles: the longest test time among the
-    /// step's cores. The step runs `duration + 1` data clocks, the last of
-    /// them the drain of its longest session, after the configuration
-    /// shift and its update pulse.
+    /// TEST-phase duration in cycles. The step runs `duration + 1` data
+    /// clocks after the configuration shift and its update pulse.
     pub duration: u64,
     /// Human-readable description (which cores run).
     pub description: String,
@@ -69,12 +72,20 @@ impl TestProgram {
         self.steps.iter().map(|s| s.duration).sum()
     }
 
-    /// Compiles a [`Schedule`] into a program: tests starting at the same
-    /// cycle form one concurrent step (wave); waves execute in start order.
+    /// Compiles a [`Schedule`] into a program: one step per distinct start
+    /// time, in start order. Each scheduled test is granted the contiguous
+    /// wire window the scheduler chose; cores not under test sit in CAS
+    /// BYPASS with their wrappers bypassed.
     ///
-    /// Each scheduled test is granted the contiguous wire window the
-    /// scheduler chose; cores not under test sit in CAS BYPASS with their
-    /// wrappers bypassed.
+    /// A step runs until the next start time, or until its longest session
+    /// ends if that comes first: with `s_k` the step's start and `left` the
+    /// longest plan it still has to run (a session's plan is its test time
+    /// plus one drain cycle), it books `min(s_{k+1} - s_k, left - 1)`, and
+    /// the last step books `left - 1`. A session still running when its
+    /// step ends carries into the next step: its CAS scheme and wrapper
+    /// instruction are loaded again unchanged, so the rectangle-packing
+    /// schedules run as packed instead of waiting for the longest test of
+    /// each step.
     ///
     /// # Errors
     ///
@@ -85,13 +96,21 @@ impl TestProgram {
         soc: &SocDescription,
         schedule: &Schedule,
     ) -> Result<Self, CasError> {
+        let waves = schedule.waves();
         let mut program = TestProgram::new();
-        for wave in schedule.waves() {
+        // Sessions still running: CAS index, plan cycles left, core name.
+        let mut running: Vec<(usize, u64, String)> = Vec::new();
+        for (k, wave) in waves.iter().enumerate() {
             let mut configuration = TamConfiguration::all_bypass(tam.cas_count());
             let mut wrappers = vec![WrapperInstruction::Bypass; tam.cas_count()];
-            let mut names = Vec::new();
-            let mut duration = 0u64;
-            for test in &wave {
+            if let Some(before) = program.steps.last() {
+                for &(cas_index, _, _) in &running {
+                    let instruction = before.configuration.instructions()[cas_index].clone();
+                    configuration.set(cas_index, instruction)?;
+                    wrappers[cas_index] = before.wrapper_instructions[cas_index];
+                }
+            }
+            for test in wave {
                 let cas_index = tam
                     .cas_for_core(&test.core_name)
                     .ok_or(CasError::UnknownCas(test.core.0))?;
@@ -102,15 +121,25 @@ impl TestProgram {
                     .map_or(WrapperInstruction::Extest, |(_, c)| {
                         c.method().wrapper_instruction()
                     });
-                names.push(test.core_name.clone());
-                duration = duration.max(test.duration);
+                running.push((cas_index, test.duration + 1, test.core_name.clone()));
             }
+            running.sort_unstable_by_key(|&(cas_index, _, _)| cas_index);
+            let left = running.iter().map(|&(_, left, _)| left).max().unwrap_or(1);
+            let duration = match waves.get(k + 1) {
+                Some(next) => (next[0].start - wave[0].start).min(left - 1),
+                None => left - 1,
+            };
+            let names: Vec<&str> = running.iter().map(|(_, _, name)| name.as_str()).collect();
             program.push(TestStep {
                 configuration,
                 wrapper_instructions: wrappers,
                 duration,
                 description: names.join(" + "),
             });
+            for (_, left, _) in &mut running {
+                *left = left.saturating_sub(duration + 1);
+            }
+            running.retain(|&(_, left, _)| left > 0);
         }
         Ok(program)
     }
@@ -231,6 +260,38 @@ mod tests {
         for step in program.steps() {
             assert!(!step.configuration.cores_under_test().is_empty());
         }
+    }
+
+    #[test]
+    fn staggered_starts_carry_running_sessions() {
+        // Figure 1 at N = 8: `core1_cpu` (CAS 0) and `core2_dsp` (CAS 1)
+        // start at 0 and outlast the starts at 516 and 773, so both steps
+        // after the first carry them on the same scheme and wrapper
+        // instruction, and each step runs only until the next start.
+        let soc = catalog::figure1_soc();
+        let tam = Tam::new(&soc, 8).unwrap();
+        let schedule = packed_schedule(&soc, 8).unwrap();
+        let program = TestProgram::from_schedule(&tam, &soc, &schedule).unwrap();
+        let steps = program.steps();
+        let durations: Vec<u64> = steps.iter().map(|s| s.duration).collect();
+        assert_eq!(durations, [516, 257, 11_687]);
+        for cas in [0, 1] {
+            // Its plan (test time + 1 drain cycle) outlasts two steps.
+            let test_time = soc.cores()[cas].test_time();
+            assert!(test_time + 1 > durations[0] + 1 + durations[1] + 1);
+            let scheme = |s: &TestStep| s.configuration.instructions()[cas].clone();
+            for step in &steps[1..] {
+                assert!(step.configuration.cores_under_test().contains(&cas));
+                assert_eq!(scheme(step), scheme(&steps[0]));
+                assert_eq!(
+                    step.wrapper_instructions[cas],
+                    steps[0].wrapper_instructions[cas]
+                );
+            }
+        }
+        // The data clocks run the makespan and the last session's drain.
+        let clocks: u64 = durations.iter().map(|d| d + 1).sum();
+        assert_eq!(clocks, schedule.makespan() + 1);
     }
 
     #[test]

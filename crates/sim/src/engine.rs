@@ -1,9 +1,9 @@
 //! The compiled word-level execution engine.
 //!
 //! [`run_program`](crate::run_program) semantics, 3–11× faster than the
-//! bit-serial interpreter single-threaded (`BENCH_soc_sim.json`: 11.0× on
-//! Figure 1, 8.9× on the ITC'02-like SoC, 2.7× on the 240-cycle
-//! hierarchical SoC). Instead of interpreting the CAS chain bit by bit
+//! bit-serial interpreter single-threaded (`BENCH_soc_sim.json`, last
+//! regenerated: 9.1× on Figure 1, 6.6× on the ITC'02-like SoC, 3.3× on the
+//! 240-cycle hierarchical SoC). Instead of interpreting the CAS chain bit by bit
 //! every data clock, the engine takes each tested core's wires from its
 //! CAS's active scheme and streams the core's scan traffic through the
 //! word-level wrapper/model paths, 64 cycles per call. That is exact only
@@ -14,24 +14,31 @@
 //! the engine's first run and reused by its later runs and by its clones.
 //! A step's lanes run one after another on the caller's thread: a serving
 //! path gets its parallelism across devices (one engine per worker), not
-//! within one device's step. Each lane observes its own plan's `len`
-//! slots, whatever else runs in the step; the step's longest plan sets
-//! only the cycle counters and which lane's last shifted word stays in
-//! its retiming register. Cycle counters, per-core stats, wire-busy
-//! counts, verdicts, and session signatures are reproduced exactly — the
-//! differential suite in `tests/` pins the engine against the bit-serial
-//! reference.
+//! within one device's step.
+//!
+//! Each step runs exactly the `duration + 1` data clocks its
+//! [`TestStep`](casbus_controller::TestStep) books. A lane runs its plan's
+//! next cycles within them and observes one slot per plan cycle, whatever
+//! else runs in the step. A session the next step carries stops mid-plan,
+//! its last response waiting in its CAS's retiming register (which the
+//! configuration shift keeps), and resumes from the same lane state, so it
+//! observes exactly the slots of an uninterrupted run. Cycle counters,
+//! per-core stats, wire-busy counts, verdicts, and session signatures are
+//! reproduced exactly — the differential suite in `tests/` pins the engine
+//! against the bit-serial reference.
 //!
 //! An enabled trace sink keeps the fast path: the engine emits the same
-//! per-lane `session` spans the interpreter does (the simulator emits the
-//! `configure` spans either way), so a traced run's canonical JSONL matches
-//! the reference's byte for byte.
+//! per-session `session` spans the interpreter does (the simulator emits
+//! the `configure` spans either way), so a traced run's canonical JSONL
+//! matches the reference's byte for byte.
 //!
-//! Exactness is preserved by falling back to the cycle-by-cycle
-//! interpreter whenever the fast path cannot be bit-faithful:
+//! A run with a waveform probe attached (every bus value change must be
+//! emitted) goes whole to [`run_program_reference`], compiling nothing.
+//! Otherwise exactness is preserved by running a step on the
+//! cycle-by-cycle interpreter, its lanes drawing their stimuli and golden
+//! responses from the same compiled sessions, whenever the fast path
+//! cannot be bit-faithful:
 //!
-//! * a waveform probe is attached (every bus value change must be
-//!   emitted),
 //! * a step's routing shares wires serially between TEST CASes (cores
 //!   concatenate through each other),
 //! * a lane's wrapper is not in an INTEST mode, or its port/wire widths
@@ -42,21 +49,21 @@ use std::sync::Arc;
 use casbus::{CasChain, RouteTable, RouteTableCache, TamConfiguration};
 use casbus_controller::TestProgram;
 use casbus_p1500::{TestableCore, Wrapper, WrapperControl, WrapperInstruction};
+use casbus_soc::CoreDescription;
 use casbus_tpg::bits::low_mask;
-use casbus_tpg::BitVec;
+use casbus_tpg::{BitVec, Verdict};
 
 use crate::report::{
-    collect_lanes, drive_lanes_reference, finish_report, record_session_spans, Lane, LaneResult,
-    ReportBaseline, SocTestReport,
+    collect_lanes, drive_lanes_serial, run_program_reference, Lane, LaneSession, Sessions,
+    SocTestReport,
 };
 use crate::session::{
-    lane_signature, push_zeros, verdict, window_stream, CompiledSession, ReferenceSession, Segment,
-    SessionCache,
+    lane_signature, push_zeros, verdict, ClockKind, CompiledSession, Segment, SessionCache,
 };
 use crate::simulator::{SimError, SocSimulator};
 
-/// A step's lane with its core's compiled session.
-pub(crate) type SessionLane = Lane<Arc<CompiledSession>>;
+/// A step's lane with its core's compiled session in flight.
+pub(crate) type SessionLane = Lane<CompiledLane>;
 
 /// The compiled word-level TAM/session engine. Drop-in for the reference
 /// interpreter: identical [`SocTestReport`]s, cycle counters, and metrics.
@@ -108,13 +115,18 @@ impl CompiledEngine {
         self
     }
 
-    /// The configured step's lanes with their compiled sessions.
+    /// A fresh lane state over `desc`'s compiled session.
+    fn lane(&self, desc: &CoreDescription) -> CompiledLane {
+        CompiledLane::new(self.sessions.get_or_compile(desc))
+    }
+
+    /// Every TEST CAS's lane of the configured step, with fresh sessions.
     pub(crate) fn session_lanes(
         &self,
         sim: &SocSimulator,
         config: &TamConfiguration,
     ) -> Result<Vec<SessionLane>, SimError> {
-        collect_lanes(sim, config, |desc| self.sessions.get_or_compile(desc))
+        collect_lanes(sim, config.cores_under_test(), |desc| self.lane(desc))
     }
 
     /// The step's compiled routes: through the attached cache when present,
@@ -132,79 +144,57 @@ impl CompiledEngine {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and width errors.
+    /// As [`run_program`](crate::run_program).
     pub fn run(
         &self,
         sim: &mut SocSimulator,
         program: &TestProgram,
     ) -> Result<SocTestReport, SimError> {
-        let baseline = ReportBaseline::capture(sim);
         // A probe wants every per-cycle bus value: stay bit-serial.
-        let exact_only = sim.has_probe();
-        let mut results = Vec::new();
-        for (step_index, step) in program.steps().iter().enumerate() {
-            let step_start = sim.cycles();
-            sim.configure(&step.configuration, &step.wrapper_instructions)?;
-            let routes = self.routes_for(sim.tam().chain());
-            let compiled = if exact_only {
-                None
-            } else {
-                let lanes = self.session_lanes(sim, &step.configuration)?;
-                step_compile_blocker(sim, &lanes, &routes)
-                    .is_none()
-                    .then_some(lanes)
-            };
-            let step_results = match compiled {
-                Some(lanes) => drive_lanes_compiled(sim, &lanes),
-                None => {
-                    let mut lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
-                    drive_lanes_reference(sim, &mut lanes)?
-                }
-            };
-            record_session_spans(sim, &step_results, step_index, step_start);
-            results.extend(step_results);
+        if sim.has_probe() {
+            return run_program_reference(sim, program);
         }
-        finish_report(sim, &baseline, results, program.steps().len())
+        let mut sessions = Sessions::new(sim);
+        for (k, step) in program.steps().iter().enumerate() {
+            let lanes = sessions.begin(sim, program, k, |desc| self.lane(desc))?;
+            let routes = self.routes_for(sim.tam().chain());
+            let clocks = step.duration as usize + 1;
+            if step_compile_blocker(sim, lanes, &routes).is_some() {
+                drive_lanes_serial(sim, lanes, clocks)?;
+            } else {
+                drive_lanes_compiled(sim, lanes, clocks);
+            }
+            sessions.end(sim);
+        }
+        sessions.finish(sim, program.len())
     }
 }
 
-/// Runs one compilable step's lanes word-at-a-time, one after another,
-/// and accounts arithmetically for every counter the interpreter's
-/// per-cycle loop would have bumped over the step's `horizon` data clocks.
-/// Returns one result per lane, in lane order.
-fn drive_lanes_compiled(sim: &mut SocSimulator, lanes: &[SessionLane]) -> Vec<LaneResult> {
-    let horizon = lanes.iter().map(|l| l.session.len()).max().unwrap_or(0);
-    sim.advance_data_cycles(horizon as u64);
+/// Runs `clocks` data clocks of one compilable step, each lane
+/// word-at-a-time and one after another, and accounts arithmetically for
+/// every counter the interpreter's per-cycle loop would have bumped.
+fn drive_lanes_compiled(sim: &mut SocSimulator, lanes: &mut [SessionLane], clocks: usize) {
+    sim.advance_data_cycles(clocks as u64);
     // Every wrapper idles through the step except while its lane's plan
     // runs.
     for stat in sim.core_stats_mut() {
-        stat.idle += horizon as u64;
+        stat.idle += clocks as u64;
     }
-    let mut step_results = Vec::with_capacity(lanes.len());
     for lane in lanes {
-        let outcome = run_lane(&mut sim.wrappers_mut_slice()[lane.cas_index], lane, horizon);
-        sim.set_pending(lane.cas_index, outcome.pending);
-        let len = lane.session.len() as u64;
-        let shifts = lane.session.shift_cycles() as u64;
+        let (wrapper, pending) = sim.lane_mut(lane.cas_index);
+        let (cycles, shifts) = lane.session.run_words(wrapper, pending, clocks);
+        let (cycles, shifts) = (cycles as u64, shifts as u64);
         let stat = &mut sim.core_stats_mut()[lane.cas_index];
         stat.shift += shifts;
-        stat.capture += len - shifts;
-        stat.idle -= len;
+        stat.capture += cycles - shifts;
+        stat.idle -= cycles;
         // Every plan cycle is Shift or Capture, so the lane's wires are
-        // busy for exactly `len` clocks.
+        // busy for exactly the cycles it ran.
         let busy = sim.wire_busy_mut();
         for &wire in &lane.wires {
-            busy[wire] += len;
+            busy[wire] += cycles;
         }
-        step_results.push(LaneResult {
-            name: lane.name.clone(),
-            cas_index: lane.cas_index,
-            data_cycles: lane.session.len(),
-            verdict: verdict(outcome.mismatches),
-            signature: outcome.signature,
-        });
     }
-    step_results
 }
 
 /// Why a configured step cannot run on the word-level fast path. Each
@@ -263,7 +253,7 @@ pub(crate) fn step_compile_blocker(
         ) {
             return Some(CompileBlocker::NonIntestWrapper);
         }
-        let ports = lane.session.ports();
+        let ports = lane.session.session().ports();
         // Identity resize: scheme width == plan width == wrapper width.
         if lane.wires.len() != ports || wrapper.parallel_width() != ports {
             return Some(CompileBlocker::WidthMismatch);
@@ -280,82 +270,220 @@ pub(crate) fn step_compile_blocker(
     }
 }
 
-/// What one lane's batched session produced.
-struct LaneOutcome {
-    /// Bit mismatches against the golden model (the interpreter's
-    /// `compare`, including its observation-window skip rule).
+/// A lane's compiled session in flight: where its plan stands and what it
+/// observed so far. Word-level and interpreted steps advance the same
+/// state, so a session carries from either kind of step into the other.
+///
+/// A lane observes one slot per plan cycle: on cycle `t`, the retimed
+/// response of cycle `t - 1`, which is what its CAS's retiming register
+/// holds before the clock (zeros for a fresh session, which the
+/// configuration cleared; the response of the last cycle before the
+/// configuration shift for a carried one). So the final drain's response
+/// is never observed, and a carried session's slots are those of an
+/// uninterrupted run.
+pub(crate) struct CompiledLane {
+    session: Arc<CompiledSession>,
+    /// The next plan cycle: its segment, its offset in that segment, and
+    /// its index in the plan.
+    segment: usize,
+    offset: usize,
+    done: usize,
+    /// Whether [`LaneSession::advance`] drew the next cycle for the
+    /// interpreter, and that cycle's stimulus.
+    drawn: bool,
+    stimulus: BitVec,
+    /// Where the golden response of the cycle before the next lives (its
+    /// shift planes and offset), when that cycle shifted: the next
+    /// observation slot must read it.
+    expected: Option<(usize, usize)>,
     mismatches: usize,
-    /// [`lane_signature`] over the port-major observed streams.
-    signature: u64,
-    /// End-of-step value of the CAS boundary retiming register.
-    pending: BitVec,
+    streams: Vec<BitVec>,
 }
 
-/// Streams one lane's compiled session through the word-level wrapper path,
-/// 64 cycles per call, comparing every produced word with the session's
-/// golden response.
-///
-/// Equivalence to the interpreter, per data clock `t` of the step: the bus
-/// slice the interpreter records at `t` is the retimed wrapper output of
-/// cycle `t - 1` (zeros at `t = 0`, because `configure` clears the retiming
-/// register), and it records slices only while `t < plan.len()`, whatever
-/// the step's `horizon`. So cycle `t`'s output is compared and recorded iff
-/// `t + 1 < plan.len()`: each segment's `observed` prefix, which leaves out
-/// only the plan's final drain shift.
-fn run_lane(
-    wrapper: &mut Wrapper<Box<dyn TestableCore>>,
-    lane: &SessionLane,
-    horizon: usize,
-) -> LaneOutcome {
-    let session = &lane.session;
-    let ports = session.ports();
-    let len = session.len();
-    let mut mismatches = 0usize;
-    let mut streams: Vec<BitVec> = (0..ports).map(|_| window_stream(len)).collect();
-    let mut last_bits = BitVec::zeros(ports);
-    let capture_inputs = BitVec::zeros(ports);
-    for segment in session.segments() {
-        match *segment {
-            Segment::Shift {
-                cycles,
-                observed,
-                planes,
-            } => {
-                let produced = wrapper.clock_parallel_words(session.stimulus(planes), cycles);
-                let expected = session.golden(planes);
-                let mask = low_mask(observed);
-                for (j, stream) in streams.iter_mut().enumerate() {
-                    mismatches += ((produced[j] ^ expected[j]) & mask).count_ones() as usize;
-                    stream.push_word(produced[j], observed);
-                    last_bits.set(j, (produced[j] >> (cycles - 1)) & 1 == 1);
-                }
-            }
-            Segment::Capture { count, observed } => {
-                // Fire the functional clock. The wrapper returns zeros on
-                // non-shift clocks, so every observed capture slot is
-                // all-zero.
-                for _ in 0..count {
-                    wrapper.clock_parallel(&capture_inputs, &WrapperControl::capture_data());
-                }
-                for stream in &mut streams {
-                    push_zeros(stream, observed);
-                }
-                last_bits.fill_range(0..ports, false);
+impl CompiledLane {
+    fn new(session: Arc<CompiledSession>) -> Self {
+        let streams = (0..session.ports())
+            .map(|_| BitVec::with_capacity(session.len()))
+            .collect();
+        Self {
+            session,
+            segment: 0,
+            offset: 0,
+            done: 0,
+            drawn: false,
+            stimulus: BitVec::new(),
+            expected: None,
+            mismatches: 0,
+            streams,
+        }
+    }
+
+    /// The compiled session the lane runs.
+    pub(crate) fn session(&self) -> &Arc<CompiledSession> {
+        &self.session
+    }
+
+    /// Where the golden response of the next plan cycle lives, when it
+    /// shifts.
+    fn golden_at_cursor(&self) -> Option<(usize, usize)> {
+        match self.session.segments()[self.segment] {
+            Segment::Shift { planes, .. } => Some((planes, self.offset)),
+            Segment::Capture { .. } => None,
+        }
+    }
+
+    /// Moves the cursor `cycles` plan cycles on, within its segment.
+    fn skip(&mut self, cycles: usize) {
+        self.done += cycles;
+        self.offset += cycles;
+        if self.offset == self.session.segments()[self.segment].cycles() {
+            self.segment += 1;
+            self.offset = 0;
+        }
+    }
+
+    /// Records one observation slot, bit `j` on port `j`, and counts its
+    /// mismatches against the expected golden response.
+    fn record(&mut self, bit: impl Fn(usize) -> bool) {
+        let golden = self
+            .expected
+            .map(|(planes, offset)| (self.session.golden(planes), offset));
+        for (j, stream) in self.streams.iter_mut().enumerate() {
+            let bit = bit(j);
+            stream.push(bit);
+            if let Some((golden, offset)) = golden {
+                self.mismatches += usize::from((golden[j] >> offset) & 1 != u64::from(bit));
             }
         }
     }
-    // Idle clocks past the plan leave the wrapper untouched and drive zeros
-    // into the retiming register; only the step's longest lane keeps its
-    // final shifted word pending.
-    let pending = if horizon > len {
-        BitVec::zeros(ports)
-    } else {
-        last_bits
-    };
-    LaneOutcome {
-        mismatches,
-        signature: lane_signature(&streams),
-        pending,
+
+    /// Runs the lane's next plan cycles, up to `clocks` of them,
+    /// word-at-a-time through `wrapper`, comparing every response word with
+    /// the session's golden one, and leaves `pending` (its CAS's retiming
+    /// register) as `clocks` interpreted data clocks would: holding the
+    /// last cycle's response when the plan ran to the last clock, zeros
+    /// when idle clocks followed it. Returns the plan cycles run and how
+    /// many of them shifted.
+    fn run_words(
+        &mut self,
+        wrapper: &mut Wrapper<Box<dyn TestableCore>>,
+        pending: &mut BitVec,
+        clocks: usize,
+    ) -> (usize, usize) {
+        let session = Arc::clone(&self.session);
+        let end = (self.done + clocks).min(session.len());
+        let ran = end - self.done;
+        if ran > 0 {
+            // The first slot is the response the register holds.
+            self.record(|j| pending.get(j) == Some(true));
+        }
+        let capture_inputs = BitVec::zeros(session.ports());
+        let mut shifts = 0;
+        while self.done < end {
+            let segment = session.segments()[self.segment];
+            let run = (segment.cycles() - self.offset).min(end - self.done);
+            // The window's last response stays in the register: it is the
+            // next window's first slot, if the plan has one.
+            let last = self.done + run == end;
+            let recorded = run - usize::from(last);
+            match segment {
+                Segment::Shift { planes, .. } => {
+                    let stimulus = session.stimulus(planes);
+                    let produced = if self.offset == 0 {
+                        wrapper.clock_parallel_words(stimulus, run)
+                    } else {
+                        let later: Vec<u64> = stimulus.iter().map(|p| p >> self.offset).collect();
+                        wrapper.clock_parallel_words(&later, run)
+                    };
+                    let mask = low_mask(recorded);
+                    let golden = session.golden(planes);
+                    for (j, stream) in self.streams.iter_mut().enumerate() {
+                        let expected = golden[j] >> self.offset;
+                        self.mismatches += ((produced[j] ^ expected) & mask).count_ones() as usize;
+                        stream.push_word(produced[j], recorded);
+                        if last {
+                            pending.set(j, (produced[j] >> (run - 1)) & 1 == 1);
+                        }
+                    }
+                    if last {
+                        self.expected = Some((planes, self.offset + run - 1));
+                    }
+                    shifts += run;
+                }
+                Segment::Capture { .. } => {
+                    // Fire the functional clock. The wrapper returns zeros
+                    // on non-shift clocks, so every capture slot is
+                    // all-zero and none is compared.
+                    for _ in 0..run {
+                        wrapper.clock_parallel(&capture_inputs, &WrapperControl::capture_data());
+                    }
+                    for stream in &mut self.streams {
+                        push_zeros(stream, recorded);
+                    }
+                    if last {
+                        pending.fill_range(0..pending.len(), false);
+                        self.expected = None;
+                    }
+                }
+            }
+            self.skip(run);
+        }
+        // Idle clocks past the plan leave the wrapper untouched and drive
+        // zeros into the retiming register.
+        if ran < clocks {
+            pending.fill_range(0..pending.len(), false);
+        }
+        (ran, shifts)
+    }
+}
+
+impl LaneSession for CompiledLane {
+    fn len(&self) -> usize {
+        self.session.len()
+    }
+
+    fn remaining(&self) -> usize {
+        self.session.len() - self.done
+    }
+
+    fn advance(&mut self) -> Option<ClockKind> {
+        let segment = *self.session.segments().get(self.segment)?;
+        self.stimulus.clear();
+        let kind = match segment {
+            Segment::Shift { planes, .. } => {
+                for plane in self.session.stimulus(planes) {
+                    self.stimulus.push((plane >> self.offset) & 1 == 1);
+                }
+                ClockKind::Shift
+            }
+            Segment::Capture { .. } => {
+                self.stimulus.resize(self.session.ports(), false);
+                ClockKind::Capture
+            }
+        };
+        self.drawn = true;
+        Some(kind)
+    }
+
+    fn stimulus(&self) -> &BitVec {
+        &self.stimulus
+    }
+
+    fn observe(&mut self, bus: &BitVec, wires: &[usize]) {
+        if !std::mem::take(&mut self.drawn) {
+            return;
+        }
+        self.record(|j| bus.get(wires[j]).expect("wire < n"));
+        self.expected = self.golden_at_cursor();
+        self.skip(1);
+    }
+
+    fn verdict(&self) -> Verdict {
+        verdict(self.mismatches)
+    }
+
+    fn signature(&self) -> u64 {
+        lane_signature(&self.streams)
     }
 }
 
@@ -613,6 +741,137 @@ mod tests {
         assert_prepared_program_agrees(&soc, 4, &program, narrow);
     }
 
+    /// A step of `front_and_back` on two wires: `back` tested on wire
+    /// `wire`, `front`'s CAS in BYPASS with its wrapper loaded with
+    /// `front_wrapper`.
+    fn back_step(
+        sim: &SocSimulator,
+        wire: usize,
+        back_wrapper: WrapperInstruction,
+        front_wrapper: WrapperInstruction,
+        duration: u64,
+    ) -> casbus_controller::TestStep {
+        let mut configuration = TamConfiguration::all_bypass(2);
+        configuration
+            .set(1, sim.tam().contiguous_test(1, wire).unwrap())
+            .unwrap();
+        casbus_controller::TestStep {
+            configuration,
+            wrapper_instructions: vec![front_wrapper, back_wrapper],
+            duration,
+            description: "hand-built".into(),
+        }
+    }
+
+    fn program_of(steps: Vec<casbus_controller::TestStep>) -> TestProgram {
+        let mut program = TestProgram::new();
+        for step in steps {
+            program.push(step);
+        }
+        program
+    }
+
+    #[test]
+    fn a_session_carries_between_word_level_and_interpreted_steps() {
+        // `back`'s 40-cycle plan runs three clocks per step (its last
+        // one), alternately on the word-level path and interpreted
+        // (`front`'s wrapper is left armed behind a BYPASS CAS); most
+        // breaks fall inside a shift segment.
+        let soc = front_and_back();
+        let sim = SocSimulator::new(&soc, 2).unwrap();
+        let (scan, bypass) = (WrapperInstruction::IntestScan, WrapperInstruction::Bypass);
+        let steps: Vec<_> = (0..14)
+            .map(|k| {
+                let front = if k % 2 == 0 { bypass } else { scan };
+                let duration = if k == 13 { 0 } else { 2 };
+                back_step(&sim, 0, scan, front, duration)
+            })
+            .collect();
+        for (k, step) in steps.iter().enumerate() {
+            let blocker = first_step_blocker(&soc, 2, &program_of(vec![step.clone()]), |_| {});
+            let expected = (k % 2 == 1).then_some(CompileBlocker::ArmedBystander);
+            assert_eq!(blocker, expected, "step {k}");
+        }
+        let carried = program_of(steps);
+        assert_program_agrees(&soc, 2, &carried);
+
+        // Carrying changes no observation: the session's verdict and
+        // signature are those of one uninterrupted step.
+        let alone = program_of(vec![back_step(&sim, 0, scan, bypass, 39)]);
+        let run = |program: &TestProgram| {
+            let mut sim = SocSimulator::new(&soc, 2).unwrap();
+            CompiledEngine::new().run(&mut sim, program).unwrap()
+        };
+        let (carried, alone) = (run(&carried), run(&alone));
+        assert!(carried.all_pass(), "{carried}");
+        assert_eq!(carried.verdicts, alone.verdicts);
+        assert_eq!(carried.signatures, alone.signatures);
+        let shifts = 13 * (sim.tam().configuration_clocks() as u64 + 1);
+        assert_eq!(carried.total_cycles, alone.total_cycles + shifts);
+    }
+
+    /// Runs `program` on a fresh simulator through both engines; both must
+    /// refuse it with `expected`.
+    fn assert_both_engines_refuse(
+        soc: &casbus_soc::SocDescription,
+        program: &TestProgram,
+        expected: SimError,
+    ) {
+        let mut sim = SocSimulator::new(soc, 2).unwrap();
+        let compiled = CompiledEngine::new().run(&mut sim, program);
+        assert_eq!(compiled, Err(expected.clone()), "compiled");
+        let mut sim = SocSimulator::new(soc, 2).unwrap();
+        assert_eq!(run_program_reference(&mut sim, program), Err(expected));
+    }
+
+    #[test]
+    fn a_running_session_reloaded_with_another_scheme_or_instruction_is_refused() {
+        let soc = front_and_back();
+        let sim = SocSimulator::new(&soc, 2).unwrap();
+        let (scan, bist, bypass) = (
+            WrapperInstruction::IntestScan,
+            WrapperInstruction::IntestBist,
+            WrapperInstruction::Bypass,
+        );
+        // `back`'s plan is 40 cycles: 10 clocks leave it running.
+        let first = back_step(&sim, 0, scan, bypass, 9);
+        let cut = SimError::SessionCut {
+            core: "back".into(),
+            step: 0,
+        };
+        // Another wire window for the running session.
+        let moved = program_of(vec![first.clone(), back_step(&sim, 1, scan, bypass, 29)]);
+        assert_both_engines_refuse(&soc, &moved, cut.clone());
+        // Another wrapper instruction for it.
+        let reloaded = program_of(vec![first.clone(), back_step(&sim, 0, bist, bypass, 29)]);
+        assert_both_engines_refuse(&soc, &reloaded, cut.clone());
+        // Its CAS in BYPASS.
+        let mut bypassed = back_step(&sim, 0, scan, bypass, 29);
+        bypassed.configuration = TamConfiguration::all_bypass(2);
+        let dropped = program_of(vec![first, bypassed]);
+        assert_both_engines_refuse(&soc, &dropped, cut);
+    }
+
+    #[test]
+    fn a_session_that_outlasts_the_last_step_is_refused() {
+        let soc = front_and_back();
+        let sim = SocSimulator::new(&soc, 2).unwrap();
+        let (scan, bypass) = (WrapperInstruction::IntestScan, WrapperInstruction::Bypass);
+        let cut = |step: usize| SimError::SessionCut {
+            core: "back".into(),
+            step,
+        };
+        // `back`'s plan is 40 cycles: 39 clocks leave its last one unrun.
+        let short = program_of(vec![back_step(&sim, 0, scan, bypass, 38)]);
+        assert_both_engines_refuse(&soc, &short, cut(0));
+        // Carried once, then cut by the end of the program.
+        let last = program_of(vec![
+            back_step(&sim, 0, scan, bypass, 9),
+            back_step(&sim, 0, scan, bypass, 9),
+        ]);
+        assert_both_engines_refuse(&soc, &last, cut(1));
+    }
+
     #[test]
     fn attached_probe_forces_reference_path_and_stays_exact() {
         use casbus_obs::VcdWriter;
@@ -627,8 +886,12 @@ mod tests {
         let mut probed = SocSimulator::new(&soc, 4).unwrap();
         let vcd = Rc::new(RefCell::new(VcdWriter::new("probe")));
         probed.attach_probe(Box::new(Rc::clone(&vcd)));
-        let report = run_program(&mut probed, &program).unwrap();
+        let sessions = Arc::new(SessionCache::default());
+        let engine = CompiledEngine::new().with_sessions(Arc::clone(&sessions));
+        let report = engine.run(&mut probed, &program).unwrap();
         assert_eq!(report, baseline);
+        // The interpreter ran the whole program: nothing was compiled.
+        assert!(format!("{sessions:?}").contains("sessions: 0"));
         let dump = vcd.borrow_mut().render();
         assert!(dump.contains("$var"), "probe observed the run");
     }
@@ -693,12 +956,18 @@ mod tests {
             let traced = MemorySink::new();
             let mut sim = SocSimulator::new(&soc, n).unwrap();
             sim.set_trace(traced.clone());
-            // Only the compiled path looks up compiled sessions, so a filled
-            // cache proves the trace did not force the interpreter.
+            // A run the engine hands to the interpreter compiles no
+            // session, so a filled cache proves the trace did not; and no
+            // step of these programs is blocked, so every step ran
+            // word-level.
             let sessions = Arc::new(SessionCache::default());
             let engine = CompiledEngine::new().with_sessions(Arc::clone(&sessions));
             assert_eq!(engine.run(&mut sim, &program).unwrap(), plain);
             assert!(!format!("{sessions:?}").contains("sessions: 0"));
+            for step in program.steps() {
+                let alone = program_of(vec![step.clone()]);
+                assert_eq!(first_step_blocker(&soc, n, &alone, |_| {}), None);
+            }
 
             let reference = MemorySink::new();
             let mut ref_sim = SocSimulator::new(&soc, n).unwrap();

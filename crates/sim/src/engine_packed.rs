@@ -26,8 +26,10 @@
 //!   which feed the *same* `lane_signature` fold the scalar engines use; a
 //!   lane's mismatch count is its streams' Hamming distance to the healthy
 //!   streams its compiled session holds. A lane observes its own plan's
-//!   `len` slots, whatever else runs in its step, so one set of healthy
-//!   streams serves every step and plan the session runs in.
+//!   `len` slots, whatever else runs in its steps, so one set of healthy
+//!   streams serves every step and plan the session runs in, and a
+//!   session carried across reconfigurations runs as one uninterrupted
+//!   lane pass.
 //! * **Everything else falls back, per device.** Monitored runs, programs
 //!   with any step the word-level fast path cannot express, and defects the
 //!   lane encoding cannot carry are executed by the unchanged scalar
@@ -43,10 +45,13 @@
 //! between cores), all tested wrappers in transparent INTEST modes with
 //! exact widths. Under those conditions a
 //! defect inside core X can influence *only* X's own produced bits: each
-//! `configure` reloads every CAS instruction and clears every retiming
-//! register, session plans are pure functions of the core descriptions,
-//! every lane observes only its own plan, and every lane's traffic flows
-//! over exclusive wires. Cycle counters are plan-arithmetic, identical for
+//! `configure` clears the retiming register of every session that starts
+//! and reloads a carried session's CAS scheme and wrapper instruction
+//! unchanged, keeping its register (a configuration shift clocks no data,
+//! so a carried session's slots are those of an uninterrupted run),
+//! session plans are pure functions of the core descriptions, every lane
+//! observes only its own plan, and every lane's traffic flows over
+//! exclusive wires. Cycle counters are plan-arithmetic, identical for
 //! every device. So a defective device's
 //! report differs from the healthy baseline in exactly two places — the
 //! verdict and the signature of the defective core's session(s) — and those
@@ -73,8 +78,9 @@ use crate::simulator::{SimError, SocSimulator};
 /// Devices per cohort: the lane capacity of one machine word.
 pub const COHORT_LANES: usize = LANES;
 
-/// One tested occurrence of a core in the program: where its verdict and
-/// signature live in the report, and the session it executes.
+/// One session of a core in the program, however many steps carry it:
+/// where its verdict and signature live in the report, and the session it
+/// executes.
 struct PackedLaneSpec {
     /// Index into [`SocTestReport::verdicts`] / `signatures`.
     slot: usize,
@@ -153,6 +159,9 @@ impl PackedDeviceEngine {
         let mut lanes: HashMap<String, Vec<PackedLaneSpec>> = HashMap::new();
         let mut program_blocker: Option<&'static str> = None;
         let mut slot = 0usize;
+        // Plan cycles left of the session on each CAS: the baseline run
+        // carried every session with cycles left into the next step.
+        let mut left = vec![0usize; sim.tam().cas_count()];
         for step in plan.program().steps() {
             sim.configure(&step.configuration, &step.wrapper_instructions)?;
             let routes = cache.get_or_compile(sim.tam().chain());
@@ -162,12 +171,19 @@ impl PackedDeviceEngine {
                 program_blocker.get_or_insert(blocker.reason());
             }
             for lane in step_lanes {
-                debug_assert_eq!(baseline.verdicts[slot].0, lane.name, "slot order");
-                lanes.entry(lane.name).or_default().push(PackedLaneSpec {
-                    slot,
-                    session: lane.session,
-                });
-                slot += 1;
+                let cas_left = &mut left[lane.cas_index];
+                // A carried session keeps the spec and slot of the step it
+                // started in.
+                if *cas_left == 0 {
+                    *cas_left = lane.session.session().len();
+                    debug_assert_eq!(baseline.verdicts[slot].0, lane.name, "slot order");
+                    lanes.entry(lane.name).or_default().push(PackedLaneSpec {
+                        slot,
+                        session: Arc::clone(lane.session.session()),
+                    });
+                    slot += 1;
+                }
+                *cas_left = cas_left.saturating_sub(step.duration as usize + 1);
             }
         }
         if slot != baseline.verdicts.len() {
@@ -193,16 +209,15 @@ impl PackedDeviceEngine {
     }
 
     /// Whether `fault` can ride a packed lane: the whole program must be
-    /// fast-path expressible, and the fault's kind must match the tested
-    /// method of every occurrence of the defective core (the lane models
-    /// are the scan, BIST, and memory models' word-wise lifts).
+    /// fast-path expressible, the defective core must run exactly one
+    /// session (a lane starts from a fresh core, but a later session of a
+    /// defective core starts from whatever state the defect left), and the
+    /// fault's kind must match its tested method (the lane models are the
+    /// scan, BIST, and memory models' word-wise lifts).
     pub fn fault_packable(&self, fault: &InjectedFault) -> bool {
         self.program_blocker.is_none()
             && self.lanes.get(&fault.core).is_some_and(|specs| {
-                !specs.is_empty()
-                    && specs
-                        .iter()
-                        .all(|s| fault.kind.matches(s.session.desc().method()))
+                specs.len() == 1 && fault.kind.matches(specs[0].session.desc().method())
             })
     }
 
@@ -215,8 +230,9 @@ impl PackedDeviceEngine {
     /// `step_compile_blocker` clause the compiled program failed; defect
     /// placements the lane encoding cannot carry come back as
     /// `defect.untested_core` (the core never runs a session in this
-    /// program) or `defect.method_mismatch` (the fault kind does not match
-    /// the tested method).
+    /// program), `defect.retested_core` (it runs more than one) or
+    /// `defect.method_mismatch` (the fault kind does not match the tested
+    /// method).
     pub fn fallback_reason(&self, fault: &InjectedFault) -> Option<&'static str> {
         if self.fault_packable(fault) {
             return None;
@@ -224,9 +240,10 @@ impl PackedDeviceEngine {
         if let Some(reason) = self.program_blocker {
             return Some(reason);
         }
-        match self.lanes.get(&fault.core) {
-            Some(specs) if !specs.is_empty() => Some("defect.method_mismatch"),
-            _ => Some("defect.untested_core"),
+        match self.lanes.get(&fault.core).map_or(0, Vec::len) {
+            0 => Some("defect.untested_core"),
+            1 => Some("defect.method_mismatch"),
+            _ => Some("defect.retested_core"),
         }
     }
 
@@ -279,21 +296,18 @@ impl PackedDeviceEngine {
             }
         }
         for (core, group) in groups {
-            let specs = self.lanes.get(core).expect("packable core has specs");
+            // A packable core runs exactly one session.
+            let spec = &self.lanes[core][0];
             let faults: Vec<&InjectedFault> = group
                 .iter()
                 .map(|&idx| members[idx].1.as_ref().expect("defective member"))
                 .collect();
-            for &idx in &group {
-                reports[idx] = Some(self.baseline.clone());
-            }
-            for spec in specs {
-                let outcomes = run_packed_lane(spec, &faults);
-                for (&idx, (verdict, signature)) in group.iter().zip(outcomes) {
-                    let report = reports[idx].as_mut().expect("baseline installed");
-                    report.verdicts[spec.slot].1 = verdict;
-                    report.signatures[spec.slot].1 = signature;
-                }
+            let outcomes = run_packed_lane(spec, &faults);
+            for (&idx, (verdict, signature)) in group.iter().zip(outcomes) {
+                let mut report = self.baseline.clone();
+                report.verdicts[spec.slot].1 = verdict;
+                report.signatures[spec.slot].1 = signature;
+                reports[idx] = Some(report);
             }
         }
         Ok(members
@@ -470,6 +484,63 @@ mod tests {
         CompiledEngine::new()
             .run(&mut sim, plan.program())
             .expect("run")
+    }
+
+    #[test]
+    fn a_core_tested_again_after_a_carried_session_falls_back_and_stays_exact() {
+        // `scan3` runs twice on wires 0..3: its first session carried
+        // across `scan2`'s start, its second starting as the first ends,
+        // while `scan2` is still carried. Each session has its own slot; a
+        // `scan2` defect rides a lane, and a `scan3` defect, whose second
+        // session starts from the state the defect left, runs scalar.
+        use casbus_controller::schedule::{Schedule, ScheduledTest};
+        let soc = catalog::figure2a_scan_soc();
+        let time = |idx: usize| soc.cores()[idx].test_time();
+        let test = |idx: usize, wire_start: usize, start: u64| ScheduledTest {
+            core: casbus_soc::CoreId(idx),
+            core_name: soc.cores()[idx].name().to_owned(),
+            wire_start,
+            wires: soc.cores()[idx].required_ports(),
+            start,
+            duration: time(idx),
+        };
+        assert!(
+            100 + time(1) > time(0),
+            "scan2 outlasts scan3's first session"
+        );
+        let tests = vec![test(0, 0, 0), test(1, 3, 100), test(0, 0, time(0))];
+        let schedule = Schedule::from_tests(5, tests).expect("schedule");
+        let plan = Arc::new(CompiledProgram::compile(&soc, 5, schedule).expect("plan"));
+        let cache = Arc::new(RouteTableCache::new());
+        let engine =
+            PackedDeviceEngine::compile(&Arc::new(soc.clone()), &plan, &cache).expect("compile");
+        let tested: Vec<&str> = engine
+            .baseline()
+            .verdicts
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(tested, ["scan3", "scan2", "scan3"]);
+
+        let spec = crate::VariationSpec::new(11, 1.0);
+        let members: Vec<(u64, Option<InjectedFault>)> =
+            (0..16).map(|id| (id, spec.fault_for(&soc, id))).collect();
+        let reports = engine.run_cohort(members.clone()).expect("cohort");
+        let mut reasons = Vec::new();
+        for (report, (_, fault)) in reports.iter().zip(&members) {
+            let fault = fault.as_ref().expect("rate 1.0");
+            let reason = engine.fallback_reason(fault);
+            let expected = (fault.core == "scan3").then_some("defect.retested_core");
+            assert_eq!(reason, expected, "{fault:?}");
+            reasons.push(reason);
+            let mut sim = SocSimulator::new(&soc, 5).expect("sim");
+            fault.apply(&mut sim).expect("inject");
+            let scalar = CompiledEngine::new()
+                .run(&mut sim, plan.program())
+                .expect("run");
+            assert_eq!(report.report, scalar, "{fault:?}");
+        }
+        assert!(reasons.contains(&None) && reasons.contains(&Some("defect.retested_core")));
     }
 
     #[test]

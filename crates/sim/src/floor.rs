@@ -630,8 +630,15 @@ impl TestFloor {
         // admission policy until the collector raises `stop`; it hands back
         // each lot's snapshots, interventions, and abort flag.
         let stop = (Mutex::new(false), Condvar::new());
+        // Nothing panics while holding `stop` unless the observer does, and
+        // the flag stays valid: recover it.
+        let stopped = || stop.0.lock().unwrap_or_else(PoisonError::into_inner);
         let (reports, collected, observed) = std::thread::scope(|scope| {
             let observer = scope.spawn(|| {
+                let _drain = DrainOnPanic {
+                    pool: &self.pool,
+                    lanes,
+                };
                 let views: Vec<LotLive<'_>> = lots
                     .iter()
                     .zip(&trackers)
@@ -648,11 +655,13 @@ impl TestFloor {
                 let mut events: Vec<Vec<AdmissionEvent>> =
                     lots.iter().map(|_| Vec::new()).collect();
                 loop {
-                    let guard = stop.0.lock().expect("floor poisoned");
+                    let guard = stopped();
+                    #[cfg(test)]
+                    tests::observe(lots, &events);
                     let (guard, _) = stop
                         .1
                         .wait_timeout_while(guard, interval, |stopped| !*stopped)
-                        .expect("floor poisoned");
+                        .unwrap_or_else(PoisonError::into_inner);
                     let stopping = *guard;
                     drop(guard);
                     for (idx, (lot, tracker)) in lots.iter().zip(&trackers).enumerate() {
@@ -710,9 +719,9 @@ impl TestFloor {
                     self.pool.drain_lane(lane);
                 }
             }
-            *stop.0.lock().expect("floor poisoned") = true;
+            *stopped() = true;
             stop.1.notify_all();
-            let observed = observer.join().expect("floor observer panicked");
+            let observed = observer.join();
             (reports, collected, observed)
         });
         if monitor.is_some() {
@@ -720,7 +729,7 @@ impl TestFloor {
         }
 
         collected.unwrap_or_else(|panic| resume_unwind(panic))?;
-        let (snapshots, events, aborted) = observed;
+        let (snapshots, events, aborted) = observed.map_err(|_| SimError::ObserverPanicked)?;
         check_complete(lots, &reports, &aborted)?;
         let wall = started.elapsed();
         let lots = lots
@@ -744,6 +753,24 @@ impl TestFloor {
             )
             .collect();
         Ok(FloorReport { lots, wall })
+    }
+}
+
+/// Drops the queued jobs of a run's lanes if the floor's observer panics:
+/// the collector waits for every queued job, which a lane the observer
+/// paused would hold forever, so they go as after a failed collection.
+struct DrainOnPanic<'a> {
+    pool: &'a WorkerPool,
+    lanes: &'a [LaneId],
+}
+
+impl Drop for DrainOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for &lane in self.lanes {
+                self.pool.drain_lane(lane);
+            }
+        }
     }
 }
 
@@ -873,6 +900,23 @@ mod tests {
         Panic,
         /// The job returns [`injected_error`].
         Error,
+        /// The floor's observer panics instead, while it holds the stop
+        /// flag's lock, once the admission controller has acted on the
+        /// lot.
+        Observer,
+    }
+
+    /// Panics when a lot that asks its observer to ([`Failure::Observer`])
+    /// has seen an admission event.
+    pub(super) fn observe(lots: &[Lot<'_>], events: &[Vec<AdmissionEvent>]) {
+        let asks = |lot: &Lot<'_>| matches!(lot.spec.fail_on, Some((_, Failure::Observer)));
+        if lots
+            .iter()
+            .zip(events)
+            .any(|(lot, events)| asks(lot) && !events.is_empty())
+        {
+            panic!("injected observer panic");
+        }
     }
 
     /// The error a [`Failure::Error`] job returns.
@@ -889,6 +933,7 @@ mod tests {
             Some((device_id, failure)) if devices.any(|d| d == device_id) => match failure {
                 Failure::Panic => panic!("injected panic on device {device_id}"),
                 Failure::Error => Err(injected_error(device_id)),
+                Failure::Observer => Ok(()),
             },
             _ => Ok(()),
         }
@@ -998,6 +1043,44 @@ mod tests {
             "the run's thread exits after sending"
         );
         out
+    }
+
+    #[test]
+    fn a_panicking_observer_fails_the_run_and_the_floor_keeps_serving() {
+        // Every die fails, so the observer pauses the lot's lane after the
+        // first report, then panics while it holds the stop flag's lock,
+        // before any tick could resume the lane. The run returns a typed
+        // error instead of hanging on the paused lane or panicking out of
+        // `serve`, and the floor's next run equals a fresh floor's.
+        let soc = catalog::figure2a_scan_soc();
+        let schedule = packed_schedule(&soc, 4).unwrap();
+        let lot = move |packed: bool, fail_on: Option<(u64, Failure)>| {
+            let variation = VariationSpec::new(7, 1.0);
+            let mut spec = LotSpec::new("lot", &soc, 4, schedule.clone(), 200, variation)
+                .unwrap()
+                .with_packed(packed);
+            spec.fail_on = fail_on;
+            spec
+        };
+        let policy = AdmissionPolicy::default()
+            .with_interval(Duration::from_millis(1))
+            .with_min_completed(1)
+            .with_yield_floor(0.5, crate::admission::CollapseAction::Pause)
+            .with_pause_for(Duration::from_millis(5));
+        for packed in [false, true] {
+            let lot = lot.clone();
+            let (failed, again, fresh) = within_a_minute(move || {
+                let floor = || TestFloor::new().with_threads(1).with_admission(policy);
+                let failing = floor();
+                let failed = failing.run(vec![lot(packed, Some((0, Failure::Observer)))]);
+                let again = failing.run(vec![lot(packed, None)]).unwrap();
+                let fresh = floor().run(vec![lot(packed, None)]).unwrap();
+                (failed.map(|_| ()), again, fresh)
+            });
+            assert_eq!(failed, Err(SimError::ObserverPanicked), "packed {packed}");
+            assert_eq!(again.lots[0].fleet.fleet_size(), 200, "packed {packed}");
+            assert_eq!(again.lots[0].fleet.devices, fresh.lots[0].fleet.devices);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -192,6 +192,21 @@ struct PoolShared {
     metrics_attached: AtomicBool,
 }
 
+impl PoolShared {
+    /// Locks the scheduling state. A poisoned lock is recovered: nothing
+    /// panics while holding it (`lock_lane` releases it before its panic),
+    /// and every update leaves the queues and counters consistent.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the attached registry slot, recovering a poisoned lock: the
+    /// slot is a plain `Option` that every write replaces whole.
+    fn metrics(&self) -> MutexGuard<'_, Option<Arc<MetricsRegistry>>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A persistent pool of worker threads pulling jobs from one shared queue.
 ///
 /// Workers are spawned once, at construction, and live until the pool is
@@ -271,7 +286,7 @@ impl WorkerPool {
     /// lock, so the panic cannot poison the lock every worker and `Drop`
     /// take.
     fn lock_lane(&self, lane: LaneId) -> MutexGuard<'_, PoolState> {
-        let state = self.shared.state.lock().expect("worker pool poisoned");
+        let state = self.shared.state();
         if lane.0 >= state.lanes.len() {
             drop(state);
             panic!("lane {} of another pool", lane.0);
@@ -282,7 +297,7 @@ impl WorkerPool {
     fn worker_loop(shared: &PoolShared) {
         loop {
             let job = {
-                let mut state = shared.state.lock().expect("worker pool poisoned");
+                let mut state = shared.state();
                 loop {
                     if let Some(job) = state.next_job() {
                         break job;
@@ -290,13 +305,16 @@ impl WorkerPool {
                     if state.shutdown {
                         return;
                     }
-                    state = shared.work_ready.wait(state).expect("worker pool poisoned");
+                    state = shared
+                        .work_ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             // Fast path: no registry attached (the fleet's per-device hot
             // path) — skip the metrics mutex entirely.
             let metrics = if shared.metrics_attached.load(Ordering::Acquire) {
-                shared.metrics.lock().expect("worker pool poisoned").clone()
+                shared.metrics().clone()
             } else {
                 None
             };
@@ -331,7 +349,7 @@ impl WorkerPool {
     /// Registers a new submission lane with the given fair-share `weight`
     /// (clamped to at least 1). Lanes live as long as the pool.
     pub fn lane(&self, weight: u64) -> LaneId {
-        let mut state = self.shared.state.lock().expect("worker pool poisoned");
+        let mut state = self.shared.state();
         let pass = state.global_pass;
         state.lanes.push(LaneState {
             jobs: VecDeque::new(),
@@ -408,7 +426,7 @@ impl WorkerPool {
     /// the registry changes report to whichever registry is installed when
     /// a worker picks them up.
     pub fn set_metrics(&self, metrics: Option<Arc<MetricsRegistry>>) {
-        let mut slot = self.shared.metrics.lock().expect("worker pool poisoned");
+        let mut slot = self.shared.metrics();
         self.shared
             .metrics_attached
             .store(metrics.is_some(), Ordering::Release);
@@ -428,13 +446,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("worker pool poisoned");
-            state.shutdown = true;
-        }
+        self.shared.state().shutdown = true;
         self.shared.work_ready.notify_all();
         for worker in self.workers.drain(..) {
-            worker.join().expect("pool worker panicked");
+            // Workers catch their jobs' panics, so a worker that died
+            // anyway has nothing left to report, and a destructor must not
+            // panic.
+            let _ = worker.join();
         }
     }
 }
@@ -447,7 +465,7 @@ mod tests {
     impl WorkerPool {
         /// Lanes registered on this pool, the default lane included.
         pub(crate) fn lane_count(&self) -> usize {
-            self.shared.state.lock().unwrap().lanes.len()
+            self.shared.state().lanes.len()
         }
     }
 
@@ -658,6 +676,54 @@ mod tests {
         let mut seen: Vec<u64> = rx.iter().collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2], "shutdown strands nothing");
+    }
+
+    #[test]
+    fn a_pool_with_poisoned_locks_keeps_serving() {
+        let pool = WorkerPool::new(2);
+        std::thread::scope(|scope| {
+            let state = scope.spawn(|| {
+                let _guard = pool.shared.state.lock();
+                panic!("poisoning the pool state on purpose");
+            });
+            assert!(state.join().is_err());
+            let metrics = scope.spawn(|| {
+                let _guard = pool.shared.metrics.lock();
+                panic!("poisoning the metrics slot on purpose");
+            });
+            assert!(metrics.join().is_err());
+        });
+        assert!(pool.shared.state.is_poisoned() && pool.shared.metrics.is_poisoned());
+
+        let metrics = MetricsRegistry::new();
+        pool.set_metrics(Some(Arc::clone(&metrics)));
+        let lane = pool.lane(2);
+        pool.set_lane_paused(lane, true);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..8u64 {
+            let tx = tx.clone();
+            pool.execute_in(lane, move || tx.send(i).unwrap());
+        }
+        drop(tx);
+        assert_eq!(pool.lane_queued(lane), 8);
+        pool.set_lane_weight(lane, 3);
+        pool.set_lane_paused(lane, false);
+        let mut seen: Vec<u64> = rx.iter().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..8).collect::<Vec<_>>());
+        drop(pool);
+        assert_eq!(metrics.histogram("obs.pool.job.exec_us").unwrap().count, 8);
+    }
+
+    #[test]
+    fn dropping_a_pool_whose_worker_died_does_not_panic() {
+        let mut pool = WorkerPool::new(1);
+        pool.workers
+            .push(std::thread::spawn(|| panic!("a worker dying on purpose")));
+        let (tx, rx) = mpsc::channel();
+        pool.execute(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv().unwrap(), 7);
+        drop(pool);
     }
 
     #[test]

@@ -81,27 +81,49 @@ pub(crate) struct Lane<S> {
     pub(crate) wires: Vec<usize>,
 }
 
-/// What one lane of a finished step produced: its verdict and session
-/// signature, and what its `session` span names.
+/// What the step drivers need of a lane's session, whichever engine keeps
+/// it: the interpreter's [`ReferenceSession`] or the compiled engine's
+/// lane state.
+pub(crate) trait LaneSession {
+    /// Plan cycles.
+    fn len(&self) -> usize;
+    /// Plan cycles not yet run.
+    fn remaining(&self) -> usize;
+    /// Draws the next plan cycle's stimulus; returns its kind, or `None`
+    /// past the plan.
+    fn advance(&mut self) -> Option<ClockKind>;
+    /// The stimulus of the cycle [`advance`](Self::advance) last drew.
+    fn stimulus(&self) -> &BitVec;
+    /// Records the observation slot of the cycle `advance` drew from the
+    /// bus leaving the chain and compares it with the golden response of
+    /// the cycle before; does nothing past the plan.
+    fn observe(&mut self, bus: &BitVec, wires: &[usize]);
+    /// The verdict over every slot observed so far.
+    fn verdict(&self) -> Verdict;
+    /// [`lane_signature`](crate::session::lane_signature) over the slots
+    /// observed so far.
+    fn signature(&self) -> u64;
+}
+
+/// What one finished session produced: its verdict and signature, and
+/// what its `session` span names.
 pub(crate) struct LaneResult {
     pub(crate) name: String,
-    pub(crate) cas_index: usize,
-    /// The lane's plan cycles.
-    pub(crate) data_cycles: usize,
     pub(crate) verdict: Verdict,
     pub(crate) signature: u64,
 }
 
-/// Collects the lanes of one configured step, in `cores_under_test` order,
-/// building each tested core's session with `build`. Call after
-/// [`SocSimulator::configure`] so the active schemes are loaded.
+/// Collects the lanes of the TEST CASes `cas_indices` of a configured
+/// step, in the order given, building each tested core's session with
+/// `build`. Call after [`SocSimulator::configure`] so the active schemes
+/// are loaded.
 pub(crate) fn collect_lanes<S>(
     sim: &SocSimulator,
-    config: &casbus::TamConfiguration,
+    cas_indices: impl IntoIterator<Item = usize>,
     mut build: impl FnMut(&CoreDescription) -> S,
 ) -> Result<Vec<Lane<S>>, SimError> {
     let mut lanes = Vec::new();
-    for cas_index in config.cores_under_test() {
+    for cas_index in cas_indices {
         let name = sim.tam().label(cas_index)?.to_owned();
         let Some((_, desc)) = sim.soc().core_by_name(&name) else {
             // The wrapped system bus: exercised via run_bus_extest.
@@ -123,23 +145,24 @@ pub(crate) fn collect_lanes<S>(
     Ok(lanes)
 }
 
-/// Runs one configured step's lanes through the cycle-by-cycle interpreter
-/// (the reference path, exact under probes and serial wire sharing).
-/// Returns one result per lane, in lane order.
+/// Runs `clocks` data clocks of one configured step's lanes through the
+/// cycle-by-cycle interpreter (exact under probes and serial wire
+/// sharing).
 ///
 /// One bus and one clock-kind buffer serve the whole step. Every data
-/// clock, each lane draws its stimulus, and after the clock it records
-/// its observation slot and clocks its golden model on the same stimulus
-/// ([`ReferenceSession`]).
-pub(crate) fn drive_lanes_reference(
+/// clock, each lane with plan cycles left draws its stimulus, and after
+/// the clock it records its observation slot, so a lane observes one slot
+/// per plan cycle whatever else runs in its step: every response but its
+/// final drain's.
+pub(crate) fn drive_lanes_serial<S: LaneSession>(
     sim: &mut SocSimulator,
-    lanes: &mut [Lane<ReferenceSession>],
-) -> Result<Vec<LaneResult>, SimError> {
-    let horizon = lanes.iter().map(|l| l.session.len()).max().unwrap_or(0);
+    lanes: &mut [Lane<S>],
+    clocks: usize,
+) -> Result<(), SimError> {
     let n = sim.bus_width();
     let mut bus = BitVec::zeros(n);
     let mut kinds = vec![ClockKind::Idle; sim.tam().cas_count()];
-    for t in 0..horizon {
+    for _ in 0..clocks {
         bus.fill_range(0..n, false);
         kinds.fill(ClockKind::Idle);
         for lane in lanes.iter_mut() {
@@ -152,64 +175,161 @@ pub(crate) fn drive_lanes_reference(
         }
         let out = sim.data_clock(&bus, &kinds)?;
         for lane in lanes.iter_mut() {
-            // A lane observes exactly its plan's `len` slots, whatever else
-            // runs in the step: every response but its final drain's.
-            if t < lane.session.len() {
-                lane.session.observe(out, &lane.wires);
-            }
+            lane.session.observe(out, &lane.wires);
         }
     }
-    Ok(lanes
-        .iter()
-        .map(|lane| LaneResult {
-            name: lane.name.clone(),
-            cas_index: lane.cas_index,
-            data_cycles: lane.session.len(),
-            verdict: lane.session.verdict(),
-            signature: lane.session.signature(),
-        })
-        .collect())
+    Ok(())
 }
 
-/// Records the `session` span of every lane of a finished step, in lane
-/// order. Compiled and interpreted steps both call it, so traced compiled
-/// and reference runs export the same events.
-pub(crate) fn record_session_spans(
-    sim: &SocSimulator,
-    results: &[LaneResult],
-    step_index: usize,
-    step_start: u64,
-) {
-    let trace = sim.trace();
-    if !trace.enabled() {
-        return;
+/// Where a running session started: the step, the cycle that step began
+/// at (its `session` span starts there), and its slot in the report.
+#[derive(Debug, Clone, Copy, Default)]
+struct Origin {
+    step: usize,
+    start: u64,
+    slot: usize,
+}
+
+/// The sessions of one program run, carried from step to step. A session
+/// still running when its step ends resumes in the next step; its result
+/// takes the slot it was given when it started, so the report lists
+/// sessions in start order. Both scalar engines run their steps through
+/// it, so they check carries and record `session` spans alike.
+pub(crate) struct Sessions<S> {
+    baseline: ReportBaseline,
+    /// Running lanes, in CAS order.
+    running: Vec<Lane<S>>,
+    /// Where the session on each CAS started, indexed by CAS.
+    origins: Vec<Origin>,
+    results: Vec<Option<LaneResult>>,
+}
+
+impl<S: LaneSession> Sessions<S> {
+    /// No session yet; the report will count cycles from `sim`'s counters
+    /// as they stand.
+    pub(crate) fn new(sim: &SocSimulator) -> Self {
+        Self {
+            baseline: ReportBaseline::capture(sim),
+            running: Vec::new(),
+            origins: vec![Origin::default(); sim.tam().cas_count()],
+            results: Vec::new(),
+        }
     }
-    for lane in results {
-        trace.record(TraceEvent::span(
-            "session",
-            lane.name.clone(),
-            step_start,
-            sim.cycles() - step_start,
-            vec![
-                ("step", step_index.into()),
-                ("cas", lane.cas_index.into()),
-                ("data_cycles", lane.data_cycles.into()),
-                ("pass", lane.verdict.is_pass().into()),
-            ],
-        ));
+
+    /// Configures step `k` of `program` and returns its lanes in CAS order:
+    /// every session still running, resumed where it paused, and a session
+    /// built by `build` on every other TEST CAS.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SessionCut`] when step `k` loads a running session's CAS
+    /// with another scheme or its wrapper with another instruction, and
+    /// configuration errors.
+    pub(crate) fn begin(
+        &mut self,
+        sim: &mut SocSimulator,
+        program: &TestProgram,
+        k: usize,
+        build: impl FnMut(&CoreDescription) -> S,
+    ) -> Result<&mut [Lane<S>], SimError> {
+        let step = &program.steps()[k];
+        // A running session means a step ran before this one.
+        for lane in &self.running {
+            let before = &program.steps()[k - 1];
+            let cas_index = lane.cas_index;
+            let schemes = [before, step].map(|s| s.configuration.instructions().get(cas_index));
+            let wrappers = [before, step].map(|s| s.wrapper_instructions.get(cas_index));
+            if schemes[0] != schemes[1] || wrappers[0] != wrappers[1] {
+                let core = lane.name.clone();
+                return Err(SimError::SessionCut { core, step: k - 1 });
+            }
+        }
+        let start = sim.cycles();
+        let running = &self.running;
+        let carried = |cas_index: usize| running.iter().any(|lane| lane.cas_index == cas_index);
+        sim.reconfigure(&step.configuration, &step.wrapper_instructions, carried)?;
+        let starting = step.configuration.cores_under_test().into_iter();
+        let starting = starting.filter(|&cas_index| !carried(cas_index));
+        for lane in collect_lanes(sim, starting, build)? {
+            let slot = self.results.len();
+            self.origins[lane.cas_index] = Origin {
+                step: k,
+                start,
+                slot,
+            };
+            self.results.push(None);
+            self.running.push(lane);
+        }
+        self.running.sort_unstable_by_key(|lane| lane.cas_index);
+        Ok(&mut self.running)
+    }
+
+    /// Ends the step that ran last: every session that finished in it
+    /// records its `session` span, from the start of its first step to
+    /// now, and its result.
+    pub(crate) fn end(&mut self, sim: &SocSimulator) {
+        let trace = sim.trace();
+        let (origins, results) = (&self.origins, &mut self.results);
+        self.running.retain(|lane| {
+            if lane.session.remaining() > 0 {
+                return true;
+            }
+            let origin = origins[lane.cas_index];
+            let verdict = lane.session.verdict();
+            if trace.enabled() {
+                trace.record(TraceEvent::span(
+                    "session",
+                    lane.name.clone(),
+                    origin.start,
+                    sim.cycles() - origin.start,
+                    vec![
+                        ("step", origin.step.into()),
+                        ("cas", lane.cas_index.into()),
+                        ("data_cycles", lane.session.len().into()),
+                        ("pass", verdict.is_pass().into()),
+                    ],
+                ));
+            }
+            results[origin.slot] = Some(LaneResult {
+                name: lane.name.clone(),
+                verdict,
+                signature: lane.session.signature(),
+            });
+            false
+        });
+    }
+
+    /// The program's report, once all of its `steps` have ended.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SessionCut`] when a session outlasts the last step.
+    pub(crate) fn finish(
+        self,
+        sim: &SocSimulator,
+        steps: usize,
+    ) -> Result<SocTestReport, SimError> {
+        if let Some(lane) = self.running.first() {
+            let core = lane.name.clone();
+            return Err(SimError::SessionCut {
+                core,
+                step: steps - 1,
+            });
+        }
+        finish_report(sim, &self.baseline, self.results, steps)
     }
 }
 
 /// Cycle/stat baselines captured before a program, so a reused simulator
 /// reports only that program's cycles.
-pub(crate) struct ReportBaseline {
+struct ReportBaseline {
     start_cycles: u64,
     core: Vec<u64>,
     busy: u64,
 }
 
 impl ReportBaseline {
-    pub(crate) fn capture(sim: &SocSimulator) -> Self {
+    fn capture(sim: &SocSimulator) -> Self {
         Self {
             start_cycles: sim.cycles(),
             core: sim.core_stats().iter().map(|s| s.total()).collect(),
@@ -218,13 +338,13 @@ impl ReportBaseline {
     }
 }
 
-/// Assembles the final report from the per-lane results. The report's
+/// Assembles the final report from the per-session results. The report's
 /// cycle fields read the simulator's own counters — the very values
 /// [`SocSimulator::export_metrics`] publishes after the run.
-pub(crate) fn finish_report(
+fn finish_report(
     sim: &SocSimulator,
     baseline: &ReportBaseline,
-    results: Vec<LaneResult>,
+    results: Vec<Option<LaneResult>>,
     steps: usize,
 ) -> Result<SocTestReport, SimError> {
     let stats = sim.core_stats();
@@ -236,7 +356,7 @@ pub(crate) fn finish_report(
     let bus_cycles = sim.wire_busy().iter().sum::<u64>() - baseline.busy;
     let mut verdicts = Vec::with_capacity(results.len());
     let mut signatures = Vec::with_capacity(results.len());
-    for lane in results {
+    for lane in results.into_iter().flatten() {
         signatures.push((lane.name.clone(), lane.signature));
         verdicts.push((lane.name, lane.verdict));
     }
@@ -251,9 +371,12 @@ pub(crate) fn finish_report(
 }
 
 /// Executes a test program end to end: for every step, the CONFIGURATION
-/// phase loads the step's CAS and wrapper instructions, then the concurrent
-/// cores' session plans run on their scheduled wire windows, and every bit
-/// returned over the TAM is compared against that core's golden model.
+/// phase loads the step's CAS and wrapper instructions, then `duration + 1`
+/// data clocks run the cores' session plans on their scheduled wire
+/// windows, and every bit returned over the TAM is compared against that
+/// core's golden model. A session the next step carries pauses while the
+/// configuration shifts and resumes where it stopped; every other TEST CAS
+/// starts a session.
 ///
 /// Runs on the compiled word-level engine ([`crate::CompiledEngine`]),
 /// which batches shifting through route tables and falls back to the
@@ -265,7 +388,10 @@ pub(crate) fn finish_report(
 ///
 /// # Errors
 ///
-/// Propagates configuration and width errors.
+/// Propagates configuration and width errors; returns
+/// [`SimError::SessionCut`] for a session that outlasts its step when the
+/// next step reloads its CAS or wrapper differently, or when it is the
+/// last.
 pub fn run_program(
     sim: &mut SocSimulator,
     program: &TestProgram,
@@ -279,22 +405,18 @@ pub fn run_program(
 ///
 /// # Errors
 ///
-/// Propagates configuration and width errors.
+/// As [`run_program`].
 pub fn run_program_reference(
     sim: &mut SocSimulator,
     program: &TestProgram,
 ) -> Result<SocTestReport, SimError> {
-    let baseline = ReportBaseline::capture(sim);
-    let mut results = Vec::new();
-    for (step_index, step) in program.steps().iter().enumerate() {
-        let step_start = sim.cycles();
-        sim.configure(&step.configuration, &step.wrapper_instructions)?;
-        let mut lanes = collect_lanes(sim, &step.configuration, ReferenceSession::new)?;
-        let step_results = drive_lanes_reference(sim, &mut lanes)?;
-        record_session_spans(sim, &step_results, step_index, step_start);
-        results.extend(step_results);
+    let mut sessions = Sessions::new(sim);
+    for (k, step) in program.steps().iter().enumerate() {
+        let lanes = sessions.begin(sim, program, k, ReferenceSession::new)?;
+        drive_lanes_serial(sim, lanes, step.duration as usize + 1)?;
+        sessions.end(sim);
     }
-    finish_report(sim, &baseline, results, program.steps().len())
+    sessions.finish(sim, program.len())
 }
 
 /// Tests the wrapped system bus through its wrapper's EXTEST path: a bit

@@ -9,7 +9,7 @@ use casbus_p1500::{TestableCore, WrapperInstruction};
 use casbus_soc::{models, CoreDescription};
 use casbus_tpg::{BitVec, Lfsr, Polynomial, Verdict};
 
-use crate::report::{collect_lanes, drive_lanes_reference};
+use crate::report::{collect_lanes, drive_lanes_serial, LaneSession};
 use crate::simulator::{SimError, SocSimulator};
 
 /// What a wrapper does on one data clock.
@@ -195,6 +195,16 @@ pub(crate) enum Segment {
     Capture { count: usize, observed: usize },
 }
 
+impl Segment {
+    /// Clocks in the segment.
+    pub(crate) fn cycles(self) -> usize {
+        match self {
+            Self::Shift { cycles, .. } => cycles,
+            Self::Capture { count, .. } => count,
+        }
+    }
+}
+
 /// One core's session compiled once per served plan: the stimulus of every
 /// shift run as per-port bit planes (bit `c` is the run's cycle `c`), the
 /// shift/capture layout, the golden model's response planes from one
@@ -213,7 +223,6 @@ pub(crate) struct CompiledSession {
     desc: CoreDescription,
     ports: usize,
     len: usize,
-    shift_cycles: usize,
     segments: Vec<Segment>,
     stimulus: Vec<u64>,
     golden: Vec<u64>,
@@ -231,7 +240,6 @@ impl CompiledSession {
             desc: desc.clone(),
             ports,
             len,
-            shift_cycles: plan.shift_cycles(),
             segments: Vec::new(),
             stimulus: Vec::new(),
             golden: Vec::new(),
@@ -305,11 +313,6 @@ impl CompiledSession {
         self.len
     }
 
-    /// Shift cycles in the plan.
-    pub(crate) fn shift_cycles(&self) -> usize {
-        self.shift_cycles
-    }
-
     /// The shift and capture runs, in plan order.
     pub(crate) fn segments(&self) -> &[Segment] {
         &self.segments
@@ -344,6 +347,8 @@ impl CompiledSession {
 pub(crate) struct ReferenceSession {
     cursor: PlanCursor,
     len: usize,
+    /// Plan cycles drawn so far.
+    done: usize,
     golden: Box<dyn TestableCore>,
     /// This cycle's stimulus, and its kind (`None` past the plan).
     stimulus: BitVec,
@@ -368,6 +373,7 @@ impl ReferenceSession {
         Self {
             cursor: plan.into_cursor(),
             len,
+            done: 0,
             golden: models::instantiate(desc),
             stimulus: BitVec::new(),
             kind: None,
@@ -377,24 +383,35 @@ impl ReferenceSession {
             streams,
         }
     }
+}
 
-    /// Plan cycles.
-    pub(crate) fn len(&self) -> usize {
+impl LaneSession for ReferenceSession {
+    fn len(&self) -> usize {
         self.len
     }
 
-    /// Draws the next plan cycle's stimulus; returns its kind, or `None`
-    /// past the plan.
-    pub(crate) fn advance(&mut self) -> Option<ClockKind> {
+    fn remaining(&self) -> usize {
+        self.len - self.done
+    }
+
+    fn advance(&mut self) -> Option<ClockKind> {
         self.kind = self.cursor.next_into(&mut self.stimulus);
+        self.done += usize::from(self.kind.is_some());
         self.kind
+    }
+
+    fn stimulus(&self) -> &BitVec {
+        &self.stimulus
     }
 
     /// Records this cycle's observation slot from the bus leaving the
     /// chain, counts its mismatches against the golden output of the
     /// previous cycle, then clocks the golden model on this cycle's
     /// stimulus.
-    pub(crate) fn observe(&mut self, bus: &BitVec, wires: &[usize]) {
+    fn observe(&mut self, bus: &BitVec, wires: &[usize]) {
+        let Some(kind) = self.kind.take() else {
+            return;
+        };
         for (j, stream) in self.streams.iter_mut().enumerate() {
             let bit = bus.get(wires[j]).expect("wire < n");
             stream.push(bit);
@@ -402,13 +419,13 @@ impl ReferenceSession {
                 self.mismatches += 1;
             }
         }
-        self.expecting = match self.kind.take() {
-            Some(ClockKind::Shift) => {
+        self.expecting = match kind {
+            ClockKind::Shift => {
                 self.golden
                     .test_clock_into(&self.stimulus, &mut self.expected);
                 true
             }
-            Some(ClockKind::Capture) => {
+            ClockKind::Capture => {
                 self.golden.capture_clock();
                 false
             }
@@ -416,18 +433,11 @@ impl ReferenceSession {
         };
     }
 
-    /// The stimulus of the cycle [`advance`](Self::advance) last drew.
-    pub(crate) fn stimulus(&self) -> &BitVec {
-        &self.stimulus
-    }
-
-    /// The verdict over every slot observed so far.
-    pub(crate) fn verdict(&self) -> Verdict {
+    fn verdict(&self) -> Verdict {
         verdict(self.mismatches)
     }
 
-    /// [`lane_signature`] over the streams observed so far.
-    pub(crate) fn signature(&self) -> u64 {
+    fn signature(&self) -> u64 {
         lane_signature(&self.streams)
     }
 }
@@ -574,11 +584,11 @@ pub fn run_core_session(
     sim.configure(&config, &wrappers)?;
     let config_cycles = sim.cycles() - start;
 
-    let mut lanes = collect_lanes(sim, &config, ReferenceSession::new)?;
-    let lane = drive_lanes_reference(sim, &mut lanes)?
-        .pop()
-        .ok_or_else(unknown)?;
-    let (verdict, data_cycles) = (lane.verdict, lane.data_cycles as u64);
+    let mut lanes = collect_lanes(sim, [cas_index], ReferenceSession::new)?;
+    let clocks = lanes.first().map_or(0, |lane| lane.session.len());
+    drive_lanes_serial(sim, &mut lanes, clocks)?;
+    let lane = lanes.pop().ok_or_else(unknown)?;
+    let (verdict, data_cycles) = (lane.session.verdict(), clocks as u64);
     let trace = sim.trace();
     if trace.enabled() {
         trace.record(casbus_obs::TraceEvent::span(
@@ -882,7 +892,6 @@ mod tests {
             let session = CompiledSession::compile(desc);
             assert_eq!(session.len(), plan.len(), "{name}");
             assert_eq!(session.ports(), plan.ports(), "{name}");
-            assert_eq!(session.shift_cycles(), plan.shift_cycles(), "{name}");
             let (mut t, mut observed_cycles) = (0, 0);
             for segment in session.segments() {
                 match *segment {

@@ -46,6 +46,20 @@ pub enum SimError {
         /// The device whose job panicked.
         device_id: u64,
     },
+    /// A session still had plan cycles to run when its step ended, and the
+    /// program ended there or the next step loads its CAS with another
+    /// scheme or its wrapper with another instruction: its observation
+    /// window would be cut short.
+    SessionCut {
+        /// The core whose session was cut.
+        core: String,
+        /// The step it was running in.
+        step: usize,
+    },
+    /// The test floor's observer panicked (a snapshot, a monitor or an
+    /// admission decision). Its lots' queued jobs were dropped, so the run
+    /// ends instead of waiting on a lane it left paused.
+    ObserverPanicked,
     /// A lot that was not aborted ended without exactly one report per
     /// requested device.
     LotIncomplete {
@@ -77,6 +91,12 @@ impl fmt::Display for SimError {
             Self::WorkerPanicked { device_id } => {
                 write!(f, "worker panicked while testing device {device_id}")
             }
+            Self::SessionCut { core, step } => write!(
+                f,
+                "{core:?}'s session outlasts step {step}, and no step carries it on the same \
+                 scheme and wrapper instruction"
+            ),
+            Self::ObserverPanicked => write!(f, "the test floor's observer panicked"),
             Self::LotIncomplete {
                 lot,
                 requested,
@@ -433,11 +453,15 @@ impl SocSimulator {
         }
     }
 
-    /// Zeroes every CAS boundary retiming register in place.
-    fn clear_pending(&mut self) {
-        for (pending, cas) in self.pending.iter_mut().zip(self.tam.chain().cases()) {
-            pending.clear();
-            pending.resize(cas.geometry().switched_wires(), false);
+    /// Zeroes the CAS boundary retiming registers in place, except those of
+    /// the CASes `kept` accepts.
+    fn clear_pending(&mut self, kept: impl Fn(usize) -> bool) {
+        let cases = self.tam.chain().cases();
+        for (idx, (pending, cas)) in self.pending.iter_mut().zip(cases).enumerate() {
+            if !kept(idx) {
+                pending.clear();
+                pending.resize(cas.geometry().switched_wires(), false);
+            }
         }
     }
 
@@ -503,11 +527,12 @@ impl SocSimulator {
         for wrapper in &mut self.wrappers {
             wrapper.reset();
         }
-        self.clear_pending();
+        self.clear_pending(|_| false);
     }
 
     /// Applies a TAM configuration through the serial protocol and sets each
-    /// wrapper's instruction; counts the configuration cycles.
+    /// wrapper's instruction; counts the configuration cycles. Every CAS
+    /// boundary retiming register starts the new configuration cleared.
     ///
     /// # Errors
     ///
@@ -516,6 +541,19 @@ impl SocSimulator {
         &mut self,
         config: &TamConfiguration,
         wrapper_instructions: &[WrapperInstruction],
+    ) -> Result<(), SimError> {
+        self.reconfigure(config, wrapper_instructions, |_| false)
+    }
+
+    /// [`configure`](Self::configure), keeping the retiming registers of the
+    /// CASes `carried` accepts: their sessions resume after the shift, and a
+    /// configuration shift clocks no data, so the register still holds the
+    /// response of each session's last cycle.
+    pub(crate) fn reconfigure(
+        &mut self,
+        config: &TamConfiguration,
+        wrapper_instructions: &[WrapperInstruction],
+        carried: impl Fn(usize) -> bool,
     ) -> Result<(), SimError> {
         if wrapper_instructions.len() != self.wrappers.len() {
             return Err(SimError::WrapperLengthMismatch {
@@ -544,8 +582,8 @@ impl SocSimulator {
             // with (and hidden under) the CAS configuration phase when the
             // tri-state chaining mechanism of §3.1 is used.
         }
-        // Clear boundary retiming registers for the new session.
-        self.clear_pending();
+        // Clear the boundary retiming registers of the sessions that start.
+        self.clear_pending(carried);
         self.refresh_routing();
         if let Some(stream) = stream {
             self.probe_config_stream(stream.bits(), start);
@@ -645,7 +683,7 @@ impl SocSimulator {
         }
         self.cycles += 1;
         self.config_cycles += self.cycles - start;
-        self.clear_pending();
+        self.clear_pending(|_| false);
         self.refresh_routing();
         if self.probe.is_some() {
             self.probe_config_stream(&stream, start);
@@ -774,10 +812,14 @@ impl SocSimulator {
         &self.wrappers[idx]
     }
 
-    /// All wrappers, mutably (the compiled engine hands disjoint lanes to
-    /// worker threads).
-    pub(crate) fn wrappers_mut_slice(&mut self) -> &mut [Wrapper<Box<dyn TestableCore>>] {
-        &mut self.wrappers
+    /// One CAS's wrapper and its boundary retiming register, mutably: the
+    /// compiled engine reads a resumed lane's first observation slot from
+    /// the register and leaves its last response there.
+    pub(crate) fn lane_mut(
+        &mut self,
+        idx: usize,
+    ) -> (&mut Wrapper<Box<dyn TestableCore>>, &mut BitVec) {
+        (&mut self.wrappers[idx], &mut self.pending[idx])
     }
 
     /// Advances the data-clock counters by `n` cycles without simulating
@@ -795,12 +837,6 @@ impl SocSimulator {
     /// Per-wire busy counters, mutably (engine arithmetic accounting).
     pub(crate) fn wire_busy_mut(&mut self) -> &mut [u64] {
         &mut self.wire_busy
-    }
-
-    /// Overwrites one CAS's boundary retiming register (the engine computes
-    /// its end-of-step value directly from the last batched word).
-    pub(crate) fn set_pending(&mut self, idx: usize, bits: BitVec) {
-        self.pending[idx] = bits;
     }
 }
 

@@ -4,12 +4,14 @@
 //! same N devices one at a time with a plain per-device engine, at every
 //! fleet size and worker-thread count, with and without stamped defects.
 
+use casbus::RouteTableCache;
 use casbus_controller::schedule::{packed_schedule, Schedule};
 use casbus_controller::search::SearchBudget;
 use casbus_controller::CompiledProgram;
 use casbus_obs::MetricsRegistry;
 use casbus_sim::{
-    run_program_searched, CompiledEngine, DeviceReport, FleetRunner, SocSimulator, VariationSpec,
+    run_program_reference, run_program_searched, CompiledEngine, DeviceReport, FaultKind,
+    FleetRunner, InjectedFault, PackedDeviceEngine, SocSimulator, VariationSpec,
 };
 use casbus_soc::{catalog, SocDescription};
 use proptest::prelude::*;
@@ -679,4 +681,78 @@ fn runners_share_arc_plans_cheaply() {
         .expect("run");
     assert_eq!(report, a.devices[0].report);
     assert_eq!(cache.misses(), misses_after_first, "all hits after warm-up");
+}
+
+/// Hand-picked defects on the flagship plan (the smoke-searched Figure-1
+/// plan at N = 8): `core1_cpu` runs through all three steps, carried
+/// across both reconfigurations, and `core2_dsp` starts in the last one.
+/// Served packed, each die's report equals its scalar compiled run and its
+/// reference run.
+#[test]
+fn carried_sessions_serve_packed_like_scalar_and_reference_runs() {
+    let soc = catalog::figure1_soc();
+    let runner = FleetRunner::searched(&soc, 8, SearchBudget::smoke()).expect("searched runner");
+    let plan = Arc::new(runner.plan().clone());
+    let cpu = plan.tam().cas_for_core("core1_cpu").expect("core1_cpu");
+    let steps = plan.program().steps();
+    assert_eq!(steps.len(), 3);
+    // Its plan (test time + 1 drain cycle) outlasts the first two steps.
+    let test_time = soc
+        .core_by_name("core1_cpu")
+        .expect("core1_cpu")
+        .1
+        .test_time();
+    assert!(test_time + 1 > steps[0].duration + 1 + steps[1].duration + 1);
+    assert!(steps
+        .iter()
+        .all(|step| step.configuration.cores_under_test().contains(&cpu)));
+
+    let scan = |core: &str, chain, position, stuck_at| InjectedFault {
+        core: core.to_owned(),
+        kind: FaultKind::ScanStuckAt {
+            chain,
+            position,
+            stuck_at,
+        },
+    };
+    let faults = [
+        scan("core1_cpu", 0, 0, true),
+        scan("core1_cpu", 2, 57, false),
+        scan("core1_cpu", 3, 89, true),
+        scan("core2_dsp", 0, 31, false),
+        scan("core2_dsp", 1, 70, true),
+    ];
+    let engine = PackedDeviceEngine::compile(
+        &Arc::new(soc.clone()),
+        &plan,
+        &Arc::new(RouteTableCache::new()),
+    )
+    .expect("packed engine");
+    let members = (0u64..)
+        .zip(faults.iter().cloned().map(Some).chain([None]))
+        .collect();
+    let reports = engine.run_cohort(members).expect("cohort");
+    assert_eq!(reports.len(), faults.len() + 1);
+    for device in &reports {
+        let fresh = || {
+            let mut sim = SocSimulator::new(&soc, 8).expect("simulator");
+            if let Some(fault) = &device.fault {
+                assert!(engine.fault_packable(fault), "{fault:?} rides a lane");
+                fault.apply(&mut sim).expect("inject");
+            }
+            sim
+        };
+        let scalar = CompiledEngine::new()
+            .run(&mut fresh(), plan.program())
+            .expect("scalar run");
+        let reference = run_program_reference(&mut fresh(), plan.program()).expect("reference");
+        assert_eq!(device.report, scalar, "packed, {:?}", device.fault);
+        assert_eq!(scalar, reference, "scalar, {:?}", device.fault);
+        assert_eq!(
+            device.report.all_pass(),
+            device.fault.is_none(),
+            "{:?}",
+            device.fault
+        );
+    }
 }

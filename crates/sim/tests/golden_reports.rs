@@ -137,11 +137,11 @@ impl Die {
             "system_bus",
         ]
         .iter()
-        .map(|c| (c.to_string(), 12_966))
+        .map(|c| (c.to_string(), 12_463))
         .collect();
         SocTestReport {
             verdicts,
-            total_cycles: 13_092,
+            total_cycles: 12_589,
             steps: 3,
             per_core_cycles,
             bus_cycles: 63_396,
@@ -232,14 +232,14 @@ fn searched_healthy_report() -> SocTestReport {
         "system_bus",
     ]
     .iter()
-    .map(|c| (c.to_string(), 18_634))
+    .map(|c| (c.to_string(), 12_463))
     .collect();
     SocTestReport {
         verdicts: order
             .iter()
             .map(|c| (c.to_string(), Verdict::Pass))
             .collect(),
-        total_cycles: 18_760,
+        total_cycles: 12_589,
         steps: 3,
         per_core_cycles,
         bus_cycles: 63_396,

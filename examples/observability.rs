@@ -11,8 +11,10 @@
 //! * `figure1.vcd` — bus wires, controller phase, per-CAS mode/scheme and
 //!   per-wrapper WIR/control, cycle-accurate.
 //! * `trace.jsonl` / `trace_chrome.json` — the simulator's `configure`
-//!   span for each program step (its CONFIGURATION phase), per-core session
-//!   spans (its TEST phase), PPSFP grading events.
+//!   span for each program step (its CONFIGURATION phase), one span per
+//!   core's session (from the start of its first step to the end of its
+//!   last: a session still running when its step ends carries into the
+//!   next), PPSFP grading events.
 //! * `metrics.txt` / `metrics.json` — the full run-metrics registry.
 
 use std::cell::RefCell;
@@ -58,7 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Simulator run with a VCD probe: cycle-accurate waveforms of the
     // serial configuration shifts and the concurrent test waves. The
     // simulator is the test controller: it sequences every step's
-    // CONFIGURATION and TEST phases and counts their cycles.
+    // CONFIGURATION and TEST phases and counts their cycles. The probe keeps
+    // the run on the cycle-by-cycle interpreter, and on four wires
+    // `core2_dsp`'s session carries across two reconfigurations.
     let vcd = Rc::new(RefCell::new(VcdWriter::new("1ns")));
     let mut sim = SocSimulator::new(&soc, BUS_WIDTH)?;
     sim.set_trace(sink.clone());
@@ -113,30 +117,63 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "bus wire 0 must toggle during CONFIGURATION phases"
     );
 
-    // --- Self-check 2: one configuration span per program step, one
-    // session span per core.
+    // --- Self-check 2: one configuration span per program step, and one
+    // session span per core, from the configuration of the step its session
+    // starts in to the end of the step it ends in.
     let events = sink.events();
-    let configure_spans = events
+    let step_starts: Vec<u64> = events
         .iter()
         .filter(|e| e.cat == "sim" && e.name == "configure")
-        .count();
+        .map(|e| e.ts)
+        .collect();
     let steps = program.steps().len();
     assert_eq!(
-        configure_spans, steps,
+        step_starts.len(),
+        steps,
         "expected one configure span for each of {steps} steps"
     );
+    let step_ends: Vec<u64> = step_starts[1..]
+        .iter()
+        .copied()
+        .chain([sim.cycles()])
+        .collect();
+    let mut carried = false;
     for core in soc.cores() {
-        assert!(
-            events
-                .iter()
-                .any(|e| e.cat == "session" && e.name == core.name()),
-            "missing session span for core {}",
+        let spans: Vec<_> = events
+            .iter()
+            .filter(|e| e.cat == "session" && e.name == core.name())
+            .collect();
+        assert_eq!(spans.len(), 1, "one session span for core {}", core.name());
+        let cas = tam.cas_for_core(core.name()).expect("tested core");
+        let runs_in: Vec<usize> = (0..steps)
+            .filter(|&k| {
+                program.steps()[k]
+                    .configuration
+                    .cores_under_test()
+                    .contains(&cas)
+            })
+            .collect();
+        let (first, last) = (runs_in[0], runs_in[runs_in.len() - 1]);
+        assert_eq!(
+            (spans[0].ts, spans[0].ts + spans[0].dur),
+            (step_starts[first], step_ends[last]),
+            "session span of {} covers steps {first}..={last}",
             core.name()
         );
+        carried |= last > first;
     }
+    assert!(carried, "a session carries across a reconfiguration");
 
-    // --- Self-check 3: the metrics registry agrees with the components.
+    // --- Self-check 3: the metrics registry agrees with the components,
+    // and the run took the cycles the program books: each step's
+    // configuration shift and update pulse, then `duration + 1` data clocks.
     assert_eq!(metrics.counter("sim.cycles.total"), sim.cycles());
+    let configure = tam.configuration_clocks() as u64 + 1;
+    let booked: u64 = program.steps().iter().map(|s| s.duration + 1).sum();
+    assert_eq!(
+        metrics.counter("sim.cycles.total"),
+        booked + steps as u64 * configure
+    );
     assert_eq!(
         metrics.counter("sim.cycles.total"),
         metrics.counter("sim.cycles.config") + metrics.counter("sim.cycles.test"),
@@ -145,6 +182,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(
         metrics.counter("ppsfp.faults.detected"),
         coverage.detected as u64
+    );
+
+    // --- Self-check 4: the compiled engine's fast path traces the same
+    // events, byte for byte, as the reference interpreter.
+    let traced = |run: fn(&mut SocSimulator, &TestProgram) -> Result<_, _>| {
+        let sink = MemorySink::new();
+        let mut sim = SocSimulator::new(&soc, BUS_WIDTH)?;
+        sim.set_trace(sink.clone());
+        run(&mut sim, &program)?;
+        Ok::<_, Box<dyn std::error::Error>>(sink.jsonl())
+    };
+    assert_eq!(
+        traced(report::run_program)?,
+        traced(report::run_program_reference)?,
+        "compiled and reference traces differ"
     );
 
     println!("{outcome}");

@@ -4,6 +4,11 @@
 //! the configuration shift and update of every step. And every lane
 //! observes only its own plan, so a healthy core's verdict and signature
 //! are the same under every plan of its SoC.
+//!
+//! One step rule. A program compiled from a schedule has one step per
+//! start time, and a session still running when its step ends carries into
+//! the next one, so the program runs the schedule's makespan plus at most
+//! one configuration and one cycle per step.
 
 use std::collections::BTreeMap;
 
@@ -94,6 +99,35 @@ fn booked_cycles(tam: &Tam, program: &TestProgram) -> u64 {
     program.steps().iter().map(|s| s.duration + 1).sum::<u64>() + steps * configure
 }
 
+/// What `schedule`'s program would book if each step ran until its longest
+/// test ended, as programs did before sessions carried across steps.
+fn step_after_step_cycles(tam: &Tam, schedule: &Schedule) -> u64 {
+    let configure = tam.configuration_clocks() as u64 + 1;
+    let waves = schedule.waves();
+    let longest = waves
+        .iter()
+        .map(|wave| wave.iter().map(|t| t.duration).max());
+    longest
+        .map(|duration| duration.unwrap_or(0) + 1 + configure)
+        .sum()
+}
+
+/// The step rule's bounds on `program`, compiled from `schedule`: it books
+/// at most the makespan plus one configuration and one cycle per step, and
+/// never more than step-after-step execution would.
+fn check_step_rule(tam: &Tam, schedule: &Schedule, program: &TestProgram, what: &str) {
+    let booked = booked_cycles(tam, program);
+    let steps = program.len() as u64;
+    let per_step = tam.configuration_clocks() as u64 + 2;
+    assert_eq!(steps as usize, schedule.configuration_waves(), "{what}");
+    assert!(
+        booked <= schedule.makespan() + steps * per_step,
+        "{what}: {booked} booked for makespan {}",
+        schedule.makespan()
+    );
+    assert!(booked <= step_after_step_cycles(tam, schedule), "{what}");
+}
+
 /// Runs `program` on the compiled engine and on the reference
 /// interpreter, each on a fresh simulator: both run exactly the cycles the
 /// program books and return the same report.
@@ -159,6 +193,12 @@ fn check_schedules(soc: &SocDescription, n: usize, signatures: &mut Signatures) 
     for (name, schedule) in schedules(soc, n) {
         let program = TestProgram::from_schedule(&tam, soc, &schedule).expect("program");
         let what = format!("{} {name} N={n}", soc.name());
+        check_step_rule(&tam, &schedule, &program, &what);
+        if matches!(name, "serial" | "wave") {
+            // Their steps never overlap: they run exactly as before.
+            let booked = booked_cycles(&tam, &program);
+            assert_eq!(booked, step_after_step_cycles(&tam, &schedule), "{what}");
+        }
         let report = run_as_booked(soc, n, &program, &what);
         assert!(report.all_pass(), "{what}: {report}");
         assert_eq!(report.verdicts.len(), soc.cores().len(), "{what}");
