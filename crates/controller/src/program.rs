@@ -67,9 +67,17 @@ impl TestProgram {
         self.steps.is_empty()
     }
 
-    /// Sum of TEST-phase durations.
-    pub fn test_cycles(&self) -> u64 {
-        self.steps.iter().map(|s| s.duration).sum()
+    /// The cycles the program books on `tam`: every step's configuration
+    /// shift and update pulse, then its `duration + 1` data clocks. The
+    /// simulator runs exactly these.
+    pub fn booked_cycles(&self, tam: &Tam) -> u64 {
+        let configure = tam.configuration_clocks() as u64 + 1;
+        self.data_clocks() + self.len() as u64 * configure
+    }
+
+    /// The data clocks the steps book, `duration + 1` each.
+    fn data_clocks(&self) -> u64 {
+        self.steps.iter().map(|s| s.duration + 1).sum()
     }
 
     /// Compiles a [`Schedule`] into a program: one step per distinct start
@@ -217,15 +225,16 @@ impl fmt::Display for TestProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "test program: {} steps, {} test cycles",
+            "test program: {} steps, {} data clocks",
             self.len(),
-            self.test_cycles()
+            self.data_clocks()
         )?;
         for (i, step) in self.steps.iter().enumerate() {
             writeln!(
                 f,
-                "  step {i}: {} ({} cycles)",
-                step.description, step.duration
+                "  step {i}: {} ({} data clocks)",
+                step.description,
+                step.duration + 1
             )?;
         }
         Ok(())
@@ -245,7 +254,13 @@ mod tests {
         let schedule = serial_schedule(&soc, 4).unwrap();
         let program = TestProgram::from_schedule(&tam, &soc, &schedule).unwrap();
         assert_eq!(program.len(), soc.cores().len());
-        assert_eq!(program.test_cycles(), schedule.makespan());
+        // Each step runs its test's time, one drain cycle, and one
+        // configuration shift and update pulse.
+        let per_step = tam.configuration_clocks() as u64 + 2;
+        assert_eq!(
+            program.booked_cycles(&tam),
+            schedule.makespan() + program.len() as u64 * per_step
+        );
     }
 
     #[test]
@@ -348,6 +363,7 @@ mod tests {
     fn empty_program() {
         let p = TestProgram::new();
         assert!(p.is_empty());
-        assert_eq!(p.test_cycles(), 0);
+        let tam = Tam::new(&catalog::figure1_soc(), 8).unwrap();
+        assert_eq!(p.booked_cycles(&tam), 0);
     }
 }

@@ -429,22 +429,7 @@ pub fn search_schedule_with(
     Ok(pool.remove(0))
 }
 
-/// The final survivor pool, winner first — what [`search_schedule_with`]
-/// picks its result from, exposed for benches and diagnostics.
-///
-/// # Errors
-///
-/// Same as [`search_schedule`].
-pub fn search_candidates(
-    soc: &SocDescription,
-    n: usize,
-    budget: SearchBudget,
-    validator: &dyn CandidateValidator,
-    metrics: &MetricsRegistry,
-) -> Result<Vec<Schedule>, ScheduleError> {
-    optimize(soc, n, budget, validator, metrics)
-}
-
+/// Runs the search and returns its final survivor pool, winner first.
 fn optimize(
     soc: &SocDescription,
     n: usize,
@@ -739,7 +724,7 @@ mod tests {
         let soc = catalog::figure1_soc();
         let metrics = MetricsRegistry::new();
         let budget = SearchBudget::smoke();
-        let pool = search_candidates(&soc, 6, budget, &NoValidation, &metrics).unwrap();
+        let pool = optimize(&soc, 6, budget, &NoValidation, &metrics).unwrap();
         assert!(!pool.is_empty() && pool.len() <= budget.top_k.max(1));
         for pair in pool.windows(2) {
             assert!(pair[0].makespan() <= pair[1].makespan());

@@ -49,15 +49,6 @@ pub enum CasError {
         /// CASes on the bus.
         expected: usize,
     },
-    /// Two simultaneously-active TEST instructions claim the same bus wire.
-    WireConflict {
-        /// The contested wire.
-        wire: usize,
-        /// Index of the first CAS claiming it.
-        first_cas: usize,
-        /// Index of the second CAS claiming it.
-        second_cas: usize,
-    },
 }
 
 impl fmt::Display for CasError {
@@ -86,14 +77,6 @@ impl fmt::Display for CasError {
                 f,
                 "configuration has {got} instructions for {expected} CASes"
             ),
-            Self::WireConflict {
-                wire,
-                first_cas,
-                second_cas,
-            } => write!(
-                f,
-                "bus wire {wire} claimed by both CAS {first_cas} and CAS {second_cas}"
-            ),
         }
     }
 }
@@ -117,14 +100,6 @@ mod tests {
                 "670442572800",
             ),
             (CasError::UnknownCas(7), "index 7"),
-            (
-                CasError::WireConflict {
-                    wire: 3,
-                    first_cas: 0,
-                    second_cas: 2,
-                },
-                "wire 3",
-            ),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");

@@ -220,44 +220,6 @@ impl Tam {
         CasInstruction::test_scheme(cas.schemes(), &scheme)
     }
 
-    /// Checks that the TEST instructions of a configuration claim disjoint
-    /// wires. Sharing a wire puts cores *in series* — a legal and useful
-    /// CAS-BUS idiom for concatenating scan paths — so [`Tam::configure`]
-    /// allows it; schedulers that intend exclusive windows call this first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CasError::WireConflict`] naming the first contested wire,
-    /// or propagates scheme-index errors.
-    pub fn check_exclusive(&self, config: &TamConfiguration) -> Result<(), CasError> {
-        let n = self.bus_width();
-        let mut claimed: Vec<Option<usize>> = vec![None; n];
-        for (cas_index, instr) in config.instructions().iter().enumerate() {
-            let CasInstruction::Test(scheme_idx) = instr else {
-                continue;
-            };
-            let cas = self
-                .chain
-                .cases()
-                .get(cas_index)
-                .ok_or(CasError::UnknownCas(cas_index))?;
-            let scheme = cas.schemes().scheme(*scheme_idx)?;
-            for &wire in scheme.wires() {
-                match claimed[wire] {
-                    None => claimed[wire] = Some(cas_index),
-                    Some(first_cas) => {
-                        return Err(CasError::WireConflict {
-                            wire,
-                            first_cas,
-                            second_cas: cas_index,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Applies a configuration through the serial protocol (the paper's
     /// CONFIGURATION phase), costing
     /// [`configuration_clocks`](Tam::configuration_clocks)` + 1` clocks.
@@ -383,33 +345,6 @@ mod tests {
             tam.configure(&config).unwrap();
             assert!(tam.chain().cases()[target].instruction().is_test());
         }
-    }
-
-    #[test]
-    fn exclusive_check_flags_overlap_and_allows_disjoint() {
-        let soc = catalog::figure2a_scan_soc();
-        let tam = Tam::new(&soc, 5).unwrap();
-        // Disjoint: core 0 on wires 0..3, core 1 on wires 3..5.
-        let mut ok = TamConfiguration::all_bypass(2);
-        ok.set(0, tam.contiguous_test(0, 0).unwrap()).unwrap();
-        ok.set(1, tam.contiguous_test(1, 3).unwrap()).unwrap();
-        assert!(tam.check_exclusive(&ok).is_ok());
-        // Overlapping at wire 2.
-        let mut clash = TamConfiguration::all_bypass(2);
-        clash.set(0, tam.contiguous_test(0, 0).unwrap()).unwrap();
-        clash.set(1, tam.contiguous_test(1, 2).unwrap()).unwrap();
-        assert_eq!(
-            tam.check_exclusive(&clash),
-            Err(CasError::WireConflict {
-                wire: 2,
-                first_cas: 0,
-                second_cas: 1
-            })
-        );
-        // Bypass everywhere never conflicts.
-        assert!(tam
-            .check_exclusive(&TamConfiguration::all_bypass(2))
-            .is_ok());
     }
 
     #[test]

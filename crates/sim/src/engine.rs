@@ -46,7 +46,7 @@
 
 use std::sync::Arc;
 
-use casbus::{CasChain, RouteTable, RouteTableCache, TamConfiguration};
+use casbus::{CasChain, RouteTable, RouteTableCache};
 use casbus_controller::TestProgram;
 use casbus_p1500::{TestableCore, Wrapper, WrapperControl, WrapperInstruction};
 use casbus_soc::CoreDescription;
@@ -54,8 +54,7 @@ use casbus_tpg::bits::low_mask;
 use casbus_tpg::{BitVec, Verdict};
 
 use crate::report::{
-    collect_lanes, drive_lanes_serial, run_program_reference, Lane, LaneSession, Sessions,
-    SocTestReport,
+    drive_lanes_serial, run_program_reference, Lane, LaneSession, Sessions, SocTestReport,
 };
 use crate::session::{
     lane_signature, push_zeros, verdict, ClockKind, CompiledSession, Segment, SessionCache,
@@ -63,7 +62,7 @@ use crate::session::{
 use crate::simulator::{SimError, SocSimulator};
 
 /// A step's lane with its core's compiled session in flight.
-pub(crate) type SessionLane = Lane<CompiledLane>;
+type SessionLane = Lane<CompiledLane>;
 
 /// The compiled word-level TAM/session engine. Drop-in for the reference
 /// interpreter: identical [`SocTestReport`]s, cycle counters, and metrics.
@@ -120,15 +119,6 @@ impl CompiledEngine {
         CompiledLane::new(self.sessions.get_or_compile(desc))
     }
 
-    /// Every TEST CAS's lane of the configured step, with fresh sessions.
-    pub(crate) fn session_lanes(
-        &self,
-        sim: &SocSimulator,
-        config: &TamConfiguration,
-    ) -> Result<Vec<SessionLane>, SimError> {
-        collect_lanes(sim, config.cores_under_test(), |desc| self.lane(desc))
-    }
-
     /// The step's compiled routes: through the attached cache when present,
     /// a fresh compile otherwise.
     fn routes_for(&self, chain: &CasChain) -> Arc<RouteTable> {
@@ -150,23 +140,41 @@ impl CompiledEngine {
         sim: &mut SocSimulator,
         program: &TestProgram,
     ) -> Result<SocTestReport, SimError> {
+        self.run_judged(sim, program).map(|(report, _)| report)
+    }
+
+    /// [`run`](Self::run), also returning the first reason one of the
+    /// program's steps could not run word-level, or `None` when every step
+    /// did. A probed run goes whole to the interpreter and judges no step.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub(crate) fn run_judged(
+        &self,
+        sim: &mut SocSimulator,
+        program: &TestProgram,
+    ) -> Result<(SocTestReport, Option<CompileBlocker>), SimError> {
         // A probe wants every per-cycle bus value: stay bit-serial.
         if sim.has_probe() {
-            return run_program_reference(sim, program);
+            return Ok((run_program_reference(sim, program)?, None));
         }
         let mut sessions = Sessions::new(sim);
+        let mut first_blocker = None;
         for (k, step) in program.steps().iter().enumerate() {
             let lanes = sessions.begin(sim, program, k, |desc| self.lane(desc))?;
             let routes = self.routes_for(sim.tam().chain());
             let clocks = step.duration as usize + 1;
-            if step_compile_blocker(sim, lanes, &routes).is_some() {
-                drive_lanes_serial(sim, lanes, clocks)?;
-            } else {
-                drive_lanes_compiled(sim, lanes, clocks);
+            match step_compile_blocker(sim, lanes, &routes) {
+                Some(blocker) => {
+                    first_blocker.get_or_insert(blocker);
+                    drive_lanes_serial(sim, lanes, clocks)?;
+                }
+                None => drive_lanes_compiled(sim, lanes, clocks),
             }
             sessions.end(sim);
         }
-        sessions.finish(sim, program.len())
+        Ok((sessions.finish(sim, program.len())?, first_blocker))
     }
 }
 
@@ -232,7 +240,7 @@ impl CompileBlocker {
 /// path uses: its lane-containment argument (a defect on one core perturbs
 /// only that core's verdict and signature) holds exactly when every step
 /// passes.
-pub(crate) fn step_compile_blocker(
+fn step_compile_blocker(
     sim: &SocSimulator,
     lanes: &[SessionLane],
     routes: &RouteTable,
@@ -253,7 +261,7 @@ pub(crate) fn step_compile_blocker(
         ) {
             return Some(CompileBlocker::NonIntestWrapper);
         }
-        let ports = lane.session.session().ports();
+        let ports = lane.session.session.ports();
         // Identity resize: scheme width == plan width == wrapper width.
         if lane.wires.len() != ports || wrapper.parallel_width() != ports {
             return Some(CompileBlocker::WidthMismatch);
@@ -281,7 +289,7 @@ pub(crate) fn step_compile_blocker(
 /// configuration shift for a carried one). So the final drain's response
 /// is never observed, and a carried session's slots are those of an
 /// uninterrupted run.
-pub(crate) struct CompiledLane {
+struct CompiledLane {
     session: Arc<CompiledSession>,
     /// The next plan cycle: its segment, its offset in that segment, and
     /// its index in the plan.
@@ -316,11 +324,6 @@ impl CompiledLane {
             mismatches: 0,
             streams,
         }
-    }
-
-    /// The compiled session the lane runs.
-    pub(crate) fn session(&self) -> &Arc<CompiledSession> {
-        &self.session
     }
 
     /// Where the golden response of the next plan cycle lives, when it
@@ -490,7 +493,7 @@ impl LaneSession for CompiledLane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casbus::Tam;
+    use casbus::{Tam, TamConfiguration};
     use casbus_controller::{schedule, TestProgram};
     use casbus_obs::MetricsRegistry;
     use casbus_soc::catalog;
@@ -623,22 +626,22 @@ mod tests {
     }
 
     /// Why `program`'s first step stays off the fast path on a fresh
-    /// simulator that `prepare` modified first.
+    /// simulator that `prepare` modified first, judged as the engine's step
+    /// loop judges it.
     fn first_step_blocker(
         soc: &casbus_soc::SocDescription,
         n: usize,
         program: &TestProgram,
         prepare: impl Fn(&mut SocSimulator),
     ) -> Option<CompileBlocker> {
-        let step = &program.steps()[0];
         let mut sim = SocSimulator::new(soc, n).unwrap();
         prepare(&mut sim);
-        sim.configure(&step.configuration, &step.wrapper_instructions)
+        let engine = CompiledEngine::new();
+        let mut sessions = Sessions::new(&sim);
+        let lanes = sessions
+            .begin(&mut sim, program, 0, |desc| engine.lane(desc))
             .unwrap();
-        let lanes = CompiledEngine::new()
-            .session_lanes(&sim, &step.configuration)
-            .unwrap();
-        step_compile_blocker(&sim, &lanes, &RouteTable::compile(sim.tam().chain()))
+        step_compile_blocker(&sim, lanes, &RouteTable::compile(sim.tam().chain()))
     }
 
     /// Two single-chain scan cores, `front` (5 flops) then `back` (7).

@@ -10,7 +10,9 @@
 //!   program once on a defect-free device and keeps the resulting
 //!   [`SocTestReport`] as the *baseline*. Every healthy device's report is a
 //!   clone of it — the scalar engine is deterministic, so a fresh healthy
-//!   run could not produce anything else.
+//!   run could not produce anything else. The same run judges every step
+//!   for the fast path, and its verdicts, one per session in start order,
+//!   are the slots the lanes patch.
 //! * **Defective dies run 64 to a word.** Devices of one cohort (≤ 64)
 //!   whose defects land on the same core become *lanes* of one word-level
 //!   twin of that core's behavioural model — [`PackedScanLanes`],
@@ -40,10 +42,10 @@
 //!
 //! # Why patching the baseline is sound
 //!
-//! The packed path is only used when **every** step of the program passes
-//! `step_compile_blocker`: all routes independent (no serial wire sharing
-//! between cores), all tested wrappers in transparent INTEST modes with
-//! exact widths. Under those conditions a
+//! The packed path is only used when the baseline run ran **every** step
+//! word-level: all routes independent (no serial wire sharing between
+//! cores), all tested wrappers in transparent INTEST modes with exact
+//! widths, no armed wrapper outside the lanes. Under those conditions a
 //! defect inside core X can influence *only* X's own produced bits: each
 //! `configure` clears the retiming register of every session that starts
 //! and reloads a carried session's CAS scheme and wrapper instruction
@@ -69,7 +71,7 @@ use casbus_soc::{CoreDescription, SocDescription, TestMethod};
 use casbus_tpg::lanes::{broadcast, LaneStreams, LANES};
 use casbus_tpg::Verdict;
 
-use crate::engine::{step_compile_blocker, CompiledEngine};
+use crate::engine::{CompileBlocker, CompiledEngine};
 use crate::fleet::{test_device, DeviceReport, FaultKind, InjectedFault};
 use crate::report::SocTestReport;
 use crate::session::{lane_signature, verdict, CompiledSession, Segment, SessionCache};
@@ -100,7 +102,7 @@ pub struct PackedDeviceEngine {
     baseline: SocTestReport,
     /// Lane specs per core name (one entry per tested occurrence).
     lanes: HashMap<String, Vec<PackedLaneSpec>>,
-    /// `None` when every step passed [`step_compile_blocker`] — the
+    /// `None` when the baseline run ran every step word-level — the
     /// defect-containment argument holds and defective dies may take the
     /// packed lane path. Otherwise the first blocking clause's reason name,
     /// exported under `fleet.packed.fallback.reason.*`.
@@ -122,10 +124,12 @@ impl std::fmt::Debug for PackedDeviceEngine {
 }
 
 impl PackedDeviceEngine {
-    /// Compiles the packed engine: runs the healthy baseline once (warming
-    /// `cache` on every wave shape, exactly as the first scalar device
-    /// would) and records each step's lane plans plus whether the whole
-    /// program is expressible on the word-level fast path.
+    /// Compiles the packed engine: runs the program once on a healthy die
+    /// through the compiled engine (warming `cache` on every wave shape,
+    /// exactly as the first scalar device would). That run's report is the
+    /// baseline, the first step it could not run word-level blocks the
+    /// lanes, and its verdicts, one per session in start order, give each
+    /// session's report slot.
     ///
     /// # Errors
     ///
@@ -139,7 +143,7 @@ impl PackedDeviceEngine {
     }
 
     /// [`compile`](Self::compile) over a shared session cache: the
-    /// baseline run and the lane specs reuse sessions the caller's other
+    /// baseline run and the lanes reuse sessions the caller's other
     /// engines compiled, and the scalar fallback reuses them too.
     pub(crate) fn compile_with_sessions(
         soc: &Arc<SocDescription>,
@@ -148,54 +152,23 @@ impl PackedDeviceEngine {
         sessions: Arc<SessionCache>,
     ) -> Result<Self, SimError> {
         let mut sim = SocSimulator::new_shared(Arc::clone(soc), plan.bus_width())?;
-        let engine = CompiledEngine::new()
+        let (baseline, blocker) = CompiledEngine::new()
             .with_cache(Arc::clone(cache))
-            .with_sessions(Arc::clone(&sessions));
-        let baseline = engine.run(&mut sim, plan.program())?;
-
-        // Configuration-only spec pass (no data clocks): compilability and
-        // lane plans depend only on post-`configure` state, never on data
-        // traffic.
+            .with_sessions(Arc::clone(&sessions))
+            .run_judged(&mut sim, plan.program())?;
         let mut lanes: HashMap<String, Vec<PackedLaneSpec>> = HashMap::new();
-        let mut program_blocker: Option<&'static str> = None;
-        let mut slot = 0usize;
-        // Plan cycles left of the session on each CAS: the baseline run
-        // carried every session with cycles left into the next step.
-        let mut left = vec![0usize; sim.tam().cas_count()];
-        for step in plan.program().steps() {
-            sim.configure(&step.configuration, &step.wrapper_instructions)?;
-            let routes = cache.get_or_compile(sim.tam().chain());
-            let step_lanes = engine.session_lanes(&sim, &step.configuration)?;
-            if let Some(blocker) = step_compile_blocker(&sim, &step_lanes, &routes) {
-                // First blocker wins: one stable reason per program.
-                program_blocker.get_or_insert(blocker.reason());
+        for (slot, (name, _)) in baseline.verdicts.iter().enumerate() {
+            if let Some((_, desc)) = soc.core_by_name(name) {
+                lanes.entry(name.clone()).or_default().push(PackedLaneSpec {
+                    slot,
+                    session: sessions.get_or_compile(desc),
+                });
             }
-            for lane in step_lanes {
-                let cas_left = &mut left[lane.cas_index];
-                // A carried session keeps the spec and slot of the step it
-                // started in.
-                if *cas_left == 0 {
-                    *cas_left = lane.session.session().len();
-                    debug_assert_eq!(baseline.verdicts[slot].0, lane.name, "slot order");
-                    lanes.entry(lane.name).or_default().push(PackedLaneSpec {
-                        slot,
-                        session: Arc::clone(lane.session.session()),
-                    });
-                    slot += 1;
-                }
-                *cas_left = cas_left.saturating_sub(step.duration as usize + 1);
-            }
-        }
-        if slot != baseline.verdicts.len() {
-            // A lane/verdict mismatch would make slot patching unsound;
-            // structurally impossible, but fail safe to scalar if it ever
-            // happens.
-            program_blocker.get_or_insert("program.slot_mismatch");
         }
         Ok(Self {
             baseline,
             lanes,
-            program_blocker,
+            program_blocker: blocker.map(CompileBlocker::reason),
             soc: Arc::clone(soc),
             plan: Arc::clone(plan),
             cache: Arc::clone(cache),
@@ -226,11 +199,10 @@ impl PackedDeviceEngine {
     /// The returned name is a stable metric suffix: the fleet tallies each
     /// defective device's reason under
     /// `fleet.packed.fallback.reason.<name>`. Program-level blockers
-    /// (`step.*` / `program.*`) name the first
-    /// `step_compile_blocker` clause the compiled program failed; defect
-    /// placements the lane encoding cannot carry come back as
-    /// `defect.untested_core` (the core never runs a session in this
-    /// program), `defect.retested_core` (it runs more than one) or
+    /// (`step.*`) name the first fast-path clause a step of the baseline
+    /// run failed; defect placements the lane encoding cannot carry come
+    /// back as `defect.untested_core` (the core never runs a session in
+    /// this program), `defect.retested_core` (it runs more than one) or
     /// `defect.method_mismatch` (the fault kind does not match the tested
     /// method).
     pub fn fallback_reason(&self, fault: &InjectedFault) -> Option<&'static str> {

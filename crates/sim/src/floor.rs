@@ -902,20 +902,49 @@ mod tests {
         Error,
         /// The floor's observer panics instead, while it holds the stop
         /// flag's lock, once the admission controller has acted on the
-        /// lot.
-        Observer,
+        /// lot. Every other job of the lot waits at the gate until then,
+        /// so the lot cannot finish before the observer's first tick.
+        Observer(&'static Gate),
+    }
+
+    /// A gate that opens once and stays open.
+    #[derive(Debug, Default)]
+    pub(crate) struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        /// A gate for [`Failure::Observer`]. Every job copies its lot's
+        /// `fail_on`, so the gate lives as long as the test binary.
+        fn leaked() -> &'static Self {
+            Box::leak(Box::default())
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            self.opened.notify_all();
+        }
+
+        fn wait(&self) {
+            let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+            let _open = self
+                .opened
+                .wait_while(open, |open| !*open)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Panics when a lot that asks its observer to ([`Failure::Observer`])
-    /// has seen an admission event.
+    /// has seen an admission event, opening the lot's gate first.
     pub(super) fn observe(lots: &[Lot<'_>], events: &[Vec<AdmissionEvent>]) {
-        let asks = |lot: &Lot<'_>| matches!(lot.spec.fail_on, Some((_, Failure::Observer)));
-        if lots
-            .iter()
-            .zip(events)
-            .any(|(lot, events)| asks(lot) && !events.is_empty())
-        {
-            panic!("injected observer panic");
+        for (lot, events) in lots.iter().zip(events) {
+            if let Some((_, Failure::Observer(gate))) = lot.spec.fail_on {
+                if !events.is_empty() {
+                    gate.open();
+                    panic!("injected observer panic");
+                }
+            }
         }
     }
 
@@ -924,17 +953,23 @@ mod tests {
         SimError::UnknownCore(format!("injected error on device {device_id}"))
     }
 
-    /// Fails the job when `fail_on` names one of its `devices`.
+    /// Fails the job when `fail_on` names one of its `devices`; holds it
+    /// at the lot's gate when `fail_on` names another job's device for
+    /// the observer to fail.
     pub(super) fn inject(
         fail_on: Option<(u64, Failure)>,
         mut devices: impl Iterator<Item = u64>,
     ) -> Result<(), SimError> {
-        match fail_on {
-            Some((device_id, failure)) if devices.any(|d| d == device_id) => match failure {
-                Failure::Panic => panic!("injected panic on device {device_id}"),
-                Failure::Error => Err(injected_error(device_id)),
-                Failure::Observer => Ok(()),
-            },
+        let Some((device_id, failure)) = fail_on else {
+            return Ok(());
+        };
+        match (failure, devices.any(|d| d == device_id)) {
+            (Failure::Panic, true) => panic!("injected panic on device {device_id}"),
+            (Failure::Error, true) => Err(injected_error(device_id)),
+            (Failure::Observer(gate), false) => {
+                gate.wait();
+                Ok(())
+            }
             _ => Ok(()),
         }
     }
@@ -1049,9 +1084,11 @@ mod tests {
     fn a_panicking_observer_fails_the_run_and_the_floor_keeps_serving() {
         // Every die fails, so the observer pauses the lot's lane after the
         // first report, then panics while it holds the stop flag's lock,
-        // before any tick could resume the lane. The run returns a typed
-        // error instead of hanging on the paused lane or panicking out of
-        // `serve`, and the floor's next run equals a fresh floor's.
+        // before any tick could resume the lane. The lot's jobs after the
+        // first wait until then, so the observer panics on every run. The
+        // run returns a typed error instead of hanging on the paused lane
+        // or panicking out of `serve`, and the floor's next run equals a
+        // fresh floor's.
         let soc = catalog::figure2a_scan_soc();
         let schedule = packed_schedule(&soc, 4).unwrap();
         let lot = move |packed: bool, fail_on: Option<(u64, Failure)>| {
@@ -1072,7 +1109,8 @@ mod tests {
             let (failed, again, fresh) = within_a_minute(move || {
                 let floor = || TestFloor::new().with_threads(1).with_admission(policy);
                 let failing = floor();
-                let failed = failing.run(vec![lot(packed, Some((0, Failure::Observer)))]);
+                let observer = Failure::Observer(Gate::leaked());
+                let failed = failing.run(vec![lot(packed, Some((0, observer)))]);
                 let again = failing.run(vec![lot(packed, None)]).unwrap();
                 let fresh = floor().run(vec![lot(packed, None)]).unwrap();
                 (failed.map(|_| ()), again, fresh)

@@ -5,7 +5,7 @@
 //! fleet size and worker-thread count, with and without stamped defects.
 
 use casbus::RouteTableCache;
-use casbus_controller::schedule::{packed_schedule, Schedule};
+use casbus_controller::schedule::{packed_schedule, Schedule, ScheduledTest};
 use casbus_controller::search::SearchBudget;
 use casbus_controller::CompiledProgram;
 use casbus_obs::MetricsRegistry;
@@ -13,7 +13,7 @@ use casbus_sim::{
     run_program_reference, run_program_searched, CompiledEngine, DeviceReport, FaultKind,
     FleetRunner, InjectedFault, PackedDeviceEngine, SocSimulator, VariationSpec,
 };
-use casbus_soc::{catalog, SocDescription};
+use casbus_soc::{catalog, CoreId, SocDescription};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -600,6 +600,61 @@ fn defects_on_an_untested_core_fall_back_and_match_scalar_fleet() {
         untested
     );
     assert_eq!(metrics.counter("fleet.packed.fallback.devices"), untested);
+}
+
+/// Figure 1's `packed_schedule` at N = 8 with the wrapped system bus's
+/// interconnect test appended at the makespan. That last step tests no
+/// core and leaves the bus wrapper armed in EXTEST, so the program runs it
+/// on the interpreter and every defective die falls back to the scalar
+/// path under `fleet.packed.fallback.reason.step.armed_bystander`. The
+/// packed lot still equals the scalar lot, and each defective die's report
+/// equals its reference run.
+#[test]
+fn a_step_fallback_serves_every_defective_die_like_the_reference() {
+    let soc = catalog::figure1_soc();
+    let cores = packed_schedule(&soc, 8).expect("schedule");
+    let mut tests = cores.tests().to_vec();
+    tests.push(ScheduledTest {
+        core: CoreId(soc.cores().len()),
+        core_name: "system_bus".to_owned(),
+        wire_start: 0,
+        wires: 1,
+        start: cores.makespan(),
+        duration: 40,
+    });
+    let schedule = Schedule::from_tests(8, tests).expect("the bus test starts last");
+    let spec = VariationSpec::new(7, 0.25);
+    const FLEET: u64 = 64;
+
+    let scalar = FleetRunner::new(&soc, 8, schedule.clone())
+        .expect("runner")
+        .with_packed(false)
+        .run(&spec, FLEET)
+        .expect("scalar run");
+    let runner = FleetRunner::new(&soc, 8, schedule).expect("runner");
+    let metrics = MetricsRegistry::new();
+    let packed = runner
+        .run_with_metrics(&spec, FLEET, &metrics, |_| {})
+        .expect("packed run");
+    assert_eq!(packed.devices, scalar.devices);
+
+    let mut defective = 0;
+    for device in &packed.devices {
+        let Some(fault) = &device.fault else {
+            continue;
+        };
+        defective += 1;
+        let mut sim = SocSimulator::new(&soc, 8).expect("simulator");
+        fault.apply(&mut sim).expect("inject");
+        let reference =
+            run_program_reference(&mut sim, runner.plan().program()).expect("reference");
+        assert_eq!(device.report, reference, "{fault:?}");
+    }
+    assert_eq!(defective, 15, "spec 7 stamps 15 of 64 dies");
+    assert_eq!(
+        metrics.counter("fleet.packed.fallback.reason.step.armed_bystander"),
+        defective
+    );
 }
 
 /// [`VariationSpec`] edge cases: the extreme rates stamp none/all, the

@@ -168,11 +168,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // and the run took the cycles the program books: each step's
     // configuration shift and update pulse, then `duration + 1` data clocks.
     assert_eq!(metrics.counter("sim.cycles.total"), sim.cycles());
-    let configure = tam.configuration_clocks() as u64 + 1;
-    let booked: u64 = program.steps().iter().map(|s| s.duration + 1).sum();
     assert_eq!(
         metrics.counter("sim.cycles.total"),
-        booked + steps as u64 * configure
+        program.booked_cycles(&tam)
     );
     assert_eq!(
         metrics.counter("sim.cycles.total"),

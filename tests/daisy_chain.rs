@@ -3,7 +3,7 @@
 //! test chains to optimize interconnect/test time: two CASes claiming the
 //! same wire put their cores in series, like one long scan path.
 
-use casbus_suite::casbus::{CasError, TamConfiguration};
+use casbus_suite::casbus::TamConfiguration;
 use casbus_suite::casbus_p1500::TestableCore;
 use casbus_suite::casbus_p1500::WrapperInstruction;
 use casbus_suite::casbus_sim::{ClockKind, SocSimulator};
@@ -43,15 +43,13 @@ fn shared_wire_concatenates_two_scan_cores() {
     config
         .set(1, sim.tam().explicit_test(1, vec![0]).expect("fits"))
         .unwrap();
-    assert!(
-        matches!(
-            sim.tam().check_exclusive(&config),
-            Err(CasError::WireConflict { wire: 0, .. })
-        ),
-        "the exclusivity checker must flag the deliberate sharing"
-    );
     sim.configure(&config, &[WrapperInstruction::IntestScan; 2])
         .expect("configures");
+    assert_eq!(
+        sim.tam().chain().shared_wires(),
+        vec![(0, vec![0, 1])],
+        "the chain must report the deliberate sharing"
+    );
 
     // Golden: the two scan models composed in series with the retiming
     // register's one-cycle delay between them.

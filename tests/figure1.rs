@@ -75,17 +75,18 @@ fn configuration_overhead_is_once_per_step_not_per_pattern() {
     let tam = Tam::new(&soc, n).expect("fits");
     let sched = schedule::packed_schedule(&soc, n).expect("fits");
     let program = TestProgram::from_schedule(&tam, &soc, &sched).expect("compiles");
+    let booked = program.booked_cycles(&tam);
     let config_total = program.len() as u64 * (tam.configuration_clocks() as u64 + 1);
     assert!(
-        config_total < program.test_cycles() / 10,
-        "configuration ({config_total}) must be negligible next to test \
-         ({}) cycles",
-        program.test_cycles()
+        config_total < booked / 10,
+        "configuration ({config_total}) must be negligible next to the {booked} \
+         cycles the program books"
     );
     // The same holds on the simulator's own counters, on the serving engine
-    // and on the bit-serial reference: each step costs one CONFIGURATION
-    // phase (the serial shift plus its update pulse), however many patterns
-    // its TEST phase streams.
+    // and on the bit-serial reference: each run takes the cycles the
+    // program books, and each step costs one CONFIGURATION phase (the
+    // serial shift plus its update pulse), however many patterns its TEST
+    // phase streams.
     for reference in [false, true] {
         let mut sim = SocSimulator::new(&soc, n).expect("fits");
         let rep = if reference {
@@ -95,6 +96,7 @@ fn configuration_overhead_is_once_per_step_not_per_pattern() {
         }
         .expect("runs");
         assert!(rep.all_pass(), "reference {reference}: {rep}");
+        assert_eq!(sim.cycles(), booked, "reference {reference}");
         assert_eq!(sim.config_cycles(), config_total, "reference {reference}");
         assert!(
             sim.config_cycles() < sim.test_cycles() / 10,

@@ -91,14 +91,6 @@ fn maintenance_programs(tam: &Tam, soc: &SocDescription) -> Vec<TestProgram> {
         .collect()
 }
 
-/// What `program` books: each step's duration and its drain cycle, plus
-/// the configuration shift and update pulse of every step.
-fn booked_cycles(tam: &Tam, program: &TestProgram) -> u64 {
-    let configure = tam.configuration_clocks() as u64 + 1;
-    let steps = program.len() as u64;
-    program.steps().iter().map(|s| s.duration + 1).sum::<u64>() + steps * configure
-}
-
 /// What `schedule`'s program would book if each step ran until its longest
 /// test ended, as programs did before sessions carried across steps.
 fn step_after_step_cycles(tam: &Tam, schedule: &Schedule) -> u64 {
@@ -116,7 +108,7 @@ fn step_after_step_cycles(tam: &Tam, schedule: &Schedule) -> u64 {
 /// at most the makespan plus one configuration and one cycle per step, and
 /// never more than step-after-step execution would.
 fn check_step_rule(tam: &Tam, schedule: &Schedule, program: &TestProgram, what: &str) {
-    let booked = booked_cycles(tam, program);
+    let booked = program.booked_cycles(tam);
     let steps = program.len() as u64;
     let per_step = tam.configuration_clocks() as u64 + 2;
     assert_eq!(steps as usize, schedule.configuration_waves(), "{what}");
@@ -138,7 +130,7 @@ fn run_as_booked(
     what: &str,
 ) -> SocTestReport {
     let tam = Tam::new(soc, n).expect("fits");
-    let booked = booked_cycles(&tam, program);
+    let booked = program.booked_cycles(&tam);
     let fresh = || SocSimulator::new(soc, n).expect("fits");
     let compiled = run_program(&mut fresh(), program).expect("compiled run");
     let reference = run_program_reference(&mut fresh(), program).expect("reference run");
@@ -196,7 +188,7 @@ fn check_schedules(soc: &SocDescription, n: usize, signatures: &mut Signatures) 
         check_step_rule(&tam, &schedule, &program, &what);
         if matches!(name, "serial" | "wave") {
             // Their steps never overlap: they run exactly as before.
-            let booked = booked_cycles(&tam, &program);
+            let booked = program.booked_cycles(&tam);
             assert_eq!(booked, step_after_step_cycles(&tam, &schedule), "{what}");
         }
         let report = run_as_booked(soc, n, &program, &what);
