@@ -97,8 +97,12 @@ impl TestProgram {
     ///
     /// # Errors
     ///
-    /// Propagates [`CasError`] when a wire window cannot be expressed as a
-    /// scheme (never, for windows produced by the scheduler).
+    /// [`CasError::TestWidthMismatch`] when a test declares a wire count
+    /// other than its CAS's `P` (the CAS's scheme takes `P` wires from
+    /// `wire_start`, so a narrower declaration would hide a wire shared
+    /// with another test), and any [`CasError`] when a wire window cannot
+    /// be expressed as a scheme (never, for windows produced by the
+    /// scheduler).
     pub fn from_schedule(
         tam: &Tam,
         soc: &SocDescription,
@@ -122,6 +126,14 @@ impl TestProgram {
                 let cas_index = tam
                     .cas_for_core(&test.core_name)
                     .ok_or(CasError::UnknownCas(test.core.0))?;
+                let p = tam.chain().cases()[cas_index].geometry().switched_wires();
+                if test.wires != p {
+                    return Err(CasError::TestWidthMismatch {
+                        cas: cas_index,
+                        p,
+                        wires: test.wires,
+                    });
+                }
                 configuration.set(cas_index, tam.contiguous_test(cas_index, test.wire_start)?)?;
                 // The wrapped system bus has no core entry: interconnect test.
                 wrappers[cas_index] = soc
@@ -307,6 +319,44 @@ mod tests {
         // The data clocks run the makespan and the last session's drain.
         let clocks: u64 = durations.iter().map(|d| d + 1).sum();
         assert_eq!(clocks, schedule.makespan() + 1);
+    }
+
+    #[test]
+    fn a_test_narrower_than_its_cas_is_refused() {
+        // Figure 1 at N = 8: `core1_cpu` (CAS 0, P = 4) declared on wire 0
+        // alone beside `core2_dsp` on wires 1..=3. The schedule's windows
+        // do not overlap, but CAS 0's scheme takes wires 0..=3, so the
+        // step would share wires 1..=3 and a healthy die would fail both
+        // cores.
+        use crate::schedule::{Schedule, ScheduledTest};
+        let soc = catalog::figure1_soc();
+        let test = |cas: usize, wire_start: usize, wires: usize| ScheduledTest {
+            core: casbus_soc::CoreId(cas),
+            core_name: soc.cores()[cas].name().to_owned(),
+            wire_start,
+            wires,
+            start: 0,
+            duration: soc.cores()[cas].test_time(),
+        };
+        assert_eq!(soc.cores()[0].name(), "core1_cpu");
+        assert_eq!(soc.cores()[0].required_ports(), 4);
+        let dsp = soc.cores()[1].required_ports();
+        let schedule = Schedule::from_tests(8, vec![test(0, 0, 1), test(1, 1, dsp)])
+            .expect("the declared windows do not overlap");
+        let tam = Tam::new(&soc, 8).unwrap();
+        let refused = CasError::TestWidthMismatch {
+            cas: 0,
+            p: 4,
+            wires: 1,
+        };
+        assert_eq!(
+            TestProgram::from_schedule(&tam, &soc, &schedule),
+            Err(refused.clone())
+        );
+        assert_eq!(
+            CompiledProgram::compile(&soc, 8, schedule).unwrap_err(),
+            refused
+        );
     }
 
     #[test]

@@ -40,6 +40,16 @@ pub enum CasError {
         /// Available bus width.
         n: usize,
     },
+    /// A test declared a wire count other than its CAS's `P`: the CAS
+    /// switches all `P` of its wires in TEST mode, whatever the test says.
+    TestWidthMismatch {
+        /// Index of the CAS.
+        cas: usize,
+        /// Wires the CAS switches.
+        p: usize,
+        /// Wires the test declared.
+        wires: usize,
+    },
     /// A TAM configuration named a CAS index that does not exist.
     UnknownCas(usize),
     /// A configuration supplied the wrong number of instructions.
@@ -72,6 +82,10 @@ impl fmt::Display for CasError {
                 f,
                 "core {core:?} needs {needed} test wires but the bus is only {n} wide"
             ),
+            Self::TestWidthMismatch { cas, p, wires } => write!(
+                f,
+                "CAS {cas} switches P={p} wires but its test declares {wires}"
+            ),
             Self::UnknownCas(idx) => write!(f, "no CAS at index {idx}"),
             Self::ConfigurationLengthMismatch { got, expected } => write!(
                 f,
@@ -100,6 +114,14 @@ mod tests {
                 "670442572800",
             ),
             (CasError::UnknownCas(7), "index 7"),
+            (
+                CasError::TestWidthMismatch {
+                    cas: 1,
+                    p: 4,
+                    wires: 1,
+                },
+                "CAS 1 switches P=4 wires but its test declares 1",
+            ),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");

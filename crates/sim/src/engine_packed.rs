@@ -6,16 +6,17 @@
 //! exploits that structure along the device axis, the way the PPSFP fault
 //! simulator exploits it along the sequence axis:
 //!
-//! * **Healthy dies are one run, ever.** The engine executes the compiled
-//!   program once on a defect-free device and keeps the resulting
-//!   [`SocTestReport`] as the *baseline*. Every healthy device's report is a
-//!   clone of it — the scalar engine is deterministic, so a fresh healthy
-//!   run could not produce anything else. The same run judges every step
-//!   for the fast path, and its verdicts, one per session in start order,
-//!   are the slots the lanes patch.
-//! * **Defective dies run 64 to a word.** Devices of one cohort (≤ 64)
-//!   whose defects land on the same core become *lanes* of one word-level
-//!   twin of that core's behavioural model — [`PackedScanLanes`],
+//! * **Healthy dies are one run, ever.** The engine keeps one compiled run
+//!   of the program on a defect-free device as the *baseline* (a searched
+//!   runner's reference gate already made that run, and hands it over).
+//!   Every healthy device's report is a clone of it — the scalar engine is
+//!   deterministic, so a fresh healthy run could not produce anything
+//!   else. The same run judges every step for the fast path, and its
+//!   verdicts, one per session in start order, are the slots the lanes
+//!   patch.
+//! * **Defective dies run 64 to a word.** Up to 64 dies of a lot whose
+//!   defects land on the same core become *lanes* of one word-level twin
+//!   of that core's behavioural model — [`PackedScanLanes`],
 //!   [`PackedBistLanes`], or [`PackedMemoryLanes`], covering every defect
 //!   kind [`VariationSpec`](crate::VariationSpec) stamps. Each state bit of
 //!   the scalar model (a scan flop, a MISR stage, a memory cell bit) is one
@@ -40,6 +41,23 @@
 //!   names the compile clause or defect placement responsible, and the
 //!   fleet exports the tallies as `fleet.packed.fallback.reason.*`.
 //!
+//! # Planning a lot
+//!
+//! A lane is only worth its clocks when its word is full, and a lot's
+//! defects are sparse: at a 25% defect rate a 64-die cohort of Figure 1
+//! holds about four dies per defective core. So the planner
+//! (`PackedDeviceEngine::plan_lot`) groups the whole lot, not each
+//! cohort: one job per lane pass of up to 64 packable dies on the same
+//! defective core, one job per defective die the lanes cannot carry, and
+//! one job per 64-die cohort for that cohort's healthy dies. Every job
+//! holds one kind of die. Consecutive 64-die cohorts stay the unit of
+//! *reporting*: the floor's collector holds a cohort's reports until every
+//! die in it has reported, so which job computes a die never changes which
+//! dies are reported together. Jobs go out in the order of the first
+//! cohort they hold a die of — within a cohort, lane passes (longest core
+//! test first), then fallbacks, then the healthy dies — so the first
+//! cohort is whole as early as the lanes allow.
+//!
 //! # Why patching the baseline is sound
 //!
 //! The packed path is only used when the baseline run ran **every** step
@@ -59,8 +77,10 @@
 //! verdict and the signature of the defective core's session(s) — and those
 //! are what the packed lane run recomputes. The differential suite in
 //! `tests/fleet_differential.rs` pins this bit for bit across fleet sizes
-//! {1, 2, 63, 64, 65, 256} and thread counts {1, 2, 4}.
+//! {1, 2, 63, 64, 65, 256} and thread counts {1, 2, 4}, and that every
+//! packed run reports whole cohorts in device order.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -77,8 +97,17 @@ use crate::report::SocTestReport;
 use crate::session::{lane_signature, verdict, CompiledSession, Segment, SessionCache};
 use crate::simulator::{SimError, SocSimulator};
 
-/// Devices per cohort: the lane capacity of one machine word.
+/// Devices per cohort, the unit a packed lot reports in, and the lane
+/// capacity of one machine word.
 pub const COHORT_LANES: usize = LANES;
+
+/// One die of a lot: its device id and the defect stamped on it.
+pub(crate) type Member = (u64, Option<InjectedFault>);
+
+/// The 64-die cohort device `device_id` reports with.
+pub(crate) fn cohort_of(device_id: u64) -> usize {
+    (device_id / COHORT_LANES as u64) as usize
+}
 
 /// One session of a core in the program, however many steps carry it:
 /// where its verdict and signature live in the report, and the session it
@@ -90,14 +119,14 @@ struct PackedLaneSpec {
 }
 
 /// The compiled packed device-parallel engine: one healthy baseline report
-/// plus per-core lane specs, shared read-only by every cohort job of a
-/// fleet run.
+/// plus per-core lane specs, shared read-only by every job of a fleet run.
 ///
-/// Built once per [`FleetRunner`](crate::FleetRunner) (lazily, on the first
-/// packed run) from exactly the artifacts the scalar path uses — the shared
-/// SoC description, compiled program, route cache and compiled sessions —
-/// so route-table cache misses stay independent of fleet size and
-/// execution mode.
+/// Built once per [`FleetRunner`](crate::FleetRunner) from exactly the
+/// artifacts the scalar path uses — the shared SoC description, compiled
+/// program, route cache and compiled sessions — so route-table cache
+/// misses stay independent of fleet size and execution mode. A searched
+/// runner builds it from its reference gate's run at construction; a plain
+/// runner compiles it on its first packed run.
 pub struct PackedDeviceEngine {
     baseline: SocTestReport,
     /// Lane specs per core name (one entry per tested occurrence).
@@ -152,10 +181,24 @@ impl PackedDeviceEngine {
         sessions: Arc<SessionCache>,
     ) -> Result<Self, SimError> {
         let mut sim = SocSimulator::new_shared(Arc::clone(soc), plan.bus_width())?;
-        let (baseline, blocker) = CompiledEngine::new()
+        let judged = CompiledEngine::new()
             .with_cache(Arc::clone(cache))
             .with_sessions(Arc::clone(&sessions))
             .run_judged(&mut sim, plan.program())?;
+        Ok(Self::from_judged(soc, plan, cache, sessions, judged))
+    }
+
+    /// The engine of a judged healthy run of `plan`
+    /// ([`CompiledEngine::run_judged`] on a fresh die, over `cache` and
+    /// `sessions`): its report is the baseline, its blocker the program
+    /// blocker.
+    pub(crate) fn from_judged(
+        soc: &Arc<SocDescription>,
+        plan: &Arc<CompiledProgram>,
+        cache: &Arc<RouteTableCache>,
+        sessions: Arc<SessionCache>,
+        (baseline, blocker): (SocTestReport, Option<CompileBlocker>),
+    ) -> Self {
         let mut lanes: HashMap<String, Vec<PackedLaneSpec>> = HashMap::new();
         for (slot, (name, _)) in baseline.verdicts.iter().enumerate() {
             if let Some((_, desc)) = soc.core_by_name(name) {
@@ -165,7 +208,7 @@ impl PackedDeviceEngine {
                 });
             }
         }
-        Ok(Self {
+        Self {
             baseline,
             lanes,
             program_blocker: blocker.map(CompileBlocker::reason),
@@ -173,7 +216,7 @@ impl PackedDeviceEngine {
             plan: Arc::clone(plan),
             cache: Arc::clone(cache),
             sessions,
-        })
+        }
     }
 
     /// The healthy device's report — what every defect-free die receives.
@@ -219,10 +262,78 @@ impl PackedDeviceEngine {
         }
     }
 
-    /// Tests one cohort of up to [`COHORT_LANES`] devices: healthy dies
-    /// clone the baseline, packable defective dies share packed lane runs
-    /// grouped by defective core, and inexpressible dies fall back to the
-    /// scalar per-device path. Reports come back in member order.
+    /// The lane passes of a lot whose dies, in device order, carry
+    /// `faults`: each pass holds the indices into `faults` of up to
+    /// [`COHORT_LANES`] packable dies of one defective core, and a core's
+    /// dies fill its passes in device order. Cores go longest lane pass
+    /// first, ties in the order of their first defect.
+    pub(crate) fn lane_passes<'a>(
+        &self,
+        faults: impl IntoIterator<Item = Option<&'a InjectedFault>>,
+    ) -> Vec<Vec<usize>> {
+        let mut by_core: Vec<(&str, Vec<usize>)> = Vec::new();
+        for (idx, fault) in faults.into_iter().enumerate() {
+            let Some(fault) = fault.filter(|f| self.fault_packable(f)) else {
+                continue;
+            };
+            match by_core.iter_mut().find(|(core, _)| *core == fault.core) {
+                Some((_, dies)) => dies.push(idx),
+                None => by_core.push((&fault.core, vec![idx])),
+            }
+        }
+        // A packable core runs exactly one session.
+        by_core.sort_by_key(|(core, _)| Reverse(self.lanes[*core][0].session.len()));
+        by_core
+            .iter()
+            .flat_map(|(_, dies)| dies.chunks(COHORT_LANES).map(<[usize]>::to_vec))
+            .collect()
+    }
+
+    /// Plans a packed lot's pool jobs from its dies, in device order. Each
+    /// job holds one kind of die: a lane pass of up to [`COHORT_LANES`]
+    /// packable dies on one defective core ([`lane_passes`](Self::lane_passes)),
+    /// a defective die the lanes cannot carry, or one cohort's healthy
+    /// dies. Every die lands in exactly one job, in device order within
+    /// it. Jobs come in the order of the first cohort they hold a die of;
+    /// within a cohort, lane passes, then fallbacks, then healthy dies.
+    /// A pure function of the members and the plan, so the jobs of a lot
+    /// are the same on a floor and in a standalone runner.
+    pub(crate) fn plan_lot(&self, members: Vec<Member>) -> Vec<Vec<Member>> {
+        let mut fallbacks = Vec::new();
+        let mut healthy: Vec<Vec<usize>> = Vec::new();
+        for (idx, (device_id, fault)) in members.iter().enumerate() {
+            match fault {
+                None => match healthy.last_mut() {
+                    Some(job) if cohort_of(members[job[0]].0) == cohort_of(*device_id) => {
+                        job.push(idx);
+                    }
+                    _ => healthy.push(vec![idx]),
+                },
+                Some(fault) if !self.fault_packable(fault) => fallbacks.push(vec![idx]),
+                Some(_) => {}
+            }
+        }
+        let mut jobs = self.lane_passes(members.iter().map(|(_, fault)| fault.as_ref()));
+        jobs.extend(fallbacks);
+        jobs.extend(healthy);
+        // Stable: kinds keep their order within a cohort.
+        jobs.sort_by_key(|job| cohort_of(members[job[0]].0));
+        let mut members: Vec<Option<Member>> = members.into_iter().map(Some).collect();
+        jobs.into_iter()
+            .map(|job| {
+                job.into_iter()
+                    .map(|idx| members[idx].take().expect("each die lands in one job"))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Tests up to [`COHORT_LANES`] devices in one job: healthy dies clone
+    /// the baseline, packable defective dies share packed lane runs grouped
+    /// by defective core, and inexpressible dies fall back to the scalar
+    /// per-device path. Reports come back in member order. Any mix of dies
+    /// is served exactly; the lot planner (`plan_lot`) hands it one kind
+    /// at a time.
     ///
     /// # Errors
     ///
@@ -231,15 +342,12 @@ impl PackedDeviceEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the cohort exceeds [`COHORT_LANES`] members.
+    /// Panics if the job exceeds [`COHORT_LANES`] members.
     pub fn run_cohort(
         &self,
         members: Vec<(u64, Option<InjectedFault>)>,
     ) -> Result<Vec<DeviceReport>, SimError> {
-        assert!(
-            members.len() <= COHORT_LANES,
-            "cohort exceeds lane capacity"
-        );
+        assert!(members.len() <= COHORT_LANES, "job exceeds lane capacity");
         let mut reports: Vec<Option<SocTestReport>> = vec![None; members.len()];
         // Group packable defective members by defective core, preserving
         // member order so lane assignment is deterministic.
@@ -298,8 +406,8 @@ impl PackedDeviceEngine {
 /// clock edges the session plans use. Construction stamps each lane's
 /// defect; kind/method agreement is guaranteed by
 /// [`PackedDeviceEngine::fault_packable`]. Payloads are boxed — one model
-/// lives per (cohort, defective core) lane run, so the indirection is off
-/// the per-cycle path and keeps the variants size-balanced.
+/// lives per lane pass, so the indirection is off the per-cycle path and
+/// keeps the variants size-balanced.
 enum PackedModel {
     Scan(Box<PackedScanLanes>),
     Bist(Box<PackedBistLanes>),
@@ -513,6 +621,66 @@ mod tests {
             assert_eq!(report.report, scalar, "{fault:?}");
         }
         assert!(reasons.contains(&None) && reasons.contains(&Some("defect.retested_core")));
+    }
+
+    #[test]
+    fn every_planned_job_holds_one_kind_of_die() {
+        // Every die lands in exactly one job, in device order; a lane pass
+        // holds at most 64 packable dies of one core, a fallback job one
+        // die, a healthy job the healthy dies of one cohort; jobs go out
+        // in the order of the first cohort they hold a die of; and each
+        // core fills as few passes as 64 lanes allow.
+        let (scan, maintenance) = (catalog::figure2a_scan_soc(), catalog::maintenance_soc());
+        let figure1 = catalog::figure1_soc();
+        let mut blocked = engine_for(&figure1, 8);
+        blocked.program_blocker = Some("test.forced_off");
+        let engines = [
+            (&scan, engine_for(&scan, 4)),
+            (&maintenance, engine_for(&maintenance, 4)),
+            (&figure1, engine_for(&figure1, 8)),
+            (&figure1, blocked),
+        ];
+        for (soc, engine) in &engines {
+            // A die's kind: its lane's core, a fallback, or its cohort's
+            // healthy dies.
+            let kind = |(id, fault): &Member| match fault {
+                None => format!("healthy {}", cohort_of(*id)),
+                Some(f) if engine.fault_packable(f) => format!("lane {}", f.core),
+                Some(_) => "fallback".to_owned(),
+            };
+            for (seed, rate) in [(3u64, 0.1), (7, 0.25), (11, 0.6), (13, 1.0)] {
+                let spec = crate::VariationSpec::new(seed, rate);
+                for devices in [1u64, 63, 64, 65, 200, 700] {
+                    let members: Vec<Member> = (0..devices)
+                        .map(|id| (id, spec.fault_for(soc, id)))
+                        .collect();
+                    let context = format!("{} seed {seed}, {devices} dies", soc.name());
+                    let jobs = engine.plan_lot(members.clone());
+                    let mut served: Vec<&Member> = jobs.iter().flatten().collect();
+                    served.sort_by_key(|(id, _)| *id);
+                    assert!(served.into_iter().eq(&members), "{context}");
+                    let mut passes = 0;
+                    for job in &jobs {
+                        assert!(job.len() <= COHORT_LANES, "{context}");
+                        assert!(job.windows(2).all(|w| w[0].0 < w[1].0), "{context}");
+                        let first = kind(&job[0]);
+                        assert!(job.iter().all(|m| kind(m) == first), "{context}: {job:?}");
+                        assert!(first != "fallback" || job.len() == 1, "{context}");
+                        passes += usize::from(first.starts_with("lane"));
+                    }
+                    let cohorts: Vec<usize> = jobs.iter().map(|job| cohort_of(job[0].0)).collect();
+                    assert!(cohorts.windows(2).all(|w| w[0] <= w[1]), "{context}");
+                    let mut lane_dies: HashMap<String, usize> = HashMap::new();
+                    for kind in members.iter().map(kind).filter(|k| k.starts_with("lane")) {
+                        *lane_dies.entry(kind).or_default() += 1;
+                    }
+                    let fewest: usize = lane_dies.values().map(|n| n.div_ceil(COHORT_LANES)).sum();
+                    assert_eq!(passes, fewest, "{context}");
+                    let faults = members.iter().map(|(_, fault)| fault.as_ref());
+                    assert_eq!(engine.lane_passes(faults).len(), passes, "{context}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,13 +29,14 @@
 //! same dispatch, collection and observation code. Two execution modes
 //! serve the lot, both bit-identical:
 //!
-//! * **Packed device-parallel** (default, unmonitored runs): devices are
-//!   grouped into cohorts of up to 64 and executed through a shared
-//!   [`PackedDeviceEngine`] — healthy dies clone one baseline report,
-//!   defective dies run 64 per machine word as bit-lanes of the packed
+//! * **Packed device-parallel** (default, unmonitored runs): the lot is
+//!   planned into jobs for a shared [`PackedDeviceEngine`] — healthy dies
+//!   clone one baseline report, defective dies of one core anywhere in the
+//!   lot run 64 per machine word as bit-lanes of the packed
 //!   scan/BIST/memory models, and inexpressible defects fall back per
 //!   device to the scalar path (counted under
-//!   `fleet.packed.fallback.reason.*`). See [`crate::engine_packed`].
+//!   `fleet.packed.fallback.reason.*`). Reports still leave in consecutive
+//!   64-die cohorts. See [`crate::engine_packed`].
 //! * **Scalar per-device** (monitored runs, or [`FleetRunner::with_packed`]
 //!   `(false)`): one simulator per device — reused in place per worker
 //!   thread, with a power-on reset between devices instead of a rebuild.
@@ -432,10 +433,12 @@ pub struct FleetRunner {
     /// searched runner) and shared by every worker slot and the packed
     /// engine.
     floor: TestFloor,
-    /// Packed device-parallel mode: unmonitored runs execute cohorts of up
-    /// to 64 devices per word through a shared [`PackedDeviceEngine`].
+    /// Packed device-parallel mode: unmonitored runs execute up to 64
+    /// devices per word through a shared [`PackedDeviceEngine`].
     packed: bool,
-    /// Lazily compiled packed engine, shared by every run of this runner.
+    /// The packed engine, shared by every run of this runner: built from
+    /// the reference gate's run by a searched runner, compiled by the
+    /// first packed run otherwise.
     packed_engine: Mutex<Option<Arc<PackedDeviceEngine>>>,
 }
 
@@ -469,7 +472,10 @@ impl FleetRunner {
     /// would execute, compiled once for the whole fleet. The validator
     /// shares this runner's route cache and compiled sessions, so shapes
     /// and sessions compiled during the search are already warm when
-    /// devices arrive.
+    /// devices arrive. The gate's healthy compiled run is the packed
+    /// engine's baseline: the plan runs on the compiled engine once, and
+    /// every healthy die of a packed run clones a report the reference
+    /// interpreter reproduced.
     ///
     /// # Errors
     ///
@@ -492,8 +498,17 @@ impl FleetRunner {
         // The same bit-exact gate run_program_searched applies: refuse to
         // serve a plan whose compiled execution differs from the reference
         // interpreter on a healthy device.
-        validator.gate(soc, n, plan.program(), &MetricsRegistry::new())?;
-        Ok(Self::serving(soc, plan, TestFloor::over(cache, sessions)))
+        let judged = validator.gate(soc, n, plan.program(), &MetricsRegistry::new())?;
+        let mut runner = Self::serving(soc, plan, TestFloor::over(cache, sessions));
+        let engine = PackedDeviceEngine::from_judged(
+            &runner.soc,
+            &runner.plan,
+            runner.cache(),
+            Arc::clone(runner.floor.sessions()),
+            judged,
+        );
+        runner.packed_engine = Mutex::new(Some(Arc::new(engine)));
+        Ok(runner)
     }
 
     fn serving(soc: &SocDescription, plan: CompiledProgram, floor: TestFloor) -> Self {
@@ -516,7 +531,8 @@ impl FleetRunner {
 
     /// Bounds the shared route cache to `capacity` tables (LRU eviction).
     /// Replaces the cache, dropping anything already compiled into it
-    /// (along with any packed engine compiled against the old cache).
+    /// (along with the packed engine built against the old cache, so the
+    /// next packed run compiles it again).
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.floor = self.floor.with_cache_capacity(capacity);
@@ -525,20 +541,20 @@ impl FleetRunner {
     }
 
     /// Enables or disables packed device-parallel execution (on by
-    /// default). When on, unmonitored runs group devices into cohorts of up
-    /// to 64 and execute each cohort through one [`PackedDeviceEngine`]:
-    /// healthy dies clone a shared baseline report, defective dies run 64
-    /// per word as bit-lanes of a packed scan model, and anything the lane
-    /// encoding cannot express falls back to the scalar per-device path.
-    /// Reports are bit-identical either way (pinned by
-    /// `tests/fleet_differential.rs`); only `fleet.packed.*` and
-    /// `fleet.route_cache.*` metrics reveal which mode ran. Monitored runs
-    /// always use the scalar path so per-device telemetry and
-    /// flight-recorder dumps stay meaningful.
+    /// default). When on, an unmonitored run is served through one
+    /// [`PackedDeviceEngine`]: healthy dies clone a shared baseline report,
+    /// the defective dies of each core across the whole lot run 64 per
+    /// word as bit-lanes of a packed scan, BIST or memory model, and
+    /// anything the lane encoding cannot express falls back to the scalar
+    /// per-device path. Reports leave in consecutive 64-die cohorts, each
+    /// in device order, once every die of the cohort is done. Reports are
+    /// bit-identical either way (pinned by `tests/fleet_differential.rs`);
+    /// only `fleet.packed.*` and `fleet.route_cache.*` metrics reveal which
+    /// mode ran. Monitored runs always use the scalar path so per-device
+    /// telemetry and flight-recorder dumps stay meaningful.
     #[must_use]
     pub fn with_packed(mut self, packed: bool) -> Self {
         self.packed = packed;
-        self.packed_engine = Mutex::new(None);
         self
     }
 
@@ -567,10 +583,10 @@ impl FleetRunner {
         self.packed
     }
 
-    /// The lazily compiled packed engine, building (and memoising) it on
-    /// first use. Compilation runs the healthy baseline once, warming the
-    /// shared route cache on exactly the shapes the first scalar device
-    /// would have compiled.
+    /// The packed engine, compiling (and memoising) it on first use when
+    /// the runner has none. Compilation runs the healthy baseline once,
+    /// warming the shared route cache on exactly the shapes the first
+    /// scalar device would have compiled.
     fn packed_engine(&self) -> Result<Arc<PackedDeviceEngine>, SimError> {
         let mut slot = self
             .packed_engine
@@ -1054,6 +1070,58 @@ mod tests {
         let large = misses_for(16);
         assert!(small > 0, "first device compiles the shapes");
         assert_eq!(small, large, "identical devices never recompile");
+    }
+
+    #[test]
+    fn a_searched_runner_serves_the_healthy_run_its_gate_made() {
+        // The gate's compiled run is the packed baseline: a packed run of
+        // a perfect lot compiles no shape and looks none up, so the plan
+        // ran on the compiled engine once, at the gate.
+        let soc = catalog::figure1_soc();
+        let runner = FleetRunner::searched(&soc, 8, SearchBudget::smoke())
+            .unwrap()
+            .with_threads(2);
+        let (hits, misses) = (runner.cache().hits(), runner.cache().misses());
+        let fleet = runner.run(&VariationSpec::perfect(), 70).unwrap();
+        assert_eq!(
+            (runner.cache().hits(), runner.cache().misses()),
+            (hits, misses)
+        );
+        let mut sim = SocSimulator::new(&soc, 8).unwrap();
+        let reference = crate::run_program_reference(&mut sim, runner.plan().program()).unwrap();
+        assert!(fleet.devices.iter().all(|d| d.report == reference));
+    }
+
+    #[test]
+    fn the_flagship_lots_fill_one_lane_pass_per_defective_core() {
+        // The searched Figure-1 plan served to 256 dies at 25% defects, on
+        // the four defect patterns of variation seed 7: every defective
+        // core's packable dies fit one 64-lane pass, where one pass per
+        // defective core per 64-die cohort took 15 or 16.
+        let soc = catalog::figure1_soc();
+        let runner = FleetRunner::searched(&soc, 8, SearchBudget::smoke())
+            .unwrap()
+            .with_threads(2);
+        for seed in 28..32 {
+            let metrics = MetricsRegistry::new();
+            let spec = VariationSpec::new(seed, 0.25);
+            runner
+                .run_with_metrics(&spec, 256, &metrics, |_| {})
+                .unwrap();
+            assert_eq!(metrics.counter("fleet.packed.cohorts"), 4, "seed {seed}");
+            assert_eq!(
+                metrics.counter("fleet.packed.lane.passes"),
+                4,
+                "seed {seed}"
+            );
+            let occupancy = metrics.histogram("fleet.packed.lane.occupancy").unwrap();
+            assert_eq!(occupancy.count, 4, "seed {seed}");
+            assert_eq!(
+                occupancy.sum,
+                metrics.counter("fleet.packed.lane.devices"),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -24,13 +24,25 @@
 //!
 //! Scheduling decides only *when* a device runs, never *what* it computes:
 //! each device report is a pure function of `(spec, device_id, plan)`, and
-//! packed cohorts are formed per lot from consecutive device ids exactly as
-//! a standalone [`FleetRunner`](crate::FleetRunner) would form them. A
+//! a packed lot's jobs are planned per lot
+//! (`PackedDeviceEngine::plan_lot`) exactly as a standalone
+//! [`FleetRunner`](crate::FleetRunner) would plan them. A
 //! completed lot's sorted report list is therefore bit-identical to the
 //! same lot run alone, at any thread count, under any admission policy
 //! short of [`Abort`](crate::admission::CollapseAction::Abort) (pinned by
 //! `tests/floor_differential.rs`). Wall-clock quantities (snapshots,
 //! [`FloorReport::wall`]) are observational and excluded from the contract.
+//!
+//! # Reporting by cohort
+//!
+//! A packed lot's jobs span the lot — a lane pass carries up to 64 dies
+//! of one defective core from anywhere in it — but its reports leave in
+//! consecutive 64-die cohorts: the collector holds each finished report
+//! until every die of its cohort has reported, then records the cohort in
+//! device order. So the [`LotTracker`], the admission controller's rolling
+//! yield, `on_report` and an abort see the lot die by die in cohorts, as
+//! a tester hands over its dies, whichever job computed them. A scalar
+//! lot's reports leave as each device finishes.
 //!
 //! # Example
 //!
@@ -55,6 +67,7 @@
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -66,8 +79,8 @@ use casbus_soc::SocDescription;
 use crate::admission::{
     AdmissionAction, AdmissionController, AdmissionEvent, AdmissionPolicy, LotLive,
 };
-use crate::engine_packed::{PackedDeviceEngine, COHORT_LANES};
-use crate::fleet::{test_device, DeviceReport, FleetReport, InjectedFault, VariationSpec};
+use crate::engine_packed::{cohort_of, Member, PackedDeviceEngine, COHORT_LANES};
+use crate::fleet::{test_device, DeviceReport, FleetReport, VariationSpec};
 use crate::monitor::{FleetMonitor, FleetSnapshot, LotTracker};
 use crate::pool::{LaneId, WorkerPool};
 use crate::session::SessionCache;
@@ -144,8 +157,9 @@ impl LotSpec {
         self
     }
 
-    /// Enables or disables packed cohort execution for this lot (on by
-    /// default). Reports are bit-identical either way.
+    /// Enables or disables packed execution for this lot (on by default):
+    /// lane passes planned across the lot, reported in 64-die cohorts.
+    /// Reports are bit-identical either way.
     #[must_use]
     pub fn with_packed(mut self, packed: bool) -> Self {
         self.packed = packed;
@@ -533,14 +547,16 @@ impl TestFloor {
 
     /// The lot executor every floor and fleet run goes through (a
     /// [`FleetRunner`](crate::FleetRunner) run is a one-lot call). Dispatches
-    /// each lot onto its lane — packed cohorts when the lot has an engine,
-    /// one scalar job per device otherwise (monitored when the lot has a
-    /// monitor) — collects the reports, and runs the floor's one observer
-    /// thread, which snapshots every lot's [`LotTracker`] and applies the
-    /// admission policy. The observer ticks at the policy's interval, or at
-    /// the monitor's when a lot is monitored. `started` is when the run
-    /// began, for the report's wall clock. Publishes no metrics: callers
-    /// do, from the returned report.
+    /// each lot onto its lane — the jobs [`PackedDeviceEngine::plan_lot`]
+    /// plans when the lot has an engine, one scalar job per device
+    /// otherwise (monitored when the lot has a monitor) — collects the
+    /// reports (a packed lot's by whole cohort, see the
+    /// [module docs](self)), and runs the floor's one observer thread,
+    /// which snapshots every lot's [`LotTracker`] and applies the admission
+    /// policy. The observer ticks at the policy's interval, or at the
+    /// monitor's when a lot is monitored. `started` is when the run began,
+    /// for the report's wall clock. Publishes no metrics: callers do, from
+    /// the returned report.
     pub(crate) fn serve(
         &self,
         lots: &[Lot<'_>],
@@ -573,55 +589,61 @@ impl TestFloor {
 
         // One bounded result channel for the whole floor: a lagging
         // collector backpressures the workers, and batches carry their lot
-        // index. Reports travel in batches — one per cohort (packed) or per
-        // device (scalar) — so a 64-device cohort costs one rendezvous.
-        // Dispatch everything up front — queue pushes never block.
+        // index. Reports travel in batches — one per job — so a 64-die lane
+        // pass costs one rendezvous. Dispatch everything up front — queue
+        // pushes never block.
         let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
             self.pool.threads().saturating_mul(2).max(1),
         );
-        // Every job catches its own panic and reports it as the device's
+        // Dies in jobs that have not started, per lot: each job lowers its
+        // lot's count as it starts.
+        let queued: Vec<Arc<AtomicU64>> = lots
+            .iter()
+            .map(|lot| Arc::new(AtomicU64::new(lot.spec.devices)))
+            .collect();
+        // Every job catches its own panic and reports it as its first die's
         // error, so a panic stops the run instead of losing reports. The
         // receiver hangs up after a first error: jobs discard late batches
         // instead of panicking.
         for (idx, lot) in lots.iter().enumerate() {
             let spec = &lot.spec;
-            #[cfg(test)]
-            let fail_on = spec.fail_on;
-            if let Some(engine) = &lot.engine {
-                for members in plan_cohorts(&spec.variation, &spec.soc, spec.devices) {
-                    let engine = Arc::clone(engine);
-                    let tx = tx.clone();
-                    self.pool.execute_in(lanes[idx], move || {
-                        let first = members.first().map_or(0, |(id, _)| *id);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            #[cfg(test)]
-                            tests::inject(fail_on, members.iter().map(|(id, _)| *id))?;
-                            engine.run_cohort(members)
-                        }))
-                        .unwrap_or(Err(SimError::WorkerPanicked { device_id: first }));
-                        let _ = tx.send((idx, outcome));
-                    });
-                }
-            } else {
-                for device_id in 0..spec.devices {
-                    let soc = Arc::clone(&spec.soc);
-                    let plan = Arc::clone(&spec.plan);
-                    let cache = Arc::clone(&self.cache);
-                    let sessions = Arc::clone(&self.sessions);
-                    let fault = spec.variation.fault_for(&spec.soc, device_id);
-                    let monitor = lot.monitor.map(|m| Arc::clone(m.shared()));
-                    let tx = tx.clone();
-                    self.pool.execute_in(lanes[idx], move || {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            #[cfg(test)]
-                            tests::inject(fail_on, std::iter::once(device_id))?;
-                            let monitor = monitor.as_deref();
-                            test_device(&soc, &plan, &cache, &sessions, device_id, fault, monitor)
-                        }))
-                        .unwrap_or(Err(SimError::WorkerPanicked { device_id }));
-                        let _ = tx.send((idx, outcome.map(|report| vec![report])));
-                    });
-                }
+            let members = (0..spec.devices).map(|id| (id, spec.variation.fault_for(&spec.soc, id)));
+            let jobs: Vec<Vec<Member>> = match &lot.engine {
+                Some(engine) => engine.plan_lot(members.collect()),
+                None => members.map(|member| vec![member]).collect(),
+            };
+            for members in jobs {
+                let engine = lot.engine.clone();
+                let soc = Arc::clone(&spec.soc);
+                let plan = Arc::clone(&spec.plan);
+                let cache = Arc::clone(&self.cache);
+                let sessions = Arc::clone(&self.sessions);
+                let monitor = lot.monitor.map(|m| Arc::clone(m.shared()));
+                let queued = Arc::clone(&queued[idx]);
+                let tx = tx.clone();
+                #[cfg(test)]
+                let fail_on = spec.fail_on;
+                self.pool.execute_in(lanes[idx], move || {
+                    queued.fetch_sub(members.len() as u64, Ordering::Relaxed);
+                    let first = members[0].0;
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        #[cfg(test)]
+                        tests::inject(fail_on, engine.is_some(), &members)?;
+                        match &engine {
+                            Some(engine) => engine.run_cohort(members),
+                            None => {
+                                let (device_id, fault) = members.into_iter().next().expect("a die");
+                                let monitor = monitor.as_deref();
+                                test_device(
+                                    &soc, &plan, &cache, &sessions, device_id, fault, monitor,
+                                )
+                                .map(|report| vec![report])
+                            }
+                        }
+                    }))
+                    .unwrap_or(Err(SimError::WorkerPanicked { device_id: first }));
+                    let _ = tx.send((idx, outcome));
+                });
             }
         }
         drop(tx);
@@ -657,7 +679,7 @@ impl TestFloor {
                 loop {
                     let guard = stopped();
                     #[cfg(test)]
-                    tests::observe(lots, &events);
+                    tests::observe(lots, &events, &snapshots);
                     let (guard, _) = stop
                         .1
                         .wait_timeout_while(guard, interval, |stopped| !*stopped)
@@ -665,17 +687,7 @@ impl TestFloor {
                     let stopping = *guard;
                     drop(guard);
                     for (idx, (lot, tracker)) in lots.iter().zip(&trackers).enumerate() {
-                        // Queued devices still waiting in the lot's lane:
-                        // packed lanes queue cohorts, so convert (the last
-                        // cohort may be partial — clamp to what's owed).
-                        let queued_jobs = self.pool.lane_queued(lanes[idx]) as u64;
-                        let queued = if lot.engine.is_some() {
-                            queued_jobs
-                                .saturating_mul(COHORT_LANES as u64)
-                                .min(tracker.remaining())
-                        } else {
-                            queued_jobs
-                        };
+                        let queued = queued[idx].load(Ordering::Relaxed);
                         let mut snapshot = tracker.snapshot(&self.cache, queued, stopping);
                         if let Some(monitor) = lot.monitor {
                             monitor.shared().complete(&mut snapshot);
@@ -699,14 +711,30 @@ impl TestFloor {
                 .iter()
                 .map(|lot| Vec::with_capacity(lot.spec.devices as usize))
                 .collect();
+            let mut held: Vec<Option<HeldCohorts>> = lots
+                .iter()
+                .map(|lot| {
+                    lot.engine
+                        .as_ref()
+                        .map(|_| HeldCohorts::new(lot.spec.devices))
+                })
+                .collect();
             // A panicking `on_report` is caught here so the observer still
             // sees `stop`; the panic resumes once the run is wound down.
             let collected = catch_unwind(AssertUnwindSafe(|| {
                 for (idx, outcome) in rx.iter() {
-                    for report in outcome? {
+                    let mut record = |report: DeviceReport| {
                         trackers[idx].record(&report);
                         on_report(idx, &report);
                         reports[idx].push(report);
+                    };
+                    match &mut held[idx] {
+                        Some(held) => {
+                            for report in outcome? {
+                                held.hold(report, &mut record);
+                            }
+                        }
+                        None => outcome?.into_iter().for_each(record),
                     }
                 }
                 Ok::<(), SimError>(())
@@ -756,6 +784,42 @@ impl TestFloor {
     }
 }
 
+/// A packed lot's finished reports, held until their 64-die cohort is
+/// whole.
+struct HeldCohorts {
+    /// Finished reports not yet recorded, by device id.
+    reports: Vec<Option<DeviceReport>>,
+    /// Dies still to report, per cohort.
+    missing: Vec<usize>,
+}
+
+impl HeldCohorts {
+    fn new(devices: u64) -> Self {
+        let devices = devices as usize;
+        Self {
+            reports: std::iter::repeat_with(|| None).take(devices).collect(),
+            missing: (0..devices.div_ceil(COHORT_LANES))
+                .map(|cohort| (devices - cohort * COHORT_LANES).min(COHORT_LANES))
+                .collect(),
+        }
+    }
+
+    /// Holds `report`; when it completes its cohort, hands the cohort to
+    /// `record` in device order.
+    fn hold(&mut self, report: DeviceReport, record: &mut impl FnMut(DeviceReport)) {
+        let id = report.device_id as usize;
+        let cohort = cohort_of(report.device_id);
+        self.reports[id] = Some(report);
+        self.missing[cohort] -= 1;
+        if self.missing[cohort] == 0 {
+            let end = ((cohort + 1) * COHORT_LANES).min(self.reports.len());
+            for report in &mut self.reports[cohort * COHORT_LANES..end] {
+                record(report.take().expect("a whole cohort"));
+            }
+        }
+    }
+}
+
 /// Drops the queued jobs of a run's lanes if the floor's observer panics:
 /// the collector waits for every queued job, which a lane the observer
 /// paused would hold forever, so they go as after a failed collection.
@@ -793,30 +857,6 @@ fn check_complete(
     Ok(())
 }
 
-/// Plans the packed cohorts of one lot: device ids `0..fleet_size` grouped
-/// consecutively into cohorts of up to [`COHORT_LANES`], each member
-/// stamped by `spec` on the calling thread. A pure function of
-/// `(spec, soc, fleet_size)`, so lane assignment — and therefore every
-/// packed report — is identical whether the lot runs as a
-/// [`FleetRunner`](crate::FleetRunner)'s one lot or shares a floor with
-/// other lots.
-fn plan_cohorts(
-    spec: &VariationSpec,
-    soc: &SocDescription,
-    fleet_size: u64,
-) -> Vec<Vec<(u64, Option<InjectedFault>)>> {
-    let mut cohorts = Vec::with_capacity(fleet_size.div_ceil(COHORT_LANES as u64) as usize);
-    let mut cohort: Vec<(u64, Option<InjectedFault>)> = Vec::with_capacity(COHORT_LANES);
-    for device_id in 0..fleet_size {
-        cohort.push((device_id, spec.fault_for(soc, device_id)));
-        if cohort.len() == COHORT_LANES || device_id + 1 == fleet_size {
-            cohorts.push(std::mem::take(&mut cohort));
-            cohort = Vec::with_capacity(COHORT_LANES);
-        }
-    }
-    cohorts
-}
-
 /// Publishes the standard `fleet.*` metrics for one completed lot:
 /// device/pass/fail/defect counts, cycle and wire-cycle totals, the route
 /// cache's counters, packed-path accounting (when `packed_engine` is set),
@@ -850,18 +890,20 @@ pub(crate) fn publish_fleet_metrics(
     metrics.set("fleet.route_cache.evictions", cache.evictions());
     metrics.set("fleet.route_cache.shapes", cache.len() as u64);
     if let Some(engine) = packed_engine {
-        // Per-device accounting (not per-cohort): how many devices each
+        // Per-device accounting (not per-job): how many devices each
         // packed serving path handled. Pure functions of (spec, id), so
         // bit-identical across thread counts like every fleet.* metric.
         let defective = devices.iter().filter(|d| d.fault.is_some()).count();
-        let lane_devices = devices
-            .iter()
-            .filter(|d| d.fault.as_ref().is_some_and(|f| engine.fault_packable(f)))
-            .count();
+        let passes = engine.lane_passes(devices.iter().map(|d| d.fault.as_ref()));
+        let lane_devices: usize = passes.iter().map(Vec::len).sum();
         metrics.set(
             "fleet.packed.cohorts",
             requested.div_ceil(COHORT_LANES as u64),
         );
+        metrics.set("fleet.packed.lane.passes", passes.len() as u64);
+        for pass in &passes {
+            metrics.observe("fleet.packed.lane.occupancy", pass.len() as u64);
+        }
         metrics.set(
             "fleet.packed.baseline.devices",
             (devices.len() - defective) as u64,
@@ -902,48 +944,81 @@ mod tests {
         Error,
         /// The floor's observer panics instead, while it holds the stop
         /// flag's lock, once the admission controller has acted on the
-        /// lot. Every other job of the lot waits at the gate until then,
-        /// so the lot cannot finish before the observer's first tick.
+        /// lot. Every job of the lot that holds no die of the named
+        /// device's batch of reports (its cohort on a packed lot, the
+        /// device alone on a scalar one) waits at the gate until then, so
+        /// the lot cannot finish before the observer's first tick.
         Observer(&'static Gate),
+        /// Every job of the lot waits at the gate. The observer waits for
+        /// a job to reach it before its first snapshot and opens it
+        /// after.
+        Hold(&'static Gate),
     }
 
-    /// A gate that opens once and stays open.
+    /// A gate that opens once and stays open, and counts the jobs that
+    /// reached it.
     #[derive(Debug, Default)]
     pub(crate) struct Gate {
-        open: Mutex<bool>,
-        opened: Condvar,
+        /// Whether it is open, and the jobs that reached it.
+        state: Mutex<(bool, usize)>,
+        changed: Condvar,
     }
 
     impl Gate {
-        /// A gate for [`Failure::Observer`]. Every job copies its lot's
-        /// `fail_on`, so the gate lives as long as the test binary.
+        /// A gate for [`Failure::Observer`] or [`Failure::Hold`]. Every
+        /// job copies its lot's `fail_on`, so the gate lives as long as
+        /// the test binary.
         fn leaked() -> &'static Self {
             Box::leak(Box::default())
         }
 
-        fn open(&self) {
-            *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
-            self.opened.notify_all();
+        fn state(&self) -> std::sync::MutexGuard<'_, (bool, usize)> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
         }
 
+        fn open(&self) {
+            self.state().0 = true;
+            self.changed.notify_all();
+        }
+
+        /// Waits at the gate until it opens.
         fn wait(&self) {
-            let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut state = self.state();
+            state.1 += 1;
+            self.changed.notify_all();
             let _open = self
-                .opened
-                .wait_while(open, |open| !*open)
+                .changed
+                .wait_while(state, |(open, _)| !*open)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+
+        /// Waits until a job has reached the gate.
+        fn await_arrival(&self) {
+            let _arrived = self
+                .changed
+                .wait_while(self.state(), |(_, arrived)| *arrived == 0)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Panics when a lot that asks its observer to ([`Failure::Observer`])
-    /// has seen an admission event, opening the lot's gate first.
-    pub(super) fn observe(lots: &[Lot<'_>], events: &[Vec<AdmissionEvent>]) {
-        for (lot, events) in lots.iter().zip(events) {
-            if let Some((_, Failure::Observer(gate))) = lot.spec.fail_on {
-                if !events.is_empty() {
+    /// has seen an admission event, opening the lot's gate first; holds
+    /// the first snapshot of a [`Failure::Hold`] lot until a job reached
+    /// its gate, and opens the gate once the snapshot is taken.
+    pub(super) fn observe(
+        lots: &[Lot<'_>],
+        events: &[Vec<AdmissionEvent>],
+        snapshots: &[Vec<FleetSnapshot>],
+    ) {
+        for ((lot, events), snapshots) in lots.iter().zip(events).zip(snapshots) {
+            match lot.spec.fail_on {
+                Some((_, Failure::Observer(gate))) if !events.is_empty() => {
                     gate.open();
                     panic!("injected observer panic");
                 }
+                Some((_, Failure::Hold(gate))) if snapshots.is_empty() => gate.await_arrival(),
+                Some((_, Failure::Hold(gate))) => gate.open(),
+                _ => {}
             }
         }
     }
@@ -953,20 +1028,32 @@ mod tests {
         SimError::UnknownCore(format!("injected error on device {device_id}"))
     }
 
-    /// Fails the job when `fail_on` names one of its `devices`; holds it
-    /// at the lot's gate when `fail_on` names another job's device for
-    /// the observer to fail.
+    /// Fails the job when `fail_on` names one of its `members`; holds it
+    /// at the lot's gate when it is a [`Failure::Hold`] lot's, or when
+    /// `fail_on` names another batch's device for the observer to fail.
+    /// `packed` lots report in cohorts.
     pub(super) fn inject(
         fail_on: Option<(u64, Failure)>,
-        mut devices: impl Iterator<Item = u64>,
+        packed: bool,
+        members: &[Member],
     ) -> Result<(), SimError> {
         let Some((device_id, failure)) = fail_on else {
             return Ok(());
         };
-        match (failure, devices.any(|d| d == device_id)) {
-            (Failure::Panic, true) => panic!("injected panic on device {device_id}"),
-            (Failure::Error, true) => Err(injected_error(device_id)),
-            (Failure::Observer(gate), false) => {
+        let holds = |batch: u64| {
+            members
+                .iter()
+                .any(|(id, _)| id / batch == device_id / batch)
+        };
+        let batch = if packed { COHORT_LANES as u64 } else { 1 };
+        match failure {
+            Failure::Panic if holds(1) => panic!("injected panic on device {device_id}"),
+            Failure::Error if holds(1) => Err(injected_error(device_id)),
+            Failure::Observer(gate) if !holds(batch) => {
+                gate.wait();
+                Ok(())
+            }
+            Failure::Hold(gate) => {
                 gate.wait();
                 Ok(())
             }
@@ -1009,6 +1096,16 @@ mod tests {
         }
     }
 
+    /// The jobs a packed lot of `spec` is served in.
+    fn planned_jobs(spec: &LotSpec) -> Vec<Vec<Member>> {
+        let cache = Arc::new(RouteTableCache::new());
+        let engine = PackedDeviceEngine::compile(&spec.soc, &spec.plan, &cache).unwrap();
+        let members = (0..spec.devices)
+            .map(|id| (id, spec.variation.fault_for(&spec.soc, id)))
+            .collect();
+        engine.plan_lot(members)
+    }
+
     #[test]
     fn a_panicking_device_fails_the_run_and_the_floor_keeps_serving() {
         // A device's job that panics or returns an error fails the run with
@@ -1029,9 +1126,19 @@ mod tests {
             spec.fail_on = fail_on;
             spec
         };
+        // A packed panic names the first die of the job that holds device
+        // 66: the lane pass of the lot's `core1_cpu` defects, which begins
+        // at device 18.
+        let packed_job = planned_jobs(&lot(true, None))
+            .into_iter()
+            .find(|job| job.iter().any(|(id, _)| *id == 66))
+            .unwrap();
+        assert!(packed_job
+            .iter()
+            .all(|(_, fault)| fault.as_ref().is_some_and(|f| f.core == "core1_cpu")));
+        assert_eq!(packed_job[0].0, 18);
         for packed in [false, true] {
-            // Device 66 rides the second cohort, whose first device is 64.
-            let named = if packed { 64 } else { 66 };
+            let named = if packed { packed_job[0].0 } else { 66 };
             for threads in [1usize, 2, 4] {
                 let fresh = TestFloor::new()
                     .with_threads(threads)
@@ -1083,12 +1190,15 @@ mod tests {
     #[test]
     fn a_panicking_observer_fails_the_run_and_the_floor_keeps_serving() {
         // Every die fails, so the observer pauses the lot's lane after the
-        // first report, then panics while it holds the stop flag's lock,
-        // before any tick could resume the lane. The lot's jobs after the
-        // first wait until then, so the observer panics on every run. The
-        // run returns a typed error instead of hanging on the paused lane
-        // or panicking out of `serve`, and the floor's next run equals a
-        // fresh floor's.
+        // first batch of reports (device 0 alone on the scalar lot, the
+        // first cohort on the packed one), then panics while it holds the
+        // stop flag's lock, before any tick could resume the lane. The
+        // jobs that hold none of that batch wait until then, so the
+        // observer panics on every run. The packed lot's first jobs are
+        // the ones that hold a die of its first cohort, so one worker
+        // reaches them all. The run returns a typed error instead of
+        // hanging on the paused lane or panicking out of `serve`, and the
+        // floor's next run equals a fresh floor's.
         let soc = catalog::figure2a_scan_soc();
         let schedule = packed_schedule(&soc, 4).unwrap();
         let lot = move |packed: bool, fail_on: Option<(u64, Failure)>| {
@@ -1118,6 +1228,56 @@ mod tests {
             assert_eq!(failed, Err(SimError::ObserverPanicked), "packed {packed}");
             assert_eq!(again.lots[0].fleet.fleet_size(), 200, "packed {packed}");
             assert_eq!(again.lots[0].fleet.devices, fresh.lots[0].fleet.devices);
+        }
+    }
+
+    #[test]
+    fn a_lot_counts_the_dies_of_jobs_that_have_not_started() {
+        // One worker: the lot's first job starts and waits at the gate
+        // while the rest stay queued, so the first snapshot has exactly
+        // that job's dies in flight, however many dies its job holds.
+        let soc = catalog::figure1_soc();
+        let schedule = packed_schedule(&soc, 8).unwrap();
+        for packed in [false, true] {
+            let mut spec = LotSpec::new(
+                "lot",
+                &soc,
+                8,
+                schedule.clone(),
+                200,
+                VariationSpec::new(5, 0.25),
+            )
+            .unwrap()
+            .with_packed(packed);
+            let first_job = if packed {
+                planned_jobs(&spec)[0].len() as u64
+            } else {
+                1
+            };
+            spec.fail_on = Some((0, Failure::Hold(Gate::leaked())));
+            let report = within_a_minute(move || {
+                let policy = AdmissionPolicy::default().with_interval(Duration::from_millis(1));
+                TestFloor::new()
+                    .with_threads(1)
+                    .with_admission(policy)
+                    .run(vec![spec])
+            })
+            .unwrap();
+            let snapshots = &report.lots[0].snapshots;
+            let first = &snapshots[0];
+            assert_eq!(
+                (first.completed, first.in_flight),
+                (0, first_job),
+                "packed {packed}"
+            );
+            let last = snapshots.last().unwrap();
+            assert!(last.last);
+            assert_eq!(
+                (last.completed, last.in_flight),
+                (200, 0),
+                "packed {packed}"
+            );
+            assert!(first_job > 1 || !packed, "a lane pass holds many dies");
         }
     }
 

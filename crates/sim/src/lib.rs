@@ -37,9 +37,10 @@
 //!   across thousands of simulated devices on a persistent worker pool,
 //!   streaming per-device pass/fail reports and a fleet yield summary,
 //! * [`engine_packed::PackedDeviceEngine`] — the fleet's packed
-//!   device-parallel mode: cohorts of up to 64 devices share one word-level
-//!   execution, each device one bit-lane, with per-device reports extracted
-//!   bit-identical to the scalar path,
+//!   device-parallel mode: up to 64 defective devices of one core, from
+//!   anywhere in a lot, share one word-level execution, each device one
+//!   bit-lane, with per-device reports extracted bit-identical to the
+//!   scalar path and reported in 64-die cohorts,
 //! * [`monitor::FleetMonitor`] — watch an in-flight fleet run live:
 //!   streaming health snapshots (yield, throughput, latency quantiles,
 //!   stragglers) over a bounded channel, plus per-device flight-recorder

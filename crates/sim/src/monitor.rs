@@ -24,7 +24,7 @@
 //!   inside the monitor's [telemetry](FleetMonitor::telemetry) registry.
 //!   Fleet results and every `fleet.*` metric stay bit-identical to an
 //!   unmonitored run (pinned by `tests/fleet_differential.rs`).
-//! * Monitored runs execute the **scalar** per-device path. Packed cohort
+//! * Monitored runs execute the **scalar** per-device path. Packed
 //!   execution ([`FleetRunner::with_packed`](crate::FleetRunner::with_packed),
 //!   the default for unmonitored runs) shares one word-level execution
 //!   across up to 64 devices, which would leave per-device spans, latency
@@ -475,8 +475,8 @@ impl FleetMonitor {
 /// [`FleetRunner`](crate::FleetRunner) run is a one-lot floor, so its
 /// [`FleetMonitor`] snapshots are built here too.
 ///
-/// A `LotTracker` observes only completion events, so packed cohort
-/// execution stays available to floor lots. Snapshot fields the tracker
+/// A `LotTracker` observes only completion events, so packed execution
+/// stays available to floor lots. Snapshot fields the tracker
 /// cannot see — per-device latency quantiles, queue-wait digests,
 /// stragglers, fallback attribution — are left empty unless a
 /// [`FleetMonitor`] watches the lot.
@@ -552,9 +552,10 @@ impl LotTracker {
         }
     }
 
-    /// Assembles a per-lot [`FleetSnapshot`]. `queued` is the lot's
-    /// still-undispatched device count (from the pool lane), so
-    /// `in_flight` counts only devices actually executing on workers.
+    /// Assembles a per-lot [`FleetSnapshot`]. `queued` is the lot's dies
+    /// in jobs that have not started, so `in_flight` counts the dies whose
+    /// job has started and whose report is not recorded yet (on a packed
+    /// lot, finished dies waiting for the rest of their cohort too).
     /// Tracker-invisible fields (latency digests, stragglers, fallback
     /// attribution) are empty — see the type-level docs.
     pub fn snapshot(&self, cache: &RouteTableCache, queued: u64, last: bool) -> FleetSnapshot {

@@ -22,7 +22,7 @@ use casbus_controller::{Schedule, TestProgram};
 use casbus_obs::MetricsRegistry;
 use casbus_soc::SocDescription;
 
-use crate::engine::CompiledEngine;
+use crate::engine::{CompileBlocker, CompiledEngine};
 use crate::pool::lpt_fanout;
 use crate::report::{run_program_reference, SocTestReport};
 use crate::session::SessionCache;
@@ -140,22 +140,24 @@ impl CompiledValidator {
     /// The bit-exact gate on a search winner: runs `program` on a healthy
     /// `n`-wire device through this validator's caches, publishing the
     /// run's counters into `metrics`, and refuses a report the reference
-    /// interpreter does not reproduce signature for signature.
+    /// interpreter does not reproduce signature for signature. Returns the
+    /// judged run ([`CompiledEngine::run_judged`]): the report, and the
+    /// first reason a step could not run word-level.
     pub(crate) fn gate(
         &self,
         soc: &SocDescription,
         n: usize,
         program: &TestProgram,
         metrics: &MetricsRegistry,
-    ) -> Result<SocTestReport, SimError> {
+    ) -> Result<(SocTestReport, Option<CompileBlocker>), SimError> {
         let mut sim = SocSimulator::new(soc, n)?;
-        let report = self.engine().run(&mut sim, program)?;
+        let judged = self.engine().run_judged(&mut sim, program)?;
         sim.export_metrics(metrics);
         let mut reference_sim = SocSimulator::new(soc, n)?;
-        if report != run_program_reference(&mut reference_sim, program)? {
+        if judged.0 != run_program_reference(&mut reference_sim, program)? {
             return Err(SimError::SearchDiverged);
         }
-        Ok(report)
+        Ok(judged)
     }
 }
 
@@ -234,7 +236,7 @@ pub fn run_program_searched(
     let program = TestProgram::from_schedule(&tam, soc, &schedule)?;
     // The winner is only a winner if the compiled engine's report of it is
     // indistinguishable from the reference interpreter's.
-    let report = validator.gate(soc, n, &program, metrics)?;
+    let (report, _) = validator.gate(soc, n, &program, metrics)?;
     Ok((schedule, report))
 }
 

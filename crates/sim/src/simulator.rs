@@ -41,9 +41,10 @@ pub enum SimError {
     /// return it.
     SearchDiverged,
     /// Testing a device panicked. The pool worker survives and the run
-    /// stops; a packed cohort's panic names the cohort's first device.
+    /// stops; a packed job's panic names the job's first die (a lane pass
+    /// holds up to 64 dies of one defective core from anywhere in the lot).
     WorkerPanicked {
-        /// The device whose job panicked.
+        /// The first die of the job that panicked.
         device_id: u64,
     },
     /// A session still had plan cycles to run when its step ended, and the

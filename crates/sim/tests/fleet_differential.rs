@@ -125,6 +125,71 @@ proptest! {
     }
 }
 
+/// Splits `ids`, the device ids of a run's reports in `on_report` order,
+/// into whole 64-die cohorts of a `fleet_size`-die lot, each in device
+/// order; returns the cohorts in the order they left, or why `ids` does
+/// not split.
+fn reported_cohorts(ids: &[u64], fleet_size: u64) -> Result<Vec<u64>, String> {
+    let mut cohorts = Vec::new();
+    let mut rest = ids;
+    while let Some(&first) = rest.first() {
+        let cohort = first / 64;
+        let end = ((cohort + 1) * 64).min(fleet_size);
+        let whole: Vec<u64> = (cohort * 64..end).collect();
+        let len = whole.len().min(rest.len());
+        if rest[..len] != whole[..] || cohorts.contains(&cohort) {
+            return Err(format!("cohort {cohort} left as {:?}", &rest[..len]));
+        }
+        cohorts.push(cohort);
+        rest = &rest[len..];
+    }
+    if cohorts.len() as u64 == fleet_size.div_ceil(64) {
+        Ok(cohorts)
+    } else {
+        Err(format!("{} of the lot's cohorts left", cohorts.len()))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A packed run's lane passes span the lot, but its reports leave in
+    /// whole 64-die cohorts, each in device order: `on_report`, and the
+    /// floor's tracker and admission behind it, see consecutive cohorts
+    /// whichever job computed a die.
+    #[test]
+    fn packed_reports_leave_in_whole_cohorts_in_device_order(
+        pick in 0usize..3,
+        variation_seed in any::<u64>(),
+        defect_permille in 0u64..=1000,
+    ) {
+        let (soc, n) = match pick {
+            0 => (catalog::figure2a_scan_soc(), 4),
+            1 => (catalog::maintenance_soc(), 4),
+            _ => (catalog::figure1_soc(), 8),
+        };
+        let spec = VariationSpec::new(variation_seed, defect_permille as f64 / 1000.0);
+        let schedule = packed_schedule(&soc, n).expect("schedule");
+        for threads in [1usize, 2, 4] {
+            let runner = FleetRunner::new(&soc, n, schedule.clone())
+                .expect("runner")
+                .with_threads(threads);
+            for fleet_size in [1u64, 63, 64, 65, 256, 700] {
+                let mut ids = Vec::new();
+                runner
+                    .run_with(&spec, fleet_size, |device| ids.push(device.device_id))
+                    .expect("packed run");
+                let split = reported_cohorts(&ids, fleet_size);
+                prop_assert!(
+                    split.is_ok(),
+                    "{}, {fleet_size} dies, {threads} threads: {split:?}",
+                    soc.name()
+                );
+            }
+        }
+    }
+}
+
 /// A searched fleet serves exactly the plan [`run_program_searched`] would
 /// execute: same schedule, and every healthy device's report equals the
 /// report a literal loop of `run_program_searched` calls produces.
@@ -358,6 +423,12 @@ fn packed_fleet_is_bit_identical_to_scalar_fleet() {
                 visible(&scalar_metrics),
                 "fleet {fleet_size}, {threads} threads"
             );
+            let visible_histograms = |m: &MetricsRegistry| {
+                visible_histograms(m)
+                    .into_iter()
+                    .filter(|(name, _)| !mode_dependent(name))
+                    .collect::<Vec<_>>()
+            };
             assert_eq!(
                 visible_histograms(&packed_metrics),
                 visible_histograms(&scalar_metrics),
