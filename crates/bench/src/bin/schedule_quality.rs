@@ -13,10 +13,10 @@
 //! 1. the original width sweep on the Figure-1 SoC and a random 10-core
 //!    SoC (serial vs packed vs wave-optimal),
 //! 2. every Table-1 `(N, P)` row on the packing-heavy SoCs shared with the
-//!    `schedule_search` experiment, adding the analytic annealed search
-//!    ([`search_schedule`]) and bus utilisation to the comparison. Where
-//!    the wave DP runs, the searched plan must execute no more cycles than
-//!    the wave optimum's.
+//!    `schedule_search` experiment, adding the annealed search
+//!    ([`search_schedule`]) and bus utilisation to the comparison. The
+//!    searched plan must execute no more cycles than any heuristic's,
+//!    the wave optimum's included where the wave DP runs.
 
 use casbus_bench::{executed_cycles, table1_schedule_cases};
 use casbus_controller::schedule::{
@@ -94,7 +94,6 @@ fn table1_rows(budget: SearchBudget) {
     );
     let mut strict_wins = 0usize;
     let mut rows = 0usize;
-    let mut wave_rows = 0usize;
     for case in table1_schedule_cases() {
         let soc = &case.soc;
         let serial = serial_schedule(soc, case.n).expect("fits");
@@ -110,30 +109,21 @@ fn table1_rows(budget: SearchBudget) {
             case.p
         );
 
-        let best_heuristic = serial
-            .makespan()
-            .min(packed.makespan())
-            .min(wave.as_ref().map_or(u64::MAX, Schedule::makespan));
+        let best_heuristic = [Some(&serial), Some(&packed), wave.as_ref()]
+            .into_iter()
+            .flatten()
+            .map(|s| executed_cycles(soc, s))
+            .min()
+            .expect("serial always runs");
+        let executed = executed_cycles(soc, &searched);
         assert!(
-            searched.makespan() <= best_heuristic,
-            "search lost to a heuristic on N={} P={}",
+            executed <= best_heuristic,
+            "searched plan executes {executed} cycles, the best heuristic's {best_heuristic} (N={} P={})",
             case.n,
             case.p
         );
-        if searched.makespan() < best_heuristic {
+        if executed < best_heuristic {
             strict_wins += 1;
-        }
-        if let Some(wave) = &wave {
-            // No test starts while another runs in a wave schedule, so
-            // this is the cycle count the step-after-step model optimises.
-            let (searched, optimum) = (executed_cycles(soc, &searched), executed_cycles(soc, wave));
-            assert!(
-                searched <= optimum,
-                "searched plan executes {searched} cycles, the wave optimum {optimum} (N={} P={})",
-                case.n,
-                case.p
-            );
-            wave_rows += 1;
         }
         rows += 1;
         println!(
@@ -146,13 +136,15 @@ fn table1_rows(budget: SearchBudget) {
             wave.as_ref()
                 .map_or_else(|| "-".to_owned(), |s| cell(soc, s)),
             cell(soc, &searched),
-            100.0 * (best_heuristic - searched.makespan()) as f64 / best_heuristic as f64,
+            100.0 * (best_heuristic - executed) as f64 / best_heuristic as f64,
             100.0 * utilisation(&searched),
         );
     }
     println!();
-    println!("search strictly beat the best heuristic's makespan on {strict_wins}/{rows} rows");
-    println!("searched plan executed no more cycles than the wave optimum on {wave_rows}/{wave_rows} DP rows");
+    println!(
+        "search strictly beat the best heuristic's executed cycles on {strict_wins}/{rows} rows"
+    );
+    println!("(gain compares executed cycles)");
 }
 
 fn main() {
@@ -169,7 +161,8 @@ fn main() {
     println!("and often beats it, since staggered starts run as packed: a session");
     println!("still running carries across the next configuration. Pure serial");
     println!("testing leaves 30-50% on the table at realistic bus widths. The");
-    println!("annealed search then recovers a further few percent over the best");
-    println!("heuristic's makespan on most packing-heavy rows; see the");
-    println!("schedule_search experiment for the execution-validated run.");
+    println!("annealed search, ranking plans by the cycles their program books,");
+    println!("then recovers a further few percent over the best heuristic on most");
+    println!("packing-heavy rows; see the schedule_search experiment for the gated");
+    println!("end-to-end run.");
 }

@@ -1,16 +1,18 @@
-//! Experiment P5 — simulation-in-the-loop schedule search: what does an
-//! annealed, execution-validated makespan search buy over the one-shot
+//! Experiment P5 — schedule search: what does an annealed search that
+//! ranks plans by the cycles their program books buy over the one-shot
 //! heuristics, and what does it cost?
 //!
 //! One deterministic pseudo-random SoC per Table-1 `(N, P)` row (shared
 //! with `schedule_quality` via [`casbus_bench::table1_schedule_cases`]).
 //! For every row the search runs end to end through
 //! [`casbus_sim::run_program_searched`]: heuristic seeding, annealed local
-//! moves, survivor validation on the compiled word-level engine behind a
-//! shared route-table cache, and a final bit-exact gate of the winner
-//! against the bit-serial reference interpreter. Per row we record the
-//! heuristic and searched makespans, the search wall time, and the route
-//! cache's hit rate.
+//! moves scored by the cycles each candidate's program books, and a final
+//! bit-exact gate of the winner against the bit-serial reference
+//! interpreter. Only the winner is simulated. Per row we record the
+//! heuristics' and the searched plan's executed cycles (configuration
+//! included), the searched makespan, and the search wall time. The
+//! searched plan must execute no more cycles than the best heuristic's on
+//! every row, and fewer on at least 4 of the 12.
 //!
 //! Results go to stdout and `BENCH_schedule_search.json` at the workspace
 //! root. Set `CASBUS_BENCH_SMOKE=1` for the CI configuration (the small
@@ -18,7 +20,7 @@
 
 use std::time::Instant;
 
-use casbus_bench::table1_schedule_cases;
+use casbus_bench::{executed_cycles, table1_schedule_cases};
 use casbus_controller::schedule::{
     packed_schedule, serial_schedule, wave_optimal_schedule, Schedule,
 };
@@ -26,6 +28,7 @@ use casbus_controller::search::SearchBudget;
 use casbus_obs::MetricsRegistry;
 use casbus_sim::run_program_searched;
 
+/// One Table-1 row; every cycle count is executed cycles.
 struct Row {
     n: usize,
     p: usize,
@@ -34,10 +37,9 @@ struct Row {
     packed: u64,
     wave_optimal: Option<u64>,
     searched: u64,
+    searched_makespan: u64,
     utilisation: f64,
     search_ms: f64,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 impl Row {
@@ -52,16 +54,7 @@ impl Row {
         if best == 0 {
             0.0
         } else {
-            100.0 * (best - self.searched) as f64 / best as f64
-        }
-    }
-
-    fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
+            100.0 * (best as f64 - self.searched as f64) / best as f64
         }
     }
 }
@@ -89,15 +82,15 @@ fn main() {
         SearchBudget::default()
     };
     println!(
-        "Schedule search vs heuristics on Table-1-row SoCs ({} rounds x {} moves, top-{}{})",
+        "Schedule search vs heuristics on Table-1-row SoCs ({} rounds x {} moves{})",
         budget.rounds,
         budget.moves_per_round,
-        budget.top_k,
         if smoke { ", smoke" } else { "" }
     );
+    println!("(executed cycles, configuration included)");
     println!();
     println!(
-        "{:>2} {:>2} {:>5} | {:>9} {:>9} {:>9} {:>9} | {:>6} {:>5} | {:>9} {:>6}",
+        "{:>2} {:>2} {:>5} | {:>9} {:>9} {:>9} {:>9} | {:>6} {:>8} {:>5} | {:>9}",
         "N",
         "P",
         "cores",
@@ -106,19 +99,18 @@ fn main() {
         "wave-opt",
         "searched",
         "gain",
+        "makespan",
         "util",
-        "search",
-        "cache"
+        "search"
     );
-    println!("{:-<13}+{:-<41}+{:-<14}+{:-<17}", "", "", "", "");
+    println!("{:-<13}+{:-<41}+{:-<23}+{:-<10}", "", "", "", "");
 
     let mut rows = Vec::new();
     for case in table1_schedule_cases() {
-        let serial = serial_schedule(&case.soc, case.n).expect("fits").makespan();
-        let packed = packed_schedule(&case.soc, case.n).expect("fits").makespan();
-        let wave_optimal = wave_optimal_schedule(&case.soc, case.n)
-            .ok()
-            .map(|s| s.makespan());
+        let executed = |schedule: Schedule| executed_cycles(&case.soc, &schedule);
+        let serial = executed(serial_schedule(&case.soc, case.n).expect("fits"));
+        let packed = executed(packed_schedule(&case.soc, case.n).expect("fits"));
+        let wave_optimal = wave_optimal_schedule(&case.soc, case.n).ok().map(executed);
 
         let metrics = MetricsRegistry::new();
         let t0 = Instant::now();
@@ -135,20 +127,21 @@ fn main() {
             serial,
             packed,
             wave_optimal,
-            searched: schedule.makespan(),
+            searched: report.total_cycles,
+            searched_makespan: schedule.makespan(),
             utilisation: utilisation(&schedule),
             search_ms,
-            cache_hits: metrics.counter("search.route_cache.hits"),
-            cache_misses: metrics.counter("search.route_cache.misses"),
         };
         assert!(
             row.searched <= row.best_heuristic(),
-            "search lost to a heuristic on N={} P={}",
+            "search lost to a heuristic on N={} P={}: {} vs {} executed cycles",
             case.n,
-            case.p
+            case.p,
+            row.searched,
+            row.best_heuristic()
         );
         println!(
-            "{:>2} {:>2} {:>5} | {:>9} {:>9} {:>9} {:>9} | {:>5.1}% {:>4.0}% | {:>7.1}ms {:>5.0}%",
+            "{:>2} {:>2} {:>5} | {:>9} {:>9} {:>9} {:>9} | {:>5.1}% {:>8} {:>4.0}% | {:>7.1}ms",
             row.n,
             row.p,
             row.cores,
@@ -158,9 +151,9 @@ fn main() {
                 .map_or_else(|| "-".to_owned(), |m| m.to_string()),
             row.searched,
             row.improvement_pct(),
+            row.searched_makespan,
             100.0 * row.utilisation,
             row.search_ms,
-            100.0 * row.cache_hit_rate(),
         );
         rows.push(row);
     }
@@ -171,7 +164,7 @@ fn main() {
         .count();
     println!();
     println!(
-        "search strictly beat the best heuristic on {strict_wins}/{} rows",
+        "search strictly beat the best heuristic's executed cycles on {strict_wins}/{} rows",
         rows.len()
     );
     assert!(
@@ -186,8 +179,8 @@ fn main() {
             format!(
                 "    {{\"n\": {}, \"p\": {}, \"cores\": {}, \"serial\": {}, \"packed\": {}, \
                  \"wave_optimal\": {}, \"best_heuristic\": {}, \"searched\": {}, \
-                 \"improvement_pct\": {:.2}, \"utilisation\": {:.4}, \"search_ms\": {:.3}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.4}}}",
+                 \"searched_makespan\": {}, \"improvement_pct\": {:.2}, \"utilisation\": {:.4}, \
+                 \"search_ms\": {:.3}}}",
                 r.n,
                 r.p,
                 r.cores,
@@ -197,22 +190,19 @@ fn main() {
                     .map_or_else(|| "null".to_owned(), |m| m.to_string()),
                 r.best_heuristic(),
                 r.searched,
+                r.searched_makespan,
                 r.improvement_pct(),
                 r.utilisation,
                 r.search_ms,
-                r.cache_hits,
-                r.cache_misses,
-                r.cache_hit_rate(),
             )
         })
         .collect();
     let json = format!(
-        "{}  \"budget\": {{\"rounds\": {}, \"moves_per_round\": {}, \"top_k\": {}, \"seed\": {}}},\n  \
-         \"strict_wins\": {strict_wins},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{}  \"budget\": {{\"rounds\": {}, \"moves_per_round\": {}, \"seed\": {}}},\n  \
+         \"cycles\": \"executed\",\n  \"strict_wins\": {strict_wins},\n  \"rows\": [\n{}\n  ]\n}}\n",
         casbus_bench::json_header("schedule_search", smoke, 1),
         budget.rounds,
         budget.moves_per_round,
-        budget.top_k,
         budget.seed,
         json_rows.join(",\n")
     );

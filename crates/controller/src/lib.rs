@@ -12,9 +12,8 @@
 //! * [`schedule`] — wire-allocation scheduling: pack core tests onto the
 //!   `N`-wire bus over time (greedy strip packing) or serially, giving the
 //!   test-time-vs-`N` trade-off of §3.2/§4,
-//! * [`search`] — simulation-in-the-loop makespan search: an annealed local
-//!   search seeded from the heuristics, with execution-backed validation of
-//!   the survivor pool,
+//! * [`search`] — schedule search: an annealed local search seeded from
+//!   the heuristics that ranks plans by the cycles their program books,
 //! * [`balance`] — the §4 scan-chain balancing optimization,
 //! * [`program`] — executable test programs: a sequence of TAM
 //!   configurations plus matching wrapper instructions,
@@ -55,5 +54,6 @@ pub use maintenance::MaintenancePlan;
 pub use program::{CompiledProgram, TestProgram, TestStep};
 pub use schedule::{partition_lpt, Schedule, ScheduleError, ScheduledTest};
 pub use search::{
-    search_schedule, search_schedule_with, CandidateValidator, NoValidation, SearchBudget,
+    search_schedule, search_schedule_metered, search_schedule_with, CandidateValidator,
+    SearchBudget,
 };

@@ -81,19 +81,15 @@ impl TestProgram {
     }
 
     /// Compiles a [`Schedule`] into a program: one step per distinct start
-    /// time, in start order. Each scheduled test is granted the contiguous
-    /// wire window the scheduler chose; cores not under test sit in CAS
-    /// BYPASS with their wrappers bypassed.
+    /// time, in start order, each as long as [`step_durations`] books it.
+    /// Each scheduled test is granted the contiguous wire window the
+    /// scheduler chose; cores not under test sit in CAS BYPASS with their
+    /// wrappers bypassed.
     ///
-    /// A step runs until the next start time, or until its longest session
-    /// ends if that comes first: with `s_k` the step's start and `left` the
-    /// longest plan it still has to run (a session's plan is its test time
-    /// plus one drain cycle), it books `min(s_{k+1} - s_k, left - 1)`, and
-    /// the last step books `left - 1`. A session still running when its
-    /// step ends carries into the next step: its CAS scheme and wrapper
-    /// instruction are loaded again unchanged, so the rectangle-packing
-    /// schedules run as packed instead of waiting for the longest test of
-    /// each step.
+    /// A session still running when its step ends carries into the next
+    /// step: its CAS scheme and wrapper instruction are loaded again
+    /// unchanged, so the rectangle-packing schedules run as packed instead
+    /// of waiting for the longest test of each step.
     ///
     /// # Errors
     ///
@@ -108,11 +104,15 @@ impl TestProgram {
         soc: &SocDescription,
         schedule: &Schedule,
     ) -> Result<Self, CasError> {
-        let waves = schedule.waves();
+        let sessions: Vec<(u64, u64)> = schedule
+            .tests()
+            .iter()
+            .map(|t| (t.start, t.duration))
+            .collect();
         let mut program = TestProgram::new();
         // Sessions still running: CAS index, plan cycles left, core name.
         let mut running: Vec<(usize, u64, String)> = Vec::new();
-        for (k, wave) in waves.iter().enumerate() {
+        for (wave, duration) in schedule.waves().iter().zip(step_durations(&sessions)) {
             let mut configuration = TamConfiguration::all_bypass(tam.cas_count());
             let mut wrappers = vec![WrapperInstruction::Bypass; tam.cas_count()];
             if let Some(before) = program.steps.last() {
@@ -144,11 +144,6 @@ impl TestProgram {
                 running.push((cas_index, test.duration + 1, test.core_name.clone()));
             }
             running.sort_unstable_by_key(|&(cas_index, _, _)| cas_index);
-            let left = running.iter().map(|&(_, left, _)| left).max().unwrap_or(1);
-            let duration = match waves.get(k + 1) {
-                Some(next) => (next[0].start - wave[0].start).min(left - 1),
-                None => left - 1,
-            };
             let names: Vec<&str> = running.iter().map(|(_, _, name)| name.as_str()).collect();
             program.push(TestStep {
                 configuration,
@@ -163,6 +158,60 @@ impl TestProgram {
         }
         Ok(program)
     }
+}
+
+/// The step rule: the duration of each step of the program that runs
+/// sessions given as `(start, duration)` pairs in start order, in step
+/// order. [`TestProgram::from_schedule`] compiles every schedule by it, and
+/// the schedule search scores every candidate by it.
+///
+/// There is one step per distinct start time. A session's plan is its
+/// duration plus one drain cycle, and a step runs its own duration plus
+/// one data clocks. A step runs until the next start time, or until its
+/// longest session ends if that comes first: with `s_k` the step's start
+/// and `left` the longest plan it still has to run, it books
+/// `min(s_{k+1} - s_k, left - 1)`, and the last step books `left - 1`.
+/// A plan still running when its step ends carries into the next step with
+/// that step's data clocks done.
+///
+/// # Examples
+///
+/// ```
+/// use casbus_controller::program::step_durations;
+///
+/// // A 10-cycle session from 0, a 2-cycle one from 4: the first step runs
+/// // until the second start, the second until the first session ends.
+/// let steps: Vec<u64> = step_durations(&[(0, 10), (4, 2)]).collect();
+/// assert_eq!(steps, [4, 5]);
+/// ```
+pub fn step_durations(sessions: &[(u64, u64)]) -> impl Iterator<Item = u64> + '_ {
+    // Data clocks booked before the step, and the data clock at which the
+    // longest plan started so far ends.
+    let (mut clocks, mut ends, mut rest) = (0u64, 0u64, sessions);
+    std::iter::from_fn(move || {
+        let &(start, _) = rest.first()?;
+        let starting = rest.iter().take_while(|&&(s, _)| s == start).count();
+        for &(_, duration) in &rest[..starting] {
+            ends = ends.max(clocks + duration + 1);
+        }
+        rest = &rest[starting..];
+        let left = ends - clocks;
+        let duration = rest
+            .first()
+            .map_or(left - 1, |&(next, _)| (next - start).min(left - 1));
+        clocks += duration + 1;
+        Some(duration)
+    })
+}
+
+/// The cycles a program running `sessions` (as in [`step_durations`])
+/// books with `configuration_clocks`-clock configuration shifts:
+/// [`TestProgram::booked_cycles`] of the program
+/// [`TestProgram::from_schedule`] compiles, without building it.
+pub(crate) fn booked_cycles_of(sessions: &[(u64, u64)], configuration_clocks: u64) -> u64 {
+    step_durations(sessions).fold(0, |booked, duration| {
+        booked + configuration_clocks + 1 + duration + 1
+    })
 }
 
 /// A schedule compiled once, ready to be executed many times: the TAM
@@ -407,6 +456,52 @@ mod tests {
         let schedule = serial_schedule(&soc, 3).unwrap();
         let program = TestProgram::from_schedule(&tam, &soc, &schedule).unwrap();
         assert!(program.to_string().contains("step 0"));
+    }
+
+    #[test]
+    fn the_step_rule_books_what_the_compiled_program_books() {
+        use crate::schedule::{packed_schedule, wave_optimal_schedule};
+        let socs = [
+            catalog::figure1_soc(),
+            catalog::figure2a_scan_soc(),
+            catalog::itc02_like_soc(),
+            catalog::maintenance_soc(),
+        ];
+        for soc in &socs {
+            let m = soc.max_ports();
+            for n in [m, m + 1, 2 * m + 2] {
+                let tam = Tam::new(soc, n).unwrap();
+                let clocks = tam.configuration_clocks() as u64;
+                for schedule in [
+                    serial_schedule(soc, n),
+                    packed_schedule(soc, n),
+                    wave_optimal_schedule(soc, n),
+                ]
+                .into_iter()
+                .flatten()
+                {
+                    let program = TestProgram::from_schedule(&tam, soc, &schedule).unwrap();
+                    let sessions: Vec<(u64, u64)> = schedule
+                        .tests()
+                        .iter()
+                        .map(|t| (t.start, t.duration))
+                        .collect();
+                    let durations: Vec<u64> = program.steps().iter().map(|s| s.duration).collect();
+                    assert_eq!(
+                        step_durations(&sessions).collect::<Vec<_>>(),
+                        durations,
+                        "{} n={n}",
+                        soc.name()
+                    );
+                    assert_eq!(
+                        booked_cycles_of(&sessions, clocks),
+                        program.booked_cycles(&tam),
+                        "{} n={n}",
+                        soc.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -296,9 +296,10 @@ impl fmt::Display for Schedule {
 /// currently lightest bucket. Never returns an empty bucket (at most
 /// `items.len()` buckets are created).
 ///
-/// `casbus_sim::pool::lpt_fanout` balances the schedule search's candidate
-/// validations over scoped workers with it. The weight sort is stable —
-/// callers control equal-weight ties by pre-ordering `items`.
+/// `casbus_sim::pool::lpt_fanout` balances the candidates a
+/// `casbus_sim::CompiledValidator` measures over scoped workers with it.
+/// The weight sort is stable — callers control equal-weight ties by
+/// pre-ordering `items`.
 ///
 /// # Panics
 ///

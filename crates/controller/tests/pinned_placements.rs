@@ -53,7 +53,7 @@ fn figure1_at_8_wires() {
             "0@0/0 1@0/4 2@0/6 5@0/7 3@516/6 4@773/6",
             "0@0/0 1@0/4 2@0/6 5@0/7 3@12462/0 4@12462/2",
             "0@0/0 1@0/4 2@5912/4 3@6428/4 4@6685/4 5@6929/4",
-            "0@0/0 4@0/4 5@0/6 2@0/7 3@244/4 1@501/4",
+            "0@0/0 2@0/4 1@0/5 5@0/7 4@5912/4 3@5912/6",
         ],
     );
 }
@@ -72,8 +72,8 @@ fn itc02_like_at_16_wires() {
              9@97250/0 10@97250/2 4@97250/4 5@97250/5 6@97250/6 11@97250/7",
             "0@0/0 1@0/4 2@75818/4 3@97250/0 7@114806/0 8@115228/2 \
              6@118191/2 4@118900/0 5@119729/1 11@120120/0 9@120645/1 10@120677/3",
-            "7@0/0 1@0/2 5@0/5 11@0/6 10@0/7 0@0/9 8@0/13 2@0/14 6@184/7 \
-             4@184/8 9@916/5 3@1722/5",
+            "9@0/0 8@0/2 6@0/3 10@0/4 1@0/6 0@0/9 11@0/13 2@0/14 7@184/4 \
+             4@301/0 5@301/1 3@2963/0",
         ],
     );
 }

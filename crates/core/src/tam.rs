@@ -111,8 +111,41 @@ impl Tam {
     /// [`CasError::TooManySchemes`] when an `(n, P)` pair is beyond the
     /// enumeration budget.
     pub fn new(soc: &SocDescription, n: usize) -> Result<Self, CasError> {
-        let mut cases = Vec::new();
-        let mut labels = Vec::new();
+        let (labels, geometries): (Vec<String>, Vec<CasGeometry>) =
+            Self::geometries(soc, n)?.into_iter().unzip();
+        let cases = geometries
+            .into_iter()
+            .map(Cas::for_geometry)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            chain: CasChain::new(cases)?,
+            labels,
+            soc_name: soc.name().to_owned(),
+        })
+    }
+
+    /// The [`configuration_clocks`](Tam::configuration_clocks) of the TAM
+    /// [`Tam::new`] builds for `soc` over `n` wires, from its CAS
+    /// geometries alone: it enumerates no scheme, so it holds past the
+    /// enumeration budget that bounds [`Tam::new`].
+    ///
+    /// # Errors
+    ///
+    /// [`CasError::BusTooNarrow`] or [`CasError::BadGeometry`], as
+    /// [`Tam::new`].
+    pub fn configuration_clocks_of(soc: &SocDescription, n: usize) -> Result<usize, CasError> {
+        let geometries = Self::geometries(soc, n)?;
+        Ok(geometries
+            .iter()
+            .map(|(_, g)| g.instruction_width() as usize)
+            .sum())
+    }
+
+    /// The labelled geometry of each CAS of `soc`'s TAM over `n` wires:
+    /// one per core, then a one-wire CAS for a wrapped system bus, which
+    /// is EXTEST-ed serially through its wrapper.
+    fn geometries(soc: &SocDescription, n: usize) -> Result<Vec<(String, CasGeometry)>, CasError> {
+        let mut geometries = Vec::new();
         for core in soc.cores() {
             let p = core.required_ports();
             if p > n {
@@ -122,20 +155,12 @@ impl Tam {
                     n,
                 });
             }
-            cases.push(Cas::for_geometry(CasGeometry::new(n, p)?)?);
-            labels.push(core.name().to_owned());
+            geometries.push((core.name().to_owned(), CasGeometry::new(n, p)?));
         }
         if soc.system_bus().is_some_and(|b| b.wrapped) {
-            // The wrapped system bus is EXTEST-ed serially through its
-            // wrapper: one wire.
-            cases.push(Cas::for_geometry(CasGeometry::new(n, 1)?)?);
-            labels.push("system_bus".to_owned());
+            geometries.push(("system_bus".to_owned(), CasGeometry::new(n, 1)?));
         }
-        Ok(Self {
-            chain: CasChain::new(cases)?,
-            labels,
-            soc_name: soc.name().to_owned(),
-        })
+        Ok(geometries)
     }
 
     /// The SoC this TAM serves.
@@ -249,6 +274,32 @@ impl Tam {
 mod tests {
     use super::*;
     use casbus_soc::catalog;
+
+    #[test]
+    fn configuration_clocks_need_no_scheme_enumeration() {
+        for soc in [catalog::figure1_soc(), catalog::itc02_like_soc()] {
+            let m = soc.max_ports();
+            for n in [m, m + 1, 2 * m + 2] {
+                let tam = Tam::new(&soc, n).unwrap();
+                assert_eq!(
+                    Tam::configuration_clocks_of(&soc, n),
+                    Ok(tam.configuration_clocks())
+                );
+            }
+        }
+        // A 4-port CAS on a 64-wire bus has 64 x 63 x 62 x 61 schemes, past
+        // the enumeration budget, but an instruction width all the same.
+        let soc = catalog::figure2c_external_soc();
+        assert!(matches!(
+            Tam::new(&soc, 64),
+            Err(CasError::TooManySchemes { .. })
+        ));
+        let widths = [1, 4].map(|p| CasGeometry::new(64, p).unwrap().instruction_width());
+        assert_eq!(
+            Tam::configuration_clocks_of(&soc, 64),
+            Ok(widths.iter().sum::<u32>() as usize)
+        );
+    }
 
     #[test]
     fn figure1_tam_shape() {

@@ -26,8 +26,10 @@
 //! `(completed, rolling_yield)`, unit-testable without a floor.
 
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use crate::floor::LotQueue;
 use crate::monitor::LotTracker;
 use crate::pool::{LaneId, WorkerPool};
 
@@ -157,9 +159,12 @@ pub enum AdmissionAction {
     Paused,
     /// The quarantine expired and the lane resumed.
     Resumed,
-    /// The lot's lane was drained; `dropped` queued jobs were discarded.
+    /// The lot's lane was drained; the `dropped` dies of its queued jobs
+    /// were discarded.
     Aborted {
-        /// Queued (not yet running) pool jobs discarded by the drain.
+        /// Dies in the queued (not yet running) pool jobs the drain
+        /// discarded: one per job on a scalar lot, up to 64 per job on a
+        /// packed one.
         dropped: u64,
     },
 }
@@ -217,6 +222,8 @@ pub(crate) struct LotLive<'a> {
     pub(crate) lane: LaneId,
     /// The lot's progress tracker, fed by the floor's collector.
     pub(crate) tracker: &'a LotTracker,
+    /// The lot's dies in queued and dropped jobs.
+    pub(crate) queue: &'a LotQueue,
 }
 
 /// Applies an [`AdmissionPolicy`] to the lots of one floor run.
@@ -299,9 +306,13 @@ impl AdmissionController {
                     AdmissionAction::Paused
                 }
                 CollapseAction::Abort => {
-                    let dropped = pool.drain_lane(lot.lane) as u64;
+                    let dropped = || lot.queue.dropped.load(Ordering::Relaxed);
+                    let before = dropped();
+                    pool.drain_lane(lot.lane);
                     control.aborted = true;
-                    AdmissionAction::Aborted { dropped }
+                    AdmissionAction::Aborted {
+                        dropped: dropped() - before,
+                    }
                 }
             };
             events.push(Self::event(self.started, idx, lot, action));
@@ -330,9 +341,11 @@ impl AdmissionController {
 mod tests {
     use super::*;
     use crate::fleet::DeviceReport;
+    use crate::floor::QueuedDies;
     use crate::monitor::LotTracker;
     use crate::report::SocTestReport;
     use casbus_tpg::Verdict;
+    use std::sync::Arc;
 
     fn synthetic_report(device_id: u64, pass: bool) -> DeviceReport {
         DeviceReport {
@@ -384,10 +397,12 @@ mod tests {
         let lane = pool.lane(2);
         let tracker = LotTracker::new(16, 8);
         record_n(&tracker, 0, 4, false);
+        let queue = LotQueue::default();
         let lots = [LotLive {
             name: "hot",
             lane,
             tracker: &tracker,
+            queue: &queue,
         }];
         let mut controller = AdmissionController::new(policy, 1);
 
@@ -420,8 +435,12 @@ mod tests {
             gate_rx.recv().ok();
         });
         let lane = pool.lane(1);
-        for _ in 0..3 {
-            pool.execute_in(lane, || {});
+        // Three queued jobs of 64, 64 and 7 dies.
+        let queue = Arc::new(LotQueue::default());
+        queue.queued.store(135, Ordering::Relaxed);
+        for dies in [64, 64, 7] {
+            let queued = QueuedDies(Arc::clone(&queue), dies);
+            pool.execute_in(lane, move || queued.start());
         }
         let tracker = LotTracker::new(16, 8);
         record_n(&tracker, 0, 2, false);
@@ -429,11 +448,14 @@ mod tests {
             name: "doomed",
             lane,
             tracker: &tracker,
+            queue: &queue,
         }];
         let mut controller = AdmissionController::new(policy, 1);
         let events = controller.tick(&pool, &lots);
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].action, AdmissionAction::Aborted { dropped: 3 });
+        assert_eq!(events[0].action, AdmissionAction::Aborted { dropped: 135 });
+        let queued = queue.queued.load(Ordering::Relaxed);
+        assert_eq!(queued, 135, "a dropped job never starts");
         assert!(controller.aborted(0));
         assert!(controller.tick(&pool, &lots).is_empty(), "abort is final");
         gate_tx.send(()).ok();

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
-use casbus_controller::search::{search_schedule_with, SearchBudget};
+use casbus_controller::search::{search_schedule, SearchBudget};
 use casbus_controller::{CompiledProgram, Schedule};
 use casbus_obs::{MetricsRegistry, TraceSink};
 use casbus_p1500::{TestableCore, Wrapper};
@@ -61,7 +61,7 @@ use crate::engine_packed::PackedDeviceEngine;
 use crate::floor::{publish_fleet_metrics, Lot, LotSpec, TestFloor};
 use crate::monitor::{FleetMonitor, MonitorShared};
 use crate::report::SocTestReport;
-use crate::search::CompiledValidator;
+use crate::search::gate;
 use crate::session::SessionCache;
 use crate::simulator::{SimError, SocSimulator};
 
@@ -465,17 +465,17 @@ impl FleetRunner {
         Ok(Self::serving(soc, plan, TestFloor::new()))
     }
 
-    /// A runner whose schedule comes from the annealed makespan search
-    /// ([`search_schedule_with`] with execution-backed validation), gated
-    /// bit-exactly against the reference interpreter before serving —
-    /// exactly the plan [`run_program_searched`](crate::run_program_searched)
-    /// would execute, compiled once for the whole fleet. The validator
-    /// shares this runner's route cache and compiled sessions, so shapes
-    /// and sessions compiled during the search are already warm when
-    /// devices arrive. The gate's healthy compiled run is the packed
-    /// engine's baseline: the plan runs on the compiled engine once, and
-    /// every healthy die of a packed run clones a report the reference
-    /// interpreter reproduced.
+    /// A runner whose schedule comes from the annealed schedule search
+    /// ([`search_schedule`], which ranks plans by the cycles their program
+    /// books), gated bit-exactly against the reference interpreter before
+    /// serving — exactly the plan
+    /// [`run_program_searched`](crate::run_program_searched) would execute,
+    /// compiled once for the whole fleet. Only the winner is simulated: the
+    /// gate runs it on this runner's route cache and compiled sessions, so
+    /// its shapes and sessions are warm when devices arrive. The gate's
+    /// healthy compiled run is the packed engine's baseline: the plan runs
+    /// on the compiled engine once, and every healthy die of a packed run
+    /// clones a report the reference interpreter reproduced.
     ///
     /// # Errors
     ///
@@ -487,24 +487,28 @@ impl FleetRunner {
         n: usize,
         budget: SearchBudget,
     ) -> Result<Self, SimError> {
-        let threads = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let cache = Arc::new(RouteTableCache::new());
-        let sessions = Arc::new(SessionCache::default());
-        let validator = CompiledValidator::new(threads)
-            .with_cache(Arc::clone(&cache))
-            .with_sessions(Arc::clone(&sessions));
-        let schedule = search_schedule_with(soc, n, budget, &validator, &MetricsRegistry::new())?;
+        let schedule = search_schedule(soc, n, budget)?;
         let plan = CompiledProgram::compile(soc, n, schedule)?;
+        let mut runner = Self::serving(soc, plan, TestFloor::new());
+        let sessions = runner.floor.sessions();
+        let engine = CompiledEngine::new()
+            .with_cache(Arc::clone(runner.cache()))
+            .with_sessions(Arc::clone(sessions));
         // The same bit-exact gate run_program_searched applies: refuse to
         // serve a plan whose compiled execution differs from the reference
         // interpreter on a healthy device.
-        let judged = validator.gate(soc, n, plan.program(), &MetricsRegistry::new())?;
-        let mut runner = Self::serving(soc, plan, TestFloor::over(cache, sessions));
+        let judged = gate(
+            soc,
+            n,
+            runner.plan.program(),
+            &engine,
+            &MetricsRegistry::new(),
+        )?;
         let engine = PackedDeviceEngine::from_judged(
             &runner.soc,
             &runner.plan,
             runner.cache(),
-            Arc::clone(runner.floor.sessions()),
+            Arc::clone(sessions),
             judged,
         );
         runner.packed_engine = Mutex::new(Some(Arc::new(engine)));
@@ -526,17 +530,6 @@ impl FleetRunner {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.floor = self.floor.with_threads(threads);
-        self
-    }
-
-    /// Bounds the shared route cache to `capacity` tables (LRU eviction).
-    /// Replaces the cache, dropping anything already compiled into it
-    /// (along with the packed engine built against the old cache, so the
-    /// next packed run compiles it again).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.floor = self.floor.with_cache_capacity(capacity);
-        self.packed_engine = Mutex::new(None);
         self
     }
 
@@ -1074,14 +1067,17 @@ mod tests {
 
     #[test]
     fn a_searched_runner_serves_the_healthy_run_its_gate_made() {
-        // The gate's compiled run is the packed baseline: a packed run of
-        // a perfect lot compiles no shape and looks none up, so the plan
-        // ran on the compiled engine once, at the gate.
+        // Only the winner is simulated: the runner's route cache saw one
+        // lookup per program step, the gate's. The gate's compiled run is
+        // the packed baseline: a packed run of a perfect lot compiles no
+        // shape and looks none up, so the plan ran on the compiled engine
+        // once, at the gate.
         let soc = catalog::figure1_soc();
         let runner = FleetRunner::searched(&soc, 8, SearchBudget::smoke())
             .unwrap()
             .with_threads(2);
         let (hits, misses) = (runner.cache().hits(), runner.cache().misses());
+        assert_eq!(hits + misses, runner.plan().program().len() as u64);
         let fleet = runner.run(&VariationSpec::perfect(), 70).unwrap();
         assert_eq!(
             (runner.cache().hits(), runner.cache().misses()),
@@ -1112,6 +1108,11 @@ mod tests {
             assert_eq!(
                 metrics.counter("fleet.packed.lane.passes"),
                 4,
+                "seed {seed}"
+            );
+            assert_eq!(
+                metrics.counter("fleet.packed.fallback.devices"),
+                0,
                 "seed {seed}"
             );
             let occupancy = metrics.histogram("fleet.packed.lane.occupancy").unwrap();

@@ -361,16 +361,10 @@ impl TestFloor {
     /// shared route cache, and the default (non-intervening)
     /// [`AdmissionPolicy`].
     pub fn new() -> Self {
-        Self::over(Arc::new(RouteTableCache::new()), Arc::default())
-    }
-
-    /// A default floor serving from an existing route cache and compiled
-    /// sessions (a searched runner's, warmed by its search).
-    pub(crate) fn over(cache: Arc<RouteTableCache>, sessions: Arc<SessionCache>) -> Self {
         Self {
             pool: WorkerPool::new(0),
-            cache,
-            sessions,
+            cache: Arc::new(RouteTableCache::new()),
+            sessions: Arc::default(),
             policy: AdmissionPolicy::default(),
             lanes: Mutex::default(),
         }
@@ -595,11 +589,15 @@ impl TestFloor {
         let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
             self.pool.threads().saturating_mul(2).max(1),
         );
-        // Dies in jobs that have not started, per lot: each job lowers its
-        // lot's count as it starts.
-        let queued: Vec<Arc<AtomicU64>> = lots
+        // Dies in jobs that have not started, and in jobs a drain dropped,
+        // per lot.
+        let queues: Vec<Arc<LotQueue>> = lots
             .iter()
-            .map(|lot| Arc::new(AtomicU64::new(lot.spec.devices)))
+            .map(|lot| {
+                let queue = LotQueue::default();
+                queue.queued.store(lot.spec.devices, Ordering::Relaxed);
+                Arc::new(queue)
+            })
             .collect();
         // Every job catches its own panic and reports it as its first die's
         // error, so a panic stops the run instead of losing reports. The
@@ -619,12 +617,12 @@ impl TestFloor {
                 let cache = Arc::clone(&self.cache);
                 let sessions = Arc::clone(&self.sessions);
                 let monitor = lot.monitor.map(|m| Arc::clone(m.shared()));
-                let queued = Arc::clone(&queued[idx]);
+                let queued = QueuedDies(Arc::clone(&queues[idx]), members.len() as u64);
                 let tx = tx.clone();
                 #[cfg(test)]
                 let fail_on = spec.fail_on;
                 self.pool.execute_in(lanes[idx], move || {
-                    queued.fetch_sub(members.len() as u64, Ordering::Relaxed);
+                    queued.start();
                     let first = members[0].0;
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(test)]
@@ -669,6 +667,7 @@ impl TestFloor {
                         name: &lot.spec.name,
                         lane: lanes[idx],
                         tracker,
+                        queue: &queues[idx],
                     })
                     .collect();
                 let mut controller = AdmissionController::new(self.policy, lots.len());
@@ -687,7 +686,7 @@ impl TestFloor {
                     let stopping = *guard;
                     drop(guard);
                     for (idx, (lot, tracker)) in lots.iter().zip(&trackers).enumerate() {
-                        let queued = queued[idx].load(Ordering::Relaxed);
+                        let queued = queues[idx].queued.load(Ordering::Relaxed);
                         let mut snapshot = tracker.snapshot(&self.cache, queued, stopping);
                         if let Some(monitor) = lot.monitor {
                             monitor.shared().complete(&mut snapshot);
@@ -781,6 +780,32 @@ impl TestFloor {
             )
             .collect();
         Ok(FloorReport { lots, wall })
+    }
+}
+
+/// A lot's dies in pool jobs that have not started, and in jobs a drain
+/// dropped unstarted (which also stay counted as not started).
+#[derive(Debug, Default)]
+pub(crate) struct LotQueue {
+    pub(crate) queued: AtomicU64,
+    pub(crate) dropped: AtomicU64,
+}
+
+/// One pool job's dies on their lot's [`LotQueue`]: queued until the job
+/// starts, and dropped if the job is dropped unstarted (its lane drained).
+pub(crate) struct QueuedDies(pub(crate) Arc<LotQueue>, pub(crate) u64);
+
+impl QueuedDies {
+    /// The job started: its dies leave the queue.
+    pub(crate) fn start(mut self) {
+        self.0.queued.fetch_sub(self.1, Ordering::Relaxed);
+        self.1 = 0;
+    }
+}
+
+impl Drop for QueuedDies {
+    fn drop(&mut self) {
+        self.0.dropped.fetch_add(self.1, Ordering::Relaxed);
     }
 }
 
@@ -953,6 +978,10 @@ mod tests {
         /// a job to reach it before its first snapshot and opens it
         /// after.
         Hold(&'static Gate),
+        /// Every job of the lot that holds no die of the named device's
+        /// batch of reports waits at the gate until the admission
+        /// controller has acted on the lot; the observer opens it then.
+        AwaitAdmission(&'static Gate),
     }
 
     /// A gate that opens once and stays open, and counts the jobs that
@@ -1016,6 +1045,7 @@ mod tests {
                     gate.open();
                     panic!("injected observer panic");
                 }
+                Some((_, Failure::AwaitAdmission(gate))) if !events.is_empty() => gate.open(),
                 Some((_, Failure::Hold(gate))) if snapshots.is_empty() => gate.await_arrival(),
                 Some((_, Failure::Hold(gate))) => gate.open(),
                 _ => {}
@@ -1049,7 +1079,7 @@ mod tests {
         match failure {
             Failure::Panic if holds(1) => panic!("injected panic on device {device_id}"),
             Failure::Error if holds(1) => Err(injected_error(device_id)),
-            Failure::Observer(gate) if !holds(batch) => {
+            Failure::Observer(gate) | Failure::AwaitAdmission(gate) if !holds(batch) => {
                 gate.wait();
                 Ok(())
             }
@@ -1279,6 +1309,46 @@ mod tests {
             );
             assert!(first_job > 1 || !packed, "a lane pass holds many dies");
         }
+    }
+
+    #[test]
+    fn an_abort_counts_the_dies_it_drops() {
+        // One worker serves a packed lot of defective dies in plan order:
+        // the jobs holding a die of the first cohort run, and the next job
+        // waits at the gate until the admission controller aborts the lot,
+        // so every later job, lane passes of many dies, is queued when the
+        // lane drains.
+        let soc = catalog::figure2a_scan_soc();
+        let schedule = packed_schedule(&soc, 4).unwrap();
+        let mut spec = LotSpec::new("doomed", &soc, 4, schedule, 256, VariationSpec::new(3, 1.0))
+            .unwrap()
+            .with_packed(true);
+        let jobs = planned_jobs(&spec);
+        let held = jobs
+            .iter()
+            .position(|job| job.iter().all(|&(id, _)| cohort_of(id) > 0))
+            .expect("a job past the first cohort");
+        let queued = &jobs[held + 1..];
+        let dropped: u64 = queued.iter().map(|job| job.len() as u64).sum();
+        assert!(dropped > queued.len() as u64, "queued jobs hold many dies");
+        spec.fail_on = Some((0, Failure::AwaitAdmission(Gate::leaked())));
+        let report = within_a_minute(move || {
+            let policy = AdmissionPolicy::default()
+                .with_interval(Duration::from_millis(1))
+                .with_min_completed(1)
+                .with_yield_floor(0.9, crate::CollapseAction::Abort);
+            TestFloor::new()
+                .with_threads(1)
+                .with_admission(policy)
+                .run(vec![spec])
+        })
+        .unwrap();
+        let lot = &report.lots[0];
+        assert!(lot.aborted());
+        let actions: Vec<&AdmissionAction> = lot.events.iter().map(|e| &e.action).collect();
+        assert_eq!(actions, [&AdmissionAction::Aborted { dropped }]);
+        let message = format!("aborted ({dropped} queued devices dropped)");
+        assert!(lot.events[0].to_string().contains(&message));
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   run's cycle counters stay on the simulator for
 //!   [`SocSimulator::export_metrics`],
 //! * [`search::run_program_searched`] — let the controller's annealed
-//!   makespan search pick the schedule, validating survivors on the
-//!   compiled engine, gating the winner bit-exactly against the
-//!   reference interpreter and publishing the search telemetry into the
+//!   search pick the schedule whose program books the fewest cycles,
+//!   gate the winner (the only plan it simulates) bit-exactly against
+//!   the reference interpreter, and publish the search telemetry into the
 //!   caller's registry,
 //! * [`fleet::FleetRunner`] — compile one test program once and serve it
 //!   across thousands of simulated devices on a persistent worker pool,
@@ -57,8 +57,8 @@
 //! One device runs on one thread: an engine runs a step's concurrent
 //! sessions one after another, and the paper's concurrency (cores tested
 //! at once on disjoint CAS wire windows) is reproduced exactly in cycle
-//! arithmetic. Host threads serve many devices at once (fleets, floors)
-//! and validate many schedule candidates at once (the search).
+//! arithmetic. Host threads serve many devices at once (fleets, floors),
+//! and a [`CompiledValidator`] measures many schedule candidates at once.
 //!
 //! # Example
 //!

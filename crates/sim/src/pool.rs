@@ -2,11 +2,13 @@
 //!
 //! Two shapes of parallelism live here:
 //!
-//! * [`lpt_fanout`] — the *scoped* fan-out the schedule search's
-//!   per-candidate validation uses: weighted items are balanced over
-//!   short-lived workers by longest-processing-time ([`partition_lpt`]),
-//!   joined before returning. Borrowed data is fine; thread churn is paid
-//!   per call.
+//! * [`lpt_fanout`] — the *scoped* fan-out behind
+//!   [`CompiledValidator::measure`](crate::CompiledValidator): weighted
+//!   items are balanced over short-lived workers by
+//!   longest-processing-time ([`partition_lpt`]), joined before returning.
+//!   Borrowed data is fine; thread churn is paid per call. Serving never
+//!   validates candidates, so only callers that hand the search a
+//!   validator use it.
 //! * [`WorkerPool`] — the *persistent* pool fleet serving runs on:
 //!   long-lived workers pull whole jobs from shared injector queues, so
 //!   a thousand-device run spawns its threads exactly once. Jobs must be
@@ -19,9 +21,9 @@
 //! The split is deliberate: a persistent pool cannot safely borrow from the
 //! submitting stack frame, and a scoped pool cannot amortise thread startup
 //! across calls. Per-device work (owns its simulator) takes the persistent
-//! pool; a search round's candidates (borrowed from the search) take the
-//! scoped fan-out. One device runs on one thread: its engine runs a step's
-//! lanes one after another.
+//! pool; candidates a validator measures (borrowed from the search) take
+//! the scoped fan-out. One device runs on one thread: its engine runs a
+//! step's lanes one after another.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -416,11 +418,6 @@ impl WorkerPool {
         dropped
     }
 
-    /// Jobs currently queued (not yet picked up) on `lane`.
-    pub fn lane_queued(&self, lane: LaneId) -> usize {
-        self.lock_lane(lane).lanes[lane.0].jobs.len()
-    }
-
     /// Attaches (or with `None` detaches) a registry receiving per-job
     /// queue-wait and execution-time observations. Jobs already queued when
     /// the registry changes report to whichever registry is installed when
@@ -546,14 +543,12 @@ mod tests {
             "set_lane_paused",
             "set_lane_weight",
             "drain_lane",
-            "lane_queued",
         ] {
             let caught = catch_unwind(AssertUnwindSafe(|| match name {
                 "execute_in" => pool.execute_in(foreign, || {}),
                 "set_lane_paused" => pool.set_lane_paused(foreign, true),
                 "set_lane_weight" => pool.set_lane_weight(foreign, 2),
-                "drain_lane" => drop(pool.drain_lane(foreign)),
-                _ => drop(pool.lane_queued(foreign)),
+                _ => drop(pool.drain_lane(foreign)),
             }));
             assert!(
                 caught.is_err(),
@@ -632,10 +627,11 @@ mod tests {
             pool.execute_in(lane, move || tx.send(i).unwrap());
         }
         drop(tx);
-        assert_eq!(pool.lane_queued(lane), 6, "paused jobs stay queued");
-        assert!(rx
-            .recv_timeout(std::time::Duration::from_millis(50))
-            .is_err());
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_millis(50))
+                .is_err(),
+            "paused jobs stay queued"
+        );
         pool.set_lane_paused(lane, false);
         let mut seen: Vec<u64> = rx.iter().collect();
         seen.sort_unstable();
@@ -654,7 +650,7 @@ mod tests {
         }
         drop(tx);
         assert_eq!(pool.drain_lane(lane), 5);
-        assert_eq!(pool.lane_queued(lane), 0);
+        assert_eq!(pool.drain_lane(lane), 0, "the first drain left nothing");
         // Every sender clone died with its job: the channel reports
         // disconnect instead of hanging.
         assert!(rx.iter().next().is_none(), "drained lane sends nothing");
@@ -705,7 +701,11 @@ mod tests {
             pool.execute_in(lane, move || tx.send(i).unwrap());
         }
         drop(tx);
-        assert_eq!(pool.lane_queued(lane), 8);
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_millis(20))
+                .is_err(),
+            "paused jobs stay queued"
+        );
         pool.set_lane_weight(lane, 3);
         pool.set_lane_paused(lane, false);
         let mut seen: Vec<u64> = rx.iter().collect();

@@ -233,34 +233,6 @@ fn cache_misses_are_independent_of_fleet_size_and_threads() {
     );
 }
 
-/// A bounded cache under the per-plan working set must evict and recompile
-/// — but results stay bit-identical to the unbounded runner.
-#[test]
-fn bounded_cache_thrashes_but_stays_correct() {
-    let soc = catalog::figure1_soc();
-    let schedule = packed_schedule(&soc, 8).expect("schedule");
-    let unbounded = FleetRunner::new(&soc, 8, schedule.clone()).expect("runner");
-    let reference = unbounded
-        .run(&VariationSpec::perfect(), 4)
-        .expect("fleet run");
-    let shapes = unbounded.cache().misses();
-    assert!(shapes > 1, "figure 1 reconfigures across several waves");
-
-    let bounded = FleetRunner::new(&soc, 8, schedule)
-        .expect("runner")
-        .with_cache_capacity(1)
-        .with_threads(2);
-    let got = bounded
-        .run(&VariationSpec::perfect(), 4)
-        .expect("fleet run");
-    assert_eq!(
-        got.devices, reference.devices,
-        "eviction must not change results"
-    );
-    assert!(bounded.cache().evictions() > 0, "capacity 1 must evict");
-    assert!(bounded.cache().len() <= 1, "cap holds after the run");
-}
-
 /// Counters outside the wall-clock `obs.*` namespace.
 fn visible_counters(metrics: &MetricsRegistry) -> Vec<(String, u64)> {
     metrics
@@ -809,16 +781,37 @@ fn runners_share_arc_plans_cheaply() {
     assert_eq!(cache.misses(), misses_after_first, "all hits after warm-up");
 }
 
-/// Hand-picked defects on the flagship plan (the smoke-searched Figure-1
-/// plan at N = 8): `core1_cpu` runs through all three steps, carried
-/// across both reconfigurations, and `core2_dsp` starts in the last one.
-/// Served packed, each die's report equals its scalar compiled run and its
+/// Hand-picked defects on a three-step Figure-1 plan at N = 8 (the one the
+/// smoke search planned for the flagship lot while it ranked plans by
+/// makespan): `core1_cpu` runs through all three steps, carried across
+/// both reconfigurations, and `core2_dsp` starts in the last one. Served
+/// packed, each die's report equals its scalar compiled run and its
 /// reference run.
 #[test]
 fn carried_sessions_serve_packed_like_scalar_and_reference_runs() {
     let soc = catalog::figure1_soc();
-    let runner = FleetRunner::searched(&soc, 8, SearchBudget::smoke()).expect("searched runner");
-    let plan = Arc::new(runner.plan().clone());
+    // Core, start, first wire.
+    let placed = [
+        (0, 0, 0),
+        (4, 0, 4),
+        (5, 0, 6),
+        (2, 0, 7),
+        (3, 244, 4),
+        (1, 501, 4),
+    ];
+    let tests = placed
+        .iter()
+        .map(|&(core, start, wire_start)| ScheduledTest {
+            core: CoreId(core),
+            core_name: soc.cores()[core].name().to_owned(),
+            wire_start,
+            wires: soc.cores()[core].required_ports(),
+            start,
+            duration: soc.cores()[core].test_time(),
+        })
+        .collect();
+    let schedule = Schedule::from_tests(8, tests).expect("conflict-free");
+    let plan = Arc::new(CompiledProgram::compile(&soc, 8, schedule).expect("plan"));
     let cpu = plan.tam().cas_for_core("core1_cpu").expect("core1_cpu");
     let steps = plan.program().steps();
     assert_eq!(steps.len(), 3);

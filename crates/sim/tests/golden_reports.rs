@@ -211,16 +211,16 @@ fn packed_engine_reproduces_the_pinned_reports() {
 }
 
 /// The healthy Figure-1 die under `FleetRunner::searched(figure1, 8,
-/// SearchBudget::smoke())`, the plan of the flagship lot: three steps whose
+/// SearchBudget::smoke())`, the plan of the flagship lot: two steps whose
 /// sessions start in a different order than `packed_schedule`'s.
 fn searched_healthy_report() -> SocTestReport {
     let order = [
         "core1_cpu",
+        "core2_dsp",
         "core3_sram",
-        "core5_subsystem",
         "core6_eeprom",
         "core4_dma",
-        "core2_dsp",
+        "core5_subsystem",
     ];
     let per_core_cycles = [
         "core1_cpu",
@@ -239,8 +239,8 @@ fn searched_healthy_report() -> SocTestReport {
             .iter()
             .map(|c| (c.to_string(), Verdict::Pass))
             .collect(),
-        total_cycles: 12_589,
-        steps: 3,
+        total_cycles: 12_547,
+        steps: 2,
         per_core_cycles,
         bus_cycles: 63_396,
         signatures: order.iter().map(|c| (c.to_string(), healthy(c))).collect(),

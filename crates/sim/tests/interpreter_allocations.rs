@@ -107,7 +107,7 @@ fn reference_run_of_the_searched_plan_allocates_less_than_once_per_cycle() {
     let (report, allocations) =
         counted(|| run_program_reference(&mut sim, runner.plan().program()).expect("reference"));
     assert!(report.all_pass(), "{report}");
-    assert_eq!(report.total_cycles, 12_589);
+    assert_eq!(report.total_cycles, 12_547);
     let per_cycle = allocations as f64 / report.total_cycles as f64;
     assert!(
         per_cycle <= 0.5,

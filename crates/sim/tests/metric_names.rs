@@ -1,21 +1,17 @@
 //! OPERATIONS.md's metric reference matches what the serving stack emits,
 //! in both directions: every metric a monitored fleet, a packed fleet with
-//! scalar fallbacks, a floor, and the search validator publish is
-//! documented, and every documented metric is published by one of them.
+//! scalar fallbacks, and a floor publish is documented, and every
+//! documented metric is published by one of them.
 //! Fallback reason codes are checked against the codes the packed engine
 //! can produce.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Duration;
 
 use casbus_controller::schedule::packed_schedule;
-use casbus_controller::search::CandidateValidator;
 use casbus_controller::Schedule;
 use casbus_obs::MetricsRegistry;
-use casbus_sim::{
-    CompiledValidator, FleetMonitor, FleetRunner, LotSpec, MonitorConfig, TestFloor, VariationSpec,
-};
+use casbus_sim::{FleetMonitor, FleetRunner, LotSpec, MonitorConfig, TestFloor, VariationSpec};
 use casbus_soc::catalog;
 
 const OPERATIONS: &str = include_str!("../../../OPERATIONS.md");
@@ -177,13 +173,6 @@ fn operations_metric_reference_matches_emitted_names() {
         )
         .expect("floor run");
     emitted.extend(names(&floor));
-
-    // The search's candidate validator.
-    let search = MetricsRegistry::new();
-    CompiledValidator::new(1)
-        .with_telemetry(Arc::clone(&search))
-        .measure(&soc, &[schedule]);
-    emitted.extend(names(&search));
 
     let reference = reference();
     let producible = producible_codes();

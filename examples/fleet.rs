@@ -37,9 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         soc.cores().len()
     );
 
-    // One-time planning: annealed schedule search with execution-backed
-    // validation, compiled and gated bit-exactly against the reference
-    // interpreter. Every device below reuses this plan and its route cache.
+    // One-time planning: annealed schedule search ranking plans by the
+    // cycles their program books, then the winner alone compiled and gated
+    // bit-exactly against the reference interpreter. Every device below
+    // reuses this plan and its route cache.
     let runner = FleetRunner::searched(&soc, BUS_WIDTH, SearchBudget::smoke())?;
     println!(
         "searched schedule: makespan {} cycles, {} configuration waves, {} worker threads",
@@ -107,8 +108,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Route compilation is a property of the plan, not the fleet: lots
     // of different sizes on fresh runners compile exactly as many tables.
-    // (The searched runner's own counter also includes shapes explored
-    // during the search, so fresh serving-only runners are compared.)
+    // (The searched runner's own cache was warmed by its gate, so fresh
+    // serving-only runners are compared.)
     let misses_for = |lot: u64| -> Result<u64, Box<dyn std::error::Error>> {
         let fresh = FleetRunner::new(&soc, BUS_WIDTH, runner.schedule().clone())?;
         fresh.run(&spec, lot)?;
