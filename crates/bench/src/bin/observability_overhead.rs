@@ -15,11 +15,12 @@
 //! costs one predictable branch per coarse event; this binary is the
 //! regression check behind it. A JSONL trace keeps the SoC run on the
 //! compiled engine (only the VCD probe forces the bit-serial interpreter).
-//! A live monitor is not cheap against the default fleet: monitored lots
-//! run on the scalar path, so the `fleet_monitor` rows measure scalar
-//! against packed serving (full runs read over +3000%) and not the cost of
-//! watching. Set `CASBUS_BENCH_SMOKE=1` for the fast CI configuration (a
-//! 64-device lot instead of 256).
+//! A monitored lot runs the same packed jobs as the unmonitored baseline,
+//! so the `fleet_monitor` rows measure watching: `snapshots` the
+//! observer's ticks and the per-job hooks, `recorder` those plus replaying
+//! each defective die into its flight recorder once the lot is served.
+//! Set `CASBUS_BENCH_SMOKE=1` for the fast CI configuration (a 64-device
+//! lot instead of 256).
 //!
 //! ```text
 //! cargo run --release -p casbus-bench --bin observability_overhead
@@ -33,7 +34,7 @@ use casbus_controller::{schedule, TestProgram};
 use casbus_netlist::crosspoint::synthesize_crosspoint_cas;
 use casbus_netlist::fault::enumerate_faults;
 use casbus_netlist::PackedEngine;
-use casbus_obs::{MemorySink, VcdWriter};
+use casbus_obs::{MemorySink, MetricsRegistry, VcdWriter};
 use casbus_sim::{report, FleetMonitor, FleetRunner, MonitorConfig, SocSimulator, VariationSpec};
 use casbus_soc::catalog;
 use casbus_tpg::BitVec;
@@ -205,8 +206,8 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
     let fleet_size: u64 = if smoke { 64 } else { 256 };
 
     // The example lot: Figure-1 on an 8-wire bus with a 2% defect stamp.
-    // The unmonitored baseline is served packed; the monitored configs are
-    // scalar by policy.
+    // Every config serves it packed; the recorder config also replays each
+    // defective die.
     let soc = catalog::figure1_soc();
     let n = 8;
     let sched = schedule::packed_schedule(&soc, n).expect("schedulable");
@@ -232,6 +233,7 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
     let mut best = [Duration::MAX; 3];
     let mut snapshots = Vec::new();
     let mut snapshot_run = Duration::ZERO;
+    let mut jobs = 0u64;
     let mut dumps = 0usize;
     let mut defective = 0usize;
     let started = Instant::now();
@@ -250,15 +252,27 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
             recorder_capacity: 0,
             ..deep_channel
         });
+        let metrics = MetricsRegistry::new();
         snap_runner
-            .run_monitored(&spec, fleet_size, &monitor)
+            .run_monitored_with_metrics(&spec, fleet_size, &metrics, &monitor, |_| {})
             .expect("runs");
         snapshot_run = t0.elapsed();
+        // The lot's pool jobs: its lane passes, its scalar fallbacks, and
+        // one job per cohort for the healthy dies (every cohort of a 2%
+        // lot holds some).
+        jobs = [
+            "fleet.packed.lane.passes",
+            "fleet.packed.fallback.devices",
+            "fleet.packed.cohorts",
+        ]
+        .iter()
+        .map(|name| metrics.counter(name))
+        .sum();
         best[1] = best[1].min(snapshot_run);
         snapshots = rx.try_iter().collect::<Vec<_>>();
 
-        // Snapshots plus a per-device flight recorder; every defective
-        // die must leave a post-mortem dump behind.
+        // Snapshots plus flight-recorder replays; every defective die
+        // must leave a post-mortem dump behind.
         let t0 = Instant::now();
         let (monitor, _rx) = FleetMonitor::with_config(deep_channel);
         let fleet = rec_runner
@@ -281,9 +295,12 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
     let last = snapshots.last().expect("final snapshot");
     assert!(last.last, "the closing snapshot is flagged");
     assert_eq!(last.completed, fleet_size, "the closing snapshot is total");
-    assert!(
-        last.queue_wait_us.p50 < last.queue_wait_us.p99,
-        "queue-wait quantiles must spread: {}",
+    // Each serving job waits once. A packed lot runs two or three jobs
+    // here, whose waits of a few microseconds can share a bucket, so the
+    // digest is checked by its count, not by its spread.
+    assert_eq!(
+        last.queue_wait_us.count, jobs,
+        "one queue wait per pool job: {}",
         last.queue_wait_us
     );
     // The sampler emits one snapshot per elapsed interval plus the closing

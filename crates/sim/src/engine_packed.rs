@@ -33,9 +33,9 @@
 //!   streams serves every step and plan the session runs in, and a
 //!   session carried across reconfigurations runs as one uninterrupted
 //!   lane pass.
-//! * **Everything else falls back, per device.** Monitored runs, programs
-//!   with any step the word-level fast path cannot express, and defects the
-//!   lane encoding cannot carry are executed by the unchanged scalar
+//! * **Everything else falls back, per device.** Programs with any step
+//!   the word-level fast path cannot express, and defects the lane
+//!   encoding cannot carry, are executed by the unchanged scalar
 //!   [`test_device`](crate::fleet) path — bit-identity is never traded for
 //!   speed. Every fallback is attributed: [`PackedDeviceEngine::fallback_reason`]
 //!   names the compile clause or defect placement responsible, and the
@@ -369,7 +369,6 @@ impl PackedDeviceEngine {
                         &self.sessions,
                         *device_id,
                         Some(f.clone()),
-                        None,
                     )?;
                     reports[idx] = Some(scalar.report);
                 }

@@ -27,19 +27,20 @@
 //! A fleet is a one-lot [`TestFloor`]: every run is served by the floor's
 //! lot executor, so a fleet and a floor lot of the same plan run the very
 //! same dispatch, collection and observation code. Two execution modes
-//! serve the lot, both bit-identical:
+//! serve the lot, both bit-identical, and a [`FleetMonitor`] watches either
+//! without changing its jobs:
 //!
-//! * **Packed device-parallel** (default, unmonitored runs): the lot is
-//!   planned into jobs for a shared [`PackedDeviceEngine`] — healthy dies
-//!   clone one baseline report, defective dies of one core anywhere in the
-//!   lot run 64 per machine word as bit-lanes of the packed
-//!   scan/BIST/memory models, and inexpressible defects fall back per
-//!   device to the scalar path (counted under
-//!   `fleet.packed.fallback.reason.*`). Reports still leave in consecutive
-//!   64-die cohorts. See [`crate::engine_packed`].
-//! * **Scalar per-device** (monitored runs, or [`FleetRunner::with_packed`]
-//!   `(false)`): one simulator per device — reused in place per worker
-//!   thread, with a power-on reset between devices instead of a rebuild.
+//! * **Packed device-parallel** (default): the lot is planned into jobs
+//!   for a shared [`PackedDeviceEngine`] — healthy dies clone one baseline
+//!   report, defective dies of one core anywhere in the lot run 64 per
+//!   machine word as bit-lanes of the packed scan/BIST/memory models, and
+//!   inexpressible defects fall back per device to the scalar path
+//!   (counted under `fleet.packed.fallback.reason.*`). Reports still
+//!   leave in consecutive 64-die cohorts. See [`crate::engine_packed`].
+//! * **Scalar per-device** ([`FleetRunner::with_packed`]`(false)`): one
+//!   simulator per device — reused in place per worker thread, with a
+//!   power-on reset between devices instead of a rebuild. A monitor's
+//!   flight-recorder dumps replay dies on this path.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -49,7 +50,7 @@ use std::time::{Duration, Instant};
 use casbus::RouteTableCache;
 use casbus_controller::search::{search_schedule, SearchBudget};
 use casbus_controller::{CompiledProgram, Schedule};
-use casbus_obs::{MetricsRegistry, TraceSink};
+use casbus_obs::{FlightDump, FlightRecorder, MetricsRegistry, TraceSink};
 use casbus_p1500::{TestableCore, Wrapper};
 use casbus_soc::models::{BistCore, MemoryCore, ScanCore};
 use casbus_soc::{SocDescription, TestMethod};
@@ -59,7 +60,7 @@ use rand::{RngExt, SeedableRng};
 use crate::engine::CompiledEngine;
 use crate::engine_packed::PackedDeviceEngine;
 use crate::floor::{publish_fleet_metrics, Lot, LotSpec, TestFloor};
-use crate::monitor::{FleetMonitor, MonitorShared};
+use crate::monitor::FleetMonitor;
 use crate::report::SocTestReport;
 use crate::search::gate;
 use crate::session::SessionCache;
@@ -433,8 +434,8 @@ pub struct FleetRunner {
     /// searched runner) and shared by every worker slot and the packed
     /// engine.
     floor: TestFloor,
-    /// Packed device-parallel mode: unmonitored runs execute up to 64
-    /// devices per word through a shared [`PackedDeviceEngine`].
+    /// Packed device-parallel mode: runs execute up to 64 devices per word
+    /// through a shared [`PackedDeviceEngine`].
     packed: bool,
     /// The packed engine, shared by every run of this runner: built from
     /// the reference gate's run by a searched runner, compiled by the
@@ -534,7 +535,7 @@ impl FleetRunner {
     }
 
     /// Enables or disables packed device-parallel execution (on by
-    /// default). When on, an unmonitored run is served through one
+    /// default). When on, a run, monitored or not, is served through one
     /// [`PackedDeviceEngine`]: healthy dies clone a shared baseline report,
     /// the defective dies of each core across the whole lot run 64 per
     /// word as bit-lanes of a packed scan, BIST or memory model, and
@@ -543,8 +544,7 @@ impl FleetRunner {
     /// in device order, once every die of the cohort is done. Reports are
     /// bit-identical either way (pinned by `tests/fleet_differential.rs`);
     /// only `fleet.packed.*` and `fleet.route_cache.*` metrics reveal which
-    /// mode ran. Monitored runs always use the scalar path so per-device
-    /// telemetry and flight-recorder dumps stay meaningful.
+    /// mode ran.
     #[must_use]
     pub fn with_packed(mut self, packed: bool) -> Self {
         self.packed = packed;
@@ -649,14 +649,14 @@ impl FleetRunner {
         self.run_inner(spec, fleet_size, metrics, None, on_report)
     }
 
-    /// [`run`](Self::run) with a live [`FleetMonitor`] attached: the
-    /// monitor streams [`FleetSnapshot`](crate::FleetSnapshot)s over its
-    /// bounded channel while devices execute, per-device phase timers feed
-    /// the monitor's `obs.*` telemetry histograms, and any defective or
-    /// failing device dumps its flight-recorder ring into
-    /// [`FleetMonitor::dumps`]. The report — and every non-`obs.*` metric —
-    /// is bit-identical to an unmonitored run (pinned by
-    /// `tests/fleet_differential.rs`).
+    /// [`run`](Self::run) with a live [`FleetMonitor`] attached: the lot
+    /// runs the jobs an unmonitored run would, the monitor streams
+    /// [`FleetSnapshot`](crate::FleetSnapshot)s over its bounded channel
+    /// while they execute, and each defective or failing device is then
+    /// replayed into a flight recorder, its dump landing in
+    /// [`FleetMonitor::dumps`] before the run returns. The report — and
+    /// every non-`obs.*` metric — is bit-identical to an unmonitored run
+    /// (pinned by `tests/fleet_differential.rs`).
     ///
     /// # Errors
     ///
@@ -698,10 +698,7 @@ impl FleetRunner {
         mut on_report: impl FnMut(&DeviceReport),
     ) -> Result<FleetReport, SimError> {
         let started = Instant::now();
-        // Packed mode serves unmonitored runs only: a monitored run needs
-        // per-device phase timers and flight recorders, which are
-        // inherently scalar. The report is bit-identical either way.
-        let engine = if self.packed && monitor.is_none() && fleet_size > 0 {
+        let engine = if self.packed && fleet_size > 0 {
             Some(self.packed_engine()?)
         } else {
             None
@@ -843,11 +840,6 @@ fn run_stamped(
 /// device — the fleet's parallelism lives across devices. Also the scalar
 /// fallback the packed path uses for defects its lane encoding cannot
 /// express.
-///
-/// Under a `monitor`, phase timers feed its `obs.*` telemetry, the device's
-/// flight recorder is the simulator's trace sink for the run, and a
-/// defective or failing device dumps its ring. The report is built the
-/// same way either way — the monitor only observes.
 pub(crate) fn test_device(
     soc: &Arc<SocDescription>,
     plan: &CompiledProgram,
@@ -855,38 +847,37 @@ pub(crate) fn test_device(
     sessions: &Arc<SessionCache>,
     device_id: u64,
     fault: Option<InjectedFault>,
-    monitor: Option<&MonitorShared>,
 ) -> Result<DeviceReport, SimError> {
-    let started = Instant::now();
-    let recorder = monitor.and_then(|monitor| monitor.device_started(device_id));
     let report = with_worker_slot(soc, plan, cache, sessions, |sim, engine| {
-        let Some(monitor) = monitor else {
-            return run_stamped(sim, engine, plan, fault.as_ref());
-        };
-        let telemetry = &monitor.telemetry;
-        telemetry.observe("obs.fleet.device.setup_us", elapsed_us(started));
-        if let Some(recorder) = &recorder {
-            sim.set_trace(Arc::clone(recorder) as Arc<dyn TraceSink>);
-        }
-        let run_started = Instant::now();
-        let report = run_stamped(sim, engine, plan, fault.as_ref());
-        sim.set_trace(casbus_obs::trace::null_sink());
-        telemetry.observe("obs.fleet.device.run_us", elapsed_us(run_started));
-        report
+        run_stamped(sim, engine, plan, fault.as_ref())
     })?;
-    let report = DeviceReport {
+    Ok(DeviceReport {
         device_id,
         fault,
         report,
-    };
-    if let Some(monitor) = monitor {
-        monitor.device_finished(&report, recorder.as_deref(), started.elapsed());
-    }
-    Ok(report)
+    })
 }
 
-fn elapsed_us(since: Instant) -> u64 {
-    since.elapsed().as_micros() as u64
+/// Tests one device again as [`test_device`] does, with a fresh flight
+/// recorder of `capacity` events as its trace sink, and dumps the ring: a
+/// post-mortem made after the fact, since a report is a pure function of
+/// `(spec, device_id, plan)`.
+pub(crate) fn replay_device(
+    soc: &Arc<SocDescription>,
+    plan: &CompiledProgram,
+    cache: &Arc<RouteTableCache>,
+    sessions: &Arc<SessionCache>,
+    fault: Option<&InjectedFault>,
+    capacity: usize,
+) -> Result<FlightDump, SimError> {
+    let recorder = Arc::new(FlightRecorder::new(capacity));
+    with_worker_slot(soc, plan, cache, sessions, |sim, engine| {
+        sim.set_trace(Arc::clone(&recorder) as Arc<dyn TraceSink>);
+        let report = run_stamped(sim, engine, plan, fault);
+        sim.set_trace(casbus_obs::trace::null_sink());
+        report
+    })?;
+    Ok(recorder.dump())
 }
 
 #[cfg(test)]

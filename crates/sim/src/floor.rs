@@ -80,8 +80,8 @@ use crate::admission::{
     AdmissionAction, AdmissionController, AdmissionEvent, AdmissionPolicy, LotLive,
 };
 use crate::engine_packed::{cohort_of, Member, PackedDeviceEngine, COHORT_LANES};
-use crate::fleet::{test_device, DeviceReport, FleetReport, VariationSpec};
-use crate::monitor::{FleetMonitor, FleetSnapshot, LotTracker};
+use crate::fleet::{replay_device, test_device, DeviceReport, FleetReport, VariationSpec};
+use crate::monitor::{DeviceDump, FleetMonitor, FleetSnapshot, LotTracker};
 use crate::pool::{LaneId, WorkerPool};
 use crate::session::SessionCache;
 use crate::simulator::SimError;
@@ -332,6 +332,9 @@ pub(crate) struct Lot<'a> {
 pub struct TestFloor {
     pool: WorkerPool,
     cache: Arc<RouteTableCache>,
+    /// The route cache a monitor's replays run on, apart from `cache`, so
+    /// watching a lot moves none of the route-cache counters it publishes.
+    replay_cache: Arc<RouteTableCache>,
     /// Compiled sessions of every lot's cores, built by the first run that
     /// tests a core and kept, like the route cache, for later runs.
     sessions: Arc<SessionCache>,
@@ -364,6 +367,7 @@ impl TestFloor {
         Self {
             pool: WorkerPool::new(0),
             cache: Arc::new(RouteTableCache::new()),
+            replay_cache: Arc::new(RouteTableCache::new()),
             sessions: Arc::default(),
             policy: AdmissionPolicy::default(),
             lanes: Mutex::default(),
@@ -543,12 +547,12 @@ impl TestFloor {
     /// [`FleetRunner`](crate::FleetRunner) run is a one-lot call). Dispatches
     /// each lot onto its lane — the jobs [`PackedDeviceEngine::plan_lot`]
     /// plans when the lot has an engine, one scalar job per device
-    /// otherwise (monitored when the lot has a monitor) — collects the
-    /// reports (a packed lot's by whole cohort, see the
-    /// [module docs](self)), and runs the floor's one observer thread,
-    /// which snapshots every lot's [`LotTracker`] and applies the admission
-    /// policy. The observer ticks at the policy's interval, or at the
-    /// monitor's when a lot is monitored. `started` is when the run began,
+    /// otherwise — collects the reports (a packed lot's by whole cohort,
+    /// see the [module docs](self)), and runs the floor's one observer
+    /// thread, which snapshots every lot's [`LotTracker`] and applies the
+    /// admission policy. The observer ticks at the policy's interval, or at
+    /// the monitor's when a lot is monitored, and a monitored lot's dies
+    /// are then [replayed](Self::replay). `started` is when the run began,
     /// for the report's wall clock. Publishes no metrics: callers do, from
     /// the returned report.
     pub(crate) fn serve(
@@ -624,6 +628,9 @@ impl TestFloor {
                 self.pool.execute_in(lanes[idx], move || {
                     queued.start();
                     let first = members[0].0;
+                    if let Some(monitor) = &monitor {
+                        monitor.job_started(members.iter().map(|(id, _)| *id).collect());
+                    }
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(test)]
                         tests::inject(fail_on, engine.is_some(), &members)?;
@@ -631,15 +638,15 @@ impl TestFloor {
                             Some(engine) => engine.run_cohort(members),
                             None => {
                                 let (device_id, fault) = members.into_iter().next().expect("a die");
-                                let monitor = monitor.as_deref();
-                                test_device(
-                                    &soc, &plan, &cache, &sessions, device_id, fault, monitor,
-                                )
-                                .map(|report| vec![report])
+                                test_device(&soc, &plan, &cache, &sessions, device_id, fault)
+                                    .map(|report| vec![report])
                             }
                         }
                     }))
                     .unwrap_or(Err(SimError::WorkerPanicked { device_id: first }));
+                    if let Some(monitor) = &monitor {
+                        monitor.job_finished(first);
+                    }
                     let _ = tx.send((idx, outcome));
                 });
             }
@@ -758,6 +765,11 @@ impl TestFloor {
         collected.unwrap_or_else(|panic| resume_unwind(panic))?;
         let (snapshots, events, aborted) = observed.map_err(|_| SimError::ObserverPanicked)?;
         check_complete(lots, &reports, &aborted)?;
+        for ((lot, devices), &lane) in lots.iter().zip(&reports).zip(lanes) {
+            if let Some(monitor) = lot.monitor {
+                self.replay(lot, lane, devices, monitor)?;
+            }
+        }
         let wall = started.elapsed();
         let lots = lots
             .iter()
@@ -780,6 +792,59 @@ impl TestFloor {
             )
             .collect();
         Ok(FloorReport { lots, wall })
+    }
+
+    /// Replays each defective or failing die of a monitored lot (none when
+    /// its recorders are off) as one job on the lot's lane, and hands the
+    /// monitor their dumps in device order once every one is in. The first
+    /// failed replay fails the run and drops the replays still queued.
+    fn replay(
+        &self,
+        lot: &Lot<'_>,
+        lane: LaneId,
+        devices: &[DeviceReport],
+        monitor: &FleetMonitor,
+    ) -> Result<(), SimError> {
+        let capacity = monitor.config().recorder_capacity;
+        let mut dies: Vec<&DeviceReport> = devices
+            .iter()
+            .filter(|d| capacity > 0 && (d.fault.is_some() || !d.passed()))
+            .collect();
+        dies.sort_by_key(|d| d.device_id);
+        let (tx, rx) = mpsc::channel();
+        for (slot, device) in dies.iter().enumerate() {
+            let (soc, plan) = (Arc::clone(&lot.spec.soc), Arc::clone(&lot.spec.plan));
+            let (cache, sessions) = (Arc::clone(&self.replay_cache), Arc::clone(&self.sessions));
+            let (device_id, fault) = (device.device_id, device.fault.clone());
+            let tx = tx.clone();
+            #[cfg(test)]
+            let fail_on = lot.spec.fail_on;
+            self.pool.execute_in(lane, move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    #[cfg(test)]
+                    tests::inject_replay(fail_on, device_id)?;
+                    replay_device(&soc, &plan, &cache, &sessions, fault.as_ref(), capacity)
+                }))
+                .unwrap_or(Err(SimError::WorkerPanicked { device_id }));
+                let _ = tx.send((slot, outcome));
+            });
+        }
+        drop(tx);
+        let mut dumps = vec![None; dies.len()];
+        for (slot, outcome) in rx {
+            if outcome.is_err() {
+                self.pool.drain_lane(lane);
+            }
+            dumps[slot] = Some(outcome?);
+        }
+        let dumps = dies.iter().zip(dumps).map(|(device, dump)| DeviceDump {
+            device_id: device.device_id,
+            defective: device.fault.is_some(),
+            passed: device.passed(),
+            dump: dump.expect("a replay job reports unless its lane drains"),
+        });
+        monitor.shared().set_dumps(dumps.collect());
+        Ok(())
     }
 }
 
@@ -982,6 +1047,10 @@ mod tests {
         /// batch of reports waits at the gate until the admission
         /// controller has acted on the lot; the observer opens it then.
         AwaitAdmission(&'static Gate),
+        /// The device's replay (a monitored lot's) panics.
+        ReplayPanic,
+        /// The device's replay returns [`injected_error`].
+        ReplayError,
     }
 
     /// A gate that opens once and stays open, and counts the jobs that
@@ -1056,6 +1125,21 @@ mod tests {
     /// The error a [`Failure::Error`] job returns.
     fn injected_error(device_id: u64) -> SimError {
         SimError::UnknownCore(format!("injected error on device {device_id}"))
+    }
+
+    /// Fails the replay of `device_id` when `fail_on` names it with a
+    /// replay failure.
+    pub(super) fn inject_replay(
+        fail_on: Option<(u64, Failure)>,
+        device_id: u64,
+    ) -> Result<(), SimError> {
+        match fail_on {
+            Some((id, Failure::ReplayPanic)) if id == device_id => {
+                panic!("injected replay panic on device {id}")
+            }
+            Some((id, Failure::ReplayError)) if id == device_id => Err(injected_error(id)),
+            _ => Ok(()),
+        }
     }
 
     /// Fails the job when `fail_on` names one of its `members`; holds it
@@ -1199,6 +1283,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_failing_replay_fails_the_monitored_run_and_the_floor_keeps_serving() {
+        // A monitored lot's replay that panics or returns an error fails
+        // the run with a typed error naming its die instead of hanging or
+        // returning a short dump list, and the floor's next monitored run
+        // dumps what a fresh floor's does.
+        let soc = catalog::figure1_soc();
+        let schedule = packed_schedule(&soc, 8).unwrap();
+        within_a_minute(move || {
+            let lot = |packed: bool, fail_on: Option<(u64, Failure)>| {
+                let variation = VariationSpec::new(5, 0.25);
+                let mut spec = LotSpec::new("lot", &soc, 8, schedule.clone(), 70, variation)
+                    .unwrap()
+                    .with_packed(packed);
+                spec.fail_on = fail_on;
+                spec
+            };
+            let dumps = |floor: &TestFloor, spec: LotSpec| {
+                let (monitor, _snapshots) = FleetMonitor::new();
+                let engine = spec.packed.then(|| {
+                    let sessions = Arc::clone(&floor.sessions);
+                    let engine = PackedDeviceEngine::compile_with_sessions(
+                        &spec.soc,
+                        &spec.plan,
+                        &floor.cache,
+                        sessions,
+                    );
+                    Arc::new(engine.unwrap())
+                });
+                let lot = Lot {
+                    spec,
+                    engine,
+                    monitor: Some(&monitor),
+                };
+                let served = floor.serve(std::slice::from_ref(&lot), Instant::now(), |_, _| {});
+                served.map(|_| monitor.dumps())
+            };
+            for packed in [false, true] {
+                for threads in [1usize, 2] {
+                    let fresh = TestFloor::new().with_threads(threads);
+                    let fresh = dumps(&fresh, lot(packed, None)).unwrap();
+                    assert!(fresh.iter().any(|dump| dump.device_id == 66));
+                    let floor = TestFloor::new().with_threads(threads);
+                    for (failure, error) in [
+                        (
+                            Failure::ReplayPanic,
+                            SimError::WorkerPanicked { device_id: 66 },
+                        ),
+                        (Failure::ReplayError, injected_error(66)),
+                    ] {
+                        let context = format!("packed {packed}, {threads} threads, {failure:?}");
+                        let failed = dumps(&floor, lot(packed, Some((66, failure))));
+                        assert_eq!(failed.unwrap_err(), error, "{context}");
+                        let again = dumps(&floor, lot(packed, None)).unwrap();
+                        assert_eq!(again, fresh, "{context}");
+                    }
+                }
+            }
+        });
     }
 
     /// Runs `run` on its own thread and returns what it returns, failing

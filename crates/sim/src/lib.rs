@@ -43,8 +43,8 @@
 //!   scalar path and reported in 64-die cohorts,
 //! * [`monitor::FleetMonitor`] — watch an in-flight fleet run live:
 //!   streaming health snapshots (yield, throughput, latency quantiles,
-//!   stragglers) over a bounded channel, plus per-device flight-recorder
-//!   dumps for failing dies,
+//!   stragglers) over a bounded channel, plus flight-recorder dumps of the
+//!   failing dies, made by replaying them,
 //! * [`floor::TestFloor`] — multi-tenant serving: run several heterogeneous
 //!   lots ([`floor::LotSpec`]) concurrently on one shared worker pool and
 //!   one route-cache budget, weighted-fair by lot priority, each lot's

@@ -3,33 +3,31 @@
 //! A fleet run is a black box between "go" and the final
 //! [`FleetReport`](crate::FleetReport) — unacceptable on a real test floor,
 //! where operators watch in-flight yield curves, device-latency tails, and
-//! per-die post-mortems. [`FleetMonitor`] opens the box without touching
-//! the determinism contract:
+//! per-die post-mortems. [`FleetMonitor`] opens the box without changing how
+//! the lot executes:
 //!
+//! * A monitored lot runs exactly the pool jobs an unmonitored one runs
+//!   (packed lane passes and healthy cohorts by default), and the monitor
+//!   watches jobs: each marks its dies in flight when it starts, retires
+//!   them when it ends, and observes its wall time once per die.
 //! * A fleet runs as a one-lot [`TestFloor`](crate::floor::TestFloor), so
 //!   its snapshots come from the same place a floor lot's do: the lot's
 //!   [`LotTracker`] counts collected reports, and the floor's one observer
 //!   thread — ticking at the monitor's interval — turns it into a
-//!   [`FleetSnapshot`]. The monitor adds what only it sees (in-flight
-//!   devices and stragglers, per-device elapsed time, pool queue wait) and
-//!   pushes the snapshot over a **bounded** channel with `try_send`: a
-//!   lagging consumer drops snapshots (counted), never backpressures the
-//!   fleet.
-//! * Each monitored device installs a fresh [`FlightRecorder`] as its
-//!   simulator's trace sink, so the ring catches the die's `configure` and
-//!   per-core `session` spans; any defective or failing die dumps its ring
-//!   as a [`DeviceDump`], so post-mortems are focused event logs instead of
-//!   a full-fleet trace.
+//!   [`FleetSnapshot`]. The monitor adds what only it sees (stragglers,
+//!   per-device elapsed time, pool queue wait) and pushes the snapshot over
+//!   a **bounded** channel with `try_send`: a lagging consumer drops
+//!   snapshots (counted), never backpressures the fleet.
+//! * Post-mortems are replays. A report is a pure function of
+//!   `(spec, device_id, plan)`, so once the lot's reports are in, each
+//!   defective or failing die runs again as one pool job on the compiled
+//!   scalar path, with a fresh [`FlightRecorder`](casbus_obs::FlightRecorder)
+//!   as its trace sink catching its `configure` and per-core `session`
+//!   spans. The run returns once every [`DeviceDump`] is in, in device order.
 //! * All wall-clock measurements live in an `obs.*`-prefixed namespace
 //!   inside the monitor's [telemetry](FleetMonitor::telemetry) registry.
-//!   Fleet results and every `fleet.*` metric stay bit-identical to an
+//!   Fleet results and every other metric stay bit-identical to an
 //!   unmonitored run (pinned by `tests/fleet_differential.rs`).
-//! * Monitored runs execute the **scalar** per-device path. Packed
-//!   execution ([`FleetRunner::with_packed`](crate::FleetRunner::with_packed),
-//!   the default for unmonitored runs) shares one word-level execution
-//!   across up to 64 devices, which would leave per-device spans, latency
-//!   quantiles, and flight recorders with nothing truthful to measure.
-//!   Results stay bit-identical either way.
 //!
 //! Snapshots export as single-line JSON ([`FleetSnapshot::to_json`], ready
 //! for a JSONL stream) and as Prometheus-style text
@@ -42,7 +40,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
-use casbus_obs::{json, FlightDump, FlightRecorder, Histogram, HistogramSummary, MetricsRegistry};
+use casbus_obs::{json, FlightDump, Histogram, HistogramSummary, MetricsRegistry};
 
 use crate::fleet::DeviceReport;
 
@@ -54,10 +52,10 @@ pub struct MonitorConfig {
     /// Bounded snapshot-channel capacity; overflow drops (and counts)
     /// snapshots instead of stalling the fleet.
     pub channel_capacity: usize,
-    /// Per-device flight-recorder ring capacity in events; `0` disables
-    /// the recorder (no per-device ring, no dumps).
+    /// Flight-recorder ring capacity, in events, of each replayed die; `0`
+    /// disables the recorder (no replays, no dumps).
     pub recorder_capacity: usize,
-    /// Longest-running in-flight devices listed per snapshot.
+    /// In-flight dies of the longest-running jobs listed per snapshot.
     pub stragglers: usize,
 }
 
@@ -100,7 +98,7 @@ pub struct FleetSnapshot {
     pub failed: u64,
     /// Finished devices that were stamped with a defect.
     pub defective: u64,
-    /// Devices currently executing.
+    /// Dies of started jobs whose reports are not recorded yet.
     pub in_flight: u64,
     /// `passed / completed` (1.0 before anything completes).
     pub yield_fraction: f64,
@@ -112,16 +110,11 @@ pub struct FleetSnapshot {
     pub cache_misses: u64,
     /// `hits / (hits + misses)` (0.0 before any lookup).
     pub cache_hit_rate: f64,
-    /// Devices served on the scalar path instead of packed lanes, by
-    /// reason. Only monitored runs fill it: they are scalar by policy, so
-    /// every device lands under `monitored_run` — a snapshot-only reason,
-    /// never a `fleet.packed.fallback.reason.*` counter.
-    pub packed_fallbacks: Vec<(String, u64)>,
-    /// Quantile digest of per-device wall time (µs), completed devices.
+    /// Quantile digest of each finished die's job wall time (µs).
     pub device_elapsed_us: HistogramSummary,
     /// Quantile digest of job queue-wait time (µs) on the worker pool.
     pub queue_wait_us: HistogramSummary,
-    /// Longest-running in-flight devices, longest first.
+    /// Dies of the longest-running jobs still executing, longest first.
     pub stragglers: Vec<Straggler>,
 }
 
@@ -151,14 +144,6 @@ impl FleetSnapshot {
             self.cache_hits, self.cache_misses
         ));
         json::write_f64(&mut out, self.cache_hit_rate);
-        out.push_str(",\"packed_fallbacks\":{");
-        for (idx, (reason, count)) in self.packed_fallbacks.iter().enumerate() {
-            if idx > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{reason}\":{count}"));
-        }
-        out.push('}');
         out.push_str(",\"device_elapsed_us\":");
         self.device_elapsed_us.write_json(&mut out);
         out.push_str(",\"queue_wait_us\":");
@@ -205,14 +190,6 @@ impl FleetSnapshot {
             "fleet_route_cache_hit_rate",
             f64_text(self.cache_hit_rate),
         );
-        if !self.packed_fallbacks.is_empty() {
-            out.push_str("# TYPE fleet_packed_fallback_reason gauge\n");
-            for (reason, count) in &self.packed_fallbacks {
-                out.push_str(&format!(
-                    "fleet_packed_fallback_reason{{reason=\"{reason}\"}} {count}\n"
-                ));
-            }
-        }
         for (name, summary) in [
             ("fleet_device_elapsed_us", &self.device_elapsed_us),
             ("fleet_queue_wait_us", &self.queue_wait_us),
@@ -271,72 +248,66 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Internal state shared between a monitored lot's device jobs, the
-/// floor's observer thread, and the monitor handle the caller keeps.
+/// Internal state shared between a monitored lot's jobs, the floor's
+/// observer thread, and the monitor handle the caller keeps.
 pub(crate) struct MonitorShared {
     config: MonitorConfig,
     emitted: AtomicU64,
     dropped: AtomicU64,
-    in_flight: Mutex<BTreeMap<u64, Instant>>,
+    /// Running jobs by first die: when each started, and its dies.
+    jobs: Mutex<BTreeMap<u64, (Instant, Vec<u64>)>>,
     device_elapsed: Mutex<Histogram>,
     dumps: Mutex<Vec<DeviceDump>>,
-    pub(crate) telemetry: Arc<MetricsRegistry>,
+    telemetry: Arc<MetricsRegistry>,
     tx: SyncSender<FleetSnapshot>,
 }
 
 impl MonitorShared {
-    /// Arms the monitor for a new run, clearing the in-flight set, the
+    /// Arms the monitor for a new run, clearing the running jobs, the
     /// per-device elapsed digest, and the dump list (telemetry histograms
     /// accumulate across runs by design — they describe the monitor's
     /// lifetime).
     pub(crate) fn begin_run(&self) {
-        lock(&self.in_flight).clear();
+        lock(&self.jobs).clear();
         *lock(&self.device_elapsed) = Histogram::new();
         lock(&self.dumps).clear();
     }
 
-    /// Marks `device_id` in flight and hands back its flight recorder
-    /// (`None` when recorders are disabled).
-    pub(crate) fn device_started(&self, device_id: u64) -> Option<Arc<FlightRecorder>> {
-        lock(&self.in_flight).insert(device_id, Instant::now());
-        (self.config.recorder_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(self.config.recorder_capacity)))
+    /// Marks a starting job's `dies` (at least one) in flight.
+    pub(crate) fn job_started(&self, dies: Vec<u64>) {
+        lock(&self.jobs).insert(dies[0], (Instant::now(), dies));
     }
 
-    /// Retires a finished device: a defective or failing die dumps its
-    /// `recorder`, and its wall time joins the elapsed digest.
-    pub(crate) fn device_finished(
-        &self,
-        report: &DeviceReport,
-        recorder: Option<&FlightRecorder>,
-        elapsed: Duration,
-    ) {
-        let (passed, defective) = (report.passed(), report.fault.is_some());
-        if let Some(recorder) = recorder.filter(|_| defective || !passed) {
-            lock(&self.dumps).push(DeviceDump {
-                device_id: report.device_id,
-                defective,
-                passed,
-                dump: recorder.dump(),
-            });
+    /// Retires the job whose first die is `first`: its wall time joins the
+    /// elapsed digest once per die.
+    pub(crate) fn job_finished(&self, first: u64) {
+        let job = lock(&self.jobs).remove(&first);
+        if let Some((started, dies)) = job {
+            let micros = started.elapsed().as_micros() as u64;
+            let mut elapsed = lock(&self.device_elapsed);
+            dies.iter().for_each(|_| elapsed.observe(micros));
         }
-        lock(&self.in_flight).remove(&report.device_id);
-        lock(&self.device_elapsed).observe(elapsed.as_micros() as u64);
     }
 
-    /// Fills in what only the monitor sees — in-flight devices and the
-    /// longest-running of them, per-device elapsed and pool queue-wait
-    /// digests, and the `monitored_run` scalar attribution — over a lot
-    /// tracker's snapshot.
+    /// Hands over a finished run's post-mortems, in device order.
+    pub(crate) fn set_dumps(&self, dumps: Vec<DeviceDump>) {
+        *lock(&self.dumps) = dumps;
+    }
+
+    /// Fills in what only the monitor sees — the dies of the
+    /// longest-running jobs, per-device elapsed and pool queue-wait
+    /// digests — over a lot tracker's snapshot.
     pub(crate) fn complete(&self, snapshot: &mut FleetSnapshot) {
-        let mut stragglers: Vec<Straggler> = lock(&self.in_flight)
-            .iter()
-            .map(|(&device_id, since)| Straggler {
-                device_id,
-                elapsed_us: since.elapsed().as_micros() as u64,
+        let mut stragglers: Vec<Straggler> = lock(&self.jobs)
+            .values()
+            .flat_map(|(since, dies)| {
+                let elapsed_us = since.elapsed().as_micros() as u64;
+                dies.iter().map(move |&device_id| Straggler {
+                    device_id,
+                    elapsed_us,
+                })
             })
             .collect();
-        snapshot.in_flight = stragglers.len() as u64;
         stragglers.sort_by(|a, b| {
             b.elapsed_us
                 .cmp(&a.elapsed_us)
@@ -344,7 +315,6 @@ impl MonitorShared {
         });
         stragglers.truncate(self.config.stragglers);
         snapshot.stragglers = stragglers;
-        snapshot.packed_fallbacks = vec![("monitored_run".to_owned(), snapshot.fleet_size)];
         snapshot.device_elapsed_us = lock(&self.device_elapsed).summary();
         snapshot.queue_wait_us = self
             .telemetry
@@ -374,8 +344,8 @@ impl MonitorShared {
 /// snapshot channel; consume the receiver from any thread (or not at all —
 /// overflow drops snapshots, never stalls the fleet). After the run,
 /// [`dumps`](Self::dumps) holds a flight-recorder dump per defective or
-/// failing device and [`telemetry`](Self::telemetry) the wall-clock
-/// (`obs.*`) phase histograms.
+/// failing device, made by replaying it, and [`telemetry`](Self::telemetry)
+/// the wall-clock (`obs.*`) pool histograms.
 ///
 /// # Examples
 ///
@@ -422,7 +392,7 @@ impl FleetMonitor {
             config,
             emitted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            in_flight: Mutex::new(BTreeMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             device_elapsed: Mutex::new(Histogram::new()),
             dumps: Mutex::new(Vec::new()),
             telemetry: MetricsRegistry::new(),
@@ -436,15 +406,14 @@ impl FleetMonitor {
         &self.shared.config
     }
 
-    /// Wall-clock phase telemetry (`obs.fleet.device.setup_us`,
-    /// `obs.fleet.device.run_us`, `obs.pool.job.wait_us`,
-    /// `obs.pool.job.exec_us`, …). Accumulates across runs of this monitor.
+    /// Wall-clock pool telemetry (`obs.pool.job.wait_us`,
+    /// `obs.pool.job.exec_us`). Accumulates across runs of this monitor.
     pub fn telemetry(&self) -> &Arc<MetricsRegistry> {
         &self.shared.telemetry
     }
 
-    /// Flight-recorder dumps collected so far — one per defective or
-    /// failing device of the current (or just-finished) run.
+    /// Flight-recorder dumps of the last finished run — one per defective
+    /// or failing device, in device order.
     pub fn dumps(&self) -> Vec<DeviceDump> {
         lock(&self.shared.dumps).clone()
     }
@@ -475,11 +444,9 @@ impl FleetMonitor {
 /// [`FleetRunner`](crate::FleetRunner) run is a one-lot floor, so its
 /// [`FleetMonitor`] snapshots are built here too.
 ///
-/// A `LotTracker` observes only completion events, so packed execution
-/// stays available to floor lots. Snapshot fields the tracker
-/// cannot see — per-device latency quantiles, queue-wait digests,
-/// stragglers, fallback attribution — are left empty unless a
-/// [`FleetMonitor`] watches the lot.
+/// A `LotTracker` observes only completion events. Snapshot fields the
+/// tracker cannot see — per-device latency quantiles, queue-wait digests,
+/// stragglers — are left empty unless a [`FleetMonitor`] watches the lot.
 #[derive(Debug)]
 pub struct LotTracker {
     fleet_size: u64,
@@ -556,8 +523,8 @@ impl LotTracker {
     /// in jobs that have not started, so `in_flight` counts the dies whose
     /// job has started and whose report is not recorded yet (on a packed
     /// lot, finished dies waiting for the rest of their cohort too).
-    /// Tracker-invisible fields (latency digests, stragglers, fallback
-    /// attribution) are empty — see the type-level docs.
+    /// Tracker-invisible fields (latency digests, stragglers) are empty —
+    /// see the type-level docs.
     pub fn snapshot(&self, cache: &RouteTableCache, queued: u64, last: bool) -> FleetSnapshot {
         let elapsed = self.started.elapsed();
         let completed = self.completed();
@@ -590,7 +557,6 @@ impl LotTracker {
             } else {
                 cache_hits as f64 / lookups as f64
             },
-            packed_fallbacks: Vec::new(),
             device_elapsed_us: HistogramSummary::default(),
             queue_wait_us: HistogramSummary::default(),
             stragglers: Vec::new(),
@@ -603,6 +569,9 @@ mod tests {
     use super::*;
     use crate::fleet::{DeviceReport, FaultKind, InjectedFault};
     use crate::report::SocTestReport;
+    use casbus_controller::schedule::packed_schedule;
+    use casbus_obs::FlightRecorder;
+    use casbus_soc::catalog;
     use casbus_tpg::Verdict;
 
     fn device(device_id: u64, verdict: Verdict, defective: bool) -> DeviceReport {
@@ -632,21 +601,20 @@ mod tests {
         let shared = monitor.shared();
         shared.begin_run();
         let tracker = LotTracker::new(8, 32);
-        for id in 0..5 {
-            shared.device_started(id);
-        }
-        let done = [
+        shared.job_started(vec![0, 1]);
+        shared.job_started(vec![2, 3, 4]);
+        shared.job_finished(0);
+        for report in [
             device(0, Verdict::Pass, false),
             device(1, Verdict::Fail { mismatches: 3 }, true),
-        ];
-        for (report, micros) in done.iter().zip([500, 900]) {
-            shared.device_finished(report, None, Duration::from_micros(micros));
-            tracker.record(report);
+        ] {
+            tracker.record(&report);
         }
         shared.telemetry.observe("obs.pool.job.wait_us", 10);
 
+        // Dies 5..8 are in jobs that have not started.
         let cache = RouteTableCache::new();
-        let mut snap = tracker.snapshot(&cache, 0, false);
+        let mut snap = tracker.snapshot(&cache, 3, false);
         shared.complete(&mut snap);
         assert_eq!(snap.fleet_size, 8);
         assert_eq!(snap.completed, 2);
@@ -655,26 +623,23 @@ mod tests {
         assert_eq!(snap.defective, 1);
         assert_eq!(snap.in_flight, 3);
         assert!((snap.yield_fraction - 0.5).abs() < 1e-12);
-        assert_eq!(snap.device_elapsed_us.count, 2);
-        assert_eq!(snap.queue_wait_us.count, 1);
-        assert_eq!(snap.stragglers.len(), 2, "straggler list is truncated");
-
         assert_eq!(
-            snap.packed_fallbacks,
-            vec![("monitored_run".to_owned(), 8)],
-            "monitored runs attribute every device to the scalar path"
+            snap.device_elapsed_us.count, 2,
+            "a job's time, once per die"
         );
+        assert_eq!(snap.queue_wait_us.count, 1);
+        let stragglers: Vec<u64> = snap.stragglers.iter().map(|s| s.device_id).collect();
+        assert_eq!(stragglers, [2, 3], "the running job's dies, truncated");
 
         let json = snap.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"completed\":2"));
-        assert!(json.contains("\"packed_fallbacks\":{\"monitored_run\":8}"));
-        assert!(json.contains("\"stragglers\":[{\"device_id\":"));
+        assert!(json.contains("\"stragglers\":[{\"device_id\":2,"));
         assert!(!json.contains('\n'), "single line for JSONL streams");
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("fleet_completed 2\n"));
-        assert!(prom.contains("fleet_packed_fallback_reason{reason=\"monitored_run\"} 8\n"));
+        assert!(prom.contains("fleet_in_flight 3\n"));
         assert!(prom.contains("fleet_queue_wait_us{quantile=\"0.5\"} 10\n"));
         drop(rx);
     }
@@ -698,9 +663,6 @@ mod tests {
 
     #[test]
     fn sampler_always_emits_a_final_snapshot() {
-        use casbus_controller::schedule::packed_schedule;
-        use casbus_soc::catalog;
-
         let soc = catalog::figure2a_scan_soc();
         let runner = crate::FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap()).unwrap();
         let (monitor, rx) = FleetMonitor::with_config(MonitorConfig {
@@ -720,26 +682,29 @@ mod tests {
 
     #[test]
     fn recorder_is_gated_on_capacity() {
+        // Only defective or failing dies are replayed, and only with a
+        // ring to record into.
+        let soc = catalog::figure2a_scan_soc();
+        let runner = crate::FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap()).unwrap();
+        let spec = crate::VariationSpec::new(11, 0.5);
         let (on, _rx) = FleetMonitor::new();
-        let shared = on.shared();
-        // Only defective or failing dies keep their ring.
-        for (id, verdict, defective) in [
-            (0, Verdict::Pass, false),
-            (1, Verdict::Pass, true),
-            (2, Verdict::Fail { mismatches: 1 }, true),
-        ] {
-            let recorder = shared.device_started(id).expect("recorders on by default");
-            let report = device(id, verdict, defective);
-            shared.device_finished(&report, Some(&recorder), Duration::ZERO);
-        }
+        let fleet = runner.run_monitored(&spec, 12, &on).unwrap();
         let dumped: Vec<u64> = on.dumps().iter().map(|d| d.device_id).collect();
-        assert_eq!(dumped, vec![1, 2]);
+        let expected: Vec<u64> = fleet
+            .devices
+            .iter()
+            .filter(|d| d.fault.is_some() || !d.passed())
+            .map(|d| d.device_id)
+            .collect();
+        assert!(!expected.is_empty(), "a 50% defect rate stamps some dies");
+        assert_eq!(dumped, expected);
 
         let (off, _rx) = FleetMonitor::with_config(MonitorConfig {
             recorder_capacity: 0,
             ..MonitorConfig::default()
         });
-        assert!(off.shared().device_started(0).is_none());
+        runner.run_monitored(&spec, 12, &off).unwrap();
+        assert!(off.dumps().is_empty());
     }
 
     /// Panics on another thread while holding `mutex`, leaving it poisoned.
@@ -761,18 +726,23 @@ mod tests {
         let (monitor, _rx) = FleetMonitor::new();
         let shared = monitor.shared();
         let tracker = LotTracker::new(2, 4);
-        poison(&shared.in_flight);
+        poison(&shared.jobs);
         poison(&shared.device_elapsed);
         poison(&shared.dumps);
         poison(&tracker.recent);
 
         shared.begin_run();
         for id in 0..2 {
-            shared.device_started(id);
+            shared.job_started(vec![id]);
         }
+        shared.job_finished(0);
         let failing = device(0, Verdict::Fail { mismatches: 1 }, true);
-        let recorder = FlightRecorder::new(4);
-        shared.device_finished(&failing, Some(&recorder), Duration::from_micros(40));
+        shared.set_dumps(vec![DeviceDump {
+            device_id: 0,
+            defective: true,
+            passed: false,
+            dump: FlightRecorder::new(4).dump(),
+        }]);
         tracker.record(&failing);
 
         let mut snap = tracker.snapshot(&RouteTableCache::new(), 0, true);

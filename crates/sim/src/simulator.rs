@@ -518,10 +518,10 @@ impl SocSimulator {
     /// cleared — injected faults on a swapped-in faulty core re-assert)
     /// and every CAS boundary retiming register is zeroed.
     ///
-    /// Cycle counters and per-core statistics deliberately keep running —
-    /// program reports subtract their starting baseline (see
-    /// `ReportBaseline`), so a reused simulator reports exactly what a
-    /// fresh one would. CAS instruction registers are left as-is: every
+    /// Cycle counters, per-core statistics and wire-busy counts restart at
+    /// zero, so a reused simulator reports and traces (span timestamps are
+    /// its cycle counter) exactly what a fresh one would, whichever device
+    /// it ran before. CAS instruction registers are left as-is: every
     /// program step begins with a full `configure`, which reloads them all
     /// before the first data clock.
     pub fn reset_device(&mut self) {
@@ -529,6 +529,9 @@ impl SocSimulator {
             wrapper.reset();
         }
         self.clear_pending(|_| false);
+        (self.cycles, self.config_cycles, self.test_cycles) = (0, 0, 0);
+        self.core_stats.fill(CoreCycleStats::default());
+        self.wire_busy.fill(0);
     }
 
     /// Applies a TAM configuration through the serial protocol and sets each

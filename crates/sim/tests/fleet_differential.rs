@@ -254,7 +254,9 @@ fn visible_histograms(metrics: &MetricsRegistry) -> Vec<(String, casbus_obs::His
 /// A fleet run with a [`FleetMonitor`](casbus_sim::FleetMonitor) attached
 /// is bit-identical — device reports, and every counter/histogram outside
 /// the wall-clock `obs.*` namespace — to a monitor-less run, at every
-/// thread count. Monitoring observes; it never participates.
+/// thread count. Both serve packed, and the monitor's replays move no
+/// `fleet.packed.*` or `fleet.route_cache.*` counter. Monitoring observes;
+/// it never participates.
 #[test]
 fn monitored_fleet_is_bit_identical_to_unmonitored() {
     use casbus_sim::{FleetMonitor, MonitorConfig};
@@ -265,14 +267,10 @@ fn monitored_fleet_is_bit_identical_to_unmonitored() {
     let spec = VariationSpec::new(11, 0.5);
     const FLEET: u64 = 24;
 
+    let mut first_dumps = None;
     for threads in [1usize, 2, 4] {
-        // Packed mode off: the monitored run is scalar by construction, and
-        // this comparison checks that monitoring (not the execution mode)
-        // leaves every visible metric untouched. Packed-vs-scalar metric
-        // equivalence is pinned separately by the packed differential suite.
         let plain_runner = FleetRunner::new(&soc, 4, schedule.clone())
             .expect("runner")
-            .with_packed(false)
             .with_threads(threads);
         let plain_metrics = MetricsRegistry::new();
         let plain = plain_runner
@@ -311,6 +309,10 @@ fn monitored_fleet_is_bit_identical_to_unmonitored() {
                 .any(|(name, _)| name.starts_with("obs.")),
             "the monitored run does publish obs.* telemetry"
         );
+        assert!(
+            monitored_metrics.counter("fleet.packed.cohorts") > 0,
+            "the monitored run is served packed"
+        );
 
         // The final snapshot always lands and agrees with the report.
         let last = snapshots.try_iter().last().expect("final snapshot");
@@ -331,7 +333,77 @@ fn monitored_fleet_is_bit_identical_to_unmonitored() {
         }
         assert!(!dumps.is_empty(), "a 50% defect rate stamps some dies");
         assert!(dumps.iter().all(|d| !d.dump.events.is_empty()));
+        assert!(
+            dumps.windows(2).all(|w| w[0].device_id < w[1].device_id),
+            "dumps in device order"
+        );
+        match &first_dumps {
+            None => first_dumps = Some(dumps),
+            Some(first) => assert_eq!(&dumps, first, "{threads} threads"),
+        }
     }
+}
+
+/// A monitor's flight-recorder dump is the die's own trace: a replay on a
+/// reused worker simulator records exactly what a fresh simulator stamped
+/// with the die's defect records under the compiled engine, and a scalar
+/// monitored run dumps what a packed one does.
+#[test]
+fn a_replayed_dump_is_the_dies_own_trace() {
+    use casbus_obs::FlightRecorder;
+    use casbus_sim::FleetMonitor;
+
+    let soc = catalog::figure1_soc();
+    let schedule = packed_schedule(&soc, 8).expect("schedule");
+    let plan = CompiledProgram::compile(&soc, 8, schedule.clone()).expect("plan");
+    let spec = VariationSpec::new(7, 0.25);
+    let dumps = |packed: bool| {
+        let runner = FleetRunner::new(&soc, 8, schedule.clone())
+            .expect("runner")
+            .with_threads(2)
+            .with_packed(packed);
+        let (monitor, _snapshots) = FleetMonitor::new();
+        let fleet = runner
+            .run_monitored(&spec, 96, &monitor)
+            .expect("monitored run");
+        (fleet, monitor.dumps(), monitor.config().recorder_capacity)
+    };
+    let (fleet, packed, capacity) = dumps(true);
+    let defective: Vec<u64> = fleet
+        .devices
+        .iter()
+        .filter(|d| d.fault.is_some())
+        .map(|d| d.device_id)
+        .collect();
+    assert!(defective.len() > 8, "a 25% defect rate stamps many dies");
+    assert_eq!(
+        packed.iter().map(|d| d.device_id).collect::<Vec<_>>(),
+        defective
+    );
+    for dump in &packed {
+        let device = &fleet.devices[dump.device_id as usize];
+        let mut sim = SocSimulator::new(&soc, 8).expect("simulator");
+        device
+            .fault
+            .as_ref()
+            .expect("a defective die")
+            .apply(&mut sim)
+            .expect("inject");
+        let recorder = Arc::new(FlightRecorder::new(capacity));
+        sim.set_trace(Arc::clone(&recorder) as Arc<dyn casbus_obs::TraceSink>);
+        let report = CompiledEngine::new()
+            .run(&mut sim, plan.program())
+            .expect("device run");
+        assert_eq!(report, device.report, "device {}", dump.device_id);
+        assert_eq!(dump.dump, recorder.dump(), "device {}", dump.device_id);
+        assert_eq!(
+            (dump.defective, dump.passed),
+            (true, device.passed()),
+            "device {}",
+            dump.device_id
+        );
+    }
+    assert_eq!(dumps(false).1, packed, "scalar and packed runs dump alike");
 }
 
 /// Metric keys that legitimately differ between the packed and scalar

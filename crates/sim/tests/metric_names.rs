@@ -120,7 +120,8 @@ fn operations_metric_reference_matches_emitted_names() {
     let spec = VariationSpec::new(11, 0.5);
     let mut emitted = BTreeSet::new();
 
-    // A monitored fleet: scalar by policy, with every obs.fleet.* series.
+    // A monitored fleet, served packed like any other, with every
+    // obs.fleet.* series.
     let monitored = MetricsRegistry::new();
     let (monitor, _snapshots) = FleetMonitor::with_config(MonitorConfig {
         interval: Duration::from_millis(1),

@@ -5,18 +5,19 @@
 //!
 //! Run with: `cargo run --release --example fleet`
 //!
-//! Pass `--monitor` to attach a live [`FleetMonitor`]: periodic health
-//! snapshots (yield, devices/s, latency quantiles, stragglers) print while
-//! the lot is in flight, every failing die leaves a flight-recorder dump,
-//! and the final snapshot + Prometheus exposition + JSONL snapshot log are
-//! exported under `target/fleet_monitor/`.
+//! Pass `--monitor` to attach a live [`FleetMonitor`]: the lot is served
+//! with the same packed jobs, periodic health snapshots (yield, devices/s,
+//! latency quantiles, stragglers) print while it is in flight, every
+//! failing die is replayed into a flight-recorder dump, and the final
+//! snapshot + Prometheus exposition + JSONL snapshot log are exported
+//! under `target/fleet_monitor/`.
 //!
 //! The binary doubles as a CI self-check: it asserts the invariants the
 //! fleet layer guarantees — every failing die is a stamped-defective die
 //! (healthy silicon never fails), route-table compilation work does not
 //! grow with the fleet, the yield arithmetic is consistent, and (under
-//! `--monitor`) the snapshot stream and recorder dumps are complete — and
-//! exits non-zero if any is violated.
+//! `--monitor`) the lot is still served packed and the snapshot stream and
+//! recorder dumps are complete — and exits non-zero if any is violated.
 
 use casbus_suite::casbus_controller::search::SearchBudget;
 use casbus_suite::casbus_obs::MetricsRegistry;
@@ -126,8 +127,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Serves the lot with a live [`FleetMonitor`] attached: a consumer thread
-/// prints each health snapshot the moment it lands, every failing die
-/// leaves a flight-recorder dump, and after the run the snapshot log, the
+/// prints each health snapshot the moment it lands, every failing die is
+/// replayed into a flight-recorder dump, and after the run the snapshot log, the
 /// Prometheus exposition, and the dumps are exported under
 /// `target/fleet_monitor/`.
 fn run_monitored(
@@ -178,8 +179,13 @@ fn run_monitored(
         dir.display()
     );
 
-    // Monitor self-checks: the stream is complete, the closing snapshot
-    // covers the whole lot, and every failing die left a post-mortem.
+    // Monitor self-checks: watching did not change how the lot was served,
+    // the stream is complete, the closing snapshot covers the whole lot,
+    // and every failing die left a post-mortem.
+    assert!(
+        metrics.counter("fleet.packed.cohorts") > 0,
+        "the monitored lot was served packed"
+    );
     assert_eq!(snapshots.len() as u64, emitted, "receiver saw every emit");
     assert!(last.last, "the closing snapshot is flagged last");
     assert_eq!(last.completed, FLEET_SIZE);
