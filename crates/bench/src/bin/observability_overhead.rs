@@ -9,7 +9,10 @@
 //! snapshots or per-device flight recorders (fleet) — and reports the
 //! best-of-N wall-clock time plus the overhead relative to the disabled
 //! baseline, to stdout and to `BENCH_observability.json` at the workspace
-//! root.
+//! root. A fleet lot takes a few milliseconds, so its rows record the
+//! median and quartiles of alternating rounds instead, and name an
+//! overhead only where the medians differ by more than the baseline's
+//! interquartile range; otherwise the overhead is `unresolved`.
 //!
 //! The contract stated in `casbus-obs` is that the *disabled* configuration
 //! costs one predictable branch per coarse event; this binary is the
@@ -29,7 +32,7 @@
 use std::time::{Duration, Instant};
 
 use casbus::{CasGeometry, Tam};
-use casbus_bench::{best_of, env_flag, json_header};
+use casbus_bench::{best_of, env_flag, json_header, Spread};
 use casbus_controller::{schedule, TestProgram};
 use casbus_netlist::crosspoint::synthesize_crosspoint_cas;
 use casbus_netlist::fault::enumerate_faults;
@@ -44,6 +47,8 @@ const DEPTH: usize = 6;
 const RUNS: usize = 7;
 /// Interleaved rounds of the sub-millisecond PPSFP workload, at most.
 const PPSFP_ROUNDS: usize = 200;
+/// Alternating rounds of the three fleet configurations, at most.
+const FLEET_ROUNDS: usize = 200;
 const BUDGET: Duration = Duration::from_secs(5);
 const FLEET_BUDGET: Duration = Duration::from_secs(45);
 
@@ -69,12 +74,44 @@ struct Row {
     workload: &'static str,
     config: &'static str,
     best: Duration,
-    overhead_pct: f64,
+    /// The first quartile, median and third quartile in milliseconds, for
+    /// a row timed in rounds.
+    quartiles: Option<[f64; 3]>,
+    /// `None` when the row's spread cannot resolve an overhead.
+    overhead_pct: Option<f64>,
     events: usize,
 }
 
 fn pct(base: Duration, measured: Duration) -> f64 {
     (measured.as_secs_f64() / base.as_secs_f64().max(1e-9) - 1.0) * 100.0
+}
+
+/// The first quartile, median and third quartile of `samples` in
+/// milliseconds; the quartiles are the medians of the lower and upper
+/// halves, each holding the median when the count is odd.
+fn quartiles(samples: &[Duration]) -> [f64; 3] {
+    let mut ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
+    ms.sort_by(f64::total_cmp);
+    let half = ms.len().div_ceil(2);
+    let median = |part: &[f64]| Spread::of(part).median;
+    [
+        median(&ms[..half]),
+        median(&ms),
+        median(&ms[ms.len() - half..]),
+    ]
+}
+
+/// The overhead of `measured` over `base` in percent of the base median,
+/// or `None` when the medians differ by no more than the base's
+/// interquartile range: the rounds cannot tell the two apart.
+fn resolved_overhead(base: [f64; 3], measured: [f64; 3]) -> Option<f64> {
+    let difference = measured[1] - base[1];
+    (difference.abs() > base[2] - base[0]).then(|| difference / base[1] * 100.0)
+}
+
+/// `overhead` as printed: a signed percentage, or `unresolved`.
+fn overhead_text(overhead: Option<f64>) -> String {
+    overhead.map_or_else(|| "unresolved".to_owned(), |pct| format!("{pct:+.1}%"))
 }
 
 fn ppsfp_rows(rows: &mut Vec<Row>) {
@@ -123,14 +160,16 @@ fn ppsfp_rows(rows: &mut Vec<Row>) {
         workload: "ppsfp_fault_coverage",
         config: "disabled",
         best: base,
-        overhead_pct: 0.0,
+        quartiles: None,
+        overhead_pct: Some(0.0),
         events: 0,
     });
     rows.push(Row {
         workload: "ppsfp_fault_coverage",
         config: "jsonl",
         best: jsonl,
-        overhead_pct: pct(base, jsonl),
+        quartiles: None,
+        overhead_pct: Some(pct(base, jsonl)),
         events: sink.len(),
     });
     println!(
@@ -157,7 +196,8 @@ fn soc_rows(rows: &mut Vec<Row>) {
         workload: "soc_run_program",
         config: "disabled",
         best: base,
-        overhead_pct: 0.0,
+        quartiles: None,
+        overhead_pct: Some(0.0),
         events: 0,
     });
 
@@ -173,7 +213,8 @@ fn soc_rows(rows: &mut Vec<Row>) {
         workload: "soc_run_program",
         config: "jsonl",
         best: jsonl,
-        overhead_pct: pct(base, jsonl),
+        quartiles: None,
+        overhead_pct: Some(pct(base, jsonl)),
         events: sink.len(),
     });
 
@@ -189,7 +230,8 @@ fn soc_rows(rows: &mut Vec<Row>) {
         workload: "soc_run_program",
         config: "vcd",
         best: vcd,
-        overhead_pct: pct(base, vcd),
+        quartiles: None,
+        overhead_pct: Some(pct(base, vcd)),
         events: 0,
     });
     println!(
@@ -225,26 +267,26 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
         ..MonitorConfig::default()
     };
 
-    // A lot run is seconds, not microseconds, so the three configs are
-    // interleaved round-robin: machine-load drift hits all of them equally
-    // instead of biasing whichever config happened to run in a quiet
-    // stretch. Each config keeps its runner (and warm route cache) across
-    // rounds; per-config best-of is taken over the rounds.
-    let mut best = [Duration::MAX; 3];
+    // A lot takes milliseconds, so one sample of it is at the mercy of
+    // host jitter: the three configs are timed in alternating rounds, so
+    // machine-load drift hits all of them alike, and each config's rounds
+    // are summarized by their median and quartiles. Each config keeps its
+    // runner (and warm route cache) across rounds.
+    let mut samples: [Vec<Duration>; 3] = Default::default();
     let mut snapshots = Vec::new();
     let mut snapshot_run = Duration::ZERO;
     let mut jobs = 0u64;
     let mut dumps = 0usize;
     let mut defective = 0usize;
     let started = Instant::now();
-    for round in 0..RUNS {
+    for round in 0..FLEET_ROUNDS {
         if round > 0 && started.elapsed() > FLEET_BUDGET {
             break;
         }
 
         let t0 = Instant::now();
         baseline.run(&spec, fleet_size).expect("runs");
-        best[0] = best[0].min(t0.elapsed());
+        samples[0].push(t0.elapsed());
 
         // Snapshots on, flight recorders off: the live-dashboard state.
         let t0 = Instant::now();
@@ -268,7 +310,7 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
         .iter()
         .map(|name| metrics.counter(name))
         .sum();
-        best[1] = best[1].min(snapshot_run);
+        samples[1].push(snapshot_run);
         snapshots = rx.try_iter().collect::<Vec<_>>();
 
         // Snapshots plus flight-recorder replays; every defective die
@@ -278,7 +320,7 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
         let fleet = rec_runner
             .run_monitored(&spec, fleet_size, &monitor)
             .expect("runs");
-        best[2] = best[2].min(t0.elapsed());
+        samples[2].push(t0.elapsed());
         let recorded = monitor.dumps();
         for device in fleet.devices.iter().filter(|d| d.fault.is_some()) {
             assert!(
@@ -290,7 +332,9 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
         dumps = recorded.len();
         defective = fleet.devices.iter().filter(|d| d.fault.is_some()).count();
     }
-    let [base, snap, rec] = best;
+    let rounds = samples[0].len();
+    let spreads = [0, 1, 2].map(|config| quartiles(&samples[config]));
+    let [base, snap, rec] = spreads;
 
     let last = snapshots.last().expect("final snapshot");
     assert!(last.last, "the closing snapshot is flagged");
@@ -318,37 +362,33 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
         1 + periods
     );
     assert!(defective > 0, "the 2% stamp marks at least one die");
-    rows.push(Row {
-        workload: "fleet_monitor",
-        config: "disabled",
-        best: base,
-        overhead_pct: 0.0,
-        events: 0,
-    });
-    rows.push(Row {
-        workload: "fleet_monitor",
-        config: "snapshots",
-        best: snap,
-        overhead_pct: pct(base, snap),
-        events: snapshots.len(),
-    });
-    rows.push(Row {
-        workload: "fleet_monitor",
-        config: "recorder",
-        best: rec,
-        overhead_pct: pct(base, rec),
-        events: dumps,
-    });
+    let (snap_overhead, rec_overhead) =
+        (resolved_overhead(base, snap), resolved_overhead(base, rec));
+    for (idx, config, overhead, events) in [
+        (0, "disabled", Some(0.0), 0),
+        (1, "snapshots", snap_overhead, snapshots.len()),
+        (2, "recorder", rec_overhead, dumps),
+    ] {
+        rows.push(Row {
+            workload: "fleet_monitor",
+            config,
+            best: samples[idx].iter().copied().min().expect("one round"),
+            quartiles: Some(spreads[idx]),
+            overhead_pct: overhead,
+            events,
+        });
+    }
 
+    let shown = |[q1, median, q3]: [f64; 3]| format!("{median:.3}ms [{q1:.3}, {q3:.3}]");
     println!(
-        "fleet_monitor ({fleet_size} devices): disabled {:.3}ms, snapshots {:.3}ms ({:+.1}%, \
-         {} snapshots), recorder {:.3}ms ({:+.1}%, {dumps} dumps / {defective} defective)",
-        base.as_secs_f64() * 1e3,
-        snap.as_secs_f64() * 1e3,
-        pct(base, snap),
+        "fleet_monitor ({fleet_size} devices, {rounds} rounds, median [quartiles]): disabled {}, \
+         snapshots {} ({}, {} snapshots), recorder {} ({}, {dumps} dumps / {defective} defective)",
+        shown(base),
+        shown(snap),
+        overhead_text(snap_overhead),
         snapshots.len(),
-        rec.as_secs_f64() * 1e3,
-        pct(base, rec)
+        shown(rec),
+        overhead_text(rec_overhead),
     );
 }
 
@@ -362,13 +402,18 @@ fn main() {
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
+            let spread = r.quartiles.map_or_else(String::new, |[q1, median, q3]| {
+                format!(", \"median_ms\": {median:.3}, \"quartiles_ms\": [{q1:.3}, {q3:.3}]")
+            });
+            let overhead = r
+                .overhead_pct
+                .map_or_else(|| "\"unresolved\"".to_owned(), |pct| format!("{pct:.2}"));
             format!(
-                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"best_ms\": {:.3}, \
-                 \"overhead_pct\": {:.2}, \"events\": {}}}",
+                "    {{\"workload\": \"{}\", \"config\": \"{}\", \"best_ms\": {:.3}{spread}, \
+                 \"overhead_pct\": {overhead}, \"events\": {}}}",
                 r.workload,
                 r.config,
                 r.best.as_secs_f64() * 1e3,
-                r.overhead_pct,
                 r.events
             )
         })

@@ -32,40 +32,38 @@
 //! the `configure` spans either way), so a traced run's canonical JSONL
 //! matches the reference's byte for byte.
 //!
-//! A run with a waveform probe attached (every bus value change must be
-//! emitted) goes whole to [`run_program_reference`], compiling nothing.
-//! Otherwise exactness is preserved by running a step on the
-//! cycle-by-cycle interpreter, its lanes drawing their stimuli and golden
-//! responses from the same compiled sessions, whenever the fast path
-//! cannot be bit-faithful:
+//! The engine has one slow path: [`run_program_reference`], which runs a
+//! program whole and compiles nothing. A run with a waveform probe attached
+//! (every bus value change must be emitted) takes it. So does a program
+//! with a step the fast path cannot run bit-faithfully, which the engine
+//! judges before the first configuration:
 //!
 //! * a step's routing shares wires serially between TEST CASes (cores
 //!   concatenate through each other),
 //! * a lane's wrapper is not in an INTEST mode, or its port/wire widths
-//!   disagree (the interpreter's resize semantics would apply).
+//!   disagree (the interpreter's resize semantics would apply),
+//! * a wrapper outside the lanes is left in a test mode (the interpreter
+//!   would keep clocking it).
+//!
+//! Schedulers never build such a step: only hand-built programs (the
+//! paper's §4 daisy chain, a wrapper left armed) take the slow path.
 
 use std::sync::Arc;
 
 use casbus::{CasChain, RouteTable, RouteTableCache};
 use casbus_controller::TestProgram;
 use casbus_p1500::{TestableCore, Wrapper, WrapperControl, WrapperInstruction};
-use casbus_soc::CoreDescription;
 use casbus_tpg::bits::low_mask;
 use casbus_tpg::{BitVec, Verdict};
 
-use crate::report::{
-    drive_lanes_serial, run_program_reference, Lane, LaneSession, Sessions, SocTestReport,
-};
-use crate::session::{
-    lane_signature, push_zeros, verdict, ClockKind, CompiledSession, Segment, SessionCache,
-};
+use crate::report::{run_program_reference, Lane, LaneSession, Sessions, SocTestReport};
+use crate::session::{lane_signature, push_zeros, verdict, CompiledSession, Segment, SessionCache};
 use crate::simulator::{SimError, SocSimulator};
-
-/// A step's lane with its core's compiled session in flight.
-type SessionLane = Lane<CompiledLane>;
 
 /// The compiled word-level TAM/session engine. Drop-in for the reference
 /// interpreter: identical [`SocTestReport`]s, cycle counters, and metrics.
+/// A probed run, and a program with a step the word-level path cannot run
+/// exactly, run whole on [`run_program_reference`].
 ///
 /// # Examples
 ///
@@ -114,11 +112,6 @@ impl CompiledEngine {
         self
     }
 
-    /// A fresh lane state over `desc`'s compiled session.
-    fn lane(&self, desc: &CoreDescription) -> CompiledLane {
-        CompiledLane::new(self.sessions.get_or_compile(desc))
-    }
-
     /// The step's compiled routes: through the attached cache when present,
     /// a fresh compile otherwise.
     fn routes_for(&self, chain: &CasChain) -> Arc<RouteTable> {
@@ -144,8 +137,9 @@ impl CompiledEngine {
     }
 
     /// [`run`](Self::run), also returning the first reason one of the
-    /// program's steps could not run word-level, or `None` when every step
-    /// did. A probed run goes whole to the interpreter and judges no step.
+    /// program's steps cannot run word-level, or `None` when every step
+    /// can. A probed run goes whole to the interpreter and judges no step;
+    /// so does a blocked program, after its judgement.
     ///
     /// # Errors
     ///
@@ -159,29 +153,50 @@ impl CompiledEngine {
         if sim.has_probe() {
             return Ok((run_program_reference(sim, program)?, None));
         }
+        match self.judge(sim, program) {
+            Ok(None) => {}
+            // A blocked program runs whole on the interpreter, and a
+            // malformed step fails there with the reference's error.
+            judged => return Ok((run_program_reference(sim, program)?, judged.ok().flatten())),
+        }
+        let lane = |desc: &_| CompiledLane::new(self.sessions.get_or_compile(desc));
         let mut sessions = Sessions::new(sim);
-        let mut first_blocker = None;
         for (k, step) in program.steps().iter().enumerate() {
-            let lanes = sessions.begin(sim, program, k, |desc| self.lane(desc))?;
-            let routes = self.routes_for(sim.tam().chain());
-            let clocks = step.duration as usize + 1;
-            match step_compile_blocker(sim, lanes, &routes) {
-                Some(blocker) => {
-                    first_blocker.get_or_insert(blocker);
-                    drive_lanes_serial(sim, lanes, clocks)?;
-                }
-                None => drive_lanes_compiled(sim, lanes, clocks),
-            }
+            let lanes = sessions.begin(sim, program, k, lane)?;
+            drive_lanes_compiled(sim, lanes, step.duration as usize + 1);
             sessions.end(sim);
         }
-        Ok((sessions.finish(sim, program.len())?, first_blocker))
+        Ok((sessions.finish(sim, program.len())?, None))
+    }
+
+    /// The first reason a step of `program` cannot run word-level, or
+    /// `None` when every step can, judged before the first configuration:
+    /// each step's CAS instructions are loaded straight into the chain
+    /// ([`SocSimulator::load_configuration`]) and its routes looked up
+    /// once, as the run would, and the wrapper rules read the step's own
+    /// wrapper instructions. No cycle is counted, no span recorded and no
+    /// session compiled. Fails on a malformed step, which the run refuses.
+    fn judge(
+        &self,
+        sim: &mut SocSimulator,
+        program: &TestProgram,
+    ) -> Result<Option<CompileBlocker>, SimError> {
+        for step in program.steps() {
+            sim.load_configuration(&step.configuration, &step.wrapper_instructions)?;
+            let routes = self.routes_for(sim.tam().chain());
+            let blocker = step_compile_blocker(sim, &step.wrapper_instructions, &routes);
+            if blocker.is_some() {
+                return Ok(blocker);
+            }
+        }
+        Ok(None)
     }
 }
 
-/// Runs `clocks` data clocks of one compilable step, each lane
-/// word-at-a-time and one after another, and accounts arithmetically for
-/// every counter the interpreter's per-cycle loop would have bumped.
-fn drive_lanes_compiled(sim: &mut SocSimulator, lanes: &mut [SessionLane], clocks: usize) {
+/// Runs `clocks` data clocks of one step, each lane word-at-a-time and one
+/// after another, and accounts arithmetically for every counter the
+/// interpreter's per-cycle loop would have bumped.
+fn drive_lanes_compiled(sim: &mut SocSimulator, lanes: &mut [Lane<CompiledLane>], clocks: usize) {
     sim.advance_data_cycles(clocks as u64);
     // Every wrapper idles through the step except while its lane's plan
     // runs.
@@ -205,10 +220,10 @@ fn drive_lanes_compiled(sim: &mut SocSimulator, lanes: &mut [SessionLane], clock
     }
 }
 
-/// Why a configured step cannot run on the word-level fast path. Each
-/// variant names the [`step_compile_blocker`] clause that failed — the
-/// packed fleet path exports these as `fleet.packed.fallback.reason.*`
-/// counters so coverage gaps are observable instead of inferred.
+/// Why a step cannot run on the word-level fast path. Each variant names
+/// the [`step_compile_blocker`] clause that failed — the packed fleet path
+/// exports these as `fleet.packed.fallback.reason.*` counters so coverage
+/// gaps are observable instead of inferred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CompileBlocker {
     /// A lane's routes share wires serially with another CAS.
@@ -233,45 +248,53 @@ impl CompileBlocker {
     }
 }
 
-/// The first reason the configured step cannot run on the word-level fast
-/// path while staying bit-identical to the interpreter, or `None` when it
-/// can. `routes` must be compiled from the chain's current
-/// (post-`configure`) state. Also the gate the packed device-parallel fleet
-/// path uses: its lane-containment argument (a defect on one core perturbs
-/// only that core's verdict and signature) holds exactly when every step
-/// passes.
+/// The first reason a step cannot run on the word-level fast path while
+/// staying bit-identical to the interpreter, or `None` when it can. The
+/// chain holds the step's CAS instructions and `routes` is compiled from
+/// them; `wrapper_instructions` are the step's, one per wrapper. Also the
+/// gate the packed device-parallel fleet path uses: its lane-containment
+/// argument (a defect on one core perturbs only that core's verdict and
+/// signature) holds exactly when every step passes.
 fn step_compile_blocker(
     sim: &SocSimulator,
-    lanes: &[SessionLane],
+    wrapper_instructions: &[WrapperInstruction],
     routes: &RouteTable,
 ) -> Option<CompileBlocker> {
-    let mut is_lane = vec![false; sim.tam().cas_count()];
-    for lane in lanes {
-        is_lane[lane.cas_index] = true;
+    use WrapperInstruction::{IntestBist, IntestScan};
+    let tam = sim.tam();
+    let mut is_lane = vec![false; tam.cas_count()];
+    for (cas_index, cas) in tam.chain().cases().iter().enumerate() {
+        let Some(scheme) = cas.active_scheme() else {
+            continue;
+        };
+        // The wrapped system bus runs no session (`run_bus_extest` tests
+        // it), so it is no lane.
+        let label = tam.label(cas_index).ok();
+        let Some((_, desc)) = label.and_then(|name| sim.soc().core_by_name(name)) else {
+            continue;
+        };
+        is_lane[cas_index] = true;
         // Exclusive straight-through wires: no serial concatenation.
-        if !routes.is_independent(lane.cas_index) {
+        if !routes.is_independent(cas_index) {
             return Some(CompileBlocker::DependentRoutes);
         }
-        let wrapper = sim.wrapper_at(lane.cas_index);
         // INTEST modes are transparent shift pipes (wrapper output =
         // model output); EXTEST threads the boundary register per cycle.
-        if !matches!(
-            wrapper.instruction(),
-            WrapperInstruction::IntestScan | WrapperInstruction::IntestBist
-        ) {
+        if !matches!(wrapper_instructions[cas_index], IntestScan | IntestBist) {
             return Some(CompileBlocker::NonIntestWrapper);
         }
-        let ports = lane.session.session.ports();
-        // Identity resize: scheme width == plan width == wrapper width.
-        if lane.wires.len() != ports || wrapper.parallel_width() != ports {
+        // Identity resize: scheme width == plan width == wrapper width. An
+        // INTEST wrapper is as wide as its core's test ports (the wrapper
+        // itself still holds the instruction the last run left).
+        let ports = desc.required_ports();
+        let intest_width = sim.wrapper_at(cas_index).core().test_ports();
+        if scheme.wires().len() != ports || intest_width != ports {
             return Some(CompileBlocker::WidthMismatch);
         }
     }
     // A test-mode wrapper outside the lanes (e.g. a wrapped system bus left
     // armed) would still be clocked by the interpreter: stay exact.
-    if (0..sim.tam().cas_count())
-        .all(|idx| is_lane[idx] || !sim.wrapper_at(idx).instruction().is_test_mode())
-    {
+    if (0..tam.cas_count()).all(|idx| is_lane[idx] || !wrapper_instructions[idx].is_test_mode()) {
         None
     } else {
         Some(CompileBlocker::ArmedBystander)
@@ -279,8 +302,8 @@ fn step_compile_blocker(
 }
 
 /// A lane's compiled session in flight: where its plan stands and what it
-/// observed so far. Word-level and interpreted steps advance the same
-/// state, so a session carries from either kind of step into the other.
+/// observed so far. A session carried into the next step resumes from
+/// this state.
 ///
 /// A lane observes one slot per plan cycle: on cycle `t`, the retimed
 /// response of cycle `t - 1`, which is what its CAS's retiming register
@@ -296,10 +319,6 @@ struct CompiledLane {
     segment: usize,
     offset: usize,
     done: usize,
-    /// Whether [`LaneSession::advance`] drew the next cycle for the
-    /// interpreter, and that cycle's stimulus.
-    drawn: bool,
-    stimulus: BitVec,
     /// Where the golden response of the cycle before the next lives (its
     /// shift planes and offset), when that cycle shifted: the next
     /// observation slot must read it.
@@ -318,45 +337,9 @@ impl CompiledLane {
             segment: 0,
             offset: 0,
             done: 0,
-            drawn: false,
-            stimulus: BitVec::new(),
             expected: None,
             mismatches: 0,
             streams,
-        }
-    }
-
-    /// Where the golden response of the next plan cycle lives, when it
-    /// shifts.
-    fn golden_at_cursor(&self) -> Option<(usize, usize)> {
-        match self.session.segments()[self.segment] {
-            Segment::Shift { planes, .. } => Some((planes, self.offset)),
-            Segment::Capture { .. } => None,
-        }
-    }
-
-    /// Moves the cursor `cycles` plan cycles on, within its segment.
-    fn skip(&mut self, cycles: usize) {
-        self.done += cycles;
-        self.offset += cycles;
-        if self.offset == self.session.segments()[self.segment].cycles() {
-            self.segment += 1;
-            self.offset = 0;
-        }
-    }
-
-    /// Records one observation slot, bit `j` on port `j`, and counts its
-    /// mismatches against the expected golden response.
-    fn record(&mut self, bit: impl Fn(usize) -> bool) {
-        let golden = self
-            .expected
-            .map(|(planes, offset)| (self.session.golden(planes), offset));
-        for (j, stream) in self.streams.iter_mut().enumerate() {
-            let bit = bit(j);
-            stream.push(bit);
-            if let Some((golden, offset)) = golden {
-                self.mismatches += usize::from((golden[j] >> offset) & 1 != u64::from(bit));
-            }
         }
     }
 
@@ -378,7 +361,16 @@ impl CompiledLane {
         let ran = end - self.done;
         if ran > 0 {
             // The first slot is the response the register holds.
-            self.record(|j| pending.get(j) == Some(true));
+            let golden = self
+                .expected
+                .map(|(planes, offset)| (session.golden(planes), offset));
+            for (j, stream) in self.streams.iter_mut().enumerate() {
+                let bit = pending.get(j) == Some(true);
+                stream.push(bit);
+                if let Some((golden, offset)) = golden {
+                    self.mismatches += usize::from((golden[j] >> offset) & 1 != u64::from(bit));
+                }
+            }
         }
         let capture_inputs = BitVec::zeros(session.ports());
         let mut shifts = 0;
@@ -429,7 +421,12 @@ impl CompiledLane {
                     }
                 }
             }
-            self.skip(run);
+            self.done += run;
+            self.offset += run;
+            if self.offset == segment.cycles() {
+                self.segment += 1;
+                self.offset = 0;
+            }
         }
         // Idle clocks past the plan leave the wrapper untouched and drive
         // zeros into the retiming register.
@@ -449,38 +446,6 @@ impl LaneSession for CompiledLane {
         self.session.len() - self.done
     }
 
-    fn advance(&mut self) -> Option<ClockKind> {
-        let segment = *self.session.segments().get(self.segment)?;
-        self.stimulus.clear();
-        let kind = match segment {
-            Segment::Shift { planes, .. } => {
-                for plane in self.session.stimulus(planes) {
-                    self.stimulus.push((plane >> self.offset) & 1 == 1);
-                }
-                ClockKind::Shift
-            }
-            Segment::Capture { .. } => {
-                self.stimulus.resize(self.session.ports(), false);
-                ClockKind::Capture
-            }
-        };
-        self.drawn = true;
-        Some(kind)
-    }
-
-    fn stimulus(&self) -> &BitVec {
-        &self.stimulus
-    }
-
-    fn observe(&mut self, bus: &BitVec, wires: &[usize]) {
-        if !std::mem::take(&mut self.drawn) {
-            return;
-        }
-        self.record(|j| bus.get(wires[j]).expect("wire < n"));
-        self.expected = self.golden_at_cursor();
-        self.skip(1);
-    }
-
     fn verdict(&self) -> Verdict {
         verdict(self.mismatches)
     }
@@ -493,10 +458,13 @@ impl LaneSession for CompiledLane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casbus::{Tam, TamConfiguration};
+    use casbus::{CasInstruction, Tam, TamConfiguration};
     use casbus_controller::{schedule, TestProgram};
     use casbus_obs::MetricsRegistry;
     use casbus_soc::catalog;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     use crate::report::{run_program, run_program_reference};
 
@@ -625,9 +593,9 @@ mod tests {
         program
     }
 
-    /// Why `program`'s first step stays off the fast path on a fresh
-    /// simulator that `prepare` modified first, judged as the engine's step
-    /// loop judges it.
+    /// Why `program`'s first blocked step stays off the fast path on a
+    /// fresh simulator that `prepare` modified first, judged as the engine
+    /// judges a program before running it.
     fn first_step_blocker(
         soc: &casbus_soc::SocDescription,
         n: usize,
@@ -636,12 +604,7 @@ mod tests {
     ) -> Option<CompileBlocker> {
         let mut sim = SocSimulator::new(soc, n).unwrap();
         prepare(&mut sim);
-        let engine = CompiledEngine::new();
-        let mut sessions = Sessions::new(&sim);
-        let lanes = sessions
-            .begin(&mut sim, program, 0, |desc| engine.lane(desc))
-            .unwrap();
-        step_compile_blocker(&sim, lanes, &RouteTable::compile(sim.tam().chain()))
+        CompiledEngine::new().judge(&mut sim, program).unwrap()
     }
 
     /// Two single-chain scan cores, `front` (5 flops) then `back` (7).
@@ -775,27 +738,19 @@ mod tests {
     }
 
     #[test]
-    fn a_session_carries_between_word_level_and_interpreted_steps() {
+    fn a_session_carries_across_word_level_steps() {
         // `back`'s 40-cycle plan runs three clocks per step (its last
-        // one), alternately on the word-level path and interpreted
-        // (`front`'s wrapper is left armed behind a BYPASS CAS); most
-        // breaks fall inside a shift segment.
+        // one), every step word-level; most breaks fall inside a shift
+        // segment.
         let soc = front_and_back();
         let sim = SocSimulator::new(&soc, 2).unwrap();
         let (scan, bypass) = (WrapperInstruction::IntestScan, WrapperInstruction::Bypass);
-        let steps: Vec<_> = (0..14)
-            .map(|k| {
-                let front = if k % 2 == 0 { bypass } else { scan };
-                let duration = if k == 13 { 0 } else { 2 };
-                back_step(&sim, 0, scan, front, duration)
-            })
-            .collect();
-        for (k, step) in steps.iter().enumerate() {
-            let blocker = first_step_blocker(&soc, 2, &program_of(vec![step.clone()]), |_| {});
-            let expected = (k % 2 == 1).then_some(CompileBlocker::ArmedBystander);
-            assert_eq!(blocker, expected, "step {k}");
-        }
-        let carried = program_of(steps);
+        let steps = |front: &dyn Fn(usize) -> WrapperInstruction| {
+            let step = |k| back_step(&sim, 0, scan, front(k), if k == 13 { 0 } else { 2 });
+            program_of((0..14).map(step).collect())
+        };
+        let carried = steps(&|_| bypass);
+        assert_eq!(first_step_blocker(&soc, 2, &carried, |_| {}), None);
         assert_program_agrees(&soc, 2, &carried);
 
         // Carrying changes no observation: the session's verdict and
@@ -811,6 +766,135 @@ mod tests {
         assert_eq!(carried.signatures, alone.signatures);
         let shifts = 13 * (sim.tam().configuration_clocks() as u64 + 1);
         assert_eq!(carried.total_cycles, alone.total_cycles + shifts);
+
+        // With `front`'s wrapper left armed behind its BYPASS CAS in every
+        // other step, the program is blocked and runs whole on the
+        // interpreter.
+        let armed = steps(&|k| if k % 2 == 0 { bypass } else { scan });
+        assert_eq!(
+            first_step_blocker(&soc, 2, &armed, |_| {}),
+            Some(CompileBlocker::ArmedBystander)
+        );
+        assert_program_agrees(&soc, 2, &armed);
+    }
+
+    #[test]
+    fn a_malformed_step_fails_with_the_references_error() {
+        // The judge refuses a malformed step without panicking, and the
+        // run fails with the interpreter's error, wherever the step is.
+        let soc = front_and_back();
+        let sim = SocSimulator::new(&soc, 2).unwrap();
+        let (scan, bypass) = (WrapperInstruction::IntestScan, WrapperInstruction::Bypass);
+        let good = back_step(&sim, 0, scan, bypass, 39);
+        let mut short = good.clone();
+        short.wrapper_instructions.pop();
+        let mut unknown = good.clone();
+        unknown.configuration = TamConfiguration::new(vec![CasInstruction::Test(999); 2]);
+        let mut long = good.clone();
+        long.configuration = TamConfiguration::all_bypass(3);
+        for bad in [short, unknown, long] {
+            for program in [vec![bad.clone()], vec![good.clone(), bad]] {
+                let program = program_of(program);
+                let mut sim = SocSimulator::new(&soc, 2).unwrap();
+                let judged = CompiledEngine::new().judge(&mut sim, &program);
+                let mut sim = SocSimulator::new(&soc, 2).unwrap();
+                let expected = run_program_reference(&mut sim, &program).unwrap_err();
+                assert!(judged.is_err(), "{expected}");
+                assert_both_engines_refuse(&soc, &program, expected);
+            }
+        }
+    }
+
+    /// The programs `soc`'s schedulers build at width `n`, by name: the
+    /// serial, packed and smoke-searched plans and, with `every`, the
+    /// wave-optimal and power-aware (budget 200) ones too.
+    fn scheduled_programs(
+        soc: &casbus_soc::SocDescription,
+        n: usize,
+        every: bool,
+    ) -> Vec<(&'static str, TestProgram)> {
+        use casbus_controller::search::{search_schedule, SearchBudget};
+        let mut schedules = vec![
+            ("serial", schedule::serial_schedule(soc, n)),
+            ("packed", schedule::packed_schedule(soc, n)),
+            ("searched", search_schedule(soc, n, SearchBudget::smoke())),
+        ];
+        if every {
+            schedules.push(("wave-optimal", schedule::wave_optimal_schedule(soc, n)));
+            schedules.push(("power-aware", schedule::power_aware_schedule(soc, n, 200)));
+        }
+        let tam = Tam::new(soc, n).unwrap();
+        let program = |(name, sched): (_, Result<_, _>)| {
+            let sched = sched.unwrap_or_else(|e| panic!("{name} at N = {n}: {e}"));
+            (name, TestProgram::from_schedule(&tam, soc, &sched).unwrap())
+        };
+        schedules.into_iter().map(program).collect()
+    }
+
+    /// The judge's verdict on `program` over a fresh `n`-wire simulator,
+    /// which the judge must leave unrun: no cycle counted, no span
+    /// recorded, no session compiled.
+    fn judged(
+        soc: &casbus_soc::SocDescription,
+        n: usize,
+        program: &TestProgram,
+    ) -> Option<CompileBlocker> {
+        use casbus_obs::MemorySink;
+
+        let mut sim = SocSimulator::new(soc, n).unwrap();
+        let trace = MemorySink::new();
+        sim.set_trace(trace.clone());
+        let sessions = Arc::new(SessionCache::default());
+        let engine = CompiledEngine::new().with_sessions(Arc::clone(&sessions));
+        let blocker = engine.judge(&mut sim, program).unwrap();
+        assert_eq!(sim.cycles(), 0);
+        assert!(trace.is_empty());
+        assert!(format!("{sessions:?}").contains("sessions: 0"));
+        blocker
+    }
+
+    #[test]
+    fn catalog_schedules_never_take_the_slow_path() {
+        for soc in [
+            catalog::figure1_soc(),
+            catalog::figure2a_scan_soc(),
+            catalog::figure2b_bist_soc(),
+            catalog::figure2c_external_soc(),
+            catalog::figure2d_hierarchical_soc(),
+            catalog::maintenance_soc(),
+            catalog::itc02_like_soc(),
+        ] {
+            let m = soc.max_ports();
+            for n in [m, m + 1, 2 * m + 2] {
+                for (name, program) in scheduled_programs(&soc, n, true) {
+                    let at = format!("{} at N = {n}, {name}", soc.name());
+                    assert_eq!(judged(&soc, n, &program), None, "{at}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random SoCs drawn as `tests/differential.rs` draws them, at
+        /// their drawn width and at 2m + 2.
+        #[test]
+        fn scheduled_random_socs_never_take_the_slow_path(
+            seed in any::<u64>(),
+            n_cores in 2usize..=6,
+            max_ports in 1usize..=4,
+            slack in 0usize..=3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let soc = catalog::random_soc(&mut rng, n_cores, max_ports);
+            let m = soc.max_ports();
+            for n in [m + slack, 2 * m + 2] {
+                for (name, program) in scheduled_programs(&soc, n, false) {
+                    assert_eq!(judged(&soc, n, &program), None, "N = {n}, {name}");
+                }
+            }
+        }
     }
 
     /// Runs `program` on a fresh simulator through both engines; both must

@@ -11,9 +11,9 @@
 //!   runner's reference gate already made that run, and hands it over).
 //!   Every healthy device's report is a clone of it — the scalar engine is
 //!   deterministic, so a fresh healthy run could not produce anything
-//!   else. The same run judges every step for the fast path, and its
-//!   verdicts, one per session in start order, are the slots the lanes
-//!   patch.
+//!   else. The compiled engine judges every step of that run for the
+//!   fast path before it starts, and its verdicts, one per session in
+//!   start order, are the slots the lanes patch.
 //! * **Defective dies run 64 to a word.** Up to 64 dies of a lot whose
 //!   defects land on the same core become *lanes* of one word-level twin
 //!   of that core's behavioural model — [`PackedScanLanes`],
@@ -36,7 +36,8 @@
 //! * **Everything else falls back, per device.** Programs with any step
 //!   the word-level fast path cannot express, and defects the lane
 //!   encoding cannot carry, are executed by the unchanged scalar
-//!   [`test_device`](crate::fleet) path — bit-identity is never traded for
+//!   [`test_device`](crate::fleet) path (where a blocked program runs
+//!   whole on the reference interpreter) — bit-identity is never traded for
 //!   speed. Every fallback is attributed: [`PackedDeviceEngine::fallback_reason`]
 //!   names the compile clause or defect placement responsible, and the
 //!   fleet exports the tallies as `fleet.packed.fallback.reason.*`.
@@ -60,7 +61,7 @@
 //!
 //! # Why patching the baseline is sound
 //!
-//! The packed path is only used when the baseline run ran **every** step
+//! The packed path is only used when the judge found **every** step
 //! word-level: all routes independent (no serial wire sharing between
 //! cores), all tested wrappers in transparent INTEST modes with exact
 //! widths, no armed wrapper outside the lanes. Under those conditions a
@@ -131,7 +132,7 @@ pub struct PackedDeviceEngine {
     baseline: SocTestReport,
     /// Lane specs per core name (one entry per tested occurrence).
     lanes: HashMap<String, Vec<PackedLaneSpec>>,
-    /// `None` when the baseline run ran every step word-level — the
+    /// `None` when the baseline run was judged word-level at every step — the
     /// defect-containment argument holds and defective dies may take the
     /// packed lane path. Otherwise the first blocking clause's reason name,
     /// exported under `fleet.packed.fallback.reason.*`.
@@ -156,9 +157,10 @@ impl PackedDeviceEngine {
     /// Compiles the packed engine: runs the program once on a healthy die
     /// through the compiled engine (warming `cache` on every wave shape,
     /// exactly as the first scalar device would). That run's report is the
-    /// baseline, the first step it could not run word-level blocks the
-    /// lanes, and its verdicts, one per session in start order, give each
-    /// session's report slot.
+    /// baseline, and its verdicts, one per session in start order, give
+    /// each session's report slot. The first step the engine's judge finds
+    /// it cannot run word-level blocks the lanes; such a program's baseline
+    /// runs whole on the reference interpreter.
     ///
     /// # Errors
     ///

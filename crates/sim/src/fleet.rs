@@ -333,8 +333,10 @@ pub struct FleetReport {
     pub total_cycles: u64,
     /// Sum of per-device busy bus wire-cycles.
     pub wire_cycles: u64,
-    /// Wall-clock time of the whole run (scheduling-dependent; excluded
-    /// from the determinism contract and from exported metrics).
+    /// Wall-clock time of the whole run, up to its last report: a
+    /// monitored run's flight-recorder replays come after it
+    /// (scheduling-dependent; excluded from the determinism contract and
+    /// from exported metrics).
     pub wall: Duration,
 }
 

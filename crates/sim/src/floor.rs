@@ -765,12 +765,13 @@ impl TestFloor {
         collected.unwrap_or_else(|panic| resume_unwind(panic))?;
         let (snapshots, events, aborted) = observed.map_err(|_| SimError::ObserverPanicked)?;
         check_complete(lots, &reports, &aborted)?;
+        // The serve ends here: replays are post-mortems, off its clock.
+        let wall = started.elapsed();
         for ((lot, devices), &lane) in lots.iter().zip(&reports).zip(lanes) {
             if let Some(monitor) = lot.monitor {
                 self.replay(lot, lane, devices, monitor)?;
             }
         }
-        let wall = started.elapsed();
         let lots = lots
             .iter()
             .zip(reports)
@@ -1051,7 +1052,12 @@ mod tests {
         ReplayPanic,
         /// The device's replay returns [`injected_error`].
         ReplayError,
+        /// The device's replay sleeps for [`REPLAY_HOLD`] first.
+        ReplayHold,
     }
+
+    /// How long a [`Failure::ReplayHold`] replay sleeps.
+    const REPLAY_HOLD: Duration = Duration::from_millis(500);
 
     /// A gate that opens once and stays open, and counts the jobs that
     /// reached it.
@@ -1138,6 +1144,10 @@ mod tests {
                 panic!("injected replay panic on device {id}")
             }
             Some((id, Failure::ReplayError)) if id == device_id => Err(injected_error(id)),
+            Some((id, Failure::ReplayHold)) if id == device_id => {
+                std::thread::sleep(REPLAY_HOLD);
+                Ok(())
+            }
             _ => Ok(()),
         }
     }
@@ -1344,6 +1354,38 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn a_monitored_lots_wall_clock_stops_before_its_replays() {
+        // One die's replay sleeps for half a second. The serve's clock
+        // stops once every report is in, so the lot's `wall` stays below
+        // the hold, while the call, which returns once every dump is in,
+        // outlasts it.
+        let soc = catalog::figure2a_scan_soc();
+        let schedule = packed_schedule(&soc, 4).unwrap();
+        let variation = VariationSpec::new(5, 1.0);
+        let mut spec = LotSpec::new("lot", &soc, 4, schedule, 8, variation).unwrap();
+        spec.fail_on = Some((0, Failure::ReplayHold));
+        let (monitor, _snapshots) = FleetMonitor::new();
+        let lot = Lot {
+            spec,
+            engine: None,
+            monitor: Some(&monitor),
+        };
+        let floor = TestFloor::new().with_threads(2);
+        let started = Instant::now();
+        let report = floor
+            .serve(std::slice::from_ref(&lot), started, |_, _| {})
+            .unwrap();
+        let call = started.elapsed();
+        let wall = report.lots[0].fleet.wall;
+        assert!(
+            wall < REPLAY_HOLD && REPLAY_HOLD <= call,
+            "{wall:?}, {call:?}"
+        );
+        assert_eq!(report.wall, wall);
+        assert!(monitor.dumps().iter().any(|dump| dump.device_id == 0));
     }
 
     /// Runs `run` on its own thread and returns what it returns, failing

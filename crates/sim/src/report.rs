@@ -81,7 +81,7 @@ pub(crate) struct Lane<S> {
     pub(crate) wires: Vec<usize>,
 }
 
-/// What the step drivers need of a lane's session, whichever engine keeps
+/// What [`Sessions`] reads of a lane's session, whichever engine keeps
 /// it: the interpreter's [`ReferenceSession`] or the compiled engine's
 /// lane state.
 pub(crate) trait LaneSession {
@@ -89,15 +89,6 @@ pub(crate) trait LaneSession {
     fn len(&self) -> usize;
     /// Plan cycles not yet run.
     fn remaining(&self) -> usize;
-    /// Draws the next plan cycle's stimulus; returns its kind, or `None`
-    /// past the plan.
-    fn advance(&mut self) -> Option<ClockKind>;
-    /// The stimulus of the cycle [`advance`](Self::advance) last drew.
-    fn stimulus(&self) -> &BitVec;
-    /// Records the observation slot of the cycle `advance` drew from the
-    /// bus leaving the chain and compares it with the golden response of
-    /// the cycle before; does nothing past the plan.
-    fn observe(&mut self, bus: &BitVec, wires: &[usize]);
     /// The verdict over every slot observed so far.
     fn verdict(&self) -> Verdict;
     /// [`lane_signature`](crate::session::lane_signature) over the slots
@@ -146,17 +137,16 @@ pub(crate) fn collect_lanes<S>(
 }
 
 /// Runs `clocks` data clocks of one configured step's lanes through the
-/// cycle-by-cycle interpreter (exact under probes and serial wire
-/// sharing).
+/// cycle-by-cycle interpreter.
 ///
 /// One bus and one clock-kind buffer serve the whole step. Every data
 /// clock, each lane with plan cycles left draws its stimulus, and after
 /// the clock it records its observation slot, so a lane observes one slot
 /// per plan cycle whatever else runs in its step: every response but its
 /// final drain's.
-pub(crate) fn drive_lanes_serial<S: LaneSession>(
+pub(crate) fn drive_lanes_serial(
     sim: &mut SocSimulator,
-    lanes: &mut [Lane<S>],
+    lanes: &mut [Lane<ReferenceSession>],
     clocks: usize,
 ) -> Result<(), SimError> {
     let n = sim.bus_width();
@@ -379,12 +369,13 @@ fn finish_report(
 /// starts a session.
 ///
 /// Runs on the compiled word-level engine ([`crate::CompiledEngine`]),
-/// which batches shifting through route tables and falls back to the
-/// cycle-by-cycle interpreter whenever exactness demands it (probes,
-/// serial wire sharing). [`run_program_reference`] forces the
-/// interpreter; both produce identical reports and leave identical
-/// counters, which [`SocSimulator::export_metrics`] publishes after the
-/// run.
+/// which batches shifting through route tables. A probed run, and a
+/// program with a step it cannot run exactly (serial wire sharing, a
+/// non-INTEST or mis-sized lane wrapper, an armed wrapper outside the
+/// lanes), run whole on the cycle-by-cycle interpreter instead.
+/// [`run_program_reference`] forces the interpreter; both produce
+/// identical reports and leave identical counters, which
+/// [`SocSimulator::export_metrics`] publishes after the run.
 ///
 /// # Errors
 ///

@@ -383,32 +383,25 @@ impl ReferenceSession {
             streams,
         }
     }
-}
 
-impl LaneSession for ReferenceSession {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn remaining(&self) -> usize {
-        self.len - self.done
-    }
-
-    fn advance(&mut self) -> Option<ClockKind> {
+    /// Draws the next plan cycle's stimulus; returns its kind, or `None`
+    /// past the plan.
+    pub(crate) fn advance(&mut self) -> Option<ClockKind> {
         self.kind = self.cursor.next_into(&mut self.stimulus);
         self.done += usize::from(self.kind.is_some());
         self.kind
     }
 
-    fn stimulus(&self) -> &BitVec {
+    /// The stimulus of the cycle [`advance`](Self::advance) last drew.
+    pub(crate) fn stimulus(&self) -> &BitVec {
         &self.stimulus
     }
 
     /// Records this cycle's observation slot from the bus leaving the
     /// chain, counts its mismatches against the golden output of the
     /// previous cycle, then clocks the golden model on this cycle's
-    /// stimulus.
-    fn observe(&mut self, bus: &BitVec, wires: &[usize]) {
+    /// stimulus. Does nothing past the plan.
+    pub(crate) fn observe(&mut self, bus: &BitVec, wires: &[usize]) {
         let Some(kind) = self.kind.take() else {
             return;
         };
@@ -431,6 +424,16 @@ impl LaneSession for ReferenceSession {
             }
             _ => false,
         };
+    }
+}
+
+impl LaneSession for ReferenceSession {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn remaining(&self) -> usize {
+        self.len - self.done
     }
 
     fn verdict(&self) -> Verdict {

@@ -559,12 +559,7 @@ impl SocSimulator {
         wrapper_instructions: &[WrapperInstruction],
         carried: impl Fn(usize) -> bool,
     ) -> Result<(), SimError> {
-        if wrapper_instructions.len() != self.wrappers.len() {
-            return Err(SimError::WrapperLengthMismatch {
-                got: wrapper_instructions.len(),
-                expected: self.wrappers.len(),
-            });
-        }
+        self.check_wrapper_count(wrapper_instructions)?;
         // Reconstruct the serial stream up front when a probe wants the
         // wire-0 waveform; `Tam::configure` performs the shifts internally.
         let stream = if self.probe.is_some() {
@@ -605,6 +600,46 @@ impl SocSimulator {
         Ok(())
     }
 
+    /// Loads a step's CAS instructions straight into the chain
+    /// ([`Cas::load_instruction`](casbus::Cas::load_instruction)): no shift,
+    /// cycle, span or probe event, and every wrapper keeps its instruction.
+    /// The compiled engine judges a program's steps this way before its
+    /// first configuration, which overwrites what was loaded.
+    ///
+    /// # Errors
+    ///
+    /// What [`configure`](Self::configure) refuses (a wrong instruction
+    /// count, a scheme index out of range); nothing is loaded then.
+    pub(crate) fn load_configuration(
+        &mut self,
+        config: &TamConfiguration,
+        wrapper_instructions: &[WrapperInstruction],
+    ) -> Result<(), SimError> {
+        self.check_wrapper_count(wrapper_instructions)?;
+        let (cases, instructions) = (self.tam.chain_mut().cases_mut(), config.instructions());
+        if instructions.len() != cases.len() {
+            let (got, expected) = (instructions.len(), cases.len());
+            return Err(CasError::ConfigurationLengthMismatch { got, expected }.into());
+        }
+        for (cas, instruction) in cases.iter().zip(instructions) {
+            if let casbus::CasInstruction::Test(index) = instruction {
+                cas.schemes().scheme(*index)?;
+            }
+        }
+        for (cas, instruction) in cases.iter_mut().zip(instructions) {
+            cas.load_instruction(instruction);
+        }
+        Ok(())
+    }
+
+    /// Refuses a wrapper-instruction vector that does not hold one
+    /// instruction per wrapper.
+    fn check_wrapper_count(&self, instructions: &[WrapperInstruction]) -> Result<(), SimError> {
+        let (got, expected) = (instructions.len(), self.wrappers.len());
+        let mismatch = SimError::WrapperLengthMismatch { got, expected };
+        (got == expected).then_some(()).ok_or(mismatch)
+    }
+
     /// Applies a configuration through the paper's §3.1 **tri-state
     /// mechanism**: the CAS instruction registers *and* the wrapper
     /// instruction registers form one serial chain
@@ -624,12 +659,7 @@ impl SocSimulator {
         config: &TamConfiguration,
         wrapper_instructions: &[WrapperInstruction],
     ) -> Result<(), SimError> {
-        if wrapper_instructions.len() != self.wrappers.len() {
-            return Err(SimError::WrapperLengthMismatch {
-                got: wrapper_instructions.len(),
-                expected: self.wrappers.len(),
-            });
-        }
+        self.check_wrapper_count(wrapper_instructions)?;
         if config.instructions().len() != self.wrappers.len() {
             return Err(SimError::Tam(
                 casbus::CasError::ConfigurationLengthMismatch {
