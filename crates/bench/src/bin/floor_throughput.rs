@@ -1,7 +1,9 @@
 //! Multi-tenant floor serving vs dedicated per-lot fleets.
 //!
 //! A [`casbus_sim::TestFloor`] runs heterogeneous lots concurrently on one
-//! shared worker pool and one route-cache budget. The question this bench
+//! shared worker pool and one route cache, and the calling thread collects
+//! every lot's reports and takes the snapshots and admission ticks between
+//! them, as a fleet's run does for its one lot. The question this bench
 //! answers: what does multi-tenancy cost against the obvious alternative —
 //! running each lot back to back on its own dedicated
 //! [`casbus_sim::FleetRunner`] with the same thread count?

@@ -19,8 +19,8 @@
 //! regression check behind it. A JSONL trace keeps the SoC run on the
 //! compiled engine (only the VCD probe forces the bit-serial interpreter).
 //! A monitored lot runs the same packed jobs as the unmonitored baseline,
-//! so the `fleet_monitor` rows measure watching: `snapshots` the
-//! observer's ticks and the per-job hooks, `recorder` those plus replaying
+//! so the `fleet_monitor` rows measure watching: `snapshots` the serving
+//! thread's ticks and the per-job hooks, `recorder` those plus replaying
 //! each defective die into its flight recorder once the lot is served.
 //! Set `CASBUS_BENCH_SMOKE=1` for the fast CI configuration (a 64-device
 //! lot instead of 256).

@@ -13,8 +13,8 @@
 //!
 //! [`WaveKey`] captures exactly the routing-relevant part of a configured
 //! chain (bus width + per-CAS active scheme wires) and [`RouteTableCache`]
-//! memoizes compilation behind it, thread-safe and with hit, miss, eviction
-//! and high-water accounting for the serving metrics.
+//! memoizes compilation behind it, thread-safe and with hit and miss
+//! accounting for the serving metrics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,17 +123,8 @@ impl WaveKey {
     }
 }
 
-/// Cached tables plus the logical clock backing the LRU policy.
-#[derive(Debug, Default)]
-struct CacheState {
-    /// Per wave shape: the compiled table and its last-use stamp.
-    tables: HashMap<WaveKey, (Arc<RouteTable>, u64)>,
-    /// Monotonic lookup clock; every hit or insert advances it.
-    stamp: u64,
-}
-
 /// A memoizing, thread-safe [`RouteTable`] compilation cache keyed by
-/// [`WaveKey`], with an optional capacity cap under LRU eviction.
+/// [`WaveKey`].
 ///
 /// Candidate schedules in a makespan search share wave shapes heavily (a
 /// local move touches one or two sessions and leaves every other wave
@@ -141,18 +132,11 @@ struct CacheState {
 /// lookup after the first encounter. Tables are handed out as
 /// [`Arc`]s, so concurrent validation workers share one compiled copy.
 ///
-/// The default cache is unbounded — right for one search over one SoC.
-/// Long-lived serving workloads (a fleet runner executing one program
-/// across thousands of devices, or many searches over changing designs)
-/// should bound it with [`RouteTableCache::with_capacity`]: once the cap is
-/// reached, inserting a new shape evicts the least-recently-used table
-/// (handed-out [`Arc`]s stay valid — eviction only drops the cache's
-/// reference). [`RouteTableCache::evictions`] counts the drops.
-///
-/// Unbounded caches serve hits under a shared read lock — after warmup
+/// The cache is a memo, never a budget: a plan has at most one route shape
+/// per step, so it holds a handful of one-flag-per-CAS tables and never
+/// drops one. Hits are served under a shared read lock, so after warmup
 /// (every wave shape of a program seen once) concurrent fleet workers
-/// never contend on a writer. Bounded caches must bump the LRU stamp per
-/// hit and therefore take the write lock on every lookup.
+/// never contend on a writer.
 ///
 /// # Examples
 ///
@@ -169,133 +153,54 @@ struct CacheState {
 /// assert_eq!((cache.hits(), cache.misses()), (1, 1));
 /// # Ok::<(), casbus::CasError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RouteTableCache {
-    state: RwLock<CacheState>,
-    capacity: usize,
+    tables: RwLock<HashMap<WaveKey, Arc<RouteTable>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Most tables ever resident at once — how much of the budget the
-    /// workload actually used.
-    high_water: AtomicU64,
 }
 
-/// A point-in-time accounting snapshot of a [`RouteTableCache`] — the
-/// budget view a multi-plan serving layer exports per run.
-///
-/// When several compiled plans (different SoCs, different bus widths)
-/// share one bounded cache, the interesting questions are budgetary: how
-/// much of the capacity did the mixed workload actually need
-/// ([`high_water`](Self::high_water)), and did co-tenant plans thrash each
-/// other's tables out ([`evictions`](Self::evictions))? `stats()` reads
-/// every counter in one call so exported metrics are mutually consistent
-/// enough for operator dashboards.
+/// A point-in-time accounting snapshot of a [`RouteTableCache`], for
+/// metric export: every counter read in one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that had to compile a table.
     pub misses: u64,
-    /// Tables dropped to stay within the capacity budget.
+    /// Tables dropped: always 0, since the cache never drops one.
     pub evictions: u64,
     /// Distinct wave shapes resident right now.
     pub len: usize,
-    /// The capacity budget (`usize::MAX` when unbounded).
-    pub capacity: usize,
-    /// Most tables ever resident at once since the last
-    /// [`clear`](RouteTableCache::clear).
+    /// Most tables ever resident at once: `len`, since the cache never
+    /// drops a table.
     pub high_water: u64,
 }
 
-impl Default for RouteTableCache {
-    fn default() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-}
-
 impl RouteTableCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty cache holding at most `capacity` tables (clamped to at
-    /// least 1), evicting the least-recently-used shape beyond that.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            state: RwLock::new(CacheState::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-        }
-    }
-
-    /// The maximum number of tables kept (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The compiled table for the chain's current configuration, compiling
-    /// and inserting it on first encounter of this wave shape. At capacity,
-    /// the insert evicts the least-recently-used shape first.
-    ///
-    /// Unbounded caches (the default) serve hits under the shared read
-    /// lock: after warmup, concurrent readers never serialize on a writer.
+    /// and inserting it on first encounter of this wave shape.
     pub fn get_or_compile(&self, chain: &CasChain) -> Arc<RouteTable> {
         let key = WaveKey::for_chain(chain);
-        if self.capacity == usize::MAX {
-            // No eviction ever happens, so hits need no last-use bump —
-            // a shared read lock suffices and warmed-up fleet workers run
-            // contention-free.
-            {
-                let state = self.state.read().expect("route cache poisoned");
-                if let Some((table, _)) = state.tables.get(&key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(table);
-                }
-            }
-            let mut state = self.state.write().expect("route cache poisoned");
-            // Re-check: another thread may have compiled this shape while
-            // we waited for the write lock.
-            if let Some((table, _)) = state.tables.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(table);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            state.stamp += 1;
-            let stamp = state.stamp;
-            let table = Arc::new(RouteTable::compile(chain));
-            state.tables.insert(key, (Arc::clone(&table), stamp));
-            self.high_water
-                .fetch_max(state.tables.len() as u64, Ordering::Relaxed);
-            return table;
+        if let Some(table) = self.tables.read().expect("route cache poisoned").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(table);
         }
-        let mut state = self.state.write().expect("route cache poisoned");
-        state.stamp += 1;
-        let stamp = state.stamp;
-        if let Some((table, last_use)) = state.tables.get_mut(&key) {
-            *last_use = stamp;
+        let mut tables = self.tables.write().expect("route cache poisoned");
+        // Re-check: another thread may have compiled this shape while we
+        // waited for the write lock.
+        if let Some(table) = tables.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(table);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if state.tables.len() >= self.capacity {
-            let coldest = state
-                .tables
-                .iter()
-                .min_by_key(|(_, (_, last_use))| *last_use)
-                .map(|(key, _)| key.clone())
-                .expect("cache at capacity is non-empty");
-            state.tables.remove(&coldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
         let table = Arc::new(RouteTable::compile(chain));
-        state.tables.insert(key, (Arc::clone(&table), stamp));
-        self.high_water
-            .fetch_max(state.tables.len() as u64, Ordering::Relaxed);
+        tables.insert(key, Arc::clone(&table));
         table
     }
 
@@ -309,21 +214,6 @@ impl RouteTableCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Tables dropped to stay within the capacity cap.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Most tables ever resident at once since construction (or the last
-    /// [`clear`](Self::clear)) — how much of the capacity budget the
-    /// workload actually needed. A high-water mark well below
-    /// [`capacity`](Self::capacity) means the budget is oversized; a mark
-    /// pinned at capacity alongside growing [`evictions`](Self::evictions)
-    /// means co-tenant plans are thrashing each other's tables.
-    pub fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
-    }
-
     /// Every accounting counter in one snapshot, for metric export.
     ///
     /// # Examples
@@ -332,31 +222,28 @@ impl RouteTableCache {
     /// use casbus::{Cas, CasChain, CasGeometry, RouteTableCache};
     ///
     /// let chain = CasChain::new(vec![Cas::for_geometry(CasGeometry::new(4, 1)?)?])?;
-    /// let cache = RouteTableCache::with_capacity(8);
+    /// let cache = RouteTableCache::new();
+    /// cache.get_or_compile(&chain);
     /// cache.get_or_compile(&chain);
     /// let stats = cache.stats();
-    /// assert_eq!((stats.misses, stats.len, stats.high_water), (1, 1, 1));
-    /// assert_eq!(stats.capacity, 8);
+    /// assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
+    /// assert_eq!((stats.evictions, stats.high_water), (0, 1));
     /// # Ok::<(), casbus::CasError>(())
     /// ```
     pub fn stats(&self) -> CacheStats {
+        let len = self.len();
         CacheStats {
             hits: self.hits(),
             misses: self.misses(),
-            evictions: self.evictions(),
-            len: self.len(),
-            capacity: self.capacity,
-            high_water: self.high_water(),
+            evictions: 0,
+            len,
+            high_water: len as u64,
         }
     }
 
-    /// Distinct wave shapes currently cached (never exceeds the capacity).
+    /// Distinct wave shapes currently cached.
     pub fn len(&self) -> usize {
-        self.state
-            .read()
-            .expect("route cache poisoned")
-            .tables
-            .len()
+        self.tables.read().expect("route cache poisoned").len()
     }
 
     /// Whether the cache holds no tables yet.
@@ -374,17 +261,6 @@ impl RouteTableCache {
         } else {
             hits as f64 / total as f64
         }
-    }
-
-    /// Drops every cached table and resets the hit/miss/evict counters.
-    pub fn clear(&self) {
-        let mut state = self.state.write().expect("route cache poisoned");
-        state.tables.clear();
-        state.stamp = 0;
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.high_water.store(0, Ordering::Relaxed);
     }
 }
 
@@ -499,76 +375,7 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 2, 2));
         assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(*c, RouteTable::compile(&ch), "cached table is the table");
-
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert_eq!(cache.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn bounded_cache_caps_len_and_evicts_least_recently_used() {
-        // Four distinct wave shapes on a 2-CAS chain.
-        let mut ch = chain(&[(4, 1), (4, 1)]);
-        let shapes: [[CasInstruction; 2]; 4] = [
-            [CasInstruction::Test(0), CasInstruction::Bypass],
-            [CasInstruction::Bypass, CasInstruction::Test(0)],
-            [CasInstruction::Test(1), CasInstruction::Bypass],
-            [CasInstruction::Bypass, CasInstruction::Test(1)],
-        ];
-        let cache = RouteTableCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-
-        // Fill to capacity: shapes 0 and 1.
-        for shape in &shapes[..2] {
-            ch.configure(shape).unwrap();
-            cache.get_or_compile(&ch);
-        }
-        assert_eq!((cache.len(), cache.evictions()), (2, 0));
-
-        // Touch shape 0 so shape 1 becomes the LRU entry, then insert
-        // shape 2: the cap holds and exactly one table is evicted.
-        ch.configure(&shapes[0]).unwrap();
-        cache.get_or_compile(&ch);
-        ch.configure(&shapes[2]).unwrap();
-        cache.get_or_compile(&ch);
-        assert_eq!((cache.len(), cache.evictions()), (2, 1));
-
-        // Shape 0 was kept warm: looking it up again is a hit, not a
-        // recompile; shape 1 was the eviction victim and must miss.
-        let misses = cache.misses();
-        ch.configure(&shapes[0]).unwrap();
-        cache.get_or_compile(&ch);
-        assert_eq!(cache.misses(), misses, "warm shape survived the cap");
-        ch.configure(&shapes[1]).unwrap();
-        cache.get_or_compile(&ch);
-        assert_eq!(cache.misses(), misses + 1, "LRU shape was evicted");
-
-        // The cap is an invariant, not a high-water mark.
-        for _ in 0..3 {
-            for shape in &shapes {
-                ch.configure(shape).unwrap();
-                cache.get_or_compile(&ch);
-            }
-            assert!(cache.len() <= cache.capacity());
-        }
-        assert!(cache.evictions() > 1);
-        // The budget accounting sees the cap was fully used…
-        assert_eq!(cache.high_water(), 2);
-        let stats = cache.stats();
-        assert_eq!(stats.capacity, 2);
-        assert_eq!(stats.high_water, 2);
-        assert_eq!(stats.evictions, cache.evictions());
-        assert_eq!(stats.len, cache.len());
-
-        cache.clear();
-        assert_eq!((cache.len(), cache.evictions()), (0, 0));
-        assert_eq!(cache.high_water(), 0, "clear resets the high-water mark");
-
-        // Capacity 0 is clamped so the cache stays usable.
-        assert_eq!(RouteTableCache::with_capacity(0).capacity(), 1);
-        // The default cache never evicts.
-        assert_eq!(RouteTableCache::new().capacity(), usize::MAX);
+        assert_eq!(RouteTableCache::new().hit_rate(), 0.0);
     }
 
     #[test]

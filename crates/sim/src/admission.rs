@@ -4,7 +4,8 @@
 //! healthier lots could use: operators watch in-flight yield and intervene —
 //! quarantine the lot or kick it off the floor. This module is that
 //! operator, automated: an [`AdmissionController`] samples each lot's
-//! [`LotTracker`] on a fixed cadence and applies an [`AdmissionPolicy`].
+//! [`LotTracker`] on a fixed cadence, on the thread that collects the
+//! floor's reports, and applies an [`AdmissionPolicy`].
 //! When a lot's *rolling* yield (pass fraction over the last
 //! [`window`](AdmissionPolicy::window) completions) drops below
 //! [`yield_floor`](AdmissionPolicy::yield_floor) after at least
@@ -73,7 +74,8 @@ impl fmt::Display for CollapseAction {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionPolicy {
-    /// Sampling cadence: how often each lot is snapshotted and judged.
+    /// Sampling cadence: how often each lot is snapshotted and judged;
+    /// past the clock's range, never (each lot gets only its `last` one).
     pub interval: Duration,
     /// Rolling-yield window, in completions (clamped to at least 1).
     pub window: usize,
@@ -228,8 +230,8 @@ pub(crate) struct LotLive<'a> {
 
 /// Applies an [`AdmissionPolicy`] to the lots of one floor run.
 ///
-/// Owned and driven by [`TestFloor`](crate::floor::TestFloor): the floor's
-/// admission thread calls `tick` every
+/// Owned and driven by [`TestFloor`](crate::floor::TestFloor): the thread
+/// that collects a run's reports calls `tick` between them every
 /// [`interval`](AdmissionPolicy::interval), which judges every lot and
 /// applies at most one collapse action per lot per run (a paused lot
 /// resumes automatically when its quarantine expires). All state lives

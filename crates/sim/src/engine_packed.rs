@@ -193,7 +193,8 @@ impl PackedDeviceEngine {
     /// The engine of a judged healthy run of `plan`
     /// ([`CompiledEngine::run_judged`] on a fresh die, over `cache` and
     /// `sessions`): its report is the baseline, its blocker the program
-    /// blocker.
+    /// blocker. A blocked program runs no lane, so it compiles no lane
+    /// spec and no session.
     pub(crate) fn from_judged(
         soc: &Arc<SocDescription>,
         plan: &Arc<CompiledProgram>,
@@ -203,7 +204,8 @@ impl PackedDeviceEngine {
     ) -> Self {
         let mut lanes: HashMap<String, Vec<PackedLaneSpec>> = HashMap::new();
         for (slot, (name, _)) in baseline.verdicts.iter().enumerate() {
-            if let Some((_, desc)) = soc.core_by_name(name) {
+            let lane_core = soc.core_by_name(name).filter(|_| blocker.is_none());
+            if let Some((_, desc)) = lane_core {
                 lanes.entry(name.clone()).or_default().push(PackedLaneSpec {
                     slot,
                     session: sessions.get_or_compile(desc),

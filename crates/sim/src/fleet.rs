@@ -408,12 +408,13 @@ impl std::fmt::Display for FleetReport {
 
 /// Batch test server: one compiled plan, N simulated devices.
 ///
-/// Construction pays every one-time cost — TAM build, program compilation,
-/// optionally a full schedule search, worker-thread spawn — and `run*`
-/// calls amortise them over the whole fleet. Each run is served as a
-/// one-lot [`TestFloor`] run on the runner's persistent pool; each device's
-/// engine shares the runner's [`RouteTableCache`], so a wave shape is
-/// route-compiled once for the entire fleet regardless of its size.
+/// Construction pays the one-time planning costs — TAM build, program
+/// compilation, optionally a full schedule search — the first run spawns
+/// the worker pool, and `run*` calls amortise all of it over the whole
+/// fleet. Each run is served as a one-lot [`TestFloor`] run on the
+/// runner's persistent pool; each device's engine shares the runner's
+/// [`RouteTableCache`], so a wave shape is route-compiled once for the
+/// entire fleet regardless of its size.
 ///
 /// # Examples
 ///
@@ -528,8 +529,8 @@ impl FleetRunner {
         }
     }
 
-    /// Replaces the worker pool with one of `threads` workers (`0` means
-    /// one per available hardware thread).
+    /// Sizes the worker pool at `threads` workers (`0` means one per
+    /// available hardware thread); the pool spawns at the first run.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.floor = self.floor.with_threads(threads);
@@ -718,13 +719,11 @@ impl FleetRunner {
                 fail_on: None,
             },
             engine,
-            monitor,
         };
+        let lots = std::slice::from_ref(&lot);
         let served = self
             .floor
-            .serve(std::slice::from_ref(&lot), started, |_, report| {
-                on_report(report)
-            })?;
+            .serve(lots, monitor, started, |_, report| on_report(report))?;
         let fleet = served
             .lots
             .into_iter()
@@ -885,8 +884,8 @@ pub(crate) fn replay_device(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casbus_controller::schedule::packed_schedule;
-    use casbus_soc::catalog;
+    use casbus_controller::schedule::{packed_schedule, ScheduledTest};
+    use casbus_soc::{catalog, CoreId};
 
     #[test]
     fn variation_spec_is_deterministic_and_respects_rate() {
@@ -1064,14 +1063,17 @@ mod tests {
         // lookup per program step, the gate's. The gate's compiled run is
         // the packed baseline: a packed run of a perfect lot compiles no
         // shape and looks none up, so the plan ran on the compiled engine
-        // once, at the gate.
+        // once, at the gate. The search and the gate spawn no worker: the
+        // first run spawns the one pool, of the size last asked for.
         let soc = catalog::figure1_soc();
         let runner = FleetRunner::searched(&soc, 8, SearchBudget::smoke())
             .unwrap()
             .with_threads(2);
+        assert_eq!((runner.threads(), runner.floor.workers()), (2, 0));
         let (hits, misses) = (runner.cache().hits(), runner.cache().misses());
         assert_eq!(hits + misses, runner.plan().program().len() as u64);
         let fleet = runner.run(&VariationSpec::perfect(), 70).unwrap();
+        assert_eq!(runner.floor.workers(), 2);
         assert_eq!(
             (runner.cache().hits(), runner.cache().misses()),
             (hits, misses)
@@ -1079,6 +1081,41 @@ mod tests {
         let mut sim = SocSimulator::new(&soc, 8).unwrap();
         let reference = crate::run_program_reference(&mut sim, runner.plan().program()).unwrap();
         assert!(fleet.devices.iter().all(|d| d.report == reference));
+    }
+
+    #[test]
+    fn a_blocked_program_compiles_no_sessions() {
+        // Figure 1's packed plan with the system bus's interconnect test
+        // appended at the makespan, the step fallback of
+        // `tests/fleet_differential.rs`: its last step blocks the program,
+        // so the packed engine builds no lane, every defective die falls
+        // back under `step.armed_bystander`, and every die runs whole on
+        // the reference interpreter. No compiled session is ever read, and
+        // none is compiled.
+        let soc = catalog::figure1_soc();
+        let cores = packed_schedule(&soc, 8).unwrap();
+        let mut tests = cores.tests().to_vec();
+        tests.push(ScheduledTest {
+            core: CoreId(soc.cores().len()),
+            core_name: "system_bus".to_owned(),
+            wire_start: 0,
+            wires: 1,
+            start: cores.makespan(),
+            duration: 40,
+        });
+        let schedule = Schedule::from_tests(8, tests).unwrap();
+        let runner = FleetRunner::new(&soc, 8, schedule).unwrap().with_threads(2);
+        let metrics = MetricsRegistry::new();
+        let fleet = runner
+            .run_with_metrics(&VariationSpec::new(7, 0.25), 64, &metrics, |_| {})
+            .unwrap();
+        let defective = fleet.devices.iter().filter(|d| d.fault.is_some()).count();
+        assert_eq!(defective, 15);
+        assert_eq!(
+            metrics.counter("fleet.packed.fallback.reason.step.armed_bystander"),
+            defective as u64
+        );
+        assert_eq!(runner.floor.sessions().len(), 0);
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! * every submitted [`LotSpec`] gets its own weighted lane on one shared
 //!   [`WorkerPool`] (weight = lot priority, served
 //!   by stride scheduling — see [`crate::pool`]),
-//! * all lots' route compilations land in **one** shared
-//!   [`RouteTableCache`] under one capacity budget
-//!   ([`TestFloor::with_cache_capacity`]), so co-tenant pressure and
-//!   eviction behave like a real shared tester,
+//! * all lots share one [`RouteTableCache`] and one session cache, so
+//!   each route shape and each core's compiled session is built once for
+//!   every lot and every run of the floor,
 //! * per-lot [`DeviceReport`]s stream back in completion order, per-lot
 //!   [`FleetSnapshot`]s are sampled throughout the run, and an
 //!   [`AdmissionController`] enforces the floor's [`AdmissionPolicy`]
-//!   (pause or abort a lot whose rolling yield collapses),
+//!   (pause or abort a lot whose rolling yield collapses), all on the
+//!   thread that called the run: it ticks between reports, so a slow
+//!   `on_report` delays the snapshots and the admission ticks too,
 //! * the run returns a [`FloorReport`]: one [`LotReport`] per lot plus
 //!   merged metrics — lot metrics under `floor.lot.<name>.*`, floor-wide
 //!   aggregates under `floor.*`.
@@ -68,7 +69,8 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use casbus::RouteTableCache;
@@ -82,7 +84,7 @@ use crate::admission::{
 use crate::engine_packed::{cohort_of, Member, PackedDeviceEngine, COHORT_LANES};
 use crate::fleet::{replay_device, test_device, DeviceReport, FleetReport, VariationSpec};
 use crate::monitor::{DeviceDump, FleetMonitor, FleetSnapshot, LotTracker};
-use crate::pool::{LaneId, WorkerPool};
+use crate::pool::{worker_count, LaneId, WorkerPool};
 use crate::session::SessionCache;
 use crate::simulator::SimError;
 
@@ -313,24 +315,26 @@ impl std::fmt::Display for FloorReport {
     }
 }
 
-/// A lot ready to serve: its spec, its packed engine (`None` serves every
-/// device on the scalar path), and the monitor watching it, if any.
-pub(crate) struct Lot<'a> {
+/// A lot ready to serve: its spec and its packed engine (`None` serves
+/// every device on the scalar path).
+pub(crate) struct Lot {
     pub(crate) spec: LotSpec,
     pub(crate) engine: Option<Arc<PackedDeviceEngine>>,
-    pub(crate) monitor: Option<&'a FleetMonitor>,
 }
 
-/// Multi-tenant test server: many lots, one worker fleet, one cache
-/// budget, one admission policy.
+/// Multi-tenant test server: many lots, one worker fleet, one route
+/// cache, one admission policy.
 ///
-/// The pool spawns at construction and persists, so consecutive
-/// [`run`](Self::run)s reuse warm workers, a warm route cache, and the
+/// The pool spawns at the first [`run`](Self::run) and persists, so
+/// consecutive runs reuse warm workers, a warm route cache, and the
 /// same pool lanes. Runs of one floor are served one at a time: a
 /// concurrent call waits for the running one. See the [module docs](self)
 /// for the full model and the determinism contract.
 pub struct TestFloor {
-    pool: WorkerPool,
+    /// Workers the pool spawns with.
+    threads: usize,
+    /// The worker pool, spawned by the first run.
+    pool: OnceLock<WorkerPool>,
     cache: Arc<RouteTableCache>,
     /// The route cache a monitor's replays run on, apart from `cache`, so
     /// watching a lot moves none of the route-cache counters it publishes.
@@ -353,19 +357,19 @@ impl Default for TestFloor {
 impl std::fmt::Debug for TestFloor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TestFloor")
-            .field("threads", &self.pool.threads())
+            .field("threads", &self.threads)
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
 
 impl TestFloor {
-    /// A floor with one worker per available hardware thread, an unbounded
-    /// shared route cache, and the default (non-intervening)
-    /// [`AdmissionPolicy`].
+    /// A floor with one worker per available hardware thread, a shared
+    /// route cache, and the default (non-intervening) [`AdmissionPolicy`].
     pub fn new() -> Self {
         Self {
-            pool: WorkerPool::new(0),
+            threads: worker_count(0),
+            pool: OnceLock::new(),
             cache: Arc::new(RouteTableCache::new()),
             replay_cache: Arc::new(RouteTableCache::new()),
             sessions: Arc::default(),
@@ -374,21 +378,14 @@ impl TestFloor {
         }
     }
 
-    /// Replaces the worker pool with one of `threads` workers (`0` means
-    /// one per available hardware thread).
+    /// Sizes the worker pool at `threads` workers (`0` means one per
+    /// available hardware thread). The pool spawns at the first run, so a
+    /// floor resized before it runs spawns one pool.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = WorkerPool::new(threads);
+        self.threads = worker_count(threads);
+        self.pool = OnceLock::new();
         self.lanes = Mutex::default();
-        self
-    }
-
-    /// Bounds the shared route cache to `capacity` tables (LRU eviction
-    /// across **all** lots — the floor's single compilation budget).
-    /// Replaces the cache, dropping anything already compiled.
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache = Arc::new(RouteTableCache::with_capacity(capacity));
         self
     }
 
@@ -411,7 +408,12 @@ impl TestFloor {
 
     /// Worker threads serving the floor.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.threads
+    }
+
+    /// The worker pool, spawned on first use.
+    fn pool(&self) -> &WorkerPool {
+        self.pool.get_or_init(|| WorkerPool::new(self.threads))
     }
 
     /// The floor's admission policy.
@@ -481,14 +483,10 @@ impl TestFloor {
                 } else {
                     None
                 };
-                Ok(Lot {
-                    spec,
-                    engine,
-                    monitor: None,
-                })
+                Ok(Lot { spec, engine })
             })
             .collect::<Result<Vec<_>, SimError>>()?;
-        let report = self.serve(&lots, started, on_report)?;
+        let report = self.serve(&lots, None, started, on_report)?;
 
         let mut action_counts = [
             ("floor.admission.paused", 0u64),
@@ -501,7 +499,7 @@ impl TestFloor {
                 &lot_metrics,
                 lot.spec.devices,
                 &lot_report.fleet,
-                self.pool.threads(),
+                self.threads,
                 &self.cache,
                 lot.engine.as_deref(),
             );
@@ -521,7 +519,7 @@ impl TestFloor {
         metrics.set("floor.passed", report.passed());
         metrics.set("floor.failed", report.failed());
         metrics.set("floor.aborted.lots", report.aborted_lots() as u64);
-        metrics.set("floor.threads", self.pool.threads() as u64);
+        metrics.set("floor.threads", self.threads as u64);
         metrics.set(
             "floor.cycles.total",
             report.lots.iter().map(|l| l.fleet.total_cycles).sum(),
@@ -533,42 +531,43 @@ impl TestFloor {
         for (name, count) in action_counts {
             metrics.set(name, count);
         }
-        let stats = self.cache.stats();
-        metrics.set("floor.route_cache.hits", stats.hits);
-        metrics.set("floor.route_cache.misses", stats.misses);
-        metrics.set("floor.route_cache.evictions", stats.evictions);
-        metrics.set("floor.route_cache.shapes", stats.len as u64);
-        metrics.set("floor.route_cache.high_water", stats.high_water);
+        metrics.set("floor.route_cache.hits", self.cache.hits());
+        metrics.set("floor.route_cache.misses", self.cache.misses());
+        metrics.set("floor.route_cache.shapes", self.cache.len() as u64);
 
         Ok(report)
     }
 
     /// The lot executor every floor and fleet run goes through (a
-    /// [`FleetRunner`](crate::FleetRunner) run is a one-lot call). Dispatches
-    /// each lot onto its lane — the jobs [`PackedDeviceEngine::plan_lot`]
-    /// plans when the lot has an engine, one scalar job per device
-    /// otherwise — collects the reports (a packed lot's by whole cohort,
-    /// see the [module docs](self)), and runs the floor's one observer
-    /// thread, which snapshots every lot's [`LotTracker`] and applies the
-    /// admission policy. The observer ticks at the policy's interval, or at
-    /// the monitor's when a lot is monitored, and a monitored lot's dies
-    /// are then [replayed](Self::replay). `started` is when the run began,
-    /// for the report's wall clock. Publishes no metrics: callers do, from
-    /// the returned report.
+    /// [`FleetRunner`](crate::FleetRunner) run is a one-lot call).
+    /// Dispatches each lot onto its lane — the jobs
+    /// [`PackedDeviceEngine::plan_lot`] plans when the lot has an engine,
+    /// one scalar job per device otherwise — then collects the reports on
+    /// the calling thread (a packed lot's by whole cohort, see the
+    /// [module docs](self)) and ticks between them, at the policy's
+    /// interval or `monitor`'s: a tick snapshots every lot's
+    /// [`LotTracker`] and applies the admission policy, and the run closes
+    /// with each lot's `last` snapshot. A monitor watches every lot (a
+    /// fleet passes one for its one lot), whose dies are then
+    /// [replayed](Self::replay). `started` is when the run began, for the
+    /// report's wall clock. Publishes no metrics: callers do, from the
+    /// returned report.
     pub(crate) fn serve(
         &self,
-        lots: &[Lot<'_>],
+        lots: &[Lot],
+        monitor: Option<&FleetMonitor>,
         started: Instant,
         mut on_report: impl FnMut(usize, &DeviceReport),
     ) -> Result<FloorReport, SimError> {
+        let pool = self.pool();
         let mut lane_slots = self.lanes.lock().unwrap_or_else(PoisonError::into_inner);
         for (idx, lot) in lots.iter().enumerate() {
             match lane_slots.get(idx) {
                 Some(&lane) => {
-                    self.pool.set_lane_weight(lane, lot.spec.priority);
-                    self.pool.set_lane_paused(lane, false);
+                    pool.set_lane_weight(lane, lot.spec.priority);
+                    pool.set_lane_paused(lane, false);
                 }
-                None => lane_slots.push(self.pool.lane(lot.spec.priority)),
+                None => lane_slots.push(pool.lane(lot.spec.priority)),
             }
         }
         let lanes = &lane_slots[..lots.len()];
@@ -576,13 +575,12 @@ impl TestFloor {
             .iter()
             .map(|lot| LotTracker::new(lot.spec.devices, self.policy.window))
             .collect();
-        // A monitored lot's jobs report their queue wait to the monitor's
+        // A monitored run's jobs report their queue wait to the monitor's
         // telemetry; attach it before dispatch so every job is timed.
-        let monitor = lots.iter().find_map(|lot| lot.monitor);
         let interval = monitor.map_or(self.policy.interval, |m| m.config().interval);
         if let Some(monitor) = monitor {
             monitor.shared().begin_run();
-            self.pool.set_metrics(Some(Arc::clone(monitor.telemetry())));
+            pool.set_metrics(Some(Arc::clone(monitor.telemetry())));
         }
 
         // One bounded result channel for the whole floor: a lagging
@@ -591,7 +589,7 @@ impl TestFloor {
         // pass costs one rendezvous. Dispatch everything up front — queue
         // pushes never block.
         let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
-            self.pool.threads().saturating_mul(2).max(1),
+            self.threads.saturating_mul(2),
         );
         // Dies in jobs that have not started, and in jobs a drain dropped,
         // per lot.
@@ -605,8 +603,8 @@ impl TestFloor {
             .collect();
         // Every job catches its own panic and reports it as its first die's
         // error, so a panic stops the run instead of losing reports. The
-        // receiver hangs up after a first error: jobs discard late batches
-        // instead of panicking.
+        // receiver hangs up when a failed run returns: jobs discard late
+        // batches instead of panicking.
         for (idx, lot) in lots.iter().enumerate() {
             let spec = &lot.spec;
             let members = (0..spec.devices).map(|id| (id, spec.variation.fault_for(&spec.soc, id)));
@@ -620,12 +618,12 @@ impl TestFloor {
                 let plan = Arc::clone(&spec.plan);
                 let cache = Arc::clone(&self.cache);
                 let sessions = Arc::clone(&self.sessions);
-                let monitor = lot.monitor.map(|m| Arc::clone(m.shared()));
+                let monitor = monitor.map(|m| Arc::clone(m.shared()));
                 let queued = QueuedDies(Arc::clone(&queues[idx]), members.len() as u64);
                 let tx = tx.clone();
                 #[cfg(test)]
                 let fail_on = spec.fail_on;
-                self.pool.execute_in(lanes[idx], move || {
+                pool.execute_in(lanes[idx], move || {
                     queued.start();
                     let first = members[0].0;
                     if let Some(monitor) = &monitor {
@@ -653,122 +651,112 @@ impl TestFloor {
         }
         drop(tx);
 
-        // The observer thread samples every lot's tracker and applies the
-        // admission policy until the collector raises `stop`; it hands back
-        // each lot's snapshots, interventions, and abort flag.
-        let stop = (Mutex::new(false), Condvar::new());
-        // Nothing panics while holding `stop` unless the observer does, and
-        // the flag stays valid: recover it.
-        let stopped = || stop.0.lock().unwrap_or_else(PoisonError::into_inner);
-        let (reports, collected, observed) = std::thread::scope(|scope| {
-            let observer = scope.spawn(|| {
-                let _drain = DrainOnPanic {
-                    pool: &self.pool,
-                    lanes,
-                };
-                let views: Vec<LotLive<'_>> = lots
-                    .iter()
-                    .zip(&trackers)
-                    .enumerate()
-                    .map(|(idx, (lot, tracker))| LotLive {
-                        name: &lot.spec.name,
-                        lane: lanes[idx],
-                        tracker,
-                        queue: &queues[idx],
-                    })
-                    .collect();
-                let mut controller = AdmissionController::new(self.policy, lots.len());
-                let mut snapshots: Vec<Vec<FleetSnapshot>> =
-                    lots.iter().map(|_| Vec::new()).collect();
-                let mut events: Vec<Vec<AdmissionEvent>> =
-                    lots.iter().map(|_| Vec::new()).collect();
-                loop {
-                    let guard = stopped();
-                    #[cfg(test)]
-                    tests::observe(lots, &events, &snapshots);
-                    let (guard, _) = stop
-                        .1
-                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    let stopping = *guard;
-                    drop(guard);
-                    for (idx, (lot, tracker)) in lots.iter().zip(&trackers).enumerate() {
-                        let queued = queues[idx].queued.load(Ordering::Relaxed);
-                        let mut snapshot = tracker.snapshot(&self.cache, queued, stopping);
-                        if let Some(monitor) = lot.monitor {
-                            monitor.shared().complete(&mut snapshot);
-                            monitor.shared().emit(snapshot.clone());
-                        }
-                        snapshots[idx].push(snapshot);
+        let views: Vec<LotLive<'_>> = lots
+            .iter()
+            .zip(&trackers)
+            .enumerate()
+            .map(|(idx, (lot, tracker))| LotLive {
+                name: &lot.spec.name,
+                lane: lanes[idx],
+                tracker,
+                queue: &queues[idx],
+            })
+            .collect();
+        let mut controller = AdmissionController::new(self.policy, lots.len());
+        let mut snapshots: Vec<Vec<FleetSnapshot>> = lots.iter().map(|_| Vec::new()).collect();
+        let mut events: Vec<Vec<AdmissionEvent>> = lots.iter().map(|_| Vec::new()).collect();
+        // One tick: a snapshot of every lot, then, unless it is the `last`,
+        // one admission judgement. A panicking tick fails the run.
+        let mut tick = |last: bool| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let admit = !last;
+                #[cfg(test)]
+                let admit = tests::observe(lots, &events, &snapshots) && admit;
+                for (idx, tracker) in trackers.iter().enumerate() {
+                    let queued = queues[idx].queued.load(Ordering::Relaxed);
+                    let mut snapshot = tracker.snapshot(&self.cache, queued, last);
+                    if let Some(monitor) = monitor {
+                        monitor.shared().complete(&mut snapshot);
+                        monitor.shared().emit(snapshot.clone());
                     }
-                    if stopping {
-                        break;
-                    }
-                    for event in controller.tick(&self.pool, &views) {
+                    snapshots[idx].push(snapshot);
+                }
+                if admit {
+                    for event in controller.tick(pool, &views) {
                         events[event.lot].push(event);
                     }
                 }
-                let aborted: Vec<bool> =
-                    (0..lots.len()).map(|idx| controller.aborted(idx)).collect();
-                (snapshots, events, aborted)
-            });
+            }))
+            .map_err(|_| SimError::ObserverPanicked)
+        };
 
-            let mut reports: Vec<Vec<DeviceReport>> = lots
-                .iter()
-                .map(|lot| Vec::with_capacity(lot.spec.devices as usize))
-                .collect();
-            let mut held: Vec<Option<HeldCohorts>> = lots
-                .iter()
-                .map(|lot| {
-                    lot.engine
-                        .as_ref()
-                        .map(|_| HeldCohorts::new(lot.spec.devices))
-                })
-                .collect();
-            // A panicking `on_report` is caught here so the observer still
-            // sees `stop`; the panic resumes once the run is wound down.
-            let collected = catch_unwind(AssertUnwindSafe(|| {
-                for (idx, outcome) in rx.iter() {
-                    let mut record = |report: DeviceReport| {
-                        trackers[idx].record(&report);
-                        on_report(idx, &report);
-                        reports[idx].push(report);
-                    };
-                    match &mut held[idx] {
-                        Some(held) => {
-                            for report in outcome? {
-                                held.hold(report, &mut record);
-                            }
-                        }
-                        None => outcome?.into_iter().for_each(record),
-                    }
+        let mut reports: Vec<Vec<DeviceReport>> = lots
+            .iter()
+            .map(|lot| Vec::with_capacity(lot.spec.devices as usize))
+            .collect();
+        let mut held: Vec<Option<HeldCohorts>> = lots
+            .iter()
+            .map(|lot| {
+                lot.engine
+                    .as_ref()
+                    .map(|_| HeldCohorts::new(lot.spec.devices))
+            })
+            .collect();
+        // A panicking `on_report` is caught so the lanes still drain; the
+        // panic resumes once the run is wound down.
+        let collected = catch_unwind(AssertUnwindSafe(|| -> Result<(), SimError> {
+            let mut next_tick = Instant::now().checked_add(interval);
+            loop {
+                if next_tick.is_some_and(|at| at <= Instant::now()) {
+                    tick(false)?;
+                    next_tick = Instant::now().checked_add(interval);
                 }
-                Ok::<(), SimError>(())
-            }));
-            if !matches!(collected, Ok(Ok(()))) {
-                // Flush what the floor still owes: queued jobs are dropped
-                // (their sends fail against the hung-up receiver). A lane
-                // left paused is unpaused when the next run reuses it.
-                for &lane in lanes {
-                    self.pool.drain_lane(lane);
+                // An interval past the clock's range never ticks.
+                let batch = match next_tick {
+                    Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+                    None => rx.recv().map_err(RecvTimeoutError::from),
+                };
+                let (idx, outcome) = match batch {
+                    Ok(batch) => batch,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return Ok(()),
+                };
+                let mut record = |report: DeviceReport| {
+                    trackers[idx].record(&report);
+                    on_report(idx, &report);
+                    reports[idx].push(report);
+                };
+                match &mut held[idx] {
+                    Some(held) => {
+                        for report in outcome? {
+                            held.hold(report, &mut record);
+                        }
+                    }
+                    None => outcome?.into_iter().for_each(record),
                 }
             }
-            *stopped() = true;
-            stop.1.notify_all();
-            let observed = observer.join();
-            (reports, collected, observed)
-        });
+        }));
+        if !matches!(collected, Ok(Ok(()))) {
+            // Flush what the floor still owes: queued jobs are dropped, and
+            // a lane left paused is unpaused when the next run reuses it.
+            for &lane in lanes {
+                pool.drain_lane(lane);
+            }
+        }
+        // Every run, failed or not, closes with each lot's `last` snapshot.
+        let closed = tick(true);
         if monitor.is_some() {
-            self.pool.set_metrics(None);
+            pool.set_metrics(None);
         }
 
         collected.unwrap_or_else(|panic| resume_unwind(panic))?;
-        let (snapshots, events, aborted) = observed.map_err(|_| SimError::ObserverPanicked)?;
+        closed?;
+        let aborted: Vec<bool> = (0..lots.len()).map(|idx| controller.aborted(idx)).collect();
         check_complete(lots, &reports, &aborted)?;
         // The serve ends here: replays are post-mortems, off its clock.
         let wall = started.elapsed();
-        for ((lot, devices), &lane) in lots.iter().zip(&reports).zip(lanes) {
-            if let Some(monitor) = lot.monitor {
+        if let Some(monitor) = monitor {
+            for ((lot, devices), &lane) in lots.iter().zip(&reports).zip(lanes) {
                 self.replay(lot, lane, devices, monitor)?;
             }
         }
@@ -801,7 +789,7 @@ impl TestFloor {
     /// failed replay fails the run and drops the replays still queued.
     fn replay(
         &self,
-        lot: &Lot<'_>,
+        lot: &Lot,
         lane: LaneId,
         devices: &[DeviceReport],
         monitor: &FleetMonitor,
@@ -820,7 +808,7 @@ impl TestFloor {
             let tx = tx.clone();
             #[cfg(test)]
             let fail_on = lot.spec.fail_on;
-            self.pool.execute_in(lane, move || {
+            self.pool().execute_in(lane, move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     #[cfg(test)]
                     tests::inject_replay(fail_on, device_id)?;
@@ -834,7 +822,7 @@ impl TestFloor {
         let mut dumps = vec![None; dies.len()];
         for (slot, outcome) in rx {
             if outcome.is_err() {
-                self.pool.drain_lane(lane);
+                self.pool().drain_lane(lane);
             }
             dumps[slot] = Some(outcome?);
         }
@@ -911,28 +899,10 @@ impl HeldCohorts {
     }
 }
 
-/// Drops the queued jobs of a run's lanes if the floor's observer panics:
-/// the collector waits for every queued job, which a lane the observer
-/// paused would hold forever, so they go as after a failed collection.
-struct DrainOnPanic<'a> {
-    pool: &'a WorkerPool,
-    lanes: &'a [LaneId],
-}
-
-impl Drop for DrainOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            for &lane in self.lanes {
-                self.pool.drain_lane(lane);
-            }
-        }
-    }
-}
-
 /// Checks that every lot that was not aborted collected exactly one report
 /// per requested device, naming the first lot that did not.
 fn check_complete(
-    lots: &[Lot<'_>],
+    lots: &[Lot],
     reports: &[Vec<DeviceReport>],
     aborted: &[bool],
 ) -> Result<(), SimError> {
@@ -978,7 +948,6 @@ pub(crate) fn publish_fleet_metrics(
     metrics.set("fleet.threads", threads as u64);
     metrics.set("fleet.route_cache.hits", cache.hits());
     metrics.set("fleet.route_cache.misses", cache.misses());
-    metrics.set("fleet.route_cache.evictions", cache.evictions());
     metrics.set("fleet.route_cache.shapes", cache.len() as u64);
     if let Some(engine) = packed_engine {
         // Per-device accounting (not per-job): how many devices each
@@ -1023,8 +992,18 @@ pub(crate) fn publish_fleet_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::MonitorConfig;
     use casbus_controller::schedule::packed_schedule;
     use casbus_soc::catalog;
+    use std::sync::Condvar;
+    use std::thread::ThreadId;
+
+    impl TestFloor {
+        /// Workers the floor's pool holds: none before its first run.
+        pub(crate) fn workers(&self) -> usize {
+            self.pool.get().map_or(0, WorkerPool::threads)
+        }
+    }
 
     /// How a [`LotSpec::fail_on`] job fails.
     #[derive(Debug, Clone, Copy)]
@@ -1033,21 +1012,24 @@ mod tests {
         Panic,
         /// The job returns [`injected_error`].
         Error,
-        /// The floor's observer panics instead, while it holds the stop
-        /// flag's lock, once the admission controller has acted on the
-        /// lot. Every job of the lot that holds no die of the named
-        /// device's batch of reports (its cohort on a packed lot, the
-        /// device alone on a scalar one) waits at the gate until then, so
-        /// the lot cannot finish before the observer's first tick.
+        /// The run's first tick after the admission controller has acted
+        /// on the lot panics instead. Every job of the lot that holds no
+        /// die of the named device's batch of reports (its cohort on a
+        /// packed lot, the device alone on a scalar one) waits at the gate
+        /// until then, so the lot cannot finish before that tick.
         Observer(&'static Gate),
-        /// Every job of the lot waits at the gate. The observer waits for
-        /// a job to reach it before its first snapshot and opens it
-        /// after.
+        /// Every job of the lot waits at the gate. The first tick waits
+        /// for a job to reach it before its snapshot, and the next tick
+        /// opens it.
         Hold(&'static Gate),
         /// Every job of the lot that holds no die of the named device's
         /// batch of reports waits at the gate until the admission
-        /// controller has acted on the lot; the observer opens it then.
+        /// controller has acted on the lot, and the controller acts only
+        /// once a job has reached the gate; the next tick opens it.
         AwaitAdmission(&'static Gate),
+        /// Nothing fails: every tick of the run records the thread it ran
+        /// on.
+        Ticks(&'static Mutex<Vec<ThreadId>>),
         /// The device's replay (a monitored lot's) panics.
         ReplayPanic,
         /// The device's replay returns [`injected_error`].
@@ -1096,6 +1078,11 @@ mod tests {
                 .unwrap_or_else(PoisonError::into_inner);
         }
 
+        /// Whether a job has reached the gate.
+        fn arrived(&self) -> bool {
+            self.state().1 > 0
+        }
+
         /// Waits until a job has reached the gate.
         fn await_arrival(&self) {
             let _arrived = self
@@ -1105,15 +1092,20 @@ mod tests {
         }
     }
 
-    /// Panics when a lot that asks its observer to ([`Failure::Observer`])
-    /// has seen an admission event, opening the lot's gate first; holds
-    /// the first snapshot of a [`Failure::Hold`] lot until a job reached
-    /// its gate, and opens the gate once the snapshot is taken.
+    /// Starts a tick: panics when a lot that asks to
+    /// ([`Failure::Observer`]) has seen an admission event, opening the
+    /// lot's gate first; holds the first snapshot of a [`Failure::Hold`]
+    /// lot until a job reached its gate, and opens the gate once the
+    /// snapshot is taken; records the thread of a [`Failure::Ticks`] lot.
+    /// Returns whether the admission controller may act this tick: not
+    /// before a job has reached an [`Failure::AwaitAdmission`] lot's gate,
+    /// so that a drain drops exactly the jobs queued behind it.
     pub(super) fn observe(
-        lots: &[Lot<'_>],
+        lots: &[Lot],
         events: &[Vec<AdmissionEvent>],
         snapshots: &[Vec<FleetSnapshot>],
-    ) {
+    ) -> bool {
+        let mut admit = true;
         for ((lot, events), snapshots) in lots.iter().zip(events).zip(snapshots) {
             match lot.spec.fail_on {
                 Some((_, Failure::Observer(gate))) if !events.is_empty() => {
@@ -1121,11 +1113,17 @@ mod tests {
                     panic!("injected observer panic");
                 }
                 Some((_, Failure::AwaitAdmission(gate))) if !events.is_empty() => gate.open(),
+                Some((_, Failure::AwaitAdmission(gate))) => admit &= gate.arrived(),
                 Some((_, Failure::Hold(gate))) if snapshots.is_empty() => gate.await_arrival(),
                 Some((_, Failure::Hold(gate))) => gate.open(),
+                Some((_, Failure::Ticks(threads))) => threads
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(std::thread::current().id()),
                 _ => {}
             }
         }
+        admit
     }
 
     /// The error a [`Failure::Error`] job returns.
@@ -1154,7 +1152,7 @@ mod tests {
 
     /// Fails the job when `fail_on` names one of its `members`; holds it
     /// at the lot's gate when it is a [`Failure::Hold`] lot's, or when
-    /// `fail_on` names another batch's device for the observer to fail.
+    /// `fail_on` names another batch's device for a tick to fail.
     /// `packed` lots report in cohorts.
     pub(super) fn inject(
         fail_on: Option<(u64, Failure)>,
@@ -1213,7 +1211,7 @@ mod tests {
             let report = floor.run(lots(count)).unwrap();
             most = most.max(count);
             // The pool's default lane plus one lane per lot slot ever used.
-            assert_eq!(floor.pool.lane_count(), 1 + most, "after {count} lots");
+            assert_eq!(floor.pool().lane_count(), 1 + most, "after {count} lots");
             for (lot, again) in first.lots.iter().zip(&report.lots) {
                 assert_eq!(lot.fleet.devices, again.fleet.devices, "{}", lot.name);
             }
@@ -1324,12 +1322,13 @@ mod tests {
                     );
                     Arc::new(engine.unwrap())
                 });
-                let lot = Lot {
-                    spec,
-                    engine,
-                    monitor: Some(&monitor),
-                };
-                let served = floor.serve(std::slice::from_ref(&lot), Instant::now(), |_, _| {});
+                let lot = Lot { spec, engine };
+                let served = floor.serve(
+                    std::slice::from_ref(&lot),
+                    Some(&monitor),
+                    Instant::now(),
+                    |_, _| {},
+                );
                 served.map(|_| monitor.dumps())
             };
             for packed in [false, true] {
@@ -1368,15 +1367,16 @@ mod tests {
         let mut spec = LotSpec::new("lot", &soc, 4, schedule, 8, variation).unwrap();
         spec.fail_on = Some((0, Failure::ReplayHold));
         let (monitor, _snapshots) = FleetMonitor::new();
-        let lot = Lot {
-            spec,
-            engine: None,
-            monitor: Some(&monitor),
-        };
+        let lot = Lot { spec, engine: None };
         let floor = TestFloor::new().with_threads(2);
         let started = Instant::now();
         let report = floor
-            .serve(std::slice::from_ref(&lot), started, |_, _| {})
+            .serve(
+                std::slice::from_ref(&lot),
+                Some(&monitor),
+                started,
+                |_, _| {},
+            )
             .unwrap();
         let call = started.elapsed();
         let wall = report.lots[0].fleet.wall;
@@ -1406,16 +1406,15 @@ mod tests {
 
     #[test]
     fn a_panicking_observer_fails_the_run_and_the_floor_keeps_serving() {
-        // Every die fails, so the observer pauses the lot's lane after the
-        // first batch of reports (device 0 alone on the scalar lot, the
-        // first cohort on the packed one), then panics while it holds the
-        // stop flag's lock, before any tick could resume the lane. The
-        // jobs that hold none of that batch wait until then, so the
-        // observer panics on every run. The packed lot's first jobs are
-        // the ones that hold a die of its first cohort, so one worker
-        // reaches them all. The run returns a typed error instead of
-        // hanging on the paused lane or panicking out of `serve`, and the
-        // floor's next run equals a fresh floor's.
+        // Every die fails, so a tick pauses the lot's lane after the first
+        // batch of reports (device 0 alone on the scalar lot, the first
+        // cohort on the packed one), and the next tick panics, before any
+        // tick could resume the lane. The jobs that hold none of that
+        // batch wait until then, so a tick panics on every run. The packed
+        // lot's first jobs are the ones that hold a die of its first
+        // cohort, so one worker reaches them all. The run returns a typed
+        // error instead of hanging on the paused lane or panicking out of
+        // `serve`, and the floor's next run equals a fresh floor's.
         let soc = catalog::figure2a_scan_soc();
         let schedule = packed_schedule(&soc, 4).unwrap();
         let lot = move |packed: bool, fail_on: Option<(u64, Failure)>| {
@@ -1502,8 +1501,9 @@ mod tests {
     fn an_abort_counts_the_dies_it_drops() {
         // One worker serves a packed lot of defective dies in plan order:
         // the jobs holding a die of the first cohort run, and the next job
-        // waits at the gate until the admission controller aborts the lot,
-        // so every later job, lane passes of many dies, is queued when the
+        // waits at the gate until the admission controller aborts the lot.
+        // The controller acts only once that job has reached the gate, so
+        // every later job, lane passes of many dies, is queued when the
         // lane drains.
         let soc = catalog::figure2a_scan_soc();
         let schedule = packed_schedule(&soc, 4).unwrap();
@@ -1610,7 +1610,6 @@ mod tests {
         let lots = [Lot {
             spec: spec(),
             engine: None,
-            monitor: None,
         }];
         let full = report.lots[0].fleet.devices.clone();
         let short = full[..2].to_vec();
@@ -1624,5 +1623,86 @@ mod tests {
             })
         );
         assert_eq!(check_complete(&lots, &[short], &[true]), Ok(()));
+    }
+
+    /// A scan lot of `devices` dies, half of them defective.
+    fn scan_lot(name: &str, devices: u64, packed: bool) -> LotSpec {
+        let soc = catalog::figure2a_scan_soc();
+        let schedule = packed_schedule(&soc, 4).unwrap();
+        LotSpec::new(name, &soc, 4, schedule, devices, VariationSpec::new(5, 0.5))
+            .unwrap()
+            .with_packed(packed)
+    }
+
+    #[test]
+    fn every_tick_runs_on_the_thread_that_called_run() {
+        // A zero interval ticks before the first batch and after every
+        // one, and the run ends with its `last` tick: each takes one
+        // snapshot, and each runs on the caller's thread.
+        let ticks: &'static Mutex<Vec<ThreadId>> = Box::leak(Box::default());
+        let mut spec = scan_lot("lot", 64, false);
+        spec.fail_on = Some((0, Failure::Ticks(ticks)));
+        let policy = AdmissionPolicy::default().with_interval(Duration::ZERO);
+        let floor = TestFloor::new().with_threads(2).with_admission(policy);
+        let report = floor.run(vec![spec]).unwrap();
+        let ticks = ticks.lock().unwrap();
+        assert_eq!(ticks.len(), report.lots[0].snapshots.len());
+        assert!(ticks.len() > 1, "a periodic tick and the last");
+        assert!(ticks.iter().all(|&id| id == std::thread::current().id()));
+    }
+
+    #[test]
+    fn the_extreme_intervals_collect_every_report() {
+        // A zero interval ticks between every two batches; an interval past
+        // the clock's range never ticks, so its run takes the `last`
+        // snapshot alone. Either run collects every report, and so does a
+        // monitored fleet whose monitor never ticks.
+        let lots = || {
+            vec![
+                scan_lot("packed", 100, true),
+                scan_lot("scalar", 100, false),
+            ]
+        };
+        let expected = TestFloor::new().with_threads(2).run(lots()).unwrap();
+        for interval in [Duration::ZERO, Duration::MAX] {
+            let policy = AdmissionPolicy::default().with_interval(interval);
+            let floor = TestFloor::new().with_threads(2).with_admission(policy);
+            let report = floor.run(lots()).unwrap();
+            for (lot, expected) in report.lots.iter().zip(&expected.lots) {
+                let context = format!("{interval:?}, {}", lot.name);
+                assert_eq!(lot.fleet.devices, expected.fleet.devices, "{context}");
+                let last: Vec<bool> = lot.snapshots.iter().map(|s| s.last).collect();
+                assert_eq!(last.iter().filter(|&&last| last).count(), 1, "{context}");
+                assert_eq!(last.last(), Some(&true), "{context}");
+                if interval == Duration::MAX {
+                    assert_eq!(last, [true], "{context}");
+                }
+            }
+        }
+        let soc = catalog::figure2a_scan_soc();
+        let runner = crate::FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap())
+            .unwrap()
+            .with_threads(2);
+        let (monitor, snapshots) = FleetMonitor::with_config(MonitorConfig {
+            interval: Duration::MAX,
+            ..MonitorConfig::default()
+        });
+        let fleet = runner
+            .run_monitored(&VariationSpec::new(5, 0.5), 100, &monitor)
+            .unwrap();
+        assert_eq!(fleet.devices, expected.lots[0].fleet.devices);
+        let snapshots: Vec<FleetSnapshot> = snapshots.try_iter().collect();
+        assert_eq!(snapshots.len(), 1);
+        assert!(snapshots[0].last && snapshots[0].completed == 100);
+    }
+
+    #[test]
+    fn a_floor_spawns_its_pool_at_its_first_run() {
+        // Resizing spawns nothing, and the first run spawns one pool of
+        // the size last asked for.
+        let floor = TestFloor::new().with_threads(3).with_threads(1);
+        assert_eq!((floor.threads(), floor.workers()), (1, 0));
+        floor.run(vec![scan_lot("lot", 8, true)]).unwrap();
+        assert_eq!((floor.threads(), floor.workers()), (1, 1));
     }
 }

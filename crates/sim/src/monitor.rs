@@ -12,12 +12,12 @@
 //!   them when it ends, and observes its wall time once per die.
 //! * A fleet runs as a one-lot [`TestFloor`](crate::floor::TestFloor), so
 //!   its snapshots come from the same place a floor lot's do: the lot's
-//!   [`LotTracker`] counts collected reports, and the floor's one observer
-//!   thread — ticking at the monitor's interval — turns it into a
-//!   [`FleetSnapshot`]. The monitor adds what only it sees (stragglers,
-//!   per-device elapsed time, pool queue wait) and pushes the snapshot over
-//!   a **bounded** channel with `try_send`: a lagging consumer drops
-//!   snapshots (counted), never backpressures the fleet.
+//!   [`LotTracker`] counts collected reports, and the thread that
+//!   collects them turns it into a [`FleetSnapshot`] between reports, at
+//!   the monitor's interval. The monitor adds what only it sees
+//!   (stragglers, per-device elapsed time, pool queue wait) and pushes the
+//!   snapshot over a **bounded** channel with `try_send`: a lagging
+//!   consumer drops snapshots (counted), never backpressures the fleet.
 //! * Post-mortems are replays. A report is a pure function of
 //!   `(spec, device_id, plan)`, so once the lot's reports are in, each
 //!   defective or failing die runs again as one pool job on the compiled
@@ -47,7 +47,7 @@ use crate::fleet::DeviceReport;
 /// Tuning for a [`FleetMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorConfig {
-    /// Period between snapshots.
+    /// Period between snapshots; past the clock's range, only the `last` one.
     pub interval: Duration,
     /// Bounded snapshot-channel capacity; overflow drops (and counts)
     /// snapshots instead of stalling the fleet.
@@ -248,8 +248,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Internal state shared between a monitored lot's jobs, the floor's
-/// observer thread, and the monitor handle the caller keeps.
+/// Internal state shared between a monitored lot's jobs, the thread that
+/// serves the run, and the monitor handle the caller keeps.
 pub(crate) struct MonitorShared {
     config: MonitorConfig,
     emitted: AtomicU64,
@@ -437,10 +437,11 @@ impl FleetMonitor {
 /// [`TestFloor`](crate::floor::TestFloor).
 ///
 /// The floor's collector calls [`record`](Self::record) for every finished
-/// device of the lot; the floor's observer thread periodically turns the
-/// tracker into a per-lot [`FleetSnapshot`] via [`snapshot`](Self::snapshot)
-/// and feeds [`rolling_yield`](Self::rolling_yield) to the
-/// [`AdmissionController`](crate::admission::AdmissionController). A
+/// device of the lot and, between reports, periodically turns the tracker
+/// into a per-lot [`FleetSnapshot`] via [`snapshot`](Self::snapshot) and
+/// feeds [`rolling_yield`](Self::rolling_yield) to the
+/// [`AdmissionController`](crate::admission::AdmissionController), all on
+/// the thread that called the run. A
 /// [`FleetRunner`](crate::FleetRunner) run is a one-lot floor, so its
 /// [`FleetMonitor`] snapshots are built here too.
 ///

@@ -91,6 +91,15 @@ where
         .collect()
 }
 
+/// Workers a pool of `threads` spawns: `0` means one per hardware thread.
+pub(crate) fn worker_count(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
 /// A job the pool executes: owns everything it touches.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -258,11 +267,7 @@ impl WorkerPool {
     /// Spawns a pool of `threads` long-lived workers (`0` means one per
     /// available hardware thread).
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
+        let threads = worker_count(threads);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState::new()),
             work_ready: Condvar::new(),

@@ -643,6 +643,14 @@ mod tests {
 
     use crate::fleet::{FaultKind, InjectedFault};
 
+    impl SessionCache {
+        /// Sessions compiled so far.
+        pub(crate) fn len(&self) -> usize {
+            let sessions = self.sessions.read().unwrap_or_else(PoisonError::into_inner);
+            sessions.values().map(Vec::len).sum()
+        }
+    }
+
     fn session(soc: &casbus_soc::SocDescription, n: usize, core: &str) -> SessionReport {
         let mut sim = SocSimulator::new(soc, n).unwrap();
         run_core_session(&mut sim, core).unwrap()

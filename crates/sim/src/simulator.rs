@@ -57,9 +57,9 @@ pub enum SimError {
         /// The step it was running in.
         step: usize,
     },
-    /// The test floor's observer panicked (a snapshot, a monitor or an
-    /// admission decision). Its lots' queued jobs were dropped, so the run
-    /// ends instead of waiting on a lane it left paused.
+    /// A tick of a test floor run panicked (a snapshot, a monitor or an
+    /// admission decision). The run's queued jobs were dropped, so it ends
+    /// instead of waiting on a lane a tick left paused.
     ObserverPanicked,
     /// A lot that was not aborted ended without exactly one report per
     /// requested device.

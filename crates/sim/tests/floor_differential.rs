@@ -2,9 +2,7 @@
 //! serving N heterogeneous lots concurrently must hand every completed lot
 //! a report bit-identical to testing the lot's devices one by one on fresh
 //! engines, at every thread count; admission interventions may reshape
-//! scheduling (and abort lots) but never what a surviving device computes;
-//! and a shared bounded route cache under multi-plan pressure must evict
-//! without changing results.
+//! scheduling (and abort lots) but never what a surviving device computes.
 
 use std::time::Duration;
 
@@ -333,59 +331,6 @@ fn aborted_lot_is_drained_and_co_tenant_completes_unaffected() {
     assert_eq!(
         metrics.counter("floor.completed"),
         doomed.fleet.fleet_size() as u64 + HEALTHY
-    );
-}
-
-/// Gate (c): two lots with different plans share one bounded route cache.
-/// Multi-plan pressure at capacity 1 forces eviction traffic, but every
-/// lot's reports stay bit-identical to its standalone (unbounded) baseline
-/// and the budget holds.
-#[test]
-fn shared_bounded_cache_thrashes_across_lots_but_stays_correct() {
-    let fig1 = catalog::figure1_soc();
-    let scan = catalog::figure2a_scan_soc();
-    const FIG1_DEVICES: u64 = 8;
-    const SCAN_DEVICES: u64 = 32;
-    let scan_spec = VariationSpec::new(11, 0.5);
-
-    let fig1_baseline = standalone(&fig1, 8, &VariationSpec::perfect(), FIG1_DEVICES);
-    let scan_baseline = standalone(&scan, 4, &scan_spec, SCAN_DEVICES);
-
-    let floor = TestFloor::new().with_threads(2).with_cache_capacity(1);
-    let report = floor
-        .run(vec![
-            LotSpec::new(
-                "fig1",
-                &fig1,
-                8,
-                packed_schedule(&fig1, 8).expect("schedule"),
-                FIG1_DEVICES,
-                VariationSpec::perfect(),
-            )
-            .expect("lot"),
-            LotSpec::new(
-                "scan",
-                &scan,
-                4,
-                packed_schedule(&scan, 4).expect("schedule"),
-                SCAN_DEVICES,
-                scan_spec,
-            )
-            .expect("lot"),
-        ])
-        .expect("floor run");
-
-    assert_eq!(report.lots[0].fleet.devices, fig1_baseline);
-    assert_eq!(report.lots[1].fleet.devices, scan_baseline);
-    let stats = floor.cache().stats();
-    assert!(
-        stats.evictions > 0,
-        "two plans on a capacity-1 budget must evict: {stats:?}"
-    );
-    assert!(stats.len <= 1, "the budget holds after the run");
-    assert!(
-        stats.high_water <= 1,
-        "the budget held throughout the run: {stats:?}"
     );
 }
 

@@ -1,8 +1,8 @@
 //! Multi-tenant test floor: three heterogeneous lots — different SoCs,
 //! bus widths, execution modes and priorities — served concurrently on one
-//! shared worker pool and one route-cache budget, with yield-driven
-//! admission control quarantining a collapsing lot while its co-tenants
-//! run on unaffected.
+//! shared worker pool and one route cache, with yield-driven admission
+//! control quarantining a collapsing lot while its co-tenants run on
+//! unaffected.
 //!
 //! Run with: `cargo run --release --example floor`
 //!
@@ -61,9 +61,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ])
     };
 
-    // The floor: shared workers, one route-cache budget, and a policy
-    // that quarantines any lot whose rolling yield collapses below 40%.
-    let floor = TestFloor::new().with_cache_capacity(64).with_admission(
+    // The floor: shared workers, one route cache, and a policy that
+    // quarantines any lot whose rolling yield collapses below 40%. The
+    // thread that calls the run collects the reports and applies the
+    // policy between them.
+    let floor = TestFloor::new().with_admission(
         AdmissionPolicy::default()
             .with_interval(Duration::from_millis(2))
             .with_window(16)
@@ -72,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_pause_for(Duration::from_millis(10)),
     );
     println!(
-        "test floor: {} worker thread(s), shared route cache capped at 64 tables",
+        "test floor: {} worker thread(s), one shared route cache",
         floor.threads()
     );
 
