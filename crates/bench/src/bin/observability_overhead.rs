@@ -276,6 +276,7 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
     let mut snapshots = Vec::new();
     let mut snapshot_run = Duration::ZERO;
     let mut jobs = 0u64;
+    let mut execs = 0u64;
     let mut dumps = 0usize;
     let mut defective = 0usize;
     let started = Instant::now();
@@ -310,6 +311,10 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
         .iter()
         .map(|name| metrics.counter(name))
         .sum();
+        execs = monitor
+            .telemetry()
+            .histogram("obs.pool.job.exec_us")
+            .map_or(0, |h| h.count);
         samples[1].push(snapshot_run);
         snapshots = rx.try_iter().collect::<Vec<_>>();
 
@@ -339,14 +344,16 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
     let last = snapshots.last().expect("final snapshot");
     assert!(last.last, "the closing snapshot is flagged");
     assert_eq!(last.completed, fleet_size, "the closing snapshot is total");
-    // Each serving job waits once. A packed lot runs two or three jobs
-    // here, whose waits of a few microseconds can share a bucket, so the
-    // digest is checked by its count, not by its spread.
+    // Each serving job waits once and runs once. A packed lot runs two or
+    // three jobs here, whose waits of a few microseconds can share a
+    // bucket, so the digests are checked by their counts, not by their
+    // spread.
     assert_eq!(
         last.queue_wait_us.count, jobs,
         "one queue wait per pool job: {}",
         last.queue_wait_us
     );
+    assert_eq!(execs, jobs, "one execution time per pool job");
     // The sampler emits one snapshot per elapsed interval plus the closing
     // one, so the stream's length follows the run's own wall time: at least
     // half the intervals that fit in it (a busy host wakes the sampler

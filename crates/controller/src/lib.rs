@@ -52,7 +52,7 @@ pub mod search;
 pub use balance::{balance_chains, repartition_flops};
 pub use maintenance::MaintenancePlan;
 pub use program::{CompiledProgram, TestProgram, TestStep};
-pub use schedule::{partition_lpt, Schedule, ScheduleError, ScheduledTest};
+pub use schedule::{Schedule, ScheduleError, ScheduledTest};
 pub use search::{
     search_schedule, search_schedule_metered, search_schedule_with, CandidateValidator,
     SearchBudget,

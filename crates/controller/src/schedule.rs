@@ -291,36 +291,6 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// Longest-processing-time-first partition: splits weighted `items` across
-/// at most `workers` buckets, heaviest first, each item going to the
-/// currently lightest bucket. Never returns an empty bucket (at most
-/// `items.len()` buckets are created).
-///
-/// `casbus_sim::pool::lpt_fanout` balances the candidates a
-/// `casbus_sim::CompiledValidator` measures over scoped workers with it.
-/// The weight sort is stable — callers control equal-weight ties by
-/// pre-ordering `items`.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn partition_lpt<T>(items: Vec<(u64, T)>, workers: usize) -> Vec<Vec<T>> {
-    assert!(workers > 0, "at least one worker");
-    let mut order = items;
-    order.sort_by_key(|&(weight, _)| Reverse(weight));
-    let mut buckets: Vec<(u64, Vec<T>)> = Vec::new();
-    buckets.resize_with(workers.min(order.len()), || (0, Vec::new()));
-    for (weight, item) in order {
-        let lightest = buckets
-            .iter_mut()
-            .min_by_key(|(load, _)| *load)
-            .expect("workers > 0 and items non-empty");
-        lightest.0 += weight;
-        lightest.1.push(item);
-    }
-    buckets.into_iter().map(|(_, bucket)| bucket).collect()
-}
-
 /// A core's place in a schedule: its `(start, wire_start)`.
 pub(crate) type Slot = (u64, usize);
 
@@ -978,21 +948,6 @@ mod tests {
             Schedule::from_tests(0, vec![a]),
             Err(ScheduleError::ZeroWidth)
         );
-    }
-
-    #[test]
-    fn partition_lpt_balances_generic_items() {
-        // Four weights onto two workers: LPT pairs 9+1 and 7+3.
-        let items = vec![(9u64, "a"), (7, "b"), (3, "c"), (1, "d")];
-        let buckets = partition_lpt(items, 2);
-        assert_eq!(buckets, vec![vec!["a", "d"], vec!["b", "c"]]);
-        // More workers than items: singleton buckets, none empty.
-        let buckets = partition_lpt(vec![(5u64, 0usize), (2, 1)], 8);
-        assert_eq!(buckets, vec![vec![0], vec![1]]);
-        // Equal weights keep the caller's order (stable sort).
-        let buckets = partition_lpt(vec![(4u64, "x"), (4, "y"), (4, "z")], 1);
-        assert_eq!(buckets, vec![vec!["x", "y", "z"]]);
-        assert!(partition_lpt(Vec::<(u64, ())>::new(), 3).is_empty());
     }
 
     #[test]

@@ -548,10 +548,11 @@ impl TestFloor {
     /// interval or `monitor`'s: a tick snapshots every lot's
     /// [`LotTracker`] and applies the admission policy, and the run closes
     /// with each lot's `last` snapshot. A monitor watches every lot (a
-    /// fleet passes one for its one lot), whose dies are then
-    /// [replayed](Self::replay). `started` is when the run began, for the
-    /// report's wall clock. Publishes no metrics: callers do, from the
-    /// returned report.
+    /// fleet passes one for its one lot): each job carries its dispatch
+    /// instant, from which the monitor times its queue wait, and the lots'
+    /// dies are then [replayed](Self::replay). `started` is when the run
+    /// began, for the report's wall clock. Publishes no metrics: callers
+    /// do, from the returned report.
     pub(crate) fn serve(
         &self,
         lots: &[Lot],
@@ -575,12 +576,9 @@ impl TestFloor {
             .iter()
             .map(|lot| LotTracker::new(lot.spec.devices, self.policy.window))
             .collect();
-        // A monitored run's jobs report their queue wait to the monitor's
-        // telemetry; attach it before dispatch so every job is timed.
         let interval = monitor.map_or(self.policy.interval, |m| m.config().interval);
         if let Some(monitor) = monitor {
             monitor.shared().begin_run();
-            pool.set_metrics(Some(Arc::clone(monitor.telemetry())));
         }
 
         // One bounded result channel for the whole floor: a lagging
@@ -618,7 +616,9 @@ impl TestFloor {
                 let plan = Arc::clone(&spec.plan);
                 let cache = Arc::clone(&self.cache);
                 let sessions = Arc::clone(&self.sessions);
-                let monitor = monitor.map(|m| Arc::clone(m.shared()));
+                // A monitored job carries its dispatch instant: the monitor
+                // times its queue wait from it.
+                let monitor = monitor.map(|m| (Arc::clone(m.shared()), Instant::now()));
                 let queued = QueuedDies(Arc::clone(&queues[idx]), members.len() as u64);
                 let tx = tx.clone();
                 #[cfg(test)]
@@ -626,8 +626,9 @@ impl TestFloor {
                 pool.execute_in(lanes[idx], move || {
                     queued.start();
                     let first = members[0].0;
-                    if let Some(monitor) = &monitor {
-                        monitor.job_started(members.iter().map(|(id, _)| *id).collect());
+                    if let Some((monitor, dispatched)) = &monitor {
+                        let dies = members.iter().map(|(id, _)| *id).collect();
+                        monitor.job_started(*dispatched, dies);
                     }
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(test)]
@@ -642,7 +643,7 @@ impl TestFloor {
                         }
                     }))
                     .unwrap_or(Err(SimError::WorkerPanicked { device_id: first }));
-                    if let Some(monitor) = &monitor {
+                    if let Some((monitor, _)) = &monitor {
                         monitor.job_finished(first);
                     }
                     let _ = tx.send((idx, outcome));
@@ -745,9 +746,6 @@ impl TestFloor {
         }
         // Every run, failed or not, closes with each lot's `last` snapshot.
         let closed = tick(true);
-        if monitor.is_some() {
-            pool.set_metrics(None);
-        }
 
         collected.unwrap_or_else(|panic| resume_unwind(panic))?;
         closed?;

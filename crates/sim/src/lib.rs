@@ -57,8 +57,8 @@
 //! One device runs on one thread: an engine runs a step's concurrent
 //! sessions one after another, and the paper's concurrency (cores tested
 //! at once on disjoint CAS wire windows) is reproduced exactly in cycle
-//! arithmetic. Host threads serve many devices at once (fleets, floors),
-//! and a [`CompiledValidator`] measures many schedule candidates at once.
+//! arithmetic. Host threads serve many devices at once (fleets, floors) on
+//! one persistent [`WorkerPool`], the crate's only parallelism.
 //!
 //! # Example
 //!

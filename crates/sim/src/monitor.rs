@@ -8,8 +8,9 @@
 //!
 //! * A monitored lot runs exactly the pool jobs an unmonitored one runs
 //!   (packed lane passes and healthy cohorts by default), and the monitor
-//!   watches jobs: each marks its dies in flight when it starts, retires
-//!   them when it ends, and observes its wall time once per die.
+//!   watches jobs: each marks its dies in flight when it starts, observing
+//!   its queue wait since dispatch, retires them when it ends, and observes
+//!   its wall time once per die and once for the job.
 //! * A fleet runs as a one-lot [`TestFloor`](crate::floor::TestFloor), so
 //!   its snapshots come from the same place a floor lot's do: the lot's
 //!   [`LotTracker`] counts collected reports, and the thread that
@@ -112,7 +113,8 @@ pub struct FleetSnapshot {
     pub cache_hit_rate: f64,
     /// Quantile digest of each finished die's job wall time (µs).
     pub device_elapsed_us: HistogramSummary,
-    /// Quantile digest of job queue-wait time (µs) on the worker pool.
+    /// Quantile digest of this run's job queue waits (µs): from each
+    /// serving job's dispatch to its start on a pool worker.
     pub queue_wait_us: HistogramSummary,
     /// Dies of the longest-running jobs still executing, longest first.
     pub stragglers: Vec<Straggler>,
@@ -264,26 +266,31 @@ pub(crate) struct MonitorShared {
 
 impl MonitorShared {
     /// Arms the monitor for a new run, clearing the running jobs, the
-    /// per-device elapsed digest, and the dump list (telemetry histograms
-    /// accumulate across runs by design — they describe the monitor's
-    /// lifetime).
+    /// per-device elapsed digest, the dump list and the telemetry, so that
+    /// each describes the run about to start.
     pub(crate) fn begin_run(&self) {
         lock(&self.jobs).clear();
         *lock(&self.device_elapsed) = Histogram::new();
         lock(&self.dumps).clear();
+        self.telemetry.clear();
     }
 
-    /// Marks a starting job's `dies` (at least one) in flight.
-    pub(crate) fn job_started(&self, dies: Vec<u64>) {
-        lock(&self.jobs).insert(dies[0], (Instant::now(), dies));
+    /// Marks a starting job's `dies` (at least one) in flight and observes
+    /// its queue wait since it was `dispatched` (`obs.pool.job.wait_us`).
+    pub(crate) fn job_started(&self, dispatched: Instant, dies: Vec<u64>) {
+        let started = Instant::now();
+        let waited = started.saturating_duration_since(dispatched).as_micros() as u64;
+        self.telemetry.observe("obs.pool.job.wait_us", waited);
+        lock(&self.jobs).insert(dies[0], (started, dies));
     }
 
     /// Retires the job whose first die is `first`: its wall time joins the
-    /// elapsed digest once per die.
+    /// elapsed digest once per die and `obs.pool.job.exec_us` once.
     pub(crate) fn job_finished(&self, first: u64) {
         let job = lock(&self.jobs).remove(&first);
         if let Some((started, dies)) = job {
             let micros = started.elapsed().as_micros() as u64;
+            self.telemetry.observe("obs.pool.job.exec_us", micros);
             let mut elapsed = lock(&self.device_elapsed);
             dies.iter().for_each(|_| elapsed.observe(micros));
         }
@@ -345,7 +352,8 @@ impl MonitorShared {
 /// overflow drops snapshots, never stalls the fleet). After the run,
 /// [`dumps`](Self::dumps) holds a flight-recorder dump per defective or
 /// failing device, made by replaying it, and [`telemetry`](Self::telemetry)
-/// the wall-clock (`obs.*`) pool histograms.
+/// the run's wall-clock (`obs.*`) job histograms. A monitor can watch one
+/// run after another; each run starts it afresh.
 ///
 /// # Examples
 ///
@@ -406,8 +414,10 @@ impl FleetMonitor {
         &self.shared.config
     }
 
-    /// Wall-clock pool telemetry (`obs.pool.job.wait_us`,
-    /// `obs.pool.job.exec_us`). Accumulates across runs of this monitor.
+    /// Wall-clock job telemetry of the last run: one `obs.pool.job.wait_us`
+    /// (dispatch to start) and one `obs.pool.job.exec_us` (start to finish)
+    /// observation per serving job, none for its replays. Each run clears
+    /// it when it begins.
     pub fn telemetry(&self) -> &Arc<MetricsRegistry> {
         &self.shared.telemetry
     }
@@ -570,6 +580,7 @@ mod tests {
     use super::*;
     use crate::fleet::{DeviceReport, FaultKind, InjectedFault};
     use crate::report::SocTestReport;
+    use crate::{FleetRunner, VariationSpec};
     use casbus_controller::schedule::packed_schedule;
     use casbus_obs::FlightRecorder;
     use casbus_soc::catalog;
@@ -602,8 +613,8 @@ mod tests {
         let shared = monitor.shared();
         shared.begin_run();
         let tracker = LotTracker::new(8, 32);
-        shared.job_started(vec![0, 1]);
-        shared.job_started(vec![2, 3, 4]);
+        shared.job_started(Instant::now(), vec![0, 1]);
+        shared.job_started(Instant::now(), vec![2, 3, 4]);
         shared.job_finished(0);
         for report in [
             device(0, Verdict::Pass, false),
@@ -611,7 +622,6 @@ mod tests {
         ] {
             tracker.record(&report);
         }
-        shared.telemetry.observe("obs.pool.job.wait_us", 10);
 
         // Dies 5..8 are in jobs that have not started.
         let cache = RouteTableCache::new();
@@ -628,7 +638,7 @@ mod tests {
             snap.device_elapsed_us.count, 2,
             "a job's time, once per die"
         );
-        assert_eq!(snap.queue_wait_us.count, 1);
+        assert_eq!(snap.queue_wait_us.count, 2, "each started job waited once");
         let stragglers: Vec<u64> = snap.stragglers.iter().map(|s| s.device_id).collect();
         assert_eq!(stragglers, [2, 3], "the running job's dies, truncated");
 
@@ -641,7 +651,7 @@ mod tests {
         let prom = snap.to_prometheus();
         assert!(prom.contains("fleet_completed 2\n"));
         assert!(prom.contains("fleet_in_flight 3\n"));
-        assert!(prom.contains("fleet_queue_wait_us{quantile=\"0.5\"} 10\n"));
+        assert!(prom.contains("fleet_queue_wait_us_count 2\n"));
         drop(rx);
     }
 
@@ -708,6 +718,100 @@ mod tests {
         assert!(off.dumps().is_empty());
     }
 
+    const JOB_CLOCKS: [&str; 2] = ["obs.pool.job.wait_us", "obs.pool.job.exec_us"];
+
+    /// Observations of `name` in `metrics` (0 when it has none).
+    fn observed(metrics: &MetricsRegistry, name: &str) -> u64 {
+        metrics.histogram(name).map_or(0, |h| h.count)
+    }
+
+    #[test]
+    fn a_monitored_lot_times_each_serving_job_once() {
+        // One wait and one exec per serving job, at every thread count and
+        // on either path; the replays of the defective dies add none.
+        let soc = catalog::figure1_soc();
+        let spec = VariationSpec::new(7, 0.25);
+        let devices = 96;
+        for packed in [true, false] {
+            for threads in [1, 2] {
+                let runner = FleetRunner::new(&soc, 8, packed_schedule(&soc, 8).unwrap())
+                    .unwrap()
+                    .with_threads(threads)
+                    .with_packed(packed);
+                for recorder_capacity in [64, 0] {
+                    let (monitor, _rx) = FleetMonitor::with_config(MonitorConfig {
+                        recorder_capacity,
+                        ..MonitorConfig::default()
+                    });
+                    let metrics = MetricsRegistry::new();
+                    runner
+                        .run_monitored_with_metrics(&spec, devices, &metrics, &monitor, |_| {})
+                        .unwrap();
+                    assert_eq!(monitor.dumps().is_empty(), recorder_capacity == 0);
+                    // A packed lot's jobs are its lane passes, its scalar
+                    // fallbacks and one per cohort; a scalar lot runs one
+                    // job per die.
+                    let jobs = if packed {
+                        [
+                            "fleet.packed.lane.passes",
+                            "fleet.packed.fallback.devices",
+                            "fleet.packed.cohorts",
+                        ]
+                        .iter()
+                        .map(|name| metrics.counter(name))
+                        .sum()
+                    } else {
+                        devices
+                    };
+                    for name in JOB_CLOCKS {
+                        assert_eq!(
+                            observed(monitor.telemetry(), name),
+                            jobs,
+                            "{name}: packed {packed}, {threads} threads, \
+                             recorder {recorder_capacity}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_monitor_describes_each_run() {
+        // Two runs on one monitor: each run's closing snapshot (its only
+        // one, at an interval that never ticks) and registry hold that
+        // run's six jobs, not the runs' sum.
+        let soc = catalog::figure1_soc();
+        let runner = FleetRunner::new(&soc, 8, packed_schedule(&soc, 8).unwrap())
+            .unwrap()
+            .with_threads(2);
+        let spec = VariationSpec::new(7, 0.25);
+        let (monitor, rx) = FleetMonitor::with_config(MonitorConfig {
+            interval: Duration::MAX,
+            ..MonitorConfig::default()
+        });
+        for run in 0..2 {
+            let metrics = MetricsRegistry::new();
+            runner
+                .run_monitored_with_metrics(&spec, 96, &metrics, &monitor, |_| {})
+                .unwrap();
+            let snapshots: Vec<FleetSnapshot> = rx.try_iter().collect();
+            let [last] = snapshots.as_slice() else {
+                panic!("run {run}: {} snapshots", snapshots.len());
+            };
+            assert!(last.last);
+            assert_eq!(
+                (last.queue_wait_us.count, last.device_elapsed_us.count),
+                (6, 96),
+                "run {run}"
+            );
+            for name in JOB_CLOCKS {
+                assert_eq!(observed(&metrics, name), 6, "run {run}: {name}");
+                assert_eq!(observed(monitor.telemetry(), name), 6, "run {run}: {name}");
+            }
+        }
+    }
+
     /// Panics on another thread while holding `mutex`, leaving it poisoned.
     fn poison<T: Send>(mutex: &Mutex<T>) {
         std::thread::scope(|scope| {
@@ -734,7 +838,7 @@ mod tests {
 
         shared.begin_run();
         for id in 0..2 {
-            shared.job_started(vec![id]);
+            shared.job_started(Instant::now(), vec![id]);
         }
         shared.job_finished(0);
         let failing = device(0, Verdict::Fail { mismatches: 1 }, true);

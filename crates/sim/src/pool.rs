@@ -1,95 +1,27 @@
-//! Execution pools for the simulator's parallel paths.
+//! The persistent worker pool fleet and floor serving run on.
 //!
-//! Two shapes of parallelism live here:
-//!
-//! * [`lpt_fanout`] — the *scoped* fan-out behind
-//!   [`CompiledValidator::measure`](crate::CompiledValidator): weighted
-//!   items are balanced over short-lived workers by
-//!   longest-processing-time ([`partition_lpt`]), joined before returning.
-//!   Borrowed data is fine; thread churn is paid per call. Serving never
-//!   validates candidates, so only callers that hand the search a
-//!   validator use it.
-//! * [`WorkerPool`] — the *persistent* pool fleet serving runs on:
-//!   long-lived workers pull whole jobs from shared injector queues, so
-//!   a thousand-device run spawns its threads exactly once. Jobs must be
-//!   `'static` (they outlive the submitting call); results stream back over
-//!   whatever channel the job captured. Jobs land in weighted-fair
-//!   [`LaneId`] lanes: the test floor gives each lot one lane whose weight
-//!   is the lot priority, and its admission controller pauses or drains a
-//!   lane without touching co-tenant lanes.
-//!
-//! The split is deliberate: a persistent pool cannot safely borrow from the
-//! submitting stack frame, and a scoped pool cannot amortise thread startup
-//! across calls. Per-device work (owns its simulator) takes the persistent
-//! pool; candidates a validator measures (borrowed from the search) take
-//! the scoped fan-out. One device runs on one thread: its engine runs a
-//! step's lanes one after another.
+//! Host threads carry one shape of parallelism: many devices at once. One
+//! device runs on one thread, and the paper's concurrency (cores tested at
+//! once on disjoint CAS wire windows) lives in the schedule's cycle
+//! arithmetic. [`WorkerPool`]'s long-lived workers pull whole jobs from
+//! shared injector queues, so a thousand-device run spawns its threads
+//! exactly once. Jobs must be `'static` (they outlive the submitting
+//! call); results stream back over whatever channel the job captured. Jobs
+//! land in weighted-fair [`LaneId`] lanes: the test floor gives each lot
+//! one lane whose weight is the lot priority, and its admission controller
+//! pauses or drains a lane without touching co-tenant lanes. The pool only
+//! schedules: it neither times nor counts its jobs, so a
+//! [`FleetMonitor`](crate::FleetMonitor) times them inside the job.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-use casbus_controller::partition_lpt;
-use casbus_obs::MetricsRegistry;
 
 /// Virtual-time quantum for the stride scheduler: a lane of weight `w`
 /// advances its pass by `STRIDE_SCALE / w` per job, so over time lanes
 /// receive worker pulls proportionally to their weights.
 const STRIDE_SCALE: u64 = 1 << 20;
-
-/// Runs `f` over every item, spreading the work across up to `workers`
-/// scoped threads balanced by LPT on the supplied weights, and returns the
-/// results **in input order**. With one worker (or one item) everything
-/// runs inline on the caller's thread — no spawn, no churn.
-///
-/// Deterministic by construction: each item's result depends only on that
-/// item, and the output order is the input order regardless of how the
-/// buckets interleave.
-pub fn lpt_fanout<T, R, F>(weighted: Vec<(u64, T)>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = workers.min(weighted.len()).max(1);
-    if workers <= 1 {
-        return weighted.into_iter().map(|(_, item)| f(item)).collect();
-    }
-    let slotted: Vec<(u64, (usize, T))> = weighted
-        .into_iter()
-        .enumerate()
-        .map(|(slot, (weight, item))| (weight, (slot, item)))
-        .collect();
-    let mut results: Vec<Option<R>> = (0..slotted.len()).map(|_| None).collect();
-    let computed = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = partition_lpt(slotted, workers)
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(slot, item)| (slot, f(item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fan-out worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (slot, result) in computed {
-        results[slot] = Some(result);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot computed"))
-        .collect()
-}
 
 /// Workers a pool of `threads` spawns: `0` means one per hardware thread.
 pub(crate) fn worker_count(threads: usize) -> usize {
@@ -102,15 +34,6 @@ pub(crate) fn worker_count(threads: usize) -> usize {
 
 /// A job the pool executes: owns everything it touches.
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A queued job plus its enqueue instant, so workers can report how long
-/// it waited for a free thread. The instant is captured only while a
-/// metrics registry is attached — the metric-less serving hot path skips
-/// the clock read entirely.
-struct QueuedJob {
-    run: Job,
-    enqueued: Option<Instant>,
-}
 
 /// Handle to one submission lane of a [`WorkerPool`].
 ///
@@ -127,7 +50,7 @@ pub struct LaneId(usize);
 
 /// One submission lane: its queue plus fair-scheduling state.
 struct LaneState {
-    jobs: VecDeque<QueuedJob>,
+    jobs: VecDeque<Job>,
     /// Scheduling weight (≥ 1): a weight-2 lane gets twice the pulls of a
     /// weight-1 lane while both have work queued.
     weight: u64,
@@ -169,7 +92,7 @@ impl PoolState {
     /// non-empty lane with the smallest pass (ties to the lowest lane
     /// index). During shutdown paused lanes are eligible too, so dropping
     /// the pool never strands queued work.
-    fn next_job(&mut self) -> Option<QueuedJob> {
+    fn next_job(&mut self) -> Option<Job> {
         let mut best: Option<usize> = None;
         for (idx, lane) in self.lanes.iter().enumerate() {
             if lane.jobs.is_empty() || (lane.paused && !self.shutdown) {
@@ -190,31 +113,14 @@ impl PoolState {
 struct PoolShared {
     state: Mutex<PoolState>,
     work_ready: Condvar,
-    executed: AtomicU64,
-    /// When set, workers observe `obs.pool.job.wait_us` (enqueue → pickup)
-    /// and `obs.pool.job.exec_us` (run time) per job. Wall-clock values:
-    /// intentionally namespaced under `obs.*`, outside the determinism
-    /// contract.
-    metrics: Mutex<Option<Arc<MetricsRegistry>>>,
-    /// Mirror of `metrics.is_some()`, updated under the `metrics` lock.
-    /// Workers check this flag per job and only touch the mutex when it is
-    /// set, so the (usual) detached case never serializes on the registry
-    /// lock.
-    metrics_attached: AtomicBool,
 }
 
 impl PoolShared {
     /// Locks the scheduling state. A poisoned lock is recovered: nothing
     /// panics while holding it (`lock_lane` releases it before its panic),
-    /// and every update leaves the queues and counters consistent.
+    /// and every update leaves the queues and passes consistent.
     fn state(&self) -> MutexGuard<'_, PoolState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Locks the attached registry slot, recovering a poisoned lock: the
-    /// slot is a plain `Option` that every write replaces whole.
-    fn metrics(&self) -> MutexGuard<'_, Option<Arc<MetricsRegistry>>> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -258,7 +164,6 @@ impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.workers.len())
-            .field("executed", &self.jobs_executed())
             .finish()
     }
 }
@@ -271,9 +176,6 @@ impl WorkerPool {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState::new()),
             work_ready: Condvar::new(),
-            executed: AtomicU64::new(0),
-            metrics: Mutex::new(None),
-            metrics_attached: AtomicBool::new(false),
         });
         let workers = (0..threads)
             .map(|_| {
@@ -318,32 +220,10 @@ impl WorkerPool {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            // Fast path: no registry attached (the fleet's per-device hot
-            // path) — skip the metrics mutex entirely.
-            let metrics = if shared.metrics_attached.load(Ordering::Acquire) {
-                shared.metrics().clone()
-            } else {
-                None
-            };
             // A panicking job ends itself, not its worker: whatever it
             // captured (result senders included) is dropped, and the
             // worker goes on to the next job.
-            let run = AssertUnwindSafe(job.run);
-            match metrics {
-                Some(metrics) => {
-                    // Jobs enqueued while detached carry no instant and
-                    // report zero wait.
-                    let waited = job.enqueued.map_or(0, |at| at.elapsed().as_micros() as u64);
-                    metrics.observe("obs.pool.job.wait_us", waited);
-                    let started = Instant::now();
-                    let _ = catch_unwind(run);
-                    metrics.observe("obs.pool.job.exec_us", started.elapsed().as_micros() as u64);
-                }
-                None => {
-                    let _ = catch_unwind(run);
-                }
-            }
-            shared.executed.fetch_add(1, Ordering::Relaxed);
+            let _ = catch_unwind(AssertUnwindSafe(job));
         }
     }
 
@@ -374,14 +254,7 @@ impl WorkerPool {
     ///
     /// Panics if `lane` does not belong to this pool.
     pub fn execute_in(&self, lane: LaneId, job: impl FnOnce() + Send + 'static) {
-        let queued = QueuedJob {
-            run: Box::new(job),
-            enqueued: self
-                .shared
-                .metrics_attached
-                .load(Ordering::Acquire)
-                .then(Instant::now),
-        };
+        let job: Job = Box::new(job);
         let mut state = self.lock_lane(lane);
         let global_pass = state.global_pass;
         let slot = &mut state.lanes[lane.0];
@@ -390,7 +263,7 @@ impl WorkerPool {
             // must not replay the share it did not use.
             slot.pass = slot.pass.max(global_pass);
         }
-        slot.jobs.push_back(queued);
+        slot.jobs.push_back(job);
         drop(state);
         self.shared.work_ready.notify_one();
     }
@@ -423,26 +296,9 @@ impl WorkerPool {
         dropped
     }
 
-    /// Attaches (or with `None` detaches) a registry receiving per-job
-    /// queue-wait and execution-time observations. Jobs already queued when
-    /// the registry changes report to whichever registry is installed when
-    /// a worker picks them up.
-    pub fn set_metrics(&self, metrics: Option<Arc<MetricsRegistry>>) {
-        let mut slot = self.shared.metrics();
-        self.shared
-            .metrics_attached
-            .store(metrics.is_some(), Ordering::Release);
-        *slot = metrics;
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Jobs completed over the pool's lifetime.
-    pub fn jobs_executed(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
     }
 }
 
@@ -469,17 +325,6 @@ mod tests {
         pub(crate) fn lane_count(&self) -> usize {
             self.shared.state().lanes.len()
         }
-    }
-
-    #[test]
-    fn lpt_fanout_preserves_input_order_at_every_worker_count() {
-        let items: Vec<(u64, usize)> = (0..13).map(|i| ((13 - i) as u64, i)).collect();
-        let expected: Vec<usize> = (0..13).map(|i| i * 3).collect();
-        for workers in [1usize, 2, 4, 16] {
-            let got = lpt_fanout(items.clone(), workers, |i| i * 3);
-            assert_eq!(got, expected, "{workers} workers");
-        }
-        assert!(lpt_fanout::<usize, usize, _>(vec![], 4, |i| i).is_empty());
     }
 
     #[test]
@@ -511,13 +356,6 @@ mod tests {
             drop(tx);
             assert_eq!(rx.iter().sum::<u64>(), 45, "round {round}");
         }
-        // A job's sender drops when the job returns, just before the worker
-        // counts it: the last count can trail the last receive briefly.
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while pool.jobs_executed() < 30 && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(pool.jobs_executed(), 30);
     }
 
     #[test]
@@ -688,16 +526,9 @@ mod tests {
                 panic!("poisoning the pool state on purpose");
             });
             assert!(state.join().is_err());
-            let metrics = scope.spawn(|| {
-                let _guard = pool.shared.metrics.lock();
-                panic!("poisoning the metrics slot on purpose");
-            });
-            assert!(metrics.join().is_err());
         });
-        assert!(pool.shared.state.is_poisoned() && pool.shared.metrics.is_poisoned());
+        assert!(pool.shared.state.is_poisoned());
 
-        let metrics = MetricsRegistry::new();
-        pool.set_metrics(Some(Arc::clone(&metrics)));
         let lane = pool.lane(2);
         pool.set_lane_paused(lane, true);
         let (tx, rx) = mpsc::channel();
@@ -717,7 +548,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
         drop(pool);
-        assert_eq!(metrics.histogram("obs.pool.job.exec_us").unwrap().count, 8);
     }
 
     #[test]
@@ -729,34 +559,5 @@ mod tests {
         pool.execute(move || tx.send(7).unwrap());
         assert_eq!(rx.recv().unwrap(), 7);
         drop(pool);
-    }
-
-    #[test]
-    fn attached_metrics_observe_wait_and_exec_per_job() {
-        let pool = WorkerPool::new(2);
-        let metrics = MetricsRegistry::new();
-        pool.set_metrics(Some(Arc::clone(&metrics)));
-        let (tx, rx) = mpsc::channel();
-        for i in 0..20u64 {
-            let tx = tx.clone();
-            pool.execute(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 20);
-
-        // Detached: further jobs leave the registry untouched.
-        pool.set_metrics(None);
-        let (tx, rx) = mpsc::channel::<u64>();
-        for _ in 0..5 {
-            let tx = tx.clone();
-            pool.execute(move || tx.send(1).unwrap());
-        }
-        drop(tx);
-        assert_eq!(rx.iter().count(), 5);
-
-        // Joining the workers guarantees every observation landed.
-        drop(pool);
-        assert_eq!(metrics.histogram("obs.pool.job.wait_us").unwrap().count, 20);
-        assert_eq!(metrics.histogram("obs.pool.job.exec_us").unwrap().count, 20);
     }
 }

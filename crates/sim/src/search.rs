@@ -10,8 +10,9 @@
 //!
 //! [`CompiledValidator`] implements the controller's
 //! [`CandidateValidator`] hook on the compiled engine, for callers that
-//! still hand [`search_schedule_with`] a validator. It can veto a
-//! candidate but never reorders them, so it plans what the search plans.
+//! still hand [`search_schedule_with`] a validator. It runs the candidates
+//! in order on the caller's thread, can veto a candidate but never
+//! reorders them, so it plans what the search plans.
 //!
 //! [`search_schedule_with`]: casbus_controller::search::search_schedule_with
 
@@ -24,16 +25,14 @@ use casbus_obs::MetricsRegistry;
 use casbus_soc::SocDescription;
 
 use crate::engine::{CompileBlocker, CompiledEngine};
-use crate::pool::lpt_fanout;
 use crate::report::{run_program_reference, SocTestReport};
 use crate::session::SessionCache;
 use crate::simulator::{SimError, SocSimulator};
 
 /// Execution-backed candidate validation on the compiled engine.
 ///
-/// Candidates are spread over up to `threads` scoped workers by LPT on
-/// their makespans ([`lpt_fanout`]), each running its candidates on a
-/// single-threaded engine. Every worker's engine shares this validator's
+/// Candidates run one after another, in order, on the caller's thread,
+/// each on a single-threaded engine that shares this validator's
 /// [`RouteTableCache`] and compiled sessions. A candidate that fails to
 /// build, configure, or pass is vetoed (`None`); one that passes measures
 /// its total tester cycles.
@@ -54,17 +53,16 @@ use crate::simulator::{SimError, SocSimulator};
 /// ```
 #[derive(Debug)]
 pub struct CompiledValidator {
-    threads: usize,
     cache: Arc<RouteTableCache>,
     sessions: Arc<SessionCache>,
 }
 
 impl CompiledValidator {
-    /// A validator that fully executes every candidate on up to `threads`
-    /// workers (`0` is clamped to 1).
-    pub fn new(threads: usize) -> Self {
+    /// A validator that fully executes every candidate on the caller's
+    /// thread. The thread count is ignored: the search hands a validator
+    /// one candidate, its winner, so there is nothing to spread.
+    pub fn new(_threads: usize) -> Self {
         Self {
-            threads: threads.max(1),
             cache: Arc::new(RouteTableCache::new()),
             sessions: Arc::default(),
         }
@@ -93,16 +91,10 @@ impl CompiledValidator {
 
 impl CandidateValidator for CompiledValidator {
     fn measure(&self, soc: &SocDescription, candidates: &[Schedule]) -> Vec<Option<u64>> {
-        // Candidates spread over the shared scoped LPT fan-out by makespan;
-        // results come back in candidate order.
-        let weighted: Vec<(u64, usize)> = candidates
+        candidates
             .iter()
-            .enumerate()
-            .map(|(idx, candidate)| (candidate.makespan(), idx))
-            .collect();
-        lpt_fanout(weighted, self.threads, |idx| {
-            self.measure_one(soc, &candidates[idx])
-        })
+            .map(|candidate| self.measure_one(soc, candidate))
+            .collect()
     }
 }
 
