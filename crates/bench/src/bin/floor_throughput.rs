@@ -2,8 +2,9 @@
 //!
 //! A [`casbus_sim::TestFloor`] runs heterogeneous lots concurrently on one
 //! shared worker pool and one route cache, and the calling thread collects
-//! every lot's reports and takes the snapshots and admission ticks between
-//! them, as a fleet's run does for its one lot. The question this bench
+//! every lot's reports, as a fleet's run does for its one lot (under the
+//! default admission policy, which cannot act, it takes no ticks between
+//! them). The question this bench
 //! answers: what does multi-tenancy cost against the obvious alternative —
 //! running each lot back to back on its own dedicated
 //! [`casbus_sim::FleetRunner`] with the same thread count?
@@ -191,7 +192,7 @@ fn main() {
             let t0 = Instant::now();
             let report = floor.run(lots()).expect("timed floor");
             let wall_floor = t0.elapsed();
-            assert_eq!(report.completed(), a_devices + b_devices, "nothing aborted");
+            assert_eq!(report.completed(), a_devices + b_devices, "all dies tested");
             let ms = |wall: std::time::Duration| wall.as_secs_f64() * 1e3;
             ratios.push(ms(wall_a + wall_b) / ms(wall_floor).max(1e-9));
             walls_a.push(ms(wall_a));
@@ -252,7 +253,7 @@ fn main() {
              at every thread count (best {best_ratio:.2}x)"
         );
         // Smoke lots are small enough that fixed per-run costs (thread
-        // wake-ups, admission sampling) weigh disproportionately; warn
+        // wake-ups, lane set-up) weigh disproportionately; warn
         // there, fail on the full configuration.
         assert!(smoke, "{message}");
         eprintln!("WARNING: {message} (smoke run)");

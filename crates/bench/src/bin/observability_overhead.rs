@@ -354,10 +354,11 @@ fn fleet_rows(rows: &mut Vec<Row>, smoke: bool) {
         last.queue_wait_us
     );
     assert_eq!(execs, jobs, "one execution time per pool job");
-    // The sampler emits one snapshot per elapsed interval plus the closing
-    // one, so the stream's length follows the run's own wall time: at least
-    // half the intervals that fit in it (a busy host wakes the sampler
-    // late), never more than fit.
+    // The thread that collects the reports ticks once per elapsed interval,
+    // emitting one snapshot, plus the closing one, so the stream's length
+    // follows the run's own wall time: at least half the intervals that fit
+    // in it (a busy host, or a long batch of reports, delays a tick), never
+    // more than fit.
     let periods = (snapshot_run.as_secs_f64() / deep_channel.interval.as_secs_f64()) as usize;
     assert!(
         (1 + periods / 2..=1 + periods).contains(&snapshots.len()),

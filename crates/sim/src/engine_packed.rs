@@ -479,13 +479,14 @@ impl PackedModel {
 /// Runs one core's session once for up to 64 defective devices: lane `l`
 /// carries `faults[l]`. Returns each lane's `(verdict, signature)`.
 ///
-/// Per-cycle mirror of the scalar engine's `run_lane`, with the device axis
-/// packed into words: the session's `len` observation slots, one initial
-/// all-zero slot (the retimed zeros of `t = 0`), each segment's `observed`
-/// prefix of shift cycles, capture cycles recording a zero slot. Stimuli
-/// are broadcast from the compiled session, so every lane's expected
-/// response is the same healthy one: a lane's mismatches are exactly the
-/// bits where its streams differ from the session's healthy streams.
+/// Per-cycle mirror of the compiled engine's `CompiledLane::run_words`,
+/// with the device axis packed into words: the session's `len` observation
+/// slots, one initial all-zero slot (the retimed zeros of `t = 0`), each
+/// segment's `observed` prefix of shift cycles, capture cycles recording a
+/// zero slot. Stimuli are broadcast from the compiled session, so every
+/// lane's expected response is the same healthy one: a lane's mismatches
+/// are exactly the bits where its streams differ from the session's
+/// healthy streams.
 fn run_packed_lane(spec: &PackedLaneSpec, faults: &[&InjectedFault]) -> Vec<(Verdict, u64)> {
     let session = &spec.session;
     let ports = session.ports();

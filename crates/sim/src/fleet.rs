@@ -634,7 +634,7 @@ impl FleetRunner {
 
     /// [`run_with`](Self::run_with), also publishing `fleet.*` metrics:
     /// device/pass/fail/defect counts, cycle and wire-cycle totals, the
-    /// shared route cache's hit/miss/eviction counters, and a per-device
+    /// shared route cache's hit/miss counters, and a per-device
     /// cycle histogram (observed in device order). Metrics never include
     /// wall-clock quantities, so they are bit-identical across thread
     /// counts.
@@ -732,7 +732,6 @@ impl FleetRunner {
             .fleet;
         publish_fleet_metrics(
             metrics,
-            fleet_size,
             &fleet,
             self.threads(),
             self.cache(),

@@ -11,12 +11,12 @@
 //! * all lots share one [`RouteTableCache`] and one session cache, so
 //!   each route shape and each core's compiled session is built once for
 //!   every lot and every run of the floor,
-//! * per-lot [`DeviceReport`]s stream back in completion order, per-lot
-//!   [`FleetSnapshot`]s are sampled throughout the run, and an
+//! * per-lot [`DeviceReport`]s stream back in completion order, and an
 //!   [`AdmissionController`] enforces the floor's [`AdmissionPolicy`]
-//!   (pause or abort a lot whose rolling yield collapses), all on the
-//!   thread that called the run: it ticks between reports, so a slow
-//!   `on_report` delays the snapshots and the admission ticks too,
+//!   (pause a lot whose rolling yield collapses), both on the thread that
+//!   called the run: it ticks between reports, so a slow `on_report`
+//!   delays the admission ticks too (a [`FleetMonitor`] gets its
+//!   snapshots on the same ticks),
 //! * the run returns a [`FloorReport`]: one [`LotReport`] per lot plus
 //!   merged metrics — lot metrics under `floor.lot.<name>.*`, floor-wide
 //!   aggregates under `floor.*`.
@@ -30,9 +30,9 @@
 //! [`FleetRunner`](crate::FleetRunner) would plan them. A
 //! completed lot's sorted report list is therefore bit-identical to the
 //! same lot run alone, at any thread count, under any admission policy
-//! short of [`Abort`](crate::admission::CollapseAction::Abort) (pinned by
-//! `tests/floor_differential.rs`). Wall-clock quantities (snapshots,
-//! [`FloorReport::wall`]) are observational and excluded from the contract.
+//! (pinned by `tests/floor_differential.rs`). Wall-clock quantities
+//! (admission events, [`FloorReport::wall`]) are observational and
+//! excluded from the contract.
 //!
 //! # Reporting by cohort
 //!
@@ -41,8 +41,8 @@
 //! consecutive 64-die cohorts: the collector holds each finished report
 //! until every die of its cohort has reported, then records the cohort in
 //! device order. So the [`LotTracker`], the admission controller's rolling
-//! yield, `on_report` and an abort see the lot die by die in cohorts, as
-//! a tester hands over its dies, whichever job computed them. A scalar
+//! yield and `on_report` see the lot die by die in cohorts, as a tester
+//! hands over its dies, whichever job computed them. A scalar
 //! lot's reports leave as each device finishes.
 //!
 //! # Example
@@ -62,7 +62,7 @@
 //!                  VariationSpec::perfect())?,
 //! ])?;
 //! assert_eq!(report.lots.len(), 2);
-//! assert!(report.lots.iter().all(|lot| !lot.aborted()));
+//! assert_eq!(report.completed(), report.requested(), "every die tested");
 //! assert_eq!(report.lots[1].fleet.passed, 16, "healthy lot all passes");
 //! # Ok::<(), casbus_sim::SimError>(())
 //! ```
@@ -83,7 +83,7 @@ use crate::admission::{
 };
 use crate::engine_packed::{cohort_of, Member, PackedDeviceEngine, COHORT_LANES};
 use crate::fleet::{replay_device, test_device, DeviceReport, FleetReport, VariationSpec};
-use crate::monitor::{DeviceDump, FleetMonitor, FleetSnapshot, LotTracker};
+use crate::monitor::{DeviceDump, FleetMonitor, LotTracker};
 use crate::pool::{worker_count, LaneId, WorkerPool};
 use crate::session::SessionCache;
 use crate::simulator::SimError;
@@ -189,16 +189,6 @@ impl LotSpec {
     }
 }
 
-/// How a lot left the floor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LotStatus {
-    /// Every requested device was tested.
-    Completed,
-    /// The admission controller drained the lot's lane; only the devices
-    /// already completed are in the report.
-    Aborted,
-}
-
 /// One lot's outcome on the floor.
 #[derive(Debug, Clone)]
 pub struct LotReport {
@@ -208,25 +198,12 @@ pub struct LotReport {
     pub priority: u64,
     /// Devices the lot asked to test.
     pub requested: u64,
-    /// Whether the lot completed or was aborted.
-    pub status: LotStatus,
     /// The lot's fleet outcome — devices sorted by id, bit-identical to a
-    /// standalone run of the same lot when `status` is
-    /// [`Completed`](LotStatus::Completed). `wall` is the whole floor
-    /// run's wall clock (lots share it).
+    /// standalone run of the same lot. `wall` is the whole floor run's
+    /// wall clock (lots share it).
     pub fleet: FleetReport,
     /// Admission interventions applied to this lot, in order.
     pub events: Vec<AdmissionEvent>,
-    /// Per-lot health snapshots sampled over the run (last one flagged
-    /// `last = true`).
-    pub snapshots: Vec<FleetSnapshot>,
-}
-
-impl LotReport {
-    /// Whether the admission controller aborted this lot.
-    pub fn aborted(&self) -> bool {
-        self.status == LotStatus::Aborted
-    }
 }
 
 /// Aggregate outcome of one floor run.
@@ -262,11 +239,6 @@ impl FloorReport {
         self.completed() - self.passed()
     }
 
-    /// Lots the admission controller aborted.
-    pub fn aborted_lots(&self) -> usize {
-        self.lots.iter().filter(|lot| lot.aborted()).count()
-    }
-
     /// `passed / completed` across the floor (1.0 when nothing ran).
     pub fn yield_fraction(&self) -> f64 {
         let completed = self.completed();
@@ -287,29 +259,23 @@ impl std::fmt::Display for FloorReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "floor: {} lots, {}/{} devices tested, yield {:.2}%, {:.1} devices/s, {} aborted",
+            "floor: {} lots, {}/{} devices tested, yield {:.2}%, {:.1} devices/s",
             self.lots.len(),
             self.completed(),
             self.requested(),
             self.yield_fraction() * 100.0,
             self.devices_per_sec(),
-            self.aborted_lots(),
         )?;
         for lot in &self.lots {
-            write!(
+            writeln!(
                 f,
-                "  [{}] prio {} {:>9}: {}/{} tested, {} pass",
+                "  [{}] prio {}: {}/{} tested, {} pass",
                 lot.name,
                 lot.priority,
-                match lot.status {
-                    LotStatus::Completed => "completed",
-                    LotStatus::Aborted => "aborted",
-                },
                 lot.fleet.fleet_size(),
                 lot.requested,
                 lot.fleet.passed,
             )?;
-            writeln!(f)?;
         }
         Ok(())
     }
@@ -421,8 +387,7 @@ impl TestFloor {
         &self.policy
     }
 
-    /// Runs every lot to completion (or abort) and reports per-lot
-    /// outcomes.
+    /// Runs every lot to completion and reports per-lot outcomes.
     ///
     /// # Errors
     ///
@@ -491,13 +456,11 @@ impl TestFloor {
         let mut action_counts = [
             ("floor.admission.paused", 0u64),
             ("floor.admission.resumed", 0),
-            ("floor.admission.aborted", 0),
         ];
         for (lot, lot_report) in lots.iter().zip(&report.lots) {
             let lot_metrics = MetricsRegistry::new();
             publish_fleet_metrics(
                 &lot_metrics,
-                lot.spec.devices,
                 &lot_report.fleet,
                 self.threads,
                 &self.cache,
@@ -508,7 +471,6 @@ impl TestFloor {
                 action_counts[match event.action {
                     AdmissionAction::Paused => 0,
                     AdmissionAction::Resumed => 1,
-                    AdmissionAction::Aborted { .. } => 2,
                 }]
                 .1 += 1;
             }
@@ -518,7 +480,6 @@ impl TestFloor {
         metrics.set("floor.completed", report.completed());
         metrics.set("floor.passed", report.passed());
         metrics.set("floor.failed", report.failed());
-        metrics.set("floor.aborted.lots", report.aborted_lots() as u64);
         metrics.set("floor.threads", self.threads as u64);
         metrics.set(
             "floor.cycles.total",
@@ -544,11 +505,12 @@ impl TestFloor {
     /// [`PackedDeviceEngine::plan_lot`] plans when the lot has an engine,
     /// one scalar job per device otherwise — then collects the reports on
     /// the calling thread (a packed lot's by whole cohort, see the
-    /// [module docs](self)) and ticks between them, at the policy's
-    /// interval or `monitor`'s: a tick snapshots every lot's
-    /// [`LotTracker`] and applies the admission policy, and the run closes
-    /// with each lot's `last` snapshot. A monitor watches every lot (a
-    /// fleet passes one for its one lot): each job carries its dispatch
+    /// [module docs](self)) and ticks between them: at `monitor`'s
+    /// interval when one watches, at the policy's when it sets a yield
+    /// floor, and never otherwise. A tick hands the monitor one snapshot
+    /// of every lot and applies the admission policy, and a monitored run
+    /// closes with each lot's `last` snapshot. A monitor watches every lot
+    /// (a fleet passes one for its one lot): each job carries its dispatch
     /// instant, from which the monitor times its queue wait, and the lots'
     /// dies are then [replayed](Self::replay). `started` is when the run
     /// began, for the report's wall clock. Publishes no metrics: callers
@@ -576,7 +538,13 @@ impl TestFloor {
             .iter()
             .map(|lot| LotTracker::new(lot.spec.devices, self.policy.window))
             .collect();
-        let interval = monitor.map_or(self.policy.interval, |m| m.config().interval);
+        // A tick has work only for a monitor or for a policy that can act,
+        // so a run with neither never ticks before its `last`.
+        let interval = match monitor {
+            Some(monitor) => monitor.config().interval,
+            None if self.policy.yield_floor > 0.0 => self.policy.interval,
+            None => Duration::MAX,
+        };
         if let Some(monitor) = monitor {
             monitor.shared().begin_run();
         }
@@ -589,15 +557,11 @@ impl TestFloor {
         let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<DeviceReport>, SimError>)>(
             self.threads.saturating_mul(2),
         );
-        // Dies in jobs that have not started, and in jobs a drain dropped,
-        // per lot.
-        let queues: Vec<Arc<LotQueue>> = lots
+        // Dies in jobs that have not started, per lot: each job lowers its
+        // lot's count as it starts.
+        let queued: Vec<Arc<AtomicU64>> = lots
             .iter()
-            .map(|lot| {
-                let queue = LotQueue::default();
-                queue.queued.store(lot.spec.devices, Ordering::Relaxed);
-                Arc::new(queue)
-            })
+            .map(|lot| Arc::new(AtomicU64::new(lot.spec.devices)))
             .collect();
         // Every job catches its own panic and reports it as its first die's
         // error, so a panic stops the run instead of losing reports. The
@@ -619,12 +583,12 @@ impl TestFloor {
                 // A monitored job carries its dispatch instant: the monitor
                 // times its queue wait from it.
                 let monitor = monitor.map(|m| (Arc::clone(m.shared()), Instant::now()));
-                let queued = QueuedDies(Arc::clone(&queues[idx]), members.len() as u64);
+                let queued = Arc::clone(&queued[idx]);
                 let tx = tx.clone();
                 #[cfg(test)]
                 let fail_on = spec.fail_on;
                 pool.execute_in(lanes[idx], move || {
-                    queued.start();
+                    queued.fetch_sub(members.len() as u64, Ordering::Relaxed);
                     let first = members[0].0;
                     if let Some((monitor, dispatched)) = &monitor {
                         let dies = members.iter().map(|(id, _)| *id).collect();
@@ -660,29 +624,25 @@ impl TestFloor {
                 name: &lot.spec.name,
                 lane: lanes[idx],
                 tracker,
-                queue: &queues[idx],
             })
             .collect();
         let mut controller = AdmissionController::new(self.policy, lots.len());
-        let mut snapshots: Vec<Vec<FleetSnapshot>> = lots.iter().map(|_| Vec::new()).collect();
         let mut events: Vec<Vec<AdmissionEvent>> = lots.iter().map(|_| Vec::new()).collect();
-        // One tick: a snapshot of every lot, then, unless it is the `last`,
-        // one admission judgement. A panicking tick fails the run.
+        // One tick: for a monitor, a snapshot of every lot; then, unless it
+        // is the `last`, one admission judgement. A panicking tick fails
+        // the run.
         let mut tick = |last: bool| {
             catch_unwind(AssertUnwindSafe(|| {
-                let admit = !last;
                 #[cfg(test)]
-                let admit = tests::observe(lots, &events, &snapshots) && admit;
-                for (idx, tracker) in trackers.iter().enumerate() {
-                    let queued = queues[idx].queued.load(Ordering::Relaxed);
-                    let mut snapshot = tracker.snapshot(&self.cache, queued, last);
-                    if let Some(monitor) = monitor {
-                        monitor.shared().complete(&mut snapshot);
-                        monitor.shared().emit(snapshot.clone());
+                tests::observe(lots, &events);
+                if let Some(monitor) = monitor {
+                    let shared = monitor.shared();
+                    for (tracker, queued) in trackers.iter().zip(&queued) {
+                        let queued = queued.load(Ordering::Relaxed);
+                        shared.emit(shared.snapshot(tracker, &self.cache, queued, last));
                     }
-                    snapshots[idx].push(snapshot);
                 }
-                if admit {
+                if !last {
                     for event in controller.tick(pool, &views) {
                         events[event.lot].push(event);
                     }
@@ -744,13 +704,13 @@ impl TestFloor {
                 pool.drain_lane(lane);
             }
         }
-        // Every run, failed or not, closes with each lot's `last` snapshot.
+        // Every run, failed or not, closes with a `last` tick: a monitored
+        // run's hands the monitor each lot's `last` snapshot.
         let closed = tick(true);
 
         collected.unwrap_or_else(|panic| resume_unwind(panic))?;
         closed?;
-        let aborted: Vec<bool> = (0..lots.len()).map(|idx| controller.aborted(idx)).collect();
-        check_complete(lots, &reports, &aborted)?;
+        check_complete(lots, &reports)?;
         // The serve ends here: replays are post-mortems, off its clock.
         let wall = started.elapsed();
         if let Some(monitor) = monitor {
@@ -761,22 +721,14 @@ impl TestFloor {
         let lots = lots
             .iter()
             .zip(reports)
-            .zip(snapshots.into_iter().zip(events).zip(aborted))
-            .map(
-                |((lot, devices), ((snapshots, events), aborted))| LotReport {
-                    name: lot.spec.name.clone(),
-                    priority: lot.spec.priority,
-                    requested: lot.spec.devices,
-                    status: if aborted {
-                        LotStatus::Aborted
-                    } else {
-                        LotStatus::Completed
-                    },
-                    fleet: FleetReport::assemble(devices, wall),
-                    events,
-                    snapshots,
-                },
-            )
+            .zip(events)
+            .map(|((lot, devices), events)| LotReport {
+                name: lot.spec.name.clone(),
+                priority: lot.spec.priority,
+                requested: lot.spec.devices,
+                fleet: FleetReport::assemble(devices, wall),
+                events,
+            })
             .collect();
         Ok(FloorReport { lots, wall })
     }
@@ -835,32 +787,6 @@ impl TestFloor {
     }
 }
 
-/// A lot's dies in pool jobs that have not started, and in jobs a drain
-/// dropped unstarted (which also stay counted as not started).
-#[derive(Debug, Default)]
-pub(crate) struct LotQueue {
-    pub(crate) queued: AtomicU64,
-    pub(crate) dropped: AtomicU64,
-}
-
-/// One pool job's dies on their lot's [`LotQueue`]: queued until the job
-/// starts, and dropped if the job is dropped unstarted (its lane drained).
-pub(crate) struct QueuedDies(pub(crate) Arc<LotQueue>, pub(crate) u64);
-
-impl QueuedDies {
-    /// The job started: its dies leave the queue.
-    pub(crate) fn start(mut self) {
-        self.0.queued.fetch_sub(self.1, Ordering::Relaxed);
-        self.1 = 0;
-    }
-}
-
-impl Drop for QueuedDies {
-    fn drop(&mut self) {
-        self.0.dropped.fetch_add(self.1, Ordering::Relaxed);
-    }
-}
-
 /// A packed lot's finished reports, held until their 64-die cohort is
 /// whole.
 struct HeldCohorts {
@@ -897,15 +823,11 @@ impl HeldCohorts {
     }
 }
 
-/// Checks that every lot that was not aborted collected exactly one report
-/// per requested device, naming the first lot that did not.
-fn check_complete(
-    lots: &[Lot],
-    reports: &[Vec<DeviceReport>],
-    aborted: &[bool],
-) -> Result<(), SimError> {
-    for ((lot, devices), &aborted) in lots.iter().zip(reports).zip(aborted) {
-        if !aborted && devices.len() as u64 != lot.spec.devices {
+/// Checks that every lot collected exactly one report per requested
+/// device, naming the first lot that did not.
+fn check_complete(lots: &[Lot], reports: &[Vec<DeviceReport>]) -> Result<(), SimError> {
+    for (lot, devices) in lots.iter().zip(reports) {
+        if devices.len() as u64 != lot.spec.devices {
             return Err(SimError::LotIncomplete {
                 lot: lot.spec.name.clone(),
                 requested: lot.spec.devices,
@@ -919,22 +841,19 @@ fn check_complete(
 /// Publishes the standard `fleet.*` metrics for one completed lot:
 /// device/pass/fail/defect counts, cycle and wire-cycle totals, the route
 /// cache's counters, packed-path accounting (when `packed_engine` is set),
-/// and the per-device cycle histogram observed in device order. `requested`
-/// is the lot size that was dispatched — it can exceed the devices tested
-/// when a floor lot was aborted mid-run. Shared by
+/// and the per-device cycle histogram observed in device order. Shared by
 /// [`FleetRunner`](crate::FleetRunner) (its own registry) and [`TestFloor`]
 /// (one registry per lot, merged under `floor.lot.<name>.`). Nothing here
 /// is wall-clock, so every value is bit-identical across thread counts.
 pub(crate) fn publish_fleet_metrics(
     metrics: &MetricsRegistry,
-    requested: u64,
     fleet: &FleetReport,
     threads: usize,
     cache: &RouteTableCache,
     packed_engine: Option<&PackedDeviceEngine>,
 ) {
     let devices = &fleet.devices;
-    metrics.set("fleet.devices", requested);
+    metrics.set("fleet.devices", devices.len() as u64);
     metrics.set("fleet.passed", fleet.passed as u64);
     metrics.set("fleet.failed", fleet.failed() as u64);
     metrics.set(
@@ -956,7 +875,7 @@ pub(crate) fn publish_fleet_metrics(
         let lane_devices: usize = passes.iter().map(Vec::len).sum();
         metrics.set(
             "fleet.packed.cohorts",
-            requested.div_ceil(COHORT_LANES as u64),
+            devices.len().div_ceil(COHORT_LANES) as u64,
         );
         metrics.set("fleet.packed.lane.passes", passes.len() as u64);
         for pass in &passes {
@@ -990,7 +909,7 @@ pub(crate) fn publish_fleet_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::MonitorConfig;
+    use crate::monitor::{FleetSnapshot, MonitorConfig};
     use casbus_controller::schedule::packed_schedule;
     use casbus_soc::catalog;
     use std::sync::Condvar;
@@ -1016,14 +935,13 @@ mod tests {
         /// packed lot, the device alone on a scalar one) waits at the gate
         /// until then, so the lot cannot finish before that tick.
         Observer(&'static Gate),
-        /// Every job of the lot waits at the gate. The first tick waits
-        /// for a job to reach it before its snapshot, and the next tick
-        /// opens it.
+        /// Every job of the lot waits at the gate. The run's first tick
+        /// waits for a job to reach it before its snapshot, and the next
+        /// tick opens it.
         Hold(&'static Gate),
         /// Every job of the lot that holds no die of the named device's
         /// batch of reports waits at the gate until the admission
-        /// controller has acted on the lot, and the controller acts only
-        /// once a job has reached the gate; the next tick opens it.
+        /// controller has acted on the lot; the next tick opens it.
         AwaitAdmission(&'static Gate),
         /// Nothing fails: every tick of the run records the thread it ran
         /// on.
@@ -1040,18 +958,19 @@ mod tests {
     const REPLAY_HOLD: Duration = Duration::from_millis(500);
 
     /// A gate that opens once and stays open, and counts the jobs that
-    /// reached it.
+    /// reached it and the ticks that looked at it.
     #[derive(Debug, Default)]
     pub(crate) struct Gate {
         /// Whether it is open, and the jobs that reached it.
         state: Mutex<(bool, usize)>,
         changed: Condvar,
+        /// The ticks that looked at it (a [`Failure::Hold`] lot's).
+        ticks: AtomicU64,
     }
 
     impl Gate {
-        /// A gate for [`Failure::Observer`] or [`Failure::Hold`]. Every
-        /// job copies its lot's `fail_on`, so the gate lives as long as
-        /// the test binary.
+        /// A gate for a [`Failure`] that holds jobs. Every job copies its
+        /// lot's `fail_on`, so the gate lives as long as the test binary.
         fn leaked() -> &'static Self {
             Box::leak(Box::default())
         }
@@ -1076,9 +995,9 @@ mod tests {
                 .unwrap_or_else(PoisonError::into_inner);
         }
 
-        /// Whether a job has reached the gate.
-        fn arrived(&self) -> bool {
-            self.state().1 > 0
+        /// Counts a tick, returning whether it is the run's first.
+        fn first_tick(&self) -> bool {
+            self.ticks.fetch_add(1, Ordering::Relaxed) == 0
         }
 
         /// Waits until a job has reached the gate.
@@ -1092,27 +1011,19 @@ mod tests {
 
     /// Starts a tick: panics when a lot that asks to
     /// ([`Failure::Observer`]) has seen an admission event, opening the
-    /// lot's gate first; holds the first snapshot of a [`Failure::Hold`]
-    /// lot until a job reached its gate, and opens the gate once the
-    /// snapshot is taken; records the thread of a [`Failure::Ticks`] lot.
-    /// Returns whether the admission controller may act this tick: not
-    /// before a job has reached an [`Failure::AwaitAdmission`] lot's gate,
-    /// so that a drain drops exactly the jobs queued behind it.
-    pub(super) fn observe(
-        lots: &[Lot],
-        events: &[Vec<AdmissionEvent>],
-        snapshots: &[Vec<FleetSnapshot>],
-    ) -> bool {
-        let mut admit = true;
-        for ((lot, events), snapshots) in lots.iter().zip(events).zip(snapshots) {
+    /// lot's gate first; opens an [`Failure::AwaitAdmission`] lot's gate
+    /// once it has seen one; holds the run's first tick of a
+    /// [`Failure::Hold`] lot until a job reached its gate, and opens the
+    /// gate on the next; records the thread of a [`Failure::Ticks`] lot.
+    pub(super) fn observe(lots: &[Lot], events: &[Vec<AdmissionEvent>]) {
+        for (lot, events) in lots.iter().zip(events) {
             match lot.spec.fail_on {
                 Some((_, Failure::Observer(gate))) if !events.is_empty() => {
                     gate.open();
                     panic!("injected observer panic");
                 }
                 Some((_, Failure::AwaitAdmission(gate))) if !events.is_empty() => gate.open(),
-                Some((_, Failure::AwaitAdmission(gate))) => admit &= gate.arrived(),
-                Some((_, Failure::Hold(gate))) if snapshots.is_empty() => gate.await_arrival(),
+                Some((_, Failure::Hold(gate))) if gate.first_tick() => gate.await_arrival(),
                 Some((_, Failure::Hold(gate))) => gate.open(),
                 Some((_, Failure::Ticks(threads))) => threads
                     .lock()
@@ -1121,7 +1032,6 @@ mod tests {
                 _ => {}
             }
         }
-        admit
     }
 
     /// The error a [`Failure::Error`] job returns.
@@ -1291,6 +1201,32 @@ mod tests {
         }
     }
 
+    /// Serves `spec` alone on `floor` under `monitor`, packed when the lot
+    /// asks to be.
+    fn serve_monitored(
+        floor: &TestFloor,
+        spec: LotSpec,
+        monitor: &FleetMonitor,
+    ) -> Result<FloorReport, SimError> {
+        let engine = spec.packed.then(|| {
+            let sessions = Arc::clone(&floor.sessions);
+            let engine = PackedDeviceEngine::compile_with_sessions(
+                &spec.soc,
+                &spec.plan,
+                &floor.cache,
+                sessions,
+            );
+            Arc::new(engine.unwrap())
+        });
+        let lot = Lot { spec, engine };
+        floor.serve(
+            std::slice::from_ref(&lot),
+            Some(monitor),
+            Instant::now(),
+            |_, _| {},
+        )
+    }
+
     #[test]
     fn a_failing_replay_fails_the_monitored_run_and_the_floor_keeps_serving() {
         // A monitored lot's replay that panics or returns an error fails
@@ -1310,24 +1246,7 @@ mod tests {
             };
             let dumps = |floor: &TestFloor, spec: LotSpec| {
                 let (monitor, _snapshots) = FleetMonitor::new();
-                let engine = spec.packed.then(|| {
-                    let sessions = Arc::clone(&floor.sessions);
-                    let engine = PackedDeviceEngine::compile_with_sessions(
-                        &spec.soc,
-                        &spec.plan,
-                        &floor.cache,
-                        sessions,
-                    );
-                    Arc::new(engine.unwrap())
-                });
-                let lot = Lot { spec, engine };
-                let served = floor.serve(
-                    std::slice::from_ref(&lot),
-                    Some(&monitor),
-                    Instant::now(),
-                    |_, _| {},
-                );
-                served.map(|_| monitor.dumps())
+                serve_monitored(floor, spec, &monitor).map(|_| monitor.dumps())
             };
             for packed in [false, true] {
                 for threads in [1usize, 2] {
@@ -1426,7 +1345,7 @@ mod tests {
         let policy = AdmissionPolicy::default()
             .with_interval(Duration::from_millis(1))
             .with_min_completed(1)
-            .with_yield_floor(0.5, crate::admission::CollapseAction::Pause)
+            .with_yield_floor(0.5)
             .with_pause_for(Duration::from_millis(5));
         for packed in [false, true] {
             let lot = lot.clone();
@@ -1448,8 +1367,9 @@ mod tests {
     #[test]
     fn a_lot_counts_the_dies_of_jobs_that_have_not_started() {
         // One worker: the lot's first job starts and waits at the gate
-        // while the rest stay queued, so the first snapshot has exactly
-        // that job's dies in flight, however many dies its job holds.
+        // while the rest stay queued, so the monitor's first snapshot has
+        // exactly that job's dies in flight, however many dies its job
+        // holds. The channel holds every snapshot of the run.
         let soc = catalog::figure1_soc();
         let schedule = packed_schedule(&soc, 8).unwrap();
         for packed in [false, true] {
@@ -1469,15 +1389,17 @@ mod tests {
                 1
             };
             spec.fail_on = Some((0, Failure::Hold(Gate::leaked())));
-            let report = within_a_minute(move || {
-                let policy = AdmissionPolicy::default().with_interval(Duration::from_millis(1));
-                TestFloor::new()
-                    .with_threads(1)
-                    .with_admission(policy)
-                    .run(vec![spec])
-            })
-            .unwrap();
-            let snapshots = &report.lots[0].snapshots;
+            let snapshots = within_a_minute(move || {
+                let (monitor, snapshots) = FleetMonitor::with_config(MonitorConfig {
+                    interval: Duration::from_millis(1),
+                    channel_capacity: 1 << 14,
+                    recorder_capacity: 0,
+                    ..MonitorConfig::default()
+                });
+                let floor = TestFloor::new().with_threads(1);
+                serve_monitored(&floor, spec, &monitor).unwrap();
+                snapshots.try_iter().collect::<Vec<FleetSnapshot>>()
+            });
             let first = &snapshots[0];
             assert_eq!(
                 (first.completed, first.in_flight),
@@ -1496,44 +1418,40 @@ mod tests {
     }
 
     #[test]
-    fn an_abort_counts_the_dies_it_drops() {
+    fn a_paused_packed_lot_resumes_and_completes_bit_identically() {
         // One worker serves a packed lot of defective dies in plan order:
-        // the jobs holding a die of the first cohort run, and the next job
-        // waits at the gate until the admission controller aborts the lot.
-        // The controller acts only once that job has reached the gate, so
-        // every later job, lane passes of many dies, is queued when the
-        // lane drains.
+        // the jobs holding a die of the first cohort run, and every later
+        // job waits at the gate until the admission controller has paused
+        // the lot, so the lot can finish neither before the pause nor
+        // before its quarantine expires. Pausing reshapes scheduling only.
         let soc = catalog::figure2a_scan_soc();
         let schedule = packed_schedule(&soc, 4).unwrap();
-        let mut spec = LotSpec::new("doomed", &soc, 4, schedule, 256, VariationSpec::new(3, 1.0))
-            .unwrap()
-            .with_packed(true);
-        let jobs = planned_jobs(&spec);
-        let held = jobs
-            .iter()
-            .position(|job| job.iter().all(|&(id, _)| cohort_of(id) > 0))
-            .expect("a job past the first cohort");
-        let queued = &jobs[held + 1..];
-        let dropped: u64 = queued.iter().map(|job| job.len() as u64).sum();
-        assert!(dropped > queued.len() as u64, "queued jobs hold many dies");
-        spec.fail_on = Some((0, Failure::AwaitAdmission(Gate::leaked())));
+        let lot = move |fail_on: Option<(u64, Failure)>| {
+            let variation = VariationSpec::new(3, 1.0);
+            let mut spec = LotSpec::new("doomed", &soc, 4, schedule.clone(), 256, variation)
+                .unwrap()
+                .with_packed(true);
+            spec.fail_on = fail_on;
+            spec
+        };
+        let policy = AdmissionPolicy::default()
+            .with_interval(Duration::from_millis(1))
+            .with_min_completed(1)
+            .with_yield_floor(0.9)
+            .with_pause_for(Duration::from_millis(5));
+        let unpoliced = TestFloor::new().with_threads(1).run(vec![lot(None)]);
         let report = within_a_minute(move || {
-            let policy = AdmissionPolicy::default()
-                .with_interval(Duration::from_millis(1))
-                .with_min_completed(1)
-                .with_yield_floor(0.9, crate::CollapseAction::Abort);
+            let held = Failure::AwaitAdmission(Gate::leaked());
             TestFloor::new()
                 .with_threads(1)
                 .with_admission(policy)
-                .run(vec![spec])
+                .run(vec![lot(Some((0, held)))])
         })
         .unwrap();
         let lot = &report.lots[0];
-        assert!(lot.aborted());
-        let actions: Vec<&AdmissionAction> = lot.events.iter().map(|e| &e.action).collect();
-        assert_eq!(actions, [&AdmissionAction::Aborted { dropped }]);
-        let message = format!("aborted ({dropped} queued devices dropped)");
-        assert!(lot.events[0].to_string().contains(&message));
+        let actions: Vec<AdmissionAction> = lot.events.iter().map(|e| e.action).collect();
+        assert_eq!(actions, [AdmissionAction::Paused, AdmissionAction::Resumed]);
+        assert_eq!(lot.fleet.devices, unpoliced.unwrap().lots[0].fleet.devices);
     }
 
     #[test]
@@ -1591,7 +1509,7 @@ mod tests {
     }
 
     #[test]
-    fn a_short_lot_is_an_error_unless_it_was_aborted() {
+    fn a_short_lot_is_an_error() {
         let scan = catalog::figure2a_scan_soc();
         let spec = || {
             LotSpec::new(
@@ -1611,16 +1529,15 @@ mod tests {
         }];
         let full = report.lots[0].fleet.devices.clone();
         let short = full[..2].to_vec();
-        assert_eq!(check_complete(&lots, &[full], &[false]), Ok(()));
+        assert_eq!(check_complete(&lots, &[full]), Ok(()));
         assert_eq!(
-            check_complete(&lots, std::slice::from_ref(&short), &[false]),
+            check_complete(&lots, &[short]),
             Err(SimError::LotIncomplete {
                 lot: "short".to_owned(),
                 requested: 3,
                 reported: 2,
             })
         );
-        assert_eq!(check_complete(&lots, &[short], &[true]), Ok(()));
     }
 
     /// A scan lot of `devices` dies, half of them defective.
@@ -1632,29 +1549,49 @@ mod tests {
             .with_packed(packed)
     }
 
+    /// A policy armed with a yield floor that never pauses a lot of at
+    /// most 100 dies, judging every `interval`.
+    fn armed_policy(interval: Duration) -> AdmissionPolicy {
+        AdmissionPolicy::default()
+            .with_interval(interval)
+            .with_yield_floor(1e-9)
+            .with_min_completed(101)
+    }
+
     #[test]
     fn every_tick_runs_on_the_thread_that_called_run() {
-        // A zero interval ticks before the first batch and after every
-        // one, and the run ends with its `last` tick: each takes one
-        // snapshot, and each runs on the caller's thread.
-        let ticks: &'static Mutex<Vec<ThreadId>> = Box::leak(Box::default());
-        let mut spec = scan_lot("lot", 64, false);
-        spec.fail_on = Some((0, Failure::Ticks(ticks)));
-        let policy = AdmissionPolicy::default().with_interval(Duration::ZERO);
-        let floor = TestFloor::new().with_threads(2).with_admission(policy);
-        let report = floor.run(vec![spec]).unwrap();
-        let ticks = ticks.lock().unwrap();
-        assert_eq!(ticks.len(), report.lots[0].snapshots.len());
-        assert!(ticks.len() > 1, "a periodic tick and the last");
-        assert!(ticks.iter().all(|&id| id == std::thread::current().id()));
+        // Under an armed policy, a zero interval ticks before the first
+        // batch and after every one, and the run ends with its `last`
+        // tick, each on the caller's thread. Under the default policy,
+        // which cannot act, the run takes its `last` tick alone.
+        for (policy, armed) in [
+            (armed_policy(Duration::ZERO), true),
+            (
+                AdmissionPolicy::default().with_interval(Duration::ZERO),
+                false,
+            ),
+        ] {
+            let ticks: &'static Mutex<Vec<ThreadId>> = Box::leak(Box::default());
+            let mut spec = scan_lot("lot", 64, false);
+            spec.fail_on = Some((0, Failure::Ticks(ticks)));
+            let floor = TestFloor::new().with_threads(2).with_admission(policy);
+            floor.run(vec![spec]).unwrap();
+            let ticks = ticks.lock().unwrap();
+            if armed {
+                assert!(ticks.len() > 1, "a periodic tick and the last");
+            } else {
+                assert_eq!(ticks.len(), 1, "the last tick alone");
+            }
+            assert!(ticks.iter().all(|&id| id == std::thread::current().id()));
+        }
     }
 
     #[test]
     fn the_extreme_intervals_collect_every_report() {
-        // A zero interval ticks between every two batches; an interval past
-        // the clock's range never ticks, so its run takes the `last`
-        // snapshot alone. Either run collects every report, and so does a
-        // monitored fleet whose monitor never ticks.
+        // Under an armed policy, a zero interval ticks between every two
+        // batches and an interval past the clock's range never ticks.
+        // Either run collects every report, and so does a monitored fleet
+        // whose monitor never ticks.
         let lots = || {
             vec![
                 scan_lot("packed", 100, true),
@@ -1663,18 +1600,12 @@ mod tests {
         };
         let expected = TestFloor::new().with_threads(2).run(lots()).unwrap();
         for interval in [Duration::ZERO, Duration::MAX] {
-            let policy = AdmissionPolicy::default().with_interval(interval);
+            let policy = armed_policy(interval);
             let floor = TestFloor::new().with_threads(2).with_admission(policy);
             let report = floor.run(lots()).unwrap();
             for (lot, expected) in report.lots.iter().zip(&expected.lots) {
                 let context = format!("{interval:?}, {}", lot.name);
                 assert_eq!(lot.fleet.devices, expected.fleet.devices, "{context}");
-                let last: Vec<bool> = lot.snapshots.iter().map(|s| s.last).collect();
-                assert_eq!(last.iter().filter(|&&last| last).count(), 1, "{context}");
-                assert_eq!(last.last(), Some(&true), "{context}");
-                if interval == Duration::MAX {
-                    assert_eq!(last, [true], "{context}");
-                }
             }
         }
         let soc = catalog::figure2a_scan_soc();

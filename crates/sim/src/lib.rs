@@ -47,10 +47,10 @@
 //!   failing dies, made by replaying them,
 //! * [`floor::TestFloor`] — multi-tenant serving: run several heterogeneous
 //!   lots ([`floor::LotSpec`]) concurrently on one shared worker pool and
-//!   one route-cache budget, weighted-fair by lot priority, each lot's
+//!   one route cache, weighted-fair by lot priority, each lot's
 //!   reports bit-identical to a standalone [`fleet::FleetRunner`] run,
 //! * [`admission::AdmissionPolicy`] — yield-driven admission control for
-//!   the floor: pause or abort a lot whose rolling yield collapses, without
+//!   the floor: pause a lot whose rolling yield collapses, without
 //!   perturbing co-tenants,
 //! * fault injection — flip a core defect on and watch the session fail.
 //!
@@ -90,14 +90,12 @@ pub mod search;
 pub mod session;
 pub mod simulator;
 
-pub use admission::{
-    AdmissionAction, AdmissionController, AdmissionEvent, AdmissionPolicy, CollapseAction,
-};
+pub use admission::{AdmissionAction, AdmissionController, AdmissionEvent, AdmissionPolicy};
 pub use bus_core::SystemBusCore;
 pub use engine::CompiledEngine;
 pub use engine_packed::PackedDeviceEngine;
 pub use fleet::{DeviceReport, FaultKind, FleetReport, FleetRunner, InjectedFault, VariationSpec};
-pub use floor::{FloorReport, LotReport, LotSpec, LotStatus, TestFloor};
+pub use floor::{FloorReport, LotReport, LotSpec, TestFloor};
 pub use interconnect::run_interconnect_extest;
 pub use monitor::{DeviceDump, FleetMonitor, FleetSnapshot, LotTracker, MonitorConfig, Straggler};
 pub use pool::{LaneId, WorkerPool};

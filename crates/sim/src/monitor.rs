@@ -11,14 +11,15 @@
 //!   watches jobs: each marks its dies in flight when it starts, observing
 //!   its queue wait since dispatch, retires them when it ends, and observes
 //!   its wall time once per die and once for the job.
-//! * A fleet runs as a one-lot [`TestFloor`](crate::floor::TestFloor), so
-//!   its snapshots come from the same place a floor lot's do: the lot's
-//!   [`LotTracker`] counts collected reports, and the thread that
-//!   collects them turns it into a [`FleetSnapshot`] between reports, at
-//!   the monitor's interval. The monitor adds what only it sees
-//!   (stragglers, per-device elapsed time, pool queue wait) and pushes the
-//!   snapshot over a **bounded** channel with `try_send`: a lagging
-//!   consumer drops snapshots (counted), never backpressures the fleet.
+//! * Snapshots exist only for a monitor. A fleet runs as a one-lot
+//!   [`TestFloor`](crate::floor::TestFloor), and the monitor watches
+//!   every lot of the run: the lot's [`LotTracker`] counts collected
+//!   reports, and at the monitor's interval the thread that collects them
+//!   builds one [`FleetSnapshot`] per lot between reports, from the
+//!   tracker and what only the monitor sees (stragglers, per-device
+//!   elapsed time, pool queue wait). It pushes each over a **bounded**
+//!   channel with `try_send`: a lagging consumer drops snapshots
+//!   (counted), never backpressures the fleet.
 //! * Post-mortems are replays. A report is a pure function of
 //!   `(spec, device_id, plan)`, so once the lot's reports are in, each
 //!   defective or failing die runs again as one pool job on the compiled
@@ -301,10 +302,25 @@ impl MonitorShared {
         *lock(&self.dumps) = dumps;
     }
 
-    /// Fills in what only the monitor sees — the dies of the
+    /// A snapshot of `lot`: the tracker's counts, the route cache's
+    /// traffic, and what only the monitor sees — the dies of the
     /// longest-running jobs, per-device elapsed and pool queue-wait
-    /// digests — over a lot tracker's snapshot.
-    pub(crate) fn complete(&self, snapshot: &mut FleetSnapshot) {
+    /// digests. `queued` is the lot's dies in jobs that have not started,
+    /// so `in_flight` counts the dies whose job has started and whose
+    /// report is not recorded yet (on a packed lot, finished dies waiting
+    /// for the rest of their cohort too).
+    pub(crate) fn snapshot(
+        &self,
+        lot: &LotTracker,
+        cache: &RouteTableCache,
+        queued: u64,
+        last: bool,
+    ) -> FleetSnapshot {
+        let elapsed = lot.started.elapsed();
+        let completed = lot.completed();
+        let passed = lot.passed();
+        let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
+        let lookups = cache_hits + cache_misses;
         let mut stragglers: Vec<Straggler> = lock(&self.jobs)
             .values()
             .flat_map(|(since, dies)| {
@@ -321,13 +337,40 @@ impl MonitorShared {
                 .then(a.device_id.cmp(&b.device_id))
         });
         stragglers.truncate(self.config.stragglers);
-        snapshot.stragglers = stragglers;
-        snapshot.device_elapsed_us = lock(&self.device_elapsed).summary();
-        snapshot.queue_wait_us = self
-            .telemetry
-            .histogram("obs.pool.job.wait_us")
-            .map(|h| h.summary())
-            .unwrap_or_default();
+        FleetSnapshot {
+            seq: lot.seq.fetch_add(1, Ordering::Relaxed),
+            last,
+            elapsed_us: elapsed.as_micros() as u64,
+            fleet_size: lot.fleet_size,
+            completed,
+            passed,
+            failed: completed - passed,
+            defective: lot.defective.load(Ordering::Relaxed),
+            in_flight: lot
+                .fleet_size
+                .saturating_sub(completed)
+                .saturating_sub(queued),
+            yield_fraction: if completed == 0 {
+                1.0
+            } else {
+                passed as f64 / completed as f64
+            },
+            devices_per_sec: completed as f64 / elapsed.as_secs_f64().max(1e-9),
+            cache_hits,
+            cache_misses,
+            cache_hit_rate: if lookups == 0 {
+                0.0
+            } else {
+                cache_hits as f64 / lookups as f64
+            },
+            device_elapsed_us: lock(&self.device_elapsed).summary(),
+            queue_wait_us: self
+                .telemetry
+                .histogram("obs.pool.job.wait_us")
+                .map(|h| h.summary())
+                .unwrap_or_default(),
+            stragglers,
+        }
     }
 
     /// Hands `snapshot` to the receiver without ever blocking the run.
@@ -447,17 +490,11 @@ impl FleetMonitor {
 /// [`TestFloor`](crate::floor::TestFloor).
 ///
 /// The floor's collector calls [`record`](Self::record) for every finished
-/// device of the lot and, between reports, periodically turns the tracker
-/// into a per-lot [`FleetSnapshot`] via [`snapshot`](Self::snapshot) and
-/// feeds [`rolling_yield`](Self::rolling_yield) to the
-/// [`AdmissionController`](crate::admission::AdmissionController), all on
-/// the thread that called the run. A
-/// [`FleetRunner`](crate::FleetRunner) run is a one-lot floor, so its
-/// [`FleetMonitor`] snapshots are built here too.
-///
-/// A `LotTracker` observes only completion events. Snapshot fields the
-/// tracker cannot see — per-device latency quantiles, queue-wait digests,
-/// stragglers — are left empty unless a [`FleetMonitor`] watches the lot.
+/// device of the lot and feeds [`rolling_yield`](Self::rolling_yield) to
+/// the [`AdmissionController`](crate::admission::AdmissionController), all
+/// on the thread that called the run. When a [`FleetMonitor`] watches the
+/// run (a [`FleetRunner`](crate::FleetRunner) run is a one-lot floor), its
+/// per-lot [`FleetSnapshot`]s are built from the tracker's counts.
 #[derive(Debug)]
 pub struct LotTracker {
     fleet_size: u64,
@@ -529,50 +566,6 @@ impl LotTracker {
             recent.iter().filter(|&&pass| pass).count() as f64 / recent.len() as f64
         }
     }
-
-    /// Assembles a per-lot [`FleetSnapshot`]. `queued` is the lot's dies
-    /// in jobs that have not started, so `in_flight` counts the dies whose
-    /// job has started and whose report is not recorded yet (on a packed
-    /// lot, finished dies waiting for the rest of their cohort too).
-    /// Tracker-invisible fields (latency digests, stragglers) are empty —
-    /// see the type-level docs.
-    pub fn snapshot(&self, cache: &RouteTableCache, queued: u64, last: bool) -> FleetSnapshot {
-        let elapsed = self.started.elapsed();
-        let completed = self.completed();
-        let passed = self.passed();
-        let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
-        let lookups = cache_hits + cache_misses;
-        FleetSnapshot {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            last,
-            elapsed_us: elapsed.as_micros() as u64,
-            fleet_size: self.fleet_size,
-            completed,
-            passed,
-            failed: completed - passed,
-            defective: self.defective.load(Ordering::Relaxed),
-            in_flight: self
-                .fleet_size
-                .saturating_sub(completed)
-                .saturating_sub(queued),
-            yield_fraction: if completed == 0 {
-                1.0
-            } else {
-                passed as f64 / completed as f64
-            },
-            devices_per_sec: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-            cache_hits,
-            cache_misses,
-            cache_hit_rate: if lookups == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / lookups as f64
-            },
-            device_elapsed_us: HistogramSummary::default(),
-            queue_wait_us: HistogramSummary::default(),
-            stragglers: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -625,8 +618,7 @@ mod tests {
 
         // Dies 5..8 are in jobs that have not started.
         let cache = RouteTableCache::new();
-        let mut snap = tracker.snapshot(&cache, 3, false);
-        shared.complete(&mut snap);
+        let snap = shared.snapshot(&tracker, &cache, 3, false);
         assert_eq!(snap.fleet_size, 8);
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.passed, 1);
@@ -665,7 +657,7 @@ mod tests {
         let tracker = LotTracker::new(1, 1);
         let cache = RouteTableCache::new();
         for _ in 0..3 {
-            shared.emit(tracker.snapshot(&cache, 0, false));
+            shared.emit(shared.snapshot(&tracker, &cache, 0, false));
         }
         assert_eq!(monitor.snapshots_emitted(), 1);
         assert_eq!(monitor.snapshots_dropped(), 2);
@@ -673,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn sampler_always_emits_a_final_snapshot() {
+    fn a_monitored_run_always_emits_a_final_snapshot() {
         let soc = catalog::figure2a_scan_soc();
         let runner = crate::FleetRunner::new(&soc, 4, packed_schedule(&soc, 4).unwrap()).unwrap();
         let (monitor, rx) = FleetMonitor::with_config(MonitorConfig {
@@ -850,8 +842,7 @@ mod tests {
         }]);
         tracker.record(&failing);
 
-        let mut snap = tracker.snapshot(&RouteTableCache::new(), 0, true);
-        shared.complete(&mut snap);
+        let snap = shared.snapshot(&tracker, &RouteTableCache::new(), 0, true);
         assert_eq!((snap.completed, snap.failed, snap.in_flight), (1, 1, 1));
         assert_eq!(snap.stragglers.len(), 1, "device 1 is still in flight");
         assert_eq!(snap.device_elapsed_us.count, 1);

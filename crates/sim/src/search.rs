@@ -68,8 +68,7 @@ impl CompiledValidator {
         }
     }
 
-    /// Replaces the validator's route-table cache with a shared (possibly
-    /// capacity-bounded) one.
+    /// Replaces the validator's route-table cache with a shared one.
     pub fn with_cache(mut self, cache: Arc<RouteTableCache>) -> Self {
         self.cache = cache;
         self

@@ -61,8 +61,7 @@ pub enum SimError {
     /// admission decision). The run's queued jobs were dropped, so it ends
     /// instead of waiting on a lane a tick left paused.
     ObserverPanicked,
-    /// A lot that was not aborted ended without exactly one report per
-    /// requested device.
+    /// A lot ended without exactly one report per requested device.
     LotIncomplete {
         /// The lot's name.
         lot: String,

@@ -2,7 +2,7 @@
 //! serving N heterogeneous lots concurrently must hand every completed lot
 //! a report bit-identical to testing the lot's devices one by one on fresh
 //! engines, at every thread count; admission interventions may reshape
-//! scheduling (and abort lots) but never what a surviving device computes.
+//! scheduling but never what a device computes.
 
 use std::time::Duration;
 
@@ -10,8 +10,8 @@ use casbus_controller::schedule::packed_schedule;
 use casbus_controller::CompiledProgram;
 use casbus_obs::MetricsRegistry;
 use casbus_sim::{
-    AdmissionAction, AdmissionPolicy, CollapseAction, CompiledEngine, DeviceReport, LotSpec,
-    LotStatus, SocSimulator, TestFloor, VariationSpec,
+    AdmissionAction, AdmissionPolicy, CompiledEngine, DeviceReport, LotSpec, SocSimulator,
+    TestFloor, VariationSpec,
 };
 use casbus_soc::{catalog, SocDescription};
 
@@ -117,7 +117,6 @@ fn floor_lots_are_bit_identical_to_standalone_runs() {
                 .iter()
                 .zip([&scan_baseline, &bist_baseline, &maint_baseline])
         {
-            assert_eq!(lot.status, LotStatus::Completed, "{threads} threads");
             assert_eq!(
                 &lot.fleet.devices, baseline,
                 "lot {} diverged from standalone at {threads} threads",
@@ -127,9 +126,6 @@ fn floor_lots_are_bit_identical_to_standalone_runs() {
                 lot.events.is_empty(),
                 "the default policy never intervenes ({threads} threads)"
             );
-            let last = lot.snapshots.last().expect("snapshots sampled");
-            assert!(last.last, "final snapshot flagged ({threads} threads)");
-            assert_eq!(last.completed, lot.requested, "{threads} threads");
         }
         assert_eq!(
             streamed,
@@ -161,18 +157,17 @@ fn floor_lots_are_bit_identical_to_standalone_runs() {
             metrics.counter("floor.completed"),
             metrics.counter("floor.devices")
         );
-        assert_eq!(metrics.counter("floor.aborted.lots"), 0);
     }
 }
 
 /// The floor's admission policy for the collapse gates: judge early and
 /// often so a collapsing lot is caught well before it finishes.
-fn collapse_policy(action: CollapseAction) -> AdmissionPolicy {
+fn collapse_policy() -> AdmissionPolicy {
     AdmissionPolicy::default()
         .with_interval(Duration::from_millis(1))
         .with_window(16)
         .with_min_completed(8)
-        .with_yield_floor(0.5, action)
+        .with_yield_floor(0.5)
         .with_pause_for(Duration::from_millis(5))
 }
 
@@ -195,7 +190,7 @@ fn collapsing_lot_is_paused_and_co_tenant_completes_unaffected() {
 
     let floor = TestFloor::new()
         .with_threads(2)
-        .with_admission(collapse_policy(CollapseAction::Pause));
+        .with_admission(collapse_policy());
     let report = floor
         .run(vec![
             LotSpec::new(
@@ -223,7 +218,6 @@ fn collapsing_lot_is_paused_and_co_tenant_completes_unaffected() {
 
     let doomed = &report.lots[0];
     let healthy = &report.lots[1];
-    assert_eq!(doomed.status, LotStatus::Completed, "pause is temporary");
     assert!(
         doomed
             .events
@@ -244,94 +238,11 @@ fn collapsing_lot_is_paused_and_co_tenant_completes_unaffected() {
         doomed.fleet.devices, doomed_baseline,
         "pausing must not change what devices compute"
     );
-    assert_eq!(healthy.status, LotStatus::Completed);
     assert!(
         healthy.events.is_empty(),
         "the healthy lot is never touched"
     );
     assert_eq!(healthy.fleet.devices, healthy_baseline);
-}
-
-/// Gate (b), abort flavour: with [`CollapseAction::Abort`] the collapsing
-/// lot is drained — it keeps only the devices already tested (each still
-/// bit-identical to its standalone twin) — while the co-tenant lot
-/// completes bit-identically, and the floor metrics record the abort.
-#[test]
-fn aborted_lot_is_drained_and_co_tenant_completes_unaffected() {
-    let scan = catalog::figure2a_scan_soc();
-    let bist = catalog::figure2b_bist_soc();
-    let doomed_spec = VariationSpec::new(3, 1.0);
-    const DOOMED: u64 = 512;
-    const HEALTHY: u64 = 64;
-
-    let doomed_baseline = standalone(&scan, 4, &doomed_spec, DOOMED);
-    let healthy_baseline = standalone(&bist, 3, &VariationSpec::perfect(), HEALTHY);
-
-    let floor = TestFloor::new()
-        .with_threads(2)
-        .with_admission(collapse_policy(CollapseAction::Abort));
-    let metrics = MetricsRegistry::new();
-    let report = floor
-        .run_with_metrics(
-            vec![
-                LotSpec::new(
-                    "doomed",
-                    &scan,
-                    4,
-                    packed_schedule(&scan, 4).expect("schedule"),
-                    DOOMED,
-                    doomed_spec,
-                )
-                .expect("lot")
-                .with_packed(false),
-                LotSpec::new(
-                    "healthy",
-                    &bist,
-                    3,
-                    packed_schedule(&bist, 3).expect("schedule"),
-                    HEALTHY,
-                    VariationSpec::perfect(),
-                )
-                .expect("lot")
-                .with_priority(2),
-            ],
-            &metrics,
-            |_, _| {},
-        )
-        .expect("floor run");
-
-    let doomed = &report.lots[0];
-    let healthy = &report.lots[1];
-    assert_eq!(doomed.status, LotStatus::Aborted);
-    assert!(doomed.aborted());
-    assert!(
-        doomed
-            .events
-            .iter()
-            .any(|e| matches!(e.action, AdmissionAction::Aborted { dropped } if dropped > 0)),
-        "the drain must drop queued devices: {:?}",
-        doomed.events
-    );
-    assert!(
-        (doomed.fleet.fleet_size() as u64) < DOOMED,
-        "an aborted lot cannot have tested everything"
-    );
-    // What did complete before the drain is still bit-identical.
-    for device in &doomed.fleet.devices {
-        assert_eq!(
-            device, &doomed_baseline[device.device_id as usize],
-            "device {} diverged",
-            device.device_id
-        );
-    }
-    assert_eq!(healthy.status, LotStatus::Completed);
-    assert_eq!(healthy.fleet.devices, healthy_baseline);
-    assert_eq!(metrics.counter("floor.aborted.lots"), 1);
-    assert_eq!(metrics.counter("floor.admission.aborted"), 1);
-    assert_eq!(
-        metrics.counter("floor.completed"),
-        doomed.fleet.fleet_size() as u64 + HEALTHY
-    );
 }
 
 /// Determinism across thread counts under an *active* policy: the same
@@ -350,7 +261,7 @@ fn paused_floor_reports_are_identical_across_thread_counts() {
     for threads in [1usize, 2, 4] {
         let floor = TestFloor::new()
             .with_threads(threads)
-            .with_admission(collapse_policy(CollapseAction::Pause));
+            .with_admission(collapse_policy());
         let report = floor
             .run(vec![
                 LotSpec::new(
@@ -375,7 +286,6 @@ fn paused_floor_reports_are_identical_across_thread_counts() {
                 .with_priority(2),
             ])
             .expect("floor run");
-        assert!(report.lots.iter().all(|l| !l.aborted()));
         let devices: Vec<Vec<DeviceReport>> = report
             .lots
             .into_iter()

@@ -27,3 +27,8 @@ pub use casbus_rtl;
 pub use casbus_sim;
 pub use casbus_soc;
 pub use casbus_tpg;
+
+/// The README's Rust snippets, compiled by `cargo test --doc`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
